@@ -6,11 +6,9 @@
 // doubles as a reproduction gate.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dynprof/policy.hpp"
@@ -68,8 +66,7 @@ inline std::optional<machine::MachineSpec> machine_for_cpus(int cpus) {
 }
 
 inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
-                                    std::uint64_t seed, int sim_threads = 1,
-                                    int max_cpus = 0) {
+                                    std::uint64_t seed, int max_cpus = 0) {
   // --max-cpus beyond the app's paper ceiling: sweep a widened copy on a
   // machine grown to fit (results for the paper counts are unchanged --
   // cells only get a bigger machine when they need one).
@@ -87,7 +84,6 @@ inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
       config.nprocs = cpus;
       config.problem_scale = scale;
       config.seed = seed;
-      config.sim_threads = sim_threads;
       if (widened.model != asci::AppSpec::Model::kOpenMP) {
         config.machine = machine_for_cpus(cpus);
       }
@@ -99,58 +95,6 @@ inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
   }
   std::fprintf(stderr, "\n");
   return sweep;
-}
-
-/// Host wall-clock comparison of one (app, policy, nprocs) cell sequential
-/// vs sim_threads shards, with the bit-identity check the parallel engine
-/// guarantees (DESIGN.md §8).
-struct ParallelCompare {
-  int threads = 1;
-  double seq_wall_s = 0;
-  double par_wall_s = 0;
-  bool identical = true;
-  double speedup() const { return par_wall_s > 0 ? seq_wall_s / par_wall_s : 0; }
-};
-
-inline ParallelCompare run_parallel_compare(const asci::AppSpec& app, dynprof::Policy policy,
-                                            int nprocs, double scale, std::uint64_t seed,
-                                            int threads) {
-  const auto cell = [&](int sim_threads, double* wall_s) {
-    dynprof::RunConfig config;
-    config.app = &app;
-    config.policy = policy;
-    config.nprocs = nprocs;
-    config.problem_scale = scale;
-    config.seed = seed;
-    config.sim_threads = sim_threads;
-    const auto begin = std::chrono::steady_clock::now();
-    const dynprof::PolicyResult result = dynprof::run_policy(config);
-    *wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-    return result;
-  };
-  ParallelCompare compare;
-  compare.threads = threads;
-  const auto seq = cell(1, &compare.seq_wall_s);
-  const auto par = cell(threads, &compare.par_wall_s);
-  compare.identical = seq.trace_digest == par.trace_digest &&
-                      seq.stats_digest == par.stats_digest &&
-                      seq.app_seconds == par.app_seconds &&
-                      seq.total_seconds == par.total_seconds;
-  return compare;
-}
-
-/// Print the comparison and return its shape check ("bit-identical").
-inline ShapeCheck print_parallel_compare(const char* cell_name,
-                                         const ParallelCompare& compare) {
-  std::printf(
-      "\nparallel engine (%s): 1 thread %.2fs wall, %d threads %.2fs wall "
-      "(%.2fx, %u hardware core(s)), results %s\n",
-      cell_name, compare.seq_wall_s, compare.threads, compare.par_wall_s,
-      compare.speedup(), std::thread::hardware_concurrency(),
-      compare.identical ? "bit-identical" : "DIVERGED");
-  return ShapeCheck{std::string("--sim-threads run bit-identical to sequential (") +
-                        cell_name + ")",
-                    compare.identical};
 }
 
 inline void print_sweep(const char* title, const PolicySweep& sweep) {
@@ -172,7 +116,6 @@ inline void print_sweep(const char* title, const PolicySweep& sweep) {
 struct Fig7Options {
   double scale = 1.0;
   std::int64_t seed = 42;
-  std::int64_t sim_threads = 1;
   /// 0 keeps the app's paper ceiling; a larger power of two extends the
   /// sweep (e.g. 4096) on a machine grown to fit.
   std::int64_t max_cpus = 0;
@@ -185,35 +128,12 @@ inline bool parse_fig7_options(int argc, const char* const* argv, const char* na
   parser.option_double("scale", "problem scale factor (default 1.0 = paper size)",
                        &out->scale);
   parser.option_int("seed", "simulation seed", &out->seed);
-  parser.option_int("sim-threads",
-                    "simulation worker threads (default 1; results are bit-identical "
-                    "and a >1 value appends a sequential-vs-parallel comparison)",
-                    &out->sim_threads);
   parser.option_int("max-cpus",
                     "extend the sweep past the paper's CPU ceiling (e.g. 4096; "
                     "0 = paper counts only)",
                     &out->max_cpus);
   parser.flag("csv", "also print CSV series", &out->csv);
   return parser.parse(argc, argv);
-}
-
-/// For a fig7 binary: when --sim-threads > 1, rerun the heaviest cell
-/// (Full at the app's max CPU count) sequentially and sharded, print the
-/// wall-clock comparison, and append the identity shape check.
-inline void maybe_compare_parallel(const asci::AppSpec& app, const Fig7Options& options,
-                                   std::vector<ShapeCheck>* checks) {
-  if (options.sim_threads <= 1) return;
-  const ParallelCompare compare = run_parallel_compare(
-      app, dynprof::Policy::kFull, app.max_procs, options.scale,
-      static_cast<std::uint64_t>(options.seed), static_cast<int>(options.sim_threads));
-  const std::string cell = std::string(app.name) + " Full/" + std::to_string(app.max_procs);
-  checks->push_back(print_parallel_compare(cell.c_str(), compare));
-  if (std::thread::hardware_concurrency() >= static_cast<unsigned>(options.sim_threads)) {
-    // Wall-clock gate only where the threads have cores to run on; a
-    // single-core CI box cannot parallelize anything.
-    checks->push_back({"parallel run <= 0.5x sequential wall-clock",
-                       compare.par_wall_s <= 0.5 * compare.seq_wall_s});
-  }
 }
 
 inline void maybe_print_csv(const PolicySweep& sweep, bool csv) {

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   std::int64_t reps = 16;
   std::int64_t seed = 42;
   std::int64_t arity = 4;
-  std::int64_t sim_threads = 1;
   std::string json_path;
   bool show_decisions = false;
   CliParser parser("control_adaptive",
@@ -37,8 +36,6 @@ int main(int argc, char** argv) {
   parser.option_int("reps", "confsync repetitions for part 1 (default 16)", &reps);
   parser.option_int("seed", "simulation seed", &seed);
   parser.option_int("arity", "aggregation overlay arity (default 4)", &arity);
-  parser.option_int("sim-threads", "simulation worker threads (results bit-identical)",
-                    &sim_threads);
   parser.option_string("json", "write results to this JSON file", &json_path);
   parser.flag("decisions", "print the controller's decision trail", &show_decisions);
   if (!parser.parse(argc, argv)) return 0;
@@ -49,7 +46,6 @@ int main(int argc, char** argv) {
   sync_config.nprocs = 512;
   sync_config.machine = machine::ibm_power3_sp();
   sync_config.repetitions = static_cast<int>(reps);
-  sync_config.sim_threads = static_cast<int>(sim_threads);
   sync_config.write_statistics = true;
   const double linear512 = run_confsync_experiment(sync_config).mean_seconds;
   sync_config.tree_arity = static_cast<int>(arity);
@@ -76,7 +72,6 @@ int main(int argc, char** argv) {
     // lets a fully instrumented launch converge to None-like time.
     config.controller.actuator = control::Actuator::kProbe;
     config.tree_arity = static_cast<int>(arity);
-    config.sim_threads = static_cast<int>(sim_threads);
     const auto result = dynprof::run_policy(config);
     std::fprintf(stderr, ".");
     std::fflush(stderr);

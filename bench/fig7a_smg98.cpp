@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = run_policy_sweep(asci::smg98(), options.scale,
                                       static_cast<std::uint64_t>(options.seed),
-                                      static_cast<int>(options.sim_threads),
                                       static_cast<int>(options.max_cpus));
   print_sweep("Figure 7(a): Smg98 execution time (s)", sweep);
   maybe_print_csv(sweep, options.csv);
@@ -40,6 +39,5 @@ int main(int argc, char** argv) {
   checks.push_back({"Full-Off clearly above None", off64 > 1.2 * none64});
   checks.push_back({"Dynamic within 5% of None", std::abs(dynamic64 / none64 - 1.0) < 0.05});
   checks.push_back({"weak scaling: time grows with CPUs", none64 > none1});
-  maybe_compare_parallel(asci::smg98(), options, &checks);
   return report_checks(checks);
 }

@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = run_policy_sweep(asci::sppm(), options.scale,
                                       static_cast<std::uint64_t>(options.seed),
-                                      static_cast<int>(options.sim_threads),
                                       static_cast<int>(options.max_cpus));
   print_sweep("Figure 7(b): Sppm execution time (s)", sweep);
   maybe_print_csv(sweep, options.csv);
@@ -38,6 +37,5 @@ int main(int argc, char** argv) {
                     std::abs(off64 / subset64 - 1.0) < 0.10});
   checks.push_back({"Dynamic within 5% of None", std::abs(dynamic64 / none64 - 1.0) < 0.05});
   checks.push_back({"Dynamic below Full-Off", dynamic64 < off64});
-  maybe_compare_parallel(asci::sppm(), options, &checks);
   return report_checks(checks);
 }

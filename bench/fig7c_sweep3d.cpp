@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = run_policy_sweep(asci::sweep3d(), options.scale,
                                       static_cast<std::uint64_t>(options.seed),
-                                      static_cast<int>(options.sim_threads),
                                       static_cast<int>(options.max_cpus));
   print_sweep("Figure 7(c): Sweep3d execution time (s)", sweep);
   maybe_print_csv(sweep, options.csv);
@@ -40,6 +39,5 @@ int main(int argc, char** argv) {
   checks.push_back({"Dynamic ~= None at 64 CPUs (within 5%)",
                     std::abs(dynamic64 / none64 - 1.0) < 0.05});
   checks.push_back({"strong scaling: time decreases with CPUs", none64 < 0.25 * none2});
-  maybe_compare_parallel(asci::sweep3d(), options, &checks);
   return report_checks(checks);
 }

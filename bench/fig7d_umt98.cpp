@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = run_policy_sweep(asci::umt98(), options.scale,
                                       static_cast<std::uint64_t>(options.seed),
-                                      static_cast<int>(options.sim_threads),
                                       static_cast<int>(options.max_cpus));
   print_sweep("Figure 7(d): Umt98 execution time (s)", sweep);
   maybe_print_csv(sweep, options.csv);
@@ -43,6 +42,5 @@ int main(int argc, char** argv) {
   checks.push_back({"Dynamic at or below Subset", dynamic8 <= subset8 * 1.02});
   checks.push_back({"Dynamic within 5% of None", std::abs(dynamic8 / none8 - 1.0) < 0.05});
   checks.push_back({"strong scaling: time decreases with CPUs", none8 < 0.3 * none1});
-  maybe_compare_parallel(asci::umt98(), options, &checks);
   return report_checks(checks);
 }

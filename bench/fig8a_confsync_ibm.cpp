@@ -15,11 +15,8 @@ int main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
   std::int64_t reps = 16;
-  std::int64_t sim_threads = 1;
   CliParser parser("fig8a_confsync_ibm", "Reproduce Figure 8(a)");
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
-  parser.option_int("sim-threads", "simulation worker threads (results bit-identical)",
-                    &sim_threads);
   if (!parser.parse(argc, argv)) return 0;
 
   std::puts("Figure 8(a): VT_confsync cost on the IBM SP (s)\n");
@@ -31,7 +28,6 @@ int main(int argc, char** argv) {
     config.nprocs = p;
     config.machine = machine::ibm_power3_sp();
     config.repetitions = static_cast<int>(reps);
-    config.sim_threads = static_cast<int>(sim_threads);
     config.with_changes = false;
     no_change.push_back(run_confsync_experiment(config).mean_seconds);
     config.with_changes = true;

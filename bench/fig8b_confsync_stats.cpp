@@ -18,12 +18,9 @@ int main(int argc, char** argv) {
 
   std::int64_t reps = 16;
   std::int64_t arity = 4;
-  std::int64_t sim_threads = 1;
   CliParser parser("fig8b_confsync_stats", "Reproduce Figure 8(b)");
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
   parser.option_int("arity", "aggregation overlay arity (default 4)", &arity);
-  parser.option_int("sim-threads", "simulation worker threads (results bit-identical)",
-                    &sim_threads);
   if (!parser.parse(argc, argv)) return 0;
 
   std::puts("Figure 8(b): VT_confsync cost when writing statistics, IBM SP (s)\n");
@@ -36,7 +33,6 @@ int main(int argc, char** argv) {
     config.nprocs = p;
     config.machine = machine::ibm_power3_sp();
     config.repetitions = static_cast<int>(reps);
-    config.sim_threads = static_cast<int>(sim_threads);
     config.write_statistics = true;
     stats.push_back(run_confsync_experiment(config).mean_seconds);
     config.tree_arity = static_cast<int>(arity);

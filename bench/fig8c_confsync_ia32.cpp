@@ -14,11 +14,8 @@ int main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
   std::int64_t reps = 16;
-  std::int64_t sim_threads = 1;
   CliParser parser("fig8c_confsync_ia32", "Reproduce Figure 8(c)");
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
-  parser.option_int("sim-threads", "simulation worker threads (results bit-identical)",
-                    &sim_threads);
   if (!parser.parse(argc, argv)) return 0;
 
   std::puts("Figure 8(c): VT_confsync cost on the IA32 Linux cluster (s)\n");
@@ -31,7 +28,6 @@ int main(int argc, char** argv) {
     config.nprocs = p;
     config.machine = machine::ia32_linux_cluster();
     config.repetitions = static_cast<int>(reps);
-    config.sim_threads = static_cast<int>(sim_threads);
     costs.push_back(run_confsync_experiment(config).mean_seconds);
     table.add_row({std::to_string(p), TextTable::num(costs.back(), 6)});
   }

@@ -13,13 +13,13 @@
 // cost of the hot registry operations in a tight loop, (b) counts from the
 // run's own snapshot exactly how many hook operations the cell executed
 // (every per-call counter's value IS its call count; the three bulk-delta
-// counters are replaced by their per-window call sites), and gates
+// counters are replaced by their call sites), and gates
 // (ops x ns/op) / run-CPU < 1%.  The interleaved A/B CPU comparison is
 // still printed and exported, as the sanity check it is.
 //
 // Also exports one adaptive run's span trace as fig7a_spans.json -- the
-// Perfetto-loadable artifact showing confsync rounds against the engine's
-// window spans.  Emits BENCH_telemetry.json.
+// Perfetto-loadable artifact showing confsync rounds and overlay
+// reductions per rank.  Emits BENCH_telemetry.json.
 #include <ctime>
 
 #include <algorithm>
@@ -56,14 +56,12 @@ struct CellResult {
   telemetry::Registry::Snapshot snapshot;
 };
 
-CellResult run_cell(const asci::AppSpec& app, double scale, telemetry::Level level,
-                    int sim_threads) {
+CellResult run_cell(const asci::AppSpec& app, double scale, telemetry::Level level) {
   dynprof::RunConfig config;
   config.app = &app;
   config.policy = dynprof::Policy::kDynamic;
   config.nprocs = 64;
   config.problem_scale = scale;
-  config.sim_threads = sim_threads;
   config.telemetry_level = level;
   CellResult result;
   config.telemetry_sink = [&](const telemetry::Registry& reg) {
@@ -90,8 +88,8 @@ struct HookOps {
 HookOps count_hook_ops(const telemetry::Registry::Snapshot& snap) {
   HookOps ops;
   for (const auto& [name, value] : snap.counters) {
-    // Bulk-delta call sites: sim.events adds once per engine drain /
-    // window, vt.spill_bytes once per spill run, queue_compacted_entries
+    // Bulk-delta call sites: sim.events adds once per engine run,
+    // vt.spill_bytes once per spill run, queue_compacted_entries
     // once per compaction -- each mirrored below by a per-call counter.
     if (name == "sim.events" || name == "vt.spill_bytes" ||
         name == "sim.queue_compacted_entries") {
@@ -99,7 +97,7 @@ HookOps count_hook_ops(const telemetry::Registry::Snapshot& snap) {
     }
     ops.adds += value;
   }
-  ops.adds += snap.counter_value("sim.windows") + 64;  // sim.events bulk adds
+  ops.adds += 64;  // sim.events bulk adds: at most one per engine run
   ops.adds += snap.counter_value("vt.spill_runs");     // vt.spill_bytes bulk adds
   ops.adds += snap.counter_value("sim.queue_compactions");
   for (const auto& hist : snap.histograms) ops.observes += hist.count;
@@ -127,7 +125,6 @@ int main(int argc, char** argv) {
 
   double scale = 1.0;
   std::int64_t reps = 7;
-  std::int64_t sim_threads = 1;
   std::string json_path = "BENCH_telemetry.json";
   std::string spans_path = "fig7a_spans.json";
   CliParser parser("micro_telemetry_overhead",
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
   parser.option_double("scale", "problem scale factor (default 1.0 = paper size; "
                        "small scales are noise-dominated)", &scale);
   parser.option_int("reps", "reps per config, best-of (default 7)", &reps);
-  parser.option_int("sim-threads", "simulation worker threads (default 1)", &sim_threads);
   parser.option_string("json", "output artifact (default BENCH_telemetry.json)", &json_path);
   parser.option_string("spans-json",
                        "Chrome trace artifact from the adaptive spans run "
@@ -145,7 +141,6 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
 
   const asci::AppSpec& app = asci::smg98();
-  const int threads = static_cast<int>(sim_threads);
 
   // --- Part 1: full-cell wall clock, off vs counters (interleaved) ---------
   std::puts("Part 1: fig7a cell (Smg98, Dynamic, 64 ranks), off vs counters\n");
@@ -159,7 +154,7 @@ int main(int argc, char** argv) {
   CellResult counters_last;
   std::vector<double> ratios;
   const auto sample = [&](telemetry::Level level, CellResult* last) {
-    *last = run_cell(app, scale, level, threads);
+    *last = run_cell(app, scale, level);
     return last->cpu_s;
   };
   for (int rep = 0; rep < static_cast<int>(reps); ++rep) {
@@ -223,14 +218,13 @@ int main(int argc, char** argv) {
               run_cpu_s, (hook_ratio - 1.0) * 100.0);
 
   // --- Part 3: the Perfetto artifact (adaptive run at spans level) ---------
-  std::puts("\nPart 3: span export from one adaptive run (confsync + windows)\n");
+  std::puts("\nPart 3: span export from one adaptive run (confsync + reduce)\n");
   std::string spans_json;
   dynprof::RunConfig adaptive;
   adaptive.app = &app;
   adaptive.policy = dynprof::Policy::kAdaptive;
   adaptive.nprocs = 64;
   adaptive.problem_scale = scale / 2;
-  adaptive.sim_threads = threads > 1 ? threads : 2;  // window spans need shards
   adaptive.telemetry_level = telemetry::Level::kSpans;
   std::size_t span_events = 0;
   adaptive.telemetry_sink = [&](const telemetry::Registry& reg) {
@@ -256,7 +250,7 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"fig7a_cell\": {\n"
                "    \"app\": \"smg98\", \"policy\": \"Dynamic\", \"nprocs\": 64,\n"
-               "    \"scale\": %.4f, \"reps\": %d, \"sim_threads\": %d,\n"
+               "    \"scale\": %.4f, \"reps\": %d,\n"
                "    \"off_cpu_s\": %.4f,\n"
                "    \"counters_cpu_s\": %.4f,\n"
                "    \"ab_ratio_informative\": %.4f,\n"
@@ -273,7 +267,7 @@ int main(int argc, char** argv) {
                "  \"spans_run\": {\"span_events\": %zu, \"confsyncs\": %llu, "
                "\"artifact\": \"%s\"}\n"
                "}\n",
-               scale, static_cast<int>(reps), threads, off_best.best_s,
+               scale, static_cast<int>(reps), off_best.best_s,
                counters_best.best_s, ab_ratio, static_cast<unsigned long long>(ops.adds),
                static_cast<unsigned long long>(ops.observes), hook_ratio,
                static_cast<unsigned long long>(counted_events), gate_ns, add_ns,

@@ -3,8 +3,9 @@
 // issue instrument/confsync/subscribe/report scripts concurrently.
 //
 // Reports sessions/sec (host wall clock), p50/p99 command latency (sim
-// time), the admission outcome mix, the cross---sim-threads determinism
-// check (bit-identical digests for 1/2/4/8 shards), the batched-driver
+// time), the admission outcome mix, the run-to-run determinism check (a
+// rerun of the main cell must reproduce its digests bit for bit), the
+// batched-driver
 // cell (100k sessions on a few hundred driver coroutines, so memory stays
 // flat in session count), and the admission invariant (priced overhead <=
 // budget, or at_floor, in every window).  Emits BENCH_service.json;
@@ -32,20 +33,17 @@ sim::TimeNs percentile(std::vector<sim::TimeNs> sorted, double p) {
 
 struct Cell {
   int sessions = 0;
-  int sim_threads = 1;
   service::ScenarioResult result;
   double sessions_per_sec = 0;
   sim::TimeNs p50 = 0;
   sim::TimeNs p99 = 0;
 };
 
-Cell run_cell(const service::ScenarioOptions& base, int sessions, int sim_threads) {
+Cell run_cell(const service::ScenarioOptions& base, int sessions) {
   service::ScenarioOptions options = base;
   options.sessions = sessions;
-  options.sim_threads = sim_threads;
   Cell cell;
   cell.sessions = sessions;
-  cell.sim_threads = sim_threads;
   cell.result = service::run_scenario(options);
   cell.sessions_per_sec = cell.result.host_seconds > 0
                               ? static_cast<double>(sessions) / cell.result.host_seconds
@@ -87,7 +85,7 @@ int main(int argc, char** argv) {
       .option_int("seed", "base RNG seed", &seed)
       .option_int("batch-sessions", "session count for the batched-driver cell", &batch_sessions)
       .option_int("session-batch", "sessions per driver coroutine in that cell", &session_batch)
-      .flag("skip-determinism", "skip the cross-thread digest sweep", &skip_determinism)
+      .flag("skip-determinism", "skip the rerun digest comparison", &skip_determinism)
       .flag("skip-batch", "skip the batched-driver 100k-session cell", &skip_batch)
       .option_string("json", "output JSON path", &json_path);
   if (!cli.parse(argc, argv)) return 0;
@@ -98,12 +96,12 @@ int main(int argc, char** argv) {
   base.commands_per_session = static_cast<int>(commands);
   base.seed = static_cast<std::uint64_t>(seed);
 
-  // --- Part 1: throughput sweep (sequential engine) ------------------------
-  std::puts("Part 1: session throughput, one shared job, sim-threads=1\n");
+  // --- Part 1: throughput sweep ---------------------------------------------
+  std::puts("Part 1: session throughput, one shared job\n");
   std::vector<int> sweep_counts{1'000};
   if (static_cast<int>(sessions) != 1'000) sweep_counts.push_back(static_cast<int>(sessions));
   std::vector<Cell> sweep;
-  for (const int n : sweep_counts) sweep.push_back(run_cell(base, n, 1));
+  for (const int n : sweep_counts) sweep.push_back(run_cell(base, n));
   std::fprintf(stderr, "\n");
 
   TextTable table({"Sessions", "Sessions/s", "p50 ms", "p99 ms", "Admit", "Degrade",
@@ -122,27 +120,29 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
 
-  // --- Part 2: determinism across sim-threads ------------------------------
+  // --- Part 2: run-to-run determinism ---------------------------------------
+  // Rerun the main cell; both runs must agree bit for bit.
   std::vector<Cell> det;
   bool identical = true;
   if (!skip_determinism) {
-    std::puts("\nPart 2: bit-identical digests across --sim-threads (DESIGN.md §8)\n");
-    for (const int threads : {1, 2, 4, 8}) {
-      det.push_back(run_cell(base, static_cast<int>(sessions), threads));
-    }
+    std::puts("\nPart 2: bit-identical digests across two runs of the main cell\n");
+    const Cell& first = sweep.back();
+    det.push_back(run_cell(base, static_cast<int>(sessions)));
     std::fprintf(stderr, "\n");
-    TextTable dtable({"Threads", "Digest", "Stats digest", "Host s"});
-    for (const Cell& cell : det) {
-      identical = identical && cell.result.digest == det.front().result.digest &&
-                  cell.result.stats_digest == det.front().result.stats_digest;
+    TextTable dtable({"Run", "Digest", "Stats digest", "Host s"});
+    const Cell* runs[] = {&first, &det.front()};
+    int run = 0;
+    for (const Cell* cell : runs) {
+      identical = identical && cell->result.digest == first.result.digest &&
+                  cell->result.stats_digest == first.result.stats_digest;
       char digest[32];
       std::snprintf(digest, sizeof digest, "%016llx",
-                    static_cast<unsigned long long>(cell.result.digest));
+                    static_cast<unsigned long long>(cell->result.digest));
       char stats[32];
       std::snprintf(stats, sizeof stats, "%016llx",
-                    static_cast<unsigned long long>(cell.result.stats_digest));
-      dtable.add_row({std::to_string(cell.sim_threads), digest, stats,
-                      TextTable::num(cell.result.host_seconds, 2)});
+                    static_cast<unsigned long long>(cell->result.stats_digest));
+      dtable.add_row({std::to_string(++run), digest, stats,
+                      TextTable::num(cell->result.host_seconds, 2)});
     }
     std::fputs(dtable.render().c_str(), stdout);
   }
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(batch_sessions), static_cast<long long>(session_batch));
     service::ScenarioOptions batched = base;
     batched.session_batch = static_cast<int>(session_batch);
-    batch_cells.push_back(run_cell(batched, static_cast<int>(batch_sessions), 1));
+    batch_cells.push_back(run_cell(batched, static_cast<int>(batch_sessions)));
     std::fprintf(stderr, "\n");
     const Cell& cell = batch_cells.front();
     const long long drivers =
@@ -220,9 +220,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n  \"determinism\": {\"ran\": %s, \"identical\": %s, \"digests\": [",
                skip_determinism ? "false" : "true", identical ? "true" : "false");
-  for (std::size_t i = 0; i < det.size(); ++i) {
-    std::fprintf(f, "\"%016llx\"%s", static_cast<unsigned long long>(det[i].result.digest),
-                 i + 1 < det.size() ? ", " : "");
+  if (!det.empty()) {
+    std::fprintf(f, "\"%016llx\", \"%016llx\"",
+                 static_cast<unsigned long long>(sweep.back().result.digest),
+                 static_cast<unsigned long long>(det.front().result.digest));
   }
   std::fprintf(f, "]},\n  \"batched\": ");
   if (batch_cells.empty()) {
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
   checks.push_back({"no command timed out in a healthy run", timeouts == 0});
   checks.push_back({"admission never exceeded the budget (or was at floor)", violations == 0});
   if (!skip_determinism) {
-    checks.push_back({"digests bit-identical across sim-threads 1/2/4/8", identical});
+    checks.push_back({"digests bit-identical across two runs of the main cell", identical});
   }
   if (!skip_batch) {
     checks.push_back({"batched drivers answered every session's script",

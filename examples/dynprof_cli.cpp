@@ -106,7 +106,6 @@ bool is_trace_target(const std::string& name) {
 int main(int argc, char** argv) {
   std::string app_name;
   std::int64_t cpus = 2;
-  std::int64_t sim_threads = 1;
   double scale = 0.5;
   std::string machine_profile;
   std::string script_path;
@@ -136,8 +135,6 @@ int main(int argc, char** argv) {
       .positional("arg", "subcommand argument (report: stats JSON path)", &subcommand_arg,
                   /*optional=*/true)
       .option_int("cpus", "processors (MPI ranks / OpenMP threads)", &cpus)
-      .option_int("sim-threads", "simulation worker threads (results bit-identical)",
-                  &sim_threads)
       .option_double("scale", "problem scale factor", &scale)
       .option_string("script", "command script (default: read stdin)", &script_path)
       .option_string("timefile", "write dynprof internal timings here", &timefile_path)
@@ -249,7 +246,6 @@ int main(int argc, char** argv) {
       config.nprocs = static_cast<int>(cpus);
       config.problem_scale = scale;
       config.machine = machine_spec;
-      config.sim_threads = static_cast<int>(sim_threads);
       config.telemetry_level = telemetry::level_from_string(telemetry_level);
       config.trace_format = vt::trace_format_from_string(trace_format_name);
       DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
@@ -287,7 +283,6 @@ int main(int argc, char** argv) {
     options.params.problem_scale = scale;
     options.policy = dynprof::Policy::kDynamic;  // dynprof drives an uninstrumented build
     options.machine = machine_spec;
-    options.sim_threads = static_cast<int>(sim_threads);
     options.fault = injector;
     options.telemetry_level = telemetry::level_from_string(telemetry_level);
     const vt::TraceFormat trace_format = vt::trace_format_from_string(trace_format_name);
@@ -306,7 +301,7 @@ int main(int argc, char** argv) {
 
     dynprof::DynprofTool tool(launch, std::move(topt));
     tool.run_script(script);
-    launch.run_engine();
+    launch.engine().run();
 
     std::printf("application '%s' finished at t=%.3f s (main computation %.3f s)\n",
                 app->name.c_str(), sim::to_seconds(launch.job().finish_time()),

@@ -47,10 +47,8 @@ class StatsOverlay : public vt::StatsAggregator {
  public:
   explicit StatsOverlay(int arity = 4);
 
-  /// Pre-size the per-rank transport state for `size` ranks.  Required
-  /// before a multi-shard run: the lazy sizing inside reduce() would be a
-  /// data race when ranks on different shards enter their first sync
-  /// concurrently.  Idempotent; sequential runs may skip it.
+  /// Pre-size the per-rank transport state for `size` ranks (reduce()
+  /// otherwise sizes it lazily).  Idempotent.
   void prepare(int size);
 
   /// Name this overlay's job for job-scoped fault verbs (multi-job runs;

@@ -29,7 +29,7 @@ DpclApplication::DpclApplication(machine::Cluster& cluster, proc::ParallelJob& j
       job_(job),
       tool_node_(tool_node),
       super_daemons_(std::move(super_daemons)),
-      callbacks_(cluster.engine_for_node(tool_node)) {
+      callbacks_(cluster.engine()) {
   // Group target processes by node.
   for (const auto& process : job_.processes()) {
     const int node = process->node();
@@ -48,7 +48,6 @@ DpclApplication::DpclApplication(machine::Cluster& cluster, proc::ParallelJob& j
 
 sim::Coro<void> DpclApplication::connect(proc::SimThread& tool) {
   DT_EXPECT(!connected_, "application already connected");
-  // The ack trigger lives on the tool's shard, where connect() executes.
   sim::Engine& tool_engine = tool.engine();
 
   // Phase 1: authenticate with every target node's super daemon (forks the
@@ -63,7 +62,7 @@ sim::Coro<void> DpclApplication::connect(proc::SimThread& tool) {
       co_await tool.compute(kMarshalCost);
       const sim::TimeNs now = tool_engine.now();
       const sim::TimeNs delay = cluster_.message_delay(tool_node_, node, kConnectBytes, now);
-      sd->engine().deliver_at(now + delay, [sd, auth_ack, this] {
+      sd->engine().schedule_at(now + delay, [sd, auth_ack, this] {
         sd->inbox().put(ConnectRequest{"dynprof-user", auth_ack, tool_node_});
       });
     }
@@ -91,7 +90,7 @@ sim::Coro<void> DpclApplication::connect(proc::SimThread& tool) {
         const int copies = fate.drop ? 0 : 1 + fate.duplicates;
         delay = scale_delay(delay, fate.delay_factor);
         for (int c = 0; c < copies; ++c) {
-          sd->engine().deliver_at(now + delay, [sd, ack, this] {
+          sd->engine().schedule_at(now + delay, [sd, ack, this] {
             sd->inbox().put(ConnectRequest{"dynprof-user", ack, tool_node_});
           });
         }
@@ -116,8 +115,7 @@ sim::Coro<void> DpclApplication::connect(proc::SimThread& tool) {
   co_await broadcast(tool, std::move(attach), /*blocking=*/true);
 
   // Phase 3: wire the DPCL_callback channel of every target process.  The
-  // sink runs on the *process's* shard; the callback message crosses to the
-  // tool's shard with daemon-hop + wire latency.
+  // callback message reaches the tool with daemon-hop + wire latency.
   for (const auto& process : job_.processes()) {
     proc::SimProcess* p = process.get();
     p->set_callback_sink([this, p](const std::string& tag, int pid) {
@@ -136,8 +134,8 @@ sim::Coro<void> DpclApplication::connect(proc::SimThread& tool) {
         delay = scale_delay(delay, fate.delay_factor);
       }
       for (int c = 0; c < copies; ++c) {
-        cluster_.engine_for_node(tool_node_)
-            .deliver_at(now + delay, [this, tag, pid] { callbacks_.put({tag, pid}); });
+        cluster_.engine()
+            .schedule_at(now + delay, [this, tag, pid] { callbacks_.put({tag, pid}); });
       }
     });
   }
@@ -168,7 +166,7 @@ sim::Coro<void> DpclApplication::broadcast(proc::SimThread& tool, Request protot
     const sim::TimeNs delay =
         cluster_.message_delay(tool_node_, nodes_[i], request_bytes(request), now);
     CommDaemon* daemon = comm_daemons_[i].get();
-    daemon->engine().deliver_at(now + delay, [daemon, request = std::move(request)]() mutable {
+    daemon->engine().schedule_at(now + delay, [daemon, request = std::move(request)]() mutable {
       daemon->inbox().put(std::move(request));
     });
     ++requests_sent_;
@@ -234,7 +232,7 @@ void DpclApplication::force_resume_node(std::size_t index, sim::TimeNs now) {
   const sim::TimeNs delay = cluster_.message_delay(tool_node_, node, 0, now);
   for (const int pid : node_pids_[index]) {
     proc::SimProcess& process = job_.process(pid);
-    cluster_.engine_for_node(node).deliver_at(now + delay, [&process] { process.resume(); });
+    cluster_.engine().schedule_at(now + delay, [&process] { process.resume(); });
   }
 }
 
@@ -265,7 +263,7 @@ sim::Coro<bool> DpclApplication::request_node(proc::SimThread& tool, std::size_t
     delay = scale_delay(delay, fate.delay_factor);
     for (int c = 0; c < copies; ++c) {
       Request copy = request;
-      daemon->engine().deliver_at(now + delay, [daemon, copy = std::move(copy)]() mutable {
+      daemon->engine().schedule_at(now + delay, [daemon, copy = std::move(copy)]() mutable {
         daemon->inbox().put(std::move(copy));
       });
     }
@@ -309,7 +307,7 @@ void DpclApplication::abandon_node(int node, sim::TimeNs now) {
   const sim::TimeNs delay = cluster_.message_delay(tool_node_, node, 0, now);
   for (const int pid : ranks) {
     proc::SimProcess& process = job_.process(pid);
-    cluster_.engine_for_node(node).deliver_at(now + delay, [&process] { process.resume(); });
+    cluster_.engine().schedule_at(now + delay, [&process] { process.resume(); });
   }
   fault::FaultInjector* injector = cluster_.fault_injector();
   DT_ASSERT(injector != nullptr);

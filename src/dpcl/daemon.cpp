@@ -39,7 +39,7 @@ void deliver_ack(machine::Cluster& cluster, int src_node, int reply_node,
         std::llround(static_cast<double>(delay) * fate.delay_factor));
   }
   for (int i = 0; i < copies; ++i) {
-    cluster.engine_for_node(reply_node).deliver_at(now + delay, [ack, failures] {
+    cluster.engine().schedule_at(now + delay, [ack, failures] {
       ack->failed += failures;
       if (--ack->remaining == 0) ack->done.fire();
     });
@@ -62,8 +62,8 @@ std::int64_t request_bytes(const Request& request) {
 
 namespace {
 
-/// Shared start logic: spawn `body` on the daemon's home engine, routing
-/// through a zero-byte fork message when the starter sits on another node.
+/// Shared start logic: spawn `body`, routing through a zero-byte fork
+/// message when the starter sits on another node.
 template <typename SpawnFn>
 void start_daemon(machine::Cluster& cluster, sim::Engine& home, int node,
                   proc::SimThread* origin, SpawnFn spawn) {
@@ -74,7 +74,7 @@ void start_daemon(machine::Cluster& cluster, sim::Engine& home, int node,
   const sim::TimeNs now = origin->engine().now();
   const sim::TimeNs delay =
       cluster.message_delay(origin->process().node(), node, 0, now);
-  home.deliver_at(now + delay, std::move(spawn));
+  home.schedule_at(now + delay, std::move(spawn));
 }
 
 }  // namespace
@@ -83,7 +83,7 @@ CommDaemon::CommDaemon(machine::Cluster& cluster, proc::ParallelJob& job, int no
     : cluster_(cluster),
       job_(job),
       node_(node),
-      engine_(cluster.engine_for_node(node)),
+      engine_(cluster.engine()),
       inbox_(engine_) {}
 
 void CommDaemon::start(proc::SimThread* origin) {
@@ -141,7 +141,6 @@ sim::Coro<void> CommDaemon::loop() {
 
 void CommDaemon::send_ack(const Request& request, int failures) {
   if (request.ack == nullptr) return;
-  // The ack lands on the tool node's shard, where the waiter lives.
   deliver_ack(cluster_, node_, request.reply_node, request.ack, failures, engine_.now());
 }
 
@@ -236,7 +235,7 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
 SuperDaemon::SuperDaemon(machine::Cluster& cluster, int node)
     : cluster_(cluster),
       node_(node),
-      engine_(cluster.engine_for_node(node)),
+      engine_(cluster.engine()),
       inbox_(engine_) {}
 
 void SuperDaemon::start(proc::SimThread* origin) {

@@ -79,16 +79,14 @@ class CommDaemon {
   CommDaemon& operator=(const CommDaemon&) = delete;
 
   int node() const { return node_; }
-  /// The daemon's home engine: the shard owning its node.
   sim::Engine& engine() { return engine_; }
   sim::Mailbox<Request>& inbox() { return inbox_; }
 
   /// Spawn the request-processing loop (an engine daemon process).  Started
   /// from a simulated thread on another node (the tool forking daemons
   /// mid-run), pass it as `origin`: the loop then begins after one
-  /// zero-byte fork message from the origin node -- which also keeps the
-  /// cross-shard spawn beyond the conservative lookahead.  Requests
-  /// arriving before the loop is up simply wait in the inbox.
+  /// zero-byte fork message from the origin node.  Requests arriving
+  /// before the loop is up simply wait in the inbox.
   void start(proc::SimThread* origin = nullptr);
 
   std::uint64_t requests_handled() const { return requests_handled_; }

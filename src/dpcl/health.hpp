@@ -24,10 +24,9 @@
 // deadline x (retries + 1).  Once the cooldown elapses the next broadcast
 // sends a single-attempt half-open probe; an ack re-admits the node.
 //
-// All updates run on the tool's shard (the request path is sequential per
-// application), so the tracker needs no locks and its decisions are a pure
-// function of the deterministic request history -- bit-identical across
-// --sim-threads.
+// The request path is sequential per application, so the tracker needs no
+// locks and its decisions are a pure function of the deterministic request
+// history.
 #pragma once
 
 #include <cstdint>

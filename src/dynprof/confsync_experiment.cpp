@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "control/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 #include "mpi/world.hpp"
 #include "proc/job.hpp"
 #include "sim/stats.hpp"
@@ -17,8 +16,8 @@ ConfsyncExperimentResult run_confsync_experiment(const ConfsyncExperimentConfig&
   DT_EXPECT(config.nprocs >= 1, "need at least one process");
   DT_EXPECT(config.repetitions >= 1, "need at least one repetition");
 
-  sim::ParallelEngine psim(std::max(1, config.sim_threads));
-  machine::Cluster cluster(psim, config.machine, config.seed ^ 0xc0ff5ee);
+  sim::Engine engine;
+  machine::Cluster cluster(engine, config.machine, config.seed ^ 0xc0ff5ee);
   mpi::World world(cluster);
   proc::ParallelJob job(cluster, "confsync-experiment");
   auto store = std::make_shared<vt::TraceStore>();
@@ -89,7 +88,7 @@ ConfsyncExperimentResult run_confsync_experiment(const ConfsyncExperimentConfig&
   }
 
   job.start();
-  psim.run();
+  engine.run();
 
   ConfsyncExperimentResult result;
   result.mean_seconds = latency.mean();

@@ -20,9 +20,6 @@ struct ConfsyncExperimentConfig {
   /// Statistics reduction shape: 0 = the paper's linear gather-to-rank-0;
   /// k >= 2 = the control plane's k-ary aggregation overlay.
   int tree_arity = 0;
-  /// Simulation worker threads (conservative parallel engine shards);
-  /// results are bit-identical for every value.
-  int sim_threads = 1;
   std::uint64_t seed = 42;
 };
 

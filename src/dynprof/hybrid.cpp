@@ -16,10 +16,6 @@ HybridController::HybridController(Launch& launch, DynprofTool& tool, Options op
 }
 
 void HybridController::start() {
-  // The controller samples every process and awaits the init trigger from
-  // one coroutine, so it needs the whole cluster on a single shard.
-  DT_EXPECT(launch_.parallel_engine().shard_count() == 1,
-            "HybridController requires sim_threads == 1");
   launch_.engine().spawn(run(), "hybrid.controller");
 }
 

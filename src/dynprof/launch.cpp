@@ -63,14 +63,14 @@ Launch::Launch(Options options)
                            : std::make_unique<telemetry::Registry>(options_.telemetry_level)),
       telemetry_(options_.shared_telemetry != nullptr ? options_.shared_telemetry
                                                       : owned_telemetry_.get()),
-      owned_psim_(options_.shared_engine != nullptr
-                      ? nullptr
-                      : std::make_unique<sim::ParallelEngine>(
-                            std::max(1, options_.sim_threads))),
-      psim_(options_.shared_engine != nullptr ? options_.shared_engine
-                                              : owned_psim_.get()),
-      init_trigger_(psim_->shard(0)) {
+      owned_engine_(options_.shared_engine != nullptr ? nullptr
+                                                      : std::make_unique<sim::Engine>()),
+      engine_(options_.shared_engine != nullptr ? options_.shared_engine
+                                                : owned_engine_.get()),
+      init_trigger_(*engine_) {
   DT_EXPECT(options_.app != nullptr, "Launch needs an application");
+  DT_EXPECT(options_.sim_threads == 1, "Launch::Options::sim_threads must be 1 (got ",
+            options_.sim_threads, "): the simulator has one sequential engine");
   // Installing the registry is the owning Launch's job; a shared-substrate
   // Launch expects the scenario owner to have installed the shared one.
   if (owned_telemetry_ != nullptr) scoped_registry_.emplace(*telemetry_);
@@ -92,7 +92,7 @@ Launch::Launch(Options options)
     machine::MachineSpec spec =
         options_.machine.has_value() ? *options_.machine : machine::ibm_power3_sp();
     owned_cluster_ = std::make_unique<machine::Cluster>(
-        *psim_, std::move(spec), /*noise_seed=*/params.seed ^ 0x9e3779b9);
+        *engine_, std::move(spec), /*noise_seed=*/params.seed ^ 0x9e3779b9);
     cluster_ = owned_cluster_.get();
   }
   vt::TraceStore::Options store_options;
@@ -104,6 +104,12 @@ Launch::Launch(Options options)
     // what switches the stack into fault-tolerant mode.
     cluster_->set_fault_injector(options_.fault.get());
     fault::FaultInjector* injector = options_.fault.get();
+    // A shared cluster's owner checks the plan against every job it hosts.
+    if (options_.shared_cluster == nullptr) {
+      const int processes = app.model == asci::AppSpec::Model::kOpenMP ? 1 : params.nprocs;
+      injector->plan().check_targets(cluster_->spec().nodes,
+                                     {{options_.job_name, processes}});
+    }
     store_options.spill_fault = [injector, job = options_.job_name](
                                     std::int32_t pid, std::uint64_t run_index,
                                     std::size_t bytes) {
@@ -147,18 +153,6 @@ Launch::Launch(Options options)
                                 : params.threads_per_rank;
   const auto placement =
       cluster_->place_block(nprocs, cpus_per_proc, options_.first_app_cpu);
-
-  // Topology-aware partition over the span placement actually uses (app
-  // nodes plus the tool's login node directly above them): contiguous node
-  // blocks per shard keep neighbour-heavy rank traffic shard-local.  Must
-  // happen before add_process binds each process to its home engine.  A
-  // shared cluster was partitioned by its owner over the union of all job
-  // spans; re-partitioning here would invalidate already-bound processes.
-  if (options_.shared_cluster == nullptr) {
-    const int last_app_node = options_.first_app_node + placement.back().node;
-    cluster_->partition_nodes(
-        std::min(cluster_->spec().nodes, last_app_node + 2));
-  }
 
   Rng seed_rng(params.seed);
   Rng clock_rng(params.seed ^ 0xc10c);
@@ -230,17 +224,10 @@ sim::Coro<void> Launch::rank_main(int pid, proc::SimThread& thread) {
         co_await vt(pid).vt_init(t2);
       });
     }
-    {
-      bool last = false;
-      {
-        std::lock_guard<std::mutex> lock(init_mutex_);
-        init_latest_ = std::max(init_latest_, thread.engine().now());
-        last = ++init_done_count_ == process_count();
-        if (last) init_complete_ = init_latest_;  // stays -1 until everyone is done
-      }
-      // Cross-shard fire is safe: only sequential-mode controllers await
-      // this trigger (Engine::post would assert otherwise).
-      if (last) init_trigger_.fire();
+    init_latest_ = std::max(init_latest_, thread.engine().now());
+    if (++init_done_count_ == process_count()) {
+      init_complete_ = init_latest_;  // stays -1 until everyone is done
+      init_trigger_.fire();
     }
 
     co_await app.body(ctx, t);
@@ -270,7 +257,7 @@ Launch::Result Launch::collect_result() const {
 
 Launch::Result Launch::run_to_completion() {
   start();
-  run_engine();
+  engine_->run();
   return collect_result();
 }
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "omp/runtime.hpp"
 #include "proc/job.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel_engine.hpp"
 #include "telemetry/registry.hpp"
 #include "vt/interpose.hpp"
 #include "vt/trace_store.hpp"
@@ -88,12 +86,8 @@ class Launch {
     std::string job_name;
     /// Shared-substrate mode (multi-job runs; DESIGN.md §15): borrow an
     /// existing engine + cluster instead of owning them.  Both must outlive
-    /// the Launch, and the caller is responsible for partitioning the
-    /// cluster over the union of all job spans *before* constructing any
-    /// Launch (processes bind their home engines at construction).  When
-    /// set, `sim_threads` is ignored (the shared engine fixes it) and the
-    /// Launch does not re-partition.  Null = classic single-job mode.
-    sim::ParallelEngine* shared_engine = nullptr;
+    /// the Launch.  Null = classic single-job mode.
+    sim::Engine* shared_engine = nullptr;
     machine::Cluster* shared_cluster = nullptr;
     /// Shared telemetry registry for multi-job runs: the Launch then skips
     /// creating and installing its own, so all jobs' hooks land in the
@@ -103,9 +97,8 @@ class Launch {
     /// clock).  Rank 0 is always the anchor; see analysis/clock_sync.hpp
     /// for the postmortem correction.
     sim::TimeNs clock_skew_stddev = 0;
-    /// Simulation worker threads (shards of the conservative parallel
-    /// engine).  1 = classic sequential run; results are bit-identical for
-    /// every value.  See DESIGN.md §8.
+    /// Must be 1.  Kept only for perfbench/driver.cpp; the next change to
+    /// the benchmark removes it.
     int sim_threads = 1;
     /// Fault injector driving this run (DESIGN.md §9).  Null (the default)
     /// keeps every layer on its legacy code path -- runs without a plan are
@@ -122,13 +115,12 @@ class Launch {
   Launch(const Launch&) = delete;
   Launch& operator=(const Launch&) = delete;
 
-  /// The coordinator shard (shard 0).  Setup/inspection only; prefer
-  /// run_engine() to drive a run so multi-shard launches parallelise.
-  sim::Engine& engine() { return psim_->shard(0); }
-  sim::ParallelEngine& parallel_engine() { return *psim_; }
-  /// Run all shards to completion (or `deadline`) under the conservative
-  /// window protocol; with sim_threads == 1 this is exactly engine().run().
-  void run_engine(sim::TimeNs deadline = -1) { psim_->run(deadline); }
+  /// The engine the whole run executes on.
+  sim::Engine& engine() { return *engine_; }
+  /// Aliases of engine() and engine().run(), kept only for
+  /// perfbench/driver.cpp; the next change to the benchmark removes them.
+  sim::Engine& parallel_engine() { return *engine_; }
+  void run_engine() { engine_->run(); }
   machine::Cluster& cluster() { return *cluster_; }
   proc::ParallelJob& job() { return *job_; }
   mpi::World* world() { return world_.get(); }  ///< null for pure OpenMP apps
@@ -196,10 +188,10 @@ class Launch {
   std::unique_ptr<telemetry::Registry> owned_telemetry_;
   telemetry::Registry* telemetry_ = nullptr;
   std::optional<telemetry::ScopedRegistry> scoped_registry_;
-  // The engine group must outlive (i.e. be declared before) everything the
+  // The engine must outlive (i.e. be declared before) everything the
   // coroutine frames it owns may reference during teardown.
-  std::unique_ptr<sim::ParallelEngine> owned_psim_;
-  sim::ParallelEngine* psim_ = nullptr;
+  std::unique_ptr<sim::Engine> owned_engine_;
+  sim::Engine* engine_ = nullptr;
   std::unique_ptr<machine::Cluster> owned_cluster_;
   machine::Cluster* cluster_ = nullptr;
   std::shared_ptr<vt::TraceStore> store_;
@@ -212,10 +204,6 @@ class Launch {
   std::vector<std::unique_ptr<vt::VtOmpListener>> omp_listeners_;
   std::vector<std::unique_ptr<asci::AppContext>> contexts_;
 
-  // Init bookkeeping is updated from each rank's home shard; the mutex
-  // covers concurrent completions, and count + max-time are
-  // order-independent so the values stay deterministic.
-  std::mutex init_mutex_;
   int init_done_count_ = 0;
   sim::TimeNs init_latest_ = 0;   ///< max init time seen so far
   sim::TimeNs init_complete_ = -1;

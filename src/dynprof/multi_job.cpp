@@ -36,8 +36,7 @@ int nodes_for(const machine::MachineSpec& spec, const MultiJobOptions::Job& job)
 MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     : options_(std::move(options)),
       telemetry_(std::make_unique<telemetry::Registry>(options_.telemetry_level)),
-      scoped_registry_(std::in_place, *telemetry_),
-      psim_(std::make_unique<sim::ParallelEngine>(std::max(1, options_.sim_threads))) {
+      scoped_registry_(std::in_place, *telemetry_) {
   DT_EXPECT(!options_.jobs.empty(), "a multi-job launch needs at least one job");
   for (auto& job : options_.jobs) {
     DT_EXPECT(job.app != nullptr, "every multi-job entry needs an application");
@@ -52,9 +51,17 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
 
   machine::MachineSpec spec =
       options_.machine.has_value() ? *options_.machine : machine::ibm_power3_sp();
-  cluster_ = std::make_unique<machine::Cluster>(*psim_, std::move(spec),
+  cluster_ = std::make_unique<machine::Cluster>(engine_, std::move(spec),
                                                 /*noise_seed=*/options_.seed ^ 0x9e3779b9);
-  if (options_.fault != nullptr) cluster_->set_fault_injector(options_.fault.get());
+  if (options_.fault != nullptr) {
+    cluster_->set_fault_injector(options_.fault.get());
+    std::vector<fault::JobExtent> extents;
+    for (const auto& job : options_.jobs) {
+      const bool openmp = job.app->model == asci::AppSpec::Model::kOpenMP;
+      extents.push_back({job.name, openmp ? 1 : job.params.nprocs});
+    }
+    options_.fault->plan().check_targets(cluster_->spec().nodes, extents);
+  }
 
   // Register every job's footprint first: tenant counts feed the contention
   // model, and register_job validates spans against the machine.
@@ -85,10 +92,6 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     tool_nodes[j] = next_tool_node++;
   }
 
-  // One partition over the union of all job spans plus the tool nodes --
-  // before any Launch binds processes to engines.
-  cluster_->partition_nodes(std::min(cluster_->spec().nodes, next_tool_node));
-
   Rng seed_rng(options_.seed ^ 0x6a6f62);  // "job"
   for (std::size_t j = 0; j < options_.jobs.size(); ++j) {
     const auto& job = options_.jobs[j];
@@ -107,7 +110,7 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.trace_spill_bytes = options_.trace_spill_bytes;
     lo.trace_format = options_.trace_format;
     lo.fault = options_.fault;
-    lo.shared_engine = psim_.get();
+    lo.shared_engine = &engine_;
     lo.shared_cluster = cluster_.get();
     lo.shared_telemetry = telemetry_.get();
     launches_.push_back(std::make_unique<Launch>(std::move(lo)));
@@ -169,7 +172,7 @@ MultiJobResult MultiJobLaunch::run_to_completion() {
   for (std::size_t j = 0; j < launches_.size(); ++j) {
     if (tools_[j] == nullptr) launches_[j]->start();  // tools start their own job
   }
-  psim_->run();
+  engine_.run();
 
   MultiJobResult result;
   result.combined_digest = 0x6d756c74696a6f62ULL;  // "multijob"

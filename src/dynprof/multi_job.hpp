@@ -5,7 +5,7 @@
 // production machines run many jobs at once, often sharing physical nodes,
 // and a tool infrastructure must hold up under that contention (compare
 // ScALPEL's always-on monitoring of concurrent applications, PAPERS.md).
-// A MultiJobLaunch owns the shared substrate -- one parallel engine, one
+// A MultiJobLaunch owns the shared substrate -- one engine, one
 // cluster, one telemetry registry, optionally one fault injector -- and
 // builds a shared-substrate dynprof::Launch per job:
 //
@@ -20,9 +20,8 @@
 //     the physical node, while rank-scoped verbs (kill-rank, tear-shard)
 //     accept job=<name> to pick one job's rank space.
 //
-// Determinism: the whole scenario runs under the one conservative parallel
-// engine, so results are bit-identical across --sim-threads like any
-// single-job run (bench/multi_job.cpp gates on it).
+// Determinism: the whole scenario runs on one engine, so repeated runs are
+// bit-identical like any single-job run (bench/multi_job.cpp gates on it).
 #pragma once
 
 #include <memory>
@@ -62,7 +61,6 @@ struct MultiJobOptions {
 
   std::vector<Job> jobs;
   std::optional<machine::MachineSpec> machine;  ///< default: IBM Power3 SP
-  int sim_threads = 1;
   std::uint64_t seed = 42;
   std::shared_ptr<fault::FaultInjector> fault;
   telemetry::Level telemetry_level = telemetry::default_level();
@@ -91,7 +89,7 @@ struct MultiJobResult {
 
   std::vector<JobResult> jobs;
   /// FNV-1a fold of every job's trace + stats digest, in job order: the
-  /// scenario-wide bit-identity witness for --sim-threads comparisons.
+  /// scenario-wide bit-identity witness for run-to-run comparisons.
   std::uint64_t combined_digest = 0;
 };
 
@@ -103,7 +101,6 @@ class MultiJobLaunch {
   MultiJobLaunch& operator=(const MultiJobLaunch&) = delete;
 
   machine::Cluster& cluster() { return *cluster_; }
-  sim::ParallelEngine& parallel_engine() { return *psim_; }
   telemetry::Registry& telemetry_registry() { return *telemetry_; }
   std::size_t job_count() const { return launches_.size(); }
   Launch& launch(std::size_t job) { return *launches_[job]; }
@@ -119,7 +116,7 @@ class MultiJobLaunch {
   MultiJobOptions options_;
   std::unique_ptr<telemetry::Registry> telemetry_;
   std::optional<telemetry::ScopedRegistry> scoped_registry_;
-  std::unique_ptr<sim::ParallelEngine> psim_;
+  sim::Engine engine_;
   std::unique_ptr<machine::Cluster> cluster_;
   std::vector<std::unique_ptr<Launch>> launches_;
   std::vector<std::unique_ptr<DynprofTool>> tools_;  ///< null per static job

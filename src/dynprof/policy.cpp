@@ -28,7 +28,6 @@ PolicyResult run_policy(const RunConfig& config) {
   }
   options.policy = config.policy;
   options.machine = config.machine;
-  options.sim_threads = config.sim_threads;
   options.telemetry_level = config.telemetry_level;
   options.trace_spill_bytes = config.trace_spill_bytes;
   options.trace_format = config.trace_format;
@@ -63,7 +62,7 @@ PolicyResult run_policy(const RunConfig& config) {
     controller.attach(launch.vt(0), launch.staged());
 
     tool.run_script(parse_script("insert-file all.txt\nstart\nquit\n"));
-    launch.run_engine();
+    launch.engine().run();
     DT_ASSERT(tool.finished(), "dynprof tool did not finish");
 
     const Launch::Result r = launch.collect_result();
@@ -82,7 +81,7 @@ PolicyResult run_policy(const RunConfig& config) {
     tool_options.command_files = {{"subset.txt", config.app->dynamic_list}};
     DynprofTool tool(launch, std::move(tool_options));
     tool.run_script(parse_script("insert-file subset.txt\nstart\nquit\n"));
-    launch.run_engine();
+    launch.engine().run();
     DT_ASSERT(tool.finished(), "dynprof tool did not finish");
 
     const Launch::Result r = launch.collect_result();

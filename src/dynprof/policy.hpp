@@ -19,9 +19,6 @@ struct RunConfig {
   double problem_scale = 1.0;
   std::uint64_t seed = 42;
   std::optional<machine::MachineSpec> machine;  ///< default IBM Power3 SP
-  /// Simulation worker threads (see Launch::Options::sim_threads).  Results
-  /// are bit-identical for every value.
-  int sim_threads = 1;
   /// Self-telemetry level for the run (DESIGN.md §12).  Telemetry never
   /// perturbs simulated results -- digests are identical at every level.
   telemetry::Level telemetry_level = telemetry::default_level();
@@ -58,8 +55,8 @@ struct PolicyResult {
   /// Safe points the job executed (Adaptive only; 0 otherwise).
   std::uint64_t confsyncs = 0;
   /// FNV-1a fingerprint of the full merged trace (and of rank 0's final
-  /// statistics table): the bit-identity witness the parallel-engine
-  /// determinism tests and the bench --sim-threads comparison check.
+  /// statistics table): the bit-identity witness the determinism tests
+  /// and the benches' run-to-run comparisons check.
   std::uint64_t trace_digest = 0;
   std::uint64_t stats_digest = 0;
   /// The controller's decision trail (Adaptive only; empty otherwise).

@@ -69,7 +69,6 @@ std::string DynprofTool::timefile_text() const {
 }
 
 void DynprofTool::run_script(std::vector<Command> script) {
-  // The tool coroutine lives on its own process's home shard.
   tool_process_->engine().spawn(tool_main(std::move(script)), "dynprof.tool");
 }
 

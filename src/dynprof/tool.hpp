@@ -86,8 +86,7 @@ class DynprofTool {
   sim::Trigger& attached() { return *attached_; }
 
   /// End a start_service() session: detach from the job, leaving active
-  /// instrumentation in place (§3.3).  Call after attached() has fired;
-  /// safe to call from any coroutine on the tool node's shard.
+  /// instrumentation in place (§3.3).  Call after attached() has fired.
   void request_detach() { detach_requested_->fire(); }
 
   /// The internal timings dynprof writes to its timefile.

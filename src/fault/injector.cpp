@@ -98,7 +98,7 @@ double FaultInjector::daemon_degrade_factor(int node, sim::TimeNs now) const {
     if (action.kind != FaultAction::Kind::kDegradeDaemon || action.node != node) continue;
     if (now >= action.at && now < action.until) factor *= action.factor;
   }
-  return factor;
+  return std::min(factor, kMaxFactor);
 }
 
 std::vector<std::pair<sim::TimeNs, int>> FaultInjector::storms() const {
@@ -169,7 +169,7 @@ MessageFate FaultInjector::message_fate(Channel channel, int src, int dst,
         break;
       case FaultAction::Kind::kDelay:
         if (action_matches_message(action, i, channel, src, dst)) {
-          fate.delay_factor *= action.factor;
+          fate.delay_factor = std::min(fate.delay_factor * action.factor, kMaxFactor);
         }
         break;
       default:
@@ -192,7 +192,7 @@ double FaultInjector::stall_factor(int node, sim::TimeNs now) const {
     if (action.kind != FaultAction::Kind::kStall || action.node != node) continue;
     if (now >= action.at && now < action.until) factor *= action.factor;
   }
-  return factor;
+  return std::min(factor, kMaxFactor);
 }
 
 std::size_t FaultInjector::spill_bytes(std::int32_t pid, std::uint64_t run_index,

@@ -2,16 +2,15 @@
 // fault decisions during a simulated run.
 //
 // Determinism is the design constraint (the stack must stay bit-identical
-// across --sim-threads for a fixed plan + seed), so every decision is a
-// pure function of *message identity*, never of global arrival order:
+// run to run for a fixed plan + seed), so every decision is a pure function
+// of *message identity*, never of global arrival order:
 //
 //   * daemon/rank deaths are preset time thresholds, read-only after
 //     construction -- liveness is `now < dead_at`, no arming events;
 //   * a message's fate hashes (seed, action, src, dst, per-stream ordinal);
 //     the ordinal counter is keyed by (action, src, dst), and each such
 //     stream is advanced by exactly one deterministic sender, so the count
-//     a message observes does not depend on shard interleaving (the map
-//     itself is mutex-protected for cross-shard memory safety);
+//     a message observes does not depend on other streams' traffic;
 //   * shard tears are keyed by (pid, run index), both deterministic.
 //
 // The injector is passive: layers consult it at their own hook points
@@ -36,7 +35,7 @@ namespace dyntrace::fault {
 struct MessageFate {
   bool drop = false;         ///< vanish without a trace
   int duplicates = 0;        ///< extra copies delivered alongside the original
-  double delay_factor = 1.0; ///< multiplies the in-flight delay
+  double delay_factor = 1.0; ///< multiplies the in-flight delay (<= kMaxFactor)
 };
 
 class FaultInjector {
@@ -70,7 +69,7 @@ class FaultInjector {
   bool daemon_gray_prone(int node) const;
 
   /// Combined degrade-daemon service-time multiplier for `node` at `now`
-  /// (1.0 outside every window).  Read-only; callable anywhere.
+  /// (1.0 outside every window, capped at kMaxFactor).  Read-only.
   double daemon_degrade_factor(int node, sim::TimeNs now) const;
 
   /// The plan's storm actions as (at, sessions) pairs, ascending by time.
@@ -84,7 +83,7 @@ class FaultInjector {
   MessageFate message_fate(Channel channel, int src, int dst, sim::TimeNs now);
 
   /// Combined slow-node multiplier for a message touching `node` at `now`
-  /// (1.0 outside every stall window).  Read-only; callable anywhere.
+  /// (1.0 outside every stall window, capped at kMaxFactor).  Read-only.
   double stall_factor(int node, sim::TimeNs now) const;
 
   // --- trace shards ---------------------------------------------------------
@@ -116,7 +115,7 @@ class FaultInjector {
   bool has_flap_actions_ = false;
   bool has_degrade_actions_ = false;
 
-  std::mutex mutex_;  ///< guards counters_ (cross-shard memory safety only)
+  std::mutex mutex_;  ///< guards counters_
   std::map<std::tuple<std::size_t, int, int>, std::uint64_t> counters_;
 };
 

@@ -1,5 +1,7 @@
 #include "fault/plan.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -91,6 +93,14 @@ class ActionParser {
   }
   void apply_double(const std::string& key, double* out) {
     if (auto v = take(key)) *out = parse_double(*v);
+  }
+  /// A delay/stall/degrade multiplier: finite and in [1, kMaxFactor].
+  void apply_factor(const std::string& verb, double* out) {
+    const auto v = take("factor");
+    if (!v) return;
+    *out = parse_double(*v);
+    DT_EXPECT(std::isfinite(*out) && *out >= 1.0 && *out <= kMaxFactor, where_, ": ", verb,
+              " factor must be in [1, ", kMaxFactor, "], got '", *v, "'");
   }
   void apply_time(const std::string& key, sim::TimeNs* out) {
     if (auto v = take(key)) *out = parse_time(*v, where_);
@@ -214,16 +224,14 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
     } else if (verb == "delay") {
       action.kind = FaultAction::Kind::kDelay;
       parse_message_selectors(p, &action, where);
-      p.apply_double("factor", &action.factor);
-      DT_EXPECT(action.factor >= 1.0, where, ": delay factor must be >= 1");
+      p.apply_factor(verb, &action.factor);
     } else if (verb == "stall") {
       action.kind = FaultAction::Kind::kStall;
       p.apply_int("node", &action.node);
       p.apply_time("from", &action.at);
       p.apply_time("until", &action.until);
-      p.apply_double("factor", &action.factor);
+      p.apply_factor(verb, &action.factor);
       DT_EXPECT(action.node >= 0, where, ": stall needs node=");
-      DT_EXPECT(action.factor >= 1.0, where, ": stall factor must be >= 1");
       DT_EXPECT(action.until > action.at, where, ": stall window is empty");
     } else if (verb == "tear-shard") {
       action.kind = FaultAction::Kind::kTearShard;
@@ -249,11 +257,10 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
     } else if (verb == "degrade-daemon") {
       action.kind = FaultAction::Kind::kDegradeDaemon;
       p.apply_int("node", &action.node);
-      p.apply_double("factor", &action.factor);
+      p.apply_factor(verb, &action.factor);
       p.apply_time("from", &action.at);
       p.apply_time("until", &action.until);
       DT_EXPECT(action.node >= 0, where, ": degrade-daemon needs node=");
-      DT_EXPECT(action.factor >= 1.0, where, ": degrade-daemon factor must be >= 1");
       DT_EXPECT(action.until > action.at, where, ": degrade-daemon window is empty");
     } else if (verb == "storm") {
       action.kind = FaultAction::Kind::kStorm;
@@ -266,7 +273,8 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
            "flap-daemon, degrade-daemon, storm)");
     }
     p.finish();
-    plan.actions.push_back(action);
+    action.where = where;
+    plan.actions.push_back(std::move(action));
   }
   return plan;
 }
@@ -277,6 +285,28 @@ FaultPlan FaultPlan::load(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return parse(ss.str(), path);
+}
+
+void FaultPlan::check_targets(int nodes, const std::vector<JobExtent>& jobs) const {
+  int max_ranks = 0;
+  for (const JobExtent& job : jobs) max_ranks = std::max(max_ranks, job.ranks);
+  for (const FaultAction& a : actions) {
+    if (a.node >= 0) {
+      DT_EXPECT(a.node < nodes, a.where, ": node=", a.node, " does not exist (the machine has ",
+                nodes, " nodes)");
+    }
+    if (a.rank < 0) continue;
+    if (a.job.empty()) {
+      DT_EXPECT(a.rank < max_ranks, a.where, ": rank=", a.rank,
+                " does not exist (the largest job has ", max_ranks, " ranks)");
+      continue;
+    }
+    for (const JobExtent& job : jobs) {
+      if (job.name != a.job) continue;
+      DT_EXPECT(a.rank < job.ranks, a.where, ": rank=", a.rank, " does not exist (job '",
+                job.name, "' has ", job.ranks, " ranks)");
+    }
+  }
 }
 
 std::string FaultPlan::to_text() const {

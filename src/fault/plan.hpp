@@ -27,8 +27,7 @@
 // leaves the daemon alive but multiplies its service time by `factor`
 // inside [from, until), and `storm` asks the svcapp scenario harness to
 // burst-admit `sessions` extra sessions at `at`.  All three are pure time
-// functions of the plan -- no RNG, no arming events -- so runs stay
-// bit-identical across --sim-threads.
+// functions of the plan -- no RNG, no arming events.
 //
 // In multi-job runs (DESIGN.md §15) rank ids are job-local, so the
 // rank-scoped verbs `kill-rank` and `tear-shard` accept `job=<name>` to pick
@@ -41,7 +40,7 @@
 // `nth=K` matches the K-th, `skip=S count=N` matches a window, and
 // `prob=p` draws from a hash of (seed, stream, ordinal) -- never from
 // shared RNG state, so a message's fate is independent of the order other
-// shards make progress (see DESIGN.md §9).
+// streams make progress (see DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -69,6 +68,11 @@ inline constexpr int kOverlayTagBase = 1'000'000'000;
 
 /// Sentinel for "never happens" times.
 inline constexpr sim::TimeNs kNever = sim::TimeNs{0x7fffffffffffffff};
+
+/// Largest accepted `factor=`, and the cap on the product of overlapping
+/// factors: a million-fold slowdown of any modelled delay still fits the
+/// nanosecond clock.
+inline constexpr double kMaxFactor = 1e6;
 
 struct FaultAction {
   enum class Kind : std::uint8_t {
@@ -103,6 +107,13 @@ struct FaultAction {
   sim::TimeNs period = 0;       ///< flap-daemon: kill/restart cadence
   sim::TimeNs downtime = 0;     ///< flap-daemon: dead span at each period start
   std::int64_t sessions = 0;    ///< storm: sessions burst-admitted at `at`
+  std::string where;            ///< origin:line the action was parsed from
+};
+
+/// One job a plan's rank-scoped verbs may address (check_targets).
+struct JobExtent {
+  std::string name;
+  int ranks = 0;
 };
 
 struct FaultPlan {
@@ -120,6 +131,13 @@ struct FaultPlan {
 
   /// Serialize back to the text format (parse(to_text()) round-trips).
   std::string to_text() const;
+
+  /// Range-check every node= and rank= once the plan meets its machine:
+  /// nodes must lie in [0, nodes); a job-scoped rank must exist in its job,
+  /// an unscoped one in at least one of `jobs`.  Actions naming a job not
+  /// in `jobs` are inert and go unchecked.  Throws dyntrace::Error naming
+  /// the action's origin:line.
+  void check_targets(int nodes, const std::vector<JobExtent>& jobs) const;
 };
 
 }  // namespace dyntrace::fault

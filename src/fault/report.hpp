@@ -1,10 +1,9 @@
 // Run report for fault-tolerant runs: what broke, what the stack did
 // about it, and which ranks were affected.
 //
-// Entries are appended concurrently from any shard (each append takes the
-// mutex) but all ordering-sensitive output is sorted by (virtual time,
-// kind, detail, ranks) at read time, so the rendered report is
-// bit-identical across --sim-threads values.
+// Each append takes the mutex, and all ordering-sensitive output is sorted
+// by (virtual time, kind, detail, ranks) at read time, so the rendered
+// report does not depend on append order.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,7 @@ class RunReport {
   RunReport(const RunReport&) = delete;
   RunReport& operator=(const RunReport&) = delete;
 
-  /// Thread-safe append (callable from any shard).
+  /// Thread-safe append.
   void add(sim::TimeNs time, std::string kind, std::string detail, std::vector<int> ranks = {});
 
   bool empty() const;

@@ -18,108 +18,7 @@ constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
 }  // namespace
 
 Cluster::Cluster(sim::Engine& engine, MachineSpec spec, std::uint64_t noise_seed)
-    : coordinator_(&engine), spec_(std::move(spec)), noise_seed_(noise_seed) {}
-
-Cluster::Cluster(sim::ParallelEngine& group, MachineSpec spec, std::uint64_t noise_seed)
-    : coordinator_(&group.shard(0)),
-      group_(&group),
-      spec_(std::move(spec)),
-      noise_seed_(noise_seed) {
-  // Default partition: node modulo shard count, no split nodes.  Launch
-  // re-partitions over the active node span once placement is known.
-  node_base_.resize(static_cast<std::size_t>(spec_.nodes));
-  node_split_.assign(static_cast<std::size_t>(spec_.nodes), 1);
-  for (int n = 0; n < spec_.nodes; ++n) {
-    node_base_[static_cast<std::size_t>(n)] = n % group.shard_count();
-  }
-  install_lookahead();
-}
-
-int Cluster::shard_for(int node, int cpu) const {
-  DT_ASSERT(node >= 0 && node < spec_.nodes, "node ", node, " out of range on ",
-            spec_.name);
-  if (group_ == nullptr) return 0;
-  const int base = node_base_[static_cast<std::size_t>(node)];
-  const int split = node_split_[static_cast<std::size_t>(node)];
-  if (split == 1) return base;
-  DT_ASSERT(cpu >= 0 && cpu < spec_.cpus_per_node, "cpu ", cpu, " out of range on ",
-            spec_.name);
-  // Contiguous CPU ranges map onto the node's consecutive shards.
-  return base + std::min(split - 1, cpu * split / spec_.cpus_per_node);
-}
-
-sim::Engine& Cluster::engine_for_node(int node) { return engine_for(node, 0); }
-
-sim::Engine& Cluster::engine_for(int node, int cpu) {
-  if (group_ == nullptr) {
-    DT_ASSERT(node >= 0 && node < spec_.nodes, "node ", node, " out of range on ",
-              spec_.name);
-    return *coordinator_;
-  }
-  return group_->shard(shard_for(node, cpu));
-}
-
-void Cluster::partition_nodes(int nodes_in_use, bool allow_node_split) {
-  if (group_ == nullptr) return;
-  DT_EXPECT(nodes_in_use >= 1 && nodes_in_use <= spec_.nodes, "partition over ",
-            nodes_in_use, " nodes out of range on ", spec_.name);
-  const int shards = group_->shard_count();
-  node_base_.assign(static_cast<std::size_t>(spec_.nodes), 0);
-  node_split_.assign(static_cast<std::size_t>(spec_.nodes), 1);
-  if (shards <= nodes_in_use) {
-    // Contiguous blocks: node n joins shard floor(n * S / N), so the ~N/S
-    // neighbours a block-placed rank talks to most sit on its own shard.
-    for (int n = 0; n < nodes_in_use; ++n) {
-      node_base_[static_cast<std::size_t>(n)] = n * shards / nodes_in_use;
-    }
-  } else if (!allow_node_split) {
-    // One node per shard; the surplus shards idle.
-    for (int n = 0; n < nodes_in_use; ++n) node_base_[static_cast<std::size_t>(n)] = n;
-  } else {
-    DT_EXPECT(min_intra_node_delay() >= 1, "machine ", spec_.name,
-              " intra-node latency is too small to survive worst-case jitter; "
-              "cannot split nodes across shards");
-    // Node n hosts the shard range [n*S/N, (n+1)*S/N); its CPU slots are
-    // divided across them in contiguous runs.
-    for (int n = 0; n < nodes_in_use; ++n) {
-      const int base = n * shards / nodes_in_use;
-      const int end = (n + 1) * shards / nodes_in_use;
-      node_base_[static_cast<std::size_t>(n)] = base;
-      node_split_[static_cast<std::size_t>(n)] = std::max(1, end - base);
-    }
-  }
-  // Nodes above the active span never host placed work; round-robin keeps
-  // their (idle) daemons on valid shards.
-  for (int n = nodes_in_use; n < spec_.nodes; ++n) {
-    node_base_[static_cast<std::size_t>(n)] = n % shards;
-  }
-  install_lookahead();
-}
-
-void Cluster::install_lookahead() {
-  if (group_ == nullptr) return;
-  // Every pair defaults to the cross-node bound; pairs co-resident on a
-  // split node exchange intra-node traffic and get the tighter intra bound.
-  group_->set_lookahead(min_cross_node_delay());
-  if (group_->shard_count() == 1) return;
-  const sim::TimeNs intra = min_intra_node_delay();
-  for (int n = 0; n < spec_.nodes; ++n) {
-    const int split = node_split_[static_cast<std::size_t>(n)];
-    if (split <= 1) continue;
-    DT_ASSERT(intra >= 1, "split node with unusable intra-node lookahead");
-    const int base = node_base_[static_cast<std::size_t>(n)];
-    for (int a = 0; a < split; ++a) {
-      for (int b = 0; b < split; ++b) {
-        if (a != b) group_->set_channel_lookahead(base + a, base + b, intra);
-      }
-    }
-  }
-}
-
-sim::TimeNs Cluster::shard_pair_lookahead(int src_shard, int dst_shard) const {
-  DT_ASSERT(group_ != nullptr, "shard_pair_lookahead on a single-engine cluster");
-  return group_->channel_lookahead(src_shard, dst_shard);
-}
+    : engine_(&engine), spec_(std::move(spec)), noise_seed_(noise_seed) {}
 
 std::vector<Cluster::Placement> Cluster::place_block(int units, int cpus_per_unit,
                                                      int first_cpu) const {
@@ -173,7 +72,7 @@ int Cluster::node_tenants(int node) const {
 sim::TimeNs Cluster::jittered(sim::TimeNs base, std::uint64_t salt) const {
   if (spec_.latency_jitter <= 0.0 || base <= 0) return base;
   // Multiplicative noise in [1 - j, 1 + j); a pure function of (seed, salt)
-  // so concurrent shards never contend on (or reorder) a shared stream.
+  // so no message's draw depends on the order of any other.
   const std::uint64_t z = fold(noise_seed_, salt);
   const double u = static_cast<double>(z >> 11) * 0x1.0p-53;  // [0, 1)
   const double factor = 1.0 + spec_.latency_jitter * (2.0 * u - 1.0);
@@ -192,9 +91,7 @@ sim::TimeNs Cluster::message_delay(int src_node, int dst_node, std::int64_t byte
   sim::TimeNs base = spec_.transfer_time(src_node, dst_node, bytes);
   // Multi-tenant contention (DESIGN.md §15): a message touching a node that
   // hosts T co-resident jobs pays a (1 + f*(T-1)) surcharge -- the NIC and
-  // switch port are shared.  The factor is >= 1 and fixed at setup time, so
-  // the channel lookaheads (lower bounds) stay valid and runs stay
-  // bit-identical across --sim-threads.
+  // switch port are shared.  The factor is fixed at setup time.
   const int tenants = std::max(node_tenants(src_node), node_tenants(dst_node));
   if (tenants > 1 && spec_.tenancy_factor > 0) {
     base = static_cast<sim::TimeNs>(std::llround(
@@ -202,29 +99,6 @@ sim::TimeNs Cluster::message_delay(int src_node, int dst_node, std::int64_t byte
         (1.0 + spec_.tenancy_factor * static_cast<double>(tenants - 1))));
   }
   return jittered(base, salt);
-}
-
-sim::TimeNs Cluster::min_cross_node_delay() const {
-  // transfer_time() distinguishes only intra- vs inter-node, so the pair
-  // (0, 1) is representative of every cross-node path; single-node machines
-  // have no cross-node traffic at all, so any positive bound is safe.
-  const sim::TimeNs base =
-      spec_.nodes > 1 ? spec_.transfer_time(0, 1, 0) : spec_.intra_latency;
-  // Worst case jittered() can return is llround(base * (1 - j)); floor minus
-  // one ns of slack covers rounding-direction and ulp differences.
-  const double worst = static_cast<double>(base) * (1.0 - spec_.latency_jitter);
-  const auto floor_ns = static_cast<sim::TimeNs>(std::floor(worst));
-  return std::max<sim::TimeNs>(1, floor_ns - 1);
-}
-
-sim::TimeNs Cluster::min_intra_node_delay() const {
-  // Same derivation as min_cross_node_delay over the intra-node base, but
-  // *without* the clamp to 1: a result <= 0 means real intra-node delays
-  // can undercut any positive lookahead, so the machine cannot host two
-  // shards on one node (partition_nodes refuses the split).
-  const double worst =
-      static_cast<double>(spec_.intra_latency) * (1.0 - spec_.latency_jitter);
-  return static_cast<sim::TimeNs>(std::floor(worst)) - 1;
 }
 
 }  // namespace dyntrace::machine

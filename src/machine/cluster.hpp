@@ -1,21 +1,10 @@
-// The simulated cluster: engine(s) + machine spec + deterministic noise.
+// The simulated cluster: engine + machine spec + deterministic noise.
 //
 // A Cluster owns no processes itself; the proc layer places SimProcesses on
 // nodes via place_block() and charges communication time via
-// message_delay().
-//
-// Sharding: a Cluster built over a sim::ParallelEngine maps every node to a
-// home shard via shard_for()/engine_for_node().  The default partition is
-// node modulo shard count; partition_nodes() re-partitions the active node
-// span into contiguous blocks so neighbouring nodes (which exchange the
-// bulk of block-placed rank traffic) share a shard.  Every ordered shard
-// pair gets a channel lookahead derived from the topology: the minimum
-// possible cross-node delay (after worst-case jitter) normally, or the
-// minimum intra-node delay for pairs co-resident on one node (only when a
-// partition explicitly splits a node's CPUs across shards).  Latency jitter
-// is a stateless hash of (seed, message identity) rather than a shared RNG
-// stream, so the delay of a message does not depend on the order other
-// shards draw noise.
+// message_delay().  Latency jitter is a stateless hash of (seed, message
+// identity) rather than a shared RNG stream, so the delay of a message does
+// not depend on the order other messages draw noise.
 #pragma once
 
 #include <atomic>
@@ -24,7 +13,6 @@
 
 #include "machine/spec.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel_engine.hpp"
 
 namespace dyntrace::fault {
 class FaultInjector;
@@ -52,12 +40,7 @@ class Cluster {
 
   Cluster(sim::Engine& engine, MachineSpec spec, std::uint64_t noise_seed = 0x0dd5eed);
 
-  /// Shard-aware cluster: nodes map onto the group's shards and the
-  /// machine-derived lookahead is installed on the group.
-  Cluster(sim::ParallelEngine& group, MachineSpec spec,
-          std::uint64_t noise_seed = 0x0dd5eed);
-
-  /// Register a job's node span (setup time, before the engines run).  Each
+  /// Register a job's node span (setup time, before the engine runs).  Each
   /// registration raises the tenant count of the covered nodes; once any
   /// node carries more than one tenant, messages touching it pay the
   /// MachineSpec::tenancy_factor contention surcharge.  Runs that never
@@ -69,44 +52,8 @@ class Cluster {
   /// Number of jobs whose spans cover `node` (0 when no jobs registered).
   int node_tenants(int node) const;
 
-  /// The coordinator engine (shard 0 in a sharded cluster).  Setup code and
-  /// single-shard runs use this; simulated processes use engine_for_node().
-  sim::Engine& engine() { return *coordinator_; }
-
-  /// The home engine of the given node (its CPU-0 shard).  Unless a
-  /// partition explicitly splits the node, all processes on one node share
-  /// a shard, so intra-node communication is always shard-local.
-  sim::Engine& engine_for_node(int node);
-
-  /// The home engine of a (node, cpu) slot; differs from engine_for_node()
-  /// only on nodes a partition split across shards.
-  sim::Engine& engine_for(int node, int cpu);
-
-  /// Shard owning the given (node, cpu) slot under the current partition
-  /// (0 for a single-engine cluster).
-  int shard_for(int node, int cpu = 0) const;
-
-  /// Re-partition: the first `nodes_in_use` nodes (the span placement
-  /// actually touched, plus the tool node) are divided into contiguous
-  /// blocks across the group's shards, so neighbour-heavy rank traffic
-  /// stays shard-local; nodes above the span fall back to round-robin.
-  /// With more shards than active nodes the extra shards idle unless
-  /// `allow_node_split` is set, in which case each node's CPU range is
-  /// split across its shards -- co-resident pairs then run under the
-  /// (smaller) intra-node channel lookahead.  Splitting requires an
-  /// intra-node latency big enough to survive worst-case jitter, and is
-  /// only safe for workloads whose cross-process interactions all go
-  /// through deliver_at (the DPCL daemons call into same-node processes
-  /// directly).  Must be called before processes bind their engines.
-  /// Reinstalls the channel-lookahead matrix on the group.
-  void partition_nodes(int nodes_in_use, bool allow_node_split = false);
-
-  /// The channel lookahead installed for the ordered shard pair, i.e. the
-  /// topology-derived lower bound on src -> dst message latency.
-  sim::TimeNs shard_pair_lookahead(int src_shard, int dst_shard) const;
-
-  /// The owning shard group, or null for a classic single-engine cluster.
-  sim::ParallelEngine* engine_group() { return group_; }
+  /// The engine every process, daemon and message on this cluster runs on.
+  sim::Engine& engine() { return *engine_; }
 
   const MachineSpec& spec() const { return spec_; }
 
@@ -129,8 +76,7 @@ class Cluster {
   /// deterministic jitter applied (models OS noise / switch contention and
   /// the "differing delays" of DPCL daemon contact the paper discusses).
   /// `now` is the *sender's* virtual send time; it salts the jitter so that
-  /// repeated sends over one path draw fresh noise, without any state
-  /// shared between shards.
+  /// repeated sends over one path draw fresh noise.
   sim::TimeNs message_delay(int src_node, int dst_node, std::int64_t bytes,
                             sim::TimeNs now);
 
@@ -138,19 +84,7 @@ class Cluster {
   /// (seed, salt) always produces the same draw; vary the salt per use.
   sim::TimeNs jittered(sim::TimeNs base, std::uint64_t salt) const;
 
-  /// A lower bound on every possible cross-node message_delay() result:
-  /// the zero-byte transfer time scaled by the worst-case downward jitter,
-  /// minus one ns of slack.  This is the default channel lookahead.
-  sim::TimeNs min_cross_node_delay() const;
-
-  /// The intra-node analogue, used as the channel lookahead between shards
-  /// co-resident on a split node.  May be <= 0 for machines whose
-  /// intra-node latency is too small to survive worst-case jitter; such
-  /// machines cannot split nodes (partition_nodes rejects it).
-  sim::TimeNs min_intra_node_delay() const;
-
-  /// Messages accounted so far (for tests and trace statistics).  Counters
-  /// are atomic: shards charge messages concurrently.
+  /// Messages accounted so far (for tests and trace statistics).
   std::uint64_t messages_sent() const {
     return messages_sent_.load(std::memory_order_relaxed);
   }
@@ -159,23 +93,13 @@ class Cluster {
   }
 
  private:
-  /// Derive and install the per-pair channel lookaheads for the current
-  /// partition on the shard group.
-  void install_lookahead();
-
-  sim::Engine* coordinator_;
-  sim::ParallelEngine* group_ = nullptr;
+  sim::Engine* engine_;
   fault::FaultInjector* fault_ = nullptr;
   MachineSpec spec_;
   std::uint64_t noise_seed_;
-  /// Current node -> shard partition (sharded clusters only): the shard of
-  /// a node's CPU 0, and how many consecutive shards share the node (1
-  /// except on explicitly split nodes).
-  std::vector<int> node_base_;
-  std::vector<int> node_split_;
   /// Registered jobs and the per-node tenant counts they imply.  Written
-  /// only at setup time (register_job), read-only while engines run, so the
-  /// contention surcharge is a pure function of message identity.
+  /// only at setup time (register_job), read-only while the engine runs, so
+  /// the contention surcharge is a pure function of message identity.
   std::vector<JobSpan> jobs_;
   std::vector<int> tenants_;
   std::atomic<std::uint64_t> messages_sent_{0};

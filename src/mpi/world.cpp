@@ -139,7 +139,7 @@ sim::Coro<void> Rank::send_raw(proc::SimThread& thread, int dst, int tag, std::i
   env.tag = tag;
   env.bytes = bytes;
   env.seq = send_seq_++;
-  world_.total_messages_.fetch_add(1, std::memory_order_relaxed);
+  ++world_.total_messages_;
 
   // Sender-side cost: per-message software overhead plus injection of the
   // payload into the fabric.
@@ -152,16 +152,15 @@ sim::Coro<void> Rank::send_raw(proc::SimThread& thread, int dst, int tag, std::i
                              : spec.bandwidth_bytes_per_us));
   co_await thread.compute(inject);
 
-  // In-flight delay to the destination's home shard (deliver_at degenerates
-  // to a local schedule when src and dst share one).
+  // In-flight delay to the destination.
   env.sent_at = process_.engine().now();
   const sim::TimeNs delay =
       cluster.message_delay(process_.node(), target.process_.node(), bytes, env.sent_at);
   const WireFate fate =
       apply_fate(cluster, rank_, dst, process_.node(), tag, delay, env.sent_at);
   for (int c = 0; c < fate.copies; ++c) {
-    target.process_.engine().deliver_at(env.sent_at + fate.delay,
-                                        [&target, env] { target.incoming_.put(env); });
+    target.process_.engine().schedule_at(env.sent_at + fate.delay,
+                                         [&target, env] { target.incoming_.put(env); });
   }
   ++sends_;
 }
@@ -260,7 +259,7 @@ sim::Coro<void> Rank::isend(proc::SimThread& thread, int dst, int tag, std::int6
   env.bytes = bytes;
   env.seq = send_seq_++;
   env.sent_at = engine.now();
-  world_.total_messages_.fetch_add(1, std::memory_order_relaxed);
+  ++world_.total_messages_;
 
   const sim::TimeNs inject =
       spec.per_message_software +
@@ -280,8 +279,8 @@ sim::Coro<void> Rank::isend(proc::SimThread& thread, int dst, int tag, std::int6
   const WireFate fate =
       apply_fate(cluster, rank_, dst, process_.node(), tag, wire, env.sent_at);
   for (int c = 0; c < fate.copies; ++c) {
-    target.process_.engine().deliver_at(env.sent_at + inject + fate.delay,
-                                        [&target, env] { target.incoming_.put(env); });
+    target.process_.engine().schedule_at(env.sent_at + inject + fate.delay,
+                                         [&target, env] { target.incoming_.put(env); });
   }
   ++sends_;
 

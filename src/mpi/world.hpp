@@ -12,7 +12,6 @@
 // Vampirtrace uses to collect message events (paper §3.1).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -65,21 +64,17 @@ class World {
   Rank& rank(int r);
 
   /// Number of ranks that have completed MPI_Init.
-  int initialized_count() const { return initialized_.load(std::memory_order_relaxed); }
+  int initialized_count() const { return initialized_; }
 
-  std::uint64_t total_messages() const {
-    return total_messages_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t total_messages() const { return total_messages_; }
 
  private:
   friend class Rank;
 
   machine::Cluster& cluster_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  // Ranks on different shards update these concurrently; both are
-  // order-independent tallies, so relaxed atomics keep them deterministic.
-  std::atomic<int> initialized_{0};
-  std::atomic<std::uint64_t> total_messages_{0};
+  int initialized_ = 0;
+  std::uint64_t total_messages_ = 0;
 };
 
 /// Per-process MPI state and API.  All calls take the executing SimThread:
@@ -209,7 +204,7 @@ class Rank {
   sim::MatchQueue<Envelope> incoming_;
   MpiInterpose* interpose_ = nullptr;
   std::uint32_t collective_seq_ = 0;
-  std::uint64_t send_seq_ = 0;  ///< per-rank envelope ordinal (shard-local)
+  std::uint64_t send_seq_ = 0;  ///< per-rank envelope ordinal
   std::uint64_t sends_ = 0;
   std::uint64_t recvs_ = 0;
 };

@@ -38,9 +38,6 @@ sim::Coro<void> ParallelJob::run_process(SimProcess& process, MainFn main) {
     finish_time_ = std::max(finish_time_, process.engine().now());
     last = ++finished_ == processes_.size();
   }
-  // Firing from a foreign shard is safe only because nothing awaits
-  // all_done() mid-run (Engine::post would assert if it did); observers
-  // poll fired() or read finish_time() after the run.
   if (last) all_done_.fire();
 }
 
@@ -61,7 +58,7 @@ void ParallelJob::start(SimThread* origin) {
       // starts each remote process.
       const sim::TimeNs delay =
           cluster_.message_delay(origin_node, proc.node(), 0, start_time_);
-      proc.engine().deliver_at(start_time_ + delay, [this, pid] {
+      proc.engine().schedule_at(start_time_ + delay, [this, pid] {
         SimProcess& p = *processes_[pid];
         p.engine().spawn(run_process(p, mains_[pid]),
                          str::format("%s.rank%zu", name_.c_str(), pid));

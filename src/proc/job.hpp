@@ -35,13 +35,10 @@ class ParallelJob {
   void set_main(int pid, MainFn main);
 
   /// Begin execution of every process.  Pre-run (origin == nullptr) every
-  /// main starts at the current time on its process's home engine.  Started
-  /// mid-run from a simulated thread (the tool issuing the POE launch),
-  /// pass that thread as `origin`: starting a process on a *different* node
-  /// costs one zero-byte control message from the origin node -- the POE
-  /// fan-out -- which also keeps cross-shard starts beyond the conservative
-  /// lookahead.  The fan-out is applied identically in single-shard runs,
-  /// so sequential and parallel timings agree bit for bit.
+  /// main starts at the current time.  Started mid-run from a simulated
+  /// thread (the tool issuing the POE launch), pass that thread as
+  /// `origin`: starting a process on a *different* node costs one zero-byte
+  /// control message from the origin node -- the POE fan-out.
   void start(SimThread* origin = nullptr);
   bool started() const { return started_; }
 
@@ -65,9 +62,8 @@ class ParallelJob {
   std::vector<std::unique_ptr<SimProcess>> processes_;
   std::vector<MainFn> mains_;
   bool started_ = false;
-  // Finish bookkeeping is updated from each process's home shard; the mutex
-  // covers concurrent finishes inside one window (the values themselves are
-  // deterministic: count and max-time are order-independent).
+  // Finish bookkeeping: count and max-time are order-independent.  The
+  // engine is single-threaded, so the mutex never contends.
   std::mutex finish_mutex_;
   std::size_t finished_ = 0;
   sim::TimeNs start_time_ = 0;

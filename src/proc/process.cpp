@@ -151,7 +151,7 @@ SimProcess::SimProcess(machine::Cluster& cluster, int pid, int node, int first_c
     : cluster_(cluster),
       pid_(pid),
       node_(node),
-      engine_(cluster.engine_for(node, first_cpu)),
+      engine_(cluster.engine()),
       first_cpu_(first_cpu),
       image_(std::move(img)),
       resumed_(engine_),

@@ -134,8 +134,7 @@ class SimProcess {
 
   machine::Cluster& cluster() { return cluster_; }
   const machine::Cluster& cluster() const { return cluster_; }
-  /// The process's home engine: the shard owning its node.  Every event the
-  /// process schedules executes there.
+  /// The cluster's engine, which runs every event the process schedules.
   sim::Engine& engine() { return engine_; }
   int pid() const { return pid_; }
   int node() const { return node_; }
@@ -189,7 +188,7 @@ class SimProcess {
   machine::Cluster& cluster_;
   int pid_;
   int node_;
-  sim::Engine& engine_;  ///< home shard; declared before the sync members below
+  sim::Engine& engine_;  ///< declared before the sync members below
   int first_cpu_;
   image::ProgramImage image_;
   LibraryRegistry registry_;

@@ -310,6 +310,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
                                ParseOptions options) {
   ReplayTrace trace;
   std::vector<sim::TimeNs> cursor;  ///< per-rank last event timestamp
+  std::vector<sim::TimeNs> busy;    ///< per-rank replay clock (see below)
   std::set<std::string> seen_calls;
   std::set<std::string> seen_skips;
   bool have_subset_directive = false;
@@ -334,6 +335,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
       DT_EXPECT(trace.ranks >= 1, where, ": ranks must be >= 1");
       trace.events.resize(static_cast<std::size_t>(trace.ranks));
       cursor.assign(static_cast<std::size_t>(trace.ranks), 0);
+      busy.assign(static_cast<std::size_t>(trace.ranks), 0);
       continue;
     }
     if (tokens[0] == "app") {
@@ -458,6 +460,18 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     DT_EXPECT(!p2p || ev.peer != rank, where, ": rank ", rank,
               " sends/receives with itself");
     DT_EXPECT(ev.bytes >= 0, where, ": negative bytes");
+
+    // Mirror the replay body's clock (replay/app.cpp): idle up to the
+    // timestamp, then count x work for a call or the recorded dur= of an
+    // MPI verb.  Checked, so a trace that would overflow the simulated
+    // clock fails here rather than mid-run.
+    sim::TimeNs cost = ev.dur;
+    DT_EXPECT(ev.verb != Verb::kCall || !__builtin_mul_overflow(ev.count, ev.work, &cost),
+              where, ": call count=", ev.count, " x work=", ev.work,
+              "ns overflows the simulated clock");
+    sim::TimeNs& clock = busy[static_cast<std::size_t>(rank)];
+    DT_EXPECT(!__builtin_add_overflow(std::max(clock, ev.at), cost, &clock), where,
+              ": rank ", rank, "'s replayed work overflows the simulated clock");
 
     trace.events[static_cast<std::size_t>(rank)].push_back(std::move(ev));
   }

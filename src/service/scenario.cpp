@@ -156,8 +156,8 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
       const sim::TimeNs delay =
           cluster.message_delay(d.node, svc.node(), request_bytes(request), sent);
       ControlService* service = &svc;
-      svc.engine().deliver_at(sent + delay,
-                              [service, request] { service->submit(request); });
+      svc.engine().schedule_at(sent + delay,
+                               [service, request] { service->submit(request); });
       outstanding.emplace(seq, Pending{next, sent});
       ++next;
     }
@@ -199,11 +199,11 @@ sim::Coro<void> session_coro(Driver& d, ControlService& svc, machine::Cluster& c
     co_await drive_session(d, entry, svc, cluster, response_timeout, pipeline_depth);
   }
 
-  // Tell the coordinator (on the service's shard) this batch is done.
+  // Tell the coordinator (on the service's node) this batch is done.
   const sim::TimeNs now = d.engine->now();
   const sim::TimeNs delay = cluster.message_delay(d.node, svc.node(), 64, now);
   Coordinator* c = &coord;
-  svc.engine().deliver_at(now + delay, [c] { c->note_done(); });
+  svc.engine().schedule_at(now + delay, [c] { c->note_done(); });
 }
 
 sim::Coro<void> scenario_main(dynprof::DynprofTool& tool, ControlService& svc,
@@ -212,11 +212,10 @@ sim::Coro<void> scenario_main(dynprof::DynprofTool& tool, ControlService& svc,
   co_await tool.attached().wait();
   svc.start();
 
-  // Open the session start gates, staggered, each fired on its driver's own
-  // shard (Trigger::fire with waiters must run shard-locally).  Storm
-  // drivers carry an absolute gate time from the fault plan instead: the
-  // whole burst is admitted at that instant (or as soon as the attachment
-  // is up, whichever is later).
+  // Open the session start gates, staggered, each after a message to its
+  // driver's node.  Storm drivers carry an absolute gate time from the
+  // fault plan instead: the whole burst is admitted at that instant (or as
+  // soon as the attachment is up, whichever is later).
   const sim::TimeNs now = svc.engine().now();
   std::size_t staggered = 0;
   for (std::size_t i = 0; i < drivers.size(); ++i) {
@@ -226,7 +225,7 @@ sim::Coro<void> scenario_main(dynprof::DynprofTool& tool, ControlService& svc,
         d->gate_at > 0
             ? std::max(d->gate_at, now + delay)
             : now + delay + static_cast<sim::TimeNs>(staggered++) * stagger;
-    cluster.engine_for_node(d->node).deliver_at(at, [d] { d->start->fire(); });
+    cluster.engine().schedule_at(at, [d] { d->start->fire(); });
   }
 
   co_await coord.all_done->wait();
@@ -305,6 +304,8 @@ asci::AppSpec make_svcapp(int functions) {
 }
 
 ScenarioResult run_scenario(const ScenarioOptions& options) {
+  DT_EXPECT(options.sim_threads == 1, "ScenarioOptions::sim_threads must be 1 (got ",
+            options.sim_threads, "): the simulator has one sequential engine");
   const auto host_start = std::chrono::steady_clock::now();
 
   const asci::AppSpec app = make_svcapp(options.functions);
@@ -316,7 +317,6 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   lo.params.confsync_interval = options.confsync_interval;
   lo.params.confsync_statistics = true;
   lo.policy = dynprof::Policy::kDynamic;
-  lo.sim_threads = options.sim_threads;
   lo.fault = options.fault;
   lo.telemetry_level = options.telemetry_level;
   dynprof::Launch launch(lo);
@@ -381,7 +381,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
     driver->node = client_nodes > 0
                        ? first_client + static_cast<int>(driver_index) % client_nodes
                        : tool_node;
-    driver->engine = &cluster.engine_for_node(driver->node);
+    driver->engine = &cluster.engine();
     driver->start = std::make_unique<sim::Trigger>(*driver->engine);
     driver->inbox = std::make_unique<sim::Mailbox<Response>>(*driver->engine);
     driver->gate_at = gate_at;
@@ -439,7 +439,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
                                        options.session_stagger, coord),
                          "svc.scenario");
 
-  launch.run_engine();
+  launch.engine().run();
 
   // --- collect -------------------------------------------------------------
   ScenarioResult result;

@@ -41,6 +41,8 @@ struct ScenarioOptions {
   int session_nodes = 16;
   /// Commands between the implicit attach and detach of generated scripts.
   int commands_per_session = 4;
+  /// Must be 1.  Kept only for perfbench/driver.cpp; the next change to
+  /// the benchmark removes it.
   int sim_threads = 1;
   std::uint64_t seed = 42;
   double problem_scale = 1.0;

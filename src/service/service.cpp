@@ -18,8 +18,8 @@ constexpr sim::TimeNs kScanCostPerRecord = 200;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BreakAgent: lives on rank 0's shard.  The service mutates it exclusively
-// through deliver_at messages; the VT_confsync break handler reads it.
+// BreakAgent: lives on rank 0's node.  The service mutates it exclusively
+// through scheduled messages; the VT_confsync break handler reads it.
 // ---------------------------------------------------------------------------
 
 struct ControlService::BreakAgent {
@@ -70,7 +70,7 @@ struct ControlService::BreakAgent {
       : service(svc), cluster(c), staged(std::move(s)), node(agent_node),
         service_node(svc_node) {}
 
-  /// A delivered delta's credit comes home (runs on this agent's shard).
+  /// A delivered delta's credit comes home.
   /// Keyed by session id, not index: subs reorder under insert/erase, and a
   /// credit returning after its session detached is simply dropped.
   void return_credit(SessionId session) {
@@ -118,13 +118,12 @@ struct ControlService::BreakAgent {
         const sim::TimeNs delay =
             cluster.message_delay(node, sub.client_node, kDeltaBytes, now);
         DeltaSink sink = sub.sink;
-        cluster.engine_for_node(sub.client_node)
-            .deliver_at(now + delay, [sink, delta] { sink(delta); });
+        cluster.engine().schedule_at(now + delay, [sink, delta] { sink(delta); });
         reg.add(reg.metrics().service_sub_deliveries);
         reg.add(reg.metrics().service_sub_events, delta.pairs);
         if (sub_window > 0) {
           --sub.credits;
-          // The whole return path is priced here, on the agent's shard:
+          // The whole return path is priced here, on the agent's node:
           // delivery leg, client processing (stall-fault scaled), ack leg.
           sim::TimeNs processing = sub_stall;
           if (injector != nullptr && processing > 0) {
@@ -135,7 +134,7 @@ struct ControlService::BreakAgent {
               cluster.message_delay(sub.client_node, node, 16, now + delay + processing);
           BreakAgent* self = this;
           const SessionId session = sub.session;
-          cluster.engine_for_node(node).deliver_at(
+          cluster.engine().schedule_at(
               now + delay + processing + back,
               [self, session] { self->return_credit(session); });
         }
@@ -187,8 +186,7 @@ struct ControlService::BreakAgent {
                                vt::serialized_size(report.applied);
     const sim::TimeNs delay = cluster.message_delay(node, service_node, bytes, now);
     ControlService* svc = &service;
-    cluster.engine_for_node(service_node)
-        .deliver_at(now + delay, [svc, report] { svc->on_window(report); });
+    cluster.engine().schedule_at(now + delay, [svc, report] { svc->on_window(report); });
 
     return kScanCostPerRecord * static_cast<sim::TimeNs>(report.lines.size());
   }
@@ -203,7 +201,7 @@ ControlService::ControlService(dynprof::Launch& launch, dynprof::DynprofTool& to
     : launch_(launch),
       tool_(tool),
       cluster_(launch.cluster()),
-      engine_(launch.cluster().engine_for_node(tool.tool_thread().process().node())),
+      engine_(launch.cluster().engine()),
       options_(options),
       node_(tool.tool_thread().process().node()),
       agent_node_(launch.job().process(0).node()),
@@ -550,8 +548,8 @@ void ControlService::send_response(Response response) {
   const sim::TimeNs delay =
       cluster_.message_delay(node_, it->second.client_node, response_bytes(response), now);
   ResponseSink sink = it->second.responses;
-  cluster_.engine_for_node(it->second.client_node)
-      .deliver_at(now + delay, [sink, response = std::move(response)] { sink(response); });
+  cluster_.engine()
+      .schedule_at(now + delay, [sink, response = std::move(response)] { sink(response); });
 }
 
 void ControlService::enqueue_patch(PatchOp op) {
@@ -639,8 +637,8 @@ void ControlService::forward_to_agent(std::int64_t bytes,
   BreakAgent* agent = agent_.get();
   const sim::TimeNs now = engine_.now();
   const sim::TimeNs delay = cluster_.message_delay(node_, agent_node_, bytes, now);
-  cluster_.engine_for_node(agent_node_)
-      .deliver_at(now + delay, [agent, mutate = std::move(mutate)] { mutate(*agent); });
+  cluster_.engine()
+      .schedule_at(now + delay, [agent, mutate = std::move(mutate)] { mutate(*agent); });
 }
 
 }  // namespace dyntrace::service

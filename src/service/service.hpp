@@ -4,7 +4,7 @@
 // One long-lived service process on the tool node multiplexes many
 // concurrent sessions onto a single shared dynprof attachment:
 //
-//   * requests arrive as sized messages on the tool node's shard and are
+//   * requests arrive as sized messages on the tool node and are
 //     decided inline (admission pricing, subscription validation) or
 //     deferred (patching, safe-point application, admission queue);
 //   * physical probe edits batch through one patch executor coroutine that
@@ -14,7 +14,7 @@
 //     reports kDaemonLost with the lost node list (the probes cannot reach
 //     those ranks), never a hang;
 //   * filter directives (session confsyncs, admission degrades, budget
-//     arbitration) travel to a *break agent* homed on rank 0's shard, which
+//     arbitration) travel to a *break agent* homed on rank 0's node, which
 //     merges them in (session, seq) order at each VT_confsync safe point --
 //     two sessions staging conflicting updates at one safe point therefore
 //     serialize deterministically, with the image state equal to applying
@@ -24,9 +24,8 @@
 //     overlay root -- sessions never receive the full event stream), and
 //     reports rates back so the admission controller re-arbitrates.
 //
-// Everything crosses shards exclusively through Engine::deliver_at with
-// Cluster::message_delay latencies, so runs are bit-identical across
-// --sim-threads.
+// Every hop between the service, the break agent and the sessions is a
+// scheduled message with a Cluster::message_delay latency.
 #pragma once
 
 #include <cstdint>
@@ -115,13 +114,13 @@ class ControlService {
   void register_session(SessionId id, int client_node, ResponseSink responses,
                         DeltaSink deltas = {});
 
-  /// Spawn the patch executor.  Call from a coroutine on the tool shard
+  /// Spawn the patch executor.  Call from a coroutine on the tool node
   /// after DynprofTool::attached() has fired (probe edits are only valid
   /// once the target is released into main()).
   void start();
 
-  /// Hand one request to the service.  Must run on the tool node's shard;
-  /// session drivers get here via deliver_at with message_delay latency.
+  /// Hand one request to the service.  Session drivers get here via a
+  /// scheduled message with message_delay latency.
   void submit(Request request);
 
   /// Stop accepting work and ask the break agent to stage a deactivate
@@ -167,7 +166,7 @@ class ControlService {
     DeltaSink deltas;
   };
 
-  /// The break agent's post-window report (built on rank 0's shard,
+  /// The break agent's post-window report (built on rank 0's node,
   /// delivered to the service's).
   struct WindowReport {
     std::uint64_t sync = 0;
@@ -205,7 +204,7 @@ class ControlService {
   dynprof::Launch& launch_;
   dynprof::DynprofTool& tool_;
   machine::Cluster& cluster_;
-  sim::Engine& engine_;  ///< the tool node's shard
+  sim::Engine& engine_;
   ServiceOptions options_;
   int node_ = 0;        ///< tool node
   int agent_node_ = 0;  ///< rank 0's node

@@ -3,25 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
-#include "sim/parallel_engine.hpp"
 #include "support/log.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace dyntrace::sim {
-
-namespace {
-
-/// Scoped thread-local "which engine is executing" marker.
-struct CurrentGuard {
-  Engine* saved;
-  explicit CurrentGuard(Engine** slot, Engine* engine) : saved(*slot), slot_(slot) {
-    *slot_ = engine;
-  }
-  ~CurrentGuard() { *slot_ = saved; }
-  Engine** slot_;
-};
-
-}  // namespace
 
 // Detached driver: owns nothing after completion (final_suspend never), but
 // registers its handle with the engine so that frames still suspended when
@@ -52,79 +37,16 @@ Engine::~Engine() {
 }
 
 EventId Engine::schedule_at(TimeNs at, EventQueue::Callback cb) {
-  assert_local_context();
   DT_ASSERT(at >= now_, "cannot schedule into the past (at=", at, " now=", now_, ")");
   return queue_.schedule(at, std::move(cb));
 }
 
 EventId Engine::schedule_after(TimeNs delay, EventQueue::Callback cb) {
-  assert_local_context();
   DT_ASSERT(delay >= 0, "negative delay");
   return queue_.schedule(now_ + delay, std::move(cb));
 }
 
-void Engine::deliver_at(TimeNs at, EventQueue::Callback cb) {
-  Engine* cur = tls_current_;
-  if (cur == this || group_ == nullptr || !group_->in_parallel_phase()) {
-    // Local delivery, or no concurrent windows in flight (setup code,
-    // sequential runs): a plain schedule keeps single-shard behaviour
-    // identical to the classic engine.
-    DT_ASSERT(at >= now_, "cannot deliver into the past (at=", at, " now=", now_, ")");
-    queue_.schedule(at, std::move(cb));
-    return;
-  }
-  DT_ASSERT(cur != nullptr,
-            "cross-shard deliver_at from outside any engine during a parallel run");
-  // Send-side conservative check: the delivery must clear the sender's
-  // channel lookahead to this shard, or a concurrent window here may have
-  // already executed past it.  (Faults only stretch delays, never shrink
-  // them, so this holds under injection too.)
-  DT_ASSERT(at >= cur->now_ + group_->channel_lookahead(cur->shard_, shard_),
-            "conservative channel bound violated: shard ", cur->shard_, " at t=",
-            cur->now_, " delivering to shard ", shard_, " at t=", at,
-            " under channel lookahead ",
-            group_->channel_lookahead(cur->shard_, shard_));
-  std::lock_guard<std::mutex> lock(inbox_mutex_);
-  // cross_seq_ belongs to the *sender*: exactly one thread executes a
-  // shard's window, so the increment is single-writer.
-  inbox_.push_back(ForeignEvent{at, cur->shard_, cur->cross_seq_++, std::move(cb)});
-}
-
-void Engine::drain_inbox() {
-  std::vector<ForeignEvent> batch;
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    batch.swap(inbox_);
-  }
-  // Deterministic merge of same-timestamp deliveries: the (time, shard,
-  // seq) key is independent of thread scheduling.
-  std::sort(batch.begin(), batch.end(), [](const ForeignEvent& a, const ForeignEvent& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
-    return a.src_seq < b.src_seq;
-  });
-  for (ForeignEvent& e : batch) {
-    DT_ASSERT(e.at >= now_, "conservative bound violated: shard ", shard_, " at t=", now_,
-              " received a delivery for t=", e.at, " from shard ", e.src_shard);
-    queue_.schedule(e.at, std::move(e.cb));
-  }
-  if (!batch.empty()) {
-    if (group_ != nullptr &&
-        channel_from_.size() < static_cast<std::size_t>(group_->shard_count())) {
-      channel_from_.resize(static_cast<std::size_t>(group_->shard_count()), 0);
-    }
-    for (const ForeignEvent& e : batch) {
-      if (static_cast<std::size_t>(e.src_shard) < channel_from_.size()) {
-        ++channel_from_[static_cast<std::size_t>(e.src_shard)];
-      }
-    }
-    telemetry::Registry& reg = telemetry::current();
-    if (reg.counting()) reg.add(reg.metrics().sim_cross_deliveries, batch.size());
-  }
-}
-
 void Engine::post(std::coroutine_handle<> h) {
-  assert_local_context();
   DT_ASSERT(h && !h.done(), "posting an invalid coroutine handle");
   queue_.schedule(now_, [h] { h.resume(); });
 }
@@ -142,7 +64,6 @@ Engine::RootDriver Engine::drive_root(Coro<void> body, std::uint64_t root_id, bo
 }
 
 void Engine::spawn(Coro<void> body, std::string name, SpawnOptions options) {
-  assert_local_context();
   DT_ASSERT(body.valid(), "spawning an empty Coro");
   const std::uint64_t id = next_root_id_++;
   ++alive_;
@@ -158,8 +79,6 @@ void Engine::spawn(Coro<void> body, std::string name, SpawnOptions options) {
 void Engine::record_failure(const std::string& name, std::exception_ptr error) {
   if (!failure_) {
     failure_ = error;
-    failure_name_ = name;
-    failure_time_ = now_;
   } else {
     log::warn("sim", "additional process failure in '", name, "' (first failure wins)");
   }
@@ -193,24 +112,8 @@ bool Engine::step() {
   DT_ASSERT(time >= now_, "event queue went backwards");
   now_ = time;
   ++events_executed_;
-  CurrentGuard guard(&tls_current_, this);
   cb();
   return true;
-}
-
-void Engine::run_window(TimeNs bound) {
-  const std::uint64_t before = events_executed_;
-  while (!failure_) {
-    const auto next = queue_.next_time();
-    if (!next || *next >= bound) break;
-    step();
-  }
-  // Bulk-count the window's events: one telemetry update per window keeps
-  // step() itself untouched (it is the hottest loop in the project).
-  if (events_executed_ != before) {
-    telemetry::Registry& reg = telemetry::current();
-    reg.add(reg.metrics().sim_events, events_executed_ - before);
-  }
 }
 
 std::size_t Engine::run_until_blocked(TimeNs deadline) {

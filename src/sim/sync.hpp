@@ -25,9 +25,6 @@ class Trigger {
   bool fired() const { return fired_; }
   std::size_t waiter_count() const { return waiters_.size(); }
 
-  /// Safe to call from a sibling shard only when no coroutine is waiting
-  /// (Engine::post asserts local context otherwise); see Launch's init
-  /// trigger for the pattern.
   void fire() {
     if (fired_) return;
     fired_ = true;

@@ -13,15 +13,8 @@ namespace dyntrace::telemetry {
 struct Metrics {
   explicit Metrics(Registry& registry);
 
-  // --- sim: parallel engine + event queue -----------------------------------
-  CounterId sim_windows;               ///< coordinator window rounds executed
-  CounterId sim_window_stalls;         ///< windows where the pool barrier really waited
-  CounterId sim_window_fusions;        ///< active shards granted a bound past the classic global window
-  CounterId sim_cross_deliveries;      ///< cross-shard events merged at window boundaries
-  CounterId sim_events;                ///< events dispatched (bulk-added per window/run)
-  HistogramId sim_window_shards;       ///< active shards per window
-  HistogramId sim_window_stall_ns;     ///< slowest-minus-fastest shard wall time per pooled window
-  HistogramId sim_queue_depth;         ///< scheduled events at window open
+  // --- sim: engine + event queue --------------------------------------------
+  CounterId sim_events;                ///< events dispatched (bulk-added per run)
   CounterId sim_queue_compactions;     ///< heap compaction passes
   CounterId sim_queue_compacted_entries;  ///< dead entries dropped by compaction
 
@@ -85,16 +78,13 @@ struct Metrics {
   CounterId fault_tears;               ///< spills truncated mid-write
 
   // --- span names ------------------------------------------------------------
-  SpanName span_window;                ///< one parallel-engine window (track = shard)
   SpanName span_confsync;              ///< one rank's confsync round (track = rank)
   SpanName span_reduce;                ///< one overlay reduction (track = rank)
   SpanName span_decision;              ///< instant: controller decision (tool track)
 
-  /// Track number used for tool-side (controller) span events; rank and
-  /// shard tracks are numbered from 0, so the tool sits far above them.
+  /// Track number used for tool-side (controller) span events; rank
+  /// tracks are numbered from 0, so the tool sits far above them.
   static constexpr std::uint32_t kToolTrack = 1'000'000;
-  /// Sim-shard tracks sit in their own band below the tool track.
-  static constexpr std::uint32_t kShardTrackBase = 900'000;
 };
 
 }  // namespace dyntrace::telemetry

@@ -2,14 +2,13 @@
 //
 // dynprof's whole argument is about bounding the cost of observation, so the
 // stack needs cheap, always-available counters about *itself*: how many
-// windows the parallel engine ran, how often the controller staged changes,
+// events the engine ran, how often the controller staged changes,
 // how many spill runs the trace store wrote, how many retries the dpcl layer
 // burned.  The registry provides three level-gated primitives:
 //
 //   * monotonic counters     -- u64, add-only;
-//   * gauges                 -- i64 last-value (merged across threads by sum,
-//                               so per-shard "current depth" gauges read as a
-//                               job-wide total);
+//   * gauges                 -- i64 last-value (merged across threads by
+//                               sum);
 //   * log2 histograms        -- 65 fixed buckets (bucket 0 holds zeros,
 //                               bucket b holds 2^(b-1) <= v < 2^b) plus a sum
 //                               cell, so observe() is a bit_width and two

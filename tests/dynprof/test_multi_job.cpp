@@ -1,6 +1,6 @@
 // MultiJobLaunch: heterogeneous jobs sharing one simulated cluster
 // (DESIGN.md §15) -- shared-node tenancy, per-job tool sessions, job-scoped
-// fault verbs, and scenario-wide bit-identity across --sim-threads.
+// fault verbs, and scenario-wide run-to-run bit-identity.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -17,9 +17,8 @@ constexpr double kScale = 0.1;
 
 /// Two jobs sharing node 0: "front" (sppm, Dynamic) on CPUs 0-3, "back"
 /// (sweep3d, Adaptive) on CPUs 4-7 of the same nodes.
-MultiJobOptions two_job_options(int sim_threads, const std::string& plan_text = {}) {
+MultiJobOptions two_job_options(const std::string& plan_text = {}) {
   MultiJobOptions options;
-  options.sim_threads = sim_threads;
   if (!plan_text.empty()) {
     options.fault =
         std::make_shared<fault::FaultInjector>(fault::FaultPlan::parse(plan_text));
@@ -45,7 +44,7 @@ MultiJobOptions two_job_options(int sim_threads, const std::string& plan_text = 
 }
 
 TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
-  MultiJobLaunch launch(two_job_options(1));
+  MultiJobLaunch launch(two_job_options());
   // Both jobs span node 0 (4 one-cpu ranks each fit its 8 cpus), so the
   // node carries two tenants and messages touching it pay the surcharge.
   EXPECT_EQ(launch.cluster().node_tenants(0), 2);
@@ -69,17 +68,13 @@ TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
 }
 
 TEST(MultiJob, ScenarioDigestIsBitIdenticalAcrossSimThreads) {
-  const MultiJobResult t1 = MultiJobLaunch(two_job_options(1)).run_to_completion();
-  for (const int threads : {2, 8}) {
-    const MultiJobResult tn =
-        MultiJobLaunch(two_job_options(threads)).run_to_completion();
-    EXPECT_EQ(t1.combined_digest, tn.combined_digest) << "sim-threads=" << threads;
-    for (std::size_t j = 0; j < t1.jobs.size(); ++j) {
-      EXPECT_EQ(t1.jobs[j].trace_digest, tn.jobs[j].trace_digest)
-          << t1.jobs[j].job << " sim-threads=" << threads;
-      EXPECT_EQ(t1.jobs[j].stats_digest, tn.jobs[j].stats_digest)
-          << t1.jobs[j].job << " sim-threads=" << threads;
-    }
+  // Run-to-run identity: two launches of one scenario agree bit for bit.
+  const MultiJobResult first = MultiJobLaunch(two_job_options()).run_to_completion();
+  const MultiJobResult again = MultiJobLaunch(two_job_options()).run_to_completion();
+  EXPECT_EQ(first.combined_digest, again.combined_digest);
+  for (std::size_t j = 0; j < first.jobs.size(); ++j) {
+    EXPECT_EQ(first.jobs[j].trace_digest, again.jobs[j].trace_digest) << first.jobs[j].job;
+    EXPECT_EQ(first.jobs[j].stats_digest, again.jobs[j].stats_digest) << first.jobs[j].job;
   }
 }
 
@@ -87,22 +82,15 @@ TEST(MultiJob, CrossJobFaultPlanScopesToTheNamedJob) {
   // kill-rank job=back names the Adaptive job's rank space: its stats
   // reduction loses rank 1 while the front job keeps every rank.
   const std::string plan = "seed 7\nkill-rank rank=1 at=0 job=back\n";
-  const MultiJobResult t1 =
-      MultiJobLaunch(two_job_options(1, plan)).run_to_completion();
-  ASSERT_EQ(t1.jobs.size(), 2u);
-  EXPECT_TRUE(t1.jobs[0].lost_ranks.empty());
-  EXPECT_EQ(t1.jobs[1].lost_ranks, std::vector<int>{1});
-  for (const int threads : {2, 8}) {
-    const MultiJobResult tn =
-        MultiJobLaunch(two_job_options(threads, plan)).run_to_completion();
-    EXPECT_EQ(t1.combined_digest, tn.combined_digest) << "sim-threads=" << threads;
-    EXPECT_EQ(tn.jobs[1].lost_ranks, std::vector<int>{1});
-  }
+  const MultiJobResult r = MultiJobLaunch(two_job_options(plan)).run_to_completion();
+  ASSERT_EQ(r.jobs.size(), 2u);
+  EXPECT_TRUE(r.jobs[0].lost_ranks.empty());
+  EXPECT_EQ(r.jobs[1].lost_ranks, std::vector<int>{1});
 }
 
 TEST(MultiJob, UnscopedKillRankHitsEveryJobsRankSpace) {
   const MultiJobResult r =
-      MultiJobLaunch(two_job_options(1, "seed 7\nkill-rank rank=1 at=0\n"))
+      MultiJobLaunch(two_job_options("seed 7\nkill-rank rank=1 at=0\n"))
           .run_to_completion();
   EXPECT_EQ(r.jobs[0].lost_ranks, std::vector<int>{1});
   EXPECT_EQ(r.jobs[1].lost_ranks, std::vector<int>{1});
@@ -112,7 +100,7 @@ TEST(MultiJob, DegradedSharedNodeQuarantinesOnlyThatJobsTool) {
   // degrade-daemon is node-scoped and physical: node 0 hosts both jobs'
   // daemons.  Only the front job drives mid-run requests into it, so only
   // the front tool's breaker opens (quarantine), and nobody loses ranks.
-  MultiJobOptions options = two_job_options(1, "seed 17\ndegrade-daemon node=0 factor=200 from=0\n");
+  MultiJobOptions options = two_job_options("seed 17\ndegrade-daemon node=0 factor=200 from=0\n");
   options.jobs[0].script =
       "insert-file subset.txt\nstart\nwait 5\ninsert-file subset.txt\nquit\n";
   MultiJobLaunch launch(std::move(options));
@@ -134,9 +122,8 @@ TEST(MultiJob, ReplayJobSharesTheClusterWithAKernelJob) {
   }();
   const auto replay_app = replay::load_app(trace_path);
 
-  auto make = [&](int threads) {
+  auto make = [&] {
     MultiJobOptions options;
-    options.sim_threads = threads;
     MultiJobOptions::Job recorded;
     recorded.app = &replay_app->spec();
     recorded.name = "recorded";
@@ -156,16 +143,14 @@ TEST(MultiJob, ReplayJobSharesTheClusterWithAKernelJob) {
     return options;
   };
 
-  const MultiJobResult t1 = MultiJobLaunch(make(1)).run_to_completion();
-  ASSERT_EQ(t1.jobs.size(), 2u);
-  EXPECT_GT(t1.jobs[0].trace_events, 0u);
-  EXPECT_GT(t1.jobs[1].trace_events, 0u);
-  const MultiJobResult t8 = MultiJobLaunch(make(8)).run_to_completion();
-  EXPECT_EQ(t1.combined_digest, t8.combined_digest);
+  const MultiJobResult r = MultiJobLaunch(make()).run_to_completion();
+  ASSERT_EQ(r.jobs.size(), 2u);
+  EXPECT_GT(r.jobs[0].trace_events, 0u);
+  EXPECT_GT(r.jobs[1].trace_events, 0u);
 }
 
 TEST(MultiJob, RejectsDuplicateJobNames) {
-  MultiJobOptions options = two_job_options(1);
+  MultiJobOptions options = two_job_options();
   options.jobs[1].name = "front";
   EXPECT_THROW(MultiJobLaunch{std::move(options)}, Error);
 }

@@ -3,7 +3,7 @@
 // {smg98, sweep3d} at 64 ranks.  For
 // every cell the run must terminate, the degradation must be reported with
 // the affected ranks, and the surviving traces must merge to a digest that
-// is bit-identical across --sim-threads for a fixed plan + seed.
+// is bit-identical run to run for a fixed plan + seed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,8 +37,9 @@ struct MatrixResult {
   vt::TraceStore::SalvageStats salvage;
 };
 
+/// Run one cell; the tool must finish its script whatever the plan breaks.
 MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
-                      int sim_threads, const std::string& script_text,
+                      const std::string& script_text,
                       std::size_t spill_bytes = 0,
                       vt::TraceFormat format = vt::TraceFormat::kV2) {
   const asci::AppSpec* app = asci::find_app(app_name);
@@ -51,7 +52,6 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
   options.params.nprocs = kRanks;
   options.params.problem_scale = kScale;
   options.policy = Policy::kDynamic;
-  options.sim_threads = sim_threads;
   options.trace_spill_bytes = spill_bytes;
   options.trace_spill_dir = ::testing::TempDir();
   options.trace_format = format;
@@ -62,7 +62,7 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
   topt.command_files = {{"subset", app->dynamic_list}};
   DynprofTool tool(launch, std::move(topt));
   tool.run_script(parse_script(script_text));
-  launch.run_engine();
+  launch.engine().run();
 
   MatrixResult result;
   result.tool_finished = tool.finished();
@@ -71,32 +71,8 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
   result.lost_ranks = injector->report().lost_ranks();
   result.degradations = tool.degradations().size();
   result.salvage = launch.trace()->salvage_stats();
+  EXPECT_TRUE(result.tool_finished) << app_name;
   return result;
-}
-
-/// Run one cell at --sim-threads 1, 2, and 8 and require identical
-/// outcomes (the determinism half of the acceptance bar), returning the
-/// t=1 result.  The 8-thread column exercises the channel-clock window
-/// protocol -- many shards, most idle per window -- under injected faults.
-MatrixResult run_cell_deterministically(const std::string& app_name,
-                                        const std::string& plan_text,
-                                        const std::string& script_text,
-                                        std::size_t spill_bytes = 0,
-                                        vt::TraceFormat format = vt::TraceFormat::kV2) {
-  const MatrixResult t1 =
-      run_cell(app_name, plan_text, 1, script_text, spill_bytes, format);
-  EXPECT_TRUE(t1.tool_finished) << app_name;
-  for (const int threads : {2, 8}) {
-    const MatrixResult tn = run_cell(app_name, plan_text, threads, script_text,
-                                     spill_bytes, format);
-    EXPECT_TRUE(tn.tool_finished) << app_name << " sim-threads=" << threads;
-    EXPECT_EQ(t1.digest, tn.digest)
-        << app_name << ": trace diverged at sim-threads=" << threads;
-    EXPECT_EQ(t1.report, tn.report)
-        << app_name << ": report diverged at sim-threads=" << threads;
-    EXPECT_EQ(t1.lost_ranks, tn.lost_ranks) << app_name << " sim-threads=" << threads;
-  }
-  return t1;
 }
 
 constexpr const char* kPlainScript = "insert-file subset\nstart\nquit\n";
@@ -110,7 +86,7 @@ class FaultMatrix : public ::testing::TestWithParam<const char*> {};
 TEST_P(FaultMatrix, DaemonKillDegradesAndTerminates) {
   const std::string plan =
       std::string("seed 11\nkill-daemon node=2 at=") + kill_time_for(GetParam()) + "\n";
-  const MatrixResult r = run_cell_deterministically(GetParam(), plan, kMidRunScript);
+  const MatrixResult r = run_cell(GetParam(), plan, kMidRunScript);
   // Node 2's ranks are abandoned, marked lost, and named in the report.
   EXPECT_FALSE(r.lost_ranks.empty());
   EXPECT_NE(r.report.find("daemon-lost"), std::string::npos);
@@ -127,7 +103,7 @@ TEST_P(FaultMatrix, FlappingDaemonIsQuarantinedNotAbandoned) {
   // daemon is sick, not gone, so its ranks must not be marked lost.
   const std::string plan = std::string("seed 16\nflap-daemon node=2 period=300s ") +
                            "downtime=150s from=" + kill_time_for(GetParam()) + "\n";
-  const MatrixResult r = run_cell_deterministically(GetParam(), plan, kMidRunScript);
+  const MatrixResult r = run_cell(GetParam(), plan, kMidRunScript);
   EXPECT_TRUE(r.lost_ranks.empty());
   EXPECT_NE(r.report.find("breaker-open"), std::string::npos);
   EXPECT_NE(r.report.find("breaker-probe"), std::string::npos);
@@ -144,7 +120,7 @@ TEST_P(FaultMatrix, DegradedDaemonOpensBreakerOnScoreAlone) {
   // No losses, no abandonment, and the slow node is quarantined mid-insert.
   const std::string plan = std::string("seed 17\ndegrade-daemon node=2 factor=200 ") +
                            "from=" + kill_time_for(GetParam()) + "\n";
-  const MatrixResult r = run_cell_deterministically(GetParam(), plan, kMidRunScript);
+  const MatrixResult r = run_cell(GetParam(), plan, kMidRunScript);
   EXPECT_TRUE(r.lost_ranks.empty());
   EXPECT_NE(r.report.find("breaker-open"), std::string::npos);
   EXPECT_EQ(r.report.find("daemon-lost"), std::string::npos);
@@ -156,14 +132,14 @@ TEST_P(FaultMatrix, MessageDropsAreRetriedThrough) {
   // run must come out whole, with every drop absorbed by a retry.  (An
   // abandonment before release would leave its ranks spinning and hang the
   // re-synchronizing barrier -- the documented collective-semantics limit.)
-  const MatrixResult r = run_cell_deterministically(
+  const MatrixResult r = run_cell(
       GetParam(), "seed 12\ndrop channel=daemon prob=0.05\n", kPlainScript);
   EXPECT_TRUE(r.lost_ranks.empty());
   EXPECT_GT(r.digest, 0u);
 }
 
 TEST_P(FaultMatrix, DuplicatedMessagesAreIdempotent) {
-  const MatrixResult r = run_cell_deterministically(
+  const MatrixResult r = run_cell(
       GetParam(), "seed 13\ndup channel=daemon prob=0.5\n", kPlainScript);
   // Duplicate requests dedup on their id, duplicate acks are absorbed by
   // per-attempt ack states: no losses, no degradation.
@@ -173,7 +149,7 @@ TEST_P(FaultMatrix, DuplicatedMessagesAreIdempotent) {
 }
 
 TEST_P(FaultMatrix, TenfoldDelaysOnlySlowTheControlPlane) {
-  const MatrixResult r = run_cell_deterministically(
+  const MatrixResult r = run_cell(
       GetParam(), "seed 14\ndelay channel=daemon factor=10 prob=1.0\n", kPlainScript);
   EXPECT_TRUE(r.lost_ranks.empty());
   EXPECT_GT(r.digest, 0u);
@@ -181,7 +157,7 @@ TEST_P(FaultMatrix, TenfoldDelaysOnlySlowTheControlPlane) {
 
 TEST_P(FaultMatrix, TornShardSalvagesAndMerges) {
   // v1 salvage is frame-granular: half a run's bytes keep half its records.
-  const MatrixResult r = run_cell_deterministically(
+  const MatrixResult r = run_cell(
       GetParam(), "seed 15\ntear-shard rank=3 spill=0 keep=0.5\n", kPlainScript,
       /*spill_bytes=*/std::size_t{1} << 11, vt::TraceFormat::kV1);
   EXPECT_EQ(r.salvage.torn_shards, 1u);
@@ -194,9 +170,8 @@ TEST_P(FaultMatrix, TornShardSalvagesAndMerges) {
 TEST_P(FaultMatrix, TornShardV2SalvageIsBlockGranular) {
   // v2 salvage is block-granular: a 64-record run is a single block, so a
   // tear that keeps only half its bytes loses the whole run -- but the job
-  // still terminates, the merge skips the torn tail, and the outcome stays
-  // bit-identical at every --sim-threads.
-  const MatrixResult r = run_cell_deterministically(
+  // still terminates and the merge skips the torn tail.
+  const MatrixResult r = run_cell(
       GetParam(), "seed 15\ntear-shard rank=3 spill=0 keep=0.5\n", kPlainScript,
       /*spill_bytes=*/std::size_t{1} << 11);
   EXPECT_EQ(r.salvage.torn_shards, 1u);
@@ -213,13 +188,28 @@ TEST(FaultMatrixBaseline, EmptyPlanFiresNothingAndStaysDeterministic) {
   // nothing, and replay to the same trace.  (Bit-identity with a *null*
   // injector is only promised for runs without a plan: fault mode's
   // per-node reliable requests legitimately re-time the control plane.)
-  const MatrixResult r = run_cell_deterministically("smg98", "seed 1\n", kPlainScript);
+  const MatrixResult r = run_cell("smg98", "seed 1\n", kPlainScript);
   EXPECT_TRUE(r.report.empty());
   EXPECT_TRUE(r.lost_ranks.empty());
   EXPECT_EQ(r.degradations, 0u);
   EXPECT_EQ(r.salvage.torn_shards, 0u);
-  const MatrixResult again = run_cell("smg98", "seed 1\n", 1, kPlainScript);
+  const MatrixResult again = run_cell("smg98", "seed 1\n", kPlainScript);
   EXPECT_EQ(again.digest, r.digest);
+}
+
+TEST(FaultMatrixBaseline, PlanNamingAMissingNodeIsRejectedAtLaunch) {
+  Launch::Options options;
+  options.app = &asci::smg98();
+  options.params.nprocs = 8;
+  options.policy = Policy::kDynamic;
+  options.fault = std::make_shared<fault::FaultInjector>(
+      fault::FaultPlan::parse("kill-daemon node=99999 at=5s\n", "huge.plan"));
+  try {
+    Launch launch(std::move(options));
+    FAIL() << "expected the plan to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("huge.plan:1"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

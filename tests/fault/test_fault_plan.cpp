@@ -106,6 +106,14 @@ TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_THROW(FaultPlan::parse("drop channel=smoke prob=1\n"), Error);
   EXPECT_THROW(FaultPlan::parse("drop channel=daemon prob=1.5\n"), Error);
   EXPECT_THROW(FaultPlan::parse("delay channel=daemon prob=1 factor=0.5\n"), Error);
+  // Factors must be finite and at most kMaxFactor: a larger one overflows
+  // the nanosecond clock once it multiplies a delay.
+  EXPECT_THROW(FaultPlan::parse("delay channel=daemon factor=1e300 prob=1.0\n"), Error);
+  EXPECT_THROW(FaultPlan::parse("delay channel=daemon factor=inf prob=1.0\n"), Error);
+  EXPECT_THROW(FaultPlan::parse("delay channel=daemon factor=nan prob=1.0\n"), Error);
+  EXPECT_THROW(FaultPlan::parse("stall node=1 from=5s until=6s factor=1e7\n"), Error);
+  EXPECT_THROW(FaultPlan::parse("degrade-daemon node=1 factor=1e300\n"), Error);
+  EXPECT_NO_THROW(FaultPlan::parse("delay channel=daemon factor=1e6 prob=1.0\n"));
   EXPECT_THROW(FaultPlan::parse("stall node=1 from=5s until=5s factor=2\n"), Error);
   EXPECT_THROW(FaultPlan::parse("tear-shard rank=1 keep=1.0\n"), Error);
   EXPECT_THROW(FaultPlan::parse("seed banana\n"), Error);
@@ -265,6 +273,30 @@ TEST(FaultPlan, JobScopedVerbsParseAndRoundTrip) {
   EXPECT_NE(text.find("job=back"), std::string::npos);
   EXPECT_NE(text.find("job=front"), std::string::npos);
   EXPECT_EQ(FaultPlan::parse(text).to_text(), text);
+}
+
+TEST(FaultPlan, TargetsAreRangeCheckedAgainstTheMachine) {
+  const std::vector<JobExtent> one_job{{"smg98", 64}};
+  try {
+    FaultPlan::parse("seed 1\nkill-daemon node=99999 at=5s\n", "bad.plan")
+        .check_targets(145, one_job);
+    FAIL() << "expected an out-of-range node to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad.plan:2"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW(FaultPlan::parse("kill-daemon node=144\n").check_targets(145, one_job));
+  EXPECT_THROW(FaultPlan::parse("stall node=145 from=1s until=2s factor=2\n")
+                   .check_targets(145, one_job),
+               Error);
+  EXPECT_THROW(FaultPlan::parse("kill-rank rank=64\n").check_targets(145, one_job), Error);
+  // Unscoped ranks need to exist in some job, scoped ones in their job;
+  // an action naming a job the run does not have stays inert.
+  const std::vector<JobExtent> two_jobs{{"front", 4}, {"back", 8}};
+  EXPECT_NO_THROW(FaultPlan::parse("kill-rank rank=5\n").check_targets(145, two_jobs));
+  EXPECT_THROW(FaultPlan::parse("tear-shard rank=5 job=front\n").check_targets(145, two_jobs),
+               Error);
+  EXPECT_NO_THROW(
+      FaultPlan::parse("kill-rank rank=5 job=elsewhere\n").check_targets(145, two_jobs));
 }
 
 TEST(FaultInjector, JobScopedKillsOnlyMatchTheNamedJob) {

@@ -49,6 +49,12 @@ struct DetCase {
   int nprocs;
 };
 
+// Without a printer gtest dumps the raw bytes, so each case's full name
+// would carry the AppSpec's address and drift with the link layout.
+void PrintTo(const DetCase& c, std::ostream* os) {
+  *os << c.app->name << '/' << to_string(c.policy) << '/' << c.nprocs;
+}
+
 class Determinism : public ::testing::TestWithParam<DetCase> {};
 
 TEST_P(Determinism, IdenticalTracesForIdenticalConfigs) {
@@ -178,6 +184,52 @@ TEST(DeterminismMore, MismatchedReceiveIsDiagnosedAsDeadlock) {
   }
 }
 
+/// One run_policy cell at seed 42; two calls must agree bit for bit.
+PolicyResult run_cell(const asci::AppSpec& app, Policy policy, int nprocs, double scale) {
+  RunConfig config;
+  config.app = &app;
+  config.policy = policy;
+  config.nprocs = nprocs;
+  config.problem_scale = scale;
+  config.seed = 42;
+  return run_policy(config);
+}
+
+void expect_identical(const PolicyResult& a, const PolicyResult& b) {
+  EXPECT_EQ(a.trace_digest, b.trace_digest);
+  EXPECT_EQ(a.stats_digest, b.stats_digest);
+  EXPECT_DOUBLE_EQ(a.app_seconds, b.app_seconds);
+  EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
+  EXPECT_DOUBLE_EQ(a.create_instrument_seconds, b.create_instrument_seconds);
+  EXPECT_EQ(a.trace_events, b.trace_events);
+  EXPECT_EQ(a.filtered_events, b.filtered_events);
+  EXPECT_EQ(a.confsyncs, b.confsyncs);
+  ASSERT_EQ(a.decisions.decisions.size(), b.decisions.decisions.size());
+  for (std::size_t i = 0; i < a.decisions.decisions.size(); ++i) {
+    const auto& da = a.decisions.decisions[i];
+    const auto& db = b.decisions.decisions[i];
+    EXPECT_EQ(da.sync, db.sync);
+    EXPECT_EQ(da.time, db.time);
+    EXPECT_EQ(da.deactivated, db.deactivated);
+    EXPECT_EQ(da.reactivated, db.reactivated);
+  }
+}
+
+TEST(DeterminismMore, AdaptiveSmg98RunToRunIdentical) {
+  // The full adaptive control plane -- dynamic instrumentation, confsync
+  // safe points, the budget controller, and the stats-reduction overlay --
+  // at 64 ranks, decisions included.
+  const PolicyResult first = run_cell(asci::smg98(), Policy::kAdaptive, 64, 0.05);
+  EXPECT_GT(first.trace_events, 0u);
+  EXPECT_GT(first.confsyncs, 0u);
+  expect_identical(first, run_cell(asci::smg98(), Policy::kAdaptive, 64, 0.05));
+}
+
+TEST(DeterminismMore, MixedModeRunToRunIdentical) {
+  const PolicyResult first = run_cell(asci::umt98(), Policy::kFull, 4, 0.2);
+  EXPECT_GT(first.trace_events, 0u);
+  expect_identical(first, run_cell(asci::umt98(), Policy::kFull, 4, 0.2));
+}
 
 TEST(DeterminismMore, FullAppPolicyMatrixSmoke) {
   // Every (app, policy) combination runs to completion at small scale.

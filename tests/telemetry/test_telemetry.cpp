@@ -55,8 +55,7 @@ TEST(TelemetryHistogram, BucketBoundariesFollowBitWidth) {
 
 TEST(TelemetryRegistry, ConcurrentIncrementsAreExactAfterJoin) {
   // The shard-per-thread design's core promise: no increment is ever lost,
-  // at any writer count (the in-process mirror of the --sim-threads sweep;
-  // the full-stack sweep is CountersMatchAcrossSimThreadSweep below).
+  // at any writer count.
   for (const int threads : {1, 2, 4, 8}) {
     Registry reg(Level::kCounters);
     const CounterId hits = reg.counter("test.hits");
@@ -125,20 +124,20 @@ TEST(TelemetryRegistry, OffLevelDropsEverythingAndSpansNeedSpansLevel) {
   Registry reg(Level::kOff);
   const Metrics& m = reg.metrics();
   reg.add(m.sim_events, 100);
-  reg.observe(m.sim_queue_depth, 42);
-  reg.span_begin(m.span_window, 0, 0);
+  reg.observe(m.control_overlay_fanin_ns, 42);
+  reg.span_begin(m.span_confsync, 0, 0);
   EXPECT_EQ(reg.snapshot().counter_value("sim.events"), 0u);
   EXPECT_EQ(reg.span_event_count(), 0u);
 
   // counters: cells count, spans still gated off.
   reg.set_level(Level::kCounters);
   reg.add(m.sim_events, 5);
-  reg.span_begin(m.span_window, 0, 0);
+  reg.span_begin(m.span_confsync, 0, 0);
   EXPECT_EQ(reg.snapshot().counter_value("sim.events"), 5u);
   EXPECT_EQ(reg.span_event_count(), 0u);
 
   reg.set_level(Level::kSpans);
-  reg.span_begin(m.span_window, 0, 0);
+  reg.span_begin(m.span_confsync, 0, 0);
   EXPECT_EQ(reg.span_event_count(), 1u);
 }
 
@@ -202,13 +201,14 @@ TEST(TelemetrySpans, ChromeTraceJsonMatchesGoldenFile) {
   // string pins the exact serialization Perfetto will be handed.
   Registry reg(Level::kSpans);
   const Metrics& m = reg.metrics();
+  const SpanName phase = reg.span_name("phase");
   reg.name_track(0, "rank 0");
   reg.name_track(Metrics::kToolTrack, "controller");
-  reg.span_begin(m.span_window, 0, 1000);
+  reg.span_begin(phase, 0, 1000);
   reg.span_begin(m.span_confsync, 0, 1500);
   reg.span_instant(m.span_decision, Metrics::kToolTrack, 2000);
   reg.span_end(m.span_confsync, 0, 2500);
-  reg.span_end(m.span_window, 0, 3000);
+  reg.span_end(phase, 0, 3000);
   reg.span_begin(m.span_reduce, 0, 3500);  // never closed: auto-close at 3.5us
 
   const char* golden =
@@ -218,7 +218,7 @@ TEST(TelemetrySpans, ChromeTraceJsonMatchesGoldenFile) {
       "{\"ph\": \"M\", \"pid\": 0, \"tid\": 1000000, \"name\": \"thread_name\", "
       "\"args\": {\"name\": \"controller\"}},\n"
       "{\"ph\": \"B\", \"ts\": 1.000, \"pid\": 0, \"tid\": 0, \"cat\": \"dyntrace\", "
-      "\"name\": \"window\"},\n"
+      "\"name\": \"phase\"},\n"
       "{\"ph\": \"B\", \"ts\": 1.500, \"pid\": 0, \"tid\": 0, \"cat\": \"dyntrace\", "
       "\"name\": \"confsync\"},\n"
       "{\"ph\": \"i\", \"ts\": 2.000, \"pid\": 0, \"tid\": 1000000, \"cat\": \"dyntrace\", "
@@ -226,7 +226,7 @@ TEST(TelemetrySpans, ChromeTraceJsonMatchesGoldenFile) {
       "{\"ph\": \"E\", \"ts\": 2.500, \"pid\": 0, \"tid\": 0, \"cat\": \"dyntrace\", "
       "\"name\": \"confsync\"},\n"
       "{\"ph\": \"E\", \"ts\": 3.000, \"pid\": 0, \"tid\": 0, \"cat\": \"dyntrace\", "
-      "\"name\": \"window\"},\n"
+      "\"name\": \"phase\"},\n"
       "{\"ph\": \"B\", \"ts\": 3.500, \"pid\": 0, \"tid\": 0, \"cat\": \"dyntrace\", "
       "\"name\": \"reduce\"},\n"
       "{\"ph\": \"E\", \"ts\": 3.500, \"pid\": 0, \"tid\": 0, \"cat\": \"dyntrace\", "
@@ -253,7 +253,7 @@ sim::TimeNs engine_clock(const void* ctx) {
 }
 
 sim::Coro<void> open_spans_then_hang(sim::Engine& engine, sim::Trigger& never, Registry& reg) {
-  telemetry::ScopedSpan outer(reg, reg.metrics().span_window, 7, engine_clock, &engine);
+  telemetry::ScopedSpan outer(reg, reg.metrics().span_reduce, 7, engine_clock, &engine);
   co_await engine.sleep(sim::microseconds(5));
   telemetry::ScopedSpan inner(reg, reg.metrics().span_confsync, 7, engine_clock, &engine);
   co_await never.wait();  // the frame is destroyed here, never resumed
@@ -287,7 +287,7 @@ TEST(TelemetrySpans, ScopedSpanClosesWhenFaultDestroysTheCoroutineFrame) {
   EXPECT_EQ(events[2].at("ph").as_string(), "E");
   EXPECT_EQ(events[2].at("name").as_string(), "confsync");
   EXPECT_EQ(events[3].at("ph").as_string(), "E");
-  EXPECT_EQ(events[3].at("name").as_string(), "window");
+  EXPECT_EQ(events[3].at("name").as_string(), "reduce");
   EXPECT_DOUBLE_EQ(events[2].at("ts").as_number(), 42.0);
   EXPECT_DOUBLE_EQ(events[3].at("ts").as_number(), 42.0);
 }
@@ -324,8 +324,8 @@ TEST(TelemetryJson, StatsJsonRoundTripsThroughTheParser) {
   Registry reg(Level::kCounters);
   const Metrics& m = reg.metrics();
   reg.add(m.dpcl_requests, 12);
-  reg.observe(m.sim_queue_depth, 100);
-  reg.observe(m.sim_queue_depth, 0);
+  reg.observe(m.control_overlay_fanin_ns, 100);
+  reg.observe(m.control_overlay_fanin_ns, 0);
   KeyedCounter samples("test.samples");
   samples.attach(reg);
   samples.add(-3, 2);
@@ -333,7 +333,7 @@ TEST(TelemetryJson, StatsJsonRoundTripsThroughTheParser) {
   const JsonValue stats = parse_json(reg.stats_json());
   EXPECT_EQ(stats.at("level").as_string(), "counters");
   EXPECT_EQ(stats.at("counters").at("dpcl.requests").as_int(), 12);
-  const JsonValue& hist = stats.at("histograms").at("sim.queue_depth");
+  const JsonValue& hist = stats.at("histograms").at("control.overlay_fanin_ns");
   EXPECT_EQ(hist.at("count").as_int(), 2);
   EXPECT_EQ(hist.at("sum").as_int(), 100);
   // Sparse buckets: [lower_bound, count] pairs, zeros bucket first.
@@ -372,38 +372,27 @@ std::map<std::int64_t, int> scan_span_depths(const JsonValue& doc) {
 }
 
 TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
-  // The --sim-threads sweep: semantic counters are written from however
-  // many worker threads the engine runs, and must come out identical --
-  // lost updates or double counts would show up as a diff here.
+  // Run-to-run identity of every counter: lost updates or double counts
+  // would show up as a diff here.
   std::vector<telemetry::Registry::Snapshot> snaps;
   std::vector<std::uint64_t> digests;
-  for (const int threads : {1, 2, 4}) {
+  for (int run = 0; run < 2; ++run) {
     RunConfig config;
     config.app = &asci::sweep3d();
     config.policy = Policy::kDynamic;
     config.nprocs = 8;
     config.problem_scale = 0.15;
-    config.sim_threads = threads;
     config.telemetry_level = telemetry::Level::kCounters;
     config.telemetry_sink = [&snaps](const telemetry::Registry& reg) {
       snaps.push_back(reg.snapshot());
     };
     digests.push_back(run_policy(config).trace_digest);
   }
-  ASSERT_EQ(snaps.size(), 3u);
+  ASSERT_EQ(snaps.size(), 2u);
   EXPECT_GT(snaps[0].counter_value("dpcl.requests"), 0u);
   EXPECT_GT(snaps[0].counter_value("sim.events"), 0u);
-  for (std::size_t i = 1; i < snaps.size(); ++i) {
-    EXPECT_EQ(digests[i], digests[0]) << "trace diverged";
-    // Scheduling-shape metrics (sim.windows, queue depths) legitimately
-    // change with the thread count; the semantic layer counters must not.
-    for (const char* name : {"dpcl.requests", "dpcl.retries", "dpcl.dedup_hits",
-                             "dpcl.abandoned_nodes", "control.confsync_rounds",
-                             "vt.spill_runs", "vt.torn_shards", "fault.drops"}) {
-      EXPECT_EQ(snaps[i].counter_value(name), snaps[0].counter_value(name))
-          << name << " at sim_threads index " << i;
-    }
-  }
+  EXPECT_EQ(digests[1], digests[0]) << "trace diverged";
+  EXPECT_EQ(snaps[1].counters, snaps[0].counters);
 }
 
 TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
@@ -416,7 +405,6 @@ TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
     config.policy = Policy::kDynamic;
     config.nprocs = 4;
     config.problem_scale = 0.2;
-    config.sim_threads = 2;
     config.telemetry_level = level;
     const PolicyResult r = run_policy(config);
     digests.push_back(r.trace_digest);
@@ -429,7 +417,7 @@ TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
 TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
   // The acceptance-bar artifact: an adaptive run at spans level exports a
   // Perfetto-loadable trace whose per-rank confsync spans agree with the
-  // confsync round counter, alongside the engine's window spans.
+  // confsync round counter, alongside the overlay's reduce spans.
   std::string trace_json;
   telemetry::Registry::Snapshot snap;
   RunConfig config;
@@ -437,7 +425,6 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
   config.policy = Policy::kAdaptive;
   config.nprocs = 8;
   config.problem_scale = 0.1;
-  config.sim_threads = 2;
   config.telemetry_level = telemetry::Level::kSpans;
   config.telemetry_sink = [&](const telemetry::Registry& reg) {
     trace_json = reg.chrome_trace_json();
@@ -448,7 +435,7 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
 
   const JsonValue doc = parse_json(trace_json);
   std::uint64_t confsync_begins = 0;
-  std::uint64_t window_begins = 0;
+  std::uint64_t reduce_begins = 0;
   for (const JsonValue& event : doc.at("traceEvents").as_array()) {
     if (event.at("ph").as_string() != "B") continue;
     const std::string& name = event.at("name").as_string();
@@ -456,17 +443,13 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
       ++confsync_begins;
       EXPECT_LT(event.at("tid").as_int(), config.nprocs);  // rank tracks
     }
-    if (name == "window") {
-      ++window_begins;
-      // One track per shard in the shard band, named at run start -- both
-      // the pooled and the single-active-shard inline paths emit there.
-      EXPECT_GE(event.at("tid").as_int(), telemetry::Metrics::kShardTrackBase);
-      EXPECT_LT(event.at("tid").as_int(),
-                telemetry::Metrics::kShardTrackBase + config.sim_threads);
+    if (name == "reduce") {
+      ++reduce_begins;
+      EXPECT_LT(event.at("tid").as_int(), config.nprocs);  // rank tracks
     }
   }
   EXPECT_EQ(confsync_begins, snap.counter_value("control.confsync_rounds"));
-  EXPECT_GT(window_begins, 0u);
+  EXPECT_GT(reduce_begins, 0u);
   for (const auto& [tid, depth] : scan_span_depths(doc)) {
     EXPECT_EQ(depth, 0) << "unbalanced spans on track " << tid;
   }
@@ -482,8 +465,9 @@ TEST(TelemetryIntegration, FaultedRunSpansStayBalancedAndSchemaValid) {
   options.app = app;
   options.params.nprocs = 8;
   options.params.problem_scale = 0.2;
+  // Safe points give the run confsync spans to keep balanced.
+  options.params.confsync_interval = 2;
   options.policy = Policy::kDynamic;
-  options.sim_threads = 2;
   options.fault = injector;
   options.telemetry_level = telemetry::Level::kSpans;
   Launch launch(std::move(options));
@@ -492,7 +476,7 @@ TEST(TelemetryIntegration, FaultedRunSpansStayBalancedAndSchemaValid) {
   topt.command_files = {{"subset", app->dynamic_list}};
   DynprofTool tool(launch, std::move(topt));
   tool.run_script(parse_script("insert-file subset\nstart\nquit\n"));
-  launch.run_engine();
+  launch.engine().run();
   EXPECT_TRUE(tool.finished());
 
   const telemetry::Registry& reg = launch.telemetry_registry();
