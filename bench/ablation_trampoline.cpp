@@ -26,7 +26,7 @@ sim::TimeNs run_variant(int k, bool merged, int calls) {
   symbols->add("f");
   proc::SimProcess process(cluster, 0, 0, 0, image::ProgramImage(symbols));
   process.registry().register_function(
-      "nop", [](proc::SimThread&, const std::vector<std::int64_t>&) -> sim::Coro<void> {
+      "nop", [](proc::SimThread&, proc::LibraryRegistry::Args) -> sim::Coro<void> {
         co_return;
       });
 

@@ -52,14 +52,18 @@ const asci::AppSpec& two_phase_app() {
     s.dynamic_list = s.subset;
 
     s.body = [](asci::AppContext& ctx, proc::SimThread& t) -> sim::Coro<void> {
+      const image::FunctionId interp_weight = ctx.fid("interp_weight");
+      const image::FunctionId index_map = ctx.fid("index_map");
+      const image::FunctionId smooth = ctx.fid("smooth");
+      const image::FunctionId exchange_halo = ctx.fid("exchange_halo");
       for (int step = 0; step < 14; ++step) {
         if (step < 6) {
           // Phase A: the hot helpers.
-          co_await ctx.leaf_repeat(t, "interp_weight", 10'000, sim::nanoseconds(500));
-          co_await ctx.leaf_repeat(t, "index_map", 10'000, sim::nanoseconds(500));
+          co_await ctx.leaf_repeat(t, interp_weight, 10'000, sim::nanoseconds(500));
+          co_await ctx.leaf_repeat(t, index_map, 10'000, sim::nanoseconds(500));
         }
-        co_await ctx.leaf(t, "smooth", sim::milliseconds(600));
-        co_await ctx.leaf(t, "exchange_halo", sim::milliseconds(5));
+        co_await ctx.leaf(t, smooth, sim::milliseconds(600));
+        co_await ctx.leaf(t, exchange_halo, sim::milliseconds(5));
         co_await ctx.mpi()->allreduce(t, 8);
         // Safe point at the step boundary: nothing in flight.
         co_await ctx.safe_point(t);

@@ -46,15 +46,18 @@ const asci::AppSpec& stepped_app() {
     s.dynamic_list = s.subset;
 
     s.body = [](asci::AppContext& ctx, proc::SimThread& t) -> sim::Coro<void> {
+      const image::FunctionId solve_pressure = ctx.fid("solve_pressure");
+      const image::FunctionId solve_velocity = ctx.fid("solve_velocity");
+      const image::FunctionId apply_bc = ctx.fid("apply_bc");
       for (int step = 0; step < 15; ++step) {
         // The safe point: no messages are in flight here (§2).
         const bool dump_stats = step == 10;
         std::vector<std::int64_t> arg(1, dump_stats ? 1 : 0);
         co_await t.lib_call("VT_confsync", arg);
 
-        co_await ctx.leaf_repeat(t, "solve_pressure", 4000, sim::microseconds(40));
-        co_await ctx.leaf_repeat(t, "solve_velocity", 4000, sim::microseconds(35));
-        co_await ctx.leaf(t, "apply_bc", sim::milliseconds(25));
+        co_await ctx.leaf_repeat(t, solve_pressure, 4000, sim::microseconds(40));
+        co_await ctx.leaf_repeat(t, solve_velocity, 4000, sim::microseconds(35));
+        co_await ctx.leaf(t, apply_bc, sim::milliseconds(25));
         co_await ctx.mpi()->allreduce(t, 8);
       }
     };

@@ -302,6 +302,7 @@ int main(int argc, char** argv) {
     dynprof::DynprofTool tool(launch, std::move(topt));
     tool.run_script(script);
     launch.engine().run();
+    launch.collect_result();  // adds the VT libraries' event counts to the telemetry
 
     std::printf("application '%s' finished at t=%.3f s (main computation %.3f s)\n",
                 app->name.c_str(), sim::to_seconds(launch.job().finish_time()),

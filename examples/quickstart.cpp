@@ -45,13 +45,16 @@ const asci::AppSpec& mini_app() {
     s.dynamic_list = s.subset;
 
     s.body = [](asci::AppContext& ctx, proc::SimThread& t) -> sim::Coro<void> {
+      // Resolve names once; the calls below go by FunctionId.
+      const image::FunctionId stencil = ctx.fid("stencil");
+      const image::FunctionId checkpoint = ctx.fid("checkpoint");
       for (int step = 0; step < 20; ++step) {
         // 5k stencil calls of ~20 us each, executed through the probe
         // protocol (one real call + an exact aggregate charge).
-        co_await ctx.leaf_repeat(t, "stencil", 5'000, sim::microseconds(20));
+        co_await ctx.leaf_repeat(t, stencil, 5'000, sim::microseconds(20));
         co_await ctx.mpi()->allreduce(t, 8);
       }
-      co_await ctx.leaf(t, "checkpoint", sim::milliseconds(30));
+      co_await ctx.leaf(t, checkpoint, sim::milliseconds(30));
     };
     return s;
   }();

@@ -15,6 +15,12 @@ std::size_t AppSpec::user_function_count() const {
   return n;
 }
 
+image::FunctionId AppSpec::fid(std::string_view name) const {
+  const image::FunctionInfo* info = symbols->find(name);
+  DT_EXPECT(info != nullptr, this->name, ": unknown function '", std::string(name), "'");
+  return info->id;
+}
+
 AppContext::AppContext(const AppSpec& spec, AppParams params, proc::SimProcess& process,
                        mpi::Rank* mpi, omp::OmpRuntime* omp, vt::VtLib* vt, Rng rng)
     : spec_(spec),
@@ -25,22 +31,16 @@ AppContext::AppContext(const AppSpec& spec, AppParams params, proc::SimProcess& 
       vt_(vt),
       rng_(rng) {}
 
-image::FunctionId AppContext::fid(std::string_view name) const {
-  const image::FunctionInfo* info = process_.image().symbols().find(name);
-  DT_EXPECT(info != nullptr, spec_.name, ": unknown function '", std::string(name), "'");
-  return info->id;
-}
+image::FunctionId AppContext::fid(std::string_view name) const { return spec_.fid(name); }
 
-sim::Coro<void> AppContext::call(proc::SimThread& thread, std::string_view name,
+sim::Coro<void> AppContext::call(proc::SimThread& thread, image::FunctionId fn,
                                  proc::SimThread::BodyFn body) {
-  co_await thread.call_function(fid(name), body);
+  return thread.call_function(fn, std::move(body));
 }
 
-sim::Coro<void> AppContext::leaf(proc::SimThread& thread, std::string_view name,
+sim::Coro<void> AppContext::leaf(proc::SimThread& thread, image::FunctionId fn,
                                  sim::TimeNs work) {
-  co_await thread.call_function(fid(name), [work](proc::SimThread& t) -> sim::Coro<void> {
-    co_await t.compute(work);
-  });
+  return thread.call_function(fn, [work](proc::SimThread& t) { return t.compute(work); });
 }
 
 sim::TimeNs AppContext::steady_pair_overhead(image::FunctionId fn) const {
@@ -69,13 +69,11 @@ sim::Coro<void> AppContext::safe_point(proc::SimThread& thread) {
   if (fire) co_await vt_->confsync(thread, params_.confsync_statistics);
 }
 
-sim::Coro<void> AppContext::leaf_repeat(proc::SimThread& thread, std::string_view name,
+sim::Coro<void> AppContext::leaf_repeat(proc::SimThread& thread, image::FunctionId fn,
                                         std::int64_t count, sim::TimeNs work_each) {
   if (count <= 0) co_return;
-  const image::FunctionId fn = fid(name);
-  co_await thread.call_function(fn, [work_each](proc::SimThread& t) -> sim::Coro<void> {
-    co_await t.compute(work_each);
-  });
+  co_await thread.call_function(fn,
+                                [work_each](proc::SimThread& t) { return t.compute(work_each); });
   if (count == 1) co_return;
 
   const std::int64_t rest = count - 1;

@@ -57,11 +57,17 @@ struct AppSpec {
   /// Smg98/Sppm/Umt98; all user functions for Sweep3d, paper §4.3).
   std::vector<std::string> dynamic_list;
 
-  /// The computation between MPI_Init/VT_init and finalization.
+  /// The computation between MPI_Init/VT_init and finalization.  Bodies
+  /// call functions by FunctionId: each kernel resolves the names it calls
+  /// into tables when its spec is built (see fid).
   using BodyFn = std::function<sim::Coro<void>(AppContext&, proc::SimThread&)>;
   BodyFn body;
 
   std::size_t user_function_count() const;
+
+  /// Id of `name` in `symbols`; throws naming the app when it is absent.
+  /// A setup-time lookup, for building FunctionId tables.
+  image::FunctionId fid(std::string_view name) const;
 };
 
 struct AppParams {
@@ -98,18 +104,19 @@ class AppContext {
   int rank() const { return mpi_ != nullptr ? mpi_->rank() : 0; }
   int nprocs() const { return params_.nprocs; }
 
+  /// spec().fid(name): resolve once, then call by id.
   image::FunctionId fid(std::string_view name) const;
 
-  /// Call `name` through the instrumentation protocol with a custom body.
-  sim::Coro<void> call(proc::SimThread& thread, std::string_view name,
+  /// Call `fn` through the instrumentation protocol with a custom body.
+  sim::Coro<void> call(proc::SimThread& thread, image::FunctionId fn,
                        proc::SimThread::BodyFn body);
 
   /// Call a leaf function that burns `work` CPU time.
-  sim::Coro<void> leaf(proc::SimThread& thread, std::string_view name, sim::TimeNs work);
+  sim::Coro<void> leaf(proc::SimThread& thread, image::FunctionId fn, sim::TimeNs work);
 
   /// Call a leaf `count` times with `work_each` per call: full protocol
   /// once, remainder charged in aggregate at the steady-state per-call cost.
-  sim::Coro<void> leaf_repeat(proc::SimThread& thread, std::string_view name,
+  sim::Coro<void> leaf_repeat(proc::SimThread& thread, image::FunctionId fn,
                               std::int64_t count, sim::TimeNs work_each);
 
   /// Iteration count scaled by problem_scale (>= 1).

@@ -61,6 +61,14 @@ std::shared_ptr<const image::SymbolTable> build_symbols() {
   return symbols;
 }
 
+/// The functions the body calls, resolved when the spec is built.
+struct Smg98Fns {
+  std::vector<image::FunctionId> setup;     ///< kSetupFns, called once each
+  std::vector<image::FunctionId> box_loop;  ///< kUtilFns hot helpers
+  std::vector<image::FunctionId> solvers;   ///< the subset, in symbol order
+  image::FunctionId residual = image::kInvalidFunction;
+};
+
 std::vector<std::string> solver_names(const image::SymbolTable& symbols) {
   std::vector<std::string> out;
   for (const auto& fn : symbols.all()) {
@@ -71,23 +79,36 @@ std::vector<std::string> solver_names(const image::SymbolTable& symbols) {
   return out;
 }
 
-sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
+std::shared_ptr<const Smg98Fns> resolve_fns(const AppSpec& spec) {
+  auto fns = std::make_shared<Smg98Fns>();
+  for (int i = 0; i < kSetupFns; ++i) {
+    fns->setup.push_back(spec.fid(str::format("hypre_smg_setup_%02d", i)));
+  }
+  for (int i = 0; i < kUtilFns; ++i) {
+    fns->box_loop.push_back(spec.fid(str::format("hypre_BoxLoop_%03d", i)));
+  }
+  for (const auto& name : spec.subset) fns->solvers.push_back(spec.fid(name));
+  fns->residual = spec.fid("hypre_SMGResidual");
+  return fns;
+}
+
+sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread,
+                     std::shared_ptr<const Smg98Fns> fns) {
   const int p = ctx.nprocs();
   const int rank = ctx.rank();
   Rng& rng = ctx.rng();
   mpi::Rank* mpi = ctx.mpi();
 
   // --- setup phase: every setup routine runs once -------------------------
-  for (int i = 0; i < kSetupFns; ++i) {
-    co_await ctx.leaf(thread, str::format("hypre_smg_setup_%02d", i),
-                      sim::nanoseconds(rng.normal_at_least(9.0e6, 2.0e6, 1.0e6)));
+  for (const image::FunctionId fn : fns->setup) {
+    co_await ctx.leaf(thread, fn, sim::nanoseconds(rng.normal_at_least(9.0e6, 2.0e6, 1.0e6)));
   }
   if (mpi != nullptr) co_await mpi->allreduce(thread, 8);
 
   // --- V-cycles -------------------------------------------------------------
   const double log_p = p > 1 ? std::log2(static_cast<double>(p)) : 0.0;
   const std::int64_t cycles = ctx.iters(6.0 + log_p);
-  const auto solvers = solver_names(ctx.process().image().symbols());
+  const std::vector<image::FunctionId>& solvers = fns->solvers;
 
   for (std::int64_t it = 0; it < cycles; ++it) {
     for (int level = 0; level < kLevels; ++level) {
@@ -98,7 +119,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
         const std::int64_t count = kUtilCallsBase >> level;
         const auto work =
             sim::nanoseconds(rng.normal_at_least(kUtilWorkNs, kUtilWorkNs * 0.15, 80));
-        co_await ctx.leaf_repeat(thread, str::format("hypre_BoxLoop_%03d", util), count,
+        co_await ctx.leaf_repeat(thread, fns->box_loop[static_cast<std::size_t>(util)], count,
                                  work);
         // Natural safe point: between box-loop batches, outside any
         // communication (offered on every rank at the same spot).
@@ -106,10 +127,10 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
       }
       // Coarse-grained solver routines (the instrumented subset).
       for (int k = 0; k < kSolverCallsPerLevel; ++k) {
-        const auto& name = solvers[(level * kSolverCallsPerLevel + k +
-                                    static_cast<int>(it) * 3) % solvers.size()];
+        const image::FunctionId solver = solvers[(level * kSolverCallsPerLevel + k +
+                                                  static_cast<int>(it) * 3) % solvers.size()];
         const double mean = kSolverWorkNs / static_cast<double>(1 << level);
-        co_await ctx.leaf(thread, name,
+        co_await ctx.leaf(thread, solver,
                           sim::nanoseconds(rng.normal_at_least(mean, mean * 0.1, 1000)));
       }
       // Halo exchange with ring neighbours (surface shrinks with level).
@@ -122,7 +143,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
       }
     }
     // Convergence check.
-    co_await ctx.leaf(thread, "hypre_SMGResidual",
+    co_await ctx.leaf(thread, fns->residual,
                       sim::nanoseconds(rng.normal_at_least(12.0e6, 1.0e6, 1.0e6)));
     if (mpi != nullptr) co_await mpi->allreduce(thread, 16);
   }
@@ -143,7 +164,9 @@ const AppSpec& smg98() {
     s.symbols = build_symbols();
     s.subset = solver_names(*s.symbols);
     s.dynamic_list = s.subset;
-    s.body = body;
+    s.body = [fns = resolve_fns(s)](AppContext& ctx, proc::SimThread& thread) {
+      return body(ctx, thread, fns);
+    };
     return s;
   }();
   return spec;

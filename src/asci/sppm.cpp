@@ -40,14 +40,34 @@ std::shared_ptr<const image::SymbolTable> build_symbols() {
   return symbols;
 }
 
-sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
+/// The functions the body calls, resolved when the spec is built.
+struct SppmFns {
+  image::FunctionId drivers[3];           ///< the x/y/z hydro drivers (kDrivers[0..2])
+  image::FunctionId dinterp, difuze, courant;
+  std::vector<image::FunctionId> intrfc;  ///< kHelperFns hot helpers
+};
+
+std::shared_ptr<const SppmFns> resolve_fns(const AppSpec& spec) {
+  auto fns = std::make_shared<SppmFns>();
+  for (int i = 0; i < 3; ++i) fns->drivers[i] = spec.fid(kDrivers[i]);
+  fns->dinterp = spec.fid("sppm_dinterp");
+  fns->difuze = spec.fid("sppm_difuze");
+  fns->courant = spec.fid("sppm_courant");
+  for (int i = 0; i < kHelperFns; ++i) {
+    fns->intrfc.push_back(spec.fid(str::format("sppm_intrfc_%02d", i)));
+  }
+  return fns;
+}
+
+sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread,
+                     std::shared_ptr<const SppmFns> fns) {
   const int p = ctx.nprocs();
   const int rank = ctx.rank();
   Rng& rng = ctx.rng();
   mpi::Rank* mpi = ctx.mpi();
 
   // Grid / EOS setup inside the first driver call.
-  co_await ctx.leaf(thread, "sppm_dinterp",
+  co_await ctx.leaf(thread, fns->dinterp,
                     sim::nanoseconds(rng.normal_at_least(0.4e9, 0.05e9, 1e6)));
 
   const double log_p = p > 1 ? std::log2(static_cast<double>(p)) : 0.0;
@@ -56,10 +76,9 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
   for (std::int64_t step = 0; step < steps; ++step) {
     // One directional double-sweep per dimension.
     for (int dir = 0; dir < 3; ++dir) {
-      const char* driver = kDrivers[dir];
       co_await ctx.call(
-          thread, driver,
-          [&ctx, &rng, dir, step](proc::SimThread& t) -> sim::Coro<void> {
+          thread, fns->drivers[dir],
+          [&ctx, &rng, &fns, dir, step](proc::SimThread& t) -> sim::Coro<void> {
             // The driver's own flux computation...
             co_await t.compute(sim::nanoseconds(
                 ctx.rng().normal_at_least(kDriverWorkNs, kDriverWorkNs * 0.06, 1e6)));
@@ -68,7 +87,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
               const int helper = (dir * 2 + h + static_cast<int>(step) * 5) % kHelperFns;
               const auto work = sim::nanoseconds(
                   rng.normal_at_least(kHelperWorkNs, kHelperWorkNs * 0.2, 120));
-              co_await ctx.leaf_repeat(t, str::format("sppm_intrfc_%02d", helper),
+              co_await ctx.leaf_repeat(t, fns->intrfc[static_cast<std::size_t>(helper)],
                                        kHelperCalls, work);
             }
           });
@@ -81,14 +100,14 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
         mpi::Rank::Request send_req, recv_req;
         mpi->irecv(left, tag, &recv_req);
         co_await mpi->isend(thread, right, tag, kHaloBytes, &send_req);
-        co_await ctx.leaf(thread, "sppm_difuze",
+        co_await ctx.leaf(thread, fns->difuze,
                           sim::nanoseconds(rng.normal_at_least(6e6, 1e6, 1e5)));
         co_await mpi->wait(thread, send_req);
         co_await mpi->wait(thread, recv_req, nullptr);
       }
     }
     // Courant condition: global timestep reduction.
-    co_await ctx.leaf(thread, "sppm_courant",
+    co_await ctx.leaf(thread, fns->courant,
                       sim::nanoseconds(rng.normal_at_least(25e6, 3e6, 1e6)));
     if (mpi != nullptr) co_await mpi->allreduce(thread, 8);
     // Natural safe point: the step boundary, after the global reduction
@@ -112,7 +131,9 @@ const AppSpec& sppm() {
     s.symbols = build_symbols();
     s.subset.assign(std::begin(kDrivers), std::end(kDrivers));
     s.dynamic_list = s.subset;
-    s.body = body;
+    s.body = [fns = resolve_fns(s)](AppContext& ctx, proc::SimThread& thread) {
+      return body(ctx, thread, fns);
+    };
     return s;
   }();
   return spec;

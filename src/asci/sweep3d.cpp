@@ -57,18 +57,43 @@ std::shared_ptr<const image::SymbolTable> build_symbols() {
   return symbols;
 }
 
-sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
+/// The functions the bodies call, resolved when a spec is built.
+struct Sweep3dFns {
+  image::FunctionId read_input, decomp, initialize, initxs, initsnc, source, octant;
+  image::FunctionId rcv_real, sweep, snd_real, flux_err, global_real_max, last;
+};
+
+std::shared_ptr<const Sweep3dFns> resolve_fns(const AppSpec& spec) {
+  auto fns = std::make_shared<Sweep3dFns>();
+  fns->read_input = spec.fid("read_input");
+  fns->decomp = spec.fid("decomp");
+  fns->initialize = spec.fid("initialize");
+  fns->initxs = spec.fid("initxs");
+  fns->initsnc = spec.fid("initsnc");
+  fns->source = spec.fid("source");
+  fns->octant = spec.fid("octant");
+  fns->rcv_real = spec.fid("rcv_real");
+  fns->sweep = spec.fid("sweep");
+  fns->snd_real = spec.fid("snd_real");
+  fns->flux_err = spec.fid("flux_err");
+  fns->global_real_max = spec.fid("global_real_max");
+  fns->last = spec.fid("last");
+  return fns;
+}
+
+sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread,
+                     std::shared_ptr<const Sweep3dFns> fns) {
   const int p = ctx.nprocs();
   const int rank = ctx.rank();
   Rng& rng = ctx.rng();
   mpi::Rank* mpi = ctx.mpi();
 
-  co_await ctx.leaf(thread, "read_input", sim::milliseconds(40));
-  co_await ctx.leaf(thread, "decomp", sim::milliseconds(25));
-  co_await ctx.leaf(thread, "initialize",
+  co_await ctx.leaf(thread, fns->read_input, sim::milliseconds(40));
+  co_await ctx.leaf(thread, fns->decomp, sim::milliseconds(25));
+  co_await ctx.leaf(thread, fns->initialize,
                     sim::nanoseconds(rng.normal_at_least(0.9e9, 0.1e9, 1e6)));
-  co_await ctx.leaf(thread, "initxs", sim::milliseconds(180));
-  co_await ctx.leaf(thread, "initsnc", sim::milliseconds(120));
+  co_await ctx.leaf(thread, fns->initxs, sim::milliseconds(180));
+  co_await ctx.leaf(thread, fns->initsnc, sim::milliseconds(120));
 
   const std::int64_t steps = ctx.iters(kTimesteps);
   // Per-rank block work per (timestep, octant).
@@ -76,7 +101,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
       kTotalWorkNs / (kTimesteps * kOctants * static_cast<double>(p));
 
   for (std::int64_t step = 0; step < steps; ++step) {
-    co_await ctx.leaf(thread, "source",
+    co_await ctx.leaf(thread, fns->source,
                       sim::nanoseconds(rng.normal_at_least(block_work * 0.4,
                                                            block_work * 0.03, 1e5)));
     for (int oct = 0; oct < kOctants; ++oct) {
@@ -86,40 +111,40 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
       const int downstream = forward ? rank + 1 : rank - 1;
       const int tag = 300 + oct;
 
-      co_await ctx.call(thread, "octant", [](proc::SimThread& t) -> sim::Coro<void> {
+      co_await ctx.call(thread, fns->octant, [](proc::SimThread& t) -> sim::Coro<void> {
         co_await t.compute(sim::microseconds(40));
       });
       const double chunk_work = block_work / kPipelineChunks;
       for (int chunk = 0; chunk < kPipelineChunks; ++chunk) {
         const int chunk_tag = tag * kPipelineChunks + chunk;
         if (mpi != nullptr && upstream >= 0 && upstream < p) {
-          co_await ctx.call(thread, "rcv_real",
+          co_await ctx.call(thread, fns->rcv_real,
                             [mpi, upstream, chunk_tag](proc::SimThread& t) -> sim::Coro<void> {
                               co_await mpi->recv(t, upstream, chunk_tag, nullptr);
                             });
         }
-        co_await ctx.leaf(thread, "sweep",
+        co_await ctx.leaf(thread, fns->sweep,
                           sim::nanoseconds(rng.normal_at_least(chunk_work,
                                                                chunk_work * 0.04, 1e4)));
         if (mpi != nullptr && downstream >= 0 && downstream < p) {
-          co_await ctx.call(thread, "snd_real",
+          co_await ctx.call(thread, fns->snd_real,
                             [mpi, downstream, chunk_tag](proc::SimThread& t) -> sim::Coro<void> {
                               co_await mpi->send(t, downstream, chunk_tag, kAngleBlockBytes);
                             });
         }
       }
     }
-    co_await ctx.leaf(thread, "flux_err",
+    co_await ctx.leaf(thread, fns->flux_err,
                       sim::nanoseconds(rng.normal_at_least(block_work * 0.15,
                                                            block_work * 0.02, 1e5)));
     if (mpi != nullptr) {
-      co_await ctx.call(thread, "global_real_max",
+      co_await ctx.call(thread, fns->global_real_max,
                         [mpi](proc::SimThread& t) -> sim::Coro<void> {
                           co_await mpi->allreduce(t, 8);
                         });
     }
   }
-  co_await ctx.leaf(thread, "last", sim::milliseconds(30));
+  co_await ctx.leaf(thread, fns->last, sim::milliseconds(30));
 }
 
 }  // namespace
@@ -140,7 +165,9 @@ const AppSpec& sweep3d() {
     for (const auto& fn : s.symbols->all()) {
       if (fn.module != "libmpi") s.dynamic_list.push_back(fn.name);
     }
-    s.body = body;
+    s.body = [fns = resolve_fns(s)](AppContext& ctx, proc::SimThread& thread) {
+      return body(ctx, thread, fns);
+    };
     return s;
   }();
   return spec;
@@ -153,7 +180,8 @@ const AppSpec& sweep3d() {
 
 namespace {
 
-sim::Coro<void> hybrid_body(AppContext& ctx, proc::SimThread& thread) {
+sim::Coro<void> hybrid_body(AppContext& ctx, proc::SimThread& thread,
+                            std::shared_ptr<const Sweep3dFns> fns) {
   const int p = ctx.nprocs();
   const int rank = ctx.rank();
   Rng& rng = ctx.rng();
@@ -162,9 +190,9 @@ sim::Coro<void> hybrid_body(AppContext& ctx, proc::SimThread& thread) {
   DT_ASSERT(omp != nullptr, "hybrid sweep3d needs an OpenMP team per rank");
   const int team = omp->num_threads();
 
-  co_await ctx.leaf(thread, "read_input", sim::milliseconds(40));
-  co_await ctx.leaf(thread, "decomp", sim::milliseconds(25));
-  co_await ctx.leaf(thread, "initialize",
+  co_await ctx.leaf(thread, fns->read_input, sim::milliseconds(40));
+  co_await ctx.leaf(thread, fns->decomp, sim::milliseconds(25));
+  co_await ctx.leaf(thread, fns->initialize,
                     sim::nanoseconds(rng.normal_at_least(0.9e9, 0.1e9, 1e6)));
 
   const std::int64_t steps = ctx.iters(kTimesteps);
@@ -172,7 +200,7 @@ sim::Coro<void> hybrid_body(AppContext& ctx, proc::SimThread& thread) {
       kTotalWorkNs / (kTimesteps * kOctants * static_cast<double>(p));
 
   for (std::int64_t step = 0; step < steps; ++step) {
-    co_await ctx.leaf(thread, "source",
+    co_await ctx.leaf(thread, fns->source,
                       sim::nanoseconds(rng.normal_at_least(block_work * 0.4,
                                                            block_work * 0.03, 1e5)));
     for (int oct = 0; oct < kOctants; ++oct) {
@@ -186,7 +214,7 @@ sim::Coro<void> hybrid_body(AppContext& ctx, proc::SimThread& thread) {
         const int chunk_tag = tag * kPipelineChunks + chunk;
         // MPI from the master thread only (funneled hybrid style)...
         if (mpi != nullptr && upstream >= 0 && upstream < p) {
-          co_await ctx.call(thread, "rcv_real",
+          co_await ctx.call(thread, fns->rcv_real,
                             [mpi, upstream, chunk_tag](proc::SimThread& t) -> sim::Coro<void> {
                               co_await mpi->recv(t, upstream, chunk_tag, nullptr);
                             });
@@ -194,32 +222,33 @@ sim::Coro<void> hybrid_body(AppContext& ctx, proc::SimThread& thread) {
         // ...then the angle block is swept by the OpenMP team.
         co_await omp->parallel(
             thread,
-            [&ctx, &rng, chunk_work, team](proc::SimThread& wt, int, int) -> sim::Coro<void> {
+            [&ctx, &rng, sweep = fns->sweep, chunk_work, team](proc::SimThread& wt, int,
+                                                               int) -> sim::Coro<void> {
               const double share = chunk_work / team;
-              co_await ctx.call(wt, "sweep", [&](proc::SimThread& t3) -> sim::Coro<void> {
+              co_await ctx.call(wt, sweep, [&](proc::SimThread& t3) -> sim::Coro<void> {
                 co_await t3.compute(
                     sim::nanoseconds(rng.normal_at_least(share, share * 0.05, 1e3)));
               });
             });
         if (mpi != nullptr && downstream >= 0 && downstream < p) {
-          co_await ctx.call(thread, "snd_real",
+          co_await ctx.call(thread, fns->snd_real,
                             [mpi, downstream, chunk_tag](proc::SimThread& t) -> sim::Coro<void> {
                               co_await mpi->send(t, downstream, chunk_tag, kAngleBlockBytes);
                             });
         }
       }
     }
-    co_await ctx.leaf(thread, "flux_err",
+    co_await ctx.leaf(thread, fns->flux_err,
                       sim::nanoseconds(rng.normal_at_least(block_work * 0.15,
                                                            block_work * 0.02, 1e5)));
     if (mpi != nullptr) {
-      co_await ctx.call(thread, "global_real_max",
+      co_await ctx.call(thread, fns->global_real_max,
                         [mpi](proc::SimThread& t) -> sim::Coro<void> {
                           co_await mpi->allreduce(t, 8);
                         });
     }
   }
-  co_await ctx.leaf(thread, "last", sim::milliseconds(30));
+  co_await ctx.leaf(thread, fns->last, sim::milliseconds(30));
 }
 
 }  // namespace
@@ -239,7 +268,9 @@ const AppSpec& sweep3d_hybrid() {
     for (const auto& fn : s.symbols->all()) {
       if (fn.module != "libmpi") s.dynamic_list.push_back(fn.name);
     }
-    s.body = hybrid_body;
+    s.body = [fns = resolve_fns(s)](AppContext& ctx, proc::SimThread& thread) {
+      return hybrid_body(ctx, thread, fns);
+    };
     return s;
   }();
   return spec;

@@ -14,7 +14,7 @@ int vt_call_count(const image::Snippet& snippet) {
   struct Visitor {
     int operator()(const image::NoOp&) const { return 0; }
     int operator()(const image::CallLibOp& op) const {
-      return op.function == "VT_begin" || op.function == "VT_end" ? 1 : 0;
+      return op.entry == image::LibEntry::kVtBegin || op.entry == image::LibEntry::kVtEnd ? 1 : 0;
     }
     int operator()(const image::SequenceOp& op) const {
       int n = 0;

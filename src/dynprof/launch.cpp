@@ -6,6 +6,7 @@
 #include "guide/compiler.hpp"
 #include "support/common.hpp"
 #include "support/strings.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace dyntrace::dynprof {
 
@@ -134,15 +135,22 @@ Launch::Launch(Options options)
                                            options_.policy == Policy::kSubset;
   const image::ProgramImage template_image = guide::compile(app.symbols, compile_options);
 
-  // The VT configuration file per policy.
+  // The VT configuration file per policy, compiled once for the whole job;
+  // every rank applies the same delta at VT_init.
   vt::VtLib::Options vt_options;
   vt_options.buffer_records = options_.vt_buffer_records;
   if (options_.policy == Policy::kFullOff) {
-    vt_options.config_filter = guide::full_off_filter();
+    vt_options.config_filter = vt::compile_filter(*app.symbols, guide::full_off_filter());
   } else if (options_.policy == Policy::kSubset) {
     DT_EXPECT(!app.subset.empty(), app.name, " has no Subset policy");
-    vt_options.config_filter = guide::subset_filter(app.subset);
+    vt_options.config_filter =
+        vt::compile_filter(*app.symbols, guide::subset_filter(app.subset));
   }
+
+  // The functions rank_main calls around the app body.
+  main_fn_ = app.fid("main");
+  init_fn_ = app.fid(is_mpi ? "MPI_Init" : "VT_init");
+  if (is_mpi) finalize_fn_ = app.fid("MPI_Finalize");
 
   // Placement: MPI ranks fill nodes CPU by CPU; an OpenMP app is a single
   // process whose team occupies one node; a mixed app's ranks each occupy
@@ -208,19 +216,19 @@ sim::Coro<void> Launch::rank_main(int pid, proc::SimThread& thread) {
   // OpenMP side needs no cross-process synchronisation for VT init).
   const bool is_mpi = app.model != asci::AppSpec::Model::kOpenMP;
 
-  co_await ctx.call(thread, "main", [&](proc::SimThread& t) -> sim::Coro<void> {
+  co_await ctx.call(thread, main_fn_, [&](proc::SimThread& t) -> sim::Coro<void> {
     if (is_mpi) {
       // The VT library initialises itself inside MPI_Init through the MPI
       // wrapper interface (§3.4) -- and dynprof's initialization snippet
       // (Figure 6) runs at this function's *exit* probe point.
-      co_await ctx.call(t, "MPI_Init", [&](proc::SimThread& t2) -> sim::Coro<void> {
+      co_await ctx.call(t, init_fn_, [&](proc::SimThread& t2) -> sim::Coro<void> {
         co_await world_->rank(pid).init(t2);
         co_await vt(pid).vt_init(t2);
       });
     } else {
       // OpenMP: Guide inserts VT_init at the start of main; dynprof's
       // callback+spin snippet runs at VT_init's exit (§3.4).
-      co_await ctx.call(t, "VT_init", [&](proc::SimThread& t2) -> sim::Coro<void> {
+      co_await ctx.call(t, init_fn_, [&](proc::SimThread& t2) -> sim::Coro<void> {
         co_await vt(pid).vt_init(t2);
       });
     }
@@ -233,7 +241,7 @@ sim::Coro<void> Launch::rank_main(int pid, proc::SimThread& thread) {
     co_await app.body(ctx, t);
 
     if (is_mpi) {
-      co_await ctx.call(t, "MPI_Finalize", [&](proc::SimThread& t2) -> sim::Coro<void> {
+      co_await ctx.call(t, finalize_fn_, [&](proc::SimThread& t2) -> sim::Coro<void> {
         co_await vt(pid).vt_finalize(t2);
         co_await world_->rank(pid).finalize(t2);
       });
@@ -248,10 +256,21 @@ Launch::Result Launch::collect_result() const {
   result.total_seconds = sim::to_seconds(job_->finish_time() - job_->start_time());
   const sim::TimeNs t0 = init_complete_ >= 0 ? init_complete_ : job_->start_time();
   result.app_seconds = sim::to_seconds(job_->finish_time() - t0);
+  std::uint64_t recorded = 0;
+  std::uint64_t synthetic_pairs = 0;
   for (const auto& vt : vts_) {
     result.trace_events += vt->virtual_events();
     result.filtered_events += vt->events_filtered();
+    recorded += vt->events_recorded();
+    synthetic_pairs += vt->synthetic_pairs();
   }
+  // Export the libraries' own counts once per collection: only what grew
+  // since the last one, so collecting twice does not double-count.
+  telemetry::Registry& reg = *telemetry_;
+  reg.add(reg.metrics().vt_events_recorded, recorded - exported_recorded_);
+  reg.add(reg.metrics().vt_synthetic_pairs, synthetic_pairs - exported_synthetic_pairs_);
+  exported_recorded_ = recorded;
+  exported_synthetic_pairs_ = synthetic_pairs;
   return result;
 }
 

@@ -174,7 +174,9 @@ class Launch {
   /// policies only; Dynamic runs go through DynprofTool).
   Result run_to_completion();
 
-  /// Collect the result after the engine has been run externally.
+  /// Collect the result after the engine has been run externally.  Also
+  /// adds the VT libraries' event counts to the run's telemetry
+  /// (vt.events_recorded, vt.synthetic_pairs).
   Result collect_result() const;
 
  private:
@@ -203,6 +205,13 @@ class Launch {
   std::vector<std::unique_ptr<vt::VtMpiInterpose>> interposes_;
   std::vector<std::unique_ptr<vt::VtOmpListener>> omp_listeners_;
   std::vector<std::unique_ptr<asci::AppContext>> contexts_;
+
+  image::FunctionId main_fn_ = image::kInvalidFunction;
+  image::FunctionId init_fn_ = image::kInvalidFunction;      ///< MPI_Init, or VT_init for OpenMP
+  image::FunctionId finalize_fn_ = image::kInvalidFunction;  ///< MPI_Finalize (MPI apps)
+  // What collect_result() has already added to the registry.
+  mutable std::uint64_t exported_recorded_ = 0;
+  mutable std::uint64_t exported_synthetic_pairs_ = 0;
 
   int init_done_count_ = 0;
   sim::TimeNs init_latest_ = 0;   ///< max init time seen so far

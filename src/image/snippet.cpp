@@ -6,6 +6,11 @@ namespace dyntrace::image {
 
 namespace {
 
+constexpr const char* kLibEntryNames[kLibEntryCount] = {
+    "VT_init", "VT_begin", "VT_end", "VT_traceoff", "VT_traceon", "VT_finalize", "VT_confsync",
+    "MPI_Barrier",
+};
+
 struct CountVisitor {
   int operator()(const NoOp&) const { return 0; }
   int operator()(const CallLibOp&) const { return 1; }
@@ -44,6 +49,18 @@ struct PrintVisitor {
 };
 
 }  // namespace
+
+const char* to_string(LibEntry entry) {
+  const auto index = static_cast<std::size_t>(entry);
+  return index < kLibEntryCount ? kLibEntryNames[index] : "";
+}
+
+LibEntry lib_entry(std::string_view name) {
+  for (std::size_t i = 0; i < kLibEntryCount; ++i) {
+    if (name == kLibEntryNames[i]) return static_cast<LibEntry>(i);
+  }
+  return LibEntry::kCustom;
+}
 
 int Snippet::primitive_count() const { return std::visit(CountVisitor{}, node_); }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -26,10 +27,37 @@ using SnippetPtr = std::shared_ptr<const Snippet>;
 /// Do nothing (useful as a placeholder in tests).
 struct NoOp {};
 
+/// The library entry points every process links: the VT API and the MPI
+/// wrapper snippets call.  Each process's library registry keeps entry `e`
+/// in slot `e`, so a call site resolved to an entry when it is built
+/// reaches the function by index, with no name lookup per call.
+enum class LibEntry : std::uint8_t {
+  kVtInit,
+  kVtBegin,
+  kVtEnd,
+  kVtTraceoff,
+  kVtTraceon,
+  kVtFinalize,
+  kVtConfsync,
+  kMpiBarrier,
+  kCustom,  ///< any other name: a process resolves it by name
+};
+inline constexpr std::size_t kLibEntryCount = static_cast<std::size_t>(LibEntry::kCustom);
+
+/// The linked name of an entry ("VT_begin"); "" for kCustom.
+const char* to_string(LibEntry entry);
+/// The entry `name` links to, or kCustom.
+LibEntry lib_entry(std::string_view name);
+
 /// Call an instrumentation-library entry point with integer arguments.
 struct CallLibOp {
+  CallLibOp(std::string function_name, std::vector<std::int64_t> call_args)
+      : function(std::move(function_name)), args(std::move(call_args)),
+        entry(lib_entry(function)) {}
+
   std::string function;
   std::vector<std::int64_t> args;
+  LibEntry entry;  ///< resolved from `function` at construction
 };
 
 /// Execute children in order.

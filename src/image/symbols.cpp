@@ -15,7 +15,7 @@ FunctionId SymbolTable::add(std::string name, std::string module) {
 }
 
 const FunctionInfo* SymbolTable::find(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : &functions_[it->second];
 }
 
@@ -26,6 +26,10 @@ const FunctionInfo& SymbolTable::at(FunctionId id) const {
 
 std::vector<FunctionId> SymbolTable::match(std::string_view glob) const {
   std::vector<FunctionId> out;
+  if (glob.find_first_of("*?") == std::string_view::npos) {
+    if (const FunctionInfo* f = find(glob)) out.push_back(f->id);
+    return out;
+  }
   for (const auto& f : functions_) {
     if (str::glob_match(glob, f.name)) out.push_back(f.id);
   }

@@ -94,9 +94,9 @@ Rank::Rank(World& world, proc::SimProcess& process, int rank)
   // (the Figure-6 initialization snippet does); expose it in the process's
   // library registry.
   process_.registry().register_function(
-      "MPI_Barrier",
-      [this](proc::SimThread& thread, const std::vector<std::int64_t>&) -> sim::Coro<void> {
-        co_await barrier_raw(thread, collective_seq_++);
+      image::LibEntry::kMpiBarrier,
+      [this](proc::SimThread& thread, proc::LibraryRegistry::Args) {
+        return barrier_raw(thread, collective_seq_++);
       });
 }
 

@@ -9,14 +9,38 @@ namespace dyntrace::proc {
 // LibraryRegistry
 // ---------------------------------------------------------------------------
 
-void LibraryRegistry::register_function(std::string name, LibFunction fn) {
+void LibraryRegistry::register_function(image::LibEntry entry, LibFunction fn) {
   DT_ASSERT(fn != nullptr);
-  functions_[std::move(name)] = std::move(fn);
+  DT_ASSERT(entry != image::LibEntry::kCustom, "kCustom names no slot");
+  entries_[static_cast<std::size_t>(entry)] = std::move(fn);
 }
 
-const LibraryRegistry::LibFunction* LibraryRegistry::find(const std::string& name) const {
-  const auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
+void LibraryRegistry::register_function(std::string_view name, LibFunction fn) {
+  const image::LibEntry entry = image::lib_entry(name);
+  if (entry != image::LibEntry::kCustom) {
+    register_function(entry, std::move(fn));
+    return;
+  }
+  DT_ASSERT(fn != nullptr);
+  const auto it = custom_.find(name);
+  if (it != custom_.end()) {
+    it->second = std::move(fn);
+  } else {
+    custom_.emplace(std::string(name), std::move(fn));
+  }
+}
+
+const LibraryRegistry::LibFunction* LibraryRegistry::find(std::string_view name) const {
+  const image::LibEntry entry = image::lib_entry(name);
+  if (entry != image::LibEntry::kCustom) return find(entry);
+  const auto it = custom_.find(name);
+  return it == custom_.end() ? nullptr : &it->second;
+}
+
+std::size_t LibraryRegistry::size() const {
+  std::size_t n = custom_.size();
+  for (const auto& fn : entries_) n += fn ? 1 : 0;
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -79,7 +103,7 @@ sim::Coro<void> SimThread::gate() {
   }
 }
 
-sim::Coro<void> SimThread::call_function(image::FunctionId fn, const BodyFn& body) {
+sim::Coro<void> SimThread::call_function(image::FunctionId fn, BodyFn body) {
   image::ProgramImage& img = process_.image();
   const machine::CostModel& costs = process_.cluster().spec().costs;
   ++function_entries_;
@@ -99,12 +123,12 @@ sim::Coro<void> SimThread::call_function(image::FunctionId fn, const BodyFn& bod
 
   // Static instrumentation compiled in by the Guide compiler.
   const bool is_static = img.static_instrumented(fn);
-  std::vector<std::int64_t> fn_arg(1, static_cast<std::int64_t>(fn));
-  if (is_static) co_await lib_call("VT_begin", fn_arg);
+  const std::int64_t fn_arg = fn;
+  if (is_static) co_await linked(image::LibEntry::kVtBegin)(*this, {&fn_arg, 1});
 
   if (body) co_await body(*this);
 
-  if (is_static) co_await lib_call("VT_end", fn_arg);
+  if (is_static) co_await linked(image::LibEntry::kVtEnd)(*this, {&fn_arg, 1});
 
   const sim::TimeNs exit_tramp = img.trampoline_overhead(fn, image::ProbeWhere::kExit, costs);
   if (exit_tramp > 0) {
@@ -123,7 +147,11 @@ sim::Coro<void> SimThread::exec_snippet(const image::Snippet& snippet) {
   if (const auto* seq = std::get_if<image::SequenceOp>(&node)) {
     for (const auto& item : seq->items) co_await exec_snippet(*item);
   } else if (const auto* c = std::get_if<image::CallLibOp>(&node)) {
-    co_await lib_call(c->function, c->args);
+    if (c->entry != image::LibEntry::kCustom) {
+      co_await linked(c->entry)(*this, c->args);
+    } else {
+      co_await lib_call(c->function, c->args);
+    }
   } else if (const auto* f = std::get_if<image::SetFlagOp>(&node)) {
     process_.set_flag(f->flag, f->value);
   } else if (const auto* spin = std::get_if<image::SpinUntilOp>(&node)) {
@@ -135,10 +163,17 @@ sim::Coro<void> SimThread::exec_snippet(const image::Snippet& snippet) {
   // NoOp: nothing.
 }
 
-sim::Coro<void> SimThread::lib_call(const std::string& name, std::vector<std::int64_t> args) {
+const LibraryRegistry::LibFunction& SimThread::linked(image::LibEntry entry) const {
+  const auto* fn = process_.registry().find(entry);
+  DT_EXPECT(fn != nullptr, "process ", process_.pid(), ": unresolved library function '",
+            image::to_string(entry), "' (not linked)");
+  return *fn;
+}
+
+sim::Coro<void> SimThread::lib_call(std::string_view name, LibraryRegistry::Args args) {
   const auto* fn = process_.registry().find(name);
-  DT_EXPECT(fn != nullptr, "process ", process_.pid(), ": unresolved library function '", name,
-            "' (not linked)");
+  DT_EXPECT(fn != nullptr, "process ", process_.pid(), ": unresolved library function '",
+            std::string(name), "' (not linked)");
   co_await (*fn)(*this, args);
 }
 

@@ -14,12 +14,15 @@
 // guarantees a consistent image.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "image/image.hpp"
@@ -36,18 +39,31 @@ class SimThread;
 /// Instrumentation-library entry points callable from snippets and from
 /// statically instrumented code.  Libraries (VT, the MPI wrappers, the
 /// OpenMP runtime) register their functions per process at "link time".
+/// The image::LibEntry entry points live in fixed slots, so a call site
+/// bound to an entry reaches its function by index; other names are kept
+/// by name for by-name calls.
 class LibraryRegistry {
  public:
-  using LibFunction =
-      std::function<sim::Coro<void>(SimThread&, const std::vector<std::int64_t>&)>;
+  /// Arguments are borrowed: the caller co_awaits the call immediately,
+  /// so their storage outlives it.
+  using Args = std::span<const std::int64_t>;
+  using LibFunction = std::function<sim::Coro<void>(SimThread&, Args)>;
 
   /// Register (or replace) an entry point.
-  void register_function(std::string name, LibFunction fn);
-  const LibFunction* find(const std::string& name) const;
-  std::size_t size() const { return functions_.size(); }
+  void register_function(image::LibEntry entry, LibFunction fn);
+  void register_function(std::string_view name, LibFunction fn);
+
+  /// Null when nothing is linked under the entry or name.
+  const LibFunction* find(image::LibEntry entry) const {
+    const LibFunction& fn = entries_[static_cast<std::size_t>(entry)];
+    return fn ? &fn : nullptr;
+  }
+  const LibFunction* find(std::string_view name) const;
+  std::size_t size() const;
 
  private:
-  std::map<std::string, LibFunction> functions_;
+  std::array<LibFunction, image::kLibEntryCount> entries_;
+  std::map<std::string, LibFunction, std::less<>> custom_;
 };
 
 class SimThread {
@@ -77,13 +93,16 @@ class SimThread {
   /// Execute a workload function: dynamic entry probes, static VT_begin
   /// (if the Guide compiler instrumented this function), the body, static
   /// VT_end, dynamic exit probes.
-  sim::Coro<void> call_function(image::FunctionId fn, const BodyFn& body);
+  /// Takes the body by value, so a caller may return this coroutine
+  /// without keeping the body alive itself.
+  sim::Coro<void> call_function(image::FunctionId fn, BodyFn body);
 
   /// Execute an instrumentation snippet (may block: spin waits).
   sim::Coro<void> exec_snippet(const image::Snippet& snippet);
 
-  /// Call a registered library function by name.
-  sim::Coro<void> lib_call(const std::string& name, std::vector<std::int64_t> args = {});
+  /// Call a registered library function by name (tests and examples; the
+  /// simulated call path goes through bound entries).
+  sim::Coro<void> lib_call(std::string_view name, LibraryRegistry::Args args = {});
 
   /// Current workload-function nesting depth (0 outside any function).
   int call_depth() const { return call_depth_; }
@@ -100,6 +119,10 @@ class SimThread {
 
  private:
   friend class SimProcess;
+
+  /// The function linked at `entry`; throws the unresolved-function error
+  /// when nothing is.
+  const LibraryRegistry::LibFunction& linked(image::LibEntry entry) const;
 
   struct SleepState {
     sim::EventId timer;

@@ -19,14 +19,34 @@ std::shared_ptr<const image::SymbolTable> build_symbols(const ReplayTrace& trace
   return symbols;
 }
 
-sim::Coro<void> replay_rank(const ReplayTrace& trace, asci::AppContext& ctx,
-                            proc::SimThread& thread) {
+/// Per rank, the FunctionId of each event's `call` function
+/// (kInvalidFunction for MPI verbs), resolved when the spec is built.
+using CallIds = std::vector<std::vector<image::FunctionId>>;
+
+CallIds resolve_calls(const ReplayTrace& trace, const asci::AppSpec& spec) {
+  std::map<std::string, image::FunctionId, std::less<>> ids;
+  for (const std::string& fn : trace.call_functions) ids.emplace(fn, spec.fid(fn));
+  CallIds out(trace.events.size());
+  for (std::size_t r = 0; r < trace.events.size(); ++r) {
+    out[r].reserve(trace.events[r].size());
+    for (const ReplayEvent& ev : trace.events[r]) {
+      out[r].push_back(ev.verb == Verb::kCall ? ids.at(ev.fn) : image::kInvalidFunction);
+    }
+  }
+  return out;
+}
+
+sim::Coro<void> replay_rank(const ReplayTrace& trace, const CallIds& call_ids,
+                            asci::AppContext& ctx, proc::SimThread& thread) {
   mpi::Rank* mpi = ctx.mpi();
   DT_ASSERT(mpi != nullptr, "replay bodies require the MPI runtime");
-  const auto& events = trace.events[static_cast<std::size_t>(ctx.rank())];
+  const auto rank = static_cast<std::size_t>(ctx.rank());
+  const auto& events = trace.events[rank];
+  const auto& fns = call_ids[rank];
   sim::TimeNs cursor = 0;
   std::map<std::string, mpi::Rank::Request> open;
-  for (const ReplayEvent& ev : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ReplayEvent& ev = events[i];
     // Recorded idle/compute between the cursor and this event's timestamp.
     if (ev.at > cursor) {
       co_await thread.compute(ev.at - cursor);
@@ -35,9 +55,9 @@ sim::Coro<void> replay_rank(const ReplayTrace& trace, asci::AppContext& ctx,
     switch (ev.verb) {
       case Verb::kCall:
         if (ev.count > 1) {
-          co_await ctx.leaf_repeat(thread, ev.fn, ev.count, ev.work);
+          co_await ctx.leaf_repeat(thread, fns[i], ev.count, ev.work);
         } else {
-          co_await ctx.leaf(thread, ev.fn, ev.work);
+          co_await ctx.leaf(thread, fns[i], ev.work);
         }
         cursor += ev.count * ev.work;
         break;
@@ -126,9 +146,10 @@ ReplayApp::ReplayApp(ReplayTrace trace)
   spec_.symbols = build_symbols(*trace_);
   spec_.subset = trace_->subset;
   spec_.dynamic_list = trace_->subset;
-  spec_.body = [trace = trace_](asci::AppContext& ctx,
-                                proc::SimThread& thread) -> sim::Coro<void> {
-    return replay_rank(*trace, ctx, thread);
+  spec_.body = [trace = trace_,
+                call_ids = std::make_shared<const CallIds>(resolve_calls(*trace_, spec_))](
+                   asci::AppContext& ctx, proc::SimThread& thread) -> sim::Coro<void> {
+    return replay_rank(*trace, *call_ids, ctx, thread);
   };
 }
 

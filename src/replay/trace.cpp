@@ -1,11 +1,14 @@
 #include "replay/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <system_error>
 #include <tuple>
 
 #include "support/common.hpp"
@@ -97,6 +100,17 @@ bool all_digits(std::string_view s) {
   return std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
 }
 
+/// A digit string as an int in [0, max]; a located error for anything
+/// larger, instead of letting the conversion truncate or throw.
+int parse_bounded(const std::string& digits, int max, const std::string& where,
+                  const char* what) {
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  DT_EXPECT(ec == std::errc{} && end == digits.data() + digits.size() && value <= max, where,
+            ": ", what, " ", digits, " out of range (at most ", max, ")");
+  return static_cast<int>(value);
+}
+
 sim::TimeNs parse_time(const std::string& text, const std::string& where) {
   std::size_t suffix = text.size();
   while (suffix > 0 && !(text[suffix - 1] >= '0' && text[suffix - 1] <= '9')) --suffix;
@@ -149,11 +163,10 @@ class EventParser {
   }
 
   int as_int(const std::string& value) const {
-    try {
-      return static_cast<int>(std::stoll(value));
-    } catch (const std::exception&) {
-      fail(where_, ": bad integer '", value, "'");
-    }
+    const std::int64_t v = as_i64(value);
+    DT_EXPECT(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
+              where_, ": integer '", value, "' out of range");
+    return static_cast<int>(v);
   }
   std::int64_t as_i64(const std::string& value) const {
     try {
@@ -331,7 +344,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
       DT_EXPECT(trace.ranks == 0, where, ": duplicate ranks directive");
       DT_EXPECT(tokens.size() == 2 && all_digits(tokens[1]), where,
                 ": ranks takes one integer");
-      trace.ranks = static_cast<int>(std::stoll(tokens[1]));
+      trace.ranks = parse_bounded(tokens[1], kMaxRanks, where, "ranks");
       DT_EXPECT(trace.ranks >= 1, where, ": ranks must be >= 1");
       trace.events.resize(static_cast<std::size_t>(trace.ranks));
       cursor.assign(static_cast<std::size_t>(trace.ranks), 0);
@@ -356,7 +369,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     DT_EXPECT(trace.ranks > 0, where, ": the ranks directive must precede events");
     DT_EXPECT(tokens.size() >= 3, where, ": truncated event line (need rank, ",
               "timestamp and verb)");
-    const int rank = static_cast<int>(std::stoll(tokens[0]));
+    const int rank = parse_bounded(tokens[0], kMaxRanks, where, "rank");
     DT_EXPECT(rank < trace.ranks, where, ": rank ", rank, " out of range (ranks ",
               trace.ranks, ")");
     ReplayEvent ev;

@@ -86,6 +86,11 @@ struct ReplayEvent {
   std::vector<std::string> reqs;  ///< request handles (isend/irecv/wait/waitall)
 };
 
+/// The largest world a trace may declare: 16x the largest simulated sweep
+/// (4096 ranks).  A larger `ranks` is rejected when parsed, before any
+/// per-rank state is sized.
+inline constexpr int kMaxRanks = 65536;
+
 struct ParseOptions {
   /// Reject recognized-but-unreplayed DUMPI verbs instead of skip-counting.
   bool strict = false;

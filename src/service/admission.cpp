@@ -168,9 +168,11 @@ ArbitrateResult AdmissionController::arbitrate() {
 }
 
 void AdmissionController::replay(const vt::FilterProgram& applied) {
-  for (const auto& directive : applied) {
-    for (const image::FunctionId fn : symbols_->match(directive.pattern)) {
-      if (fns_[fn].holders > 0) fns_[fn].filtered = !directive.activate;
+  const vt::CompiledFilter compiled(*symbols_, applied);
+  const std::vector<vt::FilterAction>& delta = compiled.delta();
+  for (std::size_t fn = 0; fn < delta.size(); ++fn) {
+    if (delta[fn] != vt::FilterAction::kUntouched && fns_[fn].holders > 0) {
+      fns_[fn].filtered = delta[fn] == vt::FilterAction::kDeactivate;
     }
   }
 }

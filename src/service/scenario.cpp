@@ -25,12 +25,13 @@ constexpr std::int64_t kMaxIterations = 200'000;
 
 std::string fn_name(int index) { return str::format("svc_fn_%02d", index); }
 
+/// `fn_ids` are the svc_fn_NN ids in order, resolved when the spec is built.
 sim::Coro<void> svcapp_body(asci::AppContext& ctx, proc::SimThread& thread,
-                            const std::vector<std::string>& names) {
+                            const std::vector<image::FunctionId>& fn_ids,
+                            image::FunctionId sentinel) {
   vt::VtLib* vt = ctx.vt();
-  const image::FunctionId sentinel = ctx.fid(kSentinelName);
   Rng& rng = ctx.rng();
-  const int fns = static_cast<int>(names.size());
+  const int fns = static_cast<int>(fn_ids.size());
 
   for (std::int64_t iter = 0; iter < kMaxIterations; ++iter) {
     // The iteration's bulk numerics...
@@ -42,7 +43,7 @@ sim::Coro<void> svcapp_body(asci::AppContext& ctx, proc::SimThread& thread,
       const int idx = static_cast<int>((iter * 4 + k) % fns);
       const auto work =
           sim::nanoseconds(rng.normal_at_least(2'000, 300, 200));
-      co_await ctx.leaf_repeat(thread, names[static_cast<std::size_t>(idx)], 48, work);
+      co_await ctx.leaf_repeat(thread, fn_ids[static_cast<std::size_t>(idx)], 48, work);
     }
     if (ctx.mpi() != nullptr && ctx.nprocs() > 1) {
       co_await ctx.mpi()->allreduce(thread, 8);
@@ -280,13 +281,12 @@ asci::AppSpec make_svcapp(int functions) {
   symbols->add("main", "svcapp.c");
   symbols->add("MPI_Init", "libmpi");
   symbols->add("MPI_Finalize", "libmpi");
-  std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(functions));
+  std::vector<image::FunctionId> fn_ids;
+  fn_ids.reserve(static_cast<std::size_t>(functions));
   for (int i = 0; i < functions; ++i) {
-    names.push_back(fn_name(i));
-    symbols->add(names.back(), str::format("svc_mod_%d.c", i / 8));
+    fn_ids.push_back(symbols->add(fn_name(i), str::format("svc_mod_%d.c", i / 8)));
   }
-  symbols->add(kSentinelName, "svcapp.c");
+  const image::FunctionId sentinel = symbols->add(kSentinelName, "svcapp.c");
 
   asci::AppSpec spec;
   spec.name = "svcapp";
@@ -297,8 +297,8 @@ asci::AppSpec make_svcapp(int functions) {
   spec.min_procs = 1;
   spec.max_procs = 1024;
   spec.symbols = symbols;
-  spec.body = [names](asci::AppContext& ctx, proc::SimThread& thread) {
-    return svcapp_body(ctx, thread, names);
+  spec.body = [fn_ids, sentinel](asci::AppContext& ctx, proc::SimThread& thread) {
+    return svcapp_body(ctx, thread, fn_ids, sentinel);
   };
   return spec;
 }

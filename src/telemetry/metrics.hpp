@@ -26,6 +26,11 @@ struct Metrics {
   CounterId control_deactivations;     ///< functions staged out by decisions
   CounterId control_reactivations;     ///< functions staged back in
 
+  // --- vt: library event counts (bulk-added when a run is collected) --------
+  CounterId vt_events_recorded;        ///< records appended by VT_begin/VT_end/record
+  CounterId vt_synthetic_pairs;        ///< enter/leave pairs charged in aggregate
+  CounterId vt_filter_compiles;        ///< filter programs compiled against a symbol table
+
   // --- vt: sharded trace store ----------------------------------------------
   CounterId vt_spill_runs;             ///< spill runs written
   CounterId vt_spill_bytes;            ///< encoded bytes handed to spill I/O

@@ -1,7 +1,7 @@
 #include "vt/filter.hpp"
 
 #include "support/common.hpp"
-#include "support/strings.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace dyntrace::vt {
 
@@ -28,16 +28,33 @@ std::int64_t serialized_size(const FilterProgram& program) {
   return bytes;
 }
 
-FilterTable::FilterTable(const image::SymbolTable& symbols, const FilterProgram& program) {
-  apply(symbols, program);
+CompiledFilter::CompiledFilter(const image::SymbolTable& symbols, const FilterProgram& program)
+    : delta_(symbols.size(), FilterAction::kUntouched), empty_(program.empty()) {
+  telemetry::Registry& reg = telemetry::current();
+  reg.add(reg.metrics().vt_filter_compiles);
+  for (const auto& directive : program) {
+    const FilterAction action =
+        directive.activate ? FilterAction::kActivate : FilterAction::kDeactivate;
+    for (const image::FunctionId fn : symbols.match(directive.pattern)) delta_[fn] = action;
+  }
 }
 
-void FilterTable::apply(const image::SymbolTable& symbols, const FilterProgram& program) {
-  if (deactivated_.size() < symbols.size()) deactivated_.resize(symbols.size(), 0);
+std::shared_ptr<const CompiledFilter> compile_filter(const image::SymbolTable& symbols,
+                                                     const FilterProgram& program) {
+  return std::make_shared<const CompiledFilter>(symbols, program);
+}
+
+FilterTable::FilterTable(const image::SymbolTable& symbols, const FilterProgram& program) {
+  apply(CompiledFilter(symbols, program));
+}
+
+void FilterTable::apply(const CompiledFilter& program) {
+  const std::vector<FilterAction>& delta = program.delta();
+  if (deactivated_.size() < delta.size()) deactivated_.resize(delta.size(), 0);
   if (!program.empty()) enabled_ = true;
-  for (const auto& directive : program) {
-    for (const image::FunctionId fn : symbols.match(directive.pattern)) {
-      deactivated_[fn] = directive.activate ? 0 : 1;
+  for (std::size_t fn = 0; fn < delta.size(); ++fn) {
+    if (delta[fn] != FilterAction::kUntouched) {
+      deactivated_[fn] = delta[fn] == FilterAction::kDeactivate ? 1 : 0;
     }
   }
 }

@@ -68,6 +68,15 @@ std::uint64_t stats_digest(const std::vector<FuncStats>& stats) {
   return h;
 }
 
+const CompiledFilter& StagedUpdate::compiled(const image::SymbolTable& symbols) {
+  if (compiled_for_ != &symbols || compiled_version_ != version) {
+    compiled_ = CompiledFilter(symbols, program);
+    compiled_for_ = &symbols;
+    compiled_version_ = version;
+  }
+  return compiled_;
+}
+
 VtLib::VtLib(proc::SimProcess& process, std::shared_ptr<TraceStore> store, Options options)
     : process_(process),
       store_(std::move(store)),
@@ -78,53 +87,49 @@ VtLib::VtLib(proc::SimProcess& process, std::shared_ptr<TraceStore> store, Optio
   const std::size_t nfuncs = process_.image().symbols().size();
   registered_.assign(nfuncs, 0);
   stats_.assign(nfuncs, FuncStats{});
-  buffer_.reserve(options_.buffer_records);
+  // No up-front reserve: the buffer grows to buffer_records on demand and
+  // keeps its capacity across flushes.  Reserving 512 KiB per rank that a
+  // short run never fills made a sweep's peak RSS depend on where the heap
+  // placed those mostly untouched blocks.
 }
 
 void VtLib::link() {
+  // The entry points forward to the API's coroutines rather than being
+  // coroutines themselves: one frame per call, not two.
+  using image::LibEntry;
+  using Args = proc::LibraryRegistry::Args;
   auto& reg = process_.registry();
-  reg.register_function("VT_init",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> { co_await vt_init(t); });
-  reg.register_function(
-      "VT_begin",
-      [this](proc::SimThread& t, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        DT_EXPECT(args.size() == 1, "VT_begin expects one argument");
-        co_await vt_begin(t, static_cast<image::FunctionId>(args[0]));
-      });
-  reg.register_function(
-      "VT_end",
-      [this](proc::SimThread& t, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        DT_EXPECT(args.size() == 1, "VT_end expects one argument");
-        co_await vt_end(t, static_cast<image::FunctionId>(args[0]));
-      });
-  reg.register_function("VT_traceoff",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> {
-                          trace_off();
-                          co_await t.compute(costs().vt_call_overhead);
-                        });
-  reg.register_function("VT_traceon",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> {
-                          trace_on();
-                          co_await t.compute(costs().vt_call_overhead);
-                        });
-  reg.register_function("VT_finalize",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> { co_await vt_finalize(t); });
-  reg.register_function(
-      "VT_confsync",
-      [this](proc::SimThread& t, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        co_await confsync(t, !args.empty() && args[0] != 0);
-      });
+  reg.register_function(LibEntry::kVtInit,
+                        [this](proc::SimThread& t, Args) { return vt_init(t); });
+  reg.register_function(LibEntry::kVtBegin, [this](proc::SimThread& t, Args args) {
+    DT_EXPECT(args.size() == 1, "VT_begin expects one argument");
+    return vt_begin(t, static_cast<image::FunctionId>(args[0]));
+  });
+  reg.register_function(LibEntry::kVtEnd, [this](proc::SimThread& t, Args args) {
+    DT_EXPECT(args.size() == 1, "VT_end expects one argument");
+    return vt_end(t, static_cast<image::FunctionId>(args[0]));
+  });
+  reg.register_function(LibEntry::kVtTraceoff, [this](proc::SimThread& t, Args) {
+    trace_off();
+    return t.compute(costs().vt_call_overhead);
+  });
+  reg.register_function(LibEntry::kVtTraceon, [this](proc::SimThread& t, Args) {
+    trace_on();
+    return t.compute(costs().vt_call_overhead);
+  });
+  reg.register_function(LibEntry::kVtFinalize,
+                        [this](proc::SimThread& t, Args) { return vt_finalize(t); });
+  reg.register_function(LibEntry::kVtConfsync, [this](proc::SimThread& t, Args args) {
+    return confsync(t, !args.empty() && args[0] != 0);
+  });
 }
 
 sim::Coro<void> VtLib::vt_init(proc::SimThread& thread) {
   if (initialized_) co_return;  // idempotent, as in VT
   co_await thread.compute(kVtInitCost);
-  // Read the configuration file and build the deactivation table.
-  filter_.apply(process_.image().symbols(), options_.config_filter);
+  // Read the configuration file and build the deactivation table (the
+  // job compiled it once; this rank applies the delta by id).
+  if (options_.config_filter != nullptr) filter_.apply(*options_.config_filter);
   initialized_ = true;
   // Advertise initialization in process memory, so a tool that *attaches*
   // to a running application (rather than spawning it) can check whether
@@ -307,7 +312,8 @@ sim::TimeNs snippet_steady_cost(const VtLib& vt, const image::Snippet& snippet) 
     const VtLib& vt;
     sim::TimeNs operator()(const image::NoOp&) const { return 0; }
     sim::TimeNs operator()(const image::CallLibOp& op) const {
-      if ((op.function == "VT_begin" || op.function == "VT_end") && !op.args.empty()) {
+      if ((op.entry == image::LibEntry::kVtBegin || op.entry == image::LibEntry::kVtEnd) &&
+          !op.args.empty()) {
         return vt.steady_call_cost(static_cast<image::FunctionId>(op.args[0]));
       }
       return 0;
@@ -438,7 +444,7 @@ sim::Coro<void> VtLib::confsync(proc::SimThread& thread, bool write_statistics) 
     if (!staged_->program.empty()) {
       co_await thread.compute(kApplyDirectiveCost *
                               static_cast<sim::TimeNs>(staged_->program.size()));
-      filter_.apply(process_.image().symbols(), staged_->program);
+      filter_.apply(staged_->compiled(process_.image().symbols()));
     }
     if (!staged_->probe_edits.empty() && apply_edits_handler_) {
       // Probe insertion/removal against this process's image; the handler

@@ -48,6 +48,15 @@ struct StagedUpdate {
   FilterProgram program;
   std::vector<ProbeEdit> probe_edits;
   std::uint64_t version = 0;  ///< bumped by each stage() call
+
+  /// `program` compiled against the job's symbols, once per version: the
+  /// first rank to apply a version compiles it and the others reuse it.
+  const CompiledFilter& compiled(const image::SymbolTable& symbols);
+
+ private:
+  CompiledFilter compiled_;
+  const image::SymbolTable* compiled_for_ = nullptr;
+  std::uint64_t compiled_version_ = 0;
 };
 
 /// Per-function statistics the VT library accumulates (and VT_confsync's
@@ -89,9 +98,10 @@ class StatsAggregator {
 class VtLib {
  public:
   struct Options {
-    /// Directives read from the VT configuration file at VT_init
-    /// (empty = no config file = the Full policy: no lookups at all).
-    FilterProgram config_filter;
+    /// The VT configuration file's directives, compiled against the
+    /// process's symbols and applied at VT_init (null = no config file =
+    /// the Full policy: no lookups at all).  A job shares one compilation.
+    std::shared_ptr<const CompiledFilter> config_filter;
     /// Event-buffer capacity in records; a full buffer flushes to the
     /// trace store, charging flush time.
     std::size_t buffer_records = 16384;
@@ -226,6 +236,7 @@ class VtLib {
   }
 
   std::uint64_t events_recorded() const { return events_recorded_; }
+  std::uint64_t synthetic_pairs() const { return synthetic_events_ / 2; }
   std::uint64_t events_filtered() const { return events_filtered_; }
   std::uint64_t events_dropped_preinit() const { return events_dropped_preinit_; }
   std::uint64_t events_dropped_traceoff() const { return events_dropped_traceoff_; }

@@ -67,7 +67,7 @@ struct Harness {
   static vt::VtLib::Options make_options(InstrState state) {
     vt::VtLib::Options options;
     if (state == InstrState::kStaticFiltered) {
-      options.config_filter = {{false, "hot"}};
+      options.config_filter = vt::compile_filter(*make_symbols(), {{false, "hot"}});
     }
     return options;
   }
@@ -80,10 +80,10 @@ struct Harness {
           proc::SimThread& t = h.process.main_thread();
           co_await h.vt.vt_init(t);
           if (use_batch) {
-            co_await h.ctx->leaf_repeat(t, "hot", n, w);
+            co_await h.ctx->leaf_repeat(t, h.ctx->fid("hot"), n, w);
           } else {
             for (std::int64_t i = 0; i < n; ++i) {
-              co_await h.ctx->leaf(t, "hot", w);
+              co_await h.ctx->leaf(t, h.ctx->fid("hot"), w);
             }
           }
           co_await h.vt.vt_finalize(t);
@@ -167,7 +167,7 @@ TEST(LeafRepeat, ZeroAndOneCallEdgeCases) {
         proc::SimThread& t = hh.process.main_thread();
         co_await hh.vt.vt_init(t);
         const sim::TimeNs before = hh.engine.now();
-        co_await hh.ctx->leaf_repeat(t, "hot", 0, sim::microseconds(5));
+        co_await hh.ctx->leaf_repeat(t, hh.ctx->fid("hot"), 0, sim::microseconds(5));
         out = hh.engine.now() - before;  // zero calls: zero time
       }(h, t0),
       "edge");

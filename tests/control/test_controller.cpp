@@ -132,7 +132,7 @@ TEST(OverheadEstimator, CountsSuppressedPairsUnderFilter) {
   OverheadEstimator estimator;
   Estimate estimate;
   h.run([&](int, vt::VtLib& vt, proc::SimThread& thread) -> sim::Coro<void> {
-    vt.filter().apply(*h.symbols, {{false, "hot_a"}});
+    vt.filter().apply(vt::CompiledFilter(*h.symbols, {{false, "hot_a"}}));
     estimator.update(vt, h.engine.now());
     for (int i = 0; i < 50; ++i) {
       co_await vt.vt_begin(thread, kHotA);

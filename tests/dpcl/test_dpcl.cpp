@@ -217,7 +217,7 @@ TEST(Dpcl, ExecuteSnippetCanCallLibraryFunctions) {
   for (const auto& process : h.job.processes()) {
     process->registry().register_function(
         "diag_dump",
-        [&calls](proc::SimThread&, const std::vector<std::int64_t>&) -> sim::Coro<void> {
+        [&calls](proc::SimThread&, proc::LibraryRegistry::Args) -> sim::Coro<void> {
           ++calls;
           co_return;
         });

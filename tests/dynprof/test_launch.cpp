@@ -51,6 +51,57 @@ TEST(Launch, SubsetFilterLeavesSubsetActive) {
   EXPECT_TRUE(vt.filter().deactivated(symbols.find("sppm_intrfc_00")->id));
 }
 
+TEST(Launch, SubsetConfigFilterCompilesOncePerJob) {
+  // 1024 ranks, one compilation: every rank applies the job's delta at
+  // VT_init instead of matching the config file against its symbols.
+  asci::AppSpec wide = asci::smg98();
+  wide.max_procs = 1024;
+  Launch::Options options;
+  options.app = &wide;
+  options.params.nprocs = 1024;
+  options.params.problem_scale = 0.01;
+  options.policy = Policy::kSubset;
+  options.telemetry_level = telemetry::Level::kCounters;
+  Launch launch(std::move(options));
+  const auto compiles = [&launch] {
+    return launch.telemetry_registry().snapshot().counter_value("vt.filter_compiles");
+  };
+  EXPECT_EQ(compiles(), 1u);
+  launch.run_to_completion();
+  EXPECT_EQ(compiles(), 1u);
+  const std::size_t off = launch.vt(0).filter().deactivated_count();
+  EXPECT_EQ(off, wide.symbols->size() - wide.subset.size());
+  for (int pid = 0; pid < launch.process_count(); ++pid) {
+    ASSERT_TRUE(launch.vt(pid).filter().enabled()) << pid;
+    ASSERT_EQ(launch.vt(pid).filter().deactivated_count(), off) << pid;
+  }
+}
+
+TEST(Launch, CollectedRunExportsVtEventCounts) {
+  Launch::Options options;
+  options.app = &asci::sppm();
+  options.params.nprocs = 2;
+  options.params.problem_scale = 0.1;
+  options.policy = Policy::kFull;
+  options.telemetry_level = telemetry::Level::kCounters;
+  Launch launch(std::move(options));
+  launch.run_to_completion();
+  std::uint64_t recorded = 0;
+  std::uint64_t pairs = 0;
+  for (int pid = 0; pid < launch.process_count(); ++pid) {
+    recorded += launch.vt(pid).events_recorded();
+    pairs += launch.vt(pid).synthetic_pairs();
+  }
+  ASSERT_GT(recorded, 0u);
+  ASSERT_GT(pairs, 0u);
+  // Collecting again adds nothing: the counters are the libraries' totals.
+  launch.collect_result();
+  const auto snap = launch.telemetry_registry().snapshot();
+  EXPECT_EQ(snap.counter_value("vt.events_recorded"), recorded);
+  EXPECT_EQ(snap.counter_value("vt.synthetic_pairs"), pairs);
+  EXPECT_EQ(launch.collect_result().trace_events, recorded + 2 * pairs);
+}
+
 TEST(Launch, SubsetPolicyForSweep3dRejected) {
   Launch::Options options;
   options.app = &asci::sweep3d();

@@ -21,6 +21,19 @@ TEST(Snippet, BuildersProduceExpectedNodes) {
   EXPECT_TRUE(std::holds_alternative<CallbackOp>(cb->node()));
 }
 
+TEST(Snippet, CallsResolveTheirLibraryEntryWhenBuilt) {
+  const auto entry_of = [](const SnippetPtr& s) { return std::get<CallLibOp>(s->node()).entry; };
+  EXPECT_EQ(entry_of(snippet::call("VT_begin", {7})), LibEntry::kVtBegin);
+  EXPECT_EQ(entry_of(snippet::call("VT_end", {7})), LibEntry::kVtEnd);
+  EXPECT_EQ(entry_of(snippet::call("MPI_Barrier")), LibEntry::kMpiBarrier);
+  EXPECT_EQ(entry_of(snippet::call("probe_fn")), LibEntry::kCustom);
+  EXPECT_EQ(entry_of(snippet::call("vt_begin")), LibEntry::kCustom);  // names are exact
+  for (std::size_t i = 0; i < kLibEntryCount; ++i) {
+    const auto entry = static_cast<LibEntry>(i);
+    EXPECT_EQ(lib_entry(to_string(entry)), entry) << to_string(entry);
+  }
+}
+
 TEST(Snippet, PrimitiveCountCountsLeaves) {
   EXPECT_EQ(snippet::noop()->primitive_count(), 0);
   EXPECT_EQ(snippet::call("f")->primitive_count(), 1);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "asci/app.hpp"
 #include "support/common.hpp"
+#include "support/strings.hpp"
 
 namespace dyntrace::image {
 namespace {
@@ -55,6 +57,41 @@ TEST(Symbols, PaperFunctionCounts) {
   for (int i = 0; i < 199; ++i) table.add("fn_" + std::to_string(i));
   EXPECT_EQ(table.size(), 199u);
   EXPECT_EQ(table.match("fn_*").size(), 199u);
+}
+
+/// What match() returned before exact names took the hash-table path: a
+/// glob scan over every symbol.
+std::vector<FunctionId> scan_match(const SymbolTable& table, std::string_view glob) {
+  std::vector<FunctionId> out;
+  for (const auto& f : table.all()) {
+    if (str::glob_match(glob, f.name)) out.push_back(f.id);
+  }
+  return out;
+}
+
+TEST(Symbols, ExactNameMatchesExactlyThatSymbolInEveryKernel) {
+  for (const asci::AppSpec* app : asci::all_apps()) {
+    const SymbolTable& table = *app->symbols;
+    for (const auto& f : table.all()) {
+      EXPECT_EQ(table.match(f.name), (std::vector<FunctionId>{f.id})) << app->name << " " << f.name;
+      EXPECT_EQ(table.match(f.name), scan_match(table, f.name)) << app->name << " " << f.name;
+    }
+    EXPECT_TRUE(table.match("no_such_function").empty()) << app->name;
+  }
+}
+
+TEST(Symbols, GlobPatternsMatchTheSameIdsAsAScan) {
+  const char* const patterns[] = {"*",          "?*",           "hypre_*",     "hypre_SMG*",
+                                  "*_0?",       "*Cycle_?7",    "sppm_*",      "sppm_intrfc_1?",
+                                  "umt_*",      "sn*",          "*3d",         "?ain",
+                                  "MPI_*",      "*_*_*",        "main*",       "**init*",
+                                  "hypre_BoxLoop_0??", "?",     "*z*",         "*Solve?"};
+  for (const asci::AppSpec* app : asci::all_apps()) {
+    const SymbolTable& table = *app->symbols;
+    for (const char* pattern : patterns) {
+      EXPECT_EQ(table.match(pattern), scan_match(table, pattern)) << app->name << " " << pattern;
+    }
+  }
 }
 
 }  // namespace

@@ -116,13 +116,13 @@ TEST(Process, CallFunctionFiresStaticInstrumentation) {
   Fixture f;
   std::vector<std::string> calls;
   f.process.registry().register_function(
-      "VT_begin", [&calls](SimThread&, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        calls.push_back("begin:" + std::to_string(args.at(0)));
+      "VT_begin", [&calls](SimThread&, LibraryRegistry::Args args) -> sim::Coro<void> {
+        calls.push_back("begin:" + std::to_string(args[0]));
         co_return;
       });
   f.process.registry().register_function(
-      "VT_end", [&calls](SimThread&, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        calls.push_back("end:" + std::to_string(args.at(0)));
+      "VT_end", [&calls](SimThread&, LibraryRegistry::Args args) -> sim::Coro<void> {
+        calls.push_back("end:" + std::to_string(args[0]));
         co_return;
       });
   f.process.image().set_static_instrumented(1, true);
@@ -143,7 +143,7 @@ TEST(Process, CallFunctionExecutesDynamicProbesAndChargesTrampolines) {
   Fixture f;
   int probes = 0;
   f.process.registry().register_function(
-      "probe_fn", [&probes](SimThread&, const std::vector<std::int64_t>&) -> sim::Coro<void> {
+      "probe_fn", [&probes](SimThread&, LibraryRegistry::Args) -> sim::Coro<void> {
         ++probes;
         co_return;
       });
@@ -182,6 +182,49 @@ TEST(Process, UnresolvedLibraryFunctionThrows) {
           f.process.main_thread()),
       "caller");
   EXPECT_THROW(f.engine.run(), Error);
+}
+
+TEST(Process, BoundAndByNameCallsReachTheSameEntry) {
+  Fixture f;
+  std::vector<std::int64_t> seen;
+  f.process.registry().register_function(
+      "VT_end", [&seen](SimThread&, LibraryRegistry::Args args) -> sim::Coro<void> {
+        seen.push_back(args[0]);
+        co_return;
+      });
+  ASSERT_NE(f.process.registry().find(image::LibEntry::kVtEnd), nullptr);
+  EXPECT_EQ(f.process.registry().find("VT_end"), f.process.registry().find(image::LibEntry::kVtEnd));
+  EXPECT_EQ(f.process.registry().size(), 1u);
+  const auto call = image::snippet::call("VT_end", {4});
+  f.engine.spawn(
+      [](SimThread& t, const image::Snippet& s) -> sim::Coro<void> {
+        co_await t.exec_snippet(s);  // bound: by entry
+        const std::vector<std::int64_t> arg{5};
+        co_await t.lib_call("VT_end", arg);  // by name
+      }(f.process.main_thread(), *call),
+      "caller");
+  f.engine.run();
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{4, 5}));
+}
+
+TEST(Process, UnresolvedCallsNameTheFunction) {
+  for (const char* name : {"VT_begin", "probe_fn"}) {
+    Fixture f;
+    const auto call = image::snippet::call(name, {1});
+    f.engine.spawn(
+        [](SimThread& t, const image::Snippet& s) -> sim::Coro<void> {
+          co_await t.exec_snippet(s);
+        }(f.process.main_thread(), *call),
+        "caller");
+    try {
+      f.engine.run();
+      FAIL() << "expected an unresolved-function error for " << name;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unresolved library function '") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Process, SnippetSpinAndFlagOps) {

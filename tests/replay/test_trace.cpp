@@ -118,6 +118,30 @@ TEST(ReplayTraceParse, RejectsStructuralErrors) {
                Error);
 }
 
+TEST(ReplayTraceParse, RanksBeyondTheLimitFailAtParseTime) {
+  // Past int: used to truncate (4294967297 became 1).
+  EXPECT_THROW(ReplayTrace::parse("ranks 4294967297\n0 0ms call fn=f work=1ms\n"), Error);
+  EXPECT_THROW(ReplayTrace::parse("ranks 99999999999999999999999\n"), Error);
+  // Fits an int but is past kMaxRanks: used to size per-rank state first.
+  EXPECT_THROW(ReplayTrace::parse("ranks 99999999\n"), Error);
+  EXPECT_THROW(ReplayTrace::parse("ranks " + std::to_string(kMaxRanks + 1) + "\n"), Error);
+  EXPECT_EQ(ReplayTrace::parse("ranks " + std::to_string(kMaxRanks) + "\n").ranks, kMaxRanks);
+  // An event rank that would truncate into range.
+  EXPECT_THROW(ReplayTrace::parse("ranks 2\n4294967297 0ms call fn=f work=1ms\n"), Error);
+  // A peer that would truncate into range.
+  EXPECT_THROW(ReplayTrace::parse("ranks 2\n0 0ms MPI_Send dst=4294967297 bytes=1\n"
+                                  "1 0ms MPI_Recv src=0\n"),
+               Error);
+  for (const char* text : {"# header\nranks 99999999\n", "ranks 1\n4294967296 0ms sync\n"}) {
+    try {
+      ReplayTrace::parse(text, "big.trace");
+      FAIL() << "expected a parse error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("big.trace:2"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(ReplayTraceParse, RejectsUnpairedPointToPoint) {
   // Send with no receive.
   EXPECT_THROW(ReplayTrace::parse("ranks 2\n0 0ms MPI_Send dst=1 tag=3 bytes=8\n"),

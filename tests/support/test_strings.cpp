@@ -75,6 +75,12 @@ struct GlobCase {
   bool expect;
 };
 
+// gtest prints the parameter into the test name ctest registers; the default
+// byte dump would show the literals' addresses, which change on every run.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << "' vs '" << c.text << "' is " << (c.expect ? "match" : "no match");
+}
+
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatch, Matches) {

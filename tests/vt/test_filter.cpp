@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "asci/app.hpp"
+#include "guide/compiler.hpp"
 #include "support/common.hpp"
+#include "support/rng.hpp"
+#include "support/strings.hpp"
+#include "telemetry/metrics.hpp"
+#include "vt/vtlib.hpp"
 
 namespace dyntrace::vt {
 namespace {
@@ -66,9 +72,9 @@ TEST(Filter, ApplyIsIncremental) {
   const auto symbols = make_symbols();
   FilterTable table(symbols, {{false, "sppm_*"}});
   EXPECT_EQ(table.deactivated_count(), 1u);
-  table.apply(symbols, {{false, "hypre_*"}});
+  table.apply(CompiledFilter(symbols, {{false, "hypre_*"}}));
   EXPECT_EQ(table.deactivated_count(), 4u);
-  table.apply(symbols, {{true, "*"}});
+  table.apply(CompiledFilter(symbols, {{true, "*"}}));
   EXPECT_EQ(table.deactivated_count(), 0u);
 }
 
@@ -82,6 +88,136 @@ TEST(Filter, SerializedSizeGrowsWithProgram) {
 TEST(Filter, OutOfRangeFunctionIsNotDeactivated) {
   FilterTable table(make_symbols(), {{false, "*"}});
   EXPECT_FALSE(table.deactivated(1000));
+}
+
+// --- compiled programs equal directive-by-directive application ---------------
+
+/// The table as it was built before programs were compiled: every
+/// directive glob-scans every symbol, in order, later directives winning.
+std::vector<std::uint8_t> reference_apply(const image::SymbolTable& symbols,
+                                          const std::vector<FilterProgram>& programs) {
+  std::vector<std::uint8_t> off(symbols.size(), 0);
+  for (const FilterProgram& program : programs) {
+    for (const FilterDirective& d : program) {
+      for (const auto& f : symbols.all()) {
+        if (str::glob_match(d.pattern, f.name)) off[f.id] = d.activate ? 0 : 1;
+      }
+    }
+  }
+  return off;
+}
+
+/// Apply each program compiled, in order, and compare every function
+/// against the reference.
+void expect_equivalent(const image::SymbolTable& symbols,
+                       const std::vector<FilterProgram>& programs, const std::string& label) {
+  FilterTable table;
+  bool any_directive = false;
+  for (const FilterProgram& program : programs) {
+    table.apply(CompiledFilter(symbols, program));
+    any_directive = any_directive || !program.empty();
+  }
+  const std::vector<std::uint8_t> want = reference_apply(symbols, programs);
+  std::size_t want_count = 0;
+  for (image::FunctionId fn = 0; fn < symbols.size(); ++fn) {
+    EXPECT_EQ(table.deactivated(fn), want[fn] != 0) << label << ": " << symbols.at(fn).name;
+    want_count += want[fn];
+  }
+  EXPECT_EQ(table.deactivated_count(), want_count) << label;
+  EXPECT_EQ(table.enabled(), any_directive) << label;
+}
+
+/// What the budget controller stages: one exact-name directive per function.
+FilterProgram exact_program(const image::SymbolTable& symbols, bool activate,
+                            std::size_t first, std::size_t stride) {
+  FilterProgram program;
+  for (std::size_t fn = first; fn < symbols.size(); fn += stride) {
+    program.push_back(FilterDirective{activate, symbols.at(static_cast<image::FunctionId>(fn)).name});
+  }
+  return program;
+}
+
+TEST(FilterCompile, FullOffAndSubsetProgramsMatchTheReference) {
+  for (const asci::AppSpec* app : asci::all_apps()) {
+    expect_equivalent(*app->symbols, {guide::full_off_filter()}, app->name + " Full-Off");
+    if (!app->subset.empty()) {
+      expect_equivalent(*app->symbols, {guide::subset_filter(app->subset)},
+                        app->name + " Subset");
+    }
+  }
+}
+
+TEST(FilterCompile, StagedAdaptiveProgramsMatchTheReference) {
+  // Config file first, then confsync rounds deactivating and reactivating
+  // functions by exact name, as the adaptive controller stages them.
+  for (const asci::AppSpec* app : asci::all_apps()) {
+    const image::SymbolTable& symbols = *app->symbols;
+    const FilterProgram config =
+        app->subset.empty() ? FilterProgram{} : guide::subset_filter(app->subset);
+    expect_equivalent(symbols,
+                      {config, exact_program(symbols, false, 0, 2),
+                       exact_program(symbols, true, 0, 6), FilterProgram{},
+                       exact_program(symbols, false, 3, 5)},
+                      app->name + " adaptive");
+  }
+}
+
+TEST(FilterCompile, SeededRandomGlobProgramsMatchTheReference) {
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    Rng rng(seed);
+    for (const asci::AppSpec* app : asci::all_apps()) {
+      const image::SymbolTable& symbols = *app->symbols;
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<FilterProgram> programs(1 + rng.next_below(3));
+        for (FilterProgram& program : programs) {
+          const auto directives = rng.next_below(12);
+          for (std::uint64_t d = 0; d < directives; ++d) {
+            // Mutate a real name: cut it to a prefix + '*', wildcard a few
+            // characters with '?', or keep it exact; sometimes lead with '*'.
+            std::string pattern =
+                symbols.at(static_cast<image::FunctionId>(rng.next_below(symbols.size()))).name;
+            switch (rng.next_below(4)) {
+              case 0: pattern = pattern.substr(0, rng.next_below(pattern.size() + 1)) + "*"; break;
+              case 1:
+                for (int k = 0; k < 3; ++k) pattern[rng.next_below(pattern.size())] = '?';
+                break;
+              case 2: pattern = "*" + pattern.substr(rng.next_below(pattern.size())); break;
+              default: break;
+            }
+            program.push_back(FilterDirective{rng.bernoulli(0.5), pattern});
+          }
+        }
+        expect_equivalent(symbols, programs,
+                          str::format("%s seed %llu trial %d", app->name.c_str(),
+                                      static_cast<unsigned long long>(seed), trial));
+      }
+    }
+  }
+}
+
+TEST(FilterCompile, StagedUpdateCompilesEachVersionOnce) {
+  telemetry::Registry registry(telemetry::Level::kCounters);
+  telemetry::ScopedRegistry scope(registry);
+  const auto count = [&registry] {
+    return registry.snapshot().counter_value("vt.filter_compiles");
+  };
+  const image::SymbolTable& symbols = *asci::smg98().symbols;
+  StagedUpdate staged;
+  staged.program = {{false, "hypre_BoxLoop_*"}};
+  staged.version = 1;
+  const CompiledFilter* first = &staged.compiled(symbols);
+  for (int rank = 1; rank < 64; ++rank) EXPECT_EQ(&staged.compiled(symbols), first);
+  EXPECT_EQ(count(), 1u);
+  FilterTable table;
+  table.apply(*first);
+  EXPECT_EQ(table.deactivated_count(), 100u);
+
+  staged.program = {{true, "hypre_BoxLoop_007"}};
+  ++staged.version;
+  table.apply(staged.compiled(symbols));
+  staged.compiled(symbols);
+  EXPECT_EQ(count(), 2u);
+  EXPECT_EQ(table.deactivated_count(), 99u);
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(VtLib, FullPolicyHasNoFilterLookups) {
 
 TEST(VtLib, DeactivatedSymbolPaysLookupOnly) {
   VtLib::Options options;
-  options.config_filter = {{false, "hot_fn"}};
+  options.config_filter = compile_filter(*make_symbols(), {{false, "hot_fn"}});
   Fixture f(std::move(options));
   f.run([&f](proc::SimThread& t) -> sim::Coro<void> {
     co_await f.vt.vt_init(t);
@@ -176,7 +176,7 @@ TEST(VtLib, SyntheticPairsUpdateStatsAndVirtualEvents) {
 
 TEST(VtLib, SyntheticPairsOnFilteredSymbolCountAsFiltered) {
   VtLib::Options options;
-  options.config_filter = {{false, "*"}};
+  options.config_filter = compile_filter(*make_symbols(), {{false, "*"}});
   Fixture f(std::move(options));
   f.run([&f](proc::SimThread& t) -> sim::Coro<void> { co_await f.vt.vt_init(t); });
   f.vt.note_synthetic_pairs(1, 500, 0);
