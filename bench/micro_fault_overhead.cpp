@@ -2,9 +2,9 @@
 //
 // The fault PR touches two per-event paths: the VT_begin/VT_end filter
 // check and the trace-shard append.  Neither consults the injector -- the
-// only addition is the (null by default) spill_fault hook on ShardOptions
-// -- so a run without a fault plan must cost what it cost before the
-// harness existed.  This bench measures the combined filter-check +
+// only addition is the spill_fault hook on ShardOptions, which a Launch
+// installs over the empty plan when there is none -- so a run without a
+// fault plan must cost what it cost before the harness existed.  This bench measures the combined filter-check +
 // in-memory-append loop with the hook absent vs present-but-idle, plus the
 // CRC-framed spill path, and emits BENCH_fault.json.  Shape check: the
 // idle hook costs < 2% (the acceptance bar for the no-fault hot path).

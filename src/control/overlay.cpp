@@ -63,65 +63,14 @@ void StatsOverlay::prepare(int size) {
 }
 
 sim::Coro<void> StatsOverlay::reduce(proc::SimThread& thread, vt::VtLib& vt) {
-  if (fault::FaultInjector* injector = vt.process().cluster().fault_injector()) {
-    co_await reduce_ft(thread, vt, *injector);
-    co_return;
-  }
-  const machine::CostModel& costs = vt.process().cluster().spec().costs;
+  machine::Cluster& cluster = vt.process().cluster();
+  fault::FaultInjector& injector = cluster.fault_injector();
+  const machine::CostModel& costs = cluster.spec().costs;
+  const machine::FaultTolerance& ft = cluster.spec().fault;
   mpi::Rank* rank = vt.mpi_rank();
   const int p = rank != nullptr ? rank->size() : 1;
   const int r = rank != nullptr ? rank->rank() : 0;
-  prepare(p);  // no-op after an up-front prepare(); lazy in sequential runs
-  const std::uint32_t round = round_[static_cast<std::size_t>(r)]++;
-  const ReductionPlan plan{p, arity_};
-
-  telemetry::Registry& reg = telemetry::current();
-  const telemetry::Metrics& tm = reg.metrics();
-  const sim::TimeNs entered = thread.engine().now();
-  telemetry::ScopedSpan span(
-      reg, tm.span_reduce, static_cast<std::uint32_t>(r),
-      [](const void* ctx) { return static_cast<const sim::Engine*>(ctx)->now(); },
-      &thread.engine());
-
-  std::vector<vt::FuncStats> acc = vt.statistics();
-  for (const int child : plan.children(r)) {
-    co_await rank->recv(thread, child, overlay_tag(round));
-    const auto& from = slots_[static_cast<std::size_t>(child)];
-    // Combine cost scales with the records that actually arrived, not with
-    // the table size -- the interior rank's share of the reduction work.
-    co_await thread.compute(costs.vt_stats_merge_per_record *
-                            vt::nonzero_stat_count(from));
-    vt::merge_stats(acc, from);
-  }
-
-  if (r == 0) {
-    // The root formats + writes only the merged records: O(active funcs)
-    // instead of the legacy path's O(P * nfuncs).
-    co_await thread.compute(costs.vt_stats_write_per_record *
-                            vt::nonzero_stat_count(acc));
-    root_result_ = std::move(acc);
-    ++rounds_;
-    reg.add(tm.control_overlay_rounds);
-    // Root fan-in latency: from the root entering the reduction to holding
-    // the fully merged table (the wait for the slowest subtree dominates).
-    reg.observe(tm.control_overlay_fanin_ns,
-                static_cast<std::uint64_t>(thread.engine().now() - entered));
-  } else {
-    auto& slot = slots_[static_cast<std::size_t>(r)];
-    slot = std::move(acc);
-    co_await rank->send(thread, plan.parent(r), overlay_tag(round),
-                        payload_bytes(slot, costs));
-  }
-}
-
-sim::Coro<void> StatsOverlay::reduce_ft(proc::SimThread& thread, vt::VtLib& vt,
-                                        fault::FaultInjector& injector) {
-  const machine::CostModel& costs = vt.process().cluster().spec().costs;
-  const machine::FaultTolerance& ft = vt.process().cluster().spec().fault;
-  mpi::Rank* rank = vt.mpi_rank();
-  const int p = rank != nullptr ? rank->size() : 1;
-  const int r = rank != nullptr ? rank->rank() : 0;
-  prepare(p);
+  prepare(p);  // no-op after an up-front prepare(); lazy otherwise
   const std::uint32_t round = round_[static_cast<std::size_t>(r)]++;
   const ReductionPlan plan{p, arity_};
 
@@ -165,6 +114,8 @@ sim::Coro<void> StatsOverlay::reduce_ft(proc::SimThread& thread, vt::VtLib& vt,
         co_await rank->recv_for(thread, child, overlay_tag(round), ft.overlay_child_timeout);
     if (!got) continue;  // silent subtree; the root will report it missing
     const auto& from = slots_[static_cast<std::size_t>(child)];
+    // Combine cost scales with the records that actually arrived, not with
+    // the table size -- the interior rank's share of the reduction work.
     co_await thread.compute(costs.vt_stats_merge_per_record * vt::nonzero_stat_count(from));
     vt::merge_stats(acc, from);
     const auto& merged_ranks = contrib_slots_[static_cast<std::size_t>(child)];
@@ -172,10 +123,14 @@ sim::Coro<void> StatsOverlay::reduce_ft(proc::SimThread& thread, vt::VtLib& vt,
   }
 
   if (r == 0) {
+    // The root formats + writes only the merged records: O(active funcs)
+    // instead of the flat gather's O(P * nfuncs).
     co_await thread.compute(costs.vt_stats_write_per_record * vt::nonzero_stat_count(acc));
     root_result_ = std::move(acc);
     ++rounds_;
     reg.add(tm.control_overlay_rounds);
+    // Root fan-in latency: from the root entering the reduction to holding
+    // the fully merged table (the wait for the slowest subtree dominates).
     reg.observe(tm.control_overlay_fanin_ns,
                 static_cast<std::uint64_t>(thread.engine().now() - entered));
     std::sort(contributed.begin(), contributed.end());

@@ -21,10 +21,6 @@
 #include "proc/process.hpp"
 #include "vt/vtlib.hpp"
 
-namespace dyntrace::fault {
-class FaultInjector;
-}  // namespace dyntrace::fault
-
 namespace dyntrace::control {
 
 /// Topology of a k-ary reduction tree over ranks 0..size-1, rooted at 0.
@@ -56,6 +52,10 @@ class StatsOverlay : public vt::StatsAggregator {
   /// match).  Set before the run starts; empty = unscoped queries.
   void set_job(std::string name) { job_ = std::move(name); }
 
+  /// Dead interior nodes are spliced out (their children re-parent to the
+  /// first live ancestor), each child wait is bounded by
+  /// fault.overlay_child_timeout, and the root reports partial
+  /// participation instead of hanging.
   sim::Coro<void> reduce(proc::SimThread& thread, vt::VtLib& vt) override;
 
   int arity() const { return arity_; }
@@ -64,7 +64,7 @@ class StatsOverlay : public vt::StatsAggregator {
   /// Completed root reductions.
   std::uint64_t rounds() const { return rounds_; }
 
-  /// Outcome of one degraded sync in fault-tolerant mode: which ranks'
+  /// Outcome of one degraded sync: which ranks'
   /// statistics never reached the root, and whether the configured quorum
   /// (machine fault.sync_quorum) was still met.
   struct SyncReport {
@@ -76,13 +76,6 @@ class StatsOverlay : public vt::StatsAggregator {
   const std::vector<SyncReport>& partial_syncs() const { return partial_syncs_; }
 
  private:
-  /// Fault-tolerant reduction: dead interior nodes are spliced out (their
-  /// children re-parent to the first live ancestor), each child wait is
-  /// bounded by fault.overlay_child_timeout, and the root reports partial
-  /// participation instead of hanging.
-  sim::Coro<void> reduce_ft(proc::SimThread& thread, vt::VtLib& vt,
-                            fault::FaultInjector& injector);
-
   int arity_;
   std::string job_;  ///< fault-verb job scope (empty outside multi-job runs)
   // Host-side record transport: a sender publishes its merged table in its

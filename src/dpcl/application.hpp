@@ -5,9 +5,11 @@
 // which authenticates the user and forks communication daemons; those then
 // attach to the local processes and parse their images.  After that,
 // instrumentation operations can be broadcast to all processes.  Operations
-// are *asynchronous* by default -- a message per node, arriving with
-// differing delays -- with optional blocking (ack-collected) variants,
-// mirroring DPCL's dual API.
+// are *asynchronous* -- a message per node, arriving with differing delays
+// -- and the caller chooses whether to wait for the acks (blocking) or to
+// return after the send phase, mirroring DPCL's dual API.  Either way every
+// broadcast is reliable: acks are collected, silent nodes are retried, and
+// a node that never answers is abandoned or quarantined (DESIGN.md §9).
 #pragma once
 
 #include <memory>
@@ -52,7 +54,9 @@ class DpclApplication {
   // --- instrumentation operations ----------------------------------------------
   //
   // Each broadcasts one request per target node.  With blocking=true the
-  // call returns only after every daemon acknowledged completion.
+  // call returns only after every daemon acknowledged completion (or was
+  // given up on); with blocking=false it returns after the send phase and
+  // the ack phase runs detached, costing the tool thread nothing.
 
   sim::Coro<void> install_probe(proc::SimThread& tool, image::FunctionId fn,
                                 image::ProbeWhere where, image::SnippetPtr snippet,
@@ -76,17 +80,16 @@ class DpclApplication {
 
   // --- fault tolerance --------------------------------------------------------
 
-  /// Nodes abandoned after exhausting request retries (fault-tolerant mode
-  /// only); their processes are marked Lost and skipped by later requests.
+  /// Nodes abandoned after exhausting request retries; their processes are
+  /// marked Lost and skipped by later requests.
   const std::set<int>& lost_nodes() const { return lost_nodes_; }
   /// Pids living on lost nodes, ascending.
   std::vector<int> lost_pids() const;
 
-  // --- gray-failure health (fault-tolerant mode only) -------------------------
+  // --- gray-failure health ----------------------------------------------------
 
   /// Per-node health scores + circuit breakers fed by the request path.
-  /// Null without a fault injector.
-  const HealthTracker* health() const { return health_.get(); }
+  const HealthTracker& health() const { return health_; }
   /// Marks the end of the setup phase (connect/create/instrument): from
   /// here on, broadcasts may quarantine open-breaker nodes instead of
   /// waiting out their retries.  Setup-phase requests always run the full
@@ -104,16 +107,28 @@ class DpclApplication {
   std::vector<int> quarantined_pids() const;
 
  private:
+  struct Round;
+  enum class Send : std::uint8_t {
+    kFirst,      ///< the send phase
+    kRetry,      ///< after a missed deadline, with backoff
+    kStraggler,  ///< early resend to a node silent long after its peers
+  };
+
+  /// One reliable broadcast.  Send phase: every live, admitted node gets
+  /// its marshalled request with one request id; then collect() runs the
+  /// ack phase, inline when `blocking`, detached on the engine otherwise.
   sim::Coro<void> broadcast(proc::SimThread& tool, Request prototype, bool blocking);
-  /// Fault-tolerant broadcast: sequential per-node delivery with deadline,
-  /// backoff retries and idempotent request ids; a node that never acks is
-  /// abandoned (not retried forever, never hung on).
-  sim::Coro<void> broadcast_ft(proc::SimThread& tool, Request prototype);
-  /// At-least-once delivery of one request to one node; false = no ack
-  /// within any deadline.  With `probe` set the request is a half-open
-  /// breaker probe: a single attempt, no retries.
-  sim::Coro<bool> request_node(proc::SimThread& tool, std::size_t index, Request request,
-                               bool probe = false);
+  /// Message every slot of `round` that has not acked yet.  Marshalling is
+  /// charged to `tool`, or to the detached ack phase when null.
+  sim::Coro<void> send(proc::SimThread* tool, Round& round, Send kind);
+  /// The ack phase: one aggregated wait bounded by fault.request_deadline
+  /// (with an early resend to stragglers), backoff retries of only the
+  /// silent nodes, then abandonment or quarantine of the nodes that never
+  /// acked.
+  sim::Coro<void> collect(proc::SimThread* tool, std::shared_ptr<Round> round);
+  /// A node that never acked `round`'s request: quarantined when it was a
+  /// half-open probe or is gray-prone in steady state, abandoned otherwise.
+  void settle_silent(Round& round, std::size_t index, bool probe, sim::TimeNs now);
   void abandon_node(int node, sim::TimeNs now);
   /// The detach-resume safety net: deliver resume() to a node's processes
   /// without abandoning it, so a quarantined resume broadcast cannot leave
@@ -134,7 +149,7 @@ class DpclApplication {
   std::uint64_t requests_sent_ = 0;
   std::set<int> lost_nodes_;
   std::uint64_t next_request_id_ = 1;
-  std::unique_ptr<HealthTracker> health_;
+  HealthTracker health_;
   bool steady_state_ = false;
   std::vector<int> quarantined_last_broadcast_;
 };

@@ -1,7 +1,6 @@
 #include "dpcl/daemon.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "fault/injector.hpp"
 #include "support/common.hpp"
@@ -17,38 +16,46 @@ constexpr sim::TimeNs kAuthCost = sim::milliseconds(40);
 constexpr sim::TimeNs kForkCommDaemonCost = sim::milliseconds(85);
 constexpr std::int64_t kAckBytes = 64;
 
-/// Service time scaled by a degrade-daemon factor (gray failure: the
-/// daemon is alive but slow).  1.0 is the overwhelmingly common case.
-sim::TimeNs degraded(sim::TimeNs cost, double factor) {
-  if (factor == 1.0) return cost;
-  return static_cast<sim::TimeNs>(std::llround(static_cast<double>(cost) * factor));
-}
-
-/// Deliver an ack to the waiter's node, subjecting it to the fault
-/// injector's daemon-channel message fate when one is installed (without
-/// one this is exactly the legacy single delivery).
-void deliver_ack(machine::Cluster& cluster, int src_node, int reply_node,
-                 const std::shared_ptr<AckState>& ack, int failures, sim::TimeNs now) {
-  sim::TimeNs delay = cluster.message_delay(src_node, reply_node, kAckBytes, now);
-  int copies = 1;
-  if (fault::FaultInjector* injector = cluster.fault_injector()) {
-    const fault::MessageFate fate =
-        injector->message_fate(fault::Channel::kDaemon, src_node, reply_node, now);
-    copies = fate.drop ? 0 : 1 + fate.duplicates;
-    delay = static_cast<sim::TimeNs>(
-        std::llround(static_cast<double>(delay) * fate.delay_factor));
-  }
-  for (int i = 0; i < copies; ++i) {
-    cluster.engine().schedule_at(now + delay, [ack, failures] {
-      ack->failed += failures;
-      if (--ack->remaining == 0) ack->done.fire();
-    });
+/// Deliver an ack to the waiter's node, subject to the daemon channel's
+/// message fate.
+void deliver_ack(machine::Cluster& cluster, int src_node, const Request& request,
+                 int failures, sim::TimeNs now) {
+  const fault::MessageFate fate = cluster.fault_injector().message_fate(
+      fault::Channel::kDaemon, src_node, request.reply_node, now);
+  const sim::TimeNs delay = fault::scale_delay(
+      cluster.message_delay(src_node, request.reply_node, kAckBytes, now), fate.delay_factor);
+  for (int i = 0; i < fate.copies(); ++i) {
+    cluster.engine().schedule_at(
+        now + delay, [ack = request.ack, slot = request.ack_slot, failures, at = now + delay] {
+          ack->ack(slot, failures, at);
+        });
   }
 }
 
 }  // namespace
 
+void AckState::ack(int slot, int failures, sim::TimeNs now) {
+  if (settled(slot)) return;
+  acked_at[static_cast<std::size_t>(slot)] = now;
+  failed += failures;
+  if (2 * ++acks >= static_cast<int>(acked_at.size())) majority.fire();
+  settle();
+}
+
+void AckState::give_up(int slot) {
+  if (settled(slot)) return;
+  acked_at[static_cast<std::size_t>(slot)] = kGivenUp;
+  settle();
+}
+
+void AckState::settle() {
+  if (--remaining > 0) return;
+  majority.fire();
+  done.fire();
+}
+
 std::int64_t request_bytes(const Request& request) {
+  if (request.kind == Request::Kind::kConnect) return 512;  // credentials
   std::int64_t bytes = 256;  // header + pid list
   if (request.snippet != nullptr) {
     bytes += 64 * request.snippet->primitive_count();  // marshalled AST
@@ -99,8 +106,8 @@ sim::Coro<void> CommDaemon::loop() {
   sim::Engine& engine = engine_;
   while (true) {
     Request request = co_await inbox_.recv();
-    fault::FaultInjector* injector = cluster_.fault_injector();
-    if (injector != nullptr && !injector->daemon_alive(node_, engine.now())) {
+    const fault::FaultInjector& injector = cluster_.fault_injector();
+    if (!injector.daemon_alive(node_, engine.now())) {
       // The daemon died: requests reach a closed socket.  No dispatch, no
       // ack -- the sender's deadline is what detects this.
       continue;
@@ -110,9 +117,9 @@ sim::Coro<void> CommDaemon::loop() {
     // and per-target work), evaluated once at receipt: the daemon answers,
     // just `factor` times slower -- the gray failure the tool-side health
     // tracker has to detect from latency alone.
-    const double degrade =
-        injector != nullptr ? injector->daemon_degrade_factor(node_, engine.now()) : 1.0;
-    co_await engine.sleep(degraded(cluster_.spec().costs.dpcl_daemon_dispatch, degrade));
+    const double degrade = injector.daemon_degrade_factor(node_, engine.now());
+    co_await engine.sleep(
+        fault::scale_delay(cluster_.spec().costs.dpcl_daemon_dispatch, degrade));
     if (request.request_id != 0) {
       const auto it = completed_.find(request.request_id);
       if (it != completed_.end()) {
@@ -141,7 +148,7 @@ sim::Coro<void> CommDaemon::loop() {
 
 void CommDaemon::send_ack(const Request& request, int failures) {
   if (request.ack == nullptr) return;
-  deliver_ack(cluster_, node_, request.reply_node, request.ack, failures, engine_.now());
+  deliver_ack(cluster_, node_, request, failures, engine_.now());
 }
 
 sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
@@ -153,33 +160,34 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
     proc::SimProcess& process = job_.process(pid);
     DT_ASSERT(process.node() == node_, "daemon on node ", node_, " asked to touch pid ", pid,
               " on node ", process.node());
-    if (process.terminated().fired() &&
-        (request.kind == Request::Kind::kExecute || cluster_.fault_injector() != nullptr)) {
-      // The target exited before dispatch (ptrace would return ESRCH).
-      // A kExecute against a dead process would block on its completion
-      // forever, leaking the whole request's ack -- always count the
-      // failure and move on.  The other kinds are harmless no-ops on the
-      // simulated corpse, so the legacy path keeps its historical timing;
-      // under fault injection every kind resolves as a per-pid failure.
-      ++failures;
-      continue;
-    }
+    // A target that exited before dispatch fails the request for its pid,
+    // whatever the kind (ptrace returns ESRCH).  The daemon still spends
+    // the operation's time before the kernel refuses it; an inferior RPC
+    // fails at once, since waiting on its completion would leak the ack.
+    const bool exited = process.terminated().fired();
+    if (exited) ++failures;
+    if (exited && request.kind == Request::Kind::kExecute) continue;
     switch (request.kind) {
+      case Request::Kind::kConnect:
+        DT_ASSERT(false, "connect requests go to the super daemon");
+        break;
       case Request::Kind::kAttach:
         // ptrace attach + read/analyse the executable image.
-        co_await engine.sleep(degraded(costs.dpcl_connect, degrade));
-        co_await engine.sleep(degraded(costs.dpcl_parse_image, degrade));
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_connect, degrade));
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_parse_image, degrade));
         break;
       case Request::Kind::kInstall: {
         DT_ASSERT(request.snippet != nullptr);
         const int prims = std::max(1, request.snippet->primitive_count());
-        co_await engine.sleep(degraded(costs.dpcl_patch_per_probe * prims, degrade));
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe * prims, degrade));
+        if (exited) break;
         process.image().install_probe(request.fn, request.where, request.snippet,
                                       request.active);
         break;
       }
       case Request::Kind::kRemoveFunction: {
-        co_await engine.sleep(degraded(costs.dpcl_patch_per_probe, degrade));
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe, degrade));
+        if (exited) break;
         auto& img = process.image();
         for (const auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
           // Collect handles first: removal mutates the mini list.
@@ -192,7 +200,8 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
         break;
       }
       case Request::Kind::kActivateFunction: {
-        co_await engine.sleep(degraded(costs.dpcl_patch_per_probe / 4, degrade));
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe / 4, degrade));
+        if (exited) break;
         auto& img = process.image();
         for (const auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
           for (const auto& probe : img.probe_point(request.fn, where).minis) {
@@ -202,23 +211,23 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
         break;
       }
       case Request::Kind::kSuspend:
-        co_await engine.sleep(degraded(costs.dpcl_suspend_resume, degrade));
-        process.suspend();
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_suspend_resume, degrade));
+        if (!exited) process.suspend();
         break;
       case Request::Kind::kResume:
-        co_await engine.sleep(degraded(costs.dpcl_suspend_resume, degrade));
-        process.resume();
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_suspend_resume, degrade));
+        if (!exited) process.resume();
         break;
       case Request::Kind::kSetFlag:
-        co_await engine.sleep(degraded(costs.dpcl_suspend_resume / 2, degrade));
-        process.set_flag(request.flag, request.value);
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_suspend_resume / 2, degrade));
+        if (!exited) process.set_flag(request.flag, request.value);
         break;
       case Request::Kind::kExecute: {
         // Inferior RPC: the snippet runs once on a transient thread inside
         // the target's address space, with full access to its libraries
         // and memory.  The daemon waits for completion before acking.
         DT_ASSERT(request.snippet != nullptr);
-        co_await engine.sleep(degraded(costs.dpcl_patch_per_probe / 2, degrade));  // stage the code
+        co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe / 2, degrade));  // stage the code
         proc::SimThread& rpc = process.add_thread(process.main_thread().cpu());
         co_await rpc.exec_snippet(*request.snippet);
         break;
@@ -250,21 +259,19 @@ void SuperDaemon::start(proc::SimThread* origin) {
 sim::Coro<void> SuperDaemon::loop() {
   sim::Engine& engine = engine_;
   while (true) {
-    ConnectRequest request = co_await inbox_.recv();
-    fault::FaultInjector* injector = cluster_.fault_injector();
-    if (injector != nullptr && !injector->daemon_alive(node_, engine.now())) {
+    Request request = co_await inbox_.recv();
+    DT_ASSERT(request.kind == Request::Kind::kConnect, "super daemon only serves connects");
+    const fault::FaultInjector& injector = cluster_.fault_injector();
+    if (!injector.daemon_alive(node_, engine.now())) {
       continue;  // the node's daemon infrastructure is gone
     }
     ++connections_;
     // Authenticate the user, then fork the per-user communication daemon.
     // A degraded node's super daemon suffers the same slowdown.
-    const double degrade =
-        injector != nullptr ? injector->daemon_degrade_factor(node_, engine.now()) : 1.0;
-    co_await engine.sleep(degraded(kAuthCost, degrade));
-    co_await engine.sleep(degraded(kForkCommDaemonCost, degrade));
-    if (request.ack != nullptr) {
-      deliver_ack(cluster_, node_, request.reply_node, request.ack, 0, engine.now());
-    }
+    const double degrade = injector.daemon_degrade_factor(node_, engine.now());
+    co_await engine.sleep(fault::scale_delay(kAuthCost, degrade));
+    co_await engine.sleep(fault::scale_delay(kForkCommDaemonCost, degrade));
+    if (request.ack != nullptr) deliver_ack(cluster_, node_, request, 0, engine.now());
   }
 }
 

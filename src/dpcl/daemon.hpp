@@ -24,19 +24,45 @@
 
 namespace dyntrace::dpcl {
 
-/// Completion tracking for blocking requests: fires after every contacted
-/// daemon has acknowledged.  `failed` counts per-process failures the
-/// daemons reported (e.g. a target that exited before dispatch) -- the
-/// request completed, but not everywhere.
+/// Ack collection for one broadcast: one slot per contacted daemon.  The
+/// first ack of a slot counts; duplicated or retried acks of a settled slot
+/// are ignored, so `done` fires exactly when every slot has acked or been
+/// given up, and `majority` once half of the slots (rounded up) have acked.
+/// `failed` counts per-process failures the daemons reported (e.g. a target
+/// that exited before dispatch) -- the request completed, but not
+/// everywhere.
 struct AckState {
-  AckState(sim::Engine& engine, int outstanding) : remaining(outstanding), done(engine) {}
+  AckState(sim::Engine& engine, int slots)
+      : remaining(slots),
+        acked_at(static_cast<std::size_t>(slots), kPending),
+        majority(engine),
+        done(engine) {}
+
+  /// An ack for `slot` arrived at `now`.
+  void ack(int slot, int failures, sim::TimeNs now);
+  /// Stop waiting for `slot` (it will not be resent); a later ack is ignored.
+  void give_up(int slot);
+  bool acked(int slot) const { return acked_at[static_cast<std::size_t>(slot)] >= 0; }
+  bool settled(int slot) const { return acked_at[static_cast<std::size_t>(slot)] != kPending; }
+
+  static constexpr sim::TimeNs kPending = -1;
+  static constexpr sim::TimeNs kGivenUp = -2;
+
   int remaining;
+  int acks = 0;
   int failed = 0;
+  std::vector<sim::TimeNs> acked_at;  ///< per slot: arrival, kPending or kGivenUp
+  sim::Trigger majority;
   sim::Trigger done;
+
+ private:
+  void settle();
 };
 
 struct Request {
   enum class Kind : std::uint8_t {
+    kConnect,           ///< to the super daemon: authenticate the user and
+                        ///< fork the node's communication daemon
     kAttach,            ///< attach + parse image of each local process
     kInstall,           ///< install a probe (fn/where/snippet/active)
     kRemoveFunction,    ///< remove all probes on a function
@@ -60,12 +86,13 @@ struct Request {
   std::string flag;
   std::int64_t value = 0;
 
-  /// Nonzero in fault-tolerant mode: retries of one logical request carry
-  /// the same id, and the daemon's dedup table re-acks without
-  /// re-executing (exactly-once execution under at-least-once delivery).
+  /// Retries of one logical request carry the same nonzero id, and the
+  /// daemon's dedup table re-acks without re-executing (exactly-once
+  /// execution under at-least-once delivery).  0 = no dedup.
   std::uint64_t request_id = 0;
 
   std::shared_ptr<AckState> ack;  ///< null for fire-and-forget requests
+  int ack_slot = 0;               ///< this daemon's slot in `ack`
   int reply_node = 0;             ///< where the ack message goes
 };
 
@@ -118,20 +145,13 @@ class CommDaemon {
   int node_;
   sim::Engine& engine_;
   sim::Mailbox<Request> inbox_;
-  /// Dedup table (fault-tolerant mode): request id -> failure count of the
+  /// Dedup table: request id -> failure count of the
   /// completed execution, so a retried request is re-acked, not re-run.
   /// Bounded by dedup_capacity_ (oldest ids evicted first).
   std::map<std::uint64_t, int> completed_;
   std::size_t dedup_capacity_ = kDedupCapacity;
   std::uint64_t requests_handled_ = 0;
   bool started_ = false;
-};
-
-/// Connection request handled by a node's super daemon.
-struct ConnectRequest {
-  std::string user;
-  std::shared_ptr<AckState> ack;
-  int reply_node = 0;
 };
 
 class SuperDaemon {
@@ -142,7 +162,8 @@ class SuperDaemon {
 
   int node() const { return node_; }
   sim::Engine& engine() { return engine_; }
-  sim::Mailbox<ConnectRequest>& inbox() { return inbox_; }
+  /// Takes Request::Kind::kConnect requests.
+  sim::Mailbox<Request>& inbox() { return inbox_; }
   /// See CommDaemon::start for the `origin` contract.
   void start(proc::SimThread* origin = nullptr);
 
@@ -154,7 +175,7 @@ class SuperDaemon {
   machine::Cluster& cluster_;
   int node_;
   sim::Engine& engine_;
-  sim::Mailbox<ConnectRequest> inbox_;
+  sim::Mailbox<Request> inbox_;
   std::uint64_t connections_ = 0;
   bool started_ = false;
 };

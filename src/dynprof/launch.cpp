@@ -101,22 +101,20 @@ Launch::Launch(Options options)
   store_options.spill_dir = options_.trace_spill_dir;
   store_options.format = options_.trace_format;
   if (options_.fault != nullptr) {
-    // Every layer gates on the cluster's injector pointer; setting it is
-    // what switches the stack into fault-tolerant mode.
-    cluster_->set_fault_injector(options_.fault.get());
-    fault::FaultInjector* injector = options_.fault.get();
+    cluster_->set_fault_injector(*options_.fault);
     // A shared cluster's owner checks the plan against every job it hosts.
     if (options_.shared_cluster == nullptr) {
       const int processes = app.model == asci::AppSpec::Model::kOpenMP ? 1 : params.nprocs;
-      injector->plan().check_targets(cluster_->spec().nodes,
-                                     {{options_.job_name, processes}});
+      options_.fault->plan().check_targets(cluster_->spec().nodes,
+                                           {{options_.job_name, processes}});
     }
-    store_options.spill_fault = [injector, job = options_.job_name](
-                                    std::int32_t pid, std::uint64_t run_index,
-                                    std::size_t bytes) {
-      return injector->spill_bytes(pid, run_index, bytes, job);
-    };
   }
+  store_options.spill_fault = [injector = &cluster_->fault_injector(),
+                               job = options_.job_name](std::int32_t pid,
+                                                        std::uint64_t run_index,
+                                                        std::size_t bytes) {
+    return injector->spill_bytes(pid, run_index, bytes, job);
+  };
   store_ = std::make_shared<vt::TraceStore>(std::move(store_options));
   staged_ = std::make_shared<vt::StagedUpdate>();
   job_ = std::make_unique<proc::ParallelJob>(*cluster_, options_.job_name);
@@ -163,18 +161,12 @@ Launch::Launch(Options options)
       cluster_->place_block(nprocs, cpus_per_proc, options_.first_app_cpu);
 
   Rng seed_rng(params.seed);
-  Rng clock_rng(params.seed ^ 0xc10c);
   for (int pid = 0; pid < nprocs; ++pid) {
     proc::SimProcess& process =
         job_->add_process(template_image, placement[pid].node + options_.first_app_node,
                           placement[pid].cpu);
 
-    vt::VtLib::Options process_vt_options = vt_options;
-    if (options_.clock_skew_stddev > 0 && pid > 0) {
-      process_vt_options.clock_offset = static_cast<sim::TimeNs>(
-          clock_rng.normal(0, static_cast<double>(options_.clock_skew_stddev)));
-    }
-    auto vt = std::make_unique<vt::VtLib>(process, store_, process_vt_options);
+    auto vt = std::make_unique<vt::VtLib>(process, store_, vt_options);
     vt->link();
     vt->set_staged_update(staged_);
 

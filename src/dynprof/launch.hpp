@@ -93,16 +93,12 @@ class Launch {
     /// creating and installing its own, so all jobs' hooks land in the
     /// scenario-wide registry the caller installed.  Requires shared_engine.
     telemetry::Registry* shared_telemetry = nullptr;
-    /// Standard deviation of per-process clock offsets (0 = perfect global
-    /// clock).  Rank 0 is always the anchor; see analysis/clock_sync.hpp
-    /// for the postmortem correction.
-    sim::TimeNs clock_skew_stddev = 0;
     /// Must be 1.  Kept only for perfbench/driver.cpp; the next change to
     /// the benchmark removes it.
     int sim_threads = 1;
     /// Fault injector driving this run (DESIGN.md §9).  Null (the default)
-    /// keeps every layer on its legacy code path -- runs without a plan are
-    /// bit-identical to a build without the fault harness.
+    /// means no plan: the run uses the cluster's empty-plan injector, which
+    /// fires nothing.
     std::shared_ptr<fault::FaultInjector> fault;
     /// Self-telemetry level for this run (DESIGN.md §12).  The Launch owns
     /// a private registry installed as telemetry::current() for its whole
@@ -142,8 +138,9 @@ class Launch {
   /// the Launch is alive).
   telemetry::Registry& telemetry_registry() { return *telemetry_; }
   const telemetry::Registry& telemetry_registry() const { return *telemetry_; }
-  /// The run's fault injector; null for healthy runs.
-  fault::FaultInjector* fault_injector() const { return options_.fault.get(); }
+  /// The run's fault injector: the plan's, or the cluster's empty-plan
+  /// injector when there is none.  Never null.
+  fault::FaultInjector* fault_injector() const { return &cluster_->fault_injector(); }
   const Options& options() const { return options_; }
   /// The (resolved) job name fault plans scope job-local verbs by.
   const std::string& job_name() const { return options_.job_name; }

@@ -54,7 +54,7 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
   cluster_ = std::make_unique<machine::Cluster>(engine_, std::move(spec),
                                                 /*noise_seed=*/options_.seed ^ 0x9e3779b9);
   if (options_.fault != nullptr) {
-    cluster_->set_fault_injector(options_.fault.get());
+    cluster_->set_fault_injector(*options_.fault);
     std::vector<fault::JobExtent> extents;
     for (const auto& job : options_.jobs) {
       const bool openmp = job.app->model == asci::AppSpec::Model::kOpenMP;
@@ -200,9 +200,7 @@ MultiJobResult MultiJobLaunch::run_to_completion() {
     }
     jr.trace_digest = launch.trace()->digest();
     jr.stats_digest = vt::stats_digest(launch.vt(0).statistics());
-    if (options_.fault != nullptr) {
-      jr.lost_ranks = options_.fault->dead_ranks(end, jr.job);
-    }
+    jr.lost_ranks = cluster_->fault_injector().dead_ranks(end, jr.job);
     result.combined_digest = fold(result.combined_digest, jr.trace_digest);
     result.combined_digest = fold(result.combined_digest, jr.stats_digest);
     result.jobs.push_back(std::move(jr));

@@ -146,8 +146,8 @@ sim::Coro<void> DynprofTool::install_init_hook(proc::SimThread& tool) {
 }
 
 void DynprofTool::note_degraded_nodes(sim::TimeNs now, bool had_probes) {
-  fault::FaultInjector* injector = launch_.fault_injector();
-  if (injector == nullptr || app_ == nullptr) return;
+  if (app_ == nullptr) return;
+  fault::RunReport& report = launch_.cluster().fault_injector().report();
   auto ranks_on = [this](int node) {
     std::vector<int> ranks;
     for (const auto& process : launch_.job().processes()) {
@@ -164,23 +164,21 @@ void DynprofTool::note_degraded_nodes(sim::TimeNs now, bool had_probes) {
     drop.ranks = ranks_on(node);
     drop.from = Policy::kDynamic;
     drop.to = had_probes ? Policy::kSubset : Policy::kNone;
-    injector->report().add(now, "degrade",
-                           str::format("node=%d %s->%s", node, to_string(drop.from),
-                                       to_string(drop.to)),
-                           drop.ranks);
+    report.add(now, "degrade",
+               str::format("node=%d %s->%s", node, to_string(drop.from), to_string(drop.to)),
+               drop.ranks);
     degradations_.push_back(std::move(drop));
   }
   // Quarantined (breaker-open) nodes take the same ladder drop, but
   // reversibly: a half-open probe that re-admits the node lifts it, and a
   // relapse records a fresh drop.  Lost nodes take precedence.
-  const dpcl::HealthTracker* health = app_->health();
-  if (health == nullptr) return;
+  const dpcl::HealthTracker& health = app_->health();
   for (auto it = quarantine_dropped_.begin(); it != quarantine_dropped_.end();) {
     const int node = *it;
-    if (health->state(node) == dpcl::BreakerState::kClosed &&
+    if (health.state(node) == dpcl::BreakerState::kClosed &&
         app_->lost_nodes().count(node) == 0) {
-      injector->report().add(now, "restore",
-                             str::format("node=%d quarantine lifted", node), ranks_on(node));
+      report.add(now, "restore", str::format("node=%d quarantine lifted", node),
+                 ranks_on(node));
       it = quarantine_dropped_.erase(it);
     } else {
       ++it;
@@ -195,10 +193,10 @@ void DynprofTool::note_degraded_nodes(sim::TimeNs now, bool had_probes) {
     drop.ranks = ranks_on(node);
     drop.from = Policy::kDynamic;
     drop.to = had_probes ? Policy::kSubset : Policy::kNone;
-    injector->report().add(now, "degrade",
-                           str::format("node=%d %s->%s (quarantine)", node,
-                                       to_string(drop.from), to_string(drop.to)),
-                           drop.ranks);
+    report.add(now, "degrade",
+               str::format("node=%d %s->%s (quarantine)", node, to_string(drop.from),
+                           to_string(drop.to)),
+               drop.ranks);
     degradations_.push_back(std::move(drop));
   }
 }
@@ -208,36 +206,29 @@ sim::Coro<void> DynprofTool::await_init_and_release(proc::SimThread& tool) {
   // first barrier of Figure 6 aligns them before the callbacks fire).
   begin_phase("await-init-callbacks");
   const int expected = launch_.process_count();
-  if (fault::FaultInjector* injector = launch_.fault_injector()) {
-    // Fault-tolerant wait: callbacks can be lost (dropped relay, dead
-    // daemon) or duplicated, so collapse by pid and bound the whole wait.
-    const machine::FaultTolerance& ft = launch_.cluster().spec().fault;
-    std::set<int> reported;
-    while (static_cast<int>(reported.size()) < expected) {
-      auto cb = co_await app_->callbacks().recv_for(ft.init_callback_timeout);
-      if (!cb.has_value()) break;  // the silent processes are not coming
-      DT_EXPECT(cb->tag == kInitCallbackTag, "unexpected callback '", cb->tag, "'");
-      reported.insert(cb->pid);
-    }
-    if (static_cast<int>(reported.size()) < expected) {
-      std::vector<int> missing;
-      for (int pid = 0; pid < expected; ++pid) {
-        if (reported.count(pid) == 0) missing.push_back(pid);
-      }
-      injector->report().add(tool.engine().now(), "init-missing",
-                             str::format("%zu of %d init callbacks never arrived",
-                                         missing.size(), expected),
-                             missing);
-    }
-    // Nodes whose daemon died during connect or the init hook run with no
-    // instrumentation at all.
-    note_degraded_nodes(tool.engine().now(), /*had_probes=*/false);
-  } else {
-    for (int received = 0; received < expected; ++received) {
-      const dpcl::Callback cb = co_await app_->callbacks().recv();
-      DT_EXPECT(cb.tag == kInitCallbackTag, "unexpected callback '", cb.tag, "'");
-    }
+  // Callbacks can be lost (dropped relay, dead daemon) or duplicated, so
+  // collapse them by pid and bound every wait.
+  const machine::FaultTolerance& ft = launch_.cluster().spec().fault;
+  std::set<int> reported;
+  while (static_cast<int>(reported.size()) < expected) {
+    auto cb = co_await app_->callbacks().recv_for(ft.init_callback_timeout);
+    if (!cb.has_value()) break;  // the silent processes are not coming
+    DT_EXPECT(cb->tag == kInitCallbackTag, "unexpected callback '", cb->tag, "'");
+    reported.insert(cb->pid);
   }
+  if (static_cast<int>(reported.size()) < expected) {
+    std::vector<int> missing;
+    for (int pid = 0; pid < expected; ++pid) {
+      if (reported.count(pid) == 0) missing.push_back(pid);
+    }
+    launch_.cluster().fault_injector().report().add(
+        tool.engine().now(), "init-missing",
+        str::format("%zu of %d init callbacks never arrived", missing.size(), expected),
+        missing);
+  }
+  // Nodes whose daemon died during connect or the init hook run with no
+  // instrumentation at all.
+  note_degraded_nodes(tool.engine().now(), /*had_probes=*/false);
   end_phase();
 
   // Now it is safe to instrument: install everything the user queued.
@@ -270,10 +261,11 @@ sim::Coro<void> DynprofTool::do_insert(proc::SimThread& tool,
   // in drops to Subset if it already carries probes (earlier batch, or an
   // earlier name of this one), to None otherwise.
   const bool had_probes_before = !instrumented_.empty();
-  // Mid-run insertion must stop the target first (§3.4).
+  // Mid-run insertion must stop the target first (§3.4), with a blocking
+  // suspend (which OpenMP apps require).
   const bool midrun = init_released_;
   if (midrun) {
-    co_await app_->suspend_all(tool, options_.blocking_suspend);
+    co_await app_->suspend_all(tool, /*blocking=*/true);
     note_degraded_nodes(tool.engine().now(), had_probes_before);
   }
   std::size_t installed = 0;
@@ -301,7 +293,7 @@ sim::Coro<void> DynprofTool::do_remove(proc::SimThread& tool,
                                        const std::vector<std::string>& names) {
   const bool midrun = init_released_;
   if (midrun) {
-    co_await app_->suspend_all(tool, options_.blocking_suspend);
+    co_await app_->suspend_all(tool, /*blocking=*/true);
   }
   for (const auto& name : names) {
     co_await app_->remove_function_probes(tool, resolve(name), /*blocking=*/true);

@@ -39,8 +39,6 @@ class DynprofTool {
     /// Simulated pid of the tool process.  Multi-job scenarios give each
     /// job's tool a distinct pid so process identities stay unique.
     int tool_pid = 100000;
-    /// Use the blocking DPCL suspend (required for OpenMP apps, §3.4).
-    bool blocking_suspend = true;
     /// Map command-file names to function lists (stands in for the text
     /// files an interactive user would pass to insert-file/remove-file).
     std::vector<std::pair<std::string, std::vector<std::string>>> command_files;
@@ -104,8 +102,7 @@ class DynprofTool {
   std::size_t instrumented_function_count() const { return instrumented_.size(); }
   const std::vector<std::string>& instrumented_functions() const { return instrumented_; }
 
-  /// One node's drop down the instrumentation ladder (fault-tolerant runs
-  /// only): a node abandoned mid-install keeps whatever probes already went
+  /// One node's drop down the instrumentation ladder: a node abandoned mid-install keeps whatever probes already went
   /// in -- Dynamic -> Subset -- and a node lost before anything was
   /// installed runs uninstrumented, Dynamic -> None.  Each drop is also a
   /// "degrade" entry in the injector's run report.
@@ -142,7 +139,7 @@ class DynprofTool {
   std::vector<std::string> resolve_file(const std::string& filename) const;
   image::FunctionId resolve(const std::string& name) const;
   /// Record ladder drops for nodes newly abandoned by the dpcl layer;
-  /// `had_probes` decides Subset vs None.  No-op outside fault mode.
+  /// `had_probes` decides Subset vs None.
   void note_degraded_nodes(sim::TimeNs now, bool had_probes);
 
   void begin_phase(const std::string& name);

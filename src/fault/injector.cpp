@@ -30,6 +30,11 @@ double unit_draw(std::uint64_t seed, std::size_t action_index, Channel channel, 
 
 }  // namespace
 
+sim::TimeNs scale_delay(sim::TimeNs delay, double factor) {
+  if (factor == 1.0) return delay;
+  return static_cast<sim::TimeNs>(std::llround(static_cast<double>(delay) * factor));
+}
+
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
   for (const FaultAction& action : plan_.actions) {
     switch (action.kind) {

@@ -36,7 +36,15 @@ struct MessageFate {
   bool drop = false;         ///< vanish without a trace
   int duplicates = 0;        ///< extra copies delivered alongside the original
   double delay_factor = 1.0; ///< multiplies the in-flight delay (<= kMaxFactor)
+
+  /// Copies that arrive (0 = dropped).
+  int copies() const { return drop ? 0 : 1 + duplicates; }
 };
+
+/// `delay` stretched by a fault factor, rounded to the nearest nanosecond.
+/// A factor of exactly 1.0 -- every factor of an empty plan -- returns
+/// `delay` unchanged.
+sim::TimeNs scale_delay(sim::TimeNs delay, double factor);
 
 class FaultInjector {
  public:

@@ -32,24 +32,9 @@ std::vector<std::string> split_ws(std::string_view line) {
   return out;
 }
 
+/// A plan time: sim::parse_time, or "never".
 sim::TimeNs parse_time(const std::string& text, const std::string& where) {
-  if (text == "never") return kNever;
-  std::size_t suffix = text.size();
-  while (suffix > 0 && !(text[suffix - 1] >= '0' && text[suffix - 1] <= '9')) --suffix;
-  const std::string digits = text.substr(0, suffix);
-  const std::string unit = text.substr(suffix);
-  DT_EXPECT(!digits.empty(), where, ": bad time '", text, "'");
-  double value = 0;
-  try {
-    value = std::stod(digits);
-  } catch (const std::exception&) {
-    fail(where, ": bad time '", text, "'");
-  }
-  if (unit.empty() || unit == "ns") return static_cast<sim::TimeNs>(value);
-  if (unit == "us") return sim::microseconds(value);
-  if (unit == "ms") return sim::milliseconds(value);
-  if (unit == "s") return sim::seconds(value);
-  fail(where, ": unknown time unit '", unit, "' (use ns/us/ms/s)");
+  return text == "never" ? kNever : sim::parse_time(text, where);
 }
 
 Channel parse_channel(const std::string& text, const std::string& where) {

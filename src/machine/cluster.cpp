@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fault/injector.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
 
@@ -18,7 +19,13 @@ constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
 }  // namespace
 
 Cluster::Cluster(sim::Engine& engine, MachineSpec spec, std::uint64_t noise_seed)
-    : engine_(&engine), spec_(std::move(spec)), noise_seed_(noise_seed) {}
+    : engine_(&engine),
+      no_faults_(std::make_unique<fault::FaultInjector>(fault::FaultPlan{})),
+      fault_(no_faults_.get()),
+      spec_(std::move(spec)),
+      noise_seed_(noise_seed) {}
+
+Cluster::~Cluster() = default;
 
 std::vector<Cluster::Placement> Cluster::place_block(int units, int cpus_per_unit,
                                                      int first_cpu) const {

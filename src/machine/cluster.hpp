@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "machine/spec.hpp"
@@ -39,6 +40,7 @@ class Cluster {
   };
 
   Cluster(sim::Engine& engine, MachineSpec spec, std::uint64_t noise_seed = 0x0dd5eed);
+  ~Cluster();
 
   /// Register a job's node span (setup time, before the engine runs).  Each
   /// registration raises the tenant count of the covered nodes; once any
@@ -57,11 +59,12 @@ class Cluster {
 
   const MachineSpec& spec() const { return spec_; }
 
-  /// Install a fault injector (optional; not owned).  When present, the
-  /// control-plane layers switch to their fault-tolerant code paths; when
-  /// absent (the default) every layer runs its legacy path bit-identically.
-  void set_fault_injector(fault::FaultInjector* injector) { fault_ = injector; }
-  fault::FaultInjector* fault_injector() const { return fault_; }
+  /// Install a fault plan's injector (not owned) in place of the cluster's
+  /// own injector over an empty plan.  Every layer always runs the one
+  /// fault-tolerant protocol against fault_injector(): a run without a
+  /// plan is the same run as one with an empty plan.
+  void set_fault_injector(fault::FaultInjector& injector) { fault_ = &injector; }
+  fault::FaultInjector& fault_injector() const { return *fault_; }
 
   /// Block placement: consecutive units fill a node's CPUs, then spill to
   /// the next node (the POE default).  Each unit occupies `cpus_per_unit`
@@ -94,7 +97,8 @@ class Cluster {
 
  private:
   sim::Engine* engine_;
-  fault::FaultInjector* fault_ = nullptr;
+  std::unique_ptr<fault::FaultInjector> no_faults_;  ///< empty plan, fires nothing
+  fault::FaultInjector* fault_;
   MachineSpec spec_;
   std::uint64_t noise_seed_;
   /// Registered jobs and the per-node tenant counts they imply.  Written

@@ -66,9 +66,9 @@ struct CostModel {
   sim::TimeNs poe_spawn_per_proc = 1'600'000'000; ///< load one process image
 };
 
-/// Knobs of the fault-tolerant control plane (only consulted when a fault
-/// injector is installed; without one the legacy code paths run and these
-/// values are inert).
+/// Knobs of the fault-tolerant control plane (DESIGN.md §9).  No healthy
+/// run reaches a deadline or opens a breaker, so they only shape runs with
+/// a fault plan.
 struct FaultTolerance {
   sim::TimeNs request_deadline = sim::seconds(20);   ///< per-node DPCL request ack deadline
   int request_max_retries = 3;                       ///< resends before a node is abandoned
@@ -78,7 +78,7 @@ struct FaultTolerance {
   double sync_quorum = 1.0;  ///< fraction of ranks required for a full sync
 
   // --- gray-failure health scoring + circuit breaker (DESIGN.md §14) -------
-  // Every fault-mode request attempt feeds the node's HealthTracker: an
+  // Every request attempt feeds the node's HealthTracker: an
   // on-time ack scores min(1, latency_ref / latency), a deadline miss
   // scores 0, blended by EWMA with weight health_alpha.  The breaker opens
   // on breaker_failure_threshold *consecutive* misses or when the score

@@ -63,27 +63,23 @@ int ceil_log2(int n) {
   return n <= 1 ? 0 : std::bit_width(static_cast<unsigned>(n - 1));
 }
 
-/// Message fate of one MPI-level send under the installed fault injector:
+/// Message fate of one MPI-level send under the cluster's fault injector:
 /// how many copies to deliver (0 = dropped) and the scaled wire delay.
 /// Overlay traffic (tags in the overlay band) is its own channel so fault
 /// plans can target the control plane without touching app messages.
 struct WireFate {
-  int copies = 1;
+  int copies;
   sim::TimeNs delay;
 };
 
 WireFate apply_fate(machine::Cluster& cluster, int src_rank, int dst_rank, int src_node,
                     int tag, sim::TimeNs delay, sim::TimeNs now) {
-  WireFate out{1, delay};
-  fault::FaultInjector* injector = cluster.fault_injector();
-  if (injector == nullptr) return out;
+  fault::FaultInjector& injector = cluster.fault_injector();
   const fault::Channel channel =
       tag >= fault::kOverlayTagBase ? fault::Channel::kOverlay : fault::Channel::kApp;
-  const fault::MessageFate fate = injector->message_fate(channel, src_rank, dst_rank, now);
-  out.copies = fate.drop ? 0 : 1 + fate.duplicates;
-  const double factor = fate.delay_factor * injector->stall_factor(src_node, now);
-  out.delay = static_cast<sim::TimeNs>(std::llround(static_cast<double>(delay) * factor));
-  return out;
+  const fault::MessageFate fate = injector.message_fate(channel, src_rank, dst_rank, now);
+  const double factor = fate.delay_factor * injector.stall_factor(src_node, now);
+  return WireFate{fate.copies(), fault::scale_delay(delay, factor)};
 }
 
 }  // namespace
@@ -179,15 +175,20 @@ sim::Coro<void> Rank::recv_raw(proc::SimThread& thread, int src, int tag, RecvIn
 
 sim::Coro<bool> Rank::recv_for(proc::SimThread& thread, int src, int tag,
                                sim::TimeNs timeout) {
+  co_await begin_call(thread, CallInfo{Op::kRecv, src, tag, 0});
   auto env = co_await incoming_.recv_for(
       [src, tag](const Envelope& e) {
         return (src == kAnySource || e.src == src) && (tag == kAnyTag || e.tag == tag);
       },
       timeout);
-  if (!env) co_return false;
+  if (!env) {
+    co_await end_call(thread, CallInfo{Op::kRecv, kAnySource, tag, 0});
+    co_return false;
+  }
   co_await thread.gate();
   co_await thread.compute(world_.cluster().spec().per_message_software / 2);
   ++recvs_;
+  co_await end_call(thread, CallInfo{Op::kRecv, env->src, env->tag, env->bytes});
   co_return true;
 }
 

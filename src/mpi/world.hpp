@@ -106,10 +106,10 @@ class Rank {
   sim::Coro<void> send(proc::SimThread& thread, int dst, int tag, std::int64_t bytes);
   sim::Coro<void> recv(proc::SimThread& thread, int src, int tag, RecvInfo* info = nullptr);
 
-  /// Timed receive for the fault-tolerant control plane: resolves false if
-  /// no matching message arrived within `timeout` virtual nanoseconds.
-  /// Raw (un-interposed): overlay traffic that may legitimately never
-  /// arrive must not leave half-open VT call events behind.
+  /// Timed receive (the control plane's overlay): recv() that resolves
+  /// false if no matching message arrived within `timeout` virtual
+  /// nanoseconds.  Interposed like recv(); an expired call ends with peer
+  /// kAnySource, i.e. with no message received.
   sim::Coro<bool> recv_for(proc::SimThread& thread, int src, int tag, sim::TimeNs timeout);
 
   // --- non-blocking point-to-point -----------------------------------------

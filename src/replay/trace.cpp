@@ -111,26 +111,6 @@ int parse_bounded(const std::string& digits, int max, const std::string& where,
   return static_cast<int>(value);
 }
 
-sim::TimeNs parse_time(const std::string& text, const std::string& where) {
-  std::size_t suffix = text.size();
-  while (suffix > 0 && !(text[suffix - 1] >= '0' && text[suffix - 1] <= '9')) --suffix;
-  const std::string digits = text.substr(0, suffix);
-  const std::string unit = text.substr(suffix);
-  DT_EXPECT(!digits.empty(), where, ": bad time '", text, "'");
-  double value = 0;
-  try {
-    value = std::stod(digits);
-  } catch (const std::exception&) {
-    fail(where, ": bad time '", text, "'");
-  }
-  DT_EXPECT(value >= 0, where, ": negative time '", text, "'");
-  if (unit.empty() || unit == "ns") return static_cast<sim::TimeNs>(value);
-  if (unit == "us") return sim::microseconds(value);
-  if (unit == "ms") return sim::milliseconds(value);
-  if (unit == "s") return sim::seconds(value);
-  fail(where, ": unknown time unit '", unit, "' (use ns/us/ms/s)");
-}
-
 /// key=value accessor over one event line's trailing tokens.
 class EventParser {
  public:
@@ -183,7 +163,7 @@ class EventParser {
     if (auto v = take(key)) *out = as_i64(*v);
   }
   void apply_time(const std::string& key, sim::TimeNs* out) {
-    if (auto v = take(key)) *out = parse_time(*v, where_);
+    if (auto v = take(key)) *out = sim::parse_time(*v, where_);
   }
 
   void finish() const {
@@ -373,7 +353,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     DT_EXPECT(rank < trace.ranks, where, ": rank ", rank, " out of range (ranks ",
               trace.ranks, ")");
     ReplayEvent ev;
-    ev.at = parse_time(tokens[1], where);
+    ev.at = sim::parse_time(tokens[1], where);
     DT_EXPECT(ev.at >= cursor[static_cast<std::size_t>(rank)], where,
               ": non-monotonic timestamp for rank ", rank, " (",
               static_cast<long long>(ev.at), "ns after ",
@@ -404,7 +384,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     switch (ev.verb) {
       case Verb::kCall:
         ev.fn = p.require("fn", "call");
-        ev.work = parse_time(p.require("work", "call"), where);
+        ev.work = sim::parse_time(p.require("work", "call"), where);
         p.apply_i64("count", &ev.count);
         DT_EXPECT(ev.count >= 1, where, ": call count must be >= 1");
         if (seen_calls.insert(ev.fn).second) trace.call_functions.push_back(ev.fn);

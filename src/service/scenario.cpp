@@ -347,8 +347,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
 
   // Storm actions in the fault plan burst-admit extra generated sessions at
   // a fixed time, after the configured ones.
-  std::vector<std::pair<sim::TimeNs, int>> storms;
-  if (options.fault != nullptr) storms = options.fault->storms();
+  const std::vector<std::pair<sim::TimeNs, int>> storms = cluster.fault_injector().storms();
   std::size_t storm_count = 0;
   for (const auto& [at, n] : storms) storm_count += static_cast<std::size_t>(n);
 

@@ -98,7 +98,7 @@ struct ControlService::BreakAgent {
     std::uint64_t window_drops = 0;
     if (estimate.window > 0 && !subs.empty()) {
       telemetry::Registry& reg = telemetry::current();
-      fault::FaultInjector* injector = cluster.fault_injector();
+      const fault::FaultInjector& injector = cluster.fault_injector();
       for (Subscription& sub : subs) {
         if (sub_window > 0 && sub.credits <= 0) {
           ++sub.dropped;
@@ -126,9 +126,9 @@ struct ControlService::BreakAgent {
           // The whole return path is priced here, on the agent's node:
           // delivery leg, client processing (stall-fault scaled), ack leg.
           sim::TimeNs processing = sub_stall;
-          if (injector != nullptr && processing > 0) {
+          if (processing > 0) {
             processing = static_cast<sim::TimeNs>(static_cast<double>(processing) *
-                                                  injector->stall_factor(sub.client_node, now));
+                                                  injector.stall_factor(sub.client_node, now));
           }
           const sim::TimeNs back =
               cluster.message_delay(sub.client_node, node, 16, now + delay + processing);

@@ -28,4 +28,11 @@ constexpr double to_microseconds(TimeNs t) { return static_cast<double>(t) * 1e-
 /// Human-readable rendering with an adaptive unit ("1.250 ms", "3.2 s").
 std::string format_duration(TimeNs t);
 
+/// Parse a time value from an input file: a non-negative decimal number
+/// with an optional unit (ns, us, ms or s; none means ns), e.g. "250ms" or
+/// "1.5s".  Fails closed: a malformed, negative, or out-of-range value (one
+/// whose nanoseconds do not fit TimeNs) throws dyntrace::Error prefixed
+/// with `where` (origin:line).
+TimeNs parse_time(const std::string& text, const std::string& where);
+
 }  // namespace dyntrace::sim

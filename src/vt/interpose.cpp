@@ -10,7 +10,8 @@ sim::Coro<void> VtMpiInterpose::on_begin(proc::SimThread& thread, const mpi::Cal
 }
 
 sim::Coro<void> VtMpiInterpose::on_end(proc::SimThread& thread, const mpi::CallInfo& call) {
-  if (call.op == mpi::Op::kRecv) {
+  // A timed receive that expired ends with no peer: no message to record.
+  if (call.op == mpi::Op::kRecv && call.peer != mpi::kAnySource) {
     co_await vt_.record(thread, EventKind::kMsgRecv, call.peer, call.bytes);
   }
   co_await vt_.record(thread, EventKind::kMpiEnd, static_cast<std::int32_t>(call.op),

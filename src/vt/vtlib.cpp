@@ -140,7 +140,7 @@ sim::Coro<void> VtLib::vt_init(proc::SimThread& thread) {
 void VtLib::push_event(EventKind kind, proc::SimThread& thread, std::int32_t code,
                        std::int64_t aux) {
   Event e;
-  e.time = process_.engine().now() + options_.clock_offset;
+  e.time = process_.engine().now();
   e.pid = process_.pid();
   e.tid = thread.tid();
   e.kind = kind;

@@ -108,11 +108,6 @@ class VtLib {
     /// Maintain per-function call counters / inclusive times (used by the
     /// VT_confsync statistics experiment).
     bool collect_statistics = true;
-    /// Offset of this process's clock against global (simulation) time.
-    /// Cluster nodes have no common clock; trace timestamps carry each
-    /// node's skew, and postmortem analysis must correct for it
-    /// (analysis/clock_sync.hpp).  0 = perfect clock.
-    sim::TimeNs clock_offset = 0;
   };
 
   VtLib(proc::SimProcess& process, std::shared_ptr<TraceStore> store, Options options);

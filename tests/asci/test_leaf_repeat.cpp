@@ -106,6 +106,12 @@ struct Case {
   std::int64_t calls;
 };
 
+// gtest prints the parameter into the test name ctest registers; the default
+// byte dump would include the struct's uninitialised padding.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << state_name(c.state) << " x" << c.calls;
+}
+
 class LeafRepeatEquivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(LeafRepeatEquivalence, AggregateChargeEqualsIndividualCalls) {

@@ -45,7 +45,7 @@ FaultRunResult run_faulty_overlay(int nprocs, int arity, const std::string& plan
   sim::Engine engine;
   machine::Cluster cluster(engine, machine::ibm_power3_sp());
   fault::FaultInjector injector(fault::FaultPlan::parse(plan_text));
-  cluster.set_fault_injector(&injector);
+  cluster.set_fault_injector(injector);
   mpi::World world(cluster);
   proc::ParallelJob job(cluster, "overlay-fault-test");
   auto store = std::make_shared<vt::TraceStore>();
@@ -106,8 +106,8 @@ FaultRunResult run_faulty_overlay(int nprocs, int arity, const std::string& plan
 }
 
 TEST(StatsOverlayFaults, NoDeathsMatchTheFullFold) {
-  // Fault mode engaged (injector installed) but nothing fires: reduce_ft
-  // must agree with the healthy fold and report nothing.
+  // A plan is installed but nothing fires: reduce must agree with the
+  // healthy fold and report nothing.
   const FaultRunResult r = run_faulty_overlay(16, 4, "seed 1\n");
   EXPECT_EQ(r.rounds, 1u);
   EXPECT_TRUE(r.partial_syncs.empty());

@@ -187,8 +187,13 @@ TEST(Dpcl, SuperDaemonServesMultipleConnections) {
   SuperDaemon sd(cluster, 0);
   sd.start();
   auto ack = std::make_shared<AckState>(engine, 2);
-  sd.inbox().put(ConnectRequest{"user-a", ack, 0});
-  sd.inbox().put(ConnectRequest{"user-b", ack, 0});
+  for (const int slot : {0, 1}) {
+    Request connect;
+    connect.kind = Request::Kind::kConnect;
+    connect.ack = ack;
+    connect.ack_slot = slot;
+    sd.inbox().put(std::move(connect));
+  }
   engine.spawn(
       [](std::shared_ptr<AckState> a) -> sim::Coro<void> { co_await a->done.wait(); }(ack),
       "waiter");

@@ -24,10 +24,10 @@ TEST(DpclFaults, ExitedTargetFailsTheAck) {
   // the AckState with a per-process failure, not hang or patch a corpse.
   sim::Engine engine;
   machine::Cluster cluster(engine, machine::ibm_power3_sp());
-  // Fault mode (even with an empty plan) fails every request kind against an
-  // exited target; the legacy path only guards kExecute, the one that hangs.
+  // Every request kind fails against an exited target (an installed plan
+  // changes nothing about that).
   fault::FaultInjector injector(fault::FaultPlan::parse("seed 1\n"));
-  cluster.set_fault_injector(&injector);
+  cluster.set_fault_injector(injector);
   proc::ParallelJob job(cluster, "target");
   for (int pid = 0; pid < 2; ++pid) {
     job.add_process(image::ProgramImage(make_symbols()), 0, pid);
@@ -66,10 +66,10 @@ TEST(DpclFaults, ExitedTargetFailsTheAck) {
 }
 
 TEST(DpclFaults, ExecuteOnExitedTargetFailsWithoutInjector) {
-  // The latent hang existed without fault injection: a kExecute (inferior
-  // RPC) against a process that already exited would wait forever for the
-  // snippet to complete.  Even on the legacy path the daemon must fail the
-  // pid and resolve the ack.
+  // The latent hang needs no fault plan: a kExecute (inferior RPC) against
+  // a process that already exited would wait forever for the snippet to
+  // complete.  Without any plan the daemon must fail the pid and resolve
+  // the ack.
   sim::Engine engine;
   machine::Cluster cluster(engine, machine::ibm_power3_sp());
   proc::ParallelJob job(cluster, "target");
@@ -155,7 +155,7 @@ TEST(DpclFaults, DeadDaemonNodeIsAbandonedNotHungOn) {
 
   fault::FaultInjector injector(
       fault::FaultPlan::parse("kill-daemon node=1 at=2s\n"));
-  cluster.set_fault_injector(&injector);
+  cluster.set_fault_injector(injector);
 
   proc::ParallelJob job(cluster, "target");
   for (int pid = 0; pid < 4; ++pid) {

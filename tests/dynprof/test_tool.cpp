@@ -93,9 +93,11 @@ TEST(Tool, MidRunInsertSuspendsPatchesAndResumes) {
   DynprofTool::Options topt;
   topt.command_files = {{"s", {"sppm_hydro_x"}}};
   DynprofTool tool(launch, std::move(topt));
-  // Start uninstrumented, wait 20 virtual seconds, then instrument one
-  // function mid-run, then remove it again.
-  tool.run_script(parse_script("start\nwait 20\ninsert sppm_hydro_x\nwait 5\n"
+  // Start uninstrumented, wait 1 virtual second, then instrument one
+  // function mid-run, then remove it again -- both while the ~5.8 s main
+  // computation is still running (a request to an exited target fails
+  // instead of suspending the corpse).
+  tool.run_script(parse_script("start\nwait 1\ninsert sppm_hydro_x\nwait 1\n"
                                "remove sppm_hydro_x\nquit\n"));
   launch.engine().run();
   EXPECT_TRUE(tool.finished());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "dynprof/tool.hpp"
@@ -18,19 +19,20 @@ namespace {
 constexpr int kRanks = 64;
 constexpr double kScale = 0.15;
 
-/// Post-release kill times.  Fault mode's per-node reliable requests make
-/// create+instrument slower than the legacy broadcast: with an (empty)
-/// plan installed, smg98 releases at ~185.1s and sweep3d at ~169.2s, and
-/// their mains run ~10.5s / ~7.8s beyond that.  The kill lands between
-/// release and the mid-run insert (release + 5s) so the dead daemon is
-/// discovered by a live application.
+/// Post-release kill times.  Without faults smg98 releases at ~123.3s and
+/// sweep3d at ~121.3s, and with the mid-run insert their mains run
+/// ~13.5s / ~8.9s beyond that.  The kill lands between release and the
+/// mid-run insert (release + 5s) so the dead daemon is discovered by a
+/// live application.
 const char* kill_time_for(const std::string& app) {
-  return app == "smg98" ? "188s" : "172s";
+  return app == "smg98" ? "126s" : "124s";
 }
 
 struct MatrixResult {
   bool tool_finished = false;
   std::uint64_t digest = 0;
+  sim::TimeNs create_and_instrument = 0;
+  std::uint64_t daemon_drops = 0;
   std::string report;
   std::vector<int> lost_ranks;
   std::size_t degradations = 0;
@@ -38,14 +40,18 @@ struct MatrixResult {
 };
 
 /// Run one cell; the tool must finish its script whatever the plan breaks.
-MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
+/// No plan text runs the cell without a plan.
+MatrixResult run_cell(const std::string& app_name,
+                      const std::optional<std::string>& plan_text,
                       const std::string& script_text,
                       std::size_t spill_bytes = 0,
                       vt::TraceFormat format = vt::TraceFormat::kV2) {
   const asci::AppSpec* app = asci::find_app(app_name);
   EXPECT_NE(app, nullptr);
-  auto injector =
-      std::make_shared<fault::FaultInjector>(fault::FaultPlan::parse(plan_text));
+  std::shared_ptr<fault::FaultInjector> injector;
+  if (plan_text.has_value()) {
+    injector = std::make_shared<fault::FaultInjector>(fault::FaultPlan::parse(*plan_text));
+  }
 
   Launch::Options options;
   options.app = app;
@@ -56,6 +62,7 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
   options.trace_spill_dir = ::testing::TempDir();
   options.trace_format = format;
   options.fault = injector;
+  options.telemetry_level = telemetry::Level::kCounters;
   Launch launch(std::move(options));
 
   DynprofTool::Options topt;
@@ -67,8 +74,10 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
   MatrixResult result;
   result.tool_finished = tool.finished();
   result.digest = launch.trace()->digest();
-  result.report = injector->report().render();
-  result.lost_ranks = injector->report().lost_ranks();
+  result.create_and_instrument = tool.create_and_instrument_time();
+  result.daemon_drops = launch.telemetry_registry().snapshot().counter_value("fault.drops");
+  result.report = launch.fault_injector()->report().render();
+  result.lost_ranks = launch.fault_injector()->report().lost_ranks();
   result.degradations = tool.degradations().size();
   result.salvage = launch.trace()->salvage_stats();
   EXPECT_TRUE(result.tool_finished) << app_name;
@@ -77,7 +86,7 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
 
 constexpr const char* kPlainScript = "insert-file subset\nstart\nquit\n";
 /// The mid-run insert is what drives requests into a daemon killed after
-/// release (wait is relative to the end of create+instrument, ~123s).
+/// release (wait is relative to the end of create+instrument).
 constexpr const char* kMidRunScript =
     "insert-file subset\nstart\nwait 5\ninsert-file subset\nquit\n";
 
@@ -185,9 +194,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, FaultMatrix, ::testing::Values("smg98", "sweep3d"
 
 TEST(FaultMatrixBaseline, EmptyPlanFiresNothingAndStaysDeterministic) {
   // An installed injector whose plan never fires must report nothing, lose
-  // nothing, and replay to the same trace.  (Bit-identity with a *null*
-  // injector is only promised for runs without a plan: fault mode's
-  // per-node reliable requests legitimately re-time the control plane.)
+  // nothing, and replay to the same trace.
   const MatrixResult r = run_cell("smg98", "seed 1\n", kPlainScript);
   EXPECT_TRUE(r.report.empty());
   EXPECT_TRUE(r.lost_ranks.empty());
@@ -195,6 +202,33 @@ TEST(FaultMatrixBaseline, EmptyPlanFiresNothingAndStaysDeterministic) {
   EXPECT_EQ(r.salvage.torn_shards, 0u);
   const MatrixResult again = run_cell("smg98", "seed 1\n", kPlainScript);
   EXPECT_EQ(again.digest, r.digest);
+}
+
+TEST(FaultMatrixBaseline, NoPlanAndAnEmptyPlanAreOneRun) {
+  // There is one control-plane protocol: a run without a plan uses the
+  // cluster's empty-plan injector, so installing an empty plan changes
+  // nothing -- not the trace, not the create+instrument time, and the
+  // report stays empty.  A mid-run insert drives the steady-state path.
+  const MatrixResult none = run_cell("smg98", std::nullopt, kMidRunScript);
+  const MatrixResult empty = run_cell("smg98", "seed 1\n", kMidRunScript);
+  EXPECT_EQ(none.digest, empty.digest);
+  EXPECT_EQ(none.create_and_instrument, empty.create_and_instrument);
+  EXPECT_TRUE(none.report.empty());
+  EXPECT_TRUE(empty.report.empty());
+}
+
+TEST(FaultMatrixBaseline, DropsAndDupsDoNotSerializeTheControlPlane) {
+  // The benchmark's daemon drop/dup plan: broadcasts stay pipelined, and a
+  // lost request or ack is resent once the round's majority has acked
+  // instead of stalling the round until the 20s deadline.
+  const MatrixResult healthy = run_cell("smg98", std::nullopt, kPlainScript);
+  const MatrixResult faulted = run_cell(
+      "smg98", "seed 42\ndrop channel=daemon prob=0.002\ndup channel=daemon prob=0.002\n",
+      kPlainScript);
+  EXPECT_GT(faulted.daemon_drops, 0u);
+  EXPECT_TRUE(faulted.lost_ranks.empty());
+  EXPECT_LE(static_cast<double>(faulted.create_and_instrument),
+            1.10 * static_cast<double>(healthy.create_and_instrument));
 }
 
 TEST(FaultMatrixBaseline, PlanNamingAMissingNodeIsRejectedAtLaunch) {

@@ -130,6 +130,28 @@ TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_THROW(FaultPlan::parse("storm sessions=0 at=5s\n"), Error);
 }
 
+TEST(FaultPlan, TimesFailClosed) {
+  // Times whose nanoseconds do not fit TimeNs used to reach a float->int64
+  // cast (undefined behaviour); negative plan times used to be accepted.
+  for (const char* text : {"kill-daemon node=1 at=1e30s\n", "kill-rank rank=1 at=1e300ns\n",
+                           "kill-daemon node=1 at=9223372037s\n",
+                           "kill-daemon node=1 at=-5s\n",
+                           "stall node=1 from=-1ms until=5s factor=2\n",
+                           "kill-daemon node=1 at=1x5s\n", "kill-daemon node=1 at=s\n"}) {
+    try {
+      FaultPlan::parse(std::string("seed 1\n") + text, "times.plan");
+      FAIL() << "expected a parse error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("times.plan:2"), std::string::npos) << e.what();
+    }
+  }
+  // The largest representable values and "never" still parse.
+  EXPECT_EQ(FaultPlan::parse("kill-daemon node=1 at=9223372036s\n").actions[0].at,
+            sim::TimeNs{9'223'372'036'000'000'000});
+  EXPECT_EQ(FaultPlan::parse("stall node=1 from=0s until=never factor=2\n").actions[0].until,
+            kNever);
+}
+
 TEST(FaultInjector, LivenessIsAPureTimeThreshold) {
   FaultInjector injector(FaultPlan::parse(kFullPlan));
   EXPECT_TRUE(injector.daemon_alive(3, sim::seconds(150) - 1));

@@ -142,6 +142,24 @@ TEST(ReplayTraceParse, RanksBeyondTheLimitFailAtParseTime) {
   }
 }
 
+TEST(ReplayTraceParse, TimesFailClosed) {
+  // Timestamps and work= values whose nanoseconds do not fit TimeNs used to
+  // reach a float->int64 cast (undefined behaviour).
+  for (const char* text : {"ranks 1\n0 1e30s call fn=f work=1ms\n",
+                           "ranks 1\n0 0ms call fn=f work=1e30s\n",
+                           "ranks 1\n0 0ms call fn=f work=9223372037s\n",
+                           "ranks 1\n0 -1ms call fn=f work=1ms\n",
+                           "ranks 1\n0 0ms call fn=f work=2.5.1ms\n"}) {
+    try {
+      ReplayTrace::parse(text, "times.trace");
+      FAIL() << "expected a parse error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("times.trace:2"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_NO_THROW(ReplayTrace::parse("ranks 1\n0 0ms call fn=f work=9223372036s\n"));
+}
+
 TEST(ReplayTraceParse, RejectsUnpairedPointToPoint) {
   // Send with no receive.
   EXPECT_THROW(ReplayTrace::parse("ranks 2\n0 0ms MPI_Send dst=1 tag=3 bytes=8\n"),
