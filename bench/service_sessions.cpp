@@ -7,10 +7,12 @@
 // rerun of the main cell must reproduce its digests bit for bit), the
 // batched-driver
 // cell (100k sessions on a few hundred driver coroutines, so memory stays
-// flat in session count), and the admission invariant (priced overhead <=
-// budget, or at_floor, in every window).  Emits BENCH_service.json;
-// shape-check failures exit non-zero, so CI's service-smoke step gates on
-// the invariant.
+// flat in session count), the admission invariant (priced overhead <=
+// budget, or at_floor, in every window), and the admission work per
+// instrument command -- an exact op count: queue retries skip requests
+// whose denial inputs did not change, so every sweep cell must stay at or
+// under kMaxEvalsPerInstrument.  Emits BENCH_service.json; shape-check
+// failures exit non-zero, so CI's service-smoke step gates on both.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -25,6 +27,11 @@ namespace {
 using namespace dyntrace;
 using bench::ShapeCheck;
 
+/// AdmissionController::admit calls allowed per instrument command.  One
+/// is the arrival; a queued request is re-priced only when the pricing
+/// epoch moved since its last denial.
+constexpr double kMaxEvalsPerInstrument = 4.0;
+
 sim::TimeNs percentile(std::vector<sim::TimeNs> sorted, double p) {
   if (sorted.empty()) return 0;
   const auto index = static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
@@ -37,6 +44,7 @@ struct Cell {
   double sessions_per_sec = 0;
   sim::TimeNs p50 = 0;
   sim::TimeNs p99 = 0;
+  double evals_per_instrument = 0;
 };
 
 Cell run_cell(const service::ScenarioOptions& base, int sessions) {
@@ -52,6 +60,16 @@ Cell run_cell(const service::ScenarioOptions& base, int sessions) {
   std::sort(sorted.begin(), sorted.end());
   cell.p50 = percentile(sorted, 0.50);
   cell.p99 = percentile(sorted, 0.99);
+  std::uint64_t instruments = 0;
+  for (const auto& session : cell.result.sessions) {
+    for (const auto& command : session.commands) {
+      instruments += command.kind == service::CommandKind::kInstrument ? 1 : 0;
+    }
+  }
+  cell.evals_per_instrument =
+      instruments > 0 ? static_cast<double>(cell.result.admission_evals) /
+                            static_cast<double>(instruments)
+                      : 0;
   std::fprintf(stderr, ".");
   std::fflush(stderr);
   return cell;
@@ -105,7 +123,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "\n");
 
   TextTable table({"Sessions", "Sessions/s", "p50 ms", "p99 ms", "Admit", "Degrade",
-                            "Deny", "Timeout", "Windows", "Sim s"});
+                            "Deny", "Timeout", "Windows", "Sim s", "Evals/instr"});
   for (const Cell& cell : sweep) {
     table.add_row({std::to_string(cell.sessions),
                    TextTable::num(cell.sessions_per_sec, 0),
@@ -116,7 +134,8 @@ int main(int argc, char** argv) {
                    std::to_string(count(cell, service::Status::kDenied)),
                    std::to_string(count(cell, service::Status::kTimeout)),
                    std::to_string(cell.result.windows.size()),
-                   TextTable::num(cell.result.sim_seconds, 3)});
+                   TextTable::num(cell.result.sim_seconds, 3),
+                   TextTable::num(cell.evals_per_instrument, 2)});
   }
   std::fputs(table.render().c_str(), stdout);
 
@@ -208,7 +227,7 @@ int main(int argc, char** argv) {
         "    {\"sessions\": %d, \"sessions_per_sec\": %.1f, \"p50_ns\": %lld,"
         " \"p99_ns\": %lld, \"admitted\": %llu, \"degraded\": %llu, \"denied\": %llu,"
         " \"timeouts\": %llu, \"windows\": %zu, \"sim_seconds\": %.6f,"
-        " \"host_seconds\": %.3f}%s\n",
+        " \"host_seconds\": %.3f, \"admission_evals_per_instrument\": %.3f}%s\n",
         cell.sessions, cell.sessions_per_sec, static_cast<long long>(cell.p50),
         static_cast<long long>(cell.p99),
         static_cast<unsigned long long>(count(cell, service::Status::kAdmitted)),
@@ -216,7 +235,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(count(cell, service::Status::kDenied)),
         static_cast<unsigned long long>(count(cell, service::Status::kTimeout)),
         cell.result.windows.size(), cell.result.sim_seconds, cell.result.host_seconds,
-        i + 1 < sweep.size() ? "," : "");
+        cell.evals_per_instrument, i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"determinism\": {\"ran\": %s, \"identical\": %s, \"digests\": [",
                skip_determinism ? "false" : "true", identical ? "true" : "false");
@@ -254,6 +273,11 @@ int main(int argc, char** argv) {
                     total_commands == expected_commands});
   checks.push_back({"no command timed out in a healthy run", timeouts == 0});
   checks.push_back({"admission never exceeded the budget (or was at floor)", violations == 0});
+  checks.push_back({"queue retries re-price only what changed: <= 4 admission evaluations per "
+                    "instrument command in every sweep cell",
+                    std::all_of(sweep.begin(), sweep.end(), [](const Cell& cell) {
+                      return cell.evals_per_instrument <= kMaxEvalsPerInstrument;
+                    })});
   if (!skip_determinism) {
     checks.push_back({"digests bit-identical across two runs of the main cell", identical});
   }

@@ -15,9 +15,9 @@ std::size_t AppSpec::user_function_count() const {
   return n;
 }
 
-image::FunctionId AppSpec::fid(std::string_view name) const {
-  const image::FunctionInfo* info = symbols->find(name);
-  DT_EXPECT(info != nullptr, this->name, ": unknown function '", std::string(name), "'");
+image::FunctionId AppSpec::fid(std::string_view function) const {
+  const image::FunctionInfo* info = symbols->find(function);
+  DT_EXPECT(info != nullptr, name, ": unknown function '", std::string(function), "'");
   return info->id;
 }
 

@@ -65,9 +65,9 @@ struct AppSpec {
 
   std::size_t user_function_count() const;
 
-  /// Id of `name` in `symbols`; throws naming the app when it is absent.
-  /// A setup-time lookup, for building FunctionId tables.
-  image::FunctionId fid(std::string_view name) const;
+  /// Id of `function` in `symbols`; throws naming the app when it is
+  /// absent.  A setup-time lookup, for building FunctionId tables.
+  image::FunctionId fid(std::string_view function) const;
 };
 
 struct AppParams {

@@ -1,6 +1,7 @@
 #include "service/admission.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "support/common.hpp"
 
@@ -18,29 +19,26 @@ AdmitResult AdmissionController::admit(SessionId session,
                                        const std::vector<image::FunctionId>& fns) {
   AdmitResult result;
 
-  // Deduplicate the request and drop functions the session already holds
-  // (a repeat grant must not double-count holders).
-  std::vector<image::FunctionId> unique = fns;
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  std::vector<image::FunctionId>& held = grants_[session];
-  std::vector<image::FunctionId> fresh;
-  for (const image::FunctionId fn : unique) {
-    DT_ASSERT(fn < fns_.size(), "admit: function id out of range");
-    if (std::find(held.begin(), held.end(), fn) == held.end()) fresh.push_back(fn);
+  // Price the request in ascending id order, each function once.  The
+  // service hands over ids already sorted and deduplicated, so only an ad
+  // hoc caller pays for the copy.
+  std::vector<image::FunctionId> sorted;
+  const std::vector<image::FunctionId>* ids = &fns;
+  if (std::adjacent_find(fns.begin(), fns.end(), std::greater_equal<>()) != fns.end()) {
+    sorted = fns;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    ids = &sorted;
   }
 
-  // The marginal cost is the functions nobody holds yet; shared functions
-  // are already priced in.
+  // The marginal cost is the functions nobody holds yet; held functions --
+  // the session's own included -- are already priced in.
   double marginal_active = 0.0;
   double marginal_residual = 0.0;
-  bool touches_degraded = false;
-  for (const image::FunctionId fn : fresh) {
+  for (const image::FunctionId fn : *ids) {
+    DT_ASSERT(fn < fns_.size(), "admit: function id out of range");
     const FnState& state = fns_[fn];
-    if (state.holders > 0) {
-      if (state.filtered) touches_degraded = true;
-      continue;
-    }
+    if (state.holders > 0) continue;
     const double r = rate(state);
     marginal_active += control::overhead_fraction(price_.active, r);
     marginal_residual += control::overhead_fraction(price_.residual, r);
@@ -52,11 +50,15 @@ AdmitResult AdmissionController::admit(SessionId session,
   if (!fits_active && !fits_residual) {
     result.decision = AdmitDecision::kDenied;
     result.projected_fraction = priced;
-    if (held.empty()) grants_.erase(session);
     return result;
   }
 
-  for (const image::FunctionId fn : fresh) {
+  // Grant what the session does not hold yet (a repeat grant must not
+  // double-count holders).
+  std::vector<image::FunctionId>& held = grants_[session];
+  bool touches_degraded = false;
+  for (const image::FunctionId fn : *ids) {
+    if (std::find(held.begin(), held.end(), fn) != held.end()) continue;
     FnState& state = fns_[fn];
     if (state.holders == 0) {
       result.install.push_back(fn);
@@ -64,10 +66,13 @@ AdmitResult AdmissionController::admit(SessionId session,
       if (state.filtered) {
         result.directives.push_back({/*activate=*/false, symbols_->at(fn).name});
       }
+    } else if (state.filtered) {
+      touches_degraded = true;
     }
     ++state.holders;
     held.push_back(fn);
   }
+  if (!result.install.empty()) ++version_;
   result.decision = (!fits_active || touches_degraded) ? AdmitDecision::kDegraded
                                                        : AdmitDecision::kAdmitted;
   result.projected_fraction = priced_fraction();
@@ -82,6 +87,7 @@ ReleaseResult AdmissionController::release(SessionId session) {
     FnState& state = fns_[fn];
     DT_ASSERT(state.holders > 0, "release: holder underflow");
     if (--state.holders == 0) {
+      ++version_;
       result.remove.push_back(fn);
       if (state.filtered) {
         result.directives.push_back({/*activate=*/true, symbols_->at(fn).name});
@@ -99,8 +105,10 @@ void AdmissionController::update_rate(image::FunctionId fn, double pairs_per_sec
     ++rate_updates_ignored_;
     return;
   }
-  fns_[fn].rate_hz = pairs_per_sec;
-  fns_[fn].rate_observed = true;
+  FnState& state = fns_[fn];
+  if (!state.rate_observed || state.rate_hz != pairs_per_sec) ++version_;
+  state.rate_hz = pairs_per_sec;
+  state.rate_observed = true;
 }
 
 ArbitrateResult AdmissionController::arbitrate() {
@@ -161,6 +169,7 @@ ArbitrateResult AdmissionController::arbitrate() {
     if (victim != priciest) ++result.fairshare_flips;
 
     fns_[victim].filtered = true;
+    ++version_;
     result.flipped.push_back(victim);
     result.directives.push_back({/*activate=*/false, symbols_->at(victim).name});
   }
@@ -171,18 +180,23 @@ void AdmissionController::replay(const vt::FilterProgram& applied) {
   const vt::CompiledFilter compiled(*symbols_, applied);
   const std::vector<vt::FilterAction>& delta = compiled.delta();
   for (std::size_t fn = 0; fn < delta.size(); ++fn) {
-    if (delta[fn] != vt::FilterAction::kUntouched && fns_[fn].holders > 0) {
-      fns_[fn].filtered = delta[fn] == vt::FilterAction::kDeactivate;
+    if (delta[fn] == vt::FilterAction::kUntouched || fns_[fn].holders == 0) continue;
+    const bool filtered = delta[fn] == vt::FilterAction::kDeactivate;
+    if (fns_[fn].filtered != filtered) {
+      fns_[fn].filtered = filtered;
+      ++version_;
     }
   }
 }
 
 double AdmissionController::priced_fraction() const {
-  double total = 0.0;
+  if (priced_version_ == version_) return priced_;
+  priced_ = 0.0;
   for (const FnState& state : fns_) {
-    if (state.holders > 0) total += fraction(state);
+    if (state.holders > 0) priced_ += fraction(state);
   }
-  return total;
+  priced_version_ = version_;
+  return priced_;
 }
 
 bool AdmissionController::installed(image::FunctionId fn) const {
@@ -195,12 +209,6 @@ bool AdmissionController::filtered(image::FunctionId fn) const {
 
 int AdmissionController::holders(image::FunctionId fn) const {
   return fn < fns_.size() ? fns_[fn].holders : 0;
-}
-
-std::size_t AdmissionController::installed_count() const {
-  std::size_t count = 0;
-  for (const FnState& state : fns_) count += state.holders > 0 ? 1 : 0;
-  return count;
 }
 
 }  // namespace dyntrace::service

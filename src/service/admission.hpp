@@ -91,8 +91,9 @@ class AdmissionController {
                       control::PairPrice pair_price, AdmissionOptions options);
 
   /// Price and decide one session's requested probe set.  Mutates holder
-  /// counts and filter intent on admit/degrade; a denial changes nothing.
-  /// Repeat grants to one session merge (functions are held once).
+  /// counts and filter intent on admit/degrade; a denial changes nothing
+  /// and, for a sorted duplicate-free `fns`, allocates nothing.  Repeat
+  /// grants to one session merge (functions are held once).
   AdmitResult admit(SessionId session, const std::vector<image::FunctionId>& fns);
 
   /// Drop every grant the session holds.
@@ -117,12 +118,17 @@ class AdmissionController {
   void replay(const vt::FilterProgram& applied);
 
   /// Priced per-process overhead fraction of everything installed.
+  /// Cached; recomputed (in function-id order) once per version.
   double priced_fraction() const;
+
+  /// Pricing epoch: advances exactly when an input to a denial changes
+  /// (DESIGN.md §13), so a request denied at version v stays denied while
+  /// version() == v.
+  std::uint64_t version() const { return version_; }
 
   bool installed(image::FunctionId fn) const;
   bool filtered(image::FunctionId fn) const;
   int holders(image::FunctionId fn) const;
-  std::size_t installed_count() const;
   const AdmissionOptions& options() const { return options_; }
 
  private:
@@ -146,6 +152,9 @@ class AdmissionController {
   AdmissionOptions options_;
   std::vector<FnState> fns_;
   std::uint64_t rate_updates_ignored_ = 0;
+  std::uint64_t version_ = 0;
+  mutable std::uint64_t priced_version_ = 0;
+  mutable double priced_ = 0.0;  ///< priced_fraction() as of priced_version_
   /// Ordered by session id so release-driven removals are deterministic.
   std::map<SessionId, std::vector<image::FunctionId>> grants_;
 };

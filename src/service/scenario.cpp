@@ -359,7 +359,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
 
   const auto make_script = [&](std::size_t id) {
     std::vector<Request> script;
-    script.push_back(Request{.kind = CommandKind::kAttach});
+    script.emplace_back().kind = CommandKind::kAttach;
     if (scripted && id < options.scripted_sessions.size()) {
       const std::vector<Request>& body = options.scripted_sessions[id];
       script.insert(script.end(), body.begin(), body.end());
@@ -370,7 +370,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
       script.insert(script.end(), std::make_move_iterator(body.begin()),
                     std::make_move_iterator(body.end()));
     }
-    script.push_back(Request{.kind = CommandKind::kDetach});
+    script.emplace_back().kind = CommandKind::kDetach;
     return script;
   };
 
@@ -458,6 +458,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   result.deadline_cancels = service.deadline_cancels();
   result.fairshare_flips = service.fairshare_flips();
   result.sub_drops = service.sub_drops();
+  result.admission_evals = service.admission_evals();
   result.windows = service.windows();
   const double budget = service.admission().options().budget_fraction;
   for (const WindowRecord& window : result.windows) {

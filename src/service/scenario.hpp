@@ -97,6 +97,9 @@ struct ScenarioResult {
   std::uint64_t deadline_cancels = 0;
   std::uint64_t fairshare_flips = 0;
   std::uint64_t sub_drops = 0;
+  /// AdmissionController::admit calls over the run (an op count for the
+  /// bench's per-command gate; not part of `digest`).
+  std::uint64_t admission_evals = 0;
 
   /// priced_after <= budget (or at_floor) held in every window.
   bool budget_ok = true;

@@ -233,19 +233,21 @@ void ControlService::start() {
 void ControlService::submit(Request request) {
   telemetry::Registry& reg = telemetry::current();
   reg.add(reg.metrics().service_commands);
+  // Once shutting down, only reports and detaches are still served.
+  if (shutting_down_ && request.kind != CommandKind::kReport &&
+      request.kind != CommandKind::kDetach) {
+    respond(request, Status::kShutdown);
+    return;
+  }
   switch (request.kind) {
     case CommandKind::kAttach:
-      if (shutting_down_) {
-        respond(request, Status::kShutdown);
-        return;
-      }
       ++active_sessions_;
       reg.set(reg.metrics().service_sessions_active,
               static_cast<std::int64_t>(active_sessions_));
       respond(request, Status::kOk);
       return;
     case CommandKind::kInstrument:
-      handle_instrument(request, /*from_queue=*/false);
+      handle_instrument(request);
       return;
     case CommandKind::kConfsync:
       handle_confsync(request);
@@ -272,40 +274,23 @@ void ControlService::submit(Request request) {
 int ControlService::session_load(SessionId session) const {
   int load = 0;
   for (const QueuedAdmit& entry : queue_) {
-    if (entry.request.session == session) ++load;
+    if (entry.session == session) ++load;
   }
   const auto it = patch_pending_.find(session);
   if (it != patch_pending_.end()) load += it->second;
   return load;
 }
 
-/// Attempt one admission.  Returns false iff the request was denied and may
-/// wait in the queue (nothing responded); any other outcome is resolved.
-bool ControlService::try_admit(const Request& request, bool allow_queue,
+/// Attempt one admission by ids.  Returns false iff the request was denied
+/// (nothing responded, nothing changed); any other outcome is resolved.
+bool ControlService::try_admit(SessionId session, std::uint32_t seq,
+                               const std::vector<image::FunctionId>& fns,
                                sim::TimeNs deadline) {
   telemetry::Registry& reg = telemetry::current();
-  std::vector<image::FunctionId> fns;
-  fns.reserve(request.functions.size());
-  for (const std::string& name : request.functions) {
-    const image::FunctionInfo* info = symbols_->find(name);
-    if (info == nullptr) {
-      respond(request, Status::kError);
-      return true;
-    }
-    fns.push_back(info->id);
-  }
-  if (fns.empty()) {
-    respond(request, Status::kError);
-    return true;
-  }
-
-  const AdmitResult result = admission_.admit(request.session, fns);
-  if (result.decision == AdmitDecision::kDenied) {
-    if (allow_queue) return false;
-    reg.add(reg.metrics().service_denials);
-    respond(request, Status::kDenied, result.projected_fraction);
-    return true;
-  }
+  ++admission_evals_;
+  reg.add(reg.metrics().service_admission_evals);
+  const AdmitResult result = admission_.admit(session, fns);
+  if (result.decision == AdmitDecision::kDenied) return false;
 
   const Status status = result.decision == AdmitDecision::kAdmitted ? Status::kAdmitted
                                                                     : Status::kDegraded;
@@ -318,55 +303,67 @@ bool ControlService::try_admit(const Request& request, bool allow_queue,
     for (const image::FunctionId fn : result.install) {
       op.install.push_back(symbols_->at(fn).name);
     }
-    op.response.session = request.session;
-    op.response.seq = request.seq;
+    op.response.session = session;
+    op.response.seq = seq;
     op.response.status = status;
     op.response.projected_fraction = result.projected_fraction;
     op.deadline = deadline;
     enqueue_patch(std::move(op));
   } else {
     // Every requested probe is already installed for another session.
-    respond(request, status, result.projected_fraction);
+    respond(session, seq, status, result.projected_fraction);
   }
   return true;
 }
 
-void ControlService::handle_instrument(const Request& request, bool from_queue) {
-  if (shutting_down_) {
-    respond(request, Status::kShutdown);
-    return;
-  }
+void ControlService::handle_instrument(const Request& request) {
   telemetry::Registry& reg = telemetry::current();
   // Per-session overload bound: a session with this many commands already
   // deferred (queued or patching) gets an immediate, deterministic kShed
   // instead of growing the backlog.
-  if (!from_queue && options_.max_session_inflight > 0 &&
+  if (options_.max_session_inflight > 0 &&
       session_load(request.session) >= options_.max_session_inflight) {
     ++shed_commands_;
     reg.add(reg.metrics().service_shed_commands);
     respond(request, Status::kShed);
     return;
   }
+  // Names resolve once, here; a queued request is retried by id.  An
+  // empty set or an unknown name is malformed.
+  std::vector<image::FunctionId> fns;
+  fns.reserve(request.functions.size());
+  for (const std::string& name : request.functions) {
+    const image::FunctionInfo* info = symbols_->find(name);
+    if (info == nullptr) break;
+    fns.push_back(info->id);
+  }
+  if (fns.empty() || fns.size() < request.functions.size()) {
+    respond(request, Status::kError);
+    return;
+  }
+  std::sort(fns.begin(), fns.end());
+  fns.erase(std::unique(fns.begin(), fns.end()), fns.end());
+
   const sim::TimeNs deadline =
       options_.request_deadline > 0 ? engine_.now() + options_.request_deadline : 0;
-  const bool allow_queue = !from_queue && options_.queue_timeout > 0;
-  if (!try_admit(request, allow_queue, deadline)) {
-    if (options_.max_queue_depth > 0 && queue_.size() >= options_.max_queue_depth) {
-      ++shed_commands_;
-      reg.add(reg.metrics().service_shed_commands);
-      respond(request, Status::kShed, admission_.priced_fraction());
-      return;
-    }
-    reg.add(reg.metrics().service_queued);
-    queue_.push_back(QueuedAdmit{request, engine_.now(), deadline});
+  if (try_admit(request.session, request.seq, fns, deadline)) return;
+  if (options_.queue_timeout <= 0) {
+    reg.add(reg.metrics().service_denials);
+    respond(request, Status::kDenied, admission_.priced_fraction());
+    return;
   }
+  if (options_.max_queue_depth > 0 && queue_.size() >= options_.max_queue_depth) {
+    ++shed_commands_;
+    reg.add(reg.metrics().service_shed_commands);
+    respond(request, Status::kShed, admission_.priced_fraction());
+    return;
+  }
+  reg.add(reg.metrics().service_queued);
+  queue_.push_back(QueuedAdmit{request.session, request.seq, std::move(fns), engine_.now(),
+                               deadline, admission_.version()});
 }
 
 void ControlService::handle_confsync(const Request& request) {
-  if (shutting_down_) {
-    respond(request, Status::kShutdown);
-    return;
-  }
   if (request.directives.empty()) {
     respond(request, Status::kOk);
     return;
@@ -382,10 +379,6 @@ void ControlService::handle_confsync(const Request& request) {
 }
 
 void ControlService::handle_subscribe(const Request& request) {
-  if (shutting_down_) {
-    respond(request, Status::kShutdown);
-    return;
-  }
   const std::vector<image::FunctionId> matched = symbols_->match(request.pattern);
   const auto it = endpoints_.find(request.session);
   if (matched.empty() || it == endpoints_.end() || !it->second.deltas) {
@@ -470,50 +463,47 @@ void ControlService::on_window(const WindowReport& report) {
   record.at_floor = arbitration.at_floor;
   windows_.push_back(record);
 
-  for (const auto& [session, seq] : report.acks) {
-    Response response;
-    response.session = session;
-    response.seq = seq;
-    response.status = Status::kOk;
-    send_response(std::move(response));
-  }
+  for (const auto& [session, seq] : report.acks) respond(session, seq, Status::kOk);
   retry_queue();
 }
 
 void ControlService::retry_queue() {
-  if (queue_.empty()) return;
-  std::deque<QueuedAdmit> keep;
-  while (!queue_.empty()) {
-    QueuedAdmit entry = std::move(queue_.front());
-    queue_.pop_front();
-    if (shutting_down_) {
-      respond(entry.request, Status::kShutdown);
-      continue;
-    }
+  // initiate_shutdown drains the queue, and submit refuses instrument
+  // requests from then on.
+  DT_ASSERT(!shutting_down_ || queue_.empty(), "admission queue non-empty after shutdown");
+  telemetry::Registry& reg = telemetry::current();
+  const sim::TimeNs now = engine_.now();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    QueuedAdmit& entry = queue_[i];
     // End-to-end deadline: a request still waiting past it is canceled
     // before it can consume budget -- the client has long stopped caring.
-    if (entry.deadline > 0 && engine_.now() >= entry.deadline) {
+    if (entry.deadline > 0 && now >= entry.deadline) {
       ++deadline_cancels_;
-      telemetry::Registry& reg = telemetry::current();
       reg.add(reg.metrics().service_deadline_cancels);
-      respond(entry.request, Status::kCanceled, admission_.priced_fraction());
+      respond(entry.session, entry.seq, Status::kCanceled, admission_.priced_fraction());
       continue;
     }
-    if (try_admit(entry.request, /*allow_queue=*/true, entry.deadline)) continue;
-    if (engine_.now() - entry.enqueued >= options_.queue_timeout) {
-      telemetry::Registry& reg = telemetry::current();
-      reg.add(reg.metrics().service_denials);
-      respond(entry.request, Status::kDenied, admission_.priced_fraction());
-    } else {
-      keep.push_back(std::move(entry));
+    // Nothing a denial reads has changed since this entry's last one, so
+    // the admission would deny it again: skip the call.
+    if (entry.denied_at != admission_.version()) {
+      if (try_admit(entry.session, entry.seq, entry.fns, entry.deadline)) continue;
+      entry.denied_at = admission_.version();
     }
+    if (now - entry.enqueued >= options_.queue_timeout) {
+      reg.add(reg.metrics().service_denials);
+      respond(entry.session, entry.seq, Status::kDenied, admission_.priced_fraction());
+      continue;
+    }
+    if (kept != i) queue_[kept] = std::move(entry);
+    ++kept;
   }
-  queue_.swap(keep);
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept), queue_.end());
 }
 
 void ControlService::initiate_shutdown(const std::string& sentinel_function) {
   shutting_down_ = true;
-  for (const QueuedAdmit& entry : queue_) respond(entry.request, Status::kShutdown);
+  for (const QueuedAdmit& entry : queue_) respond(entry.session, entry.seq, Status::kShutdown);
   queue_.clear();
   forward_to_agent(64, [sentinel = sentinel_function](BreakAgent& agent) {
     agent.stop_requested = true;
@@ -530,10 +520,11 @@ void ControlService::stage_service_program(vt::FilterProgram program) {
   });
 }
 
-void ControlService::respond(const Request& request, Status status, double projected) {
+void ControlService::respond(SessionId session, std::uint32_t seq, Status status,
+                             double projected) {
   Response response;
-  response.session = request.session;
-  response.seq = request.seq;
+  response.session = session;
+  response.seq = seq;
   response.status = status;
   response.projected_fraction = projected;
   send_response(std::move(response));

@@ -132,13 +132,14 @@ class ControlService {
   int node() const { return node_; }
   const std::vector<WindowRecord>& windows() const { return windows_; }
   const AdmissionController& admission() const { return admission_; }
-  std::size_t sessions_active() const { return active_sessions_; }
   std::uint64_t responses_sent() const { return responses_sent_; }
-  std::size_t queue_depth() const { return queue_.size(); }
   std::uint64_t shed_commands() const { return shed_commands_; }
   std::uint64_t deadline_cancels() const { return deadline_cancels_; }
   std::uint64_t fairshare_flips() const { return fairshare_flips_; }
   std::uint64_t sub_drops() const { return sub_drops_; }
+  /// Calls into AdmissionController::admit (fresh requests and queue
+  /// retries alike).
+  std::uint64_t admission_evals() const { return admission_evals_; }
 
  private:
   struct BreakAgent;
@@ -154,10 +155,17 @@ class ControlService {
     sim::TimeNs deadline = 0;
   };
 
+  /// A denied instrument request waiting for headroom, by the ids its
+  /// names resolved to on arrival (sorted, duplicate-free).
   struct QueuedAdmit {
-    Request request;
+    SessionId session = 0;
+    std::uint32_t seq = 0;
+    std::vector<image::FunctionId> fns;
     sim::TimeNs enqueued = 0;
     sim::TimeNs deadline = 0;  ///< 0 = none
+    /// AdmissionController::version() at the last denial; while it is
+    /// current, a retry would be denied again and is skipped.
+    std::uint64_t denied_at = 0;
   };
 
   struct SessionEndpoint {
@@ -185,8 +193,9 @@ class ControlService {
     std::uint64_t sub_drops = 0;
   };
 
-  void handle_instrument(const Request& request, bool from_queue);
-  bool try_admit(const Request& request, bool allow_queue, sim::TimeNs deadline);
+  void handle_instrument(const Request& request);
+  bool try_admit(SessionId session, std::uint32_t seq,
+                 const std::vector<image::FunctionId>& fns, sim::TimeNs deadline);
   /// One session's deferred commands: queued admissions + patches in flight.
   int session_load(SessionId session) const;
   void stage_service_program(vt::FilterProgram program);
@@ -195,7 +204,10 @@ class ControlService {
   void handle_detach(const Request& request);
   void on_window(const WindowReport& report);
   void retry_queue();
-  void respond(const Request& request, Status status, double projected = 0.0);
+  void respond(SessionId session, std::uint32_t seq, Status status, double projected = 0.0);
+  void respond(const Request& request, Status status, double projected = 0.0) {
+    respond(request.session, request.seq, status, projected);
+  }
   void send_response(Response response);
   void enqueue_patch(PatchOp op);
   void forward_to_agent(std::int64_t bytes, std::function<void(BreakAgent&)> mutate);
@@ -219,7 +231,7 @@ class ControlService {
 
   std::deque<PatchOp> patch_queue_;
   std::unique_ptr<sim::Condition> patch_ready_;
-  std::deque<QueuedAdmit> queue_;
+  std::vector<QueuedAdmit> queue_;  ///< FIFO; compacted in place by retry_queue
   std::vector<WindowRecord> windows_;
   std::uint64_t responses_sent_ = 0;
   /// Patch responses in flight per session (overload accounting).
@@ -228,6 +240,7 @@ class ControlService {
   std::uint64_t deadline_cancels_ = 0;
   std::uint64_t fairshare_flips_ = 0;
   std::uint64_t sub_drops_ = 0;
+  std::uint64_t admission_evals_ = 0;
 };
 
 }  // namespace dyntrace::service

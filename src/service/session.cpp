@@ -2,34 +2,6 @@
 
 namespace dyntrace::service {
 
-const char* to_string(CommandKind kind) {
-  switch (kind) {
-    case CommandKind::kAttach: return "attach";
-    case CommandKind::kInstrument: return "instrument";
-    case CommandKind::kConfsync: return "confsync";
-    case CommandKind::kSubscribe: return "subscribe";
-    case CommandKind::kReport: return "report";
-    case CommandKind::kDetach: return "detach";
-  }
-  return "?";
-}
-
-const char* to_string(Status status) {
-  switch (status) {
-    case Status::kOk: return "ok";
-    case Status::kAdmitted: return "admitted";
-    case Status::kDegraded: return "degraded";
-    case Status::kDenied: return "denied";
-    case Status::kError: return "error";
-    case Status::kDaemonLost: return "daemon-lost";
-    case Status::kShutdown: return "shutdown";
-    case Status::kTimeout: return "timeout";
-    case Status::kShed: return "shed";
-    case Status::kCanceled: return "canceled";
-  }
-  return "?";
-}
-
 std::int64_t request_bytes(const Request& request) {
   std::int64_t bytes = 64;  // header: session, seq, kind, node
   for (const auto& name : request.functions) {

@@ -45,9 +45,6 @@ enum class Status : std::uint8_t {
   kCanceled,    ///< the end-to-end request deadline expired in the service
 };
 
-const char* to_string(CommandKind kind);
-const char* to_string(Status status);
-
 struct Request {
   SessionId session = 0;
   std::uint32_t seq = 0;

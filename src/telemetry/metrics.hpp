@@ -65,6 +65,7 @@ struct Metrics {
   CounterId service_degrades;          ///< instrument requests admitted filter-degraded
   CounterId service_denials;           ///< instrument requests denied (budget)
   CounterId service_queued;            ///< instrument requests parked in the admission queue
+  CounterId service_admission_evals;   ///< AdmissionController::admit calls (fresh + queue retries)
   CounterId service_daemon_lost_errors;///< commands failed with an explicit daemon-lost error
   CounterId service_sub_deliveries;    ///< subscription delta messages pushed to sessions
   CounterId service_sub_events;        ///< event pairs summarised across those deltas

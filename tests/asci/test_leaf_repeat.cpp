@@ -145,9 +145,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{InstrState::kDynamicProbes, 1},
                       Case{InstrState::kDynamicProbes, 1000},
                       Case{InstrState::kDynamicProbes, 25'000}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return std::string(state_name(info.param.state)) + "_x" +
-             std::to_string(info.param.calls);
+    [](const ::testing::TestParamInfo<Case>& case_info) {
+      return std::string(state_name(case_info.param.state)) + "_x" +
+             std::to_string(case_info.param.calls);
     });
 
 TEST(LeafRepeat, BufferFillDoesNotBreakEquivalence) {

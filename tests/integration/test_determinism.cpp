@@ -72,8 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DetCase{&asci::sweep3d(), Policy::kDynamic, 4},
                       DetCase{&asci::umt98(), Policy::kFullOff, 4},
                       DetCase{&asci::umt98(), Policy::kDynamic, 2}),
-    [](const ::testing::TestParamInfo<DetCase>& info) {
-      std::string name = info.param.app->name + std::string("_") + to_string(info.param.policy);
+    [](const ::testing::TestParamInfo<DetCase>& case_info) {
+      std::string name =
+          case_info.param.app->name + std::string("_") + to_string(case_info.param.policy);
       for (char& c : name) {
         if (c == '-') c = '_';
       }

@@ -1,11 +1,17 @@
 // AdmissionController unit tests: the Dynamic -> Subset -> None ladder over
 // the const pricing model, grant sharing, release, deterministic budget
-// arbitration, and replay reconciliation -- all sim-free.
+// arbitration, replay reconciliation, and the pricing epoch the service's
+// admission queue relies on -- all sim-free.
 #include "service/admission.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+
+#include "support/rng.hpp"
 
 namespace dyntrace::service {
 namespace {
@@ -225,6 +231,127 @@ TEST(Admission, RepeatGrantIsIdempotent) {
   EXPECT_TRUE(repeat.install.empty());
   EXPECT_EQ(ctl.holders(0), 1);
   EXPECT_EQ(ctl.release(0).remove, (std::vector<image::FunctionId>{0}));
+}
+
+TEST(Admission, DenialChangesNothing) {
+  AdmissionController ctl = make_controller(8, 20'000, 20'000);
+  ctl.admit(0, {0, 1});
+  const std::uint64_t version = ctl.version();
+  const double priced = ctl.priced_fraction();
+  EXPECT_EQ(ctl.admit(1, {2, 3}).decision, AdmitDecision::kDenied);
+  EXPECT_EQ(ctl.admit(0, {2}).decision, AdmitDecision::kDenied);
+  EXPECT_EQ(ctl.version(), version);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ctl.priced_fraction()),
+            std::bit_cast<std::uint64_t>(priced));
+  // Session 1 never got a grant out of its denial.
+  EXPECT_TRUE(ctl.release(1).remove.empty());
+}
+
+TEST(Admission, VersionMovesOnlyWithDenialInputs) {
+  AdmissionController ctl = make_controller();
+  std::uint64_t v = ctl.version();
+  ctl.admit(0, {0});  // holder 0 -> 1
+  EXPECT_GT(ctl.version(), v);
+  v = ctl.version();
+  ctl.admit(1, {0});  // 1 -> 2: the priced set is unchanged
+  EXPECT_EQ(ctl.version(), v);
+  ctl.update_rate(0, 1000.0);  // first observation
+  EXPECT_GT(ctl.version(), v);
+  v = ctl.version();
+  ctl.update_rate(0, 1000.0);  // same rate again
+  ctl.update_rate(5, 9000.0);  // nobody holds fn5
+  EXPECT_EQ(ctl.version(), v);
+  ctl.replay({{/*activate=*/true, "fn0"}});  // already active
+  EXPECT_EQ(ctl.version(), v);
+  ctl.replay({{/*activate=*/false, "fn0"}});
+  EXPECT_GT(ctl.version(), v);
+  v = ctl.version();
+  EXPECT_TRUE(ctl.release(0).remove.empty());  // 2 -> 1
+  EXPECT_EQ(ctl.version(), v);
+  EXPECT_EQ(ctl.release(1).remove, (std::vector<image::FunctionId>{0}));  // 1 -> 0
+  EXPECT_GT(ctl.version(), v);
+}
+
+// Property: version() is an exact epoch for admission decisions.  Random
+// admit/release/update_rate/arbitrate/replay sequences; after every
+// operation that leaves version() unchanged, the priced total is bitwise
+// the same and a panel of probe requests -- from a session that never
+// holds anything, evaluated on copies -- gets the same decisions as before.
+// A denied admit leaves version() and the priced total untouched.
+TEST(Admission, VersionIsAnExactEpochForDecisions) {
+  constexpr int kFns = 12;
+  constexpr SessionId kProbe = 1000;
+  const auto symbols = make_symbols(kFns);
+  std::vector<std::vector<image::FunctionId>> panel;
+  for (image::FunctionId fn = 0; fn < kFns; ++fn) panel.push_back({fn});
+  panel.push_back({0, 1});
+  panel.push_back({2, 5, 9});
+  panel.push_back({3, 4, 10, 11});
+  const auto decisions = [&](const AdmissionController& ctl) {
+    std::vector<AdmitDecision> out;
+    for (const std::vector<image::FunctionId>& fns : panel) {
+      AdmissionController copy = ctl;
+      out.push_back(copy.admit(kProbe, fns).decision);
+    }
+    return out;
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  int unchanged = 0;
+  int denied = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    AdmissionController ctl(symbols, control::PairPrice{20'000, 2'000},
+                            AdmissionOptions{0.05, 1000.0});
+    const auto pick = [&] {
+      return static_cast<image::FunctionId>(rng.next_below(kFns));
+    };
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t version = ctl.version();
+      const double priced = ctl.priced_fraction();
+      const std::vector<AdmitDecision> before = decisions(ctl);
+      const auto session = static_cast<SessionId>(rng.next_below(6));
+      switch (rng.next_below(5)) {
+        case 0: {
+          // Unsorted, sometimes duplicated ids.
+          std::vector<image::FunctionId> fns;
+          for (std::uint64_t k = 0, n = 1 + rng.next_below(3); k < n; ++k) fns.push_back(pick());
+          if (ctl.admit(session, fns).decision == AdmitDecision::kDenied) {
+            ++denied;
+            ASSERT_EQ(ctl.version(), version);
+            ASSERT_EQ(bits(ctl.priced_fraction()), bits(priced));
+          }
+          break;
+        }
+        case 1:
+          ctl.release(session);
+          break;
+        case 2: {
+          static constexpr double kRates[] = {250.0, 1000.0, 2500.0, 4000.0};
+          ctl.update_rate(pick(), kRates[rng.next_below(4)]);
+          break;
+        }
+        case 3:
+          ctl.arbitrate();
+          break;
+        default: {
+          vt::FilterProgram program;
+          for (std::uint64_t k = 0, n = 1 + rng.next_below(2); k < n; ++k) {
+            program.push_back({rng.bernoulli(0.5), "fn" + std::to_string(pick())});
+          }
+          ctl.replay(program);
+          break;
+        }
+      }
+      if (ctl.version() != version) continue;
+      ++unchanged;
+      ASSERT_EQ(bits(ctl.priced_fraction()), bits(priced)) << "seed " << seed << " step " << step;
+      ASSERT_EQ(decisions(ctl), before) << "seed " << seed << " step " << step;
+    }
+  }
+  // The walk exercised both sides of the property.
+  EXPECT_GT(unchanged, 1000);
+  EXPECT_GT(denied, 100);
 }
 
 }  // namespace

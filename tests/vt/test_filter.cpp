@@ -181,7 +181,10 @@ TEST(FilterCompile, SeededRandomGlobProgramsMatchTheReference) {
               case 1:
                 for (int k = 0; k < 3; ++k) pattern[rng.next_below(pattern.size())] = '?';
                 break;
-              case 2: pattern = "*" + pattern.substr(rng.next_below(pattern.size())); break;
+              case 2:
+                pattern.erase(0, rng.next_below(pattern.size()));
+                pattern.insert(pattern.begin(), '*');
+                break;
               default: break;
             }
             program.push_back(FilterDirective{rng.bernoulli(0.5), pattern});
