@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dynprof/policy.hpp"
-#include "machine/spec.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -53,40 +51,27 @@ struct PolicySweep {
   }
 };
 
-/// A machine spec big enough for `cpus` single-cpu ranks plus a tool node:
-/// the paper's IBM Power3 SP (144 nodes) grown node-for-node when a sweep
-/// extends past its 1152 CPUs (the --max-cpus 4096 extension).
-inline std::optional<machine::MachineSpec> machine_for_cpus(int cpus) {
-  machine::MachineSpec spec = machine::ibm_power3_sp();
-  const int needed = (cpus + spec.cpus_per_node - 1) / spec.cpus_per_node + 1;
-  if (needed <= spec.nodes) return std::nullopt;  // default machine: untouched runs
-  spec.nodes = needed;
-  spec.name += "-x" + std::to_string(needed);
-  return spec;
-}
-
 inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
                                     std::uint64_t seed, int max_cpus = 0) {
-  // --max-cpus beyond the app's paper ceiling: sweep a widened copy on a
-  // machine grown to fit (results for the paper counts are unchanged --
-  // cells only get a bigger machine when they need one).
+  // --max-cpus extends an MPI app's sweep past its paper ceiling (Launch
+  // grows the machine for the cells that need it); an OpenMP app stays
+  // within one node.
   asci::AppSpec widened = app;
-  if (max_cpus > widened.max_procs) widened.max_procs = max_cpus;
+  if (app.model != asci::AppSpec::Model::kOpenMP && max_cpus > widened.max_procs) {
+    widened.max_procs = max_cpus;
+  }
   PolicySweep sweep;
   sweep.cpus = dynprof::cpu_counts_for(widened);
-  sweep.policies = dynprof::policies_for(widened);
+  sweep.policies = dynprof::policies_for(app);
   for (const auto policy : sweep.policies) {
     std::vector<double> row;
     for (const int cpus : sweep.cpus) {
       dynprof::RunConfig config;
-      config.app = &widened;
+      config.app = &app;
       config.policy = policy;
       config.nprocs = cpus;
       config.problem_scale = scale;
       config.seed = seed;
-      if (widened.model != asci::AppSpec::Model::kOpenMP) {
-        config.machine = machine_for_cpus(cpus);
-      }
       row.push_back(dynprof::run_policy(config).app_seconds);
       std::fprintf(stderr, ".");
       std::fflush(stderr);
@@ -118,7 +103,7 @@ struct Fig7Options {
   std::int64_t seed = 42;
   /// 0 keeps the app's paper ceiling; a larger power of two extends the
   /// sweep (e.g. 4096) on a machine grown to fit.
-  std::int64_t max_cpus = 0;
+  int max_cpus = 0;
   bool csv = false;
 };
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   const auto sweep = run_policy_sweep(asci::smg98(), options.scale,
                                       static_cast<std::uint64_t>(options.seed),
-                                      static_cast<int>(options.max_cpus));
+                                      options.max_cpus);
   print_sweep("Figure 7(a): Smg98 execution time (s)", sweep);
   maybe_print_csv(sweep, options.csv);
 

@@ -1,14 +1,13 @@
-// Trace format v2 payoff on the smg98 Full cell (ISSUE 8).
+// The block trace encoding on the smg98 Full cell (DESIGN.md §6).
 //
 // One simulated smg98 Full run supplies the event stream; the bench then
-// replays it through the spill path in both encodings and measures what
-// the v2 format claims: bytes/event (varint deltas + dictionaries +
-// redundancy suppression vs 36-byte CRC frames), encode ns/event, and
-// k-way merge throughput reading the spilled runs back.  Emits
-// BENCH_trace.json.  Shape checks (the ISSUE acceptance bar): v2 spends
-// >= 4x fewer bytes/event, merges >= 2x faster, and both formats merge to
-// bit-identical digests -- including the fig7a statistics digest from two
-// full policy runs.
+// replays it through the spill path and measures what the encoding claims:
+// bytes/event (varint deltas + dictionaries + redundancy suppression; the
+// retired fixed-record encoding spent 36), encode ns/event, and k-way merge
+// throughput reading the spilled runs back.  Emits BENCH_trace.json.  Shape
+// checks: at most 9.00 bytes/event (a quarter of 36), the spilled store
+// merges to the in-memory digest, and a spilled Full policy run matches the
+// unspilled run's trace and statistics digests and app time.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -17,7 +16,6 @@
 #include "bench_common.hpp"
 #include "dynprof/policy.hpp"
 #include "vt/trace_codec_v2.hpp"
-#include "vt/trace_format.hpp"
 #include "vt/trace_store.hpp"
 
 namespace {
@@ -33,7 +31,7 @@ struct BestOf {
   void add(double s) { best_s = s < best_s ? s : best_s; }
 };
 
-struct FormatNumbers {
+struct CodecNumbers {
   double bytes_per_event = 0;
   double encode_ns_per_event = 0;
   double merge_events_per_s = 0;
@@ -44,40 +42,26 @@ struct FormatNumbers {
 
 /// Replay the cell's events through per-pid shards with a small spill
 /// budget, so the merge below reads encoded runs back from disk.
-vt::TraceStore build_spilled_store(const std::vector<vt::Event>& events,
-                                   vt::TraceFormat format) {
+vt::TraceStore build_spilled_store(const std::vector<vt::Event>& events) {
   vt::TraceStore::Options options;
   options.spill_budget_bytes = std::size_t{1} << 12;  // 128-event runs
-  options.spill_dir = "";                             // system temp
-  options.format = format;
   vt::TraceStore store(options);
   for (const auto& e : events) store.append(e);
   return store;
 }
 
-FormatNumbers measure_format(const std::vector<vt::Event>& events, vt::TraceFormat format,
-                             int reps) {
-  FormatNumbers out;
+CodecNumbers measure(const std::vector<vt::Event>& events, int reps) {
+  CodecNumbers out;
 
   // --- encode ns/event (the spill-time cost) -------------------------------
   BestOf encode;
   for (int rep = 0; rep < reps; ++rep) {
     const auto begin = std::chrono::steady_clock::now();
-    if (format == vt::TraceFormat::kV1) {
-      std::uint8_t frame[vt::kSpillFrameBytes];
-      std::uint64_t checksum = 0;
-      for (const auto& e : events) {
-        vt::encode_spill_frame(e, frame);
-        checksum += frame[0];
-      }
-      if (checksum == 0) std::fputc(' ', stderr);  // keep the loop live
-    } else {
-      vt::SuppressionTable table(1024);
-      std::vector<std::uint8_t> bytes;
-      for (std::size_t i = 0; i < events.size(); i += vt::kBlockRecords) {
-        const std::size_t n = std::min(vt::kBlockRecords, events.size() - i);
-        vt::encode_v2_blocks(events.data() + i, n, &table, bytes);
-      }
+    vt::SuppressionTable table(vt::kSuppressionTableCapacity);
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i < events.size(); i += vt::kBlockRecords) {
+      const std::size_t n = std::min(vt::kBlockRecords, events.size() - i);
+      vt::encode_v2_blocks(events.data() + i, n, &table, bytes);
     }
     encode.add(seconds_since(begin));
     std::fprintf(stderr, ".");
@@ -86,7 +70,7 @@ FormatNumbers measure_format(const std::vector<vt::Event>& events, vt::TraceForm
   out.encode_ns_per_event = encode.best_s * 1e9 / static_cast<double>(events.size());
 
   // --- bytes/event and merge throughput through the real shard path -------
-  const vt::TraceStore store = build_spilled_store(events, format);
+  const vt::TraceStore store = build_spilled_store(events);
   out.volume = store.volume_stats();
   out.bytes_per_event = out.volume.bytes_per_event();
   out.digest = store.digest();
@@ -94,8 +78,8 @@ FormatNumbers measure_format(const std::vector<vt::Event>& events, vt::TraceForm
   BestOf merge;
   for (int rep = 0; rep < reps; ++rep) {
     // Cursor construction (one open(2) per run, slow and noisy on overlay
-    // filesystems) stays outside the timed window: the gate compares decode
-    // + merge throughput, which is what the format change affects.
+    // filesystems) stays outside the timed window: the figure is decode +
+    // merge throughput.
     auto cursor = store.merge_cursor();
     const auto begin = std::chrono::steady_clock::now();
     vt::Event e;
@@ -123,23 +107,26 @@ int main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
   double scale = 0.15;
-  std::int64_t nprocs = 32;
-  std::int64_t reps = 5;
+  int nprocs = 32;
+  int reps = 5;
   std::string json_path = "BENCH_trace.json";
   CliParser parser("micro_trace_v2",
-                   "Trace format v2 vs v1 on the smg98 Full cell (BENCH_trace.json)");
+                   "The block trace encoding on the smg98 Full cell (BENCH_trace.json)");
   parser.option_double("scale", "problem scale factor (default 0.15)", &scale);
   parser.option_int("nprocs", "smg98 rank count (default 32)", &nprocs);
   parser.option_int("reps", "reps per measurement, best-of (default 5)", &reps);
   parser.option_string("json", "output artifact (default BENCH_trace.json)", &json_path);
   if (!parser.parse(argc, argv)) return 0;
+  if (reps < 1 || nprocs < 1) {
+    std::fprintf(stderr, "micro_trace_v2: --reps and --nprocs must be >= 1\n");
+    return 1;
+  }
 
   // --- the event stream: one smg98 Full cell, kept in memory ---------------
-  std::fprintf(stderr, "simulating smg98 Full/%d at scale %.2f...\n",
-               static_cast<int>(nprocs), scale);
+  std::fprintf(stderr, "simulating smg98 Full/%d at scale %.2f...\n", nprocs, scale);
   dynprof::Launch::Options lopt;
   lopt.app = &asci::smg98();
-  lopt.params.nprocs = static_cast<int>(nprocs);
+  lopt.params.nprocs = nprocs;
   lopt.params.problem_scale = scale;
   lopt.policy = dynprof::Policy::kFull;
   dynprof::Launch launch(std::move(lopt));
@@ -148,27 +135,16 @@ int main(int argc, char** argv) {
   const std::uint64_t memory_digest = launch.trace()->digest();
   std::fprintf(stderr, "%zu events\n", events.size());
 
-  const FormatNumbers v1 = measure_format(events, vt::TraceFormat::kV1, static_cast<int>(reps));
-  const FormatNumbers v2 = measure_format(events, vt::TraceFormat::kV2, static_cast<int>(reps));
+  const CodecNumbers v2 = measure(events, reps);
   std::fprintf(stderr, "\n");
 
-  const double byte_ratio = v2.bytes_per_event > 0 ? v1.bytes_per_event / v2.bytes_per_event : 0;
-  const double merge_ratio =
-      v1.merge_events_per_s > 0 ? v2.merge_events_per_s / v1.merge_events_per_s : 0;
-
-  TextTable table({"Format", "Bytes/event", "Encode ns/event", "Merge Mevents/s",
+  TextTable table({"Encoding", "Bytes/event", "Encode ns/event", "Merge Mevents/s",
                    "Merge MB/s"});
-  table.add_row({"v1 (CRC frames)", TextTable::num(v1.bytes_per_event, 2),
-                 TextTable::num(v1.encode_ns_per_event, 1),
-                 TextTable::num(v1.merge_events_per_s / 1e6, 2),
-                 TextTable::num(v1.merge_mb_per_s, 1)});
-  table.add_row({"v2 (delta blocks)", TextTable::num(v2.bytes_per_event, 2),
+  table.add_row({"delta blocks", TextTable::num(v2.bytes_per_event, 2),
                  TextTable::num(v2.encode_ns_per_event, 1),
                  TextTable::num(v2.merge_events_per_s / 1e6, 2),
                  TextTable::num(v2.merge_mb_per_s, 1)});
   std::fputs(table.render().c_str(), stdout);
-  std::printf("v2 vs v1: %.2fx fewer bytes/event, %.2fx merge throughput\n", byte_ratio,
-              merge_ratio);
   std::printf("suppression: %llu of %llu spilled record(s) folded into %llu super-record(s), "
               "%llu table eviction(s)\n",
               static_cast<unsigned long long>(v2.volume.suppressed_records),
@@ -176,20 +152,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(v2.volume.super_records),
               static_cast<unsigned long long>(v2.volume.table_evictions));
 
-  // --- fig7a statistics bit-identity across formats ------------------------
+  // --- fig7a statistics bit-identity, spilled vs in memory -----------------
   std::fprintf(stderr, "policy runs for the statistics digest gate...\n");
-  const auto policy_cell = [&](vt::TraceFormat format) {
+  const auto policy_cell = [&](std::size_t spill_bytes) {
     dynprof::RunConfig config;
     config.app = &asci::smg98();
     config.policy = dynprof::Policy::kFull;
-    config.nprocs = static_cast<int>(nprocs);
+    config.nprocs = nprocs;
     config.problem_scale = scale;
-    config.trace_spill_bytes = std::size_t{1} << 14;
-    config.trace_format = format;
+    config.trace_spill_bytes = spill_bytes;
     return dynprof::run_policy(config);
   };
-  const dynprof::PolicyResult policy_v1 = policy_cell(vt::TraceFormat::kV1);
-  const dynprof::PolicyResult policy_v2 = policy_cell(vt::TraceFormat::kV2);
+  const dynprof::PolicyResult in_memory = policy_cell(0);
+  const dynprof::PolicyResult spilled = policy_cell(std::size_t{1} << 14);
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -201,34 +176,31 @@ int main(int argc, char** argv) {
       "{\n"
       "  \"cell\": {\"app\": \"smg98\", \"policy\": \"Full\", \"nprocs\": %d, "
       "\"scale\": %.3f, \"events\": %zu},\n"
-      "  \"v1\": {\"bytes_per_event\": %.3f, \"encode_ns_per_event\": %.2f, "
-      "\"merge_events_per_s\": %.0f, \"merge_mb_per_s\": %.2f},\n"
       "  \"v2\": {\"bytes_per_event\": %.3f, \"encode_ns_per_event\": %.2f, "
       "\"merge_events_per_s\": %.0f, \"merge_mb_per_s\": %.2f,\n"
       "          \"suppressed_records\": %llu, \"super_records\": %llu, "
       "\"table_evictions\": %llu},\n"
-      "  \"ratios\": {\"bytes_per_event\": %.3f, \"merge_throughput\": %.3f},\n"
       "  \"digests_identical\": %s\n"
       "}\n",
-      static_cast<int>(nprocs), scale, events.size(), v1.bytes_per_event,
-      v1.encode_ns_per_event, v1.merge_events_per_s, v1.merge_mb_per_s, v2.bytes_per_event,
-      v2.encode_ns_per_event, v2.merge_events_per_s, v2.merge_mb_per_s,
+      nprocs, scale, events.size(), v2.bytes_per_event, v2.encode_ns_per_event,
+      v2.merge_events_per_s, v2.merge_mb_per_s,
       static_cast<unsigned long long>(v2.volume.suppressed_records),
       static_cast<unsigned long long>(v2.volume.super_records),
-      static_cast<unsigned long long>(v2.volume.table_evictions), byte_ratio, merge_ratio,
-      (v1.digest == memory_digest && v2.digest == memory_digest) ? "true" : "false");
+      static_cast<unsigned long long>(v2.volume.table_evictions),
+      v2.digest == memory_digest ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path.c_str());
 
   std::vector<ShapeCheck> checks;
-  checks.push_back({"v2 spends >= 4x fewer bytes/event than v1 (smg98 Full)",
-                    byte_ratio >= 4.0});
-  checks.push_back({"v2 k-way merge throughput >= 2x v1", merge_ratio >= 2.0});
-  checks.push_back({"v1 and v2 spilled stores merge to the in-memory digest",
-                    v1.digest == memory_digest && v2.digest == memory_digest});
-  checks.push_back({"fig7a trace and statistics digests bit-identical across formats",
-                    policy_v1.trace_digest == policy_v2.trace_digest &&
-                        policy_v1.stats_digest == policy_v2.stats_digest &&
-                        policy_v1.app_seconds == policy_v2.app_seconds});
+  checks.push_back({"<= 9.00 bytes/event, a quarter of the retired 36-byte frames "
+                    "(smg98 Full)",
+                    v2.bytes_per_event <= 9.0});
+  checks.push_back({"the spilled store merges to the in-memory digest",
+                    v2.digest == memory_digest});
+  checks.push_back({"a spilled fig7a Full run matches the in-memory run's trace and "
+                    "statistics digests and app time",
+                    spilled.trace_digest == in_memory.trace_digest &&
+                        spilled.stats_digest == in_memory.stats_digest &&
+                        spilled.app_seconds == in_memory.app_seconds});
   return report_checks(checks);
 }

@@ -77,7 +77,7 @@ const asci::AppSpec& two_phase_app() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t cpus = 8;
+  int cpus = 8;
   double budget = 0.05;
   CliParser parser("adaptive_control",
                    "Self-tuning profiling: overhead-budget controller demo (DESIGN.md §7).");
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     dynprof::RunConfig config;
     config.app = &two_phase_app();
     config.policy = dynprof::Policy::kAdaptive;
-    config.nprocs = static_cast<int>(cpus);
+    config.nprocs = cpus;
     config.confsync_interval = 1;  // a safe point every step
     config.tree_arity = 2;
     config.controller.budget_fraction = budget;
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     const dynprof::PolicyResult result = dynprof::run_policy(config);
 
     std::printf("two-phase app, %d ranks, budget %.0f%% (filter actuator)\n\n",
-                static_cast<int>(cpus), budget * 100);
+                cpus, budget * 100);
     std::printf("run time %.2f s, %llu trace events (%llu suppressed), %llu confsyncs\n\n",
                 result.app_seconds, static_cast<unsigned long long>(result.trace_events),
                 static_cast<unsigned long long>(result.filtered_events),

@@ -69,7 +69,7 @@ const asci::AppSpec& stepped_app() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t cpus = 8;
+  int cpus = 8;
   CliParser parser("dynamic_control", "Dynamic control of instrumentation demo (paper §5).");
   parser.option_int("cpus", "MPI ranks", &cpus);
   try {
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     // Full-Off starting state of a dynamic-control session.
     dynprof::Launch::Options options;
     options.app = &stepped_app();
-    options.params.nprocs = static_cast<int>(cpus);
+    options.params.nprocs = cpus;
     options.policy = dynprof::Policy::kFullOff;
     dynprof::Launch launch(std::move(options));
 

@@ -105,14 +105,13 @@ bool is_trace_target(const std::string& name) {
 
 int main(int argc, char** argv) {
   std::string app_name;
-  std::int64_t cpus = 2;
+  int cpus = 2;
   double scale = 0.5;
   std::string machine_profile;
   std::string script_path;
   std::string timefile_path;
   std::string tracefile_path;
   std::string tracebin_path;
-  std::string trace_format_name = "v2";
   std::int64_t trace_spill_bytes = 0;
   std::string fault_plan_path;
   std::int64_t fault_seed = -1;
@@ -140,10 +139,6 @@ int main(int argc, char** argv) {
       .option_string("timefile", "write dynprof internal timings here", &timefile_path)
       .option_string("trace", "write the VGV trace file here", &tracefile_path)
       .option_string("trace-bin", "write the compact binary trace here", &tracebin_path)
-      .option_string("trace-format",
-                     "binary/spill trace encoding: v1 (fixed records) | v2 "
-                     "(delta blocks + suppression; the default)",
-                     &trace_format_name)
       .option_int("trace-spill-bytes",
                   "per-shard byte budget before sorted runs spill to disk (0 = "
                   "keep shards in memory)",
@@ -243,11 +238,10 @@ int main(int argc, char** argv) {
       dynprof::RunConfig config;
       config.app = app;
       config.policy = policy;
-      config.nprocs = static_cast<int>(cpus);
+      config.nprocs = cpus;
       config.problem_scale = scale;
       config.machine = machine_spec;
       config.telemetry_level = telemetry::level_from_string(telemetry_level);
-      config.trace_format = vt::trace_format_from_string(trace_format_name);
       DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
       config.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
       if (!telemetry_stats_path.empty()) {
@@ -279,14 +273,12 @@ int main(int argc, char** argv) {
 
     dynprof::Launch::Options options;
     options.app = app;
-    options.params.nprocs = static_cast<int>(cpus);
+    options.params.nprocs = cpus;
     options.params.problem_scale = scale;
     options.policy = dynprof::Policy::kDynamic;  // dynprof drives an uninstrumented build
     options.machine = machine_spec;
     options.fault = injector;
     options.telemetry_level = telemetry::level_from_string(telemetry_level);
-    const vt::TraceFormat trace_format = vt::trace_format_from_string(trace_format_name);
-    options.trace_format = trace_format;
     DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
     options.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
     dynprof::Launch launch(std::move(options));
@@ -342,9 +334,9 @@ int main(int argc, char** argv) {
                   tracefile_path.c_str());
     }
     if (!tracebin_path.empty()) {
-      launch.trace()->write_binary(tracebin_path, trace_format);
-      std::printf("binary trace (%zu events, %s) written to %s\n", launch.trace()->size(),
-                  vt::to_string(trace_format).c_str(), tracebin_path.c_str());
+      launch.trace()->write_binary(tracebin_path);
+      std::printf("binary trace (%zu events) written to %s\n", launch.trace()->size(),
+                  tracebin_path.c_str());
     }
 
     if (!telemetry_stats_path.empty()) {

@@ -18,7 +18,7 @@
 using namespace dyntrace;
 
 int main(int argc, char** argv) {
-  std::int64_t cpus = 8;
+  int cpus = 8;
   double scale = 1.0;
   CliParser parser("hybrid_profiling", "Sampling-guided ephemeral instrumentation (§6).");
   parser.option_int("cpus", "MPI ranks", &cpus).option_double("scale", "problem scale", &scale);
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       dynprof::RunConfig config;
       config.app = &asci::sppm();
       config.policy = policy;
-      config.nprocs = static_cast<int>(cpus);
+      config.nprocs = cpus;
       config.problem_scale = scale;
       return dynprof::run_policy(config);
     };
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     // The hybrid run.
     dynprof::Launch::Options lopt;
     lopt.app = &asci::sppm();
-    lopt.params.nprocs = static_cast<int>(cpus);
+    lopt.params.nprocs = cpus;
     lopt.params.problem_scale = scale;
     lopt.policy = dynprof::Policy::kDynamic;
     dynprof::Launch launch(std::move(lopt));

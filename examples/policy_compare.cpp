@@ -28,7 +28,7 @@ double events_to_mb(std::uint64_t events) {
 
 int main(int argc, char** argv) {
   std::string app_name = "smg98";
-  std::int64_t cpus = 16;
+  int cpus = 16;
   double scale = 1.0;
   std::string machine_profile;
 
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       dynprof::RunConfig config;
       config.app = app;
       config.policy = policy;
-      config.nprocs = static_cast<int>(cpus);
+      config.nprocs = cpus;
       config.problem_scale = scale;
       config.machine = machine_spec;
       const auto result = dynprof::run_policy(config);

@@ -1,6 +1,7 @@
 #include "dynprof/launch.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "fault/injector.hpp"
 #include "guide/compiler.hpp"
@@ -80,8 +81,10 @@ Launch::Launch(Options options)
   if (options_.job_name.empty()) options_.job_name = app.name;
   DT_EXPECT(params.nprocs >= app.min_procs, app.name, " does not run on ", params.nprocs,
             " processor(s) (minimum ", app.min_procs, ")");
-  DT_EXPECT(params.nprocs <= app.max_procs, app.name, " was evaluated up to ", app.max_procs,
-            " processors; got ", params.nprocs);
+  DT_EXPECT(std::isfinite(params.problem_scale) && params.problem_scale > 0, app.name,
+            ": problem scale must be a finite number > 0, got ", params.problem_scale);
+  DT_EXPECT(params.threads_per_rank >= 1, "threads_per_rank must be >= 1");
+  const bool is_openmp = app.model == asci::AppSpec::Model::kOpenMP;
 
   if (options_.shared_cluster != nullptr) {
     DT_EXPECT(options_.shared_engine != nullptr,
@@ -91,15 +94,22 @@ Launch::Launch(Options options)
     DT_EXPECT(options_.shared_engine == nullptr,
               "a shared engine requires a shared cluster");
     machine::MachineSpec spec =
-        options_.machine.has_value() ? *options_.machine : machine::ibm_power3_sp();
+        options_.machine.has_value()
+            ? *options_.machine
+            : machine::machine_for_cpus(is_openmp ? params.nprocs
+                                                  : std::int64_t{params.nprocs} *
+                                                        params.threads_per_rank);
     owned_cluster_ = std::make_unique<machine::Cluster>(
         *engine_, std::move(spec), /*noise_seed=*/params.seed ^ 0x9e3779b9);
     cluster_ = owned_cluster_.get();
   }
+  // An OpenMP application is one process whose team shares one node.
+  DT_EXPECT(!is_openmp || params.nprocs <= cluster_->spec().cpus_per_node, app.name,
+            " is an OpenMP application: its ", params.nprocs, " threads must fit one node (",
+            cluster_->spec().cpus_per_node, " CPUs)");
   vt::TraceStore::Options store_options;
   store_options.spill_budget_bytes = options_.trace_spill_bytes;
   store_options.spill_dir = options_.trace_spill_dir;
-  store_options.format = options_.trace_format;
   if (options_.fault != nullptr) {
     cluster_->set_fault_injector(*options_.fault);
     // A shared cluster's owner checks the plan against every job it hosts.
@@ -119,10 +129,9 @@ Launch::Launch(Options options)
   staged_ = std::make_shared<vt::StagedUpdate>();
   job_ = std::make_unique<proc::ParallelJob>(*cluster_, options_.job_name);
 
-  const bool is_mpi = app.model != asci::AppSpec::Model::kOpenMP;
+  const bool is_mpi = !is_openmp;
   const bool uses_omp = app.model != asci::AppSpec::Model::kMpi;
   if (is_mpi) world_ = std::make_unique<mpi::World>(*cluster_);
-  DT_EXPECT(params.threads_per_rank >= 1, "threads_per_rank must be >= 1");
   DT_EXPECT(app.model == asci::AppSpec::Model::kMixed || params.threads_per_rank == 1,
             app.name, " is not a mixed-mode application");
 

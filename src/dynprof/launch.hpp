@@ -63,16 +63,15 @@ class Launch {
     const asci::AppSpec* app = nullptr;
     asci::AppParams params;
     Policy policy = Policy::kNone;
-    std::optional<machine::MachineSpec> machine;  ///< default: IBM Power3 SP
+    /// Default: machine::machine_for_cpus -- the IBM Power3 SP, grown node
+    /// for node when the application's CPUs do not fit.
+    std::optional<machine::MachineSpec> machine;
     std::size_t vt_buffer_records = 16384;
     /// Per-process trace-shard byte budget before sorted runs spill to
     /// disk (0 = keep shards fully in memory; see vt::ShardOptions).
     std::size_t trace_spill_bytes = 0;
     /// Spill directory for shard runs; empty = system temp directory.
     std::string trace_spill_dir;
-    /// On-disk encoding for spilled runs (and the write_binary default):
-    /// v2 delta blocks by default, v1 fixed records for migration.
-    vt::TraceFormat trace_format = vt::TraceFormat::kV2;
     /// First node used for application processes (tool daemons etc. can
     /// use the nodes above the application's).
     int first_app_node = 0;

@@ -108,7 +108,6 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.first_app_cpu = job.first_cpu;
     lo.job_name = job.name;
     lo.trace_spill_bytes = options_.trace_spill_bytes;
-    lo.trace_format = options_.trace_format;
     lo.fault = options_.fault;
     lo.shared_engine = &engine_;
     lo.shared_cluster = cluster_.get();

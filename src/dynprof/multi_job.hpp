@@ -65,7 +65,6 @@ struct MultiJobOptions {
   std::shared_ptr<fault::FaultInjector> fault;
   telemetry::Level telemetry_level = telemetry::default_level();
   std::size_t trace_spill_bytes = 0;
-  vt::TraceFormat trace_format = vt::TraceFormat::kV2;
   /// Adaptive jobs: safe-point cadence and overlay arity (mirrors
   /// RunConfig's defaults).
   int confsync_interval = 36;

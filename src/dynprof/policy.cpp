@@ -8,8 +8,8 @@ namespace dyntrace::dynprof {
 
 std::vector<int> cpu_counts_for(const asci::AppSpec& app) {
   std::vector<int> counts;
-  for (int p = 1; p <= app.max_procs; p *= 2) {
-    if (p >= app.min_procs) counts.push_back(p);
+  for (std::int64_t p = 1; p <= app.max_procs; p *= 2) {
+    if (p >= app.min_procs) counts.push_back(static_cast<int>(p));
   }
   return counts;
 }
@@ -30,7 +30,6 @@ PolicyResult run_policy(const RunConfig& config) {
   options.machine = config.machine;
   options.telemetry_level = config.telemetry_level;
   options.trace_spill_bytes = config.trace_spill_bytes;
-  options.trace_format = config.trace_format;
   Launch launch(std::move(options));
 
   PolicyResult result;

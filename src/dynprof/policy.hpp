@@ -18,15 +18,14 @@ struct RunConfig {
   int nprocs = 1;
   double problem_scale = 1.0;
   std::uint64_t seed = 42;
-  std::optional<machine::MachineSpec> machine;  ///< default IBM Power3 SP
+  std::optional<machine::MachineSpec> machine;  ///< default: see Launch::Options
   /// Self-telemetry level for the run (DESIGN.md §12).  Telemetry never
   /// perturbs simulated results -- digests are identical at every level.
   telemetry::Level telemetry_level = telemetry::default_level();
-  /// Trace-shard spill budget and run encoding (see Launch::Options).  The
-  /// format changes bytes on disk only -- digests, statistics, and decision
-  /// logs are bit-identical between v1 and v2.
+  /// Trace-shard spill budget (see Launch::Options).  Spilling changes
+  /// where records live only -- digests, statistics, and decision logs are
+  /// bit-identical to the in-memory run.
   std::size_t trace_spill_bytes = 0;
-  vt::TraceFormat trace_format = vt::TraceFormat::kV2;
   /// Capture the run's telemetry artifacts after completion (set by the CLI
   /// when --telemetry-stats/--telemetry-trace ask for files).
   std::function<void(const telemetry::Registry&)> telemetry_sink;

@@ -1,6 +1,8 @@
 #include "machine/spec.hpp"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "support/common.hpp"
 
@@ -32,6 +34,17 @@ MachineSpec ibm_power3_sp() {
   s.intra_bandwidth_bytes_per_us = 1600.0;
   s.latency_jitter = 0.08;
   return s;
+}
+
+MachineSpec machine_for_cpus(std::int64_t cpus) {
+  MachineSpec spec = ibm_power3_sp();
+  const std::int64_t needed = (cpus + spec.cpus_per_node - 1) / spec.cpus_per_node + 1;
+  if (needed <= spec.nodes) return spec;
+  DT_EXPECT(needed <= std::numeric_limits<int>::max(), "no machine has ", cpus,
+            " CPUs (", needed, " nodes would overflow the node count)");
+  spec.nodes = static_cast<int>(needed);
+  spec.name += "-x" + std::to_string(needed);
+  return spec;
 }
 
 MachineSpec ia32_linux_cluster() {

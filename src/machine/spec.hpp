@@ -132,6 +132,12 @@ struct MachineSpec {
 /// The paper's primary testbed (§4.1).
 MachineSpec ibm_power3_sp();
 
+/// The machine a run on `cpus` application CPUs gets by default: the paper's
+/// IBM Power3 SP, grown node for node (plus one tool node) when `cpus` does
+/// not fit its 1152 CPUs.  Throws dyntrace::Error if the node count would
+/// overflow an int.
+MachineSpec machine_for_cpus(std::int64_t cpus);
+
 /// The paper's secondary testbed (§5, Fig. 8c).
 MachineSpec ia32_linux_cluster();
 

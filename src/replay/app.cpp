@@ -40,6 +40,10 @@ sim::Coro<void> replay_rank(const ReplayTrace& trace, const CallIds& call_ids,
                             asci::AppContext& ctx, proc::SimThread& thread) {
   mpi::Rank* mpi = ctx.mpi();
   DT_ASSERT(mpi != nullptr, "replay bodies require the MPI runtime");
+  // The trace pins the world size: Launch enforces min_procs, but max_procs
+  // bounds only the paper sweeps.
+  DT_EXPECT(mpi->size() == trace.ranks, trace.app_name, ": the trace records ", trace.ranks,
+            " rank(s) and cannot be replayed on ", mpi->size());
   const auto rank = static_cast<std::size_t>(ctx.rank());
   const auto& events = trace.events[rank];
   const auto& fns = call_ids[rank];

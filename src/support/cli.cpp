@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "support/common.hpp"
@@ -18,15 +19,34 @@ CliParser& CliParser::flag(std::string name, std::string help, bool* out) {
   return *this;
 }
 
+namespace {
+
+std::int64_t parse_int_option(const std::string& name, const std::string& value) {
+  const auto parsed = str::parse_i64(value);
+  DT_EXPECT(parsed.has_value(), "--", name, " expects an integer, got '", value, "'");
+  return *parsed;
+}
+
+}  // namespace
+
 CliParser& CliParser::option_int(std::string name, std::string help, std::int64_t* out) {
   DT_ASSERT(out != nullptr);
   std::string n = name;
   options_.push_back(Option{std::move(name), std::move(help), true,
+                            [out, n](const std::string& v) { *out = parse_int_option(n, v); }});
+  return *this;
+}
+
+CliParser& CliParser::option_int(std::string name, std::string help, int* out) {
+  DT_ASSERT(out != nullptr);
+  std::string n = name;
+  options_.push_back(Option{std::move(name), std::move(help), true,
                             [out, n](const std::string& v) {
-                              auto parsed = str::parse_i64(v);
-                              DT_EXPECT(parsed.has_value(), "--", n, " expects an integer, got '",
-                                        v, "'");
-                              *out = *parsed;
+                              const std::int64_t parsed = parse_int_option(n, v);
+                              DT_EXPECT(parsed >= std::numeric_limits<int>::min() &&
+                                            parsed <= std::numeric_limits<int>::max(),
+                                        "--", n, " is out of range: ", v, " does not fit an int");
+                              *out = static_cast<int>(parsed);
                             }});
   return *this;
 }

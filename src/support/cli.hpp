@@ -20,6 +20,9 @@ class CliParser {
   /// chaining.
   CliParser& flag(std::string name, std::string help, bool* out);
   CliParser& option_int(std::string name, std::string help, std::int64_t* out);
+  /// An int option: values outside int's range are rejected, naming the
+  /// option, rather than narrowed.
+  CliParser& option_int(std::string name, std::string help, int* out);
   CliParser& option_double(std::string name, std::string help, double* out);
   CliParser& option_string(std::string name, std::string help, std::string* out);
 

@@ -38,9 +38,9 @@ struct Metrics {
   CounterId vt_torn_shards;            ///< shards that hit a torn tail
   CounterId vt_salvaged_records;       ///< records recovered from torn spills
   CounterId vt_lost_records;           ///< records dropped by salvage
-  CounterId vt_suppression_hits;       ///< records folded into super-records (v2)
-  CounterId vt_suppression_supers;     ///< super-records emitted (v2)
-  CounterId vt_suppression_evictions;  ///< pattern-table FIFO evictions (v2)
+  CounterId vt_suppression_hits;       ///< records folded into super-records
+  CounterId vt_suppression_supers;     ///< super-records emitted
+  CounterId vt_suppression_evictions;  ///< pattern-table FIFO evictions
   HistogramId vt_bytes_per_event;      ///< encoded bytes/record per spill run
 
   // --- dpcl: control-plane requests -----------------------------------------

@@ -10,6 +10,30 @@ namespace dyntrace::vt {
 
 namespace {
 
+void put_u16(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v);
+  out[1] = static_cast<std::uint8_t>(v >> 8);
+}
+
+std::uint16_t get_u16(const std::uint8_t* in) {
+  return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
+}
+
+struct Crc32Table {
+  std::uint32_t entries[256];
+  constexpr Crc32Table() : entries{} {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+      }
+      entries[i] = c;
+    }
+  }
+};
+
+constexpr Crc32Table kCrc32Table{};
+
 /// FNV-1a over the non-time fields: the suppressor's record fingerprint.
 /// Equal fields always hash equal, so a signature mismatch is a cheap
 /// early-out before the exact field compare (collisions only cost a compare).
@@ -118,6 +142,48 @@ bool worth_suppressing(std::size_t period, std::uint64_t reps) {
 }
 
 }  // namespace
+
+void put_u32_le(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint32_t get_u32_le(const std::uint8_t* in) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
+  return v;
+}
+
+std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c = kCrc32Table.entries[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+void encode_trace_header(std::uint64_t record_count, std::uint8_t* out) {
+  std::memcpy(out, kTraceMagic, 4);
+  put_u16(out + 4, kTraceVersion);
+  put_u16(out + 6, 0);  // records are variable-length
+  put_u32_le(out + 8, static_cast<std::uint32_t>(record_count));
+  put_u32_le(out + 12, static_cast<std::uint32_t>(record_count >> 32));
+}
+
+std::uint64_t decode_trace_header(const std::uint8_t* data, std::size_t size,
+                                  const std::string& context) {
+  DT_EXPECT(size >= kTraceHeaderBytes, context, ": truncated binary trace header (", size,
+            " of ", kTraceHeaderBytes, " bytes)");
+  DT_EXPECT(std::memcmp(data, kTraceMagic, 4) == 0, context,
+            ": not a binary trace file (bad magic)");
+  const std::uint16_t version = get_u16(data + 4);
+  DT_EXPECT(version == kTraceVersion, context, ": trace format version ", version,
+            " is not supported by this reader (it speaks version ", kTraceVersion,
+            "; rewrite the file with a matching dynprof build)");
+  const std::uint16_t record_bytes = get_u16(data + 6);
+  DT_EXPECT(record_bytes == 0, context, ": unexpected record size ", record_bytes,
+            " (records are variable-length; expected 0)");
+  return get_u32_le(data + 8) | static_cast<std::uint64_t>(get_u32_le(data + 12)) << 32;
+}
 
 void SuppressionTable::note(std::uint64_t signature, std::uint32_t period) {
   if (capacity_ == 0) return;

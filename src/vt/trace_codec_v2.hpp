@@ -1,7 +1,18 @@
-// Trace format v2: the block codec (DESIGN.md §6).
+// The binary trace encoding (DESIGN.md §6).
 //
-// A v2 stream -- the payload of a v2 trace file and the entire body of a
-// v2 spill run -- is a sequence of self-contained *blocks*:
+// A trace file is a 16-byte file header followed by a block stream; a spill
+// run is a bare block stream.  All integers are little-endian.
+//
+//   file header (16 bytes):
+//     [0..4)   magic "DTRC"
+//     [4..6)   format version (u16; kTraceVersion)
+//     [6..8)   record size (u16; 0 = variable-length records)
+//     [8..16)  record count (u64)
+//
+// The version field outlives the retired version 1 (fixed 32-byte records):
+// a reader rejects every version but its own by name instead of misparsing.
+//
+// A block stream is a sequence of self-contained *blocks*:
 //
 //   block header (16 bytes):
 //     [0..4)   block magic "DTB2"
@@ -33,15 +44,102 @@
 // and mid-super all invalidate exactly the torn block).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "vt/event.hpp"
-#include "vt/trace_format.hpp"
 
 namespace dyntrace::vt {
+
+// --- file header -------------------------------------------------------------
+
+inline constexpr std::uint8_t kTraceMagic[4] = {'D', 'T', 'R', 'C'};
+/// The one format version this reader and writer speak.
+inline constexpr std::uint16_t kTraceVersion = 2;
+inline constexpr std::size_t kTraceHeaderBytes = 16;
+
+/// Serialize the file header (version kTraceVersion, record size 0) into
+/// `out` (kTraceHeaderBytes bytes).
+void encode_trace_header(std::uint64_t record_count, std::uint8_t* out);
+
+/// Validate magic, version and record size of a header and return its
+/// record count.  Throws dyntrace::Error, mentioning `context` (typically the
+/// file path), on a mismatch or if fewer than kTraceHeaderBytes bytes are
+/// present; any other version, the retired version 1 included, is rejected
+/// naming both the file's version and the reader's.
+std::uint64_t decode_trace_header(const std::uint8_t* data, std::size_t size,
+                                  const std::string& context);
+
+/// True if `kind` is a defined EventKind discriminant.
+inline bool valid_event_kind(std::uint8_t kind) {
+  return kind <= static_cast<std::uint8_t>(EventKind::kMarker);
+}
+
+// --- little-endian, varint and CRC primitives --------------------------------
+
+void put_u32_le(std::uint8_t* out, std::uint32_t v);
+std::uint32_t get_u32_le(const std::uint8_t* in);
+
+/// Longest LEB128 encoding of a u64 (10 bytes).
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// LEB128-encode `v` into `out` (at least kMaxVarintBytes writable bytes);
+/// returns the encoded length.
+inline std::size_t put_varint(std::uint8_t* out, std::uint64_t v) {
+  std::size_t n = 0;
+  while (v >= 0x80u) {
+    out[n++] = static_cast<std::uint8_t>(v | 0x80u);
+    v >>= 7;
+  }
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
+
+/// Decode one LEB128 varint from [*p, end); advances *p past it.  Returns
+/// false (without advancing past `end`) on truncation or overlong input.
+/// Inline with a one-byte fast path: the block decoder calls this five
+/// times per record, and most deltas and dictionary indices fit 7 bits.
+inline bool get_varint(const std::uint8_t** p, const std::uint8_t* end, std::uint64_t* out) {
+  const std::uint8_t* cur = *p;
+  if (cur < end && *cur < 0x80u) {
+    *out = *cur;
+    *p = cur + 1;
+    return true;
+  }
+  std::uint64_t v = 0;
+  int shift = 0;
+  while (cur < end && shift < 70) {
+    const std::uint8_t byte = *cur++;
+    v |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
+    if ((byte & 0x80u) == 0) {
+      // Reject overlong 10-byte encodings whose last byte carries bits a
+      // u64 cannot hold (they would silently alias another value).
+      if (shift == 63 && byte > 1) return false;
+      *p = cur;
+      *out = v;
+      return true;
+    }
+    shift += 7;
+  }
+  return false;  // truncated (ran off `end`) or longer than 10 bytes
+}
+
+/// Zig-zag fold: small negative and positive deltas both become small
+/// unsigned varints.
+inline std::uint64_t zigzag_encode(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+inline std::int64_t zigzag_decode(std::uint64_t v) {
+  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes.
+std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
+
+// --- blocks ------------------------------------------------------------------
 
 inline constexpr std::uint8_t kBlockMagic[4] = {'D', 'T', 'B', '2'};
 inline constexpr std::size_t kBlockHeaderBytes = 16;
@@ -51,6 +149,8 @@ inline constexpr std::size_t kBlockRecords = 4096;
 inline constexpr std::size_t kMaxBlockPayloadBytes = std::size_t{1} << 24;
 /// Longest call-burst pattern the suppressor searches for.
 inline constexpr std::size_t kMaxSuppressionPeriod = 16;
+/// Bound on each writer's SuppressionTable (one per shard, one per file).
+inline constexpr std::size_t kSuppressionTableCapacity = 1024;
 /// Record-item tag bit marking a super-record.
 inline constexpr std::uint8_t kSuperTag = 0x80;
 
@@ -155,7 +255,7 @@ class BlockDecoder {
   std::uint64_t rep_offset_ = 0;  ///< stride * reps emitted so far
 };
 
-/// Salvage scan over a bare block sequence (a v2 spill run): leading intact
+/// Salvage scan over a bare block sequence (a spill run): leading intact
 /// blocks and their expanded record total, stopping at the first torn or
 /// corrupt block.  Every counted record is guaranteed decodable.
 struct BlockSalvage {

@@ -3,16 +3,8 @@
 #include <algorithm>
 
 #include "support/common.hpp"
-#include "vt/trace_format.hpp"
 
 namespace dyntrace::vt {
-
-namespace {
-
-/// Records decoded per chunk refill (128 KiB of file per read).
-constexpr std::size_t kChunkRecords = 4096;
-
-}  // namespace
 
 bool VectorCursor::next(Event& out) {
   if (pos_ >= events_.size()) return false;
@@ -20,87 +12,14 @@ bool VectorCursor::next(Event& out) {
   return true;
 }
 
-FileRunCursor::FileRunCursor(const std::string& path, std::uint64_t offset,
-                             std::uint64_t count)
-    : path_(path), in_(path, std::ios::binary), remaining_(count) {
-  DT_EXPECT(in_.good(), "cannot open trace file '", path_, "'");
-  in_.seekg(static_cast<std::streamoff>(offset));
-  DT_EXPECT(in_.good(), path_, ": cannot seek to run offset ", offset);
-}
-
-void FileRunCursor::refill() {
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, kChunkRecords));
-  chunk_.resize(want * kTraceRecordBytes);
-  in_.read(reinterpret_cast<char*>(chunk_.data()),
-           static_cast<std::streamsize>(chunk_.size()));
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  DT_EXPECT(got == chunk_.size(), path_, ": truncated trace data (expected ", remaining_,
-            " more record(s))");
-  chunk_pos_ = 0;
-  chunk_records_ = want;
-}
-
-bool FileRunCursor::next(Event& out) {
-  if (remaining_ == 0) return false;
-  if (chunk_pos_ >= chunk_records_) refill();
-  out = decode_event(chunk_.data() + chunk_pos_ * kTraceRecordBytes, path_);
-  ++chunk_pos_;
-  --remaining_;
-  return true;
-}
-
-FramedRunCursor::FramedRunCursor(const std::string& path, std::uint64_t offset,
-                                 std::uint64_t count)
-    : path_(path), in_(path, std::ios::binary), remaining_(count) {
-  DT_EXPECT(in_.good(), "cannot open spill run '", path_, "'");
-  in_.seekg(static_cast<std::streamoff>(offset));
-  DT_EXPECT(in_.good(), path_, ": cannot seek to run offset ", offset);
-}
-
-void FramedRunCursor::refill() {
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, kChunkRecords));
-  chunk_.resize(want * kSpillFrameBytes);
-  in_.read(reinterpret_cast<char*>(chunk_.data()),
-           static_cast<std::streamsize>(chunk_.size()));
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  DT_EXPECT(got == chunk_.size(), path_, ": truncated spill run (expected ", remaining_,
-            " more frame(s))");
-  chunk_pos_ = 0;
-  chunk_records_ = want;
-}
-
-bool FramedRunCursor::next(Event& out) {
-  if (remaining_ == 0) return false;
-  if (chunk_pos_ >= chunk_records_) refill();
-  const bool ok = decode_spill_frame(chunk_.data() + chunk_pos_ * kSpillFrameBytes, out);
-  DT_EXPECT(ok, path_, ": corrupt spill frame (CRC mismatch) with ", remaining_,
-            " frame(s) expected");
-  ++chunk_pos_;
-  --remaining_;
-  return true;
-}
-
-std::uint64_t salvage_frame_count(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DT_EXPECT(in.good(), "cannot open spill run '", path, "'");
-  std::uint64_t intact = 0;
-  std::uint8_t frame[kSpillFrameBytes];
-  Event scratch;
-  while (true) {
-    in.read(reinterpret_cast<char*>(frame), sizeof(frame));
-    if (static_cast<std::size_t>(in.gcount()) < sizeof(frame)) break;
-    if (!decode_spill_frame(frame, scratch)) break;
-    ++intact;
-  }
-  return intact;
-}
-
 BlockRunCursor::BlockRunCursor(const std::string& path, std::uint64_t offset,
-                               std::uint64_t count)
-    : path_(path), in_(path, std::ios::binary), remaining_(count) {
-  DT_EXPECT(in_.good(), "cannot open v2 trace '", path_, "'");
+                               std::uint64_t count, bool whole_file)
+    : path_(path),
+      in_(path, std::ios::binary),
+      remaining_(count),
+      declared_(count),
+      whole_file_(whole_file) {
+  DT_EXPECT(in_.good(), "cannot open trace file '", path_, "'");
   in_.seekg(static_cast<std::streamoff>(offset));
   DT_EXPECT(in_.good(), path_, ": cannot seek to block offset ", offset);
 }
@@ -110,29 +29,42 @@ void BlockRunCursor::open_next_block() {
   in_.read(reinterpret_cast<char*>(block_.data()),
            static_cast<std::streamsize>(kBlockHeaderBytes));
   DT_EXPECT(static_cast<std::size_t>(in_.gcount()) == kBlockHeaderBytes, path_,
-            ": truncated v2 block header (expected ", remaining_, " more record(s))");
+            ": truncated block header (expected ", remaining_, " more record(s))");
   const std::uint32_t payload_len = get_u32_le(block_.data() + 8);
-  DT_EXPECT(payload_len <= kMaxBlockPayloadBytes, path_, ": oversize v2 block (",
+  DT_EXPECT(payload_len <= kMaxBlockPayloadBytes, path_, ": oversize block (",
             payload_len, " payload bytes)");
   block_.resize(kBlockHeaderBytes + payload_len);
   in_.read(reinterpret_cast<char*>(block_.data() + kBlockHeaderBytes),
            static_cast<std::streamsize>(payload_len));
   DT_EXPECT(static_cast<std::size_t>(in_.gcount()) == payload_len, path_,
-            ": truncated v2 block payload (expected ", remaining_, " more record(s))");
+            ": truncated block payload (expected ", remaining_, " more record(s))");
   std::size_t block_bytes = 0;
   std::uint32_t record_count = 0;
   DT_EXPECT(decoder_.reset(block_.data(), block_.size(), &block_bytes, &record_count),
-            path_, ": corrupt v2 block (bad magic or CRC mismatch) with ", remaining_,
+            path_, ": corrupt block (bad magic or CRC mismatch) with ", remaining_,
             " record(s) expected");
   chunk_.resize(record_count);
   const std::uint32_t drained = decoder_.drain(chunk_.data(), record_count);
   DT_EXPECT(drained == record_count && !decoder_.failed(), path_,
-            ": malformed v2 block payload with ", remaining_, " record(s) expected");
+            ": malformed block payload with ", remaining_, " record(s) expected");
   chunk_pos_ = 0;
 }
 
+void BlockRunCursor::check_whole_file() {
+  whole_file_ = false;  // report once
+  const std::size_t undrained = chunk_.size() - chunk_pos_;
+  DT_EXPECT(undrained == 0, path_, ": trace payload does not match header (", declared_,
+            " record(s) declared, but the last block holds ", undrained, " more)");
+  DT_EXPECT(in_.peek() == std::ifstream::traits_type::eof(), path_,
+            ": trace payload does not match header (", declared_,
+            " record(s) declared, but bytes follow the last block)");
+}
+
 bool BlockRunCursor::next(Event& out) {
-  if (remaining_ == 0) return false;
+  if (remaining_ == 0) {
+    if (whole_file_) check_whole_file();
+    return false;
+  }
   while (chunk_pos_ >= chunk_.size()) open_next_block();  // tolerates empty blocks
   out = chunk_[chunk_pos_++];
   --remaining_;

@@ -38,70 +38,30 @@ class VectorCursor final : public EventCursor {
   std::size_t pos_ = 0;
 };
 
-/// Cursor over `count` consecutive binary records starting at byte `offset`
-/// of a file, decoded through a fixed-size chunk buffer -- the run is never
-/// resident in memory as a whole.  Throws dyntrace::Error if the file ends
-/// before `count` records were read or a record fails to decode.
-class FileRunCursor final : public EventCursor {
- public:
-  FileRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count);
-  bool next(Event& out) override;
-
- private:
-  void refill();
-
-  std::string path_;
-  std::ifstream in_;
-  std::uint64_t remaining_;
-  std::vector<std::uint8_t> chunk_;
-  std::size_t chunk_pos_ = 0;
-  std::size_t chunk_records_ = 0;
-};
-
-/// Cursor over `count` consecutive CRC-framed spill records (kSpillFrameBytes
-/// each) starting at byte `offset` of a file, streamed through a fixed-size
-/// chunk buffer.  Strict: throws dyntrace::Error if the file ends early or a
-/// frame fails its CRC -- callers bound `count` by salvage_frame_count() when
-/// the run may be torn.
-class FramedRunCursor final : public EventCursor {
- public:
-  FramedRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count);
-  bool next(Event& out) override;
-
- private:
-  void refill();
-
-  std::string path_;
-  std::ifstream in_;
-  std::uint64_t remaining_;
-  std::vector<std::uint8_t> chunk_;
-  std::size_t chunk_pos_ = 0;
-  std::size_t chunk_records_ = 0;
-};
-
-/// Salvage scan: the number of leading intact frames in the file, stopping
-/// at the first short, CRC-corrupt, or unknown-kind frame (the torn tail).
-std::uint64_t salvage_frame_count(const std::string& path);
-
-/// Cursor over `count` records encoded as v2 blocks starting at byte
-/// `offset` of a file (a v2 spill run, or a v2 trace file past its header).
-/// Blocks stream one at a time; each block is drained into a chunk buffer in
-/// a single decode pass, so resident memory is one block's expanded records
-/// (at most kBlockRecords, the same residency class as the v1 chunk readers)
-/// -- never the run's total record count.  Strict: throws dyntrace::Error on
-/// a torn, CRC-corrupt, or malformed block -- callers bound `count` by
-/// salvage_v2_scan() when the run may be torn.
+/// Cursor over `count` records encoded as blocks starting at byte `offset`
+/// of a file (a spill run, or a trace file past its header).  Blocks stream
+/// one at a time; each block is drained into a chunk buffer in a single
+/// decode pass, so resident memory is one block's expanded records (at most
+/// kBlockRecords) -- never the run's total record count.  Strict: throws
+/// dyntrace::Error on a torn, CRC-corrupt, or malformed block -- callers
+/// bound `count` by salvage_v2_scan() when the run may be torn.  With
+/// `whole_file`, the `count` records must also end exactly at the end of the
+/// last block and of the file; anything left over throws at end of stream.
 class BlockRunCursor final : public EventCursor {
  public:
-  BlockRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count);
+  BlockRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count,
+                 bool whole_file = false);
   bool next(Event& out) override;
 
  private:
   void open_next_block();
+  void check_whole_file();
 
   std::string path_;
   std::ifstream in_;
   std::uint64_t remaining_;
+  std::uint64_t declared_;
+  bool whole_file_;
   std::vector<std::uint8_t> block_;
   BlockDecoder decoder_;
   std::vector<Event> chunk_;

@@ -4,17 +4,16 @@
 // collection time: each VtLib appends to its own shard (no shared vector,
 // no lock on the append path -- exactly one writer per shard), and a shard
 // past its byte budget sorts its open tail and spills it to disk as one
-// sorted binary run.  v2 runs (the default) are varint delta blocks with
-// per-block dictionaries and redundancy suppression (trace_codec_v2.hpp);
-// v1 runs are fixed CRC-framed records (trace_format.hpp).  Readers see the
-// shard as a set of sorted runs merged on the fly (trace_reader.hpp).
+// sorted run of varint delta blocks with per-block dictionaries and
+// redundancy suppression (trace_codec_v2.hpp).  Readers see the shard as a
+// set of sorted runs merged on the fly (trace_reader.hpp).
 //
 // Crash safety: every run is its own file, written to `<run>.tmp`, fsynced,
 // and renamed into place -- a run either exists completely or (if the
 // writer died mid-spill) is left as a torn `.tmp`.  A torn run is salvaged
-// at the CRC granule (v1: per frame, v2: per block): everything complete
-// and CRC-valid before the tear is recovered; the corrupt tail is skipped
-// and counted (lost_records()).
+// at the CRC granule, the block: every block complete and CRC-valid before
+// the tear is recovered; the corrupt tail is skipped and counted
+// (lost_records()).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include "sim/time.hpp"
 #include "vt/event.hpp"
 #include "vt/trace_codec_v2.hpp"
-#include "vt/trace_format.hpp"
 #include "vt/trace_reader.hpp"
 
 namespace dyntrace::vt {
@@ -37,13 +35,6 @@ struct ShardOptions {
   std::size_t spill_budget_bytes = 0;
   /// Directory for spill files; empty = the system temp directory.
   std::string spill_dir;
-  /// On-disk run encoding.  v2 (the default) spills varint delta blocks
-  /// with redundancy suppression; v1 spills fixed CRC-framed records.
-  TraceFormat format = TraceFormat::kV2;
-  /// Bound on the v2 suppression pattern memo (SuppressionTable); adversarial
-  /// never-repeating traces evict deterministically instead of growing.
-  /// 0 disables suppression entirely (v2 still delta-encodes).
-  std::size_t suppression_table_capacity = 1024;
   /// Fault hook: called with (pid, run_index, intended_bytes) before a run
   /// is written and returns how many bytes actually reach the disk.  A
   /// short return models the writer dying mid-spill: the run stays a torn
@@ -72,17 +63,18 @@ class TraceShard {
   /// Records covered by spill runs (the bytes/event denominator).
   std::uint64_t spilled_records() const { return spilled_records_; }
 
-  /// Records folded into super-records beyond the stored pattern (v2 only).
+  /// Records folded into super-records beyond the stored pattern.
   std::uint64_t suppressed_records() const { return suppressed_records_; }
-  /// Super-records emitted across all spills (v2 only).
+  /// Super-records emitted across all spills.
   std::uint64_t super_records() const { return super_records_; }
-  /// The shard's pattern memo (hit/eviction counters, bounded size).
+  /// The shard's pattern memo (hit/eviction counters, bounded by
+  /// kSuppressionTableCapacity).
   const SuppressionTable& suppression_table() const { return suppression_; }
 
   /// True once a spill was torn mid-write; the shard then drops further
   /// appends (the writer is gone) and exposes what was recovered.
   bool torn() const { return torn_; }
-  /// Records recovered from torn runs (complete, CRC-valid frames).
+  /// Records recovered from torn runs (complete, CRC-valid blocks).
   std::uint64_t salvaged_records() const { return salvaged_records_; }
   /// Records lost to tears: torn away mid-write plus dropped afterwards.
   std::uint64_t lost_records() const { return lost_records_ + dropped_records_; }

@@ -109,19 +109,18 @@ class TraceStore {
   /// kept for compatibility); throws dyntrace::Error on I/O failure.
   void write(const std::string& path) const;
 
-  /// Serialize to the compact binary format (trace_format.hpp), streamed
-  /// through the merge so the trace is never fully resident.  v2 (the
-  /// default) writes delta blocks with suppression; v1 writes fixed
-  /// records for consumers that predate the block codec.
-  void write_binary(const std::string& path,
-                    TraceFormat format = TraceFormat::kV2) const;
+  /// Serialize to the compact binary format (trace_codec_v2.hpp): delta
+  /// blocks with suppression, streamed through the merge so the trace is
+  /// never fully resident.
+  void write_binary(const std::string& path) const;
 
   /// Parse a file written by write() or write_binary(); the format is
   /// auto-detected from the magic bytes.
   static TraceStore read(const std::string& path);
 
-  /// Stream the records of a binary trace file without loading it; header
-  /// and size are validated up front, record contents lazily.
+  /// Stream the records of a binary trace file without loading it.  The
+  /// header is validated up front, blocks lazily; a payload that holds more
+  /// than the declared record count throws at end of stream.
   static std::unique_ptr<EventCursor> open_binary(const std::string& path);
 
  private:

@@ -1,6 +1,9 @@
 // Launch wiring: policy -> image/filter state, placement, VT plumbing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "dynprof/launch.hpp"
 
 namespace dyntrace::dynprof {
@@ -54,8 +57,7 @@ TEST(Launch, SubsetFilterLeavesSubsetActive) {
 TEST(Launch, SubsetConfigFilterCompilesOncePerJob) {
   // 1024 ranks, one compilation: every rank applies the job's delta at
   // VT_init instead of matching the config file against its symbols.
-  asci::AppSpec wide = asci::smg98();
-  wide.max_procs = 1024;
+  const asci::AppSpec& wide = asci::smg98();
   Launch::Options options;
   options.app = &wide;
   options.params.nprocs = 1024;
@@ -154,6 +156,36 @@ TEST(Launch, RejectsOutOfRangeProcessCounts) {
   options.params.nprocs = 9;  // one SMP node has 8 CPUs
   options.policy = Policy::kNone;
   EXPECT_THROW(Launch{std::move(options)}, Error);
+}
+
+TEST(Launch, RejectsNonFiniteOrNonPositiveScale) {
+  // Unchecked, a non-finite scale reaches llround and runs as if it were tiny.
+  for (const double scale : {-1.0, 0.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    Launch::Options options;
+    options.app = &asci::sweep3d();
+    options.params.nprocs = 2;
+    options.params.problem_scale = scale;
+    options.policy = Policy::kNone;
+    try {
+      Launch launch(std::move(options));
+      FAIL() << "scale " << scale << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("sweep3d"), std::string::npos) << what;
+      EXPECT_NE(what.find("problem scale"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Launch, MpiAppsRunPastThePaperCeilingOnAGrownMachine) {
+  // max_procs (64) is paper metadata for MPI apps: 128 ranks run on the
+  // default machine, and 1200 ranks grow it node for node.
+  auto paper_machine = make(asci::smg98(), Policy::kNone, 128);
+  EXPECT_EQ(paper_machine.cluster().spec().name, "ibm-power3-sp");
+  auto grown = make(asci::smg98(), Policy::kNone, 1200);
+  EXPECT_EQ(grown.cluster().spec().nodes, 1200 / 8 + 1);
+  EXPECT_EQ(grown.cluster().spec().name, "ibm-power3-sp-x151");
+  EXPECT_EQ(grown.process_count(), 1200);
 }
 
 TEST(Launch, CustomMachineProfileIsUsed) {

@@ -44,8 +44,7 @@ struct MatrixResult {
 MatrixResult run_cell(const std::string& app_name,
                       const std::optional<std::string>& plan_text,
                       const std::string& script_text,
-                      std::size_t spill_bytes = 0,
-                      vt::TraceFormat format = vt::TraceFormat::kV2) {
+                      std::size_t spill_bytes = 0, double scale = kScale) {
   const asci::AppSpec* app = asci::find_app(app_name);
   EXPECT_NE(app, nullptr);
   std::shared_ptr<fault::FaultInjector> injector;
@@ -56,11 +55,10 @@ MatrixResult run_cell(const std::string& app_name,
   Launch::Options options;
   options.app = app;
   options.params.nprocs = kRanks;
-  options.params.problem_scale = kScale;
+  options.params.problem_scale = scale;
   options.policy = Policy::kDynamic;
   options.trace_spill_bytes = spill_bytes;
   options.trace_spill_dir = ::testing::TempDir();
-  options.trace_format = format;
   options.fault = injector;
   options.telemetry_level = telemetry::Level::kCounters;
   Launch launch(std::move(options));
@@ -165,19 +163,22 @@ TEST_P(FaultMatrix, TenfoldDelaysOnlySlowTheControlPlane) {
 }
 
 TEST_P(FaultMatrix, TornShardSalvagesAndMerges) {
-  // v1 salvage is frame-granular: half a run's bytes keep half its records.
+  // Salvage is block-granular: a run of one and a half blocks (6144
+  // records) torn in its second block keeps the whole first block.  The
+  // scale is raised until rank 3 logs that many records.
+  const bool smg98 = std::string(GetParam()) == "smg98";
   const MatrixResult r = run_cell(
-      GetParam(), "seed 15\ntear-shard rank=3 spill=0 keep=0.5\n", kPlainScript,
-      /*spill_bytes=*/std::size_t{1} << 11, vt::TraceFormat::kV1);
+      GetParam(), "seed 15\ntear-shard rank=3 spill=0 keep=0.85\n", kPlainScript,
+      /*spill_bytes=*/6144 * sizeof(vt::Event), /*scale=*/smg98 ? 4.0 : 0.3);
   EXPECT_EQ(r.salvage.torn_shards, 1u);
-  EXPECT_GT(r.salvage.salvaged_records, 0u);
+  EXPECT_EQ(r.salvage.salvaged_records, vt::kBlockRecords);
   EXPECT_GT(r.salvage.lost_records, 0u);
   EXPECT_NE(r.report.find("shard-torn"), std::string::npos);
   EXPECT_GT(r.digest, 0u);
 }
 
 TEST_P(FaultMatrix, TornShardV2SalvageIsBlockGranular) {
-  // v2 salvage is block-granular: a 64-record run is a single block, so a
+  // Salvage is block-granular: a 64-record run is a single block, so a
   // tear that keeps only half its bytes loses the whole run -- but the job
   // still terminates and the merge skips the torn tail.
   const MatrixResult r = run_cell(

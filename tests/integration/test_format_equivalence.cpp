@@ -1,8 +1,10 @@
-// Trace format v2 equivalence (ISSUE 8): the spill encoding changes bytes
-// on disk only.  For the same run configuration, v1 and v2 must produce
-// bit-identical merged traces, statistics, and adaptive decision logs --
-// with the spill budget low enough that the merge actually reads encoded
-// runs back, not just memory.
+// A trace lives in one of two formats: in-memory event vectors, or encoded
+// blocks spilled to disk.  The format changes where records live, not what
+// they say: for the same run configuration, a run whose shards spill (4 KiB
+// budget: 128-event runs, so the merge really reads encoded runs back) and
+// the same cell held in memory produce bit-identical merged traces,
+// statistics, and adaptive decision logs.  The digests are pinned to the
+// values the retired fixed-record encoding produced.
 #include <gtest/gtest.h>
 
 #include "analysis/report.hpp"
@@ -11,43 +13,43 @@
 namespace dyntrace::dynprof {
 namespace {
 
-PolicyResult run_cell(Policy policy, vt::TraceFormat format) {
+PolicyResult run_cell(Policy policy, std::size_t spill_bytes) {
   RunConfig config;
   config.app = &asci::smg98();
   config.policy = policy;
   config.nprocs = 8;
   config.problem_scale = 0.15;
   config.seed = 42;
-  config.trace_spill_bytes = std::size_t{1} << 12;  // 128-event runs: many spills
-  config.trace_format = format;
+  config.trace_spill_bytes = spill_bytes;
   return run_policy(config);
 }
 
-TEST(FormatEquivalence, FullRunDigestsMatchAcrossFormatsAndThreads) {
-  const PolicyResult base = run_cell(Policy::kFull, vt::TraceFormat::kV1);
-  ASSERT_GT(base.trace_events, 0u);
-  ASSERT_GT(base.trace_digest, 0u);
-  // v1 again (run-to-run identity), then v2.
-  for (const vt::TraceFormat format : {vt::TraceFormat::kV1, vt::TraceFormat::kV2}) {
-    const PolicyResult r = run_cell(Policy::kFull, format);
-    EXPECT_EQ(r.trace_digest, base.trace_digest) << vt::to_string(format);
-    EXPECT_EQ(r.stats_digest, base.stats_digest) << vt::to_string(format);
-    EXPECT_EQ(r.trace_events, base.trace_events) << vt::to_string(format);
-    EXPECT_EQ(r.app_seconds, base.app_seconds) << vt::to_string(format);
-  }
+constexpr std::size_t kSpillBytes = std::size_t{1} << 12;
+
+TEST(FormatEquivalence, FullRunDigestsMatchAcrossFormats) {
+  const PolicyResult in_memory = run_cell(Policy::kFull, 0);
+  const PolicyResult spilled = run_cell(Policy::kFull, kSpillBytes);
+  EXPECT_EQ(spilled.trace_digest, 0x6a7069d5260b2e12ull);
+  EXPECT_EQ(spilled.stats_digest, 0xee78972134a97a59ull);
+  EXPECT_EQ(in_memory.trace_digest, spilled.trace_digest);
+  EXPECT_EQ(in_memory.stats_digest, spilled.stats_digest);
+  EXPECT_EQ(in_memory.trace_events, spilled.trace_events);
+  EXPECT_EQ(in_memory.app_seconds, spilled.app_seconds);
 }
 
 TEST(FormatEquivalence, AdaptiveDecisionLogIdenticalAcrossFormats) {
   // The controller's decision trail is driven by measured overhead, which
-  // must not see the encoding at all.
-  const PolicyResult v1 = run_cell(Policy::kAdaptive, vt::TraceFormat::kV1);
-  const PolicyResult v2 = run_cell(Policy::kAdaptive, vt::TraceFormat::kV2);
-  EXPECT_EQ(v1.trace_digest, v2.trace_digest);
-  EXPECT_EQ(v1.stats_digest, v2.stats_digest);
-  EXPECT_EQ(v1.confsyncs, v2.confsyncs);
-  ASSERT_FALSE(v1.decisions.decisions.empty());
-  EXPECT_EQ(analysis::render_decision_log(v1.decisions),
-            analysis::render_decision_log(v2.decisions));
+  // must not see where the trace lives at all.
+  const PolicyResult in_memory = run_cell(Policy::kAdaptive, 0);
+  const PolicyResult spilled = run_cell(Policy::kAdaptive, kSpillBytes);
+  EXPECT_EQ(spilled.trace_digest, 0xddb563af9a9622b1ull);
+  EXPECT_EQ(spilled.stats_digest, 0xa242437ca5a9a3d2ull);
+  EXPECT_EQ(in_memory.trace_digest, spilled.trace_digest);
+  EXPECT_EQ(in_memory.stats_digest, spilled.stats_digest);
+  EXPECT_EQ(in_memory.confsyncs, spilled.confsyncs);
+  ASSERT_FALSE(spilled.decisions.decisions.empty());
+  EXPECT_EQ(analysis::render_decision_log(in_memory.decisions),
+            analysis::render_decision_log(spilled.decisions));
 }
 
 }  // namespace

@@ -17,6 +17,20 @@ TEST(MachineSpec, IbmProfileMatchesPaperTestbed) {
   EXPECT_EQ(s.total_cpus(), 1152);
 }
 
+TEST(MachineSpec, MachineForCpusGrowsThePaperMachineOnlyWhenNeeded) {
+  // 1144 CPUs fill 143 nodes and leave one for the tool; 1152 do not.
+  const MachineSpec fits = machine_for_cpus(1144);
+  EXPECT_EQ(fits.name, "ibm-power3-sp");
+  EXPECT_EQ(fits.nodes, 144);
+  EXPECT_EQ(machine_for_cpus(1152).nodes, 145);
+  // 4096 ranks need 512 nodes plus one for the tool.
+  const MachineSpec grown = machine_for_cpus(4096);
+  EXPECT_EQ(grown.name, "ibm-power3-sp-x513");
+  EXPECT_EQ(grown.nodes, 513);
+  EXPECT_EQ(grown.cpus_per_node, 8);
+  EXPECT_THROW(machine_for_cpus(std::int64_t{1} << 40), Error);
+}
+
 TEST(MachineSpec, Ia32ProfileMatchesPaperTestbed) {
   const MachineSpec s = ia32_linux_cluster();
   // §5: 16-node IA32 Linux cluster, Pentium III.

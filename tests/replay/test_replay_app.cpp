@@ -43,6 +43,22 @@ TEST(ReplayApp, WrapsTheTraceAsAPinnedAppSpec) {
   EXPECT_EQ(app->trace().skipped_events, 4u);  // one MPI_Comm_rank per rank
 }
 
+TEST(ReplayApp, RejectsMoreRanksThanTheTraceRecords) {
+  // max_procs bounds only the paper sweeps; the trace's rank count is
+  // enforced by the replay body itself.
+  const auto app = load_ring();
+  dynprof::RunConfig config;
+  config.app = &app->spec();
+  config.policy = dynprof::Policy::kNone;
+  config.nprocs = app->spec().max_procs + 1;
+  try {
+    dynprof::run_policy(config);
+    FAIL() << "a 4-rank trace ran on 5 ranks";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("records 4 rank(s)"), std::string::npos) << e.what();
+  }
+}
+
 dynprof::PolicyResult run_ring(const asci::AppSpec& spec, dynprof::Policy policy) {
   dynprof::RunConfig config;
   config.app = &spec;

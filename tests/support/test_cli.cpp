@@ -88,6 +88,26 @@ TEST(Cli, BadIntValueThrows) {
   EXPECT_THROW(p.parse(3, argv), Error);
 }
 
+TEST(Cli, IntOptionRejectsValuesOutsideIntRange) {
+  // 4294967298 narrowed to int would silently be 2.
+  int cpus = 1;
+  CliParser p("tool", "t");
+  p.option_int("cpus", "c", &cpus);
+  const char* wide[] = {"tool", "--cpus", "4294967298"};
+  try {
+    p.parse(3, wide);
+    FAIL() << "4294967298 was accepted as an int";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--cpus"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(cpus, 1);
+  const char* negative[] = {"tool", "--cpus=-2147483649"};
+  EXPECT_THROW(p.parse(2, negative), Error);
+  const char* fits[] = {"tool", "--cpus", "2147483647"};
+  ASSERT_TRUE(p.parse(3, fits));
+  EXPECT_EQ(cpus, 2147483647);
+}
+
 TEST(Cli, HelpReturnsFalseAndMentionsOptions) {
   bool v = false;
   CliParser p("tool", "does things");

@@ -1,6 +1,7 @@
-// Trace format v2: varint/zig-zag property tests, block round-trips,
-// redundancy suppression (counted super-records, bounded pattern table),
-// and block-granular torn-tail salvage (ISSUE 8).
+// The block trace encoding: varint/zig-zag property tests, block
+// round-trips, redundancy suppression (counted super-records, bounded
+// pattern table), block-granular torn-tail salvage, and store-level
+// spilled-vs-in-memory identity against pinned digests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "vt/trace_codec_v2.hpp"
-#include "vt/trace_format.hpp"
 #include "vt/trace_reader.hpp"
 #include "vt/trace_shard.hpp"
 #include "vt/trace_store.hpp"
@@ -258,7 +258,9 @@ TEST(TraceCodecV2, DeltaEncodingBeatsV1ByFourTimes) {
   }
   std::vector<std::uint8_t> bytes;
   encode_v2_blocks(events.data(), events.size(), nullptr, bytes);
-  const double v1_bytes = static_cast<double>(events.size() * kSpillFrameBytes);
+  // The retired version 1 spilled 36 bytes per event (a 32-byte record and
+  // its CRC32).
+  const double v1_bytes = static_cast<double>(events.size() * 36);
   EXPECT_LT(static_cast<double>(bytes.size()) * 4.0, v1_bytes)
       << "v2 bytes/event: " << static_cast<double>(bytes.size()) / events.size();
 }
@@ -535,7 +537,7 @@ TEST(TraceShardV2, TornSpillSalvagesWholeBlocksOnly) {
       run1.push_back(make_event(static_cast<sim::TimeNs>(i), 1, 0, EventKind::kEnter,
                                 static_cast<std::int32_t>(i % 31)));
     }
-    SuppressionTable table(1024);
+    SuppressionTable table(kSuppressionTableCapacity);
     std::vector<std::uint8_t> scratch;
     encode_v2_blocks(run0.data(), run0.size(), &table, scratch);
     encode_v2_blocks(run1.data(), run1.size(), &table, sample);
@@ -564,11 +566,10 @@ TEST(TraceShardV2, TornSpillSalvagesWholeBlocksOnly) {
 
 // --- store-level equivalence ------------------------------------------------
 
-TraceStore build_store(TraceFormat format, std::size_t budget_records) {
+TraceStore build_store(std::size_t budget_records) {
   TraceStore::Options options;
   options.spill_budget_bytes = budget_records * sizeof(Event);
   options.spill_dir = ::testing::TempDir();
-  options.format = format;
   TraceStore store(options);
   Rng rng;
   for (int pid = 0; pid < 3; ++pid) {
@@ -584,38 +585,43 @@ TraceStore build_store(TraceFormat format, std::size_t budget_records) {
   return store;
 }
 
-TEST(TraceStoreV2, DigestsMatchV1AcrossSpillFormats) {
-  const TraceStore v1 = build_store(TraceFormat::kV1, 256);
-  const TraceStore v2 = build_store(TraceFormat::kV2, 256);
-  EXPECT_EQ(v1.salvage_stats().torn_shards, 0u);  // sanity: healthy runs
-  EXPECT_EQ(v1.digest(), v2.digest());
+/// Digest of build_store's trace, as the retired version 1 spilled it.
+constexpr std::uint64_t kPinnedStoreDigest = 0xdf6f6fefa48035ddull;
 
-  const auto volume1 = v1.volume_stats();
-  const auto volume2 = v2.volume_stats();
-  EXPECT_EQ(volume1.spilled_records, volume2.spilled_records);
-  EXPECT_LT(volume2.bytes_per_event() * 2, volume1.bytes_per_event());
+TEST(TraceStoreV2, DigestsMatchV1AcrossSpillFormats) {
+  // Spilled blocks and the in-memory store both digest to the pin.
+  const TraceStore spilled = build_store(256);
+  const TraceStore in_memory = build_store(0);
+  EXPECT_EQ(spilled.salvage_stats().torn_shards, 0u);  // sanity: healthy runs
+  EXPECT_EQ(spilled.digest(), in_memory.digest());
+  EXPECT_EQ(spilled.digest(), kPinnedStoreDigest);
+
+  const auto volume = spilled.volume_stats();
+  EXPECT_EQ(volume.spilled_records, 3u * 1500u - 3u * (1500u % 256u));
+  // Under half the retired 36-byte framed record.
+  EXPECT_LT(volume.bytes_per_event() * 2, 36.0);
 }
 
 TEST(TraceStoreV2, BinaryFileRoundTripsInBothFormats) {
-  const TraceStore store = build_store(TraceFormat::kV2, 0);  // no spill
-  const std::string v1_path = ::testing::TempDir() + "/store_v1.bin";
-  const std::string v2_path = ::testing::TempDir() + "/store_v2.bin";
-  store.write_binary(v1_path, TraceFormat::kV1);
-  store.write_binary(v2_path, TraceFormat::kV2);
+  // Both file formats, text and binary, read back to the pinned digest.
+  const TraceStore store = build_store(0);  // no spill
+  const std::string text_path = ::testing::TempDir() + "/store_v2.txt";
+  const std::string path = ::testing::TempDir() + "/store_v2.bin";
+  store.write(text_path);
+  store.write_binary(path);
 
-  const TraceStore from_v1 = TraceStore::read(v1_path);
-  const TraceStore from_v2 = TraceStore::read(v2_path);
-  EXPECT_EQ(from_v1.size(), store.size());
-  EXPECT_EQ(from_v2.size(), store.size());
-  EXPECT_EQ(from_v1.digest(), store.digest());
-  EXPECT_EQ(from_v2.digest(), store.digest());
+  for (const std::string& file : {text_path, path}) {
+    const TraceStore loaded = TraceStore::read(file);
+    EXPECT_EQ(loaded.size(), store.size()) << file;
+    EXPECT_EQ(loaded.digest(), kPinnedStoreDigest) << file;
+  }
 
-  // And the v2 file is meaningfully smaller.
-  std::ifstream v1_in(v1_path, std::ios::binary | std::ios::ate);
-  std::ifstream v2_in(v2_path, std::ios::binary | std::ios::ate);
-  EXPECT_LT(v2_in.tellg() * 2, v1_in.tellg());
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  // Under half the retired fixed-record file (16-byte header + 32 bytes per
+  // record).
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  EXPECT_LT(static_cast<std::size_t>(in.tellg()) * 2, kTraceHeaderBytes + 32 * store.size());
+  std::remove(text_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

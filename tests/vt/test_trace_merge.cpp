@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "support/common.hpp"
-#include "vt/trace_format.hpp"
+#include "vt/trace_codec_v2.hpp"
 #include "vt/trace_reader.hpp"
 #include "vt/trace_store.hpp"
 
@@ -196,16 +198,35 @@ TEST(TraceBinary, TruncatedHeaderThrows) {
   std::remove(path.c_str());
 }
 
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes,
+                 std::size_t size) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(size));
+}
+
+/// Drain a binary trace file; returns the record count read.
+std::size_t drain_binary(const std::string& path) {
+  auto cursor = TraceStore::open_binary(path);
+  std::size_t n = 0;
+  Event e;
+  while (cursor->next(e)) ++n;
+  return n;
+}
+
 TEST(TraceBinary, TruncatedPayloadThrows) {
   TraceStore store;
   store.append(make_event(1, 0));
   store.append(make_event(2, 0));
   const std::string path = ::testing::TempDir() + "/trace_truncated.bin";
-  store.write_binary(path, TraceFormat::kV1);
-  // Chop the last record in half.
-  std::error_code ec;
-  std::filesystem::resize_file(path, kTraceHeaderBytes + kTraceRecordBytes + 16, ec);
-  ASSERT_FALSE(ec);
+  store.write_binary(path);
+  // Chop the block's last payload byte.
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  write_bytes(path, bytes, bytes.size() - 1);
   EXPECT_THROW(TraceStore::read(path), Error);
   std::remove(path.c_str());
 }
@@ -214,13 +235,15 @@ TEST(TraceBinary, UnknownKindByteThrows) {
   TraceStore store;
   store.append(make_event(1, 0));
   const std::string path = ::testing::TempDir() + "/trace_badkind.bin";
-  store.write_binary(path, TraceFormat::kV1);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(kTraceHeaderBytes + 28));  // kind byte of record 0
-    const char bad = 0x7f;
-    f.write(&bad, 1);
-  }
+  store.write_binary(path);
+  std::vector<std::uint8_t> bytes = read_bytes(path);
+  // The record's kind tag follows the three one-value dictionaries (two
+  // bytes each).  Re-seal the block's CRC so the decoder, not the checksum,
+  // has to catch it.
+  std::uint8_t* block = bytes.data() + kTraceHeaderBytes;
+  block[kBlockHeaderBytes + 6] = 0x7f;
+  put_u32_le(block + 4, crc32(block + 8, 8 + get_u32_le(block + 8)));
+  write_bytes(path, bytes, bytes.size());
   EXPECT_THROW(TraceStore::read(path), Error);
   std::remove(path.c_str());
 }
@@ -236,15 +259,96 @@ TEST(TraceBinary, UnsupportedVersionThrows) {
     const char v3[2] = {3, 0};
     f.write(v3, 2);
   }
-  // A reader that only speaks v1 and v2 must reject the file loudly, naming
-  // both the file's version and its own.
+  // The reader must reject the file loudly, naming both the file's version
+  // and its own.
   try {
     TraceStore::read(path);
     FAIL() << "version 3 was accepted";
   } catch (const Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("v1 and v2"), std::string::npos) << what;
+    EXPECT_NE(what.find("speaks version 2"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceBinary, VersionOneFileIsRejectedByName) {
+  // A file of the retired version 1: fixed 32-byte records, the record
+  // size in the header.
+  std::vector<std::uint8_t> bytes = {'D', 'T', 'R', 'C', 1, 0, 32, 0, 1, 0, 0, 0, 0, 0, 0, 0};
+  bytes.resize(kTraceHeaderBytes + 32, 0);
+  const std::string path = ::testing::TempDir() + "/trace_v1.bin";
+  write_bytes(path, bytes, bytes.size());
+  try {
+    TraceStore::read(path);
+    FAIL() << "a version 1 file was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceBinary, PayloadBeyondDeclaredCountThrows) {
+  TraceStore store;
+  for (int i = 0; i < 100; ++i) store.append(make_event(i, 0, EventKind::kEnter, i % 9));
+  const std::string path = ::testing::TempDir() + "/trace_overfull.bin";
+  store.write_binary(path);
+  const std::vector<std::uint8_t> good = read_bytes(path);
+  ASSERT_EQ(drain_binary(path), 100u);
+
+  const auto with_count = [&](std::uint64_t count) {
+    std::vector<std::uint8_t> bytes = good;
+    for (int i = 0; i < 8; ++i) bytes[8 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    return bytes;
+  };
+  // A header that under-declares the block, with or without trailing
+  // garbage, and trailing garbage after an honest header: each must fail
+  // closed rather than read back a prefix.
+  std::vector<std::uint8_t> short_count_and_tail = with_count(60);
+  short_count_and_tail.insert(short_count_and_tail.end(), 16, 0xa5);
+  std::vector<std::uint8_t> tail_only = good;
+  tail_only.insert(tail_only.end(), 16, 0xa5);
+  for (const auto& bytes : {with_count(60), short_count_and_tail, tail_only}) {
+    write_bytes(path, bytes, bytes.size());
+    try {
+      TraceStore::read(path);
+      FAIL() << "a payload that does not match its header was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceBinary, EveryTruncationAndByteFlipThrows) {
+  // A small three-block file: repeated bursts keep the blocks short, and a
+  // code change every 700 records plus a unique aux every 1000 mix plain
+  // records with super-records.
+  TraceStore store;
+  for (int i = 0; i < 2 * static_cast<int>(kBlockRecords) + 300; ++i) {
+    const auto kind = i % 2 == 0 ? EventKind::kEnter : EventKind::kLeave;
+    store.append(make_event(10 * i, 0, kind, (i / 700) % 3, i % 1000 == 0 ? i : 0));
+  }
+  const std::string path = ::testing::TempDir() + "/trace_mutated.bin";
+  store.write_binary(path);
+  const std::vector<std::uint8_t> good = read_bytes(path);
+  ASSERT_EQ(drain_binary(path), store.size());
+  ASSERT_GT(good.size(), kTraceHeaderBytes + 3 * kBlockHeaderBytes);
+
+  for (std::size_t size = 0; size < good.size(); ++size) {
+    write_bytes(path, good, size);
+    EXPECT_THROW(drain_binary(path), Error) << "truncated to " << size << " bytes";
+  }
+  for (std::size_t at = 0; at < good.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff}) {
+      std::vector<std::uint8_t> bytes = good;
+      bytes[at] ^= mask;
+      write_bytes(path, bytes, bytes.size());
+      EXPECT_THROW(drain_binary(path), Error)
+          << "byte " << at << " flipped by 0x" << std::hex << static_cast<int>(mask);
+    }
   }
   std::remove(path.c_str());
 }
@@ -271,32 +375,28 @@ TEST(TraceText, UnknownEventKindThrows) {
   std::remove(path.c_str());
 }
 
-TEST(TraceFormat, HeaderRejectsBadMagicAndRecordSize) {
+TEST(TraceHeader, RejectsBadMagicVersionAndRecordSize) {
   std::uint8_t header[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV1, 3, header);
-  TraceHeader decoded = decode_trace_header(header, sizeof(header), "t");
-  EXPECT_EQ(decoded.version, kTraceFormatV1);
-  EXPECT_EQ(decoded.record_count, 3u);
-
-  encode_trace_header(TraceFormat::kV2, 9, header);
-  decoded = decode_trace_header(header, sizeof(header), "t");
-  EXPECT_EQ(decoded.version, kTraceFormatV2);
-  EXPECT_EQ(decoded.record_count, 9u);
+  encode_trace_header(9, header);
+  EXPECT_EQ(header[4], kTraceVersion);
+  EXPECT_EQ(decode_trace_header(header, sizeof(header), "t"), 9u);
 
   std::uint8_t bad_magic[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV1, 3, bad_magic);
+  encode_trace_header(3, bad_magic);
   bad_magic[0] = 'X';
   EXPECT_THROW(decode_trace_header(bad_magic, sizeof(bad_magic), "t"), Error);
 
+  std::uint8_t bad_version[kTraceHeaderBytes];
+  encode_trace_header(3, bad_version);
+  bad_version[4] = 1;
+  EXPECT_THROW(decode_trace_header(bad_version, sizeof(bad_version), "t"), Error);
+
   std::uint8_t bad_size[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV1, 3, bad_size);
-  bad_size[6] = 16;  // record size 16 instead of 32
+  encode_trace_header(3, bad_size);
+  bad_size[6] = 32;  // records are variable-length (0)
   EXPECT_THROW(decode_trace_header(bad_size, sizeof(bad_size), "t"), Error);
 
-  std::uint8_t bad_v2_size[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV2, 3, bad_v2_size);
-  bad_v2_size[6] = 32;  // v2 must advertise variable-length records (0)
-  EXPECT_THROW(decode_trace_header(bad_v2_size, sizeof(bad_v2_size), "t"), Error);
+  EXPECT_THROW(decode_trace_header(header, kTraceHeaderBytes - 1, "t"), Error);
 }
 
 TEST(TraceStoreSharded, EventsGroupsByProcess) {

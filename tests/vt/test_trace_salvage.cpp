@@ -1,15 +1,13 @@
-// Crash-safe spill runs: atomic tmp+fsync+rename publication, CRC framing,
-// and the torn-run salvage path (ISSUE: every complete record before the
-// tear is recovered; the corrupt tail is skipped and counted).
+// Crash-safe spill runs: atomic tmp+fsync+rename publication and the
+// torn-run salvage path across shards (every complete, CRC-valid block
+// before the tear is recovered; the corrupt tail is skipped and counted).
+// Block-level tear and corruption cases live in test_trace_codec_v2.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
-#include <vector>
 
-#include "vt/trace_format.hpp"
-#include "vt/trace_reader.hpp"
+#include "vt/trace_codec_v2.hpp"
 #include "vt/trace_shard.hpp"
 #include "vt/trace_store.hpp"
 
@@ -23,27 +21,6 @@ Event make_event(sim::TimeNs time, std::int32_t pid, std::int32_t code) {
   e.kind = EventKind::kEnter;
   e.code = code;
   return e;
-}
-
-/// Records per spill run for a given budget (spill triggers when the tail
-/// reaches the budget in in-memory Event bytes).
-std::size_t records_per_run(std::size_t budget) { return budget / sizeof(Event); }
-
-TEST(SpillFrame, CrcDetectsCorruption) {
-  const Event event = make_event(12345, 3, 42);
-  std::uint8_t frame[kSpillFrameBytes];
-  encode_spill_frame(event, frame);
-  Event decoded;
-  ASSERT_TRUE(decode_spill_frame(frame, decoded));
-  EXPECT_EQ(decoded.time, event.time);
-  EXPECT_EQ(decoded.pid, event.pid);
-  EXPECT_EQ(decoded.code, event.code);
-  for (std::size_t i = 0; i < kSpillFrameBytes; ++i) {
-    std::uint8_t bad[kSpillFrameBytes];
-    std::copy(frame, frame + kSpillFrameBytes, bad);
-    bad[i] ^= 0x40;
-    EXPECT_FALSE(decode_spill_frame(bad, decoded)) << "flip at byte " << i;
-  }
 }
 
 TEST(TraceShard, CleanSpillPublishesAtomically) {
@@ -80,84 +57,36 @@ TEST(TraceShard, CleanSpillPublishesAtomically) {
   EXPECT_FALSE(cursor->next(event));
 }
 
-TEST(TraceShard, TornSpillSalvagesLeadingFrames) {
-  const std::size_t per_run = records_per_run(4 * sizeof(Event));
-  ShardOptions options;
-  options.spill_budget_bytes = 4 * sizeof(Event);
-  options.spill_dir = ::testing::TempDir();
-  options.format = TraceFormat::kV1;  // frame-exact salvage math below is v1's
-  // Run 1 of pid 9 is cut mid-record: 2.5 frames' worth of bytes reach the
-  // disk, so exactly 2 records are salvageable.
-  options.spill_fault = [](std::int32_t pid, std::uint64_t run, std::size_t bytes) {
-    if (pid == 9 && run == 1) return kSpillFrameBytes * 5 / 2;
-    return bytes;
-  };
-  TraceShard shard(9, options);
-  const std::size_t total = 3 * per_run;
-  for (std::size_t i = 0; i < total; ++i) {
-    shard.append(make_event(static_cast<sim::TimeNs>(i), 9, static_cast<std::int32_t>(i)));
-  }
-
-  EXPECT_TRUE(shard.torn());
-  EXPECT_EQ(shard.salvaged_records(), 2u);
-  // Lost: the torn tail of run 1, plus everything appended after the tear
-  // (the writer is gone).
-  EXPECT_EQ(shard.lost_records(), total - per_run - 2u);
-
-  // The shard's merged view = run 0 intact + 2 salvaged records of run 1.
-  auto cursor = shard.cursor();
-  Event event;
-  std::size_t read = 0;
-  while (cursor->next(event)) {
-    EXPECT_EQ(event.code, static_cast<std::int32_t>(read));
-    ++read;
-  }
-  EXPECT_EQ(read, per_run + 2u);
-}
-
 TEST(TraceStore, SalvageStatsAggregateAcrossShards) {
+  // Two-block runs; pid 1's first run loses its last byte, which tears its
+  // second block and leaves the first one salvageable.
+  const std::size_t per_run = 2 * kBlockRecords;
   TraceStore::Options options;
-  options.spill_budget_bytes = 2 * sizeof(Event);
+  options.spill_budget_bytes = per_run * sizeof(Event);
   options.spill_dir = ::testing::TempDir();
-  options.format = TraceFormat::kV1;  // frame-exact salvage math below is v1's
   options.spill_fault = [](std::int32_t pid, std::uint64_t run, std::size_t bytes) {
-    if (pid == 1 && run == 0) return kSpillFrameBytes;  // keep 1 of 2 frames
-    return bytes;
+    return pid == 1 && run == 0 ? bytes - 1 : bytes;
   };
   TraceStore store(options);
-  for (int i = 0; i < 4; ++i) {
-    store.append(make_event(i, 0, i));
-    store.append(make_event(i, 1, i));
+  const std::size_t per_pid = per_run + 2;
+  for (std::size_t i = 0; i < per_pid; ++i) {
+    const auto t = static_cast<sim::TimeNs>(i);
+    store.append(make_event(t, 0, static_cast<std::int32_t>(i % 7)));
+    store.append(make_event(t, 1, static_cast<std::int32_t>(i % 7)));
   }
   const auto stats = store.salvage_stats();
   EXPECT_EQ(stats.torn_shards, 1u);
-  EXPECT_EQ(stats.salvaged_records, 1u);
-  EXPECT_EQ(stats.lost_records, 3u);  // 1 torn away + 2 dropped after
+  EXPECT_EQ(stats.salvaged_records, kBlockRecords);
+  // The torn block, plus the 2 records dropped after the tear.
+  EXPECT_EQ(stats.lost_records, kBlockRecords + 2u);
 
   // The k-way merge still serves everything pid 0 wrote plus the salvaged
-  // record -- corrupt tails are skipped, not fatal.
+  // block -- corrupt tails are skipped, not fatal.
   std::size_t merged = 0;
   Event event;
   auto cursor = store.merge_cursor();
   while (cursor->next(event)) ++merged;
-  EXPECT_EQ(merged, 4u + 1u);
-}
-
-TEST(TraceReader, SalvageFrameCountStopsAtFirstBadFrame) {
-  const std::string path = ::testing::TempDir() + "/salvage_scan.bin";
-  std::vector<std::uint8_t> bytes(3 * kSpillFrameBytes + 7);  // + short garbage tail
-  for (int i = 0; i < 3; ++i) {
-    encode_spill_frame(make_event(i, 0, i), bytes.data() + i * kSpillFrameBytes);
-  }
-  bytes[2 * kSpillFrameBytes + 5] ^= 0xff;  // corrupt frame 2
-  {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-  }
-  EXPECT_EQ(salvage_frame_count(path), 2u);
-  std::remove(path.c_str());
+  EXPECT_EQ(merged, per_pid + kBlockRecords);
 }
 
 }  // namespace
