@@ -88,18 +88,18 @@ struct HookOps {
 HookOps count_hook_ops(const telemetry::Registry::Snapshot& snap) {
   HookOps ops;
   for (const auto& [name, value] : snap.counters) {
-    // Bulk-delta call sites: sim.events adds once per engine run,
-    // vt.spill_bytes once per spill run, queue_compacted_entries
-    // once per compaction, vt.events_recorded and vt.synthetic_pairs once
-    // per result collection -- each mirrored below.
-    if (name == "sim.events" || name == "vt.spill_bytes" ||
+    // Bulk-delta call sites: sim.events and sim.inline_wakeups add once
+    // per engine run, vt.spill_bytes once per spill run,
+    // queue_compacted_entries once per compaction, vt.events_recorded and
+    // vt.synthetic_pairs once per result collection -- each mirrored below.
+    if (name == "sim.events" || name == "sim.inline_wakeups" || name == "vt.spill_bytes" ||
         name == "sim.queue_compacted_entries" || name == "vt.events_recorded" ||
         name == "vt.synthetic_pairs") {
       continue;
     }
     ops.adds += value;
   }
-  ops.adds += 64;  // sim.events bulk adds: at most one per engine run
+  ops.adds += 2 * 64;  // sim.events + sim.inline_wakeups: at most one each per engine run
   ops.adds += 2 * 2;  // vt.* bulk adds: the cell collects its result at most twice
   ops.adds += snap.counter_value("vt.spill_runs");     // vt.spill_bytes bulk adds
   ops.adds += snap.counter_value("sim.queue_compactions");

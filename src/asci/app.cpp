@@ -40,7 +40,7 @@ sim::Coro<void> AppContext::call(proc::SimThread& thread, image::FunctionId fn,
 
 sim::Coro<void> AppContext::leaf(proc::SimThread& thread, image::FunctionId fn,
                                  sim::TimeNs work) {
-  return thread.call_function(fn, [work](proc::SimThread& t) { return t.compute(work); });
+  return thread.call_function(fn, work);
 }
 
 sim::TimeNs AppContext::steady_pair_overhead(image::FunctionId fn) const {
@@ -72,19 +72,16 @@ sim::Coro<void> AppContext::safe_point(proc::SimThread& thread) {
 sim::Coro<void> AppContext::leaf_repeat(proc::SimThread& thread, image::FunctionId fn,
                                         std::int64_t count, sim::TimeNs work_each) {
   if (count <= 0) co_return;
-  co_await thread.call_function(fn,
-                                [work_each](proc::SimThread& t) { return t.compute(work_each); });
+  co_await thread.call_function(fn, work_each);
   if (count == 1) co_return;
 
   const std::int64_t rest = count - 1;
   const sim::TimeNs per_pair = steady_pair_overhead(fn);
   co_await thread.compute(rest * (work_each + per_pair));
 
-  const image::ProgramImage& img = process_.image();
-  const bool instrumented =
-      img.static_instrumented(fn) ||
-      img.probe_point(fn, image::ProbeWhere::kEntry).has_base_trampoline() ||
-      img.probe_point(fn, image::ProbeWhere::kExit).has_base_trampoline();
+  const image::ProbeSummary& probes = process_.image().summary(fn);
+  const bool instrumented = probes.static_instrumented || probes.base_trampoline[0] ||
+                            probes.base_trampoline[1];
   if (instrumented && vt_ != nullptr) {
     vt_->note_synthetic_pairs(fn, static_cast<std::uint64_t>(rest), work_each + per_pair,
                               thread.tid());

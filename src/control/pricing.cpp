@@ -41,15 +41,17 @@ PairPrice price_from(sim::TimeNs structural, int vt_calls, const vt::VtLib& vt,
 PairPrice pair_price(const vt::VtLib& vt, image::FunctionId fn) {
   const machine::CostModel& c = vt.process().cluster().spec().costs;
   const image::ProgramImage& img = vt.process().image();
+  const image::ProbeSummary& probes = img.summary(fn);
   sim::TimeNs structural = 0;
   int vt_calls = 0;
   for (auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
+    if (!probes.base_trampoline[static_cast<std::size_t>(where)]) continue;
     structural += img.trampoline_overhead(fn, where, c);
-    for (const auto& snippet : img.active_snippets(fn, where)) {
-      vt_calls += vt_call_count(*snippet);
+    for (const auto& probe : img.probe_point(fn, where).minis) {
+      if (probe.active) vt_calls += vt_call_count(*probe.snippet);
     }
   }
-  if (img.static_instrumented(fn)) vt_calls += 2;
+  if (probes.static_instrumented) vt_calls += 2;
   return price_from(structural, vt_calls, vt, c);
 }
 

@@ -8,26 +8,44 @@ const char* to_string(ProbeWhere where) {
   return where == ProbeWhere::kEntry ? "entry" : "exit";
 }
 
+SnippetSnapshot::SnippetSnapshot(const ProbePoint& point, std::uint32_t active) {
+  if (active == 0) return;
+  if (active > 1) many_.reserve(active);
+  for (const auto& probe : point.minis) {
+    if (!probe.active) continue;
+    if (active == 1) {
+      one_ = probe.snippet;
+      return;
+    }
+    many_.push_back(probe.snippet);
+  }
+}
+
 ProgramImage::ProgramImage(std::shared_ptr<const SymbolTable> symbols)
     : symbols_(std::move(symbols)) {
   DT_ASSERT(symbols_ != nullptr);
   state_.resize(symbols_->size());
+  summary_.resize(symbols_->size());
 }
 
 void ProgramImage::set_static_instrumented(FunctionId fn, bool on) {
-  DT_ASSERT(fn < state_.size());
-  state_[fn].static_instrumented = on;
-}
-
-bool ProgramImage::static_instrumented(FunctionId fn) const {
-  DT_ASSERT(fn < state_.size());
-  return state_[fn].static_instrumented;
+  DT_ASSERT(fn < summary_.size());
+  summary_[fn].static_instrumented = on;
 }
 
 std::size_t ProgramImage::static_instrumented_count() const {
   std::size_t n = 0;
-  for (const auto& s : state_) n += s.static_instrumented ? 1 : 0;
+  for (const auto& s : summary_) n += s.static_instrumented ? 1 : 0;
   return n;
+}
+
+void ProgramImage::refresh_summary(FunctionId fn, ProbeWhere where) {
+  const auto w = static_cast<std::size_t>(where);
+  const ProbePoint& p = point(fn, where);
+  std::uint32_t active = 0;
+  for (const auto& probe : p.minis) active += probe.active ? 1 : 0;
+  summary_[fn].active_minis[w] = active;
+  summary_[fn].base_trampoline[w] = p.has_base_trampoline();
 }
 
 ProbePoint& ProgramImage::point(FunctionId fn, ProbeWhere where) {
@@ -46,6 +64,7 @@ ProbeHandle ProgramImage::install_probe(FunctionId fn, ProbeWhere where, Snippet
   ProbePoint& p = point(fn, where);
   const ProbeHandle handle{next_handle_++};
   p.minis.push_back(InstalledProbe{handle, std::move(snippet), active});
+  refresh_summary(fn, where);
   ++patch_epoch_;
   return handle;
 }
@@ -74,6 +93,7 @@ bool ProgramImage::remove_probe(ProbeHandle handle) {
   for (auto it = minis.begin(); it != minis.end(); ++it) {
     if (it->handle == handle) {
       minis.erase(it);
+      refresh_summary(fn, where);
       ++patch_epoch_;
       return true;
     }
@@ -82,10 +102,13 @@ bool ProgramImage::remove_probe(ProbeHandle handle) {
 }
 
 bool ProgramImage::set_probe_active(ProbeHandle handle, bool active) {
-  InstalledProbe* probe = find_probe(handle, nullptr, nullptr);
+  FunctionId fn = kInvalidFunction;
+  ProbeWhere where = ProbeWhere::kEntry;
+  InstalledProbe* probe = find_probe(handle, &fn, &where);
   if (probe == nullptr) return false;
   if (probe->active != active) {
     probe->active = active;
+    refresh_summary(fn, where);
     ++patch_epoch_;
   }
   return true;
@@ -93,26 +116,6 @@ bool ProgramImage::set_probe_active(ProbeHandle handle, bool active) {
 
 const ProbePoint& ProgramImage::probe_point(FunctionId fn, ProbeWhere where) const {
   return point(fn, where);
-}
-
-std::vector<SnippetPtr> ProgramImage::active_snippets(FunctionId fn, ProbeWhere where) const {
-  std::vector<SnippetPtr> out;
-  for (const auto& probe : point(fn, where).minis) {
-    if (probe.active) out.push_back(probe.snippet);
-  }
-  return out;
-}
-
-sim::TimeNs ProgramImage::trampoline_overhead(FunctionId fn, ProbeWhere where,
-                                              const machine::CostModel& costs) const {
-  const ProbePoint& p = point(fn, where);
-  if (!p.has_base_trampoline()) return 0;
-  sim::TimeNs total = costs.tramp_jump + costs.tramp_save_regs + costs.tramp_restore_regs +
-                      costs.tramp_relocated_insn;
-  for (const auto& probe : p.minis) {
-    if (probe.active) total += costs.tramp_mini_dispatch;
-  }
-  return total;
 }
 
 std::size_t ProgramImage::installed_probe_count() const {

@@ -50,60 +50,41 @@ std::size_t LibraryRegistry::size() const {
 SimThread::SimThread(SimProcess& process, int tid, int cpu)
     : process_(process), tid_(tid), cpu_(cpu) {}
 
-sim::Engine& SimThread::engine() { return process_.engine(); }
-
-// Awaitable for one interruptible timer wait.  await_resume returns the
-// CPU time actually consumed (== requested unless the process was
-// suspended mid-wait).
-struct SimThread::InterruptibleSleep {
-  SimThread& thread;
-  sim::TimeNs duration;
-
-  bool await_ready() const noexcept { return duration <= 0; }
-
-  void await_suspend(std::coroutine_handle<> h) {
-    sim::Engine& eng = thread.engine();
-    DT_ASSERT(!thread.sleep_.has_value(), "thread already sleeping");
-    thread.sleep_.emplace();
-    SleepState& st = *thread.sleep_;
-    st.handle = h;
-    st.started = eng.now();
-    st.timer = eng.schedule_after(duration, [t = &thread] {
-      DT_ASSERT(t->sleep_.has_value());
-      t->sleep_->consumed = t->engine().now() - t->sleep_->started;
-      t->sleep_->handle.resume();
-    });
-  }
-
-  sim::TimeNs await_resume() const noexcept {
-    if (!thread.sleep_.has_value()) return duration;  // await_ready fast path
-    const sim::TimeNs consumed = thread.sleep_->interrupted ? thread.sleep_->consumed : duration;
-    thread.sleep_.reset();
-    return consumed;
-  }
-};
-
-sim::Coro<void> SimThread::compute(sim::TimeNs work) {
-  DT_ASSERT(work >= 0, "negative work");
-  sim::TimeNs remaining = work;
-  while (true) {
-    if (process_.suspended()) {
-      co_await process_.resumed_.wait();
-      continue;
-    }
-    if (remaining <= 0) break;
-    const sim::TimeNs consumed = co_await InterruptibleSleep{*this, remaining};
-    remaining -= consumed;
-  }
+sim::Coro<void> SimThread::compute_after_resume(sim::TimeNs work) {
+  while (process_.suspended()) co_await process_.resumed_.wait();
+  co_await compute(work);
 }
 
-sim::Coro<void> SimThread::gate() {
-  while (process_.suspended()) {
-    co_await process_.resumed_.wait();
+std::coroutine_handle<> SimThread::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
+  SimThread& t = thread_;
+  if (t.process_.suspended()) {
+    rest_ = t.compute_after_resume(work_);
+    return rest_.await_suspend(h);
   }
+  sim::Engine& eng = t.engine();
+  DT_ASSERT(!t.sleep_.has_value(), "thread already sleeping");
+  SleepState& st = t.sleep_.emplace();
+  st.handle = h;
+  st.awaiter = this;
+  st.wake_at = eng.now() + work_;
+  st.timer = eng.schedule_at(st.wake_at, [&t] {
+    const std::coroutine_handle<> handle = t.sleep_->handle;
+    t.sleep_.reset();
+    handle.resume();
+  });
+  return std::noop_coroutine();
 }
 
 sim::Coro<void> SimThread::call_function(image::FunctionId fn, BodyFn body) {
+  return run_call(fn, std::move(body), -1);
+}
+
+sim::Coro<void> SimThread::call_function(image::FunctionId fn, sim::TimeNs work) {
+  DT_ASSERT(work >= 0, "negative work");
+  return run_call(fn, nullptr, work);
+}
+
+sim::Coro<void> SimThread::run_call(image::FunctionId fn, BodyFn body, sim::TimeNs leaf_work) {
   image::ProgramImage& img = process_.image();
   const machine::CostModel& costs = process_.cluster().spec().costs;
   ++function_entries_;
@@ -126,7 +107,11 @@ sim::Coro<void> SimThread::call_function(image::FunctionId fn, BodyFn body) {
   const std::int64_t fn_arg = fn;
   if (is_static) co_await linked(image::LibEntry::kVtBegin)(*this, {&fn_arg, 1});
 
-  if (body) co_await body(*this);
+  if (leaf_work >= 0) {
+    co_await compute(leaf_work);
+  } else if (body) {
+    co_await body(*this);
+  }
 
   if (is_static) co_await linked(image::LibEntry::kVtEnd)(*this, {&fn_arg, 1});
 
@@ -143,15 +128,21 @@ sim::Coro<void> SimThread::call_function(image::FunctionId fn, BodyFn body) {
 }
 
 sim::Coro<void> SimThread::exec_snippet(const image::Snippet& snippet) {
+  // A bound library call, the usual probe body, forwards to the callee's
+  // coroutine: one frame per firing, not two.
+  const auto* c = std::get_if<image::CallLibOp>(&snippet.node());
+  if (c != nullptr && c->entry != image::LibEntry::kCustom) {
+    return linked(c->entry)(*this, c->args);
+  }
+  return exec_node(snippet);
+}
+
+sim::Coro<void> SimThread::exec_node(const image::Snippet& snippet) {
   const auto& node = snippet.node();
   if (const auto* seq = std::get_if<image::SequenceOp>(&node)) {
     for (const auto& item : seq->items) co_await exec_snippet(*item);
   } else if (const auto* c = std::get_if<image::CallLibOp>(&node)) {
-    if (c->entry != image::LibEntry::kCustom) {
-      co_await linked(c->entry)(*this, c->args);
-    } else {
-      co_await lib_call(c->function, c->args);
-    }
+    co_await lib_call(c->function, c->args);
   } else if (const auto* f = std::get_if<image::SetFlagOp>(&node)) {
     process_.set_flag(f->flag, f->value);
   } else if (const auto* spin = std::get_if<image::SpinUntilOp>(&node)) {
@@ -212,8 +203,8 @@ void SimProcess::suspend() {
       SimThread::SleepState& st = *thread->sleep_;
       engine().cancel(st.timer);
       st.interrupted = true;
-      st.consumed = now - st.started;
-      // The coroutine stays parked; resume() reposts it.
+      st.remaining = st.wake_at - now;
+      // The coroutine stays parked; resume() posts the rest of the work.
     }
   }
 }
@@ -223,7 +214,15 @@ void SimProcess::resume() {
   suspended_ = false;
   for (auto& thread : threads_) {
     if (thread->sleep_.has_value() && thread->sleep_->interrupted) {
-      engine().post(thread->sleep_->handle);
+      const SimThread::SleepState& st = *thread->sleep_;
+      // The continuation runs the rest as compute_after_resume, which
+      // waits out a suspension that lands before it runs.
+      engine().schedule_at(engine().now(), [thread = thread.get(), awaiter = st.awaiter,
+                                            h = st.handle, remaining = st.remaining] {
+        awaiter->rest_ = thread->compute_after_resume(remaining);
+        awaiter->rest_.await_suspend(h).resume();
+      });
+      thread->sleep_.reset();
     }
   }
   resumed_.notify_all();

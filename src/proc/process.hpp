@@ -80,15 +80,21 @@ class SimThread {
   int cpu() const { return cpu_; }
   sim::Engine& engine();
 
-  /// Burn `work` nanoseconds of CPU.  Interruptible: if the process is
-  /// suspended mid-compute, the thread freezes with the remaining work
-  /// intact and continues after resume().
-  sim::Coro<void> compute(sim::TimeNs work);
+  class ComputeAwaiter;
+
+  /// co_await compute(work): burn `work` nanoseconds of CPU.
+  /// Interruptible: if the process is suspended mid-compute, the thread
+  /// freezes with the remaining work intact and continues after resume().
+  /// An awaiter, not a coroutine: a compute that starts while the process
+  /// runs costs no frame, and one that would be the next event anyway runs
+  /// in place (sim::Engine::advance_if_next).
+  ComputeAwaiter compute(sim::TimeNs work);
 
   /// Park here while the process is suspended; returns immediately
   /// otherwise.  Blocking operations (message receives etc.) call this
-  /// after waking so a suspended process makes no progress.
-  sim::Coro<void> gate();
+  /// after waking so a suspended process makes no progress.  A gate is a
+  /// zero-work compute.
+  ComputeAwaiter gate();
 
   /// Execute a workload function: dynamic entry probes, static VT_begin
   /// (if the Guide compiler instrumented this function), the body, static
@@ -96,6 +102,10 @@ class SimThread {
   /// Takes the body by value, so a caller may return this coroutine
   /// without keeping the body alive itself.
   sim::Coro<void> call_function(image::FunctionId fn, BodyFn body);
+
+  /// call_function for a leaf whose body is compute(work): the same
+  /// protocol with no body function and no body coroutine.
+  sim::Coro<void> call_function(image::FunctionId fn, sim::TimeNs work);
 
   /// Execute an instrumentation snippet (may block: spin waits).
   sim::Coro<void> exec_snippet(const image::Snippet& snippet);
@@ -124,17 +134,26 @@ class SimThread {
   /// when nothing is.
   const LibraryRegistry::LibFunction& linked(image::LibEntry entry) const;
 
+  /// The probe protocol around a body: `body` when leaf_work < 0,
+  /// otherwise compute(leaf_work).
+  sim::Coro<void> run_call(image::FunctionId fn, BodyFn body, sim::TimeNs leaf_work);
+
+  /// exec_snippet's general case (everything but a bound library call).
+  sim::Coro<void> exec_node(const image::Snippet& snippet);
+
+  /// compute's slow path: wait out a suspension, then compute `work`.
+  sim::Coro<void> compute_after_resume(sim::TimeNs work);
+
+  /// A compute waiting on its timer; suspend() cancels the timer and
+  /// resume() posts the rest of the work.
   struct SleepState {
     sim::EventId timer;
     std::coroutine_handle<> handle;
-    sim::TimeNs started = 0;
-    sim::TimeNs consumed = 0;  ///< set when interrupted
+    ComputeAwaiter* awaiter = nullptr;
+    sim::TimeNs wake_at = 0;
+    sim::TimeNs remaining = 0;  ///< set when interrupted
     bool interrupted = false;
   };
-
-  // Awaitable used by compute(); registered with the thread so suspend()
-  // can cancel the timer.
-  struct InterruptibleSleep;
 
   SimProcess& process_;
   int tid_;
@@ -144,6 +163,34 @@ class SimThread {
   std::uint64_t function_entries_ = 0;
   std::optional<SleepState> sleep_;
 };
+
+class SimThread::ComputeAwaiter {
+ public:
+  ComputeAwaiter(SimThread& thread, sim::TimeNs work) : thread_(thread), work_(work) {
+    DT_ASSERT(work >= 0, "negative work");
+  }
+
+  bool await_ready();
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
+  void await_resume() {
+    if (rest_.valid()) rest_.await_resume();
+  }
+
+ private:
+  friend class SimProcess;
+
+  SimThread& thread_;
+  sim::TimeNs work_;
+  /// compute_after_resume, when the process was suspended at entry or the
+  /// timer was interrupted; it resumes the awaiting coroutine when done.
+  sim::Coro<void> rest_;
+};
+
+inline SimThread::ComputeAwaiter SimThread::compute(sim::TimeNs work) {
+  return ComputeAwaiter(*this, work);
+}
+
+inline SimThread::ComputeAwaiter SimThread::gate() { return compute(0); }
 
 class SimProcess {
  public:
@@ -228,5 +275,14 @@ class SimProcess {
   sim::Trigger terminated_;
   bool lost_ = false;
 };
+
+inline sim::Engine& SimThread::engine() { return process_.engine(); }
+
+inline bool SimThread::ComputeAwaiter::await_ready() {
+  if (thread_.process_.suspended()) return false;
+  if (work_ == 0) return true;
+  sim::Engine& engine = thread_.engine();
+  return engine.advance_if_next(engine.now() + work_);
+}
 
 }  // namespace dyntrace::proc

@@ -8,14 +8,32 @@
 // Exceptions thrown inside a Coro propagate to the awaiter, exactly like a
 // normal function call; the Engine turns exceptions that escape a root
 // process into a simulation failure.
+//
+// Frames are recycled: a simulated call creates and destroys several
+// frames, so each thread keeps a free list per 64-byte size class and
+// ~Engine trims the lists back to the heap.  Under AddressSanitizer a
+// pooled frame is poisoned, so a use after destroy is still reported.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
 #include "support/common.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DYNTRACE_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DYNTRACE_ASAN 1
+#endif
+#endif
+#ifdef DYNTRACE_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dyntrace::sim {
 
@@ -24,9 +42,101 @@ class Coro;
 
 namespace detail {
 
+/// Per-thread free lists of coroutine frames, one per 64-byte size class
+/// up to 1 KiB; larger frames go straight to the heap.  Trivially
+/// destructible, so reaching the thread's pool costs no TLS guard on the
+/// hot path; a pool that ever took memory from the heap registers a
+/// thread-exit hook (FramePoolCleanup) that trims it.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kClasses = 16;
+
+  void* allocate(std::size_t size) {
+    const std::size_t cls = size_class(size);
+    if (cls >= kClasses) return ::operator new(size);
+    Node* node = heads_[cls];
+    if (node == nullptr) return refill(cls);
+    unpoison(node, cls);
+    heads_[cls] = node->next;
+    return node;
+  }
+
+  void release(void* p, std::size_t size) noexcept {
+    const std::size_t cls = size_class(size);
+    if (cls >= kClasses) {
+      ::operator delete(p);
+      return;
+    }
+    Node* node = static_cast<Node*>(p);
+    node->next = heads_[cls];
+    heads_[cls] = node;
+    poison(node, cls);
+  }
+
+  /// Free every pooled frame.
+  void trim() noexcept {
+    for (std::size_t cls = 0; cls < kClasses; ++cls) {
+      while (Node* node = heads_[cls]) {
+        unpoison(node, cls);
+        heads_[cls] = node->next;
+        ::operator delete(node);
+      }
+    }
+  }
+
+ private:
+  struct Node {
+    Node* next;
+  };
+
+  static std::size_t size_class(std::size_t size) { return (size - 1) / kGranule; }
+
+  void* refill(std::size_t cls);
+
+#ifdef DYNTRACE_ASAN
+  static void poison(Node* node, std::size_t cls) {
+    ASAN_POISON_MEMORY_REGION(node, (cls + 1) * kGranule);
+  }
+  static void unpoison(Node* node, std::size_t cls) {
+    ASAN_UNPOISON_MEMORY_REGION(node, (cls + 1) * kGranule);
+  }
+#else
+  static void poison(Node*, std::size_t) {}
+  static void unpoison(Node*, std::size_t) {}
+#endif
+
+  Node* heads_[kClasses] = {};
+  bool cleanup_registered_ = false;
+};
+
+inline thread_local constinit FramePool tls_frame_pool;
+
+/// Trims this thread's pool when the thread exits.
+struct FramePoolCleanup {
+  ~FramePoolCleanup() { tls_frame_pool.trim(); }
+};
+
+inline void* FramePool::refill(std::size_t cls) {
+  if (!cleanup_registered_) {
+    static thread_local FramePoolCleanup cleanup;
+    (void)cleanup;
+    cleanup_registered_ = true;
+  }
+  return ::operator new((cls + 1) * kGranule);
+}
+
+/// Return this thread's pooled frames to the heap (~Engine calls it).
+inline void trim_frame_pool() noexcept { tls_frame_pool.trim(); }
+
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+
+  static void* operator new(std::size_t size) { return tls_frame_pool.allocate(size); }
+  static void operator delete(void* p, std::size_t size) noexcept {
+    tls_frame_pool.release(p, size);
+  }
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

@@ -34,6 +34,9 @@ Engine::~Engine() {
   for (auto& [id, info] : roots_) {
     if (info.handle) info.handle.destroy();
   }
+  // Hand pooled coroutine frames back to the heap: the next run's set-up
+  // then reuses warm pages instead of growing the heap past them.
+  detail::trim_frame_pool();
 }
 
 EventId Engine::schedule_at(TimeNs at, EventQueue::Callback cb) {
@@ -112,12 +115,25 @@ bool Engine::step() {
   DT_ASSERT(time >= now_, "event queue went backwards");
   now_ = time;
   ++events_executed_;
+  inline_streak_ = 0;
   cb();
   return true;
 }
 
 std::size_t Engine::run_until_blocked(TimeNs deadline) {
   const std::uint64_t before = events_executed_;
+  const std::uint64_t inline_before = inline_wakeups_;
+  struct Running {
+    Engine& engine;
+    bool was_running;
+    TimeNs was_deadline;
+    ~Running() {
+      engine.running_ = was_running;
+      engine.deadline_ = was_deadline;
+    }
+  } running{*this, running_, deadline_};
+  running_ = true;
+  deadline_ = deadline;
   while (!queue_.empty() && !failure_) {
     if (deadline >= 0) {
       auto next = queue_.next_time();
@@ -131,6 +147,9 @@ std::size_t Engine::run_until_blocked(TimeNs deadline) {
   if (events_executed_ != before) {
     telemetry::Registry& reg = telemetry::current();
     reg.add(reg.metrics().sim_events, events_executed_ - before);
+    if (inline_wakeups_ != inline_before) {
+      reg.add(reg.metrics().sim_inline_wakeups, inline_wakeups_ - inline_before);
+    }
   }
   if (failure_) {
     auto error = failure_;

@@ -8,10 +8,38 @@
 // Error model: an exception escaping a root process stops the run and is
 // rethrown from run().  If all events drain while non-daemon processes are
 // still blocked, run() throws DeadlockError naming the stuck processes.
+//
+// In-place wake-ups.  A coroutine that is about to sleep until `at` asks
+// advance_if_next(at) first.  Inside run_until_blocked, with no failure
+// recorded and `at` within the deadline, a timer at `at` that is strictly
+// earlier than every pending event would be the very next event popped, so
+// the engine advances the clock and counts the event without queueing it,
+// and the coroutine simply keeps running.  This is exact, not a model
+// change, because of one invariant every wake-up path keeps:
+//
+//   A callback that resumes a coroutine does so as its last action.
+//
+// The sleep timer, Trigger::wait_for's timeout, both mailbox.hpp timeouts,
+// post(), spawn() and proc's compute timer all end with the resume.  So
+// once the sleeping coroutine would have suspended, control returns
+// straight to the run loop and the next thing that happens is the pop of
+// that very timer: nothing runs in between that could observe the clock or
+// schedule an earlier event.  A tie with a pending event is not strict, so
+// the wake-up goes through the queue and keeps its place behind it; step()
+// never runs a wake-up in place.  A new wake-up path must keep the
+// invariant (or not call advance_if_next).
+//
+// A coroutine that keeps running in place never returns to the run loop,
+// and where symmetric transfer is not compiled as a tail call (unoptimized
+// and sanitizer builds) every call it makes and finishes leaves host stack
+// behind.  So at most kMaxInlineStreak wake-ups run in place per popped
+// event; the next one is queued, as it would have been anyway, and the
+// stack unwinds.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,6 +113,27 @@ class Engine {
   /// Returns the number of live non-daemon processes.
   std::size_t run_until_blocked(TimeNs deadline = -1);
 
+  /// Run a wake-up at `at` in place (see the file comment): when the
+  /// engine is inside run_until_blocked, no failure is recorded, `at` is
+  /// within the deadline and strictly earlier than every pending event,
+  /// advance the clock to `at`, count one executed event and return true.
+  /// Otherwise change nothing and return false; the caller schedules.
+  bool advance_if_next(TimeNs at) {
+    DT_ASSERT(at >= now_, "cannot wake in the past (at=", at, " now=", now_, ")");
+    if (!running_ || failure_ || (deadline_ >= 0 && at > deadline_)) return false;
+    if (inline_streak_ >= kMaxInlineStreak) return false;
+    const std::optional<TimeNs> next = queue_.next_time();
+    if (next && at >= *next) return false;
+    now_ = at;
+    ++events_executed_;
+    ++inline_wakeups_;
+    ++inline_streak_;
+    return true;
+  }
+
+  /// Most wake-ups run in place per popped event (see the file comment).
+  static constexpr int kMaxInlineStreak = 64;
+
   /// co_await engine.sleep(d): suspend the calling coroutine for d >= 0
   /// virtual nanoseconds.
   auto sleep(TimeNs duration) {
@@ -92,7 +141,7 @@ class Engine {
     struct Awaiter {
       Engine& engine;
       TimeNs duration;
-      bool await_ready() const noexcept { return false; }
+      bool await_ready() { return engine.advance_if_next(engine.now_ + duration); }
       void await_suspend(std::coroutine_handle<> h) {
         engine.schedule_after(duration, [h] { h.resume(); });
       }
@@ -104,7 +153,10 @@ class Engine {
   /// co_await engine.yield(): reschedule after other events at this time.
   auto yield() { return sleep(0); }
 
+  /// Events executed, wake-ups run in place included.
   std::uint64_t events_executed() const { return events_executed_; }
+  /// The subset of events_executed() run in place by advance_if_next.
+  std::uint64_t inline_wakeups() const { return inline_wakeups_; }
 
  private:
   struct RootDriver;  // detached driver coroutine for a root process
@@ -118,7 +170,11 @@ class Engine {
   std::size_t alive_ = 0;
   std::size_t daemons_alive_ = 0;
   std::uint64_t events_executed_ = 0;
+  std::uint64_t inline_wakeups_ = 0;
   std::uint64_t next_root_id_ = 0;
+  int inline_streak_ = 0;  ///< in-place wake-ups since the last pop
+  bool running_ = false;  ///< inside run_until_blocked
+  TimeNs deadline_ = -1;  ///< run_until_blocked's deadline while running_
 
   struct RootInfo {
     std::coroutine_handle<> handle;

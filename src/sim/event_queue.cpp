@@ -62,6 +62,9 @@ EventId EventQueue::schedule(TimeNs at, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     DT_ASSERT(slot != EventId::kNoSlot, "event slot table overflow");
     slots_.emplace_back();
+    // Room for every slot on the free list, so releasing one (inside a
+    // pop) never allocates.
+    if (free_slots_.capacity() < slots_.size()) free_slots_.reserve(slots_.capacity());
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
@@ -100,18 +103,6 @@ void EventQueue::maybe_compact() {
   reg.add(reg.metrics().sim_queue_compacted_entries, before - heap_.size());
   if (heap_.size() < 2) return;
   for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) sift_down(i);
-}
-
-void EventQueue::drop_dead_top() const {
-  while (!heap_.empty() && slots_[heap_.front().slot].gen != heap_.front().gen) {
-    pop_root();
-  }
-}
-
-std::optional<TimeNs> EventQueue::next_time() const {
-  drop_dead_top();
-  if (heap_.empty()) return std::nullopt;
-  return heap_.front().time;
 }
 
 std::pair<TimeNs, EventQueue::Callback> EventQueue::pop() {

@@ -44,7 +44,11 @@ class EventQueue {
   bool cancel(EventId id);
 
   /// Time of the earliest live event, if any.
-  std::optional<TimeNs> next_time() const;
+  std::optional<TimeNs> next_time() const {
+    drop_dead_top();
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().time;
+  }
 
   /// Pop the earliest live event.  Precondition: !empty().
   std::pair<TimeNs, Callback> pop();
@@ -81,7 +85,9 @@ class EventQueue {
   void sift_up(std::size_t index) const;
   void sift_down(std::size_t index) const;
   void pop_root() const;
-  void drop_dead_top() const;
+  void drop_dead_top() const {
+    while (!heap_.empty() && !entry_live(heap_.front())) pop_root();
+  }
   void release_slot(std::uint32_t slot);
   void maybe_compact();
 

@@ -15,6 +15,7 @@ struct Metrics {
 
   // --- sim: engine + event queue --------------------------------------------
   CounterId sim_events;                ///< events dispatched (bulk-added per run)
+  CounterId sim_inline_wakeups;        ///< of sim_events, wake-ups run in place (bulk-added)
   CounterId sim_queue_compactions;     ///< heap compaction passes
   CounterId sim_queue_compacted_entries;  ///< dead entries dropped by compaction
 

@@ -110,12 +110,10 @@ void VtLib::link() {
     return vt_end(t, static_cast<image::FunctionId>(args[0]));
   });
   reg.register_function(LibEntry::kVtTraceoff, [this](proc::SimThread& t, Args) {
-    trace_off();
-    return t.compute(costs().vt_call_overhead);
+    return vt_trace_switch(t, false);
   });
   reg.register_function(LibEntry::kVtTraceon, [this](proc::SimThread& t, Args) {
-    trace_on();
-    return t.compute(costs().vt_call_overhead);
+    return vt_trace_switch(t, true);
   });
   reg.register_function(LibEntry::kVtFinalize,
                         [this](proc::SimThread& t, Args) { return vt_finalize(t); });
@@ -135,6 +133,15 @@ sim::Coro<void> VtLib::vt_init(proc::SimThread& thread) {
   // to a running application (rather than spawning it) can check whether
   // VT instrumentation is already safe to insert.
   process_.set_flag("vt_initialized", 1);
+}
+
+sim::Coro<void> VtLib::vt_trace_switch(proc::SimThread& thread, bool on) {
+  if (on) {
+    trace_on();
+  } else {
+    trace_off();
+  }
+  co_await thread.compute(costs().vt_call_overhead);
 }
 
 void VtLib::push_event(EventKind kind, proc::SimThread& thread, std::int32_t code,
@@ -335,14 +342,16 @@ sim::TimeNs snippet_steady_cost(const VtLib& vt, const image::Snippet& snippet) 
 sim::TimeNs VtLib::steady_pair_overhead(image::FunctionId fn) const {
   const machine::CostModel& c = costs();
   const image::ProgramImage& img = process_.image();
+  const image::ProbeSummary& probes = img.summary(fn);
   sim::TimeNs total = 0;
   for (auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
+    if (!probes.base_trampoline[static_cast<std::size_t>(where)]) continue;
     total += img.trampoline_overhead(fn, where, c);
-    for (const auto& snippet : img.active_snippets(fn, where)) {
-      total += snippet_steady_cost(*this, *snippet);
+    for (const auto& probe : img.probe_point(fn, where).minis) {
+      if (probe.active) total += snippet_steady_cost(*this, *probe.snippet);
     }
   }
-  if (img.static_instrumented(fn)) {
+  if (probes.static_instrumented) {
     // Compiled-in VT_begin + VT_end (no trampolines on this path).
     total += 2 * steady_call_cost(fn);
   }

@@ -165,6 +165,9 @@ class VtLib {
   void trace_off() { tracing_ = false; }
   void trace_on() { tracing_ = true; }
   bool tracing() const { return tracing_; }
+  /// The linked VT_traceon/VT_traceoff entry points: switch, then charge
+  /// the library-call overhead.
+  sim::Coro<void> vt_trace_switch(proc::SimThread& thread, bool on);
 
   /// Record a non-subroutine event (MPI wrapper / OpenMP runtime events);
   /// charges timestamp + record + amortised flush cost.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "image/snippet.hpp"
+#include "omp/runtime.hpp"
 #include "proc/job.hpp"
 
 namespace dyntrace::proc {
@@ -63,6 +64,74 @@ TEST(Process, DoubleSuspendAndResumeAreIdempotent) {
   f.engine.schedule_at(sim::milliseconds(6), [&] { f.process.resume(); });
   f.engine.run();
   EXPECT_EQ(done_at, sim::milliseconds(13));
+}
+
+TEST(Process, ZeroWorkComputeStartedWhileSuspendedWaitsForResume) {
+  Fixture f;
+  f.process.suspend();
+  sim::TimeNs done_at = -1;
+  f.engine.spawn(
+      [](SimThread& t, sim::TimeNs& out) -> sim::Coro<void> {
+        co_await t.compute(0);
+        out = t.engine().now();
+      }(f.process.main_thread(), done_at),
+      "worker");
+  f.engine.schedule_at(sim::milliseconds(7), [&] { f.process.resume(); });
+  f.engine.run();
+  EXPECT_EQ(done_at, sim::milliseconds(7));
+}
+
+TEST(Process, ComputeStartedWhileSuspendedRunsAfterResume) {
+  Fixture f;
+  f.process.suspend();
+  sim::TimeNs done_at = -1;
+  f.engine.spawn(
+      [](SimThread& t, sim::TimeNs& out) -> sim::Coro<void> {
+        co_await t.compute(sim::milliseconds(3));
+        out = t.engine().now();
+      }(f.process.main_thread(), done_at),
+      "worker");
+  f.engine.schedule_at(sim::milliseconds(5), [&] { f.process.resume(); });
+  f.engine.run();
+  EXPECT_EQ(done_at, sim::milliseconds(8));
+}
+
+TEST(Process, SuspendBeforeTheContinuationRunsKeepsTheRemainingWork) {
+  Fixture f;
+  sim::TimeNs done_at = -1;
+  f.engine.spawn(
+      [](SimThread& t, sim::TimeNs& out) -> sim::Coro<void> {
+        co_await t.compute(sim::milliseconds(10));
+        out = t.engine().now();
+      }(f.process.main_thread(), done_at),
+      "worker");
+  // 4 ms done at the first suspend.  The resume at 6 ms posts the rest,
+  // but the suspend queued behind it lands before that continuation runs,
+  // so the remaining 6 ms start only at the resume at 9 ms.
+  f.engine.schedule_at(sim::milliseconds(4), [&] { f.process.suspend(); });
+  f.engine.schedule_at(sim::milliseconds(6), [&] { f.process.resume(); });
+  f.engine.schedule_at(sim::milliseconds(6), [&] { f.process.suspend(); });
+  f.engine.schedule_at(sim::milliseconds(9), [&] { f.process.resume(); });
+  f.engine.run();
+  EXPECT_EQ(done_at, sim::milliseconds(15));
+  EXPECT_EQ(f.process.suspend_count(), 2u);
+}
+
+TEST(Process, SuspendAtTheTimerInstantLeavesNoWork) {
+  Fixture f;
+  sim::TimeNs done_at = -1;
+  // Scheduled before the timer, so it pops first at 4 ms and cancels it
+  // with all the work done; the compute completes at the resume.
+  f.engine.schedule_at(sim::milliseconds(4), [&] { f.process.suspend(); });
+  f.engine.schedule_at(sim::milliseconds(6), [&] { f.process.resume(); });
+  f.engine.spawn(
+      [](SimThread& t, sim::TimeNs& out) -> sim::Coro<void> {
+        co_await t.compute(sim::milliseconds(4));
+        out = t.engine().now();
+      }(f.process.main_thread(), done_at),
+      "worker");
+  f.engine.run();
+  EXPECT_EQ(done_at, sim::milliseconds(6));
 }
 
 TEST(Process, GateParksWhileSuspended) {
@@ -160,6 +229,27 @@ TEST(Process, CallFunctionExecutesDynamicProbesAndChargesTrampolines) {
   const sim::TimeNs per = costs.tramp_jump + costs.tramp_save_regs + costs.tramp_restore_regs +
                           costs.tramp_relocated_insn + costs.tramp_mini_dispatch;
   EXPECT_EQ(f.engine.now(), 2 * per);
+}
+
+TEST(Process, LeafCallChargesTrampolinesAroundItsWork) {
+  Fixture f;
+  f.process.image().install_probe(1, image::ProbeWhere::kEntry, image::snippet::noop());
+  f.process.image().install_probe(1, image::ProbeWhere::kExit, image::snippet::noop());
+  const machine::CostModel& costs = f.cluster.spec().costs;
+  const sim::TimeNs tramps =
+      f.process.image().trampoline_overhead(1, image::ProbeWhere::kEntry, costs) +
+      f.process.image().trampoline_overhead(1, image::ProbeWhere::kExit, costs);
+  ASSERT_GT(tramps, 0);
+  f.engine.spawn(
+      [](SimThread& t) -> sim::Coro<void> {
+        co_await t.call_function(1, sim::microseconds(5));
+        co_await t.call_function(1, 0);
+      }(f.process.main_thread()),
+      "p");
+  f.engine.run();
+  EXPECT_EQ(f.engine.now(), sim::microseconds(5) + 2 * tramps);
+  EXPECT_EQ(f.process.main_thread().function_entries(), 2u);
+  EXPECT_EQ(f.process.main_thread().call_depth(), 0);
 }
 
 TEST(Process, UninstrumentedCallCostsNothing) {
@@ -296,6 +386,44 @@ TEST(Process, SuspendFreezesAllThreads) {
   f.engine.run();
   EXPECT_EQ(main_done, sim::milliseconds(13));
   EXPECT_EQ(worker_done, sim::milliseconds(9));
+}
+
+TEST(Process, SuspendAcrossAnOpenMpTeam) {
+  Fixture f;
+  omp::OmpRuntime runtime(f.process, 4);
+  sim::TimeNs region_start = -1;
+  std::vector<sim::TimeNs> done(4, -1);
+  f.engine.spawn(
+      [](Fixture& fx, omp::OmpRuntime& rt, sim::TimeNs& start,
+         std::vector<sim::TimeNs>& out) -> sim::Coro<void> {
+        co_await rt.parallel(
+            fx.process.main_thread(),
+            [&fx, &start, &out](SimThread& t, int tnum, int) -> sim::Coro<void> {
+              sim::Engine& eng = t.engine();
+              if (tnum == 0) {
+                // The master enters the region first: freeze the team
+                // 2 ms in, for 3 ms.
+                start = eng.now();
+                eng.schedule_after(sim::milliseconds(2), [&fx] { fx.process.suspend(); });
+                eng.schedule_after(sim::milliseconds(5), [&fx] { fx.process.resume(); });
+                co_await t.compute(sim::milliseconds(10));  // frozen mid-compute
+              } else if (tnum == 1) {
+                co_await t.compute(sim::milliseconds(4));  // frozen mid-compute
+              } else if (tnum == 2) {
+                co_await t.compute(sim::milliseconds(1));  // done before the suspend
+              } else {
+                co_await eng.sleep(sim::milliseconds(3));
+                co_await t.compute(sim::milliseconds(1));  // starts while suspended
+              }
+              out[static_cast<std::size_t>(tnum)] = eng.now() - start;
+            });
+      }(f, runtime, region_start, done),
+      "omp-master");
+  f.engine.run();
+  ASSERT_GE(region_start, 0);
+  EXPECT_EQ(done, (std::vector<sim::TimeNs>{sim::milliseconds(13), sim::milliseconds(7),
+                                            sim::milliseconds(1), sim::milliseconds(6)}));
+  EXPECT_EQ(f.process.suspend_count(), 1u);
 }
 
 }  // namespace

@@ -176,6 +176,121 @@ TEST(Engine, EventsExecutedCounter) {
   EXPECT_EQ(e.events_executed(), 2u);
 }
 
+// --- in-place wake-ups (Engine::advance_if_next) ----------------------------
+
+TEST(Engine, WakeUpStrictlyBeforeEveryPendingEventRunsInPlace) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] { order.push_back(2); });
+  e.spawn(
+      [](Engine& eng, std::vector<int>& ord) -> Coro<void> {
+        co_await eng.sleep(5);
+        ord.push_back(1);
+        EXPECT_EQ(eng.now(), 5);
+      }(e, order),
+      "sleeper");
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.inline_wakeups(), 1u);
+}
+
+TEST(Engine, WakeUpTiedWithAPendingEventRunsAfterIt) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(10, [&] { order.push_back(1); });
+  e.spawn(
+      [](Engine& eng, std::vector<int>& ord) -> Coro<void> {
+        co_await eng.sleep(10);
+        ord.push_back(2);
+      }(e, order),
+      "sleeper");
+  e.run();
+  // Equal times fire in scheduling order: the tied wake-up was queued,
+  // behind the event scheduled first.
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.inline_wakeups(), 0u);
+  EXPECT_EQ(e.now(), 10);
+}
+
+TEST(Engine, NoWakeUpRunsInPlacePastTheDeadline) {
+  Engine e;
+  std::vector<TimeNs> woke;
+  e.spawn(
+      [](Engine& eng, std::vector<TimeNs>& out) -> Coro<void> {
+        for (int i = 0; i < 10; ++i) {
+          co_await eng.sleep(10);
+          out.push_back(eng.now());
+        }
+      }(e, woke),
+      "sleeper");
+  e.run(35);
+  // 10, 20 and 30 are within the deadline and run in place; 40 is not.
+  EXPECT_EQ(woke, (std::vector<TimeNs>{10, 20, 30}));
+  EXPECT_EQ(e.now(), 35);
+  EXPECT_EQ(e.inline_wakeups(), 3u);
+  e.run(40);
+  // The deadline is inclusive: the queued wake-up at 40 pops, while the
+  // one at 50 neither runs in place nor pops.
+  EXPECT_EQ(woke.back(), 40);
+  EXPECT_EQ(e.now(), 40);
+  EXPECT_EQ(woke.size(), 4u);
+  EXPECT_EQ(e.inline_wakeups(), 3u);
+}
+
+TEST(Engine, StepNeverRunsAWakeUpInPlace) {
+  Engine e;
+  std::vector<TimeNs> woke;
+  e.spawn(
+      [](Engine& eng, std::vector<TimeNs>& out) -> Coro<void> {
+        co_await eng.sleep(5);
+        out.push_back(eng.now());
+        co_await eng.sleep(5);
+        out.push_back(eng.now());
+      }(e, woke),
+      "sleeper");
+  EXPECT_TRUE(e.step());  // the spawn: the first sleep is queued
+  EXPECT_TRUE(woke.empty());
+  EXPECT_TRUE(e.step());  // wakes at 5; the second sleep is queued too
+  EXPECT_EQ(woke, (std::vector<TimeNs>{5}));
+  EXPECT_TRUE(e.step());
+  EXPECT_EQ(woke, (std::vector<TimeNs>{5, 10}));
+  EXPECT_FALSE(e.step());
+  EXPECT_EQ(e.inline_wakeups(), 0u);
+  EXPECT_EQ(e.events_executed(), 3u);
+}
+
+TEST(Engine, EventsExecutedCountsInPlaceWakeUps) {
+  Engine e;
+  e.spawn(
+      [](Engine& eng) -> Coro<void> {
+        for (int i = 0; i < 4; ++i) co_await eng.sleep(1);
+      }(e),
+      "sleeper");
+  e.run();
+  // The spawn plus four wake-ups, all four run in place: the count is the
+  // one a fully queued run would report.
+  EXPECT_EQ(e.events_executed(), 5u);
+  EXPECT_EQ(e.inline_wakeups(), 4u);
+  EXPECT_EQ(e.now(), 4);
+}
+
+TEST(Engine, InPlaceStreaksAreCappedPerPoppedEvent) {
+  // A sleeper alone never has to return to the run loop; the cap queues
+  // every (kMaxInlineStreak + 1)-th wake-up so the host stack unwinds.
+  constexpr int kRounds = 3;
+  constexpr int kSleeps = kRounds * (Engine::kMaxInlineStreak + 1);
+  Engine e;
+  e.spawn(
+      [](Engine& eng) -> Coro<void> {
+        for (int i = 0; i < kSleeps; ++i) co_await eng.sleep(1);
+      }(e),
+      "sleeper");
+  e.run();
+  EXPECT_EQ(e.now(), kSleeps);
+  EXPECT_EQ(e.events_executed(), static_cast<std::uint64_t>(kSleeps) + 1);
+  EXPECT_EQ(e.inline_wakeups(), static_cast<std::uint64_t>(kRounds * Engine::kMaxInlineStreak));
+}
+
 TEST(Engine, ManyProcessesScale) {
   // Smoke: 1000 interleaving processes run to completion deterministically.
   Engine e;

@@ -391,6 +391,9 @@ TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
   ASSERT_EQ(snaps.size(), 2u);
   EXPECT_GT(snaps[0].counter_value("dpcl.requests"), 0u);
   EXPECT_GT(snaps[0].counter_value("sim.events"), 0u);
+  // In-place wake-ups are a subset of the executed events.
+  EXPECT_GT(snaps[0].counter_value("sim.inline_wakeups"), 0u);
+  EXPECT_LT(snaps[0].counter_value("sim.inline_wakeups"), snaps[0].counter_value("sim.events"));
   EXPECT_EQ(digests[1], digests[0]) << "trace diverged";
   EXPECT_EQ(snaps[1].counters, snaps[0].counters);
 }
