@@ -11,88 +11,100 @@ namespace dyntrace::analysis {
 
 namespace {
 
-struct StackEntry {
-  std::int32_t fn;
-  sim::TimeNs entered;
-  sim::TimeNs child_time = 0;
-};
+void sort_by_inclusive(std::vector<FunctionProfile>& functions) {
+  std::sort(functions.begin(), functions.end(),
+            [](const FunctionProfile& a, const FunctionProfile& b) {
+              if (a.inclusive != b.inclusive) return a.inclusive > b.inclusive;
+              return a.fn < b.fn;
+            });
+}
 
 }  // namespace
+
+ProcessReplay::ProcessReplay(std::int32_t pid) { profile_.pid = pid; }
+
+ProcessReplay::ThreadState& ProcessReplay::thread(std::int32_t tid) {
+  if (cached_thread_ == nullptr || tid != cached_tid_) {
+    cached_thread_ = &threads_[tid];
+    cached_tid_ = tid;
+  }
+  return *cached_thread_;
+}
+
+void ProcessReplay::add(const vt::Event& e) {
+  if (profile_.events == 0) profile_.first_event = e.time;
+  profile_.last_event = e.time;
+  ++profile_.events;
+  switch (e.kind) {
+    case vt::EventKind::kEnter: {
+      const auto [it, inserted] = slot_of_fn_.try_emplace(
+          e.code, static_cast<std::uint32_t>(profile_.functions.size()));
+      if (inserted) {
+        FunctionProfile fp;
+        fp.fn = static_cast<image::FunctionId>(e.code);
+        profile_.functions.push_back(fp);
+      }
+      ++profile_.functions[it->second].calls;
+      thread(e.tid).stack.push_back(StackEntry{e.code, it->second, e.time});
+      break;
+    }
+    case vt::EventKind::kLeave: {
+      auto& stack = thread(e.tid).stack;
+      if (stack.empty() || stack.back().fn != e.code) {
+        ++profile_.unmatched_leaves;
+        break;
+      }
+      const StackEntry entry = stack.back();
+      stack.pop_back();
+      const sim::TimeNs inclusive = e.time - entry.entered;
+      FunctionProfile& fp = profile_.functions[entry.slot];
+      fp.inclusive += inclusive;
+      fp.exclusive += inclusive - entry.child_time;
+      if (!stack.empty()) stack.back().child_time += inclusive;
+      break;
+    }
+    case vt::EventKind::kMsgSend:
+      ++profile_.messages.sends;
+      profile_.messages.bytes_sent += e.aux;
+      break;
+    case vt::EventKind::kMsgRecv:
+      ++profile_.messages.recvs;
+      profile_.messages.bytes_received += e.aux;
+      break;
+    case vt::EventKind::kMpiBegin: {
+      ThreadState& t = thread(e.tid);
+      t.in_mpi = true;
+      t.mpi_begin = e.time;
+      break;
+    }
+    case vt::EventKind::kMpiEnd: {
+      ++profile_.messages.mpi_calls;
+      ThreadState& t = thread(e.tid);
+      if (t.in_mpi) {
+        profile_.messages.mpi_time += e.time - t.mpi_begin;
+        t.in_mpi = false;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+ProcessProfile ProcessReplay::finish() {
+  sort_by_inclusive(profile_.functions);
+  return std::move(profile_);
+}
 
 TraceAnalyzer::TraceAnalyzer(const vt::TraceStore& store) {
   // Replay each process's shard as a time-ordered stream; the trace is
   // never materialized as one vector.
   for (const std::int32_t pid : store.pids()) {
-    ProcessProfile profile;
-    profile.pid = pid;
-
-    std::map<std::int32_t, FunctionProfile> functions;
-    // Per-thread call stacks (threads of one process interleave in the
-    // stream).
-    std::map<std::int32_t, std::vector<StackEntry>> stacks;
-    std::map<std::int32_t, sim::TimeNs> mpi_begin;  // per thread
-
+    ProcessReplay replay(pid);
     auto cursor = store.process_cursor(pid);
     vt::Event e;
-    while (cursor->next(e)) {
-      if (profile.events == 0) profile.first_event = e.time;
-      profile.last_event = e.time;
-      ++profile.events;
-      switch (e.kind) {
-        case vt::EventKind::kEnter: {
-          auto& fp = functions[e.code];
-          fp.fn = static_cast<image::FunctionId>(e.code);
-          ++fp.calls;
-          stacks[e.tid].push_back(StackEntry{e.code, e.time});
-          break;
-        }
-        case vt::EventKind::kLeave: {
-          auto& stack = stacks[e.tid];
-          if (stack.empty() || stack.back().fn != e.code) {
-            ++profile.unmatched_leaves;
-            break;
-          }
-          const StackEntry entry = stack.back();
-          stack.pop_back();
-          const sim::TimeNs inclusive = e.time - entry.entered;
-          auto& fp = functions[e.code];
-          fp.inclusive += inclusive;
-          fp.exclusive += inclusive - entry.child_time;
-          if (!stack.empty()) stack.back().child_time += inclusive;
-          break;
-        }
-        case vt::EventKind::kMsgSend:
-          ++profile.messages.sends;
-          profile.messages.bytes_sent += e.aux;
-          break;
-        case vt::EventKind::kMsgRecv:
-          ++profile.messages.recvs;
-          profile.messages.bytes_received += e.aux;
-          break;
-        case vt::EventKind::kMpiBegin:
-          mpi_begin[e.tid] = e.time;
-          break;
-        case vt::EventKind::kMpiEnd: {
-          ++profile.messages.mpi_calls;
-          const auto it = mpi_begin.find(e.tid);
-          if (it != mpi_begin.end()) {
-            profile.messages.mpi_time += e.time - it->second;
-            mpi_begin.erase(it);
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-
-    for (const auto& [code, fp] : functions) profile.functions.push_back(fp);
-    std::sort(profile.functions.begin(), profile.functions.end(),
-              [](const FunctionProfile& a, const FunctionProfile& b) {
-                if (a.inclusive != b.inclusive) return a.inclusive > b.inclusive;
-                return a.fn < b.fn;
-              });
-    processes_.push_back(std::move(profile));
+    while (cursor->next(e)) replay.add(e);
+    processes_.push_back(replay.finish());
   }
 }
 
@@ -129,17 +141,17 @@ ProcessProfile TraceAnalyzer::aggregate() const {
     }
   }
   for (const auto& [fn, fp] : merged) total.functions.push_back(fp);
-  std::sort(total.functions.begin(), total.functions.end(),
-            [](const FunctionProfile& a, const FunctionProfile& b) {
-              if (a.inclusive != b.inclusive) return a.inclusive > b.inclusive;
-              return a.fn < b.fn;
-            });
+  sort_by_inclusive(total.functions);
   return total;
 }
 
 std::string TraceAnalyzer::top_functions_table(const image::SymbolTable* symbols,
                                                std::size_t n) const {
-  const ProcessProfile total = aggregate();
+  return render_top_functions(aggregate(), symbols, n);
+}
+
+std::string render_top_functions(const ProcessProfile& total,
+                                 const image::SymbolTable* symbols, std::size_t n) {
   TextTable table({"function", "calls", "inclusive (s)", "exclusive (s)"});
   for (std::size_t i = 0; i < total.functions.size() && i < n; ++i) {
     const auto& fp = total.functions[i];

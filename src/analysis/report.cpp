@@ -1,6 +1,7 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -36,31 +37,134 @@ std::string CommMatrix::render() const {
   return table.render();
 }
 
-CommMatrix communication_matrix(const vt::TraceStore& store) {
-  // One streaming pass: accumulate sends sparsely, then lay the matrix out
-  // once the process-id range (pids are dense from 0) is known.
+namespace {
+
+/// Largest pid with events, plus one (pids are dense from 0).
+int process_span(const vt::TraceStore& store) {
   int nprocs = 0;
   for (const std::int32_t pid : store.pids()) nprocs = std::max(nprocs, pid + 1);
-  std::map<std::pair<std::int32_t, std::int32_t>, std::int64_t> sends;
-  auto cursor = store.merge_cursor();
-  vt::Event e;
-  while (cursor->next(e)) {
-    if (e.kind != vt::EventKind::kMsgSend) continue;
-    nprocs = std::max(nprocs, e.code + 1);
-    if (e.code < 0) continue;
-    sends[{e.pid, e.code}] += e.aux;
-  }
-  CommMatrix matrix;
-  matrix.nprocs = nprocs;
-  matrix.bytes.assign(static_cast<std::size_t>(nprocs) * nprocs, 0);
-  for (const auto& [pair, bytes] : sends) {
-    matrix.bytes[static_cast<std::size_t>(pair.first) * nprocs + pair.second] += bytes;
-  }
-  return matrix;
+  return nprocs;
 }
 
-LoadBalance load_balance(const vt::TraceStore& store) {
-  TraceAnalyzer analyzer(store);
+/// Feed every process's events to `fold` in per-process time order.  Each
+/// analysis below only sums, or pairs events within one (pid, tid), so it
+/// needs no global order: per-process cursors give exactly the events, in
+/// exactly the relative order, that the k-way merge would, without the merge.
+template <typename Fold>
+void replay_processes(const vt::TraceStore& store, Fold&& fold) {
+  for (const std::int32_t pid : store.pids()) {
+    auto cursor = store.process_cursor(pid);
+    vt::Event e;
+    while (cursor->next(e)) fold(pid, e);
+  }
+}
+
+/// Bytes of kMsgSend events per (src, dst).  The matrix is laid out for the
+/// process range up front and re-laid only if a send names a peer past it.
+class CommFold {
+ public:
+  explicit CommFold(int nprocs) { relayout(nprocs); }
+
+  void add(const vt::Event& e) {
+    if (e.kind != vt::EventKind::kMsgSend) return;
+    DT_EXPECT(e.code < std::numeric_limits<std::int32_t>::max(), "rank ", e.pid,
+              " sends to peer ", e.code, ", past any matrix");
+    if (e.code >= matrix_.nprocs) relayout(e.code + 1);
+    if (e.code < 0) return;
+    matrix_.bytes[static_cast<std::size_t>(e.pid) * matrix_.nprocs + e.code] += e.aux;
+  }
+
+  CommMatrix finish() { return std::move(matrix_); }
+
+ private:
+  void relayout(int nprocs) {
+    std::vector<std::int64_t> bytes(static_cast<std::size_t>(nprocs) * nprocs, 0);
+    for (int src = 0; src < matrix_.nprocs; ++src) {
+      std::copy_n(matrix_.bytes.begin() + static_cast<std::ptrdiff_t>(src) * matrix_.nprocs,
+                  matrix_.nprocs,
+                  bytes.begin() + static_cast<std::ptrdiff_t>(src) * nprocs);
+    }
+    matrix_.nprocs = nprocs;
+    matrix_.bytes = std::move(bytes);
+  }
+
+  CommMatrix matrix_;
+};
+
+/// Parallel-region spans: parallel events come from the master, worker
+/// events from each team member, paired per (tid, region) within a process.
+class OmpFold {
+ public:
+  void add(std::int32_t pid, const vt::Event& e) {
+    if (pid != pid_) {  // spans never pair across processes
+      pid_ = pid;
+      open_master_.clear();
+      open_worker_.clear();
+    }
+    const auto key = std::make_pair(e.tid, e.code);
+    switch (e.kind) {
+      case vt::EventKind::kParallelBegin: {
+        auto& profile = by_region_[e.code];
+        profile.region_id = e.code;
+        ++profile.executions;
+        profile.max_team_size = std::max(profile.max_team_size, static_cast<int>(e.aux));
+        open_master_[key] = e.time;
+        break;
+      }
+      case vt::EventKind::kParallelEnd: {
+        const auto it = open_master_.find(key);
+        if (it != open_master_.end()) {
+          by_region_[e.code].master_span += e.time - it->second;
+          open_master_.erase(it);
+        }
+        break;
+      }
+      case vt::EventKind::kWorkerBegin:
+        open_worker_[key] = e.time;
+        break;
+      case vt::EventKind::kWorkerEnd: {
+        const auto it = open_worker_.find(key);
+        if (it != open_worker_.end()) {
+          by_region_[e.code].worker_span += e.time - it->second;
+          open_worker_.erase(it);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  /// Profiles sorted by master span descending, then region id.
+  std::vector<OmpRegionProfile> finish() const {
+    std::vector<OmpRegionProfile> profiles;
+    for (const auto& [id, profile] : by_region_) profiles.push_back(profile);
+    std::sort(profiles.begin(), profiles.end(),
+              [](const OmpRegionProfile& a, const OmpRegionProfile& b) {
+                if (a.master_span != b.master_span) return a.master_span > b.master_span;
+                return a.region_id < b.region_id;
+              });
+    return profiles;
+  }
+
+ private:
+  std::int32_t pid_ = -1;
+  std::map<std::int32_t, OmpRegionProfile> by_region_;
+  std::map<std::pair<std::int32_t, std::int32_t>, sim::TimeNs> open_master_;
+  std::map<std::pair<std::int32_t, std::int32_t>, sim::TimeNs> open_worker_;
+};
+
+}  // namespace
+
+CommMatrix communication_matrix(const vt::TraceStore& store) {
+  CommFold comm(process_span(store));
+  replay_processes(store, [&](std::int32_t, const vt::Event& e) { comm.add(e); });
+  return comm.finish();
+}
+
+LoadBalance load_balance(const vt::TraceStore& store) { return load_balance(TraceAnalyzer(store)); }
+
+LoadBalance load_balance(const TraceAnalyzer& analyzer) {
   LoadBalance balance;
   std::int32_t max_pid = -1;
   for (const auto& p : analyzer.processes()) max_pid = std::max(max_pid, p.pid);
@@ -90,57 +194,9 @@ LoadBalance load_balance(const vt::TraceStore& store) {
 }
 
 std::vector<OmpRegionProfile> omp_region_profiles(const vt::TraceStore& store) {
-  std::map<std::int32_t, OmpRegionProfile> by_region;
-  // Open spans per (pid, tid, region): parallel events come from the
-  // master, worker events from each team member.
-  std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, sim::TimeNs> open_master;
-  std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, sim::TimeNs> open_worker;
-
-  auto cursor = store.merge_cursor();
-  vt::Event e;
-  while (cursor->next(e)) {
-    const auto key = std::make_tuple(e.pid, e.tid, e.code);
-    switch (e.kind) {
-      case vt::EventKind::kParallelBegin: {
-        auto& profile = by_region[e.code];
-        profile.region_id = e.code;
-        ++profile.executions;
-        profile.max_team_size = std::max(profile.max_team_size, static_cast<int>(e.aux));
-        open_master[key] = e.time;
-        break;
-      }
-      case vt::EventKind::kParallelEnd: {
-        const auto it = open_master.find(key);
-        if (it != open_master.end()) {
-          by_region[e.code].master_span += e.time - it->second;
-          open_master.erase(it);
-        }
-        break;
-      }
-      case vt::EventKind::kWorkerBegin:
-        open_worker[key] = e.time;
-        break;
-      case vt::EventKind::kWorkerEnd: {
-        const auto it = open_worker.find(key);
-        if (it != open_worker.end()) {
-          by_region[e.code].worker_span += e.time - it->second;
-          open_worker.erase(it);
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  std::vector<OmpRegionProfile> profiles;
-  for (const auto& [id, profile] : by_region) profiles.push_back(profile);
-  std::sort(profiles.begin(), profiles.end(),
-            [](const OmpRegionProfile& a, const OmpRegionProfile& b) {
-              if (a.master_span != b.master_span) return a.master_span > b.master_span;
-              return a.region_id < b.region_id;
-            });
-  return profiles;
+  OmpFold omp;
+  replay_processes(store, [&](std::int32_t pid, const vt::Event& e) { omp.add(pid, e); });
+  return omp.finish();
 }
 
 std::string render_omp_regions(const std::vector<OmpRegionProfile>& profiles) {
@@ -156,8 +212,23 @@ std::string render_omp_regions(const std::vector<OmpRegionProfile>& profiles) {
 
 std::string summary_report(const vt::TraceStore& store, const image::SymbolTable* symbols,
                            std::size_t top_n) {
+  // One replay of each shard feeds the profile, the matrix and the regions.
+  std::vector<ProcessProfile> processes;
+  CommFold comm(process_span(store));
+  OmpFold omp;
+  for (const std::int32_t pid : store.pids()) {
+    ProcessReplay replay(pid);
+    auto cursor = store.process_cursor(pid);
+    vt::Event e;
+    while (cursor->next(e)) {
+      replay.add(e);
+      comm.add(e);
+      omp.add(pid, e);
+    }
+    processes.push_back(replay.finish());
+  }
   std::ostringstream os;
-  TraceAnalyzer analyzer(store);
+  const TraceAnalyzer analyzer(std::move(processes));
   const auto total = analyzer.aggregate();
   os << "=== trace summary ===\n";
   os << "events: " << store.size() << " across " << analyzer.processes().size()
@@ -167,17 +238,17 @@ std::string summary_report(const vt::TraceStore& store, const image::SymbolTable
      << " sends / " << total.messages.recvs << " recvs, "
      << str::format("%.1f KiB", static_cast<double>(total.messages.bytes_sent) / 1024.0)
      << " sent\n\n";
-  os << "top functions:\n" << analyzer.top_functions_table(symbols, top_n) << "\n";
+  os << "top functions:\n" << render_top_functions(total, symbols, top_n) << "\n";
 
-  const CommMatrix matrix = communication_matrix(store);
+  const CommMatrix matrix = comm.finish();
   if (matrix.nprocs > 1 && matrix.total() > 0) {
     os << "communication matrix:\n" << matrix.render() << "\n";
   }
-  const auto regions = omp_region_profiles(store);
+  const auto regions = omp.finish();
   if (!regions.empty()) {
     os << "OpenMP parallel regions:\n" << render_omp_regions(regions) << "\n";
   }
-  const LoadBalance balance = load_balance(store);
+  const LoadBalance balance = load_balance(analyzer);
   if (!balance.busy_seconds.empty()) {
     os << str::format("load balance: busy mean %.3f s, min %.3f s, max %.3f s, "
                       "imbalance (max/mean) %.3f\n",

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/profile.hpp"
 #include "control/controller.hpp"
 #include "dpcl/health.hpp"
 #include "image/symbols.hpp"
@@ -39,6 +40,8 @@ struct LoadBalance {
 };
 
 LoadBalance load_balance(const vt::TraceStore& store);
+/// The same, from profiles already replayed.
+LoadBalance load_balance(const TraceAnalyzer& analyzer);
 
 /// Per-parallel-region statistics (the GuideView half of VGV): how often a
 /// region ran, the master's total span inside it, and the worker span --
@@ -57,7 +60,8 @@ std::vector<OmpRegionProfile> omp_region_profiles(const vt::TraceStore& store);
 /// Render as a table ("GuideView regions" display).
 std::string render_omp_regions(const std::vector<OmpRegionProfile>& profiles);
 
-/// Combined human-readable report (profile top-N + matrix + balance).
+/// Combined human-readable report (profile top-N + matrix + balance), from
+/// one replay of each process's shard.
 std::string summary_report(const vt::TraceStore& store, const image::SymbolTable* symbols,
                            std::size_t top_n = 10);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "support/common.hpp"
 
@@ -19,38 +20,63 @@ std::uint16_t get_u16(const std::uint8_t* in) {
   return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
 }
 
-struct Crc32Table {
-  std::uint32_t entries[256];
-  constexpr Crc32Table() : entries{} {
+/// Slicing-by-8 CRC-32 tables: t[0] is the classic bytewise table, and
+/// t[k][b] is the CRC of byte b followed by k zero bytes, so eight table
+/// lookups advance the CRC by eight bytes at once (same value as bytewise).
+struct Crc32Tables {
+  std::uint32_t t[8][256];
+  constexpr Crc32Tables() : t{} {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     }
   }
 };
 
-constexpr Crc32Table kCrc32Table{};
+constexpr Crc32Tables kCrc32{};
 
-/// FNV-1a over the non-time fields: the suppressor's record fingerprint.
-/// Equal fields always hash equal, so a signature mismatch is a cheap
-/// early-out before the exact field compare (collisions only cost a compare).
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+constexpr std::uint64_t fnv_prime_pow(int k) {
+  std::uint64_t p = 1;
+  for (int i = 0; i < k; ++i) p *= kFnvPrime;
+  return p;
+}
+
+/// One FNV-1a step per byte of a u64 whose bytes past the first `kBytes`
+/// are zero.  A zero byte only multiplies by the prime, so those steps fold
+/// into one multiply by a prime power: the hash is bit-identical to eight
+/// byte steps.
+template <int kBytes>
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < kBytes; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= kFnvPrime;
+  }
+  if constexpr (kBytes < 8) {
+    constexpr std::uint64_t kZeroBytes = fnv_prime_pow(8 - kBytes);
+    h *= kZeroBytes;
+  }
+  return h;
+}
+
+/// FNV-1a over the non-time fields, each widened to u64: the suppressor's
+/// record fingerprint.  Equal fields always hash equal, so a signature
+/// mismatch is a cheap early-out before the exact field compare (collisions
+/// only cost a compare).
 std::uint64_t field_signature(const Event& e) {
   std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(static_cast<std::uint8_t>(e.kind)));
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.pid)));
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.tid)));
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.code)));
-  mix(static_cast<std::uint64_t>(e.aux));
-  return h;
+  h = fnv_mix<1>(h, static_cast<std::uint8_t>(e.kind));
+  h = fnv_mix<4>(h, static_cast<std::uint32_t>(e.pid));
+  h = fnv_mix<4>(h, static_cast<std::uint32_t>(e.tid));
+  h = fnv_mix<4>(h, static_cast<std::uint32_t>(e.code));
+  return fnv_mix<8>(h, static_cast<std::uint64_t>(e.aux));
 }
 
 bool same_fields(const Event& a, const Event& b) {
@@ -58,52 +84,81 @@ bool same_fields(const Event& a, const Event& b) {
          a.aux == b.aux;
 }
 
-void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  std::uint8_t tmp[kMaxVarintBytes];
-  const std::size_t n = put_varint(tmp, v);
-  out.insert(out.end(), tmp, tmp + n);
-}
+/// One id column of a block: its dictionary (sorted unique values) and each
+/// record's index into it.
+struct ColumnDict {
+  std::vector<std::int64_t> values;
+  std::vector<std::uint32_t> index;  ///< per record
+  std::vector<std::uint32_t> slots;  ///< dense offset table (value - lo -> index)
+};
 
-/// Sorted unique values of one id column over a block.
-void build_dict(const Event* events, std::size_t count, std::int64_t (*field)(const Event&),
-                std::vector<std::int64_t>& dict) {
-  dict.clear();
-  dict.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) dict.push_back(field(events[i]));
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-}
-
-void append_dict(std::vector<std::uint8_t>& out, const std::vector<std::int64_t>& dict) {
-  append_varint(out, dict.size());
-  if (dict.empty()) return;
-  append_varint(out, zigzag_encode(dict[0]));
-  for (std::size_t i = 1; i + 0 < dict.size(); ++i) {
-    append_varint(out, static_cast<std::uint64_t>(dict[i]) -
-                           static_cast<std::uint64_t>(dict[i - 1]));
+/// Build one column's dictionary and indices.  A small value range (ids,
+/// ranks, symbol and op codes) goes through a dense offset table: mark the
+/// values present, number them in one ascending sweep, then look every
+/// record up directly.  A wide range falls back to sort + unique and a
+/// binary search per record.  Both yield the same dictionary and indices.
+void build_column(const Event* events, std::size_t n, std::int32_t Event::*field,
+                  ColumnDict& col) {
+  std::int32_t lo = events[0].*field;
+  std::int32_t hi = lo;
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, events[i].*field);
+    hi = std::max(hi, events[i].*field);
+  }
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) - lo) + 1;
+  col.values.clear();
+  col.index.resize(n);
+  if (range <= 4 * static_cast<std::uint64_t>(n)) {
+    col.slots.assign(static_cast<std::size_t>(range), 0);
+    for (std::size_t i = 0; i < n; ++i) col.slots[events[i].*field - lo] = 1;
+    for (std::size_t r = 0; r < col.slots.size(); ++r) {
+      if (col.slots[r] == 0) continue;
+      col.slots[r] = static_cast<std::uint32_t>(col.values.size());
+      col.values.push_back(static_cast<std::int64_t>(lo) + static_cast<std::int64_t>(r));
+    }
+    for (std::size_t i = 0; i < n; ++i) col.index[i] = col.slots[events[i].*field - lo];
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) col.values.push_back(events[i].*field);
+  std::sort(col.values.begin(), col.values.end());
+  col.values.erase(std::unique(col.values.begin(), col.values.end()), col.values.end());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto it = std::lower_bound(col.values.begin(), col.values.end(), events[i].*field);
+    col.index[i] = static_cast<std::uint32_t>(it - col.values.begin());
   }
 }
 
-std::uint64_t dict_index(const std::vector<std::int64_t>& dict, std::int64_t value) {
-  const auto it = std::lower_bound(dict.begin(), dict.end(), value);
-  return static_cast<std::uint64_t>(it - dict.begin());
+std::uint8_t* put_dict(std::uint8_t* p, const std::vector<std::int64_t>& dict) {
+  p += put_varint(p, dict.size());
+  if (dict.empty()) return p;
+  p += put_varint(p, zigzag_encode(dict[0]));
+  for (std::size_t i = 1; i < dict.size(); ++i) {
+    p += put_varint(p, static_cast<std::uint64_t>(dict[i]) -
+                           static_cast<std::uint64_t>(dict[i - 1]));
+  }
+  return p;
 }
 
 struct BlockDicts {
-  std::vector<std::int64_t> pids, tids, codes;
+  ColumnDict pids, tids, codes;
 };
 
-/// One plain item: kind tag, chained time delta, dict indices, aux.
-void append_plain(std::vector<std::uint8_t>& out, const Event& e, std::uint64_t& prev_time,
-                  const BlockDicts& dicts) {
-  out.push_back(static_cast<std::uint8_t>(e.kind));
-  const std::uint64_t t = static_cast<std::uint64_t>(e.time);
-  append_varint(out, zigzag_encode(static_cast<std::int64_t>(t - prev_time)));
-  prev_time = t;
-  append_varint(out, dict_index(dicts.pids, e.pid));
-  append_varint(out, dict_index(dicts.tids, e.tid));
-  append_varint(out, dict_index(dicts.codes, e.code));
-  append_varint(out, zigzag_encode(e.aux));
+// Worst-case item sizes.  Dictionary indices and repeat counts stay below
+// kBlockRecords < 2^14, so their varints take at most 2 bytes; a period
+// (<= kMaxSuppressionPeriod) takes 1.
+static_assert(kBlockRecords < (std::size_t{1} << 14) && kMaxSuppressionPeriod < 0x80);
+constexpr std::size_t kMaxPlainBytes = 1 + kMaxVarintBytes + 3 * 2 + kMaxVarintBytes;
+constexpr std::size_t kMaxSuperHeaderBytes = 1 + 1 + 2 + kMaxVarintBytes;
+
+/// Upper bound on one block's payload: the three dictionaries, at most one
+/// plain item per record, and at most one super-record header per two
+/// records (a super-record replaces at least two).
+std::size_t payload_bound(std::size_t n, const BlockDicts& d) {
+  const std::size_t dict_values = d.pids.values.size() + d.tids.values.size() +
+                                  d.codes.values.size();
+  return (3 + dict_values) * kMaxVarintBytes + n * kMaxPlainBytes +
+         (n / 2) * kMaxSuperHeaderBytes;
 }
 
 /// How many consecutive repetitions of the period-P pattern starting at `i`
@@ -148,16 +203,20 @@ void put_u32_le(std::uint8_t* out, std::uint32_t v) {
 }
 
 std::uint32_t get_u32_le(const std::uint8_t* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  return v;
+  return static_cast<std::uint32_t>(in[0]) | static_cast<std::uint32_t>(in[1]) << 8 |
+         static_cast<std::uint32_t>(in[2]) << 16 | static_cast<std::uint32_t>(in[3]) << 24;
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+  const auto& t = kCrc32.t;
   std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrc32Table.entries[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = get_u32_le(data) ^ c;
+    const std::uint32_t hi = get_u32_le(data + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; size > 0; ++data, --size) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -207,29 +266,43 @@ V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
                                SuppressionTable* table, std::vector<std::uint8_t>& out) {
   V2EncodeStats stats;
   std::vector<std::uint64_t> sigs;
-  std::vector<std::uint8_t> payload;
   BlockDicts dicts;
   std::size_t base = 0;
   while (base < count) {
     const std::size_t n = std::min(kBlockRecords, count - base);
     const Event* block = events + base;
 
-    build_dict(block, n, [](const Event& e) { return static_cast<std::int64_t>(e.pid); },
-               dicts.pids);
-    build_dict(block, n, [](const Event& e) { return static_cast<std::int64_t>(e.tid); },
-               dicts.tids);
-    build_dict(block, n, [](const Event& e) { return static_cast<std::int64_t>(e.code); },
-               dicts.codes);
+    build_column(block, n, &Event::pid, dicts.pids);
+    build_column(block, n, &Event::tid, dicts.tids);
+    build_column(block, n, &Event::code, dicts.codes);
 
-    payload.clear();
-    append_dict(payload, dicts.pids);
-    append_dict(payload, dicts.tids);
-    append_dict(payload, dicts.codes);
+    // The payload is written in place after the block header, into room for
+    // its worst case, then trimmed to what was written.
+    const std::size_t header_at = out.size();
+    out.resize(header_at + kBlockHeaderBytes + payload_bound(n, dicts));
+    std::uint8_t* const payload = out.data() + header_at + kBlockHeaderBytes;
+    std::uint8_t* p = payload;
+    p = put_dict(p, dicts.pids.values);
+    p = put_dict(p, dicts.tids.values);
+    p = put_dict(p, dicts.codes.values);
 
     sigs.resize(n);
     for (std::size_t i = 0; i < n; ++i) sigs[i] = field_signature(block[i]);
 
+    // One plain item: kind tag, chained time delta, dict indices, aux.
     std::uint64_t prev_time = 0;
+    const auto put_plain = [&](std::size_t k) {
+      const Event& e = block[k];
+      *p++ = static_cast<std::uint8_t>(e.kind);
+      const std::uint64_t t = static_cast<std::uint64_t>(e.time);
+      p += put_varint(p, zigzag_encode(static_cast<std::int64_t>(t - prev_time)));
+      prev_time = t;
+      p += put_varint(p, dicts.pids.index[k]);
+      p += put_varint(p, dicts.tids.index[k]);
+      p += put_varint(p, dicts.codes.index[k]);
+      p += put_varint(p, zigzag_encode(e.aux));
+    };
+
     std::size_t i = 0;
     while (i < n) {
       std::size_t period = 0;
@@ -248,8 +321,11 @@ V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
           }
         }
         if (period == 0) {
-          for (std::size_t cand = 1; cand <= kMaxSuppressionPeriod; ++cand) {
-            if (cand == hint) continue;
+          for (std::size_t cand = 1; cand <= kMaxSuppressionPeriod && i + 2 * cand <= n;
+               ++cand) {
+            // A period whose head record does not recur one period on is
+            // hopeless; count_reps would reject it on that first compare.
+            if (cand == hint || sigs[i] != sigs[i + cand]) continue;
             reps = count_reps(block, sigs.data(), n, i, cand, &stride);
             if (worth_suppressing(cand, reps)) {
               period = cand;
@@ -261,13 +337,11 @@ V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
       }
       if (period != 0) {
         table->note(sigs[i], static_cast<std::uint32_t>(period));
-        payload.push_back(kSuperTag);
-        append_varint(payload, period);
-        append_varint(payload, reps);
-        append_varint(payload, zigzag_encode(static_cast<std::int64_t>(stride)));
-        for (std::size_t j = 0; j < period; ++j) {
-          append_plain(payload, block[i + j], prev_time, dicts);
-        }
+        *p++ = kSuperTag;
+        p += put_varint(p, period);
+        p += put_varint(p, reps);
+        p += put_varint(p, zigzag_encode(static_cast<std::int64_t>(stride)));
+        for (std::size_t j = 0; j < period; ++j) put_plain(i + j);
         // The decoder's delta chain resumes after the *last expanded*
         // record, whose time the stride carries implicitly.
         prev_time = static_cast<std::uint64_t>(block[i + period - 1].time) +
@@ -276,23 +350,22 @@ V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
         stats.suppressed += (reps - 1) * period;
         i += static_cast<std::size_t>(reps) * period;
       } else {
-        append_plain(payload, block[i], prev_time, dicts);
+        put_plain(i);
         ++i;
       }
     }
 
-    DT_EXPECT(payload.size() <= kMaxBlockPayloadBytes,
-              "v2 block payload overflow: ", payload.size(), " bytes from ", n, " records");
-    const std::size_t header_at = out.size();
-    out.resize(out.size() + kBlockHeaderBytes);
-    out.insert(out.end(), payload.begin(), payload.end());
+    const std::size_t payload_len = static_cast<std::size_t>(p - payload);
+    DT_EXPECT(payload_len <= kMaxBlockPayloadBytes,
+              "v2 block payload overflow: ", payload_len, " bytes from ", n, " records");
+    out.resize(header_at + kBlockHeaderBytes + payload_len);
     std::uint8_t* header = out.data() + header_at;
     std::memcpy(header, kBlockMagic, 4);
-    put_u32_le(header + 8, static_cast<std::uint32_t>(payload.size()));
+    put_u32_le(header + 8, static_cast<std::uint32_t>(payload_len));
     put_u32_le(header + 12, static_cast<std::uint32_t>(n));
-    put_u32_le(header + 4, crc32(header + 8, 8 + payload.size()));
+    put_u32_le(header + 4, crc32(header + 8, 8 + payload_len));
 
-    stats.bytes += kBlockHeaderBytes + payload.size();
+    stats.bytes += kBlockHeaderBytes + payload_len;
     stats.records += n;
     base += n;
   }
@@ -333,7 +406,7 @@ bool BlockDecoder::reset(const std::uint8_t* block, std::size_t available,
   return true;
 }
 
-bool BlockDecoder::read_dict(std::vector<std::int64_t>& dict) {
+bool BlockDecoder::read_dict(std::vector<std::int32_t>& dict) {
   dict.clear();
   std::uint64_t n = 0;
   if (!get_varint(&pos_, end_, &n)) return false;
@@ -342,14 +415,20 @@ bool BlockDecoder::read_dict(std::vector<std::int64_t>& dict) {
   dict.reserve(static_cast<std::size_t>(n));
   std::uint64_t raw = 0;
   if (!get_varint(&pos_, end_, &raw)) return false;
+  // Every id column feeds an int32 Event field: a value outside int32 is
+  // malformed, never narrowed.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
   std::int64_t value = zigzag_decode(raw);
-  dict.push_back(value);
+  if (value < kMin || value > kMax) return false;
+  dict.push_back(static_cast<std::int32_t>(value));
   for (std::uint64_t i = 1; i < n; ++i) {
     std::uint64_t delta = 0;
     if (!get_varint(&pos_, end_, &delta)) return false;
-    if (delta == 0) return false;  // dict values are strictly ascending
-    value = static_cast<std::int64_t>(static_cast<std::uint64_t>(value) + delta);
-    dict.push_back(value);
+    // Strictly ascending, and still inside int32.
+    if (delta == 0 || delta > static_cast<std::uint64_t>(kMax - value)) return false;
+    value += static_cast<std::int64_t>(delta);
+    dict.push_back(static_cast<std::int32_t>(value));
   }
   return true;
 }
@@ -363,11 +442,11 @@ bool BlockDecoder::decode_plain(std::uint8_t tag, Event& out) {
   out.kind = static_cast<EventKind>(tag);
   std::uint64_t idx = 0;
   if (!get_varint(&pos_, end_, &idx) || idx >= pids_.size()) return false;
-  out.pid = static_cast<std::int32_t>(pids_[static_cast<std::size_t>(idx)]);
+  out.pid = pids_[static_cast<std::size_t>(idx)];
   if (!get_varint(&pos_, end_, &idx) || idx >= tids_.size()) return false;
-  out.tid = static_cast<std::int32_t>(tids_[static_cast<std::size_t>(idx)]);
+  out.tid = tids_[static_cast<std::size_t>(idx)];
   if (!get_varint(&pos_, end_, &idx) || idx >= codes_.size()) return false;
-  out.code = static_cast<std::int32_t>(codes_[static_cast<std::size_t>(idx)]);
+  out.code = codes_[static_cast<std::size_t>(idx)];
   if (!get_varint(&pos_, end_, &raw)) return false;
   out.aux = zigzag_decode(raw);
   return true;

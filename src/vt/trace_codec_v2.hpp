@@ -233,7 +233,9 @@ class BlockDecoder {
   bool failed() const { return failed_; }
 
  private:
-  bool read_dict(std::vector<std::int64_t>& dict);
+  /// Read one dictionary; false unless its values ascend strictly and all
+  /// fit the int32 Event field they feed.
+  bool read_dict(std::vector<std::int32_t>& dict);
   bool decode_plain(std::uint8_t tag, Event& out);
 
   const std::uint8_t* pos_ = nullptr;
@@ -241,9 +243,9 @@ class BlockDecoder {
   std::uint32_t remaining_ = 0;
   bool failed_ = false;
 
-  std::vector<std::int64_t> pids_;
-  std::vector<std::int64_t> tids_;
-  std::vector<std::int64_t> codes_;
+  std::vector<std::int32_t> pids_;
+  std::vector<std::int32_t> tids_;
+  std::vector<std::int32_t> codes_;
   std::uint64_t prev_time_ = 0;
 
   // Lazy super-record expansion state: O(pattern) memory however large the

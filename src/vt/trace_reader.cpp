@@ -6,12 +6,6 @@
 
 namespace dyntrace::vt {
 
-bool VectorCursor::next(Event& out) {
-  if (pos_ >= events_.size()) return false;
-  out = events_[pos_++];
-  return true;
-}
-
 BlockRunCursor::BlockRunCursor(const std::string& path, std::uint64_t offset,
                                std::uint64_t count, bool whole_file)
     : path_(path),
@@ -40,9 +34,12 @@ void BlockRunCursor::open_next_block() {
             ": truncated block payload (expected ", remaining_, " more record(s))");
   std::size_t block_bytes = 0;
   std::uint32_t record_count = 0;
-  DT_EXPECT(decoder_.reset(block_.data(), block_.size(), &block_bytes, &record_count),
-            path_, ": corrupt block (bad magic or CRC mismatch) with ", remaining_,
+  const bool framed = decoder_.reset(block_.data(), block_.size(), &block_bytes, &record_count);
+  DT_EXPECT(framed || decoder_.failed(), path_,
+            ": corrupt block (bad magic or CRC mismatch) with ", remaining_,
             " record(s) expected");
+  DT_EXPECT(framed, path_, ": malformed block dictionary (an id outside int32?) with ",
+            remaining_, " record(s) expected");
   chunk_.resize(record_count);
   const std::uint32_t drained = decoder_.drain(chunk_.data(), record_count);
   DT_EXPECT(drained == record_count && !decoder_.failed(), path_,
@@ -72,9 +69,12 @@ bool BlockRunCursor::next(Event& out) {
 }
 
 bool MergeCursor::after(std::uint32_t a, std::uint32_t b) const {
-  const EventOrder order;
-  if (order(slots_[a], slots_[b])) return false;
-  if (order(slots_[b], slots_[a])) return true;
+  // EventOrder reversed, compared field by field once, then the slot index.
+  const Event& x = slots_[a];
+  const Event& y = slots_[b];
+  if (x.time != y.time) return x.time > y.time;
+  if (x.pid != y.pid) return x.pid > y.pid;
+  if (x.tid != y.tid) return x.tid > y.tid;
   return a > b;
 }
 
@@ -123,6 +123,11 @@ bool MergeCursor::next(Event& out) {
     if (!heap_.empty()) sift_down();
   }
   return true;
+}
+
+std::unique_ptr<EventCursor> merge_runs(std::vector<std::unique_ptr<EventCursor>> runs) {
+  if (runs.size() == 1) return std::move(runs.front());
+  return std::make_unique<MergeCursor>(std::move(runs));
 }
 
 std::vector<Event> collect(EventCursor& cursor) {

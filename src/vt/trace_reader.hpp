@@ -26,16 +26,22 @@ class EventCursor {
   virtual bool next(Event& out) = 0;
 };
 
-/// Cursor over an owned vector (callers pass it already sorted when the
-/// cursor feeds a merge).
-class VectorCursor final : public EventCursor {
+/// Non-owning cursor over `count` events at `events` (callers pass them
+/// already sorted when the cursor feeds a merge).  The events must outlive
+/// the cursor and stay in place while it reads: a shard's tail cursor is
+/// invalidated by the next append to that shard (DESIGN.md §6).
+class SpanCursor final : public EventCursor {
  public:
-  explicit VectorCursor(std::vector<Event> events) : events_(std::move(events)) {}
-  bool next(Event& out) override;
+  SpanCursor(const Event* events, std::size_t count) : pos_(events), end_(events + count) {}
+  bool next(Event& out) override {
+    if (pos_ == end_) return false;
+    out = *pos_++;
+    return true;
+  }
 
  private:
-  std::vector<Event> events_;
-  std::size_t pos_ = 0;
+  const Event* pos_;
+  const Event* end_;
 };
 
 /// Cursor over `count` records encoded as blocks starting at byte `offset`
@@ -93,6 +99,10 @@ class MergeCursor final : public EventCursor {
   std::vector<Event> slots_;           ///< current head event per live input
   std::vector<std::uint32_t> heap_;    ///< min-heap of slot indices
 };
+
+/// One cursor over sorted runs: the run itself when there is exactly one
+/// (no merge around it), else a MergeCursor over all of them.
+std::unique_ptr<EventCursor> merge_runs(std::vector<std::unique_ptr<EventCursor>> runs);
 
 /// Drain a cursor into a vector (tests and small traces only).
 std::vector<Event> collect(EventCursor& cursor);

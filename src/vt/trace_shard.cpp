@@ -62,19 +62,26 @@ TraceShard::~TraceShard() {
   for (const Run& run : runs_) std::remove(run.path.c_str());
 }
 
-void TraceShard::append(const Event& event) {
-  if (torn_) {
-    // The writer died mid-spill; whatever it would have logged next is gone.
-    ++dropped_records_;
-    return;
-  }
+void TraceShard::push(const Event& event) {
   if (empty()) {
     min_time_ = max_time_ = event.time;
   } else {
     min_time_ = std::min(min_time_, event.time);
     max_time_ = std::max(max_time_, event.time);
   }
+  if (tail_sorted_ && !tail_.empty() && EventOrder{}(event, tail_.back())) {
+    tail_sorted_ = false;
+  }
   tail_.push_back(event);
+}
+
+void TraceShard::append(const Event& event) {
+  if (torn_) {
+    // The writer died mid-spill; whatever it would have logged next is gone.
+    ++dropped_records_;
+    return;
+  }
+  push(event);
   if (options_.spill_budget_bytes > 0 &&
       tail_.size() * sizeof(Event) >= options_.spill_budget_bytes) {
     spill();
@@ -87,12 +94,9 @@ void TraceShard::append_batch(const Event* events, std::size_t count) {
     dropped_records_ += count;
     return;
   }
-  if (empty()) min_time_ = max_time_ = events[0].time;
   tail_.reserve(tail_.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
-    min_time_ = std::min(min_time_, events[i].time);
-    max_time_ = std::max(max_time_, events[i].time);
-    tail_.push_back(events[i]);
+    push(events[i]);
     if (options_.spill_budget_bytes > 0 &&
         tail_.size() * sizeof(Event) >= options_.spill_budget_bytes) {
       spill();
@@ -104,13 +108,19 @@ void TraceShard::append_batch(const Event* events, std::size_t count) {
   }
 }
 
+void TraceShard::sort_tail() const {
+  if (tail_sorted_) return;
+  std::stable_sort(tail_.begin(), tail_.end(), EventOrder{});
+  tail_sorted_ = true;
+}
+
 void TraceShard::spill() {
   if (tail_.empty()) return;
   // Each run must be internally sorted for the k-way merge; per-process
-  // streams are time-ordered already, so this is nearly a no-op, but it
-  // also makes the merge robust against out-of-order appends (clock
-  // adjustments, adversarial input).
-  std::stable_sort(tail_.begin(), tail_.end(), EventOrder{});
+  // streams are time-ordered already (the append-time flag skips the sort),
+  // but out-of-order appends (clock adjustments, adversarial input) are
+  // sorted here.
+  sort_tail();
   std::vector<std::uint8_t> bytes;
   const V2EncodeStats enc = encode_v2_blocks(tail_.data(), tail_.size(), &suppression_, bytes);
   const std::uint64_t run_index = runs_.size();
@@ -168,15 +178,12 @@ std::vector<std::unique_ptr<EventCursor>> TraceShard::run_cursors() const {
     cursors.push_back(std::make_unique<BlockRunCursor>(run.path, 0, run.count));
   }
   if (!tail_.empty()) {
-    std::vector<Event> sorted_tail = tail_;
-    std::stable_sort(sorted_tail.begin(), sorted_tail.end(), EventOrder{});
-    cursors.push_back(std::make_unique<VectorCursor>(std::move(sorted_tail)));
+    sort_tail();
+    cursors.push_back(std::make_unique<SpanCursor>(tail_.data(), tail_.size()));
   }
   return cursors;
 }
 
-std::unique_ptr<EventCursor> TraceShard::cursor() const {
-  return std::make_unique<MergeCursor>(run_cursors());
-}
+std::unique_ptr<EventCursor> TraceShard::cursor() const { return merge_runs(run_cursors()); }
 
 }  // namespace dyntrace::vt

@@ -84,11 +84,13 @@ class TraceShard {
   sim::TimeNs max_time() const { return max_time_; }
 
   /// Sorted-run cursors covering the whole shard: spilled runs in spill
-  /// order, then the open tail (sorted into a copy -- the tail is bounded
-  /// by the spill budget).  Feed these to a MergeCursor.
+  /// order, then the open tail.  An out-of-order tail is stable-sorted in
+  /// place once, on the first read after it lost its order; the tail cursor
+  /// then reads it where it lies, so it is invalidated by the next append
+  /// to this shard.  Feed these to merge_runs().
   std::vector<std::unique_ptr<EventCursor>> run_cursors() const;
 
-  /// Merged time-ordered view of this shard alone.
+  /// Time-ordered view of this shard alone (its one run, or their merge).
   std::unique_ptr<EventCursor> cursor() const;
 
  private:
@@ -98,13 +100,20 @@ class TraceShard {
     bool torn = false;
   };
 
+  void push(const Event& event);
+  /// Restore EventOrder on the tail (a stable sort, so sorting early never
+  /// changes what a later spill or read sees).
+  void sort_tail() const;
   void spill();
 
   std::int32_t pid_;
   ShardOptions options_;
   std::string run_base_;
   SuppressionTable suppression_;
-  std::vector<Event> tail_;
+  /// The open tail.  Mutable because a read sorts it in place; readers run
+  /// after the writer (DESIGN.md §6), so this never races an append.
+  mutable std::vector<Event> tail_;
+  mutable bool tail_sorted_ = true;  ///< tail_ is in EventOrder
   std::vector<Run> runs_;
   std::uint64_t spilled_records_ = 0;
   std::uint64_t spilled_bytes_ = 0;

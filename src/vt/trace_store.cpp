@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 
 #include "support/common.hpp"
 #include "support/strings.hpp"
@@ -38,6 +39,8 @@ EventKind kind_from_string(std::string_view s) {
 }  // namespace
 
 TraceShard& TraceStore::shard(std::int32_t pid) {
+  // Analysis indexes per-process tables by pid.
+  DT_EXPECT(pid >= 0, "trace event with negative pid ", pid);
   std::lock_guard<std::mutex> lock(*mutex_);
   auto& slot = shards_[pid];
   if (!slot) slot = std::make_unique<TraceShard>(pid, options_);
@@ -86,15 +89,13 @@ std::unique_ptr<EventCursor> TraceStore::merge_cursor() const {
   for (const auto& [pid, shard] : shards_) {
     for (auto& cursor : shard->run_cursors()) runs.push_back(std::move(cursor));
   }
-  return std::make_unique<MergeCursor>(std::move(runs));
+  return merge_runs(std::move(runs));
 }
 
 std::unique_ptr<EventCursor> TraceStore::process_cursor(std::int32_t pid) const {
   std::lock_guard<std::mutex> lock(*mutex_);
   const auto it = shards_.find(pid);
-  if (it == shards_.end()) {
-    return std::make_unique<VectorCursor>(std::vector<Event>{});
-  }
+  if (it == shards_.end()) return std::make_unique<SpanCursor>(nullptr, 0);
   return it->second->cursor();
 }
 
@@ -229,7 +230,10 @@ TraceStore TraceStore::read(const std::string& path) {
       TraceStore store;
       auto cursor = open_binary(path);
       Event e;
-      while (cursor->next(e)) store.append(e);
+      for (std::uint64_t record = 0; cursor->next(e); ++record) {
+        DT_EXPECT(e.pid >= 0, path, ": record ", record, " has negative pid ", e.pid);
+        store.append(e);
+      }
       return store;
     }
   }
@@ -253,6 +257,16 @@ TraceStore TraceStore::read(const std::string& path) {
     const auto code = str::parse_i64(fields[4]);
     const auto aux = str::parse_i64(fields[5]);
     DT_EXPECT(time && pid && tid && code && aux, path, ":", line_no, ": bad numeric field");
+    // Ids index analysis tables: a negative pid or a value past int32 would
+    // index them out of bounds after narrowing, so it fails here instead.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+    DT_EXPECT(*pid >= 0 && *pid <= kMax, path, ":", line_no, ": pid ", *pid,
+              " out of range [0, ", kMax, "]");
+    DT_EXPECT(*tid >= kMin && *tid <= kMax, path, ":", line_no, ": tid ", *tid,
+              " does not fit in 32 bits");
+    DT_EXPECT(*code >= kMin && *code <= kMax, path, ":", line_no, ": code ", *code,
+              " does not fit in 32 bits");
     e.time = *time;
     e.pid = static_cast<std::int32_t>(*pid);
     e.tid = static_cast<std::int32_t>(*tid);

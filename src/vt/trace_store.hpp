@@ -5,9 +5,10 @@
 // by all VtLib instances of a job, but it is *sharded*: each process
 // appends to its own TraceShard (no shared vector, no lock on the append
 // path), shards spill sorted binary runs to disk past a configurable byte
-// budget, and every reader -- including src/analysis -- streams events
-// through a k-way merge over the sorted runs instead of materializing the
-// job's full event vector.
+// budget, and every reader streams events instead of materializing the
+// job's full event vector: through a k-way merge over the sorted runs when
+// it needs global time order, or per process (src/analysis) when it does
+// not.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,8 @@ class TraceStore {
 
   /// The per-process shard, created on first use.  Writers (VtLib) cache
   /// the returned reference so their flush path never takes the registry
-  /// lock; shard references stay valid for the store's lifetime.
+  /// lock; shard references stay valid for the store's lifetime.  A
+  /// negative pid throws: analysis indexes per-process tables by pid.
   TraceShard& shard(std::int32_t pid);
 
   /// Append a flushed event (routed to its process's shard).
@@ -53,11 +55,13 @@ class TraceStore {
   bool time_bounds(sim::TimeNs* lo, sim::TimeNs* hi) const;
 
   /// Stream of all events in (time, pid, tid) order; memory is O(runs),
-  /// independent of trace size.
+  /// independent of trace size.  Like every cursor here it reads in-memory
+  /// tails in place: an append invalidates it (read after the run ends).
   std::unique_ptr<EventCursor> merge_cursor() const;
 
   /// Stream of one process's events in time order (empty cursor for an
-  /// unknown pid).
+  /// unknown pid): the events, in the relative order, that merge_cursor()
+  /// yields for that pid, with no merge when the shard is one run.
   std::unique_ptr<EventCursor> process_cursor(std::int32_t pid) const;
 
   /// Events sorted by (time, pid, tid), materialized -- tests and small

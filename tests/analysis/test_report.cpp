@@ -90,6 +90,72 @@ TEST(SummaryReport, ContainsAllSections) {
   EXPECT_NE(report.find("load balance"), std::string::npos);
 }
 
+/// 64 ranks of nested calls, halo sends to two peers, MPI spans, OpenMP
+/// regions on every eighth rank (master plus two workers on their own
+/// threads) and a stray leave -- every section of the report, the
+/// 64 x 64 communication matrix included.  Built from a local LCG.
+vt::TraceStore golden_store() {
+  vt::TraceStore store;
+  std::uint64_t lcg = 2718281828u;
+  const auto next = [&lcg](std::int64_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::int64_t>((lcg >> 33) % static_cast<std::uint64_t>(bound));
+  };
+  const auto at = [](sim::TimeNs t, std::int32_t pid, std::int32_t tid, vt::EventKind kind,
+                     std::int32_t code, std::int64_t aux = 0) {
+    vt::Event e = ev(t, pid, kind, code, aux);
+    e.tid = tid;
+    return e;
+  };
+  constexpr int kRanks = 64;
+  for (std::int32_t pid = 0; pid < kRanks; ++pid) {
+    sim::TimeNs t = 1000 + pid * 7;
+    store.append(at(t, pid, 0, vt::EventKind::kEnter, 0));
+    for (int step = 0; step < 40; ++step) {
+      const std::int32_t fn = 1 + static_cast<std::int32_t>(next(3));
+      store.append(at(t += 50, pid, 0, vt::EventKind::kEnter, fn));
+      for (const std::int32_t peer : {(pid + 1) % kRanks, (pid + 7) % kRanks}) {
+        store.append(at(t += 10 + next(20), pid, 0, vt::EventKind::kMpiBegin, 3));
+        store.append(at(t += 5, pid, 0, vt::EventKind::kMsgSend, peer, 512 + next(8192)));
+        store.append(at(t += 200 + next(900), pid, 0, vt::EventKind::kMpiEnd, 3, 64));
+        store.append(at(t += 15, pid, 0, vt::EventKind::kMsgRecv, peer, 512));
+      }
+      if (pid % 8 == 0 && step % 10 == 0) {
+        const std::int32_t region = 100 + step / 10;
+        store.append(at(t += 30, pid, 0, vt::EventKind::kParallelBegin, region, 3));
+        for (const std::int32_t tid : {1, 2}) {
+          store.append(at(t + 5 * tid, pid, tid, vt::EventKind::kWorkerBegin, region));
+          store.append(at(t + 400 + next(300), pid, tid, vt::EventKind::kWorkerEnd, region));
+        }
+        store.append(at(t += 800, pid, 0, vt::EventKind::kParallelEnd, region));
+      }
+      store.append(at(t += 100 + next(5000 + pid * 40), pid, 0, vt::EventKind::kLeave, fn));
+    }
+    if (pid == 5) store.append(at(t += 3, pid, 0, vt::EventKind::kLeave, 9));  // unmatched
+    store.append(at(t += 10, pid, 0, vt::EventKind::kLeave, 0));
+  }
+  return store;
+}
+
+// FNV-1a of summary_report(golden_store()), recorded before the analysis
+// replayed per-process cursors and formatted cells with std::to_chars.
+constexpr std::uint64_t kGoldenReportHash = 0x8a78e4e740824213ull;
+constexpr std::size_t kGoldenReportChars = 31408;
+
+TEST(SummaryReport, GoldenTextOf64RankTrace) {
+  image::SymbolTable symbols;
+  for (const char* name : {"main", "sweep", "flux", "source"}) symbols.add(name);
+  const std::string report = summary_report(golden_store(), &symbols);
+  EXPECT_NE(report.find("communication matrix:"), std::string::npos);
+  EXPECT_NE(report.find("OpenMP parallel regions:"), std::string::npos);
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : report) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(report.size(), kGoldenReportChars);
+  EXPECT_EQ(h, kGoldenReportHash) << std::hex << h;
+}
 
 TEST(OmpRegions, ProfilesMasterAndWorkerSpans) {
   vt::TraceStore store;

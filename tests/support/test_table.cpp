@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace dyntrace {
 namespace {
 
@@ -21,6 +26,49 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, NumFormatsWithPrecision) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
+}
+
+TEST(Table, NumMatchesPrintfFixed) {
+  const double values[] = {0.0,
+                           -0.0,
+                           0.125,
+                           2.5,
+                           0.5,
+                           1.5,
+                           -2.5,
+                           -0.125,
+                           1.0 / 3.0,
+                           -7.875,
+                           123456.789,
+                           0.0049999999999999999,
+                           1e300,
+                           -1e300,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const double value : values) {
+    for (int precision = 0; precision <= 9; ++precision) {
+      std::vector<char> buf(512);
+      const int n = std::snprintf(buf.data(), buf.size(), "%.*f", precision, value);
+      ASSERT_GT(n, 0);
+      EXPECT_EQ(TextTable::num(value, precision), std::string(buf.data(), n))
+          << "value " << value << " precision " << precision;
+    }
+  }
+}
+
+TEST(Table, RenderPadsEveryLineToOneWidth) {
+  TextTable t({"name", "n"});
+  t.add_row({"a", "1"});
+  t.add_row({"longer", "22"});
+  EXPECT_EQ(t.render(),
+            "name     n\n"
+            "----------\n"
+            "a        1\n"
+            "longer  22\n");
 }
 
 TEST(Table, CsvOutput) {
