@@ -112,11 +112,18 @@ struct BestOf {
   void add(double s) { best_s = s < best_s ? s : best_s; }
 };
 
-/// ns/op over `n` calls of `op` (the atomic stores cannot be elided).
+/// ns/op over `n` calls of `op`.  The registry ops are plain inline adds,
+/// so the compiler barrier after each call keeps the optimiser from folding
+/// the loop into one add (or hoisting the level check out of it): every
+/// iteration re-reads the level and loads and stores its cell, as a hook
+/// inside the simulator does.
 template <typename Op>
 double measure_ns_per_op(std::uint64_t n, Op&& op) {
   const auto begin = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < n; ++i) op(i);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    op(i);
+    asm volatile("" ::: "memory");
+  }
   return seconds_since(begin) * 1e9 / static_cast<double>(n);
 }
 

@@ -90,6 +90,9 @@ sim::Coro<void> AppContext::leaf_repeat(proc::SimThread& thread, image::Function
 
 std::int64_t AppContext::iters(double base) const {
   const double scaled = base * params_.problem_scale;
+  // llround is undefined past int64.
+  DT_EXPECT(scaled < 0x1p63, spec_.name, ": problem scale ", params_.problem_scale,
+            " asks for ", scaled, " iterations, more than an int64 can count");
   return std::max<std::int64_t>(1, static_cast<std::int64_t>(std::llround(scaled)));
 }
 

@@ -100,8 +100,10 @@ class Launch {
     /// fires nothing.
     std::shared_ptr<fault::FaultInjector> fault;
     /// Self-telemetry level for this run (DESIGN.md §12).  The Launch owns
-    /// a private registry installed as telemetry::current() for its whole
-    /// lifetime, so every layer's hooks land in this run's counters.
+    /// a private registry installed as telemetry::current() on the
+    /// constructing thread for its whole lifetime, so every layer's hooks
+    /// land in this run's counters.  A run lives on one thread: construct,
+    /// run and destroy a Launch on the same thread.
     telemetry::Level telemetry_level = telemetry::default_level();
   };
 
@@ -133,8 +135,8 @@ class Launch {
   asci::AppContext& context(int pid) { return *contexts_[static_cast<std::size_t>(pid)]; }
   std::shared_ptr<vt::TraceStore> trace() { return store_; }
   std::shared_ptr<vt::StagedUpdate> staged() { return staged_; }
-  /// This run's telemetry registry (installed as telemetry::current() while
-  /// the Launch is alive).
+  /// This run's telemetry registry (installed as telemetry::current() on
+  /// the run's thread while the Launch is alive).
   telemetry::Registry& telemetry_registry() { return *telemetry_; }
   const telemetry::Registry& telemetry_registry() const { return *telemetry_; }
   /// The run's fault injector: the plan's, or the cluster's empty-plan

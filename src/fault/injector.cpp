@@ -143,19 +143,17 @@ bool FaultInjector::action_matches_message(const FaultAction& action,
   if (action.dst >= 0 && action.dst != dst) return false;
   // Ordinal within this action's (src, dst) stream; advanced exactly once
   // per eligible message by its (single, deterministic) sender.
-  std::uint64_t ordinal = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ordinal = counters_[std::make_tuple(action_index, src, dst)]++;
-  }
+  const std::uint64_t ordinal = counters_[std::make_tuple(action_index, src, dst)]++;
   if (action.probability >= 0) {
     if (ordinal < static_cast<std::uint64_t>(action.skip)) return false;
     return unit_draw(plan_.seed, action_index, channel, src, dst, ordinal) <
            action.probability;
   }
   if (action.nth >= 0) return ordinal == static_cast<std::uint64_t>(action.nth);
-  return ordinal >= static_cast<std::uint64_t>(action.skip) &&
-         ordinal < static_cast<std::uint64_t>(action.skip + action.count);
+  // skip, count >= 0 (the parser rejects negatives); compare the offset into
+  // the window so skip + count cannot overflow.
+  const auto skip = static_cast<std::uint64_t>(action.skip);
+  return ordinal >= skip && ordinal - skip < static_cast<std::uint64_t>(action.count);
 }
 
 MessageFate FaultInjector::message_fate(Channel channel, int src, int dst,

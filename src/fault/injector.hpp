@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -122,8 +121,6 @@ class FaultInjector {
   bool has_message_actions_[3] = {false, false, false};   ///< per Channel
   bool has_flap_actions_ = false;
   bool has_degrade_actions_ = false;
-
-  std::mutex mutex_;  ///< guards counters_
   std::map<std::tuple<std::size_t, int, int>, std::uint64_t> counters_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/common.hpp"
@@ -37,6 +38,13 @@ sim::TimeNs parse_time(const std::string& text, const std::string& where) {
   return text == "never" ? kNever : sim::parse_time(text, where);
 }
 
+/// An unsigned value (seed, spill index): digits only, within u64.
+std::uint64_t parse_index(const std::string& text, const std::string& where) {
+  const auto v = str::parse_u64(text);
+  DT_EXPECT(v.has_value(), where, ": bad unsigned integer '", text, "'");
+  return *v;
+}
+
 Channel parse_channel(const std::string& text, const std::string& where) {
   if (text == "daemon") return Channel::kDaemon;
   if (text == "overlay") return Channel::kOverlay;
@@ -68,13 +76,27 @@ class ActionParser {
   }
 
   void apply_int(const std::string& key, int* out) {
-    if (auto v = take(key)) *out = static_cast<int>(parse_int(*v));
+    const auto v = take(key);
+    if (!v) return;
+    const std::int64_t value = parse_int(*v);
+    DT_EXPECT(value >= std::numeric_limits<int>::min() &&
+                  value <= std::numeric_limits<int>::max(),
+              where_, ": ", key, "=", *v, " is out of range");
+    *out = static_cast<int>(value);
   }
   void apply_i64(const std::string& key, std::int64_t* out) {
     if (auto v = take(key)) *out = parse_int(*v);
   }
+  /// A count or ordinal: -1 (the field's "unset") is only the default, so an
+  /// explicit value must be >= 0.
+  void apply_count(const std::string& key, std::int64_t* out) {
+    const auto v = take(key);
+    if (!v) return;
+    *out = parse_int(*v);
+    DT_EXPECT(*out >= 0, where_, ": ", key, " must be >= 0, got '", *v, "'");
+  }
   void apply_u64(const std::string& key, std::uint64_t* out) {
-    if (auto v = take(key)) *out = static_cast<std::uint64_t>(parse_int(*v));
+    if (auto v = take(key)) *out = parse_index(*v, where_);
   }
   void apply_double(const std::string& key, double* out) {
     if (auto v = take(key)) *out = parse_double(*v);
@@ -101,18 +123,14 @@ class ActionParser {
 
  private:
   std::int64_t parse_int(const std::string& text) const {
-    try {
-      return std::stoll(text);
-    } catch (const std::exception&) {
-      fail(where_, ": bad integer '", text, "'");
-    }
+    const auto v = str::parse_i64(text);
+    DT_EXPECT(v.has_value(), where_, ": bad integer '", text, "'");
+    return *v;
   }
   double parse_double(const std::string& text) const {
-    try {
-      return std::stod(text);
-    } catch (const std::exception&) {
-      fail(where_, ": bad number '", text, "'");
-    }
+    const auto v = str::parse_f64(text);
+    DT_EXPECT(v.has_value(), where_, ": bad number '", text, "'");
+    return *v;
   }
 
   std::string where_;
@@ -124,9 +142,9 @@ void parse_message_selectors(ActionParser& p, FaultAction* action, const std::st
   p.apply_int("src", &action->src);
   p.apply_int("dst", &action->dst);
   p.apply_double("prob", &action->probability);
-  p.apply_i64("nth", &action->nth);
-  p.apply_i64("skip", &action->skip);
-  p.apply_i64("count", &action->count);
+  p.apply_count("nth", &action->nth);
+  p.apply_count("skip", &action->skip);
+  p.apply_count("count", &action->count);
   DT_EXPECT(action->probability >= 0 || action->nth >= 0 || action->count >= 0, where,
             ": message action needs one of prob=, nth= or count=");
   DT_EXPECT(action->probability <= 1.0, where, ": prob must be in [0, 1]");
@@ -179,11 +197,7 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
 
     if (verb == "seed") {
       DT_EXPECT(tokens.size() == 2, where, ": seed takes one value");
-      try {
-        plan.seed = std::stoull(tokens[1]);
-      } catch (const std::exception&) {
-        fail(where, ": bad seed '", tokens[1], "'");
-      }
+      plan.seed = parse_index(tokens[1], where);
       continue;
     }
 

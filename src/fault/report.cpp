@@ -20,26 +20,15 @@ bool entry_before(const RunReport::Entry& a, const RunReport::Entry& b) {
 void RunReport::add(sim::TimeNs time, std::string kind, std::string detail,
                     std::vector<int> ranks) {
   std::sort(ranks.begin(), ranks.end());
-  std::lock_guard<std::mutex> lock(mutex_);
   entries_.push_back(Entry{time, std::move(kind), std::move(detail), std::move(ranks)});
 }
 
-bool RunReport::empty() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.empty();
-}
+bool RunReport::empty() const { return entries_.empty(); }
 
-std::size_t RunReport::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
+std::size_t RunReport::size() const { return entries_.size(); }
 
 std::vector<RunReport::Entry> RunReport::entries() const {
-  std::vector<Entry> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out = entries_;
-  }
+  std::vector<Entry> out = entries_;
   std::sort(out.begin(), out.end(), entry_before);
   return out;
 }

@@ -1,13 +1,12 @@
 // Run report for fault-tolerant runs: what broke, what the stack did
 // about it, and which ranks were affected.
 //
-// Each append takes the mutex, and all ordering-sensitive output is sorted
-// by (virtual time, kind, detail, ranks) at read time, so the rendered
-// report does not depend on append order.
+// All ordering-sensitive output is sorted by (virtual time, kind, detail,
+// ranks) at read time, so the rendered report does not depend on append
+// order.  Like the rest of a run, a report lives on the run's thread.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,7 @@ class RunReport {
   RunReport(const RunReport&) = delete;
   RunReport& operator=(const RunReport&) = delete;
 
-  /// Thread-safe append.
+  /// Append one entry (ranks are sorted on the way in).
   void add(sim::TimeNs time, std::string kind, std::string detail, std::vector<int> ranks = {});
 
   bool empty() const;
@@ -47,7 +46,6 @@ class RunReport {
   std::string render() const;
 
  private:
-  mutable std::mutex mutex_;
   std::vector<Entry> entries_;
 };
 

@@ -88,8 +88,8 @@ sim::TimeNs Cluster::jittered(sim::TimeNs base, std::uint64_t salt) const {
 
 sim::TimeNs Cluster::message_delay(int src_node, int dst_node, std::int64_t bytes,
                                    sim::TimeNs now) {
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(static_cast<std::uint64_t>(bytes), std::memory_order_relaxed);
+  ++messages_sent_;
+  bytes_sent_ += static_cast<std::uint64_t>(bytes);
   std::uint64_t salt = 0x6d657373616765ULL;  // "message"
   salt = fold(salt, static_cast<std::uint64_t>(src_node));
   salt = fold(salt, static_cast<std::uint64_t>(dst_node));

@@ -7,7 +7,6 @@
 // not depend on the order other messages draw noise.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -88,12 +87,8 @@ class Cluster {
   sim::TimeNs jittered(sim::TimeNs base, std::uint64_t salt) const;
 
   /// Messages accounted so far (for tests and trace statistics).
-  std::uint64_t messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_sent() const {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t messages_sent() const { return messages_sent_; }
+  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
   sim::Engine* engine_;
@@ -106,8 +101,8 @@ class Cluster {
   /// the contention surcharge is a pure function of message identity.
   std::vector<JobSpan> jobs_;
   std::vector<int> tenants_;
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t bytes_sent_ = 0;
 };
 
 }  // namespace dyntrace::machine

@@ -32,13 +32,8 @@ SimProcess& ParallelJob::process(int pid) {
 sim::Coro<void> ParallelJob::run_process(SimProcess& process, MainFn main) {
   co_await main(process.main_thread());
   process.mark_terminated();
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(finish_mutex_);
-    finish_time_ = std::max(finish_time_, process.engine().now());
-    last = ++finished_ == processes_.size();
-  }
-  if (last) all_done_.fire();
+  finish_time_ = std::max(finish_time_, process.engine().now());
+  if (++finished_ == processes_.size()) all_done_.fire();
 }
 
 void ParallelJob::start(SimThread* origin) {

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,9 +61,7 @@ class ParallelJob {
   std::vector<std::unique_ptr<SimProcess>> processes_;
   std::vector<MainFn> mains_;
   bool started_ = false;
-  // Finish bookkeeping: count and max-time are order-independent.  The
-  // engine is single-threaded, so the mutex never contends.
-  std::mutex finish_mutex_;
+  // Finish bookkeeping: count and max-time are order-independent.
   std::size_t finished_ = 0;
   sim::TimeNs start_time_ = 0;
   sim::TimeNs finish_time_ = 0;

@@ -149,11 +149,9 @@ class EventParser {
     return static_cast<int>(v);
   }
   std::int64_t as_i64(const std::string& value) const {
-    try {
-      return std::stoll(value);
-    } catch (const std::exception&) {
-      fail(where_, ": bad integer '", value, "'");
-    }
+    const auto v = str::parse_i64(value);
+    DT_EXPECT(v.has_value(), where_, ": bad integer '", value, "'");
+    return *v;
   }
 
   void apply_int(const std::string& key, int* out) {

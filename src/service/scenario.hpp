@@ -113,7 +113,7 @@ struct ScenarioResult {
   double sim_seconds = 0;
   double host_seconds = 0;
   std::uint64_t stats_digest = 0;
-  /// FNV-1a over outcomes, windows, filter state -- the cross-thread
+  /// FNV-1a over outcomes, windows, filter state -- the run-to-run
   /// determinism fingerprint.
   std::uint64_t digest = 0;
 };

@@ -110,6 +110,8 @@ class FramePool {
   bool cleanup_registered_ = false;
 };
 
+/// Per-thread on purpose: a run's frames are allocated and freed on its own
+/// thread, so the pool needs no lock.
 inline thread_local constinit FramePool tls_frame_pool;
 
 /// Trims this thread's pool when the thread exits.

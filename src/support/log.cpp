@@ -9,7 +9,7 @@ namespace {
 
 Level g_threshold = Level::kWarn;
 Sink g_sink;
-std::mutex g_mutex;
+std::mutex g_mutex;  ///< kept on purpose: the sink is process-global, shared by every thread
 
 const char* level_name(Level level) {
   switch (level) {

@@ -92,6 +92,18 @@ std::optional<std::int64_t> parse_i64(std::string_view s) {
   return static_cast<std::int64_t>(v);
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  const std::string t(trim(s));
+  // strtoull would negate a leading '-' into a huge value; a seed or an
+  // index never has a sign.
+  if (t.empty() || t.front() < '0' || t.front() > '9') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
+  if (errno != 0 || end != t.c_str() + t.size()) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
 std::optional<double> parse_f64(std::string_view s) {
   const std::string t(trim(s));
   if (t.empty()) return std::nullopt;

@@ -1,7 +1,6 @@
 #include "telemetry/registry.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "support/common.hpp"
 #include "support/strings.hpp"
@@ -11,19 +10,9 @@ namespace dyntrace::telemetry {
 
 namespace {
 
-/// Monotone epoch source: every Registry gets a unique epoch, so a stale
-/// thread-local cache entry (pointing at a destroyed registry whose address
-/// was reused) can never validate against a live one.
-std::atomic<std::uint64_t> g_epoch{1};
-
-struct TlsCache {
-  const void* registry = nullptr;
-  std::uint64_t epoch = 0;
-  void* shard = nullptr;
-};
-thread_local TlsCache t_cache;
-
-std::atomic<void*> g_current{nullptr};
+/// This thread's installed registry (ScopedRegistry), or null for the
+/// thread's default.
+thread_local Registry* t_current = nullptr;
 
 void append_json_string(std::string* out, const std::string& s) {
   out->push_back('"');
@@ -72,21 +61,11 @@ Level default_level() {
 #endif
 }
 
-std::uint32_t histogram_bucket(std::uint64_t value) {
-  return static_cast<std::uint32_t>(std::bit_width(value));
-}
-
 std::uint64_t histogram_bucket_lower(std::uint32_t bucket) {
   return bucket == 0 ? 0 : std::uint64_t{1} << (bucket - 1);
 }
 
-Registry::Shard::~Shard() {
-  for (auto& chunk : chunks) delete chunk.load(std::memory_order_acquire);
-}
-
-Registry::Registry(Level level)
-    : level_(static_cast<int>(level)),
-      epoch_(g_epoch.fetch_add(1, std::memory_order_relaxed)) {
+Registry::Registry(Level level) : level_(level) {
   metrics_ = std::make_unique<Metrics>(*this);
 }
 
@@ -94,16 +73,13 @@ Registry::~Registry() = default;
 
 std::uint32_t Registry::register_metric(Kind kind, const std::string& name,
                                         std::uint32_t cells) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = def_index_.find(name); it != def_index_.end()) {
     const MetricDef& def = defs_[it->second];
     DT_EXPECT(def.kind == kind, "metric '", name, "' re-registered with a different kind");
     return def.first_cell;
   }
-  DT_EXPECT(next_cell_ + cells <= kChunkCells * kMaxChunks,
-            "telemetry cell space exhausted registering '", name, "'");
-  const std::uint32_t first = next_cell_;
-  next_cell_ += cells;
+  const auto first = static_cast<std::uint32_t>(cells_.size());
+  cells_.resize(cells_.size() + cells, 0);
   def_index_.emplace(name, static_cast<std::uint32_t>(defs_.size()));
   defs_.push_back(MetricDef{kind, name, first});
   return first;
@@ -122,7 +98,6 @@ HistogramId Registry::histogram(const std::string& name) {
 }
 
 SpanName Registry::span_name(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = span_name_index_.find(name); it != span_name_index_.end()) {
     return SpanName{it->second};
   }
@@ -133,108 +108,12 @@ SpanName Registry::span_name(const std::string& name) {
 }
 
 void Registry::name_track(std::uint32_t track, const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   track_names_[track] = name;
-}
-
-Registry::Shard* Registry::my_shard_slow() {
-  const auto me = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(mutex_);
-  Shard* shard = nullptr;
-  for (const auto& s : shards_) {
-    if (s->owner == me) {
-      shard = s.get();
-      break;
-    }
-  }
-  if (shard == nullptr) {
-    shards_.push_back(std::make_unique<Shard>());
-    shard = shards_.back().get();
-    shard->owner = me;
-  }
-  t_cache = TlsCache{this, epoch_, shard};
-  return shard;
-}
-
-Registry::Shard& Registry::my_shard() {
-  if (t_cache.registry == this && t_cache.epoch == epoch_) {
-    return *static_cast<Shard*>(t_cache.shard);
-  }
-  return *my_shard_slow();
-}
-
-std::atomic<std::uint64_t>& Registry::cell(Shard& shard, std::uint32_t index) {
-  const std::size_t chunk_index = index / kChunkCells;
-  Chunk* chunk = shard.chunks[chunk_index].load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    // First touch of this chunk by the owning thread: the one allocation a
-    // shard ever makes per 1024 cells.
-    chunk = new Chunk();
-    shard.chunks[chunk_index].store(chunk, std::memory_order_release);
-  }
-  return chunk->cells[index % kChunkCells];
-}
-
-void Registry::add(CounterId id, std::uint64_t delta) {
-  if (!counting()) return;
-  auto& c = cell(my_shard(), id.cell);
-  // Owner-only write: a plain load/store pair compiles to one add, and the
-  // relaxed atomic makes concurrent snapshot reads defined.
-  c.store(c.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
-}
-
-void Registry::set(GaugeId id, std::int64_t value) {
-  if (!counting()) return;
-  cell(my_shard(), id.cell).store(static_cast<std::uint64_t>(value), std::memory_order_relaxed);
-}
-
-void Registry::gauge_add(GaugeId id, std::int64_t delta) {
-  if (!counting()) return;
-  auto& c = cell(my_shard(), id.cell);
-  c.store(static_cast<std::uint64_t>(static_cast<std::int64_t>(c.load(std::memory_order_relaxed)) + delta),
-          std::memory_order_relaxed);
-}
-
-void Registry::observe(HistogramId id, std::uint64_t value) {
-  if (!counting()) return;
-  Shard& shard = my_shard();
-  auto& bucket = cell(shard, id.first_cell + histogram_bucket(value));
-  bucket.store(bucket.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  auto& sum = cell(shard, id.first_cell + kHistogramBuckets);
-  sum.store(sum.load(std::memory_order_relaxed) + value, std::memory_order_relaxed);
-}
-
-void Registry::span_begin(SpanName name, std::uint32_t track, sim::TimeNs at) {
-  if (!spans_enabled()) return;
-  my_shard().spans.push_back(
-      SpanEvent{at, span_seq_.fetch_add(1, std::memory_order_relaxed), name.id, track, 'B'});
-}
-
-void Registry::span_end(SpanName name, std::uint32_t track, sim::TimeNs at) {
-  if (!spans_enabled()) return;
-  my_shard().spans.push_back(
-      SpanEvent{at, span_seq_.fetch_add(1, std::memory_order_relaxed), name.id, track, 'E'});
-}
-
-void Registry::span_instant(SpanName name, std::uint32_t track, sim::TimeNs at) {
-  if (!spans_enabled()) return;
-  my_shard().spans.push_back(
-      SpanEvent{at, span_seq_.fetch_add(1, std::memory_order_relaxed), name.id, track, 'i'});
-}
-
-std::uint64_t Registry::merged_cell(std::uint32_t index) const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    const Chunk* chunk = shard->chunks[index / kChunkCells].load(std::memory_order_acquire);
-    if (chunk != nullptr) total += chunk->cells[index % kChunkCells].load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 Registry::Snapshot Registry::snapshot() const {
   Snapshot snap;
   snap.level = level();
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<const MetricDef*> sorted;
   sorted.reserve(defs_.size());
   for (const MetricDef& def : defs_) sorted.push_back(&def);
@@ -243,27 +122,27 @@ Registry::Snapshot Registry::snapshot() const {
   for (const MetricDef* def : sorted) {
     switch (def->kind) {
       case Kind::kCounter:
-        snap.counters.emplace_back(def->name, merged_cell(def->first_cell));
+        snap.counters.emplace_back(def->name, cells_[def->first_cell]);
         break;
       case Kind::kGauge:
         snap.gauges.emplace_back(def->name,
-                                 static_cast<std::int64_t>(merged_cell(def->first_cell)));
+                                 static_cast<std::int64_t>(cells_[def->first_cell]));
         break;
       case Kind::kHistogram: {
         HistogramSnapshot hist;
         hist.name = def->name;
         for (std::uint32_t b = 0; b < kHistogramBuckets; ++b) {
-          hist.buckets[b] = merged_cell(def->first_cell + b);
+          hist.buckets[b] = cells_[def->first_cell + b];
           hist.count += hist.buckets[b];
         }
-        hist.sum = merged_cell(def->first_cell + kHistogramBuckets);
+        hist.sum = cells_[def->first_cell + kHistogramBuckets];
         snap.histograms.push_back(std::move(hist));
         break;
       }
     }
   }
   for (const KeyedCounter* keyed : keyed_) {
-    auto counts = keyed->snapshot();
+    const auto& counts = keyed->snapshot();
     std::vector<std::pair<std::int64_t, std::uint64_t>> entries(counts.begin(), counts.end());
     std::sort(entries.begin(), entries.end());
     snap.keyed.emplace_back(keyed->name(), std::move(entries));
@@ -332,35 +211,12 @@ std::string Registry::stats_json() const {
   return out;
 }
 
-std::vector<Registry::SpanEvent> Registry::merged_spans() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SpanEvent> events;
-  for (const auto& shard : shards_) {
-    events.insert(events.end(), shard->spans.begin(), shard->spans.end());
-  }
-  std::sort(events.begin(), events.end(), [](const SpanEvent& a, const SpanEvent& b) {
-    if (a.ts != b.ts) return a.ts < b.ts;
-    return a.seq < b.seq;
-  });
-  return events;
-}
-
-std::size_t Registry::span_event_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->spans.size();
-  return n;
-}
-
 std::string Registry::chrome_trace_json() const {
-  const std::vector<SpanEvent> events = merged_spans();
-  std::vector<std::string> names;
-  std::map<std::uint32_t, std::string> tracks;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    names = span_names_;
-    tracks = track_names_;
-  }
+  // Append order breaks timestamp ties, so a stable sort by ts alone gives
+  // the export order.
+  std::vector<SpanEvent> events = spans_;
+  std::stable_sort(events.begin(), events.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) { return a.ts < b.ts; });
   std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;
   const auto emit = [&](const std::string& event) {
@@ -369,7 +225,7 @@ std::string Registry::chrome_trace_json() const {
     out += event;
   };
   // Track metadata: Perfetto renders these as thread names.
-  for (const auto& [track, name] : tracks) {
+  for (const auto& [track, name] : track_names_) {
     std::string meta = str::format(
         "{\"ph\": \"M\", \"pid\": 0, \"tid\": %u, \"name\": \"thread_name\", \"args\": {\"name\": ",
         track);
@@ -382,7 +238,8 @@ std::string Registry::chrome_trace_json() const {
     std::string e = str::format("{\"ph\": \"%c\", \"ts\": %.3f, \"pid\": 0, \"tid\": %u, ",
                                 phase, sim::to_microseconds(ts), track);
     e += "\"cat\": \"dyntrace\", \"name\": ";
-    append_json_string(&e, name < names.size() ? names[name] : str::format("span%u", name));
+    append_json_string(&e, name < span_names_.size() ? span_names_[name]
+                                                     : str::format("span%u", name));
     if (phase == 'i') e += ", \"s\": \"t\"";
     e += "}";
     emit(e);
@@ -417,7 +274,6 @@ KeyedCounter::KeyedCounter(std::string name) : name_(std::move(name)) {}
 
 KeyedCounter::~KeyedCounter() {
   if (attached_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(attached_->mutex_);
   auto& keyed = attached_->keyed_;
   keyed.erase(std::remove(keyed.begin(), keyed.end(), this), keyed.end());
 }
@@ -426,36 +282,22 @@ void KeyedCounter::attach(Registry& registry) {
   DT_EXPECT(attached_ == nullptr || attached_ == &registry,
             "keyed counter '", name_, "' already attached to another registry");
   if (attached_ == &registry) return;
-  std::lock_guard<std::mutex> lock(registry.mutex_);
   registry.keyed_.push_back(this);
   attached_ = &registry;
 }
 
 void KeyedCounter::add(std::int64_t key, std::uint64_t delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
   counts_[key] += delta;
   total_ += delta;
 }
 
-std::uint64_t KeyedCounter::total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
 std::uint64_t KeyedCounter::at(std::int64_t key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counts_.find(key);
   return it == counts_.end() ? 0 : it->second;
 }
 
-std::unordered_map<std::int64_t, std::uint64_t> KeyedCounter::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
-}
-
 std::vector<std::pair<std::int64_t, std::uint64_t>> KeyedCounter::ranked() const {
-  auto counts = snapshot();
-  std::vector<std::pair<std::int64_t, std::uint64_t>> entries(counts.begin(), counts.end());
+  std::vector<std::pair<std::int64_t, std::uint64_t>> entries(counts_.begin(), counts_.end());
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
@@ -465,23 +307,16 @@ std::vector<std::pair<std::int64_t, std::uint64_t>> KeyedCounter::ranked() const
 
 // --- current registry -------------------------------------------------------
 
-Registry& global() {
-  static Registry registry(default_level());
-  return registry;
-}
-
 Registry& current() {
-  void* r = g_current.load(std::memory_order_acquire);
-  return r != nullptr ? *static_cast<Registry*>(r) : global();
+  if (t_current != nullptr) return *t_current;
+  static thread_local Registry fallback(default_level());
+  return fallback;
 }
 
-ScopedRegistry::ScopedRegistry(Registry& registry)
-    : previous_(static_cast<Registry*>(g_current.load(std::memory_order_acquire))) {
-  g_current.store(&registry, std::memory_order_release);
+ScopedRegistry::ScopedRegistry(Registry& registry) : previous_(t_current) {
+  t_current = &registry;
 }
 
-ScopedRegistry::~ScopedRegistry() {
-  g_current.store(previous_, std::memory_order_release);
-}
+ScopedRegistry::~ScopedRegistry() { t_current = previous_; }
 
 }  // namespace dyntrace::telemetry

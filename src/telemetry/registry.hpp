@@ -7,36 +7,33 @@
 // burned.  The registry provides three level-gated primitives:
 //
 //   * monotonic counters     -- u64, add-only;
-//   * gauges                 -- i64 last-value (merged across threads by
-//                               sum);
+//   * gauges                 -- i64 last-value;
 //   * log2 histograms        -- 65 fixed buckets (bucket 0 holds zeros,
 //                               bucket b holds 2^(b-1) <= v < 2^b) plus a sum
 //                               cell, so observe() is a bit_width and two
 //                               increments, never a search.
 //
-// The hot path is lock-free and allocation-free: every thread owns a private
-// shard of cells (first touch creates it -- the only allocation), an update
-// is a relaxed load/store on the owner's cell, and readers merge shards only
-// at snapshot time.  All of it is gated behind the registry level
-// (off | counters | spans); at `off` every operation is one relaxed load and
-// a predictable branch, which is what lets the hooks live permanently inside
+// A run and everything it owns live on one thread (DESIGN.md §12), so a
+// registry is a plain single-writer structure: cells are one vector of u64
+// grown at registration, an update is an inline add on one cell, and spans
+// append to one vector.  All of it is gated behind the registry level
+// (off | counters | spans); at `off` every operation is one load and a
+// predictable branch, which is what lets the hooks live permanently inside
 // the sim/control/vt/dpcl/fault layers (micro_telemetry_overhead holds the
 // counters level under 1% on a full fig7a cell).
 //
 // Span tracing (span.hpp's ScopedSpan rides on the calls here) records
 // begin/end/instant events in the *simulated* clock domain and exports
 // Chrome trace-event JSON loadable in Perfetto; see DESIGN.md §12 for the
-// clock-domain and merge semantics.
+// clock-domain and ordering semantics.
 #pragma once
 
 #include <array>
-#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -72,7 +69,9 @@ struct SpanName {
 /// with bit_width == b (i.e. 2^(b-1) <= v < 2^b); one extra cell holds the
 /// running sum.
 inline constexpr std::uint32_t kHistogramBuckets = 65;
-std::uint32_t histogram_bucket(std::uint64_t value);
+inline std::uint32_t histogram_bucket(std::uint64_t value) {
+  return static_cast<std::uint32_t>(std::bit_width(value));
+}
 std::uint64_t histogram_bucket_lower(std::uint32_t bucket);
 
 struct Metrics;
@@ -85,10 +84,10 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Level level() const { return static_cast<Level>(level_.load(std::memory_order_relaxed)); }
-  void set_level(Level level) { level_.store(static_cast<int>(level), std::memory_order_relaxed); }
-  bool counting() const { return level_.load(std::memory_order_relaxed) >= 1; }
-  bool spans_enabled() const { return level_.load(std::memory_order_relaxed) >= 2; }
+  Level level() const { return level_; }
+  void set_level(Level level) { level_ = level; }
+  bool counting() const { return level_ >= Level::kCounters; }
+  bool spans_enabled() const { return level_ >= Level::kSpans; }
 
   /// The pre-registered cross-layer metric catalog (metrics.hpp).
   const Metrics& metrics() const { return *metrics_; }
@@ -105,21 +104,32 @@ class Registry {
 
   // --- hot operations (no-ops below the gating level) -----------------------
 
-  void add(CounterId id, std::uint64_t delta = 1);
-  void set(GaugeId id, std::int64_t value);
-  void gauge_add(GaugeId id, std::int64_t delta);
-  void observe(HistogramId id, std::uint64_t value);
+  void add(CounterId id, std::uint64_t delta = 1) {
+    if (counting()) cells_[id.cell] += delta;
+  }
+  void set(GaugeId id, std::int64_t value) {
+    if (counting()) cells_[id.cell] = static_cast<std::uint64_t>(value);
+  }
+  void gauge_add(GaugeId id, std::int64_t delta) {
+    if (counting()) cells_[id.cell] += static_cast<std::uint64_t>(delta);
+  }
+  void observe(HistogramId id, std::uint64_t value) {
+    if (!counting()) return;
+    ++cells_[id.first_cell + histogram_bucket(value)];
+    cells_[id.first_cell + kHistogramBuckets] += value;
+  }
 
-  void span_begin(SpanName name, std::uint32_t track, sim::TimeNs at);
-  void span_end(SpanName name, std::uint32_t track, sim::TimeNs at);
-  void span_instant(SpanName name, std::uint32_t track, sim::TimeNs at);
+  void span_begin(SpanName name, std::uint32_t track, sim::TimeNs at) {
+    record_span(name, track, at, 'B');
+  }
+  void span_end(SpanName name, std::uint32_t track, sim::TimeNs at) {
+    record_span(name, track, at, 'E');
+  }
+  void span_instant(SpanName name, std::uint32_t track, sim::TimeNs at) {
+    record_span(name, track, at, 'i');
+  }
 
   // --- cold reads -----------------------------------------------------------
-  //
-  // Snapshots merge every thread's shard.  Exact totals are guaranteed once
-  // the writing threads have synchronized with the reader (joined, or parked
-  // at the engine's window barrier); a snapshot raced against live writers
-  // is approximate but safe.
 
   struct HistogramSnapshot {
     std::string name;
@@ -149,31 +159,17 @@ class Registry {
   /// Unclosed spans are auto-closed at the latest recorded timestamp.
   std::string chrome_trace_json() const;
 
-  /// Recorded span edges (begins + ends + instants) across all threads.
-  std::size_t span_event_count() const;
+  /// Recorded span edges (begins + ends + instants).
+  std::size_t span_event_count() const { return spans_.size(); }
 
  private:
   friend class KeyedCounter;
 
-  // Cells live in chunks with stable addresses so a shard can grow while
-  // its owner keeps writing (registration after first touch).
-  static constexpr std::size_t kChunkCells = 1024;
-  static constexpr std::size_t kMaxChunks = 64;
-  struct Chunk {
-    std::array<std::atomic<std::uint64_t>, kChunkCells> cells{};
-  };
   struct SpanEvent {
     sim::TimeNs ts = 0;
-    std::uint64_t seq = 0;
     std::uint32_t name = 0;
     std::uint32_t track = 0;
     char phase = 'B';  ///< 'B' begin, 'E' end, 'i' instant
-  };
-  struct Shard {
-    std::thread::id owner;
-    std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
-    std::vector<SpanEvent> spans;
-    ~Shard();
   };
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
   struct MetricDef {
@@ -183,26 +179,19 @@ class Registry {
   };
 
   std::uint32_t register_metric(Kind kind, const std::string& name, std::uint32_t cells);
-  Shard& my_shard();
-  Shard* my_shard_slow();
-  std::atomic<std::uint64_t>& cell(Shard& shard, std::uint32_t index);
-  /// Merged value of one cell across shards (caller holds mutex_).
-  std::uint64_t merged_cell(std::uint32_t index) const;
-  std::vector<SpanEvent> merged_spans() const;
+  void record_span(SpanName name, std::uint32_t track, sim::TimeNs at, char phase) {
+    if (spans_enabled()) spans_.push_back(SpanEvent{at, name.id, track, phase});
+  }
 
-  std::atomic<int> level_;
-  const std::uint64_t epoch_;  ///< globally unique; validates thread-local caches
-
-  mutable std::mutex mutex_;  ///< guards registration state + shard list
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Level level_;
+  std::vector<std::uint64_t> cells_;  ///< counters, gauges, histogram buckets + sums
+  std::vector<SpanEvent> spans_;      ///< append order
   std::vector<MetricDef> defs_;
   std::unordered_map<std::string, std::uint32_t> def_index_;
-  std::uint32_t next_cell_ = 0;
   std::vector<std::string> span_names_;
   std::unordered_map<std::string, std::uint32_t> span_name_index_;
   std::map<std::uint32_t, std::string> track_names_;
   std::vector<KeyedCounter*> keyed_;
-  std::atomic<std::uint64_t> span_seq_{0};
 
   std::unique_ptr<Metrics> metrics_;
 };
@@ -210,8 +199,7 @@ class Registry {
 /// Data-plane counter keyed by an int64 (per-function sample histograms and
 /// the like).  Unlike the level-gated registry cells, a KeyedCounter always
 /// counts -- it *is* its owner's data structure, the registry attachment
-/// only adds it to the exported stats.  Guarded by a mutex: keyed updates
-/// are sampler-rate, not per-event-rate.
+/// only adds it to the exported stats.
 class KeyedCounter {
  public:
   explicit KeyedCounter(std::string name);
@@ -225,29 +213,27 @@ class KeyedCounter {
 
   const std::string& name() const { return name_; }
   void add(std::int64_t key, std::uint64_t delta = 1);
-  std::uint64_t total() const;
+  std::uint64_t total() const { return total_; }
   std::uint64_t at(std::int64_t key) const;  ///< 0 for unseen keys
-  std::unordered_map<std::int64_t, std::uint64_t> snapshot() const;
+  const std::unordered_map<std::int64_t, std::uint64_t>& snapshot() const { return counts_; }
   /// (key, count) sorted by count descending, key ascending on ties.
   std::vector<std::pair<std::int64_t, std::uint64_t>> ranked() const;
 
  private:
   std::string name_;
   Registry* attached_ = nullptr;
-  mutable std::mutex mutex_;
   std::unordered_map<std::int64_t, std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
 
-/// The process-wide default registry (level = default_level()).
-Registry& global();
-/// The registry the instrumented layers write to; global() unless a
-/// ScopedRegistry is active.
+/// The registry the instrumented layers on the calling thread write to: the
+/// innermost ScopedRegistry installed on this thread, else this thread's own
+/// default registry (level = default_level()).  Never shared across threads.
 Registry& current();
 
-/// Installs a registry as current() for a scope (Launch does this for the
-/// duration of a run, so every layer's hooks land in the run's registry).
-/// Nests like a stack.
+/// Installs a registry as current() on the calling thread for a scope
+/// (Launch does this for the duration of a run, so every layer's hooks land
+/// in the run's registry).  Nests like a stack; other threads are unaffected.
 class ScopedRegistry {
  public:
   explicit ScopedRegistry(Registry& registry);

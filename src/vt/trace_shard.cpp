@@ -17,7 +17,8 @@ namespace dyntrace::vt {
 namespace {
 
 /// Process-unique spill-file sequence (several stores can live at once, and
-/// parallel ctest runs share /tmp -- the OS pid disambiguates those).
+/// parallel ctest runs share /tmp -- the OS pid disambiguates those).  Atomic
+/// on purpose: names must stay unique across stores on concurrent threads.
 std::atomic<std::uint64_t> g_spill_seq{0};
 
 std::string make_run_base(const ShardOptions& options, std::int32_t pid) {

@@ -41,21 +41,18 @@ EventKind kind_from_string(std::string_view s) {
 TraceShard& TraceStore::shard(std::int32_t pid) {
   // Analysis indexes per-process tables by pid.
   DT_EXPECT(pid >= 0, "trace event with negative pid ", pid);
-  std::lock_guard<std::mutex> lock(*mutex_);
   auto& slot = shards_[pid];
   if (!slot) slot = std::make_unique<TraceShard>(pid, options_);
   return *slot;
 }
 
 std::size_t TraceStore::size() const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   std::size_t total = 0;
   for (const auto& [pid, shard] : shards_) total += shard->size();
   return total;
 }
 
 std::vector<std::int32_t> TraceStore::pids() const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   std::vector<std::int32_t> out;
   out.reserve(shards_.size());
   for (const auto& [pid, shard] : shards_) {
@@ -65,7 +62,6 @@ std::vector<std::int32_t> TraceStore::pids() const {
 }
 
 bool TraceStore::time_bounds(sim::TimeNs* lo, sim::TimeNs* hi) const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   bool any = false;
   sim::TimeNs min_t = 0, max_t = 0;
   for (const auto& [pid, shard] : shards_) {
@@ -81,7 +77,6 @@ bool TraceStore::time_bounds(sim::TimeNs* lo, sim::TimeNs* hi) const {
 }
 
 std::unique_ptr<EventCursor> TraceStore::merge_cursor() const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   std::vector<std::unique_ptr<EventCursor>> runs;
   // Shards in pid order, runs in spill order: equal-key ties in the merge
   // then resolve to the earlier-appended run (append-stable, like the
@@ -93,7 +88,6 @@ std::unique_ptr<EventCursor> TraceStore::merge_cursor() const {
 }
 
 std::unique_ptr<EventCursor> TraceStore::process_cursor(std::int32_t pid) const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   const auto it = shards_.find(pid);
   if (it == shards_.end()) return std::make_unique<SpanCursor>(nullptr, 0);
   return it->second->cursor();
@@ -126,7 +120,6 @@ std::uint64_t TraceStore::digest() const {
 }
 
 TraceStore::SalvageStats TraceStore::salvage_stats() const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   SalvageStats stats;
   for (const auto& [pid, shard] : shards_) {
     if (shard->torn()) ++stats.torn_shards;
@@ -137,7 +130,6 @@ TraceStore::SalvageStats TraceStore::salvage_stats() const {
 }
 
 TraceStore::VolumeStats TraceStore::volume_stats() const {
-  std::lock_guard<std::mutex> lock(*mutex_);
   VolumeStats stats;
   for (const auto& [pid, shard] : shards_) {
     stats.spilled_bytes += shard->spilled_bytes();

@@ -3,18 +3,17 @@
 // Per the paper's model, data is buffered per process at run time and
 // dumped for postmortem inspection.  TraceStore is the dump target shared
 // by all VtLib instances of a job, but it is *sharded*: each process
-// appends to its own TraceShard (no shared vector, no lock on the append
-// path), shards spill sorted binary runs to disk past a configurable byte
-// budget, and every reader streams events instead of materializing the
-// job's full event vector: through a k-way merge over the sorted runs when
-// it needs global time order, or per process (src/analysis) when it does
-// not.
+// appends to its own TraceShard (no shared vector on the append path),
+// shards spill sorted binary runs to disk past a configurable byte budget,
+// and every reader streams events instead of materializing the job's full
+// event vector: through a k-way merge over the sorted runs when it needs
+// global time order, or per process (src/analysis) when it does not.  Like
+// the rest of a run, a store lives on the run's thread.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,9 +35,9 @@ class TraceStore {
   TraceStore& operator=(TraceStore&&) = default;
 
   /// The per-process shard, created on first use.  Writers (VtLib) cache
-  /// the returned reference so their flush path never takes the registry
-  /// lock; shard references stay valid for the store's lifetime.  A
-  /// negative pid throws: analysis indexes per-process tables by pid.
+  /// the returned reference so their flush path skips the pid lookup;
+  /// shard references stay valid for the store's lifetime.  A negative pid
+  /// throws: analysis indexes per-process tables by pid.
   TraceShard& shard(std::int32_t pid);
 
   /// Append a flushed event (routed to its process's shard).
@@ -129,8 +128,6 @@ class TraceStore {
 
  private:
   Options options_;
-  /// Guards the shard registry only -- never the append path.
-  mutable std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
   std::map<std::int32_t, std::unique_ptr<TraceShard>> shards_;
 };
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "dynprof/launch.hpp"
+#include "support/strings.hpp"
 
 namespace dyntrace::dynprof {
 namespace {
@@ -173,6 +174,28 @@ TEST(Launch, RejectsNonFiniteOrNonPositiveScale) {
       const std::string what = e.what();
       EXPECT_NE(what.find("sweep3d"), std::string::npos) << what;
       EXPECT_NE(what.find("problem scale"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Launch, RejectsAScaleWhoseIterationCountDoesNotFit) {
+  // An iteration count past int64 once reached llround out of range and ran
+  // as a single iteration (smg98 on 8 ranks recorded 32 events, not 116).
+  for (const double scale : {1e308, 1e30}) {
+    Launch::Options options;
+    options.app = &asci::smg98();
+    options.params.nprocs = 8;
+    options.params.problem_scale = scale;
+    options.policy = Policy::kNone;
+    Launch launch(std::move(options));
+    try {
+      launch.run_to_completion();
+      FAIL() << "scale " << scale << " ran";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("smg98"), std::string::npos) << what;
+      EXPECT_NE(what.find("problem scale " + str::format("%g", scale)), std::string::npos)
+          << what;
     }
   }
 }

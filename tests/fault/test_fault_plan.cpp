@@ -152,6 +152,48 @@ TEST(FaultPlan, TimesFailClosed) {
             kNever);
 }
 
+TEST(FaultPlan, IntegersFailClosed) {
+  // Integers once went through std::stoll/stoull: trailing junk was
+  // ignored, int fields narrowed silently (node=4294967297 killed node 1),
+  // seed -1 wrapped to 2^64-1, and a negative skip= disabled a prob= action.
+  for (const char* text :
+       {"kill-daemon node=4294967297 at=5s\n", "kill-daemon node=1junk at=5s\n",
+        "kill-rank rank=2147483648\n", "drop channel=app src=-2147483649 prob=1\n",
+        "drop channel=daemon nth=3x\n", "drop channel=daemon nth=-2\n",
+        "drop channel=daemon prob=0.5 skip=-1\n", "dup channel=daemon skip=2 count=-3\n",
+        "drop channel=daemon prob=0.5x\n", "tear-shard rank=1 spill=-1\n",
+        "storm sessions=4x at=1s\n", "seed 12abc\n", "seed -1\n",
+        "seed 18446744073709551616\n"}) {
+    try {
+      FaultPlan::parse(std::string("seed 1\n") + text, "ints.plan");
+      FAIL() << "expected a parse error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("ints.plan:2"), std::string::npos) << e.what();
+    }
+  }
+  // The extremes that are representable still parse.
+  EXPECT_EQ(FaultPlan::parse("seed 18446744073709551615\n").seed, ~std::uint64_t{0});
+  EXPECT_EQ(FaultPlan::parse("kill-daemon node=2147483647\n").actions[0].node, 2147483647);
+  EXPECT_EQ(FaultPlan::parse("drop channel=app src=-1 prob=1\n").actions[0].src, -1);
+}
+
+TEST(FaultInjector, WindowAtTheInt64LimitDoesNotOverflow) {
+  // skip + count once overflowed (undefined behaviour); the window is now
+  // compared as an offset, so a window that starts past every reachable
+  // ordinal matches nothing and one starting at 0 matches everything.
+  FaultInjector far(FaultPlan::parse(
+      "drop channel=daemon skip=9223372036854775807 count=9223372036854775807\n"));
+  FaultInjector open(FaultPlan::parse("drop channel=daemon skip=0 count=9223372036854775807\n"));
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(far.message_fate(Channel::kDaemon, 0, 1, 0).drop) << i;
+    EXPECT_TRUE(open.message_fate(Channel::kDaemon, 0, 1, 0).drop) << i;
+  }
+  FaultInjector window(FaultPlan::parse("drop channel=daemon skip=3 count=2\n"));
+  std::vector<bool> drops;
+  for (int i = 0; i < 7; ++i) drops.push_back(window.message_fate(Channel::kDaemon, 0, 1, 0).drop);
+  EXPECT_EQ(drops, (std::vector<bool>{false, false, false, true, true, false, false}));
+}
+
 TEST(FaultInjector, LivenessIsAPureTimeThreshold) {
   FaultInjector injector(FaultPlan::parse(kFullPlan));
   EXPECT_TRUE(injector.daemon_alive(3, sim::seconds(150) - 1));

@@ -160,6 +160,26 @@ TEST(ReplayTraceParse, TimesFailClosed) {
   EXPECT_NO_THROW(ReplayTrace::parse("ranks 1\n0 0ms call fn=f work=9223372036s\n"));
 }
 
+TEST(ReplayTraceParse, IntegersFailClosed) {
+  // Key values once went through bare std::stoll, which ignored trailing
+  // junk: count=4x replayed as count=4.
+  for (const char* text : {"ranks 1\n0 0ms call fn=f work=500us count=4x\n",
+                           "ranks 1\n0 0ms call fn=f work=500us count=99999999999999999999\n",
+                           "ranks 2\n0 0ms MPI_Send dst=1x bytes=1\n1 0ms MPI_Recv src=0\n",
+                           "ranks 2\n0 0ms MPI_Send dst=1 bytes=8kb\n1 0ms MPI_Recv src=0\n"}) {
+    try {
+      ReplayTrace::parse(text, "ints.trace");
+      FAIL() << "expected a parse error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("ints.trace:2"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(ReplayTrace::parse("ranks 1\n0 0ms call fn=f work=500us count=4\n")
+                .events[0][0]
+                .count,
+            4);
+}
+
 TEST(ReplayTraceParse, RejectsUnpairedPointToPoint) {
   // Send with no receive.
   EXPECT_THROW(ReplayTrace::parse("ranks 2\n0 0ms MPI_Send dst=1 tag=3 bytes=8\n"),

@@ -1,7 +1,7 @@
 // End-to-end ControlService behaviour through the scenario harness: session
 // lifecycle over generated scripts, pushed-down subscription deltas, the
 // satellite serialization guarantee (conflicting confsyncs at one safe
-// point apply in session-id order, not arrival order), and cross-thread
+// point apply in session-id order, not arrival order), and run-to-run
 // determinism of the full service stack.
 #include "service/scenario.hpp"
 

@@ -1,14 +1,16 @@
-// Self-telemetry registry (DESIGN.md §12): shard-per-thread counters must be
-// exact once writers synchronize, log2 histogram buckets must land on their
-// documented boundaries, spans must close even when the fault injector
-// destroys a coroutine frame mid-await, and the exported artifacts (flat
-// stats JSON, Chrome trace JSON) must stay schema-valid and golden-stable.
+// Self-telemetry registry (DESIGN.md §12): current() is per thread, so runs
+// on different threads never write into each other's registry; log2
+// histogram buckets must land on their documented boundaries, spans must
+// close even when the fault injector destroys a coroutine frame mid-await,
+// and the exported artifacts (flat stats JSON, Chrome trace JSON) must stay
+// schema-valid and golden-stable.
 #include "telemetry/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,57 +55,27 @@ TEST(TelemetryHistogram, BucketBoundariesFollowBitWidth) {
   EXPECT_EQ(histogram_bucket_lower(0), 0u);
 }
 
-TEST(TelemetryRegistry, ConcurrentIncrementsAreExactAfterJoin) {
-  // The shard-per-thread design's core promise: no increment is ever lost,
-  // at any writer count.
-  for (const int threads : {1, 2, 4, 8}) {
-    Registry reg(Level::kCounters);
-    const CounterId hits = reg.counter("test.hits");
-    const CounterId bulk = reg.counter("test.bulk");
-    constexpr std::uint64_t kPerThread = 50'000;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&reg, hits, bulk] {
-        for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          reg.add(hits);
-          if (i % 16 == 0) reg.add(bulk, 3);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    const Registry::Snapshot snap = reg.snapshot();
-    EXPECT_EQ(snap.counter_value("test.hits"), kPerThread * threads) << threads;
-    EXPECT_EQ(snap.counter_value("test.bulk"), (kPerThread / 16) * 3 * threads) << threads;
-  }
-}
-
-TEST(TelemetryRegistry, GaugesMergeAcrossThreadsBySum) {
+TEST(TelemetryRegistry, GaugesHoldTheLastValue) {
   Registry reg(Level::kCounters);
   const GaugeId depth = reg.gauge("test.depth");
   reg.set(depth, 10);
-  std::thread other([&reg, depth] {
-    reg.set(depth, 32);
-    reg.gauge_add(depth, -2);
-  });
-  other.join();
-  // Each shard holds its own last value; the merge sums them, so per-shard
-  // "current depth" gauges read as a job-wide total.  Look the gauge up by
-  // name: the pre-registered catalog contributes gauges of its own.
+  reg.set(depth, 32);
+  reg.gauge_add(depth, -2);
+  // Look the gauge up by name: the pre-registered catalog contributes gauges
+  // of its own.
   const Registry::Snapshot snap = reg.snapshot();
   const auto it = std::find_if(snap.gauges.begin(), snap.gauges.end(),
                                [](const auto& g) { return g.first == "test.depth"; });
   ASSERT_NE(it, snap.gauges.end());
-  EXPECT_EQ(it->second, 40);
+  EXPECT_EQ(it->second, 30);
 }
 
 TEST(TelemetryRegistry, HistogramObserveFillsBucketCountAndSum) {
   Registry reg(Level::kCounters);
   const HistogramId h = reg.histogram("test.sizes");
-  for (const std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 4ull, 1023ull, 1024ull}) {
+  for (const std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 4ull, 7ull, 1023ull, 1024ull}) {
     reg.observe(h, v);
   }
-  std::thread other([&reg, h] { reg.observe(h, 7); });
-  other.join();
   const Registry::Snapshot snap = reg.snapshot();
   // The pre-registered Metrics catalog contributes histograms too; find ours.
   const auto it = std::find_if(snap.histograms.begin(), snap.histograms.end(),
@@ -111,7 +83,7 @@ TEST(TelemetryRegistry, HistogramObserveFillsBucketCountAndSum) {
   ASSERT_NE(it, snap.histograms.end());
   const auto& hist = *it;
   EXPECT_EQ(hist.count, 8u);
-  EXPECT_EQ(hist.sum, 0u + 1 + 2 + 3 + 4 + 1023 + 1024 + 7);
+  EXPECT_EQ(hist.sum, 0u + 1 + 2 + 3 + 4 + 7 + 1023 + 1024);
   EXPECT_EQ(hist.buckets[0], 1u);   // the zero
   EXPECT_EQ(hist.buckets[1], 1u);   // 1
   EXPECT_EQ(hist.buckets[2], 2u);   // 2, 3
@@ -191,6 +163,46 @@ TEST(TelemetryRegistry, ScopedRegistryInstallsAndRestoresCurrent) {
     EXPECT_EQ(&current(), &mine);
   }
   EXPECT_EQ(&current(), &base);
+}
+
+TEST(TelemetryRegistry, ScopedRegistryIsPerThread) {
+  // A run and everything it owns live on one thread, so installing a
+  // registry must not redirect another thread's hooks.  The latches force
+  // the interleaving a process-wide current pointer gets wrong: both threads
+  // install before either writes, and neither restores before both wrote.
+  constexpr std::uint64_t kAdds = 1000;
+  Registry& main_default = current();
+  Registry regs[2] = {Registry(Level::kCounters), Registry(Level::kCounters)};
+  Registry* seen[2] = {nullptr, nullptr};
+  Registry* fallback[2] = {nullptr, nullptr};
+  std::latch installed(2);
+  std::latch written(2);
+  const auto body = [&](int t) {
+    fallback[t] = &current();
+    ScopedRegistry scope(regs[t]);
+    installed.arrive_and_wait();
+    Registry& reg = current();
+    seen[t] = &reg;
+    for (std::uint64_t i = 0; i < kAdds * static_cast<std::uint64_t>(t + 1); ++i) {
+      reg.add(reg.metrics().dpcl_requests);
+    }
+    written.arrive_and_wait();
+  };
+  std::thread first(body, 0);
+  std::thread second(body, 1);
+  first.join();
+  second.join();
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_EQ(seen[t], &regs[t]) << "thread " << t;
+    EXPECT_EQ(regs[t].snapshot().counter_value("dpcl.requests"),
+              kAdds * static_cast<std::uint64_t>(t + 1))
+        << "thread " << t;
+    // With nothing installed a thread falls back to its own default, never
+    // to another thread's.
+    EXPECT_NE(fallback[t], &main_default) << "thread " << t;
+  }
+  EXPECT_NE(fallback[0], fallback[1]);
+  EXPECT_EQ(&current(), &main_default);
 }
 
 // --- span export ------------------------------------------------------------
@@ -371,7 +383,7 @@ std::map<std::int64_t, int> scan_span_depths(const JsonValue& doc) {
   return depth;
 }
 
-TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
+TEST(TelemetryIntegration, CountersMatchRunToRun) {
   // Run-to-run identity of every counter: lost updates or double counts
   // would show up as a diff here.
   std::vector<telemetry::Registry::Snapshot> snaps;
@@ -396,6 +408,68 @@ TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
   EXPECT_LT(snaps[0].counter_value("sim.inline_wakeups"), snaps[0].counter_value("sim.events"));
   EXPECT_EQ(digests[1], digests[0]) << "trace diverged";
   EXPECT_EQ(snaps[1].counters, snaps[0].counters);
+}
+
+TEST(TelemetryIntegration, ConcurrentRunsMatchSoloRuns) {
+  // Two runs on two threads, started together and kept alive together (the
+  // sink latch), must each produce the trace digest and counter snapshot of
+  // the same run alone: every hook lands in its own run's registry.
+  struct Outcome {
+    std::uint64_t digest = 0;
+    telemetry::Registry::Snapshot snap;
+  };
+  const asci::AppSpec* apps[2] = {&asci::sweep3d(), &asci::smg98()};
+  const auto make_config = [&apps](int i) {
+    RunConfig config;
+    config.app = apps[i];
+    config.policy = Policy::kDynamic;
+    config.nprocs = 64;
+    config.problem_scale = 0.1;
+    config.telemetry_level = telemetry::Level::kCounters;
+    return config;
+  };
+  Outcome solo[2];
+  for (int i = 0; i < 2; ++i) {
+    RunConfig config = make_config(i);
+    config.telemetry_sink = [out = &solo[i]](const telemetry::Registry& reg) {
+      out->snap = reg.snapshot();
+    };
+    solo[i].digest = run_policy(config).trace_digest;
+  }
+
+  Outcome both[2];
+  std::string errors[2];
+  std::latch started(2);
+  std::latch finished(2);
+  const auto body = [&](int i) {
+    bool arrived = false;
+    RunConfig config = make_config(i);
+    config.telemetry_sink = [&, out = &both[i]](const telemetry::Registry& reg) {
+      arrived = true;
+      finished.arrive_and_wait();
+      out->snap = reg.snapshot();
+    };
+    started.arrive_and_wait();
+    try {
+      both[i].digest = run_policy(config).trace_digest;
+    } catch (const std::exception& e) {
+      // Record the failure, and release the other thread's latch wait.
+      errors[i] = e.what();
+      if (!arrived) finished.count_down();
+    }
+  };
+  std::thread first(body, 0);
+  std::thread second(body, 1);
+  first.join();
+  second.join();
+
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(errors[i], "") << apps[i]->name;
+    EXPECT_GT(solo[i].snap.counter_value("dpcl.requests"), 0u) << apps[i]->name;
+    EXPECT_EQ(both[i].digest, solo[i].digest) << apps[i]->name;
+    EXPECT_EQ(both[i].snap.counters, solo[i].snap.counters) << apps[i]->name;
+    EXPECT_EQ(both[i].snap.gauges, solo[i].snap.gauges) << apps[i]->name;
+  }
 }
 
 TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
