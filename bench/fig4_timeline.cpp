@@ -11,7 +11,6 @@
 #include "analysis/report.hpp"
 #include "analysis/timeline.hpp"
 #include "bench_common.hpp"
-#include "dynprof/tool.hpp"
 
 int main(int argc, char** argv) {
   using namespace dyntrace;
@@ -28,13 +27,9 @@ int main(int argc, char** argv) {
   options.params.threads_per_rank = 4; // ...x 4 OpenMP threads
   options.params.problem_scale = scale;
   options.policy = dynprof::Policy::kDynamic;
-  dynprof::Launch launch(std::move(options));
-
-  dynprof::DynprofTool::Options topt;
-  topt.command_files = {{"all", asci::sweep3d_hybrid().dynamic_list}};
-  dynprof::DynprofTool tool(launch, std::move(topt));
-  tool.run_script(dynprof::parse_script("insert-file all\nstart\nquit\n"));
-  launch.engine().run();
+  dynprof::PolicyRun run(std::move(options), {});
+  run.run();
+  dynprof::Launch& launch = run.launch();
 
   std::puts("Figure 4: VGV time-line display of sweep3d, 8 MPI x 4 OpenMP\n");
   const std::string timeline = analysis::render_timeline(*launch.trace());

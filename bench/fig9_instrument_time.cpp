@@ -10,25 +10,17 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "dynprof/tool.hpp"
 
 namespace {
 
 double instrument_time(const dyntrace::asci::AppSpec& app, int nprocs, double scale) {
   using namespace dyntrace;
-  dynprof::Launch::Options options;
-  options.app = &app;
-  options.params.nprocs = nprocs;
-  options.params.problem_scale = scale;
-  options.policy = dynprof::Policy::kDynamic;
-  dynprof::Launch launch(std::move(options));
-
-  dynprof::DynprofTool::Options topt;
-  topt.command_files = {{"subset.txt", app.dynamic_list}};
-  dynprof::DynprofTool tool(launch, std::move(topt));
-  tool.run_script(dynprof::parse_script("insert-file subset.txt\nstart\nquit\n"));
-  launch.engine().run();
-  return sim::to_seconds(tool.create_and_instrument_time());
+  dynprof::RunConfig config;
+  config.app = &app;
+  config.policy = dynprof::Policy::kDynamic;
+  config.nprocs = nprocs;
+  config.problem_scale = scale;
+  return dynprof::run_policy(config).create_instrument_seconds;
 }
 
 }  // namespace

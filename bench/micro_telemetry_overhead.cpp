@@ -64,14 +64,15 @@ CellResult run_cell(const asci::AppSpec& app, double scale, telemetry::Level lev
   config.problem_scale = scale;
   config.telemetry_level = level;
   CellResult result;
-  config.telemetry_sink = [&](const telemetry::Registry& reg) {
-    result.snapshot = reg.snapshot();
-  };
   const double begin = cpu_seconds();
-  const dynprof::PolicyResult r = dynprof::run_policy(config);
+  {
+    dynprof::PolicyRun run(config);
+    const dynprof::PolicyResult r = run.run();
+    result.trace_digest = r.trace_digest;
+    result.stats_digest = r.stats_digest;
+    result.snapshot = run.launch().telemetry_registry().snapshot();
+  }
   result.cpu_s = cpu_seconds() - begin;
-  result.trace_digest = r.trace_digest;
-  result.stats_digest = r.stats_digest;
   return result;
 }
 
@@ -229,22 +230,19 @@ int main(int argc, char** argv) {
 
   // --- Part 3: the Perfetto artifact (adaptive run at spans level) ---------
   std::puts("\nPart 3: span export from one adaptive run (confsync + reduce)\n");
-  std::string spans_json;
   dynprof::RunConfig adaptive;
   adaptive.app = &app;
   adaptive.policy = dynprof::Policy::kAdaptive;
   adaptive.nprocs = 64;
   adaptive.problem_scale = scale / 2;
   adaptive.telemetry_level = telemetry::Level::kSpans;
-  std::size_t span_events = 0;
-  adaptive.telemetry_sink = [&](const telemetry::Registry& reg) {
-    spans_json = reg.chrome_trace_json();
-    span_events = reg.span_event_count();
-  };
-  const dynprof::PolicyResult spans_run = dynprof::run_policy(adaptive);
+  dynprof::PolicyRun spans_cell(adaptive);
+  const dynprof::PolicyResult spans_run = spans_cell.run();
+  const telemetry::Registry& spans_registry = spans_cell.launch().telemetry_registry();
+  const std::size_t span_events = spans_registry.span_event_count();
   {
     std::ofstream out(spans_path);
-    out << spans_json;
+    out << spans_registry.chrome_trace_json();
   }
   std::printf("  %zu span event(s) from %llu confsync round(s) -> %s "
               "(load at https://ui.perfetto.dev)\n",

@@ -15,6 +15,8 @@
 //
 // The name "subset" in insert-file refers to the application's built-in
 // important-function list (Table 2); "all" selects every user function.
+// Every policy runs through one dynprof::PolicyRun, so every output flag
+// works under every policy; a flag with nothing to act on is an error.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -34,7 +36,6 @@
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/metrics.hpp"
 
 using namespace dyntrace;
 
@@ -135,7 +136,10 @@ int main(int argc, char** argv) {
                   /*optional=*/true)
       .option_int("cpus", "processors (MPI ranks / OpenMP threads)", &cpus)
       .option_double("scale", "problem scale factor", &scale)
-      .option_string("script", "command script (default: read stdin)", &script_path)
+      .option_string("script",
+                     "command script (dynamic: default reads stdin; adaptive: default "
+                     "inserts 'all')",
+                     &script_path)
       .option_string("timefile", "write dynprof internal timings here", &timefile_path)
       .option_string("trace", "write the VGV trace file here", &tracefile_path)
       .option_string("trace-bin", "write the compact binary trace here", &tracebin_path)
@@ -173,6 +177,9 @@ int main(int argc, char** argv) {
       return run_report(subcommand_arg);
     }
 
+    DT_EXPECT(subcommand_arg.empty(), "unexpected argument '", subcommand_arg,
+              "' (only the 'report' subcommand takes one)");
+
     std::shared_ptr<replay::ReplayApp> replay_app;
     const asci::AppSpec* app = nullptr;
     if (is_trace_target(app_name)) {
@@ -199,59 +206,66 @@ int main(int argc, char** argv) {
     }
 
     const dynprof::Policy policy = dynprof::policy_from_string(policy_name);
+    const bool with_tool =
+        policy == dynprof::Policy::kDynamic || policy == dynprof::Policy::kAdaptive;
+    DT_EXPECT(with_tool || script_path.empty(),
+              "--script needs a dynprof tool (--policy dynamic or adaptive)");
+    DT_EXPECT(with_tool || timefile_path.empty(),
+              "--timefile needs a dynprof tool (--policy dynamic or adaptive)");
+    DT_EXPECT(fault_seed < 0 || !fault_plan_path.empty(), "--fault-seed needs --fault-plan");
+    DT_EXPECT(!replay_strict || replay_app != nullptr, "--replay-strict needs a trace target");
+    DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
+    const telemetry::Level level = telemetry::level_from_string(telemetry_level);
+    DT_EXPECT(telemetry_trace_path.empty() || level == telemetry::Level::kSpans,
+              "--telemetry-trace needs --telemetry=spans");
 
+    // Dynamic reads its script from --script or stdin; Adaptive runs the
+    // default "insert-file all" script unless --script names one.
     std::string script_text;
-    if (policy == dynprof::Policy::kDynamic) {
-      if (!script_path.empty()) {
-        std::ifstream in(script_path);
-        DT_EXPECT(in.good(), "cannot open script '", script_path, "'");
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        script_text = ss.str();
-      } else {
-        std::ostringstream ss;
-        ss << std::cin.rdbuf();
-        script_text = ss.str();
-      }
+    if (!script_path.empty()) {
+      script_text = slurp_file(script_path);
+    } else if (policy == dynprof::Policy::kDynamic) {
+      std::ostringstream ss;
+      ss << std::cin.rdbuf();
+      script_text = ss.str();
+    }
+    if (policy == dynprof::Policy::kDynamic || !script_text.empty()) {
+      DT_EXPECT(!dynprof::parse_script(script_text).empty(),
+                "empty command script (need at least 'start')");
     }
 
-
-    std::optional<machine::MachineSpec> machine_spec;
+    dynprof::RunConfig config;
+    config.app = app;
+    config.policy = policy;
+    config.nprocs = cpus;
+    config.problem_scale = scale;
     if (!machine_profile.empty()) {
-      if (machine_profile.size() > 4 &&
-          machine_profile.substr(machine_profile.size() - 4) == ".ini") {
-        machine_spec = machine::spec_from_config(ConfigFile::load(machine_profile));
+      if (str::ends_with(machine_profile, ".ini")) {
+        config.machine = machine::spec_from_config(ConfigFile::load(machine_profile));
       } else {
-        machine_spec = machine::builtin_profile(machine_profile);
+        config.machine = machine::builtin_profile(machine_profile);
       }
     }
-    std::shared_ptr<fault::FaultInjector> injector;
     if (!fault_plan_path.empty()) {
       fault::FaultPlan plan = fault::FaultPlan::load(fault_plan_path);
       if (fault_seed >= 0) plan.seed = static_cast<std::uint64_t>(fault_seed);
-      injector = std::make_shared<fault::FaultInjector>(std::move(plan));
+      config.fault = std::make_shared<fault::FaultInjector>(std::move(plan));
     }
+    config.telemetry_level = level;
+    config.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
 
-    if (policy != dynprof::Policy::kDynamic) {
-      DT_EXPECT(injector == nullptr,
-                "--fault-plan applies to the dynamic (script-driven) policy path");
-      dynprof::RunConfig config;
-      config.app = app;
-      config.policy = policy;
-      config.nprocs = cpus;
-      config.problem_scale = scale;
-      config.machine = machine_spec;
-      config.telemetry_level = telemetry::level_from_string(telemetry_level);
-      DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
-      config.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
-      if (!telemetry_stats_path.empty()) {
-        config.telemetry_sink = [&](const telemetry::Registry& registry) {
-          std::ofstream out(telemetry_stats_path);
-          out << registry.stats_json();
-          std::printf("telemetry stats written to %s\n", telemetry_stats_path.c_str());
-        };
-      }
-      const dynprof::PolicyResult r = dynprof::run_policy(config);
+    dynprof::PolicyRun run(config, std::move(script_text));
+    const dynprof::PolicyResult r = run.run();
+    dynprof::Launch& launch = run.launch();
+    const dynprof::DynprofTool* tool = run.tool();
+
+    if (policy == dynprof::Policy::kDynamic) {
+      std::printf("application '%s' finished at t=%.3f s (main computation %.3f s)\n",
+                  app->name.c_str(), sim::to_seconds(launch.job().finish_time()),
+                  sim::to_seconds(launch.job().finish_time() - launch.init_complete_time()));
+      std::printf("create+instrument time: %.3f s; %zu function(s) instrumented\n",
+                  r.create_instrument_seconds, tool->instrumented_function_count());
+    } else {
       std::printf("application '%s' under policy %s on %d cpu(s):\n", app->name.c_str(),
                   dynprof::to_string(policy), r.nprocs);
       std::printf("  main computation %.3f s (total %.3f s)\n", r.app_seconds,
@@ -265,50 +279,14 @@ int main(int argc, char** argv) {
       std::printf("  trace digest %016llx  stats digest %016llx\n",
                   static_cast<unsigned long long>(r.trace_digest),
                   static_cast<unsigned long long>(r.stats_digest));
-      return 0;
     }
 
-    const auto script = dynprof::parse_script(script_text);
-    DT_EXPECT(!script.empty(), "empty command script (need at least 'start')");
-
-    dynprof::Launch::Options options;
-    options.app = app;
-    options.params.nprocs = cpus;
-    options.params.problem_scale = scale;
-    options.policy = dynprof::Policy::kDynamic;  // dynprof drives an uninstrumented build
-    options.machine = machine_spec;
-    options.fault = injector;
-    options.telemetry_level = telemetry::level_from_string(telemetry_level);
-    DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
-    options.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
-    dynprof::Launch launch(std::move(options));
-
-    dynprof::DynprofTool::Options topt;
-    topt.command_files = {{"subset", app->dynamic_list}};
-    std::vector<std::string> all_functions;
-    for (const auto& fn : app->symbols->all()) {
-      if (fn.module != "libmpi" && fn.module != "libvt") all_functions.push_back(fn.name);
-    }
-    topt.command_files.emplace_back("all", std::move(all_functions));
-
-    dynprof::DynprofTool tool(launch, std::move(topt));
-    tool.run_script(script);
-    launch.engine().run();
-    launch.collect_result();  // adds the VT libraries' event counts to the telemetry
-
-    std::printf("application '%s' finished at t=%.3f s (main computation %.3f s)\n",
-                app->name.c_str(), sim::to_seconds(launch.job().finish_time()),
-                sim::to_seconds(launch.job().finish_time() - launch.init_complete_time()));
-    std::printf("create+instrument time: %.3f s; %zu function(s) instrumented\n",
-                sim::to_seconds(tool.create_and_instrument_time()),
-                tool.instrumented_function_count());
-
-    if (injector != nullptr) {
-      if (injector->report().empty()) {
+    if (config.fault != nullptr) {
+      const fault::RunReport& report = config.fault->report();
+      if (report.empty()) {
         std::printf("fault report: no faults fired\n");
       } else {
-        std::printf("fault report (%zu event(s)):\n%s", injector->report().size(),
-                    injector->report().render().c_str());
+        std::printf("fault report (%zu event(s)):\n%s", report.size(), report.render().c_str());
       }
       const auto salvage = launch.trace()->salvage_stats();
       if (salvage.torn_shards > 0) {
@@ -322,10 +300,10 @@ int main(int argc, char** argv) {
 
     if (!timefile_path.empty()) {
       std::ofstream out(timefile_path);
-      out << tool.timefile_text();
+      out << tool->timefile_text();
       std::printf("timefile written to %s\n", timefile_path.c_str());
-    } else {
-      std::printf("\n%s", tool.timefile_text().c_str());
+    } else if (policy == dynprof::Policy::kDynamic) {
+      std::printf("\n%s", tool->timefile_text().c_str());
     }
 
     if (!tracefile_path.empty()) {
@@ -339,25 +317,25 @@ int main(int argc, char** argv) {
                   tracebin_path.c_str());
     }
 
+    const telemetry::Registry& registry = launch.telemetry_registry();
     if (!telemetry_stats_path.empty()) {
       std::ofstream out(telemetry_stats_path);
-      out << launch.telemetry_registry().stats_json();
+      out << registry.stats_json();
       std::printf("telemetry stats written to %s (render: dynprof_cli report %s)\n",
                   telemetry_stats_path.c_str(), telemetry_stats_path.c_str());
     }
     if (!telemetry_trace_path.empty()) {
-      DT_EXPECT(launch.telemetry_registry().spans_enabled(),
-                "--telemetry-trace needs --telemetry=spans");
       std::ofstream out(telemetry_trace_path);
-      out << launch.telemetry_registry().chrome_trace_json();
+      out << registry.chrome_trace_json();
       std::printf("span trace (%zu event(s)) written to %s -- load it at "
                   "https://ui.perfetto.dev\n",
-                  launch.telemetry_registry().span_event_count(), telemetry_trace_path.c_str());
+                  registry.span_event_count(), telemetry_trace_path.c_str());
     }
 
+    // The dynamic policy's default view adds the trace's top functions.
     if (show_report) {
       std::printf("\n%s", analysis::summary_report(*launch.trace(), app->symbols.get()).c_str());
-    } else {
+    } else if (policy == dynprof::Policy::kDynamic) {
       analysis::TraceAnalyzer analyzer(*launch.trace());
       std::printf("\ntop functions:\n%s",
                   analyzer.top_functions_table(app->symbols.get(), 10).c_str());

@@ -12,7 +12,6 @@
 #include "analysis/profile.hpp"
 #include "analysis/timeline.hpp"
 #include "dynprof/policy.hpp"
-#include "dynprof/tool.hpp"
 
 using namespace dyntrace;
 
@@ -61,50 +60,36 @@ const asci::AppSpec& mini_app() {
   return spec;
 }
 
-double run_policy(dynprof::Policy policy, std::uint64_t* trace_events) {
+dynprof::RunConfig mini_config(dynprof::Policy policy) {
   dynprof::RunConfig config;
   config.app = &mini_app();
   config.policy = policy;
   config.nprocs = 4;
-  const auto result = dynprof::run_policy(config);
-  if (trace_events != nullptr) *trace_events = result.trace_events;
-  return result.app_seconds;
+  return config;
 }
 
 }  // namespace
 
 int main() {
   // --- 2. Baseline: no subroutine instrumentation --------------------------
-  std::uint64_t none_events = 0;
-  const double none = run_policy(dynprof::Policy::kNone, &none_events);
-  std::printf("uninstrumented run:        %.3f s  (%llu trace events, MPI only)\n", none,
-              static_cast<unsigned long long>(none_events));
+  const auto none = dynprof::run_policy(mini_config(dynprof::Policy::kNone));
+  std::printf("uninstrumented run:        %.3f s  (%llu trace events, MPI only)\n",
+              none.app_seconds, static_cast<unsigned long long>(none.trace_events));
 
   // --- 3. dynprof: dynamic instrumentation of the hot function -------------
   //
-  // run_policy(kDynamic) drives the full paper workflow under the hood:
+  // A Dynamic PolicyRun drives the full paper workflow under the hood:
   // poe-create (suspended), DPCL connect, the Figure-6 MPI_Init hook,
   // deferred insertion of the requested probes, spin release, run.
-  std::uint64_t dyn_events = 0;
-  const double dynamic = run_policy(dynprof::Policy::kDynamic, &dyn_events);
-  std::printf("dynamically instrumented:  %.3f s  (%llu trace events)\n", dynamic,
-              static_cast<unsigned long long>(dyn_events));
-  std::printf("overhead: %.2f%%\n\n", 100.0 * (dynamic / none - 1.0));
+  dynprof::PolicyRun run(mini_config(dynprof::Policy::kDynamic));
+  const auto dynamic = run.run();
+  std::printf("dynamically instrumented:  %.3f s  (%llu trace events)\n", dynamic.app_seconds,
+              static_cast<unsigned long long>(dynamic.trace_events));
+  std::printf("overhead: %.2f%%\n\n", 100.0 * (dynamic.app_seconds / none.app_seconds - 1.0));
 
   // --- 4. Postmortem analysis (what the VGV GUI would display) -------------
-  dynprof::Launch::Options options;
-  options.app = &mini_app();
-  options.params.nprocs = 4;
-  options.policy = dynprof::Policy::kDynamic;
-  dynprof::Launch launch(std::move(options));
-  {
-    dynprof::DynprofTool::Options topt;
-    topt.command_files = {{"subset.txt", mini_app().dynamic_list}};
-    dynprof::DynprofTool tool(launch, std::move(topt));
-    tool.run_script(dynprof::parse_script("insert-file subset.txt\nstart\nquit\n"));
-    launch.engine().run();
-    std::printf("dynprof timefile:\n%s\n", tool.timefile_text().c_str());
-  }
+  dynprof::Launch& launch = run.launch();
+  std::printf("dynprof timefile:\n%s\n", run.tool()->timefile_text().c_str());
 
   // VT statistics include the aggregated calls (the trace itself holds one
   // representative enter/leave pair per aggregate batch).

@@ -1,8 +1,6 @@
 #include "control/controller.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "image/image.hpp"
@@ -106,17 +104,6 @@ sim::TimeNs BudgetController::on_break(vt::VtLib& vt) {
     a.residual += f.residual_cost;
     a.pairs += f.pairs + f.suppressed;
     a.exclusive += f.mean_exclusive * static_cast<sim::TimeNs>(f.pairs);
-  }
-
-  if (std::getenv("DT_CONTROL_DEBUG") != nullptr) {
-    std::fprintf(stderr, "[control] sync %llu window %.3fs total %.3fs (%.1f%%)\n",
-                 static_cast<unsigned long long>(sync), est.window / 1e9,
-                 est.total_cost / 1e9, est.overhead_fraction() * 100);
-    for (const auto& [index, a] : accs) {
-      std::fprintf(stderr, "  group %-18s cur %.4fs act %.4fs pairs %llu\n",
-                   groups_[index].key.c_str(), a.current / 1e9, a.active / 1e9,
-                   static_cast<unsigned long long>(a.pairs));
-    }
   }
 
   const double window = static_cast<double>(est.window);

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "control/controller.hpp"
-#include "control/overlay.hpp"
 #include "fault/injector.hpp"
-#include "guide/compiler.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
 
@@ -17,18 +14,19 @@ constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return SplitMix64(h ^ v).next();
 }
 
-/// Nodes a job's placement spans (same arithmetic as Cluster::place_block).
-int nodes_for(const machine::MachineSpec& spec, const MultiJobOptions::Job& job) {
-  const asci::AppSpec& app = *job.app;
-  const int nprocs = app.model == asci::AppSpec::Model::kOpenMP ? 1 : job.params.nprocs;
-  const int cpus_per_proc = app.model == asci::AppSpec::Model::kOpenMP
-                                ? job.params.nprocs
-                                : job.params.threads_per_rank;
+/// The node span and per-node CPUs a job's placement takes (same
+/// arithmetic as Cluster::place_block).
+machine::Cluster::JobSpan span_for(const machine::MachineSpec& spec,
+                                   const MultiJobOptions::Job& job) {
+  const bool openmp = job.app->model == asci::AppSpec::Model::kOpenMP;
+  const int nprocs = openmp ? 1 : job.params.nprocs;
+  const int cpus_per_proc = openmp ? job.params.nprocs : job.params.threads_per_rank;
   const int units_per_node = (spec.cpus_per_node - job.first_cpu) / cpus_per_proc;
   DT_EXPECT(units_per_node >= 1, "job '", job.name, "': a ", cpus_per_proc,
             "-cpu rank at offset ", job.first_cpu, " does not fit on a ",
             spec.cpus_per_node, "-cpu node");
-  return (nprocs + units_per_node - 1) / units_per_node;
+  return {job.name, job.first_node, (nprocs + units_per_node - 1) / units_per_node,
+          job.first_cpu, units_per_node * cpus_per_proc};
 }
 
 }  // namespace
@@ -67,16 +65,9 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
   // model, and register_job validates spans against the machine.
   int last_app_node = 0;
   for (const auto& job : options_.jobs) {
-    const int node_count = nodes_for(cluster_->spec(), job);
-    const int cpus_per_proc = job.app->model == asci::AppSpec::Model::kOpenMP
-                                  ? job.params.nprocs
-                                  : job.params.threads_per_rank;
-    const int units_per_node =
-        (cluster_->spec().cpus_per_node - job.first_cpu) / cpus_per_proc;
-    cluster_->register_job(machine::Cluster::JobSpan{
-        job.name, job.first_node, node_count, job.first_cpu,
-        units_per_node * cpus_per_proc});
-    last_app_node = std::max(last_app_node, job.first_node + node_count - 1);
+    const machine::Cluster::JobSpan span = span_for(cluster_->spec(), job);
+    cluster_->register_job(span);
+    last_app_node = std::max(last_app_node, span.first_node + span.node_count - 1);
   }
 
   // Every Dynamic/Adaptive job gets its own login node above the union
@@ -92,6 +83,7 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     tool_nodes[j] = next_tool_node++;
   }
 
+  // Build every job's Launch first, then arm the tool jobs in job order.
   Rng seed_rng(options_.seed ^ 0x6a6f62);  // "job"
   for (std::size_t j = 0; j < options_.jobs.size(); ++j) {
     const auto& job = options_.jobs[j];
@@ -99,10 +91,6 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.app = job.app;
     lo.params = job.params;
     if (lo.params.seed == 42) lo.params.seed = seed_rng.next_u64();  // per-job default
-    if (job.policy == Policy::kAdaptive) {
-      lo.params.confsync_interval = options_.confsync_interval;
-      lo.params.confsync_statistics = true;
-    }
     lo.policy = job.policy;
     lo.first_app_node = job.first_node;
     lo.first_app_cpu = job.first_cpu;
@@ -112,55 +100,15 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.shared_engine = &engine_;
     lo.shared_cluster = cluster_.get();
     lo.shared_telemetry = telemetry_.get();
-    launches_.push_back(std::make_unique<Launch>(std::move(lo)));
+    PolicyRun::Arming arming;
+    arming.script = job.script;
+    arming.confsync_interval = options_.confsync_interval;
+    arming.tree_arity = options_.tree_arity;
+    arming.tool_node = tool_nodes[j];
+    arming.tool_pid = 100000 + static_cast<int>(j) * 1000;
+    runs_.push_back(std::make_unique<PolicyRun>(std::move(lo), std::move(arming)));
   }
-
-  for (std::size_t j = 0; j < options_.jobs.size(); ++j) {
-    const auto& job = options_.jobs[j];
-    Launch& launch = *launches_[j];
-    if (job.policy != Policy::kDynamic && job.policy != Policy::kAdaptive) {
-      tools_.push_back(nullptr);
-      overlays_.push_back(nullptr);
-      controllers_.push_back(nullptr);
-      continue;
-    }
-
-    DynprofTool::Options to;
-    to.tool_node = tool_nodes[j];
-    to.tool_pid = 100000 + static_cast<int>(j) * 1000;
-    std::shared_ptr<control::StatsOverlay> overlay;
-    std::unique_ptr<control::BudgetController> controller;
-    if (job.policy == Policy::kAdaptive) {
-      std::vector<std::string> all_user;
-      for (const auto& fn : job.app->symbols->all()) {
-        if (!guide::is_runtime_module(fn.module)) all_user.push_back(fn.name);
-      }
-      to.command_files = {{"all.txt", std::move(all_user)}};
-      if (options_.tree_arity > 0) {
-        overlay = std::make_shared<control::StatsOverlay>(options_.tree_arity);
-        overlay->prepare(launch.process_count());
-        overlay->set_job(launch.job_name());
-      }
-      for (int pid = 0; pid < launch.process_count(); ++pid) {
-        if (overlay) launch.vt(pid).set_stats_aggregator(overlay);
-        control::install_probe_edit_applier(launch.vt(pid));
-      }
-      controller = std::make_unique<control::BudgetController>(control::ControllerOptions{});
-      controller->attach(launch.vt(0), launch.staged());
-    } else {
-      to.command_files = {{"subset.txt", job.app->dynamic_list}};
-    }
-    auto tool = std::make_unique<DynprofTool>(launch, std::move(to));
-    std::string script = job.script;
-    if (script.empty()) {
-      script = job.policy == Policy::kAdaptive ? "insert-file all.txt\nstart\nquit\n"
-                                               : "insert-file subset.txt\nstart\nquit\n";
-    }
-    tool->run_script(parse_script(script));
-    tools_.push_back(std::move(tool));
-    overlays_.push_back(std::move(overlay));
-    controllers_.push_back(std::move(controller));
-  }
+  for (auto& run : runs_) run->arm();
 }
 
 MultiJobLaunch::~MultiJobLaunch() = default;
@@ -168,37 +116,27 @@ MultiJobLaunch::~MultiJobLaunch() = default;
 MultiJobResult MultiJobLaunch::run_to_completion() {
   DT_EXPECT(!ran_, "run_to_completion called twice");
   ran_ = true;
-  for (std::size_t j = 0; j < launches_.size(); ++j) {
-    if (tools_[j] == nullptr) launches_[j]->start();  // tools start their own job
-  }
+  for (auto& run : runs_) run->start();  // tools start their own job
   engine_.run();
 
   MultiJobResult result;
   result.combined_digest = 0x6d756c74696a6f62ULL;  // "multijob"
   sim::TimeNs end = 0;
-  for (const auto& launch : launches_) {
-    end = std::max(end, launch->job().finish_time());
+  for (auto& run : runs_) {
+    end = std::max(end, run->launch().job().finish_time());
   }
-  for (std::size_t j = 0; j < launches_.size(); ++j) {
-    Launch& launch = *launches_[j];
-    if (tools_[j] != nullptr) {
-      DT_ASSERT(tools_[j]->finished(), "job '", launch.job_name(),
-                "'s dynprof tool did not finish");
-    }
-    const Launch::Result r = launch.collect_result();
+  for (auto& run : runs_) {
+    const PolicyResult r = run->finish();
     MultiJobResult::JobResult jr;
-    jr.job = launch.job_name();
-    jr.policy = options_.jobs[j].policy;
-    jr.nprocs = launch.process_count();
+    jr.job = run->launch().job_name();
+    jr.policy = r.policy;
+    jr.nprocs = run->launch().process_count();
     jr.app_seconds = r.app_seconds;
     jr.total_seconds = r.total_seconds;
+    jr.create_instrument_seconds = r.create_instrument_seconds;
     jr.trace_events = r.trace_events;
-    if (tools_[j] != nullptr) {
-      jr.create_instrument_seconds =
-          sim::to_seconds(tools_[j]->create_and_instrument_time());
-    }
-    jr.trace_digest = launch.trace()->digest();
-    jr.stats_digest = vt::stats_digest(launch.vt(0).statistics());
+    jr.trace_digest = r.trace_digest;
+    jr.stats_digest = r.stats_digest;
     jr.lost_ranks = cluster_->fault_injector().dead_ranks(end, jr.job);
     result.combined_digest = fold(result.combined_digest, jr.trace_digest);
     result.combined_digest = fold(result.combined_digest, jr.stats_digest);

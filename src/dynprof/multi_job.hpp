@@ -29,13 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "dynprof/launch.hpp"
-#include "dynprof/tool.hpp"
-
-namespace dyntrace::control {
-class StatsOverlay;
-class BudgetController;
-}  // namespace dyntrace::control
+#include "dynprof/policy.hpp"
 
 namespace dyntrace::dynprof {
 
@@ -101,10 +95,10 @@ class MultiJobLaunch {
 
   machine::Cluster& cluster() { return *cluster_; }
   telemetry::Registry& telemetry_registry() { return *telemetry_; }
-  std::size_t job_count() const { return launches_.size(); }
-  Launch& launch(std::size_t job) { return *launches_[job]; }
+  std::size_t job_count() const { return runs_.size(); }
+  Launch& launch(std::size_t job) { return runs_[job]->launch(); }
   /// The job's tool instance; null for static-policy jobs.
-  DynprofTool* tool(std::size_t job) { return tools_[job].get(); }
+  DynprofTool* tool(std::size_t job) { return runs_[job]->tool(); }
 
   /// Start every job (static jobs directly, Dynamic/Adaptive through their
   /// tools), run the shared engine to completion, and collect per-job
@@ -117,10 +111,7 @@ class MultiJobLaunch {
   std::optional<telemetry::ScopedRegistry> scoped_registry_;
   sim::Engine engine_;
   std::unique_ptr<machine::Cluster> cluster_;
-  std::vector<std::unique_ptr<Launch>> launches_;
-  std::vector<std::unique_ptr<DynprofTool>> tools_;  ///< null per static job
-  std::vector<std::shared_ptr<control::StatsOverlay>> overlays_;
-  std::vector<std::unique_ptr<control::BudgetController>> controllers_;
+  std::vector<std::unique_ptr<PolicyRun>> runs_;
   bool ran_ = false;
 };
 

@@ -14,92 +14,125 @@ std::vector<int> cpu_counts_for(const asci::AppSpec& app) {
   return counts;
 }
 
-PolicyResult run_policy(const RunConfig& config) {
-  DT_EXPECT(config.app != nullptr, "run_policy needs an application");
+namespace {
 
+Launch::Options launch_options(const RunConfig& config) {
+  DT_EXPECT(config.app != nullptr, "run_policy needs an application");
   Launch::Options options;
   options.app = config.app;
   options.params.nprocs = config.nprocs;
   options.params.problem_scale = config.problem_scale;
   options.params.seed = config.seed;
-  if (config.policy == Policy::kAdaptive) {
-    options.params.confsync_interval = config.confsync_interval;
-    options.params.confsync_statistics = true;
-  }
   options.policy = config.policy;
   options.machine = config.machine;
   options.telemetry_level = config.telemetry_level;
   options.trace_spill_bytes = config.trace_spill_bytes;
-  Launch launch(std::move(options));
+  options.fault = config.fault;
+  return options;
+}
 
-  PolicyResult result;
-  result.policy = config.policy;
-  result.nprocs = config.nprocs;
+PolicyRun::Arming arming(const RunConfig& config, std::string script) {
+  PolicyRun::Arming arming;
+  arming.script = std::move(script);
+  arming.confsync_interval = config.confsync_interval;
+  arming.tree_arity = config.tree_arity;
+  arming.controller = config.controller;
+  return arming;
+}
 
-  if (config.policy == Policy::kAdaptive) {
-    // Full dynamic coverage first (every user function gets probes), then
-    // the controller earns the budget back at safe points.
-    std::vector<std::string> all_user;
-    for (const auto& fn : config.app->symbols->all()) {
-      if (!guide::is_runtime_module(fn.module)) all_user.push_back(fn.name);
-    }
-    DynprofTool::Options tool_options;
-    tool_options.command_files = {{"all.txt", all_user}};
-    DynprofTool tool(launch, std::move(tool_options));
+}  // namespace
 
-    std::shared_ptr<control::StatsOverlay> overlay;
-    if (config.tree_arity > 0) {
-      overlay = std::make_shared<control::StatsOverlay>(config.tree_arity);
-      overlay->prepare(launch.process_count());
-      overlay->set_job(launch.job_name());
-    }
-    for (int pid = 0; pid < launch.process_count(); ++pid) {
-      if (overlay) launch.vt(pid).set_stats_aggregator(overlay);
-      control::install_probe_edit_applier(launch.vt(pid));
-    }
-    control::BudgetController controller(config.controller);
-    controller.attach(launch.vt(0), launch.staged());
-
-    tool.run_script(parse_script("insert-file all.txt\nstart\nquit\n"));
-    launch.engine().run();
-    DT_ASSERT(tool.finished(), "dynprof tool did not finish");
-
-    const Launch::Result r = launch.collect_result();
-    result.app_seconds = r.app_seconds;
-    result.total_seconds = r.total_seconds;
-    result.trace_events = r.trace_events;
-    result.filtered_events = r.filtered_events;
-    result.create_instrument_seconds = sim::to_seconds(tool.create_and_instrument_time());
-    result.confsyncs = launch.vt(0).confsyncs();
-    result.decisions = controller.log();
-  } else if (config.policy == Policy::kDynamic) {
-    // "The programs were suspended after completing MPI_Init, and then a
-    // list of functions was dynamically instrumented using an insert-file
-    // command" (§4.2).
-    DynprofTool::Options tool_options;
-    tool_options.command_files = {{"subset.txt", config.app->dynamic_list}};
-    DynprofTool tool(launch, std::move(tool_options));
-    tool.run_script(parse_script("insert-file subset.txt\nstart\nquit\n"));
-    launch.engine().run();
-    DT_ASSERT(tool.finished(), "dynprof tool did not finish");
-
-    const Launch::Result r = launch.collect_result();
-    result.app_seconds = r.app_seconds;
-    result.total_seconds = r.total_seconds;
-    result.trace_events = r.trace_events;
-    result.filtered_events = r.filtered_events;
-    result.create_instrument_seconds = sim::to_seconds(tool.create_and_instrument_time());
-  } else {
-    const Launch::Result r = launch.run_to_completion();
-    result.app_seconds = r.app_seconds;
-    result.total_seconds = r.total_seconds;
-    result.trace_events = r.trace_events;
-    result.filtered_events = r.filtered_events;
+PolicyRun::PolicyRun(Launch::Options options, Arming arming) : arming_(std::move(arming)) {
+  if (options.policy == Policy::kAdaptive) {
+    options.params.confsync_interval = arming_.confsync_interval;
+    options.params.confsync_statistics = true;
   }
-  result.trace_digest = launch.trace()->digest();
-  result.stats_digest = vt::stats_digest(launch.vt(0).statistics());
-  if (config.telemetry_sink) config.telemetry_sink(launch.telemetry_registry());
+  launch_ = std::make_unique<Launch>(std::move(options));
+}
+
+PolicyRun::PolicyRun(const RunConfig& config, std::string script)
+    : PolicyRun(launch_options(config), arming(config, std::move(script))) {}
+
+PolicyRun::~PolicyRun() = default;
+
+void PolicyRun::arm() {
+  if (armed_) return;
+  armed_ = true;
+  const Policy policy = launch_->options().policy;
+  if (policy != Policy::kDynamic && policy != Policy::kAdaptive) return;
+
+  // "The programs were suspended after completing MPI_Init, and then a
+  // list of functions was dynamically instrumented using an insert-file
+  // command" (§4.2).  Adaptive starts from full dynamic coverage, and the
+  // controller earns the budget back at safe points.
+  const asci::AppSpec& app = *launch_->options().app;
+  DynprofTool::Options tool_options;
+  tool_options.tool_node = arming_.tool_node;
+  tool_options.tool_pid = arming_.tool_pid;
+  std::vector<std::string> all_user;
+  for (const auto& fn : app.symbols->all()) {
+    if (!guide::is_runtime_module(fn.module)) all_user.push_back(fn.name);
+  }
+  tool_options.command_files = {{"subset", app.dynamic_list}, {"all", std::move(all_user)}};
+  tool_ = std::make_unique<DynprofTool>(*launch_, std::move(tool_options));
+
+  if (policy == Policy::kAdaptive) {
+    if (arming_.tree_arity > 0) {
+      overlay_ = std::make_shared<control::StatsOverlay>(arming_.tree_arity);
+      overlay_->prepare(launch_->process_count());
+      overlay_->set_job(launch_->job_name());
+    }
+    for (int pid = 0; pid < launch_->process_count(); ++pid) {
+      if (overlay_) launch_->vt(pid).set_stats_aggregator(overlay_);
+      control::install_probe_edit_applier(launch_->vt(pid));
+    }
+    controller_ = std::make_unique<control::BudgetController>(arming_.controller);
+    controller_->attach(launch_->vt(0), launch_->staged());
+  }
+
+  std::string script = arming_.script;
+  if (script.empty()) {
+    script = policy == Policy::kAdaptive ? "insert-file all\nstart\nquit\n"
+                                         : "insert-file subset\nstart\nquit\n";
+  }
+  tool_->run_script(parse_script(script));
+}
+
+void PolicyRun::start() {
+  arm();
+  if (tool_ == nullptr) launch_->start();
+}
+
+PolicyResult PolicyRun::finish() {
+  if (tool_ != nullptr) {
+    DT_ASSERT(tool_->finished(), "job '", launch_->job_name(), "'s dynprof tool did not finish");
+  }
+  const Launch::Result r = launch_->collect_result();
+  PolicyResult result;
+  result.policy = launch_->options().policy;
+  result.nprocs = launch_->options().params.nprocs;
+  result.app_seconds = r.app_seconds;
+  result.total_seconds = r.total_seconds;
+  result.trace_events = r.trace_events;
+  result.filtered_events = r.filtered_events;
+  if (tool_ != nullptr) {
+    result.create_instrument_seconds = sim::to_seconds(tool_->create_and_instrument_time());
+  }
+  if (controller_ != nullptr) {
+    result.confsyncs = launch_->vt(0).confsyncs();
+    result.decisions = controller_->log();
+  }
+  result.trace_digest = launch_->trace()->digest();
+  result.stats_digest = vt::stats_digest(launch_->vt(0).statistics());
   return result;
 }
+
+PolicyResult PolicyRun::run() {
+  start();
+  launch_->engine().run();
+  return finish();
+}
+
+PolicyResult run_policy(const RunConfig& config) { return PolicyRun(config).run(); }
 
 }  // namespace dyntrace::dynprof

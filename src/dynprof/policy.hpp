@@ -2,13 +2,18 @@
 // policy (paper Table 3) and measure what Figures 7 and 9 plot.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "dynprof/launch.hpp"
 #include "dynprof/tool.hpp"
+
+namespace dyntrace::control {
+class StatsOverlay;
+}  // namespace dyntrace::control
 
 namespace dyntrace::dynprof {
 
@@ -26,9 +31,8 @@ struct RunConfig {
   /// where records live only -- digests, statistics, and decision logs are
   /// bit-identical to the in-memory run.
   std::size_t trace_spill_bytes = 0;
-  /// Capture the run's telemetry artifacts after completion (set by the CLI
-  /// when --telemetry-stats/--telemetry-trace ask for files).
-  std::function<void(const telemetry::Registry&)> telemetry_sink;
+  /// Fault injector driving the run (see Launch::Options); null = no plan.
+  std::shared_ptr<fault::FaultInjector> fault;
 
   // --- Policy::kAdaptive only ----------------------------------------------
   /// Budget controller configuration (see control::ControllerOptions).
@@ -60,6 +64,65 @@ struct PolicyResult {
   std::uint64_t stats_digest = 0;
   /// The controller's decision trail (Adaptive only; empty otherwise).
   control::DecisionLog decisions;
+};
+
+/// One application run under one policy: the one place a Launch is armed
+/// for its policy.  A Dynamic or Adaptive run gets a dynprof tool with the
+/// command files `subset` (the app's dynamic_list) and `all` (every
+/// non-runtime function); an Adaptive run also gets the statistics
+/// overlay, a probe-edit applier on every rank and the budget controller.
+///
+/// Two phases, so a multi-job scenario can build every Launch before it
+/// arms any job: the constructor builds the Launch, arm() arms it and
+/// queues the tool's script; start() starts a static job (a tool starts
+/// its own), the caller runs the engine, and finish() collects the result.
+/// run() does all of it for a run that owns its engine.
+class PolicyRun {
+ public:
+  /// How a Dynamic/Adaptive run is armed; static policies ignore it.
+  struct Arming {
+    /// The dynprof command script; empty = "insert-file subset" (Dynamic)
+    /// or "insert-file all" (Adaptive), then start and quit.
+    std::string script;
+    /// Adaptive: safe-point cadence (AppParams::confsync_interval).
+    int confsync_interval = 36;
+    /// Adaptive: statistics-overlay arity; 0 = legacy linear gather.
+    int tree_arity = 4;
+    /// Adaptive: the budget controller's configuration.
+    control::ControllerOptions controller;
+    /// The tool's node and simulated pid (see DynprofTool::Options).
+    int tool_node = -1;
+    int tool_pid = 100000;
+  };
+
+  PolicyRun(Launch::Options options, Arming arming);
+  /// A run_policy cell; `script` as Arming::script.
+  explicit PolicyRun(const RunConfig& config, std::string script = {});
+  ~PolicyRun();
+  PolicyRun(const PolicyRun&) = delete;
+  PolicyRun& operator=(const PolicyRun&) = delete;
+
+  /// Build the tool (and the Adaptive control plane) and queue its script.
+  /// Call before Engine::run(); a second call does nothing.
+  void arm();
+  /// Arm, then start a static-policy job.
+  void start();
+  /// Collect the result once the engine has run.
+  PolicyResult finish();
+  /// start(), run the engine to completion, finish().
+  PolicyResult run();
+
+  Launch& launch() { return *launch_; }
+  /// The run's dynprof tool; null for static policies or before arm().
+  DynprofTool* tool() { return tool_.get(); }
+
+ private:
+  Arming arming_;
+  std::unique_ptr<Launch> launch_;
+  std::unique_ptr<DynprofTool> tool_;
+  std::shared_ptr<control::StatsOverlay> overlay_;
+  std::unique_ptr<control::BudgetController> controller_;
+  bool armed_ = false;
 };
 
 /// Run one (app, policy, nprocs) cell of Figure 7.

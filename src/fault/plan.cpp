@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "support/common.hpp"
@@ -12,26 +11,6 @@
 namespace dyntrace::fault {
 
 namespace {
-
-struct KeyValue {
-  std::string key;
-  std::string value;
-};
-
-std::vector<std::string> split_ws(std::string_view line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : line) {
-    if (c == ' ' || c == '\t') {
-      if (!cur.empty()) out.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(std::move(cur));
-  return out;
-}
 
 /// A plan time: sim::parse_time, or "never".
 sim::TimeNs parse_time(const std::string& text, const std::string& where) {
@@ -52,96 +31,44 @@ Channel parse_channel(const std::string& text, const std::string& where) {
   fail(where, ": unknown channel '", text, "' (daemon, overlay, app)");
 }
 
-class ActionParser {
+/// The shared key=value reader plus the plan's own value kinds.
+class ActionParser : public str::KeyValueLine {
  public:
   ActionParser(const std::vector<std::string>& tokens, std::string where)
-      : where_(std::move(where)) {
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const auto eq = tokens[i].find('=');
-      DT_EXPECT(eq != std::string::npos && eq > 0, where_, ": expected key=value, got '",
-                tokens[i], "'");
-      pairs_.push_back(KeyValue{tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
-    }
-  }
+      : KeyValueLine(tokens, 1, std::move(where)) {}
 
-  std::optional<std::string> take(const std::string& key) {
-    for (auto it = pairs_.begin(); it != pairs_.end(); ++it) {
-      if (it->key == key) {
-        std::string value = it->value;
-        pairs_.erase(it);
-        return value;
-      }
-    }
-    return std::nullopt;
-  }
-
-  void apply_int(const std::string& key, int* out) {
-    const auto v = take(key);
-    if (!v) return;
-    const std::int64_t value = parse_int(*v);
-    DT_EXPECT(value >= std::numeric_limits<int>::min() &&
-                  value <= std::numeric_limits<int>::max(),
-              where_, ": ", key, "=", *v, " is out of range");
-    *out = static_cast<int>(value);
-  }
-  void apply_i64(const std::string& key, std::int64_t* out) {
-    if (auto v = take(key)) *out = parse_int(*v);
-  }
   /// A count or ordinal: -1 (the field's "unset") is only the default, so an
   /// explicit value must be >= 0.
   void apply_count(const std::string& key, std::int64_t* out) {
     const auto v = take(key);
     if (!v) return;
-    *out = parse_int(*v);
-    DT_EXPECT(*out >= 0, where_, ": ", key, " must be >= 0, got '", *v, "'");
+    *out = to_i64(*v);
+    DT_EXPECT(*out >= 0, where(), ": ", key, " must be >= 0, got '", *v, "'");
   }
   void apply_u64(const std::string& key, std::uint64_t* out) {
-    if (auto v = take(key)) *out = parse_index(*v, where_);
-  }
-  void apply_double(const std::string& key, double* out) {
-    if (auto v = take(key)) *out = parse_double(*v);
+    if (auto v = take(key)) *out = parse_index(*v, where());
   }
   /// A delay/stall/degrade multiplier: finite and in [1, kMaxFactor].
   void apply_factor(const std::string& verb, double* out) {
     const auto v = take("factor");
     if (!v) return;
-    *out = parse_double(*v);
-    DT_EXPECT(std::isfinite(*out) && *out >= 1.0 && *out <= kMaxFactor, where_, ": ", verb,
+    *out = to_f64(*v);
+    DT_EXPECT(std::isfinite(*out) && *out >= 1.0 && *out <= kMaxFactor, where(), ": ", verb,
               " factor must be in [1, ", kMaxFactor, "], got '", *v, "'");
   }
   void apply_time(const std::string& key, sim::TimeNs* out) {
-    if (auto v = take(key)) *out = parse_time(*v, where_);
+    if (auto v = take(key)) *out = parse_time(*v, where());
   }
   void apply_channel(const std::string& key, Channel* out) {
-    if (auto v = take(key)) *out = parse_channel(*v, where_);
+    if (auto v = take(key)) *out = parse_channel(*v, where());
   }
-
-  void finish() const {
-    DT_EXPECT(pairs_.empty(), where_, ": unknown key '",
-              pairs_.empty() ? "" : pairs_.front().key, "'");
-  }
-
- private:
-  std::int64_t parse_int(const std::string& text) const {
-    const auto v = str::parse_i64(text);
-    DT_EXPECT(v.has_value(), where_, ": bad integer '", text, "'");
-    return *v;
-  }
-  double parse_double(const std::string& text) const {
-    const auto v = str::parse_f64(text);
-    DT_EXPECT(v.has_value(), where_, ": bad number '", text, "'");
-    return *v;
-  }
-
-  std::string where_;
-  std::vector<KeyValue> pairs_;
 };
 
 void parse_message_selectors(ActionParser& p, FaultAction* action, const std::string& where) {
   p.apply_channel("channel", &action->channel);
   p.apply_int("src", &action->src);
   p.apply_int("dst", &action->dst);
-  p.apply_double("prob", &action->probability);
+  p.apply_f64("prob", &action->probability);
   p.apply_count("nth", &action->nth);
   p.apply_count("skip", &action->skip);
   p.apply_count("count", &action->count);
@@ -190,7 +117,7 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    const auto tokens = split_ws(line);
+    const auto tokens = str::split_ws(line);
     if (tokens.empty()) continue;
     const std::string where = str::format("%s:%d", origin.c_str(), line_no);
     const std::string& verb = tokens[0];
@@ -236,7 +163,7 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
       action.kind = FaultAction::Kind::kTearShard;
       p.apply_int("rank", &action.rank);
       p.apply_u64("spill", &action.spill);
-      p.apply_double("keep", &action.keep);
+      p.apply_f64("keep", &action.keep);
       if (auto v = p.take("job")) action.job = *v;
       DT_EXPECT(action.rank >= 0, where, ": tear-shard needs rank=");
       DT_EXPECT(action.keep >= 0 && action.keep < 1.0, where,

@@ -90,11 +90,25 @@ MachineSpec builtin_profile(const std::string& name) {
   fail("unknown machine profile '", name, "' (expected ibm-power3-sp, ia32-linux or generic)");
 }
 
+namespace {
+
+/// An int field, range-checked: a value that does not fit an int is a
+/// located error naming the file and the key, never a silent narrowing.
+int get_int_field(const ConfigFile& config, const char* section, const char* key,
+                  int fallback) {
+  const std::int64_t v = config.get_int(section, key, fallback);
+  DT_EXPECT(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
+            config.origin(), ": [", section, "] ", key, " = ", v, " is out of range");
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 MachineSpec spec_from_config(const ConfigFile& config) {
   MachineSpec s = builtin_profile(config.get_string("machine", "base", "generic"));
   s.name = config.get_string("machine", "name", s.name);
-  s.nodes = static_cast<int>(config.get_int("machine", "nodes", s.nodes));
-  s.cpus_per_node = static_cast<int>(config.get_int("machine", "cpus_per_node", s.cpus_per_node));
+  s.nodes = get_int_field(config, "machine", "nodes", s.nodes);
+  s.cpus_per_node = get_int_field(config, "machine", "cpus_per_node", s.cpus_per_node);
   s.cpu_mhz = config.get_double("machine", "cpu_mhz", s.cpu_mhz);
   s.memory_gb_per_node = config.get_double("machine", "memory_gb_per_node", s.memory_gb_per_node);
   s.link_latency =
@@ -114,6 +128,11 @@ MachineSpec spec_from_config(const ConfigFile& config) {
 
   DT_EXPECT(s.nodes >= 1, "machine.nodes must be >= 1");
   DT_EXPECT(s.cpus_per_node >= 1, "machine.cpus_per_node must be >= 1");
+  // total_cpus() is an int.
+  DT_EXPECT(static_cast<std::int64_t>(s.nodes) * s.cpus_per_node <=
+                std::numeric_limits<int>::max(),
+            config.origin(), ": [machine] nodes x cpus_per_node = ", s.nodes, " x ",
+            s.cpus_per_node, " is out of range");
   DT_EXPECT(s.bandwidth_bytes_per_us > 0, "machine.bandwidth must be positive");
   DT_EXPECT(s.latency_jitter >= 0 && s.latency_jitter < 1,
             "machine.latency_jitter must be in [0, 1)");
@@ -155,16 +174,16 @@ MachineSpec spec_from_config(const ConfigFile& config) {
   };
   FaultTolerance& f = s.fault;
   f.request_deadline = fault_ns("request_deadline_ns", f.request_deadline);
-  f.request_max_retries = static_cast<int>(
-      config.get_int("fault", "request_max_retries", f.request_max_retries));
+  f.request_max_retries =
+      get_int_field(config, "fault", "request_max_retries", f.request_max_retries);
   f.retry_backoff_base = fault_ns("retry_backoff_base_ns", f.retry_backoff_base);
   f.overlay_child_timeout = fault_ns("overlay_child_timeout_ns", f.overlay_child_timeout);
   f.init_callback_timeout = fault_ns("init_callback_timeout_ns", f.init_callback_timeout);
   f.sync_quorum = config.get_double("fault", "sync_quorum", f.sync_quorum);
   f.health_alpha = config.get_double("fault", "health_alpha", f.health_alpha);
   f.health_latency_ref = fault_ns("health_latency_ref_ns", f.health_latency_ref);
-  f.breaker_failure_threshold = static_cast<int>(config.get_int(
-      "fault", "breaker_failure_threshold", f.breaker_failure_threshold));
+  f.breaker_failure_threshold =
+      get_int_field(config, "fault", "breaker_failure_threshold", f.breaker_failure_threshold);
   f.breaker_score_floor =
       config.get_double("fault", "breaker_score_floor", f.breaker_score_floor);
   f.breaker_cooldown = fault_ns("breaker_cooldown_ns", f.breaker_cooldown);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <system_error>
@@ -80,21 +78,6 @@ constexpr VerbName kReplayedVerbs[] = {
     {"MPI_Alltoall", Verb::kAlltoall},
 };
 
-std::vector<std::string> split_ws(std::string_view line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!cur.empty()) out.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(std::move(cur));
-  return out;
-}
-
 bool all_digits(std::string_view s) {
   if (s.empty()) return false;
   return std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
@@ -110,71 +93,6 @@ int parse_bounded(const std::string& digits, int max, const std::string& where,
             ": ", what, " ", digits, " out of range (at most ", max, ")");
   return static_cast<int>(value);
 }
-
-/// key=value accessor over one event line's trailing tokens.
-class EventParser {
- public:
-  EventParser(const std::vector<std::string>& tokens, std::size_t first,
-              std::string where)
-      : where_(std::move(where)) {
-    for (std::size_t i = first; i < tokens.size(); ++i) {
-      const auto eq = tokens[i].find('=');
-      DT_EXPECT(eq != std::string::npos && eq > 0, where_, ": expected key=value, got '",
-                tokens[i], "'");
-      pairs_.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
-    }
-  }
-
-  std::optional<std::string> take(const std::string& key) {
-    for (auto it = pairs_.begin(); it != pairs_.end(); ++it) {
-      if (it->first == key) {
-        std::string value = it->second;
-        pairs_.erase(it);
-        return value;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::string require(const std::string& key, const char* verb) {
-    auto v = take(key);
-    DT_EXPECT(v.has_value(), where_, ": ", verb, " needs ", key, "=");
-    return *v;
-  }
-
-  int as_int(const std::string& value) const {
-    const std::int64_t v = as_i64(value);
-    DT_EXPECT(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
-              where_, ": integer '", value, "' out of range");
-    return static_cast<int>(v);
-  }
-  std::int64_t as_i64(const std::string& value) const {
-    const auto v = str::parse_i64(value);
-    DT_EXPECT(v.has_value(), where_, ": bad integer '", value, "'");
-    return *v;
-  }
-
-  void apply_int(const std::string& key, int* out) {
-    if (auto v = take(key)) *out = as_int(*v);
-  }
-  void apply_i64(const std::string& key, std::int64_t* out) {
-    if (auto v = take(key)) *out = as_i64(*v);
-  }
-  void apply_time(const std::string& key, sim::TimeNs* out) {
-    if (auto v = take(key)) *out = sim::parse_time(*v, where_);
-  }
-
-  void finish() const {
-    DT_EXPECT(pairs_.empty(), where_, ": unknown key '",
-              pairs_.empty() ? "" : pairs_.front().first, "'");
-  }
-
-  const std::string& where() const { return where_; }
-
- private:
-  std::string where_;
-  std::vector<std::pair<std::string, std::string>> pairs_;
-};
 
 std::vector<std::string> split_commas(const std::string& text) {
   std::vector<std::string> out;
@@ -313,7 +231,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
-    const auto tokens = split_ws(line);
+    const auto tokens = str::split_ws(line);
     if (tokens.empty()) continue;
     const std::string where = str::format("%s:%d", origin.c_str(), line_no);
 
@@ -378,7 +296,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     }
     ev.verb = match->verb;
 
-    EventParser p(tokens, 3, where);
+    str::KeyValueLine p(tokens, 3, where);
     switch (ev.verb) {
       case Verb::kCall:
         ev.fn = p.require("fn", "call");
@@ -391,21 +309,21 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
         break;
       case Verb::kSend:
       case Verb::kIsend:
-        ev.peer = p.as_int(p.require("dst", verb_name.c_str()));
+        ev.peer = p.to_int(p.require("dst", verb_name));
         p.apply_int("tag", &ev.tag);
         p.apply_i64("bytes", &ev.bytes);
         break;
       case Verb::kRecv:
       case Verb::kIrecv:
-        ev.peer = p.as_int(p.require("src", verb_name.c_str()));
+        ev.peer = p.to_int(p.require("src", verb_name));
         p.apply_int("tag", &ev.tag);
         break;
       case Verb::kWait:
       case Verb::kWaitall:
         break;  // req= handled below
       case Verb::kSendrecv:
-        ev.peer = p.as_int(p.require("dst", "MPI_Sendrecv"));
-        ev.src = p.as_int(p.require("src", "MPI_Sendrecv"));
+        ev.peer = p.to_int(p.require("dst", "MPI_Sendrecv"));
+        ev.src = p.to_int(p.require("src", "MPI_Sendrecv"));
         p.apply_int("tag", &ev.tag);
         p.apply_i64("bytes", &ev.bytes);
         break;
@@ -413,7 +331,7 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
       case Verb::kReduce:
       case Verb::kGather:
       case Verb::kScatter:
-        ev.peer = p.as_int(p.require("root", verb_name.c_str()));
+        ev.peer = p.to_int(p.require("root", verb_name));
         p.apply_i64("bytes", &ev.bytes);
         break;
       case Verb::kBarrier:
@@ -425,12 +343,14 @@ ReplayTrace ReplayTrace::parse(std::string_view text, const std::string& origin,
     }
     if (ev.verb == Verb::kIsend || ev.verb == Verb::kIrecv || ev.verb == Verb::kWait ||
         ev.verb == Verb::kWaitall) {
-      ev.reqs = split_commas(p.require("req", verb_name.c_str()));
+      ev.reqs = split_commas(p.require("req", verb_name));
       DT_EXPECT(!ev.reqs.empty(), where, ": empty req= list");
       DT_EXPECT(ev.verb == Verb::kWaitall || ev.reqs.size() == 1, where, ": ",
                 verb_name, " takes a single req=");
     }
-    if (ev.verb != Verb::kCall && ev.verb != Verb::kSync) p.apply_time("dur", &ev.dur);
+    if (ev.verb != Verb::kCall && ev.verb != Verb::kSync) {
+      p.apply("dur", &ev.dur, [&where](const std::string& v) { return sim::parse_time(v, where); });
+    }
     p.finish();
 
     // Range checks shared by the p2p verbs.

@@ -5,6 +5,9 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+
+#include "support/common.hpp"
 
 namespace dyntrace::str {
 
@@ -119,6 +122,70 @@ std::optional<bool> parse_bool(std::string_view s) {
   if (t == "true" || t == "yes" || t == "on" || t == "1") return true;
   if (t == "false" || t == "no" || t == "off" || t == "0") return false;
   return std::nullopt;
+}
+
+KeyValueLine::KeyValueLine(const std::vector<std::string>& tokens, std::size_t first,
+                           std::string where)
+    : where_(std::move(where)) {
+  for (std::size_t i = first; i < tokens.size(); ++i) {
+    const auto eq = tokens[i].find('=');
+    DT_EXPECT(eq != std::string::npos && eq > 0, where_, ": expected key=value, got '",
+              tokens[i], "'");
+    pairs_.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
+  }
+}
+
+std::optional<std::string> KeyValueLine::take(std::string_view key) {
+  for (auto it = pairs_.begin(); it != pairs_.end(); ++it) {
+    if (it->first == key) {
+      std::string value = std::move(it->second);
+      pairs_.erase(it);
+      return value;
+    }
+  }
+  return std::nullopt;
+}
+
+std::string KeyValueLine::require(std::string_view key, std::string_view what) {
+  auto v = take(key);
+  DT_EXPECT(v.has_value(), where_, ": ", what, " needs ", key, "=");
+  return *v;
+}
+
+std::int64_t KeyValueLine::to_i64(const std::string& value) const {
+  const auto v = parse_i64(value);
+  DT_EXPECT(v.has_value(), where_, ": bad integer '", value, "'");
+  return *v;
+}
+
+int KeyValueLine::to_int(const std::string& value) const {
+  const std::int64_t v = to_i64(value);
+  DT_EXPECT(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
+            where_, ": integer '", value, "' is out of range");
+  return static_cast<int>(v);
+}
+
+double KeyValueLine::to_f64(const std::string& value) const {
+  const auto v = parse_f64(value);
+  DT_EXPECT(v.has_value(), where_, ": bad number '", value, "'");
+  return *v;
+}
+
+void KeyValueLine::apply_int(std::string_view key, int* out) {
+  if (auto v = take(key)) *out = to_int(*v);
+}
+
+void KeyValueLine::apply_i64(std::string_view key, std::int64_t* out) {
+  if (auto v = take(key)) *out = to_i64(*v);
+}
+
+void KeyValueLine::apply_f64(std::string_view key, double* out) {
+  if (auto v = take(key)) *out = to_f64(*v);
+}
+
+void KeyValueLine::finish() const {
+  DT_EXPECT(pairs_.empty(), where_, ": unknown key '", pairs_.empty() ? "" : pairs_.front().first,
+            "'");
 }
 
 std::string format(const char* fmt, ...) {

@@ -1,0 +1,119 @@
+// dynprof_cli end to end: every output flag works under every policy, and a
+// flag with nothing to act on under the chosen policy is an error, never
+// silently ignored.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/// A scratch directory private to the running test, removed on exit.
+struct TestDir {
+  TestDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path = fs::temp_directory_path() /
+           (std::string("dynprof_cli_") + info->name() + "_" + std::to_string(::getpid()));
+    fs::create_directories(path);
+  }
+  ~TestDir() { fs::remove_all(path); }
+  fs::path path;
+};
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Run dynprof_cli with `args` (stdin empty, stdout+stderr to `log`) and
+/// return its exit code.
+int run_cli(const std::string& args, const fs::path& log) {
+  const std::string command =
+      std::string(DYNPROF_CLI) + " " + args + " < /dev/null > " + log.string() + " 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(DynprofCli, EveryOutputFlagWritesItsFileUnderEveryPolicy) {
+  const TestDir scratch;
+  const fs::path& dir = scratch.path;
+  const fs::path script = dir / "run.dynprof";
+  std::ofstream(script) << "insert-file subset\nstart\nquit\n";
+  for (const std::string policy : {"dynamic", "none", "full", "full-off", "subset", "adaptive"}) {
+    const fs::path out = dir / policy;
+    fs::create_directories(out);
+    std::string args = "smg98 --cpus 8 --policy " + policy +
+                       " --telemetry=spans --telemetry-stats " + (out / "stats.json").string() +
+                       " --telemetry-trace " + (out / "spans.json").string() + " --trace " +
+                       (out / "trace.txt").string() + " --trace-bin " +
+                       (out / "trace.bin").string();
+    const bool with_tool = policy == "dynamic" || policy == "adaptive";
+    if (with_tool) args += " --script " + script.string() + " --timefile " + (out / "t.txt").string();
+    const fs::path log = out / "stdout.txt";
+    ASSERT_EQ(run_cli(args, log), 0) << policy << ":\n" << slurp(log);
+    for (const char* file : {"stats.json", "spans.json", "trace.txt", "trace.bin"}) {
+      EXPECT_TRUE(fs::exists(out / file) && fs::file_size(out / file) > 0)
+          << policy << ": " << file << " not written\n"
+          << slurp(log);
+    }
+    if (with_tool) {
+      EXPECT_NE(slurp(out / "t.txt").find("install-probes"), std::string::npos) << policy;
+    }
+    EXPECT_NE(slurp(out / "spans.json").find("traceEvents"), std::string::npos) << policy;
+  }
+}
+
+TEST(DynprofCli, FaultPlanRunsUnderAStaticPolicy) {
+  const TestDir scratch;
+  const fs::path& dir = scratch.path;
+  std::ofstream(dir / "empty.plan") << "seed 3\n";
+  const fs::path log = dir / "stdout.txt";
+  ASSERT_EQ(run_cli("sppm --cpus 4 --policy full --fault-plan " + (dir / "empty.plan").string(),
+                    log),
+            0)
+      << slurp(log);
+  EXPECT_NE(slurp(log).find("fault report: no faults fired"), std::string::npos) << slurp(log);
+}
+
+TEST(DynprofCli, AFlagWithNothingToActOnExitsOne) {
+  const TestDir scratch;
+  const fs::path& dir = scratch.path;
+  const fs::path log = dir / "stdout.txt";
+  std::ofstream(dir / "run.dynprof") << "start\nquit\n";
+  struct Case {
+    std::string args;
+    std::string flag;  ///< the message names it
+  };
+  std::vector<Case> cases;
+  for (const char* policy : {"none", "full", "full-off", "subset"}) {
+    cases.push_back({std::string("smg98 --cpus 4 --policy ") + policy + " --timefile " +
+                         (dir / "t.txt").string(),
+                     "--timefile"});
+    cases.push_back({std::string("smg98 --cpus 4 --policy ") + policy + " --script " +
+                         (dir / "run.dynprof").string(),
+                     "--script"});
+  }
+  cases.push_back({"smg98 stray --cpus 4 --policy none", "stray"});
+  cases.push_back({"smg98 --cpus 4 --policy none --fault-seed 7", "--fault-seed"});
+  cases.push_back({"smg98 --cpus 4 --policy none --replay-strict", "--replay-strict"});
+  cases.push_back({"smg98 --cpus 4 --policy none --telemetry=counters --telemetry-trace " +
+                       (dir / "spans.json").string(),
+                   "--telemetry-trace"});
+  for (const Case& c : cases) {
+    EXPECT_EQ(run_cli(c.args, log), 1) << c.args << "\n" << slurp(log);
+    EXPECT_NE(slurp(log).find(c.flag), std::string::npos) << c.args << "\n" << slurp(log);
+  }
+  EXPECT_FALSE(fs::exists(dir / "t.txt"));
+  EXPECT_FALSE(fs::exists(dir / "spans.json"));
+}
+
+}  // namespace

@@ -102,7 +102,7 @@ TEST(MultiJob, DegradedSharedNodeQuarantinesOnlyThatJobsTool) {
   // the front tool's breaker opens (quarantine), and nobody loses ranks.
   MultiJobOptions options = two_job_options("seed 17\ndegrade-daemon node=0 factor=200 from=0\n");
   options.jobs[0].script =
-      "insert-file subset.txt\nstart\nwait 5\ninsert-file subset.txt\nquit\n";
+      "insert-file subset\nstart\nwait 5\ninsert-file subset\nquit\n";
   MultiJobLaunch launch(std::move(options));
   const MultiJobResult result = launch.run_to_completion();
   EXPECT_TRUE(result.jobs[0].lost_ranks.empty());

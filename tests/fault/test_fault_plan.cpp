@@ -177,6 +177,16 @@ TEST(FaultPlan, IntegersFailClosed) {
   EXPECT_EQ(FaultPlan::parse("drop channel=app src=-1 prob=1\n").actions[0].src, -1);
 }
 
+TEST(FaultPlan, CrlfLinesParseLikeLf) {
+  // Plans share the replay reader's whitespace split, '\r' included.
+  const FaultPlan crlf = FaultPlan::parse("seed 9\r\nkill-daemon node=2 at=5s\r\n");
+  const FaultPlan lf = FaultPlan::parse("seed 9\nkill-daemon node=2 at=5s\n");
+  EXPECT_EQ(crlf.to_text(), lf.to_text());
+  EXPECT_EQ(crlf.seed, 9u);
+  ASSERT_EQ(crlf.actions.size(), 1u);
+  EXPECT_EQ(crlf.actions[0].node, 2);
+}
+
 TEST(FaultInjector, WindowAtTheInt64LimitDoesNotOverflow) {
   // skip + count once overflowed (undefined behaviour); the window is now
   // compared as an offset, so a window that starts past every reachable

@@ -89,5 +89,27 @@ TEST(MachineSpec, ConfigValidatesRanges) {
   EXPECT_THROW(spec_from_config(bad_jitter), Error);
 }
 
+TEST(MachineSpec, ConfigIntFieldsFailClosed) {
+  // Each value once narrowed silently to an int (4294967304 loaded as 8);
+  // the last overflows total_cpus().  The error names the file and the key.
+  const std::pair<const char*, const char*> cases[] = {
+      {"[machine]\ncpus_per_node = 4294967304\n", "cpus_per_node"},
+      {"[machine]\nnodes = -4294967295\n", "nodes"},
+      {"[fault]\nrequest_max_retries = 4294967297\n", "request_max_retries"},
+      {"[fault]\nbreaker_failure_threshold = 4294967297\n", "breaker_failure_threshold"},
+      {"[machine]\nnodes = 65536\ncpus_per_node = 65536\n", "cpus_per_node"},
+  };
+  for (const auto& [text, key] : cases) {
+    try {
+      spec_from_config(ConfigFile::parse(text, "big.ini"));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("big.ini"), std::string::npos) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dyntrace::machine

@@ -388,17 +388,16 @@ TEST(TelemetryIntegration, CountersMatchRunToRun) {
   // would show up as a diff here.
   std::vector<telemetry::Registry::Snapshot> snaps;
   std::vector<std::uint64_t> digests;
-  for (int run = 0; run < 2; ++run) {
+  for (int rep = 0; rep < 2; ++rep) {
     RunConfig config;
     config.app = &asci::sweep3d();
     config.policy = Policy::kDynamic;
     config.nprocs = 8;
     config.problem_scale = 0.15;
     config.telemetry_level = telemetry::Level::kCounters;
-    config.telemetry_sink = [&snaps](const telemetry::Registry& reg) {
-      snaps.push_back(reg.snapshot());
-    };
-    digests.push_back(run_policy(config).trace_digest);
+    PolicyRun run(config);
+    digests.push_back(run.run().trace_digest);
+    snaps.push_back(run.launch().telemetry_registry().snapshot());
   }
   ASSERT_EQ(snaps.size(), 2u);
   EXPECT_GT(snaps[0].counter_value("dpcl.requests"), 0u);
@@ -412,7 +411,7 @@ TEST(TelemetryIntegration, CountersMatchRunToRun) {
 
 TEST(TelemetryIntegration, ConcurrentRunsMatchSoloRuns) {
   // Two runs on two threads, started together and kept alive together (the
-  // sink latch), must each produce the trace digest and counter snapshot of
+  // `finished` latch), must each produce the trace digest and counter snapshot of
   // the same run alone: every hook lands in its own run's registry.
   struct Outcome {
     std::uint64_t digest = 0;
@@ -430,11 +429,9 @@ TEST(TelemetryIntegration, ConcurrentRunsMatchSoloRuns) {
   };
   Outcome solo[2];
   for (int i = 0; i < 2; ++i) {
-    RunConfig config = make_config(i);
-    config.telemetry_sink = [out = &solo[i]](const telemetry::Registry& reg) {
-      out->snap = reg.snapshot();
-    };
-    solo[i].digest = run_policy(config).trace_digest;
+    PolicyRun run(make_config(i));
+    solo[i].digest = run.run().trace_digest;
+    solo[i].snap = run.launch().telemetry_registry().snapshot();
   }
 
   Outcome both[2];
@@ -443,15 +440,13 @@ TEST(TelemetryIntegration, ConcurrentRunsMatchSoloRuns) {
   std::latch finished(2);
   const auto body = [&](int i) {
     bool arrived = false;
-    RunConfig config = make_config(i);
-    config.telemetry_sink = [&, out = &both[i]](const telemetry::Registry& reg) {
-      arrived = true;
-      finished.arrive_and_wait();
-      out->snap = reg.snapshot();
-    };
     started.arrive_and_wait();
     try {
-      both[i].digest = run_policy(config).trace_digest;
+      PolicyRun run(make_config(i));
+      both[i].digest = run.run().trace_digest;
+      arrived = true;
+      finished.arrive_and_wait();
+      both[i].snap = run.launch().telemetry_registry().snapshot();
     } catch (const std::exception& e) {
       // Record the failure, and release the other thread's latch wait.
       errors[i] = e.what();
@@ -495,22 +490,18 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
   // The acceptance-bar artifact: an adaptive run at spans level exports a
   // Perfetto-loadable trace whose per-rank confsync spans agree with the
   // confsync round counter, alongside the overlay's reduce spans.
-  std::string trace_json;
-  telemetry::Registry::Snapshot snap;
   RunConfig config;
   config.app = &asci::smg98();
   config.policy = Policy::kAdaptive;
   config.nprocs = 8;
   config.problem_scale = 0.1;
   config.telemetry_level = telemetry::Level::kSpans;
-  config.telemetry_sink = [&](const telemetry::Registry& reg) {
-    trace_json = reg.chrome_trace_json();
-    snap = reg.snapshot();
-  };
-  const PolicyResult r = run_policy(config);
+  PolicyRun run(config);
+  const PolicyResult r = run.run();
   EXPECT_GT(r.confsyncs, 0u);
 
-  const JsonValue doc = parse_json(trace_json);
+  const telemetry::Registry::Snapshot snap = run.launch().telemetry_registry().snapshot();
+  const JsonValue doc = parse_json(run.launch().telemetry_registry().chrome_trace_json());
   std::uint64_t confsync_begins = 0;
   std::uint64_t reduce_begins = 0;
   for (const JsonValue& event : doc.at("traceEvents").as_array()) {
