@@ -63,7 +63,7 @@ double distribution_seconds(int nprocs, bool tree) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
   dyntrace::CliParser parser("ablation_confsync_algo",
@@ -96,3 +96,5 @@ int main(int argc, char** argv) {
                     linear.back() > 16 * linear.front()});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

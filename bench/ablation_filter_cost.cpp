@@ -10,7 +10,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
   using dynprof::Policy;
@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
     spec.costs.vt_filter_lookup = lookup;
 
     auto run = [&](Policy policy) {
-      dynprof::RunConfig config;
-      config.app = &asci::sppm();
-      config.policy = policy;
-      config.nprocs = 8;
-      config.problem_scale = scale;
-      config.machine = spec;
-      return dynprof::run_policy(config).app_seconds;
+      dynprof::Launch::Options options;
+      options.app = &asci::sppm();
+      options.policy = policy;
+      options.params.nprocs = 8;
+      options.params.problem_scale = scale;
+      options.machine = spec;
+      return dynprof::run_policy(std::move(options)).app_seconds;
     };
     const double off = run(Policy::kFullOff);
     const double none = run(Policy::kNone);
@@ -55,3 +55,5 @@ int main(int argc, char** argv) {
                     ratios.back() > ratios.front() && ratios[2] > ratios[1]});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

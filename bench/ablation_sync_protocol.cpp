@@ -93,10 +93,10 @@ double release_skew(int nprocs, bool with_trailing_barrier, std::uint64_t seed) 
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
-  std::int64_t nprocs = 32;
+  int nprocs = 32;
   dyntrace::CliParser parser("ablation_sync_protocol",
                              "Figure 6's trailing barrier vs naive release");
   parser.option_int("procs", "MPI processes (default 32)", &nprocs);
@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
   dyntrace::TextTable table({"variant", "skew (s)"});
   double with_barrier = 0, without_barrier = 0;
   for (int rep = 0; rep < 8; ++rep) {
-    with_barrier += release_skew(static_cast<int>(nprocs), true, 1000 + rep);
-    without_barrier += release_skew(static_cast<int>(nprocs), false, 1000 + rep);
+    with_barrier += release_skew(nprocs, true, 1000 + rep);
+    without_barrier += release_skew(nprocs, false, 1000 + rep);
   }
   with_barrier /= 8;
   without_barrier /= 8;
@@ -122,3 +122,5 @@ int main(int argc, char** argv) {
   checks.push_back({"the barrier bounds skew to sub-millisecond", with_barrier < 1e-3});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

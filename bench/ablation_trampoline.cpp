@@ -53,7 +53,7 @@ sim::TimeNs run_variant(int k, bool merged, int calls) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
   dyntrace::CliParser parser("ablation_trampoline", "mini-trampoline chain vs merged block");
@@ -90,3 +90,5 @@ int main(int argc, char** argv) {
        overheads[3] < 0.5 * sim::to_microseconds(run_variant(8, false, kCalls))});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -12,6 +12,7 @@
 
 #include "dynprof/policy.hpp"
 #include "support/cli.hpp"
+#include "support/common.hpp"
 #include "support/table.hpp"
 
 namespace dyntrace::bench {
@@ -20,6 +21,17 @@ struct ShapeCheck {
   std::string description;
   bool passed = false;
 };
+
+/// A bench binary's main(): runs `body`, and turns a dyntrace::Error -- a
+/// bad flag value, an unreadable input -- into a message and exit code 1.
+inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
+}
 
 inline int report_checks(const std::vector<ShapeCheck>& checks) {
   int failures = 0;
@@ -66,13 +78,13 @@ inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
   for (const auto policy : sweep.policies) {
     std::vector<double> row;
     for (const int cpus : sweep.cpus) {
-      dynprof::RunConfig config;
-      config.app = &app;
-      config.policy = policy;
-      config.nprocs = cpus;
-      config.problem_scale = scale;
-      config.seed = seed;
-      row.push_back(dynprof::run_policy(config).app_seconds);
+      dynprof::Launch::Options options;
+      options.app = &app;
+      options.policy = policy;
+      options.params.nprocs = cpus;
+      options.params.problem_scale = scale;
+      options.params.seed = seed;
+      row.push_back(dynprof::run_policy(std::move(options)).app_seconds);
       std::fprintf(stderr, ".");
       std::fflush(stderr);
     }

@@ -17,16 +17,16 @@
 #include "bench_common.hpp"
 #include "dynprof/confsync_experiment.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
   using dynprof::Policy;
 
   double scale = 1.0;
   double budget = 0.05;
-  std::int64_t reps = 16;
+  int reps = 16;
   std::int64_t seed = 42;
-  std::int64_t arity = 4;
+  int arity = 4;
   std::string json_path;
   bool show_decisions = false;
   CliParser parser("control_adaptive",
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   dynprof::ConfsyncExperimentConfig sync_config;
   sync_config.nprocs = 512;
   sync_config.machine = machine::ibm_power3_sp();
-  sync_config.repetitions = static_cast<int>(reps);
+  sync_config.repetitions = reps;
   sync_config.write_statistics = true;
   const double linear512 = run_confsync_experiment(sync_config).mean_seconds;
-  sync_config.tree_arity = static_cast<int>(arity);
+  sync_config.tree_arity = arity;
   const double tree512 = run_confsync_experiment(sync_config).mean_seconds;
 
   TextTable sync_table({"Reduction", "Mean (s)"});
@@ -61,18 +61,19 @@ int main(int argc, char** argv) {
   std::puts("Part 2: Smg98 execution time at 64 CPUs (s)");
   const asci::AppSpec app = asci::smg98();
   auto run_one = [&](Policy policy) {
-    dynprof::RunConfig config;
-    config.app = &app;
-    config.policy = policy;
-    config.nprocs = 64;
-    config.problem_scale = scale;
-    config.seed = static_cast<std::uint64_t>(seed);
-    config.controller.budget_fraction = budget;
+    dynprof::Launch::Options options;
+    options.app = &app;
+    options.policy = policy;
+    options.params.nprocs = 64;
+    options.params.problem_scale = scale;
+    options.params.seed = static_cast<std::uint64_t>(seed);
+    options.stats_overlay_arity = arity;
+    dynprof::Arming arming;
+    arming.controller.budget_fraction = budget;
     // The probe actuator: removed probes cost exactly zero, which is what
     // lets a fully instrumented launch converge to None-like time.
-    config.controller.actuator = control::Actuator::kProbe;
-    config.tree_arity = static_cast<int>(arity);
-    const auto result = dynprof::run_policy(config);
+    arming.controller.actuator = control::Actuator::kProbe;
+    const auto result = dynprof::run_policy(std::move(options), std::move(arming));
     std::fprintf(stderr, ".");
     std::fflush(stderr);
     return result;
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
                  "    \"controller_decisions\": %zu\n"
                  "  }\n"
                  "}\n",
-                 linear512, tree512, static_cast<int>(arity), linear512 / tree512, scale,
+                 linear512, tree512, arity, linear512 / tree512, scale,
                  budget, none.app_seconds, subset.app_seconds, adaptive.app_seconds,
                  adaptive.app_seconds / none.app_seconds,
                  static_cast<unsigned long long>(none.trace_events),
@@ -154,3 +155,5 @@ int main(int argc, char** argv) {
   }
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -12,7 +12,7 @@
 #include "analysis/timeline.hpp"
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   options.params.threads_per_rank = 4; // ...x 4 OpenMP threads
   options.params.problem_scale = scale;
   options.policy = dynprof::Policy::kDynamic;
-  dynprof::PolicyRun run(std::move(options), {});
+  dynprof::PolicyRun run(std::move(options));
   run.run();
   dynprof::Launch& launch = run.launch();
 
@@ -53,3 +53,5 @@ int main(int argc, char** argv) {
   checks.push_back({"pipeline neighbours exchanged data", matrix.total() > 0});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

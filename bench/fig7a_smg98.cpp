@@ -5,7 +5,7 @@
 // Dynamic within a few percent of None; weak scaling (time grows with P).
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
   using dynprof::Policy;
@@ -41,3 +41,5 @@ int main(int argc, char** argv) {
   checks.push_back({"weak scaling: time grows with CPUs", none64 > none1});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -5,7 +5,7 @@
 // is not as extreme" as Smg98; Full-Off ~= Subset; Dynamic ~= None.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
   using dynprof::Policy;
@@ -39,3 +39,5 @@ int main(int argc, char** argv) {
   checks.push_back({"Dynamic below Full-Off", dynamic64 < off64});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -6,7 +6,7 @@
 // Subset version was run); strong scaling (time decreases with CPUs).
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
   using dynprof::Policy;
@@ -41,3 +41,5 @@ int main(int argc, char** argv) {
   checks.push_back({"strong scaling: time decreases with CPUs", none64 < 0.25 * none2});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

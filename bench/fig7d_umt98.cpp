@@ -6,7 +6,7 @@
 // instrumentation over the static alternatives"; strong scaling.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
   using dynprof::Policy;
@@ -44,3 +44,5 @@ int main(int argc, char** argv) {
   checks.push_back({"strong scaling: time decreases with CPUs", none8 < 0.3 * none1});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -10,11 +10,11 @@
 #include "bench_common.hpp"
 #include "dynprof/confsync_experiment.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
-  std::int64_t reps = 16;
+  int reps = 16;
   CliParser parser("fig8a_confsync_ibm", "Reproduce Figure 8(a)");
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
   if (!parser.parse(argc, argv)) return 0;
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     dynprof::ConfsyncExperimentConfig config;
     config.nprocs = p;
     config.machine = machine::ibm_power3_sp();
-    config.repetitions = static_cast<int>(reps);
+    config.repetitions = reps;
     config.with_changes = false;
     no_change.push_back(run_confsync_experiment(config).mean_seconds);
     config.with_changes = true;
@@ -54,3 +54,5 @@ int main(int argc, char** argv) {
   checks.push_back({"cost grows with processors", no_change.back() > no_change.front()});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

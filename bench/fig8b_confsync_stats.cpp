@@ -12,12 +12,12 @@
 #include "bench_common.hpp"
 #include "dynprof/confsync_experiment.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
-  std::int64_t reps = 16;
-  std::int64_t arity = 4;
+  int reps = 16;
+  int arity = 4;
   CliParser parser("fig8b_confsync_stats", "Reproduce Figure 8(b)");
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
   parser.option_int("arity", "aggregation overlay arity (default 4)", &arity);
@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
     dynprof::ConfsyncExperimentConfig config;
     config.nprocs = p;
     config.machine = machine::ibm_power3_sp();
-    config.repetitions = static_cast<int>(reps);
+    config.repetitions = reps;
     config.write_statistics = true;
     stats.push_back(run_confsync_experiment(config).mean_seconds);
-    config.tree_arity = static_cast<int>(arity);
+    config.tree_arity = arity;
     tree.push_back(run_confsync_experiment(config).mean_seconds);
     config.tree_arity = 0;
     config.write_statistics = false;
@@ -61,3 +61,5 @@ int main(int argc, char** argv) {
                     tree.back() < stats.back()});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

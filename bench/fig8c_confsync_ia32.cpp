@@ -9,11 +9,11 @@
 #include "bench_common.hpp"
 #include "dynprof/confsync_experiment.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
-  std::int64_t reps = 16;
+  int reps = 16;
   CliParser parser("fig8c_confsync_ia32", "Reproduce Figure 8(c)");
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
   if (!parser.parse(argc, argv)) return 0;
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     dynprof::ConfsyncExperimentConfig config;
     config.nprocs = p;
     config.machine = machine::ia32_linux_cluster();
-    config.repetitions = static_cast<int>(reps);
+    config.repetitions = reps;
     costs.push_back(run_confsync_experiment(config).mean_seconds);
     table.add_row({std::to_string(p), TextTable::num(costs.back(), 6)});
   }
@@ -41,3 +41,5 @@ int main(int argc, char** argv) {
                     costs.back() < 4 * costs.front()});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

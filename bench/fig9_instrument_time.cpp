@@ -15,17 +15,17 @@ namespace {
 
 double instrument_time(const dyntrace::asci::AppSpec& app, int nprocs, double scale) {
   using namespace dyntrace;
-  dynprof::RunConfig config;
-  config.app = &app;
-  config.policy = dynprof::Policy::kDynamic;
-  config.nprocs = nprocs;
-  config.problem_scale = scale;
-  return dynprof::run_policy(config).create_instrument_seconds;
+  dynprof::Launch::Options options;
+  options.app = &app;
+  options.policy = dynprof::Policy::kDynamic;
+  options.params.nprocs = nprocs;
+  options.params.problem_scale = scale;
+  return dynprof::run_policy(std::move(options)).create_instrument_seconds;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
@@ -91,3 +91,5 @@ int main(int argc, char** argv) {
   checks.push_back({"times are large (tens of seconds at 64 CPUs)", smg_64 > 30});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -66,12 +66,12 @@ struct BestOf {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
   std::int64_t events = 1 << 20;
-  std::int64_t reps = 9;
+  int reps = 9;
   std::string json_path = "BENCH_fault.json";
   CliParser parser("micro_fault_overhead",
                    "No-fault hot-path overhead of the fault harness (BENCH_fault.json)");
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   BestOf plain_best;
   BestOf hooked_best;
   const auto n = static_cast<std::uint64_t>(events);
-  for (int rep = 0; rep < static_cast<int>(reps); ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     plain_best.add(hot_rep(table, plain, kSyms, n, &plain_rate));
     hooked_best.add(hot_rep(table, hooked, kSyms, n, &hooked_rate));
     std::fprintf(stderr, ".");
@@ -161,3 +161,5 @@ int main(int argc, char** argv) {
                     plain_rate.recorded == hooked_rate.recorded});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

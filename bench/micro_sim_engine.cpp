@@ -207,22 +207,20 @@ LeafRun leaf_calls(std::int64_t calls_per_rank) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
-  std::int64_t queue_n = 16384;
-  std::int64_t queue_reps = 40;
+  int n = 16384;
+  int reps = 40;
   std::string json_path = "BENCH_sim.json";
   CliParser parser("micro_sim_engine", "Event-queue throughput baseline (BENCH_sim.json)");
-  parser.option_int("queue-n", "events per schedule/pop round (default 16384)", &queue_n);
-  parser.option_int("queue-reps", "schedule/pop rounds (default 40)", &queue_reps);
+  parser.option_int("queue-n", "events per schedule/pop round (default 16384)", &n);
+  parser.option_int("queue-reps", "schedule/pop rounds (default 40)", &reps);
   parser.option_string("json", "output artifact (default BENCH_sim.json)", &json_path);
   if (!parser.parse(argc, argv)) return 0;
 
   std::puts("event-queue throughput (steady-state loops)\n");
-  const int n = static_cast<int>(queue_n);
-  const int reps = static_cast<int>(queue_reps);
   // Pending-set depth: 512 ranks x ~16 in-flight events each (fig8 scale).
   const int sp_window = 8192;
   const int sc_window = 1024;
@@ -289,3 +287,5 @@ int main(int argc, char** argv) {
                         leaf.exact_times});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

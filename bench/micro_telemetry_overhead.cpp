@@ -57,16 +57,16 @@ struct CellResult {
 };
 
 CellResult run_cell(const asci::AppSpec& app, double scale, telemetry::Level level) {
-  dynprof::RunConfig config;
-  config.app = &app;
-  config.policy = dynprof::Policy::kDynamic;
-  config.nprocs = 64;
-  config.problem_scale = scale;
-  config.telemetry_level = level;
+  dynprof::Launch::Options options;
+  options.app = &app;
+  options.policy = dynprof::Policy::kDynamic;
+  options.params.nprocs = 64;
+  options.params.problem_scale = scale;
+  options.telemetry_level = level;
   CellResult result;
   const double begin = cpu_seconds();
   {
-    dynprof::PolicyRun run(config);
+    dynprof::PolicyRun run(std::move(options));
     const dynprof::PolicyResult r = run.run();
     result.trace_digest = r.trace_digest;
     result.stats_digest = r.stats_digest;
@@ -130,12 +130,12 @@ double measure_ns_per_op(std::uint64_t n, Op&& op) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
   double scale = 1.0;
-  std::int64_t reps = 7;
+  int reps = 7;
   std::string json_path = "BENCH_telemetry.json";
   std::string spans_path = "fig7a_spans.json";
   CliParser parser("micro_telemetry_overhead",
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     *last = run_cell(app, scale, level);
     return last->cpu_s;
   };
-  for (int rep = 0; rep < static_cast<int>(reps); ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     double off_s;
     double counters_s;
     if (rep % 2 == 0) {
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   const std::uint64_t counted_events = counters_last.snapshot.counter_value("sim.events");
   std::printf("(median ratio over %d paired reps, informative; counters level "
               "recorded %llu sim events)\n",
-              static_cast<int>(reps), static_cast<unsigned long long>(counted_events));
+              reps, static_cast<unsigned long long>(counted_events));
 
   // --- Part 2: raw per-op costs --------------------------------------------
   std::puts("\nPart 2: registry op costs (ns/op)\n");
@@ -230,13 +230,13 @@ int main(int argc, char** argv) {
 
   // --- Part 3: the Perfetto artifact (adaptive run at spans level) ---------
   std::puts("\nPart 3: span export from one adaptive run (confsync + reduce)\n");
-  dynprof::RunConfig adaptive;
+  dynprof::Launch::Options adaptive;
   adaptive.app = &app;
   adaptive.policy = dynprof::Policy::kAdaptive;
-  adaptive.nprocs = 64;
-  adaptive.problem_scale = scale / 2;
+  adaptive.params.nprocs = 64;
+  adaptive.params.problem_scale = scale / 2;
   adaptive.telemetry_level = telemetry::Level::kSpans;
-  dynprof::PolicyRun spans_cell(adaptive);
+  dynprof::PolicyRun spans_cell(std::move(adaptive));
   const dynprof::PolicyResult spans_run = spans_cell.run();
   const telemetry::Registry& spans_registry = spans_cell.launch().telemetry_registry();
   const std::size_t span_events = spans_registry.span_event_count();
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
                "  \"spans_run\": {\"span_events\": %zu, \"confsyncs\": %llu, "
                "\"artifact\": \"%s\"}\n"
                "}\n",
-               scale, static_cast<int>(reps), off_best.best_s,
+               scale, reps, off_best.best_s,
                counters_best.best_s, ab_ratio, static_cast<unsigned long long>(ops.adds),
                static_cast<unsigned long long>(ops.observes), hook_ratio,
                static_cast<unsigned long long>(counted_events), gate_ns, add_ns,
@@ -296,3 +296,5 @@ int main(int argc, char** argv) {
                     span_events > 0 && spans_run.confsyncs > 0});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

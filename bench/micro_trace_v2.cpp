@@ -102,7 +102,7 @@ CodecNumbers measure(const std::vector<vt::Event>& events, int reps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace;
   using namespace dyntrace::bench;
 
@@ -155,13 +155,13 @@ int main(int argc, char** argv) {
   // --- fig7a statistics bit-identity, spilled vs in memory -----------------
   std::fprintf(stderr, "policy runs for the statistics digest gate...\n");
   const auto policy_cell = [&](std::size_t spill_bytes) {
-    dynprof::RunConfig config;
-    config.app = &asci::smg98();
-    config.policy = dynprof::Policy::kFull;
-    config.nprocs = nprocs;
-    config.problem_scale = scale;
-    config.trace_spill_bytes = spill_bytes;
-    return dynprof::run_policy(config);
+    dynprof::Launch::Options options;
+    options.app = &asci::smg98();
+    options.policy = dynprof::Policy::kFull;
+    options.params.nprocs = nprocs;
+    options.params.problem_scale = scale;
+    options.trace_spill_bytes = spill_bytes;
+    return dynprof::run_policy(std::move(options));
   };
   const dynprof::PolicyResult in_memory = policy_cell(0);
   const dynprof::PolicyResult spilled = policy_cell(std::size_t{1} << 14);
@@ -204,3 +204,5 @@ int main(int argc, char** argv) {
                         spilled.app_seconds == in_memory.app_seconds});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

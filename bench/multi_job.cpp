@@ -78,10 +78,10 @@ ScenarioRun run_scenario(int ranks_per_job, double scale,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace dyntrace::bench;
 
-  std::int64_t ranks = 16;
+  int ranks = 16;
   double scale = 0.15;
   std::string json_path = "BENCH_multijob.json";
   CliParser parser("multi_job",
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioRun> runs;
   for (int rep = 0; rep < 2; ++rep) {
-    runs.push_back(run_scenario(static_cast<int>(ranks), scale, replay_app.get()));
+    runs.push_back(run_scenario(ranks, scale, replay_app.get()));
     std::fprintf(stderr, ".");
     std::fflush(stderr);
   }
@@ -181,3 +181,5 @@ int main(int argc, char** argv) {
                     }()});
   return report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

@@ -82,14 +82,14 @@ std::uint64_t count(const Cell& cell, service::Status status) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::int64_t sessions = 10'000;
-  std::int64_t ranks = 8;
-  std::int64_t functions = 32;
-  std::int64_t commands = 4;
+int bench_main(int argc, char** argv) {
+  int sessions = 10'000;
+  int ranks = 8;
+  int functions = 32;
+  int commands = 4;
   std::int64_t seed = 42;
-  std::int64_t batch_sessions = 100'000;
-  std::int64_t session_batch = 512;
+  int batch_sessions = 100'000;
+  int session_batch = 512;
   bool skip_determinism = false;
   bool skip_batch = false;
   std::string json_path = "BENCH_service.json";
@@ -109,15 +109,15 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   service::ScenarioOptions base;
-  base.ranks = static_cast<int>(ranks);
-  base.functions = static_cast<int>(functions);
-  base.commands_per_session = static_cast<int>(commands);
+  base.ranks = ranks;
+  base.functions = functions;
+  base.commands_per_session = commands;
   base.seed = static_cast<std::uint64_t>(seed);
 
   // --- Part 1: throughput sweep ---------------------------------------------
   std::puts("Part 1: session throughput, one shared job\n");
   std::vector<int> sweep_counts{1'000};
-  if (static_cast<int>(sessions) != 1'000) sweep_counts.push_back(static_cast<int>(sessions));
+  if (sessions != 1'000) sweep_counts.push_back(sessions);
   std::vector<Cell> sweep;
   for (const int n : sweep_counts) sweep.push_back(run_cell(base, n));
   std::fprintf(stderr, "\n");
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   if (!skip_determinism) {
     std::puts("\nPart 2: bit-identical digests across two runs of the main cell\n");
     const Cell& first = sweep.back();
-    det.push_back(run_cell(base, static_cast<int>(sessions)));
+    det.push_back(run_cell(base, sessions));
     std::fprintf(stderr, "\n");
     TextTable dtable({"Run", "Digest", "Stats digest", "Host s"});
     const Cell* runs[] = {&first, &det.front()};
@@ -172,12 +172,12 @@ int main(int argc, char** argv) {
     std::printf("\nPart 3: batched drivers -- %lld sessions, %lld per driver coroutine\n\n",
                 static_cast<long long>(batch_sessions), static_cast<long long>(session_batch));
     service::ScenarioOptions batched = base;
-    batched.session_batch = static_cast<int>(session_batch);
-    batch_cells.push_back(run_cell(batched, static_cast<int>(batch_sessions)));
+    batched.session_batch = session_batch;
+    batch_cells.push_back(run_cell(batched, batch_sessions));
     std::fprintf(stderr, "\n");
     const Cell& cell = batch_cells.front();
-    const long long drivers =
-        (batch_sessions + session_batch - 1) / (session_batch > 0 ? session_batch : 1);
+    const long long drivers = (std::int64_t{batch_sessions} + session_batch - 1) /
+                              (session_batch > 0 ? session_batch : 1);
     TextTable btable({"Sessions", "Batch", "Drivers", "Sessions/s", "p50 ms", "p99 ms",
                       "Shed", "Windows", "Sim s", "Host s"});
     btable.add_row({std::to_string(cell.sessions), std::to_string(session_batch),
@@ -290,3 +290,5 @@ int main(int argc, char** argv) {
   }
   return bench::report_checks(checks);
 }
+
+int main(int argc, char** argv) { return dyntrace::bench::guarded_main(argc, argv, bench_main); }

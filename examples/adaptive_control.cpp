@@ -86,15 +86,17 @@ int main(int argc, char** argv) {
   try {
     if (!parser.parse(argc, argv)) return 0;
 
-    dynprof::RunConfig config;
-    config.app = &two_phase_app();
-    config.policy = dynprof::Policy::kAdaptive;
-    config.nprocs = cpus;
-    config.confsync_interval = 1;  // a safe point every step
-    config.tree_arity = 2;
-    config.controller.budget_fraction = budget;
-    config.controller.actuator = control::Actuator::kFilter;
-    const dynprof::PolicyResult result = dynprof::run_policy(config);
+    dynprof::Launch::Options options;
+    options.app = &two_phase_app();
+    options.policy = dynprof::Policy::kAdaptive;
+    options.params.nprocs = cpus;
+    options.params.confsync_interval = 1;  // a safe point every step
+    options.stats_overlay_arity = 2;
+    dynprof::Arming arming;
+    arming.controller.budget_fraction = budget;
+    arming.controller.actuator = control::Actuator::kFilter;
+    const dynprof::PolicyResult result =
+        dynprof::run_policy(std::move(options), std::move(arming));
 
     std::printf("two-phase app, %d ranks, budget %.0f%% (filter actuator)\n\n",
                 cpus, budget * 100);

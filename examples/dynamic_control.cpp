@@ -116,10 +116,9 @@ int main(int argc, char** argv) {
         ++enters;
       }
     }
-    std::uint64_t filtered = 0, recorded = 0;
+    std::uint64_t filtered = 0;
     for (int pid = 0; pid < launch.process_count(); ++pid) {
       filtered += launch.vt(pid).events_filtered();
-      recorded += launch.vt(pid).virtual_events();
     }
 
     std::printf("\nrun finished at t=%.1f s; %d confsyncs on rank 0\n",

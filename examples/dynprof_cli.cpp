@@ -174,6 +174,9 @@ int main(int argc, char** argv) {
 
     if (app_name == "report") {
       DT_EXPECT(!subcommand_arg.empty(), "usage: dynprof_cli report <stats.json>");
+      // Every option is a run flag, and report runs nothing.
+      DT_EXPECT(parser.given().empty(), "report takes no run flags (got --",
+                str::join(parser.given(), ", --"), ")");
       return run_report(subcommand_arg);
     }
 
@@ -221,40 +224,40 @@ int main(int argc, char** argv) {
 
     // Dynamic reads its script from --script or stdin; Adaptive runs the
     // default "insert-file all" script unless --script names one.
-    std::string script_text;
+    dynprof::Arming arming;
     if (!script_path.empty()) {
-      script_text = slurp_file(script_path);
+      arming.script = slurp_file(script_path);
     } else if (policy == dynprof::Policy::kDynamic) {
       std::ostringstream ss;
       ss << std::cin.rdbuf();
-      script_text = ss.str();
+      arming.script = ss.str();
     }
-    if (policy == dynprof::Policy::kDynamic || !script_text.empty()) {
-      DT_EXPECT(!dynprof::parse_script(script_text).empty(),
+    if (policy == dynprof::Policy::kDynamic || !arming.script.empty()) {
+      DT_EXPECT(!dynprof::parse_script(arming.script).empty(),
                 "empty command script (need at least 'start')");
     }
 
-    dynprof::RunConfig config;
-    config.app = app;
-    config.policy = policy;
-    config.nprocs = cpus;
-    config.problem_scale = scale;
+    dynprof::Launch::Options options;
+    options.app = app;
+    options.policy = policy;
+    options.params.nprocs = cpus;
+    options.params.problem_scale = scale;
     if (!machine_profile.empty()) {
       if (str::ends_with(machine_profile, ".ini")) {
-        config.machine = machine::spec_from_config(ConfigFile::load(machine_profile));
+        options.machine = machine::spec_from_config(ConfigFile::load(machine_profile));
       } else {
-        config.machine = machine::builtin_profile(machine_profile);
+        options.machine = machine::builtin_profile(machine_profile);
       }
     }
     if (!fault_plan_path.empty()) {
       fault::FaultPlan plan = fault::FaultPlan::load(fault_plan_path);
       if (fault_seed >= 0) plan.seed = static_cast<std::uint64_t>(fault_seed);
-      config.fault = std::make_shared<fault::FaultInjector>(std::move(plan));
+      options.fault = std::make_shared<fault::FaultInjector>(std::move(plan));
     }
-    config.telemetry_level = level;
-    config.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
+    options.telemetry_level = level;
+    options.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
 
-    dynprof::PolicyRun run(config, std::move(script_text));
+    dynprof::PolicyRun run(std::move(options), std::move(arming));
     const dynprof::PolicyResult r = run.run();
     dynprof::Launch& launch = run.launch();
     const dynprof::DynprofTool* tool = run.tool();
@@ -281,8 +284,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.stats_digest));
     }
 
-    if (config.fault != nullptr) {
-      const fault::RunReport& report = config.fault->report();
+    if (launch.options().fault != nullptr) {
+      const fault::RunReport& report = launch.options().fault->report();
       if (report.empty()) {
         std::printf("fault report: no faults fired\n");
       } else {

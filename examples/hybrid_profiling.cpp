@@ -25,39 +25,35 @@ int main(int argc, char** argv) {
   try {
     if (!parser.parse(argc, argv)) return 0;
 
-    // Reference points: Full static instrumentation and None.
-    auto run_static = [&](dynprof::Policy policy) {
-      dynprof::RunConfig config;
-      config.app = &asci::sppm();
-      config.policy = policy;
-      config.nprocs = cpus;
-      config.problem_scale = scale;
-      return dynprof::run_policy(config);
+    auto options = [&](dynprof::Policy policy) {
+      dynprof::Launch::Options o;
+      o.app = &asci::sppm();
+      o.params.nprocs = cpus;
+      o.params.problem_scale = scale;
+      o.policy = policy;
+      return o;
     };
-    const auto full = run_static(dynprof::Policy::kFull);
-    const auto none = run_static(dynprof::Policy::kNone);
+    // Reference points: Full static instrumentation and None.
+    const auto full = dynprof::run_policy(options(dynprof::Policy::kFull));
+    const auto none = dynprof::run_policy(options(dynprof::Policy::kNone));
 
-    // The hybrid run.
-    dynprof::Launch::Options lopt;
-    lopt.app = &asci::sppm();
-    lopt.params.nprocs = cpus;
-    lopt.params.problem_scale = scale;
-    lopt.policy = dynprof::Policy::kDynamic;
-    dynprof::Launch launch(std::move(lopt));
-
-    dynprof::DynprofTool tool(launch, {});
-    tool.run_script(dynprof::parse_script("start\n"));
+    // The hybrid run: dynprof only starts the job; the hybrid controller
+    // inserts and removes the probes.
+    dynprof::Arming arming;
+    arming.script = "start\n";
+    dynprof::PolicyRun run(options(dynprof::Policy::kDynamic), std::move(arming));
+    run.start();
 
     dynprof::HybridController::Options hopt;
     hopt.sample_window = sim::seconds(8);
     hopt.sampling_interval = sim::milliseconds(5);
     hopt.top_k = 4;
     hopt.detail_window = sim::seconds(20);
-    dynprof::HybridController controller(launch, tool, hopt);
+    dynprof::HybridController controller(run.launch(), *run.tool(), hopt);
     controller.start();
-    launch.engine().run();
+    run.launch().engine().run();
 
-    const auto hybrid = launch.collect_result();
+    const auto hybrid = run.finish();
     const auto& report = controller.report();
 
     std::printf("sampling phase: %llu samples; selected:",

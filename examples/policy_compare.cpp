@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
 
     std::vector<std::pair<dynprof::Policy, dynprof::PolicyResult>> results;
     for (const auto policy : order) {
-      dynprof::RunConfig config;
-      config.app = app;
-      config.policy = policy;
-      config.nprocs = cpus;
-      config.problem_scale = scale;
-      config.machine = machine_spec;
-      const auto result = dynprof::run_policy(config);
+      dynprof::Launch::Options options;
+      options.app = app;
+      options.policy = policy;
+      options.params.nprocs = cpus;
+      options.params.problem_scale = scale;
+      options.machine = machine_spec;
+      const auto result = dynprof::run_policy(std::move(options));
       if (policy == dynprof::Policy::kNone) none_seconds = result.app_seconds;
       results.emplace_back(policy, result);
       std::fprintf(stderr, ".");

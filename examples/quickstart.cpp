@@ -60,19 +60,19 @@ const asci::AppSpec& mini_app() {
   return spec;
 }
 
-dynprof::RunConfig mini_config(dynprof::Policy policy) {
-  dynprof::RunConfig config;
-  config.app = &mini_app();
-  config.policy = policy;
-  config.nprocs = 4;
-  return config;
+dynprof::Launch::Options mini_options(dynprof::Policy policy) {
+  dynprof::Launch::Options options;
+  options.app = &mini_app();
+  options.policy = policy;
+  options.params.nprocs = 4;
+  return options;
 }
 
 }  // namespace
 
 int main() {
   // --- 2. Baseline: no subroutine instrumentation --------------------------
-  const auto none = dynprof::run_policy(mini_config(dynprof::Policy::kNone));
+  const auto none = dynprof::run_policy(mini_options(dynprof::Policy::kNone));
   std::printf("uninstrumented run:        %.3f s  (%llu trace events, MPI only)\n",
               none.app_seconds, static_cast<unsigned long long>(none.trace_events));
 
@@ -81,7 +81,7 @@ int main() {
   // A Dynamic PolicyRun drives the full paper workflow under the hood:
   // poe-create (suspended), DPCL connect, the Figure-6 MPI_Init hook,
   // deferred insertion of the requested probes, spin release, run.
-  dynprof::PolicyRun run(mini_config(dynprof::Policy::kDynamic));
+  dynprof::PolicyRun run(mini_options(dynprof::Policy::kDynamic));
   const auto dynamic = run.run();
   std::printf("dynamically instrumented:  %.3f s  (%llu trace events)\n", dynamic.app_seconds,
               static_cast<unsigned long long>(dynamic.trace_events));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "control/overlay.hpp"
 #include "fault/injector.hpp"
 #include "guide/compiler.hpp"
 #include "support/common.hpp"
@@ -205,6 +206,15 @@ Launch::Launch(Options options)
     job_->set_main(pid, [this, pid](proc::SimThread& thread) -> sim::Coro<void> {
       co_await rank_main(pid, thread);
     });
+  }
+
+  // Runtime statistics (§5) reach rank 0 at VT_confsync through one
+  // reduction tree shared by every rank.
+  if (params.confsync_statistics && options_.stats_overlay_arity > 0) {
+    auto overlay = std::make_shared<control::StatsOverlay>(options_.stats_overlay_arity);
+    overlay->prepare(process_count());
+    overlay->set_job(options_.job_name);
+    for (const auto& vt : vts_) vt->set_stats_aggregator(overlay);
   }
 }
 

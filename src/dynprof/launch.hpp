@@ -67,6 +67,9 @@ class Launch {
     /// for node when the application's CPUs do not fit.
     std::optional<machine::MachineSpec> machine;
     std::size_t vt_buffer_records = 16384;
+    /// Arity of the control::StatsOverlay installed on every rank when
+    /// params.confsync_statistics is on; 0 = linear gather to rank 0.
+    int stats_overlay_arity = 4;
     /// Per-process trace-shard byte budget before sorted runs spill to
     /// disk (0 = keep shards fully in memory; see vt::ShardOptions).
     std::size_t trace_spill_bytes = 0;

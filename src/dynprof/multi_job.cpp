@@ -100,10 +100,8 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.shared_engine = &engine_;
     lo.shared_cluster = cluster_.get();
     lo.shared_telemetry = telemetry_.get();
-    PolicyRun::Arming arming;
+    Arming arming;
     arming.script = job.script;
-    arming.confsync_interval = options_.confsync_interval;
-    arming.tree_arity = options_.tree_arity;
     arming.tool_node = tool_nodes[j];
     arming.tool_pid = 100000 + static_cast<int>(j) * 1000;
     runs_.push_back(std::make_unique<PolicyRun>(std::move(lo), std::move(arming)));
@@ -116,7 +114,14 @@ MultiJobLaunch::~MultiJobLaunch() = default;
 MultiJobResult MultiJobLaunch::run_to_completion() {
   DT_EXPECT(!ran_, "run_to_completion called twice");
   ran_ = true;
-  for (auto& run : runs_) run->start();  // tools start their own job
+  // Tools queue their scripts before the static jobs start, each in job
+  // order: the event order the combined digest pins.
+  for (auto& run : runs_) {
+    if (run->tool() != nullptr) run->start();
+  }
+  for (auto& run : runs_) {
+    if (run->tool() == nullptr) run->start();
+  }
   engine_.run();
 
   MultiJobResult result;

@@ -59,10 +59,6 @@ struct MultiJobOptions {
   std::shared_ptr<fault::FaultInjector> fault;
   telemetry::Level telemetry_level = telemetry::default_level();
   std::size_t trace_spill_bytes = 0;
-  /// Adaptive jobs: safe-point cadence and overlay arity (mirrors
-  /// RunConfig's defaults).
-  int confsync_interval = 36;
-  int tree_arity = 4;
 };
 
 struct MultiJobResult {

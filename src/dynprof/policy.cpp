@@ -1,6 +1,5 @@
 #include "dynprof/policy.hpp"
 
-#include "control/overlay.hpp"
 #include "guide/compiler.hpp"
 #include "support/common.hpp"
 
@@ -14,44 +13,14 @@ std::vector<int> cpu_counts_for(const asci::AppSpec& app) {
   return counts;
 }
 
-namespace {
-
-Launch::Options launch_options(const RunConfig& config) {
-  DT_EXPECT(config.app != nullptr, "run_policy needs an application");
-  Launch::Options options;
-  options.app = config.app;
-  options.params.nprocs = config.nprocs;
-  options.params.problem_scale = config.problem_scale;
-  options.params.seed = config.seed;
-  options.policy = config.policy;
-  options.machine = config.machine;
-  options.telemetry_level = config.telemetry_level;
-  options.trace_spill_bytes = config.trace_spill_bytes;
-  options.fault = config.fault;
-  return options;
-}
-
-PolicyRun::Arming arming(const RunConfig& config, std::string script) {
-  PolicyRun::Arming arming;
-  arming.script = std::move(script);
-  arming.confsync_interval = config.confsync_interval;
-  arming.tree_arity = config.tree_arity;
-  arming.controller = config.controller;
-  return arming;
-}
-
-}  // namespace
-
 PolicyRun::PolicyRun(Launch::Options options, Arming arming) : arming_(std::move(arming)) {
   if (options.policy == Policy::kAdaptive) {
-    options.params.confsync_interval = arming_.confsync_interval;
+    // The controller's feedback: statistics at every safe point.
+    if (options.params.confsync_interval == 0) options.params.confsync_interval = 36;
     options.params.confsync_statistics = true;
   }
   launch_ = std::make_unique<Launch>(std::move(options));
 }
-
-PolicyRun::PolicyRun(const RunConfig& config, std::string script)
-    : PolicyRun(launch_options(config), arming(config, std::move(script))) {}
 
 PolicyRun::~PolicyRun() = default;
 
@@ -75,32 +44,27 @@ void PolicyRun::arm() {
   }
   tool_options.command_files = {{"subset", app.dynamic_list}, {"all", std::move(all_user)}};
   tool_ = std::make_unique<DynprofTool>(*launch_, std::move(tool_options));
+  if (arming_.script.empty()) {
+    arming_.script = policy == Policy::kAdaptive ? "insert-file all\nstart\nquit\n"
+                                                 : "insert-file subset\nstart\nquit\n";
+  }
 
   if (policy == Policy::kAdaptive) {
-    if (arming_.tree_arity > 0) {
-      overlay_ = std::make_shared<control::StatsOverlay>(arming_.tree_arity);
-      overlay_->prepare(launch_->process_count());
-      overlay_->set_job(launch_->job_name());
-    }
     for (int pid = 0; pid < launch_->process_count(); ++pid) {
-      if (overlay_) launch_->vt(pid).set_stats_aggregator(overlay_);
       control::install_probe_edit_applier(launch_->vt(pid));
     }
     controller_ = std::make_unique<control::BudgetController>(arming_.controller);
     controller_->attach(launch_->vt(0), launch_->staged());
   }
-
-  std::string script = arming_.script;
-  if (script.empty()) {
-    script = policy == Policy::kAdaptive ? "insert-file all\nstart\nquit\n"
-                                         : "insert-file subset\nstart\nquit\n";
-  }
-  tool_->run_script(parse_script(script));
 }
 
 void PolicyRun::start() {
   arm();
-  if (tool_ == nullptr) launch_->start();
+  if (tool_ != nullptr) {
+    tool_->run_script(parse_script(arming_.script));
+  } else {
+    launch_->start();
+  }
 }
 
 PolicyResult PolicyRun::finish() {
@@ -133,6 +97,8 @@ PolicyResult PolicyRun::run() {
   return finish();
 }
 
-PolicyResult run_policy(const RunConfig& config) { return PolicyRun(config).run(); }
+PolicyResult run_policy(Launch::Options options, Arming arming) {
+  return PolicyRun(std::move(options), std::move(arming)).run();
+}
 
 }  // namespace dyntrace::dynprof

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,37 +10,7 @@
 #include "dynprof/launch.hpp"
 #include "dynprof/tool.hpp"
 
-namespace dyntrace::control {
-class StatsOverlay;
-}  // namespace dyntrace::control
-
 namespace dyntrace::dynprof {
-
-struct RunConfig {
-  const asci::AppSpec* app = nullptr;
-  Policy policy = Policy::kNone;
-  int nprocs = 1;
-  double problem_scale = 1.0;
-  std::uint64_t seed = 42;
-  std::optional<machine::MachineSpec> machine;  ///< default: see Launch::Options
-  /// Self-telemetry level for the run (DESIGN.md §12).  Telemetry never
-  /// perturbs simulated results -- digests are identical at every level.
-  telemetry::Level telemetry_level = telemetry::default_level();
-  /// Trace-shard spill budget (see Launch::Options).  Spilling changes
-  /// where records live only -- digests, statistics, and decision logs are
-  /// bit-identical to the in-memory run.
-  std::size_t trace_spill_bytes = 0;
-  /// Fault injector driving the run (see Launch::Options); null = no plan.
-  std::shared_ptr<fault::FaultInjector> fault;
-
-  // --- Policy::kAdaptive only ----------------------------------------------
-  /// Budget controller configuration (see control::ControllerOptions).
-  control::ControllerOptions controller;
-  /// Safe-point cadence fed to AppParams::confsync_interval.
-  int confsync_interval = 36;
-  /// Statistics-reduction overlay arity; 0 = legacy linear gather.
-  int tree_arity = 4;
-};
 
 struct PolicyResult {
   Policy policy = Policy::kNone;
@@ -66,46 +35,46 @@ struct PolicyResult {
   control::DecisionLog decisions;
 };
 
+/// What a Dynamic/Adaptive policy run needs beyond its Launch::Options;
+/// static policies ignore it.
+struct Arming {
+  /// The dynprof command script; empty = "insert-file subset" (Dynamic) or
+  /// "insert-file all" (Adaptive), then start and quit.
+  std::string script;
+  /// Adaptive: the budget controller's configuration.
+  control::ControllerOptions controller;
+  /// The tool's node and simulated pid (see DynprofTool::Options).
+  int tool_node = -1;
+  int tool_pid = 100000;
+};
+
 /// One application run under one policy: the one place a Launch is armed
 /// for its policy.  A Dynamic or Adaptive run gets a dynprof tool with the
 /// command files `subset` (the app's dynamic_list) and `all` (every
-/// non-runtime function); an Adaptive run also gets the statistics
-/// overlay, a probe-edit applier on every rank and the budget controller.
+/// non-runtime function); an Adaptive run also gets statistics at every
+/// safe point (every 36th offer when params.confsync_interval is 0; the
+/// Launch reduces them through its overlay), a probe-edit applier on every
+/// rank and the budget controller.
 ///
 /// Two phases, so a multi-job scenario can build every Launch before it
-/// arms any job: the constructor builds the Launch, arm() arms it and
-/// queues the tool's script; start() starts a static job (a tool starts
-/// its own), the caller runs the engine, and finish() collects the result.
-/// run() does all of it for a run that owns its engine.
+/// arms any job: the constructor builds the Launch and arm() builds the
+/// tool and control plane; start() queues the tool's script (a static job
+/// starts directly), the caller runs the engine, and finish() collects the
+/// result.  run() does all of it for a run that owns its engine.  A caller
+/// that starts the tool another way (the control service's
+/// start_service()) calls arm() and not start().
 class PolicyRun {
  public:
-  /// How a Dynamic/Adaptive run is armed; static policies ignore it.
-  struct Arming {
-    /// The dynprof command script; empty = "insert-file subset" (Dynamic)
-    /// or "insert-file all" (Adaptive), then start and quit.
-    std::string script;
-    /// Adaptive: safe-point cadence (AppParams::confsync_interval).
-    int confsync_interval = 36;
-    /// Adaptive: statistics-overlay arity; 0 = legacy linear gather.
-    int tree_arity = 4;
-    /// Adaptive: the budget controller's configuration.
-    control::ControllerOptions controller;
-    /// The tool's node and simulated pid (see DynprofTool::Options).
-    int tool_node = -1;
-    int tool_pid = 100000;
-  };
-
-  PolicyRun(Launch::Options options, Arming arming);
-  /// A run_policy cell; `script` as Arming::script.
-  explicit PolicyRun(const RunConfig& config, std::string script = {});
+  explicit PolicyRun(Launch::Options options, Arming arming = {});
   ~PolicyRun();
   PolicyRun(const PolicyRun&) = delete;
   PolicyRun& operator=(const PolicyRun&) = delete;
 
-  /// Build the tool (and the Adaptive control plane) and queue its script.
-  /// Call before Engine::run(); a second call does nothing.
+  /// Build the tool (and the Adaptive control plane).  Call before
+  /// Engine::run(); a second call does nothing.
   void arm();
-  /// Arm, then start a static-policy job.
+  /// Arm, then queue the tool's script or start a static-policy job.  Call
+  /// once.
   void start();
   /// Collect the result once the engine has run.
   PolicyResult finish();
@@ -120,13 +89,12 @@ class PolicyRun {
   Arming arming_;
   std::unique_ptr<Launch> launch_;
   std::unique_ptr<DynprofTool> tool_;
-  std::shared_ptr<control::StatsOverlay> overlay_;
   std::unique_ptr<control::BudgetController> controller_;
   bool armed_ = false;
 };
 
 /// Run one (app, policy, nprocs) cell of Figure 7.
-PolicyResult run_policy(const RunConfig& config);
+PolicyResult run_policy(Launch::Options options, Arming arming = {});
 
 /// The processor counts evaluated for an app in the paper (§4.2): MPI apps
 /// 1..64 (Sweep3d from 2), Umt98 1..8.

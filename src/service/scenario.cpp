@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "control/overlay.hpp"
+#include "dynprof/policy.hpp"
 #include "sim/mailbox.hpp"
 #include "support/common.hpp"
 #include "support/strings.hpp"
@@ -315,22 +315,15 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   lo.params.problem_scale = options.problem_scale;
   lo.params.seed = options.seed;
   lo.params.confsync_interval = options.confsync_interval;
-  lo.params.confsync_statistics = true;
+  lo.params.confsync_statistics = true;  // the overlay root (rank 0) feeds the break agent
   lo.policy = dynprof::Policy::kDynamic;
   lo.fault = options.fault;
   lo.telemetry_level = options.telemetry_level;
-  dynprof::Launch launch(lo);
-
-  // Statistics reduce through the overlay tree to rank 0 -- the fan-out
-  // root the break agent reads.
-  auto overlay = std::make_shared<control::StatsOverlay>(4);
-  overlay->prepare(launch.process_count());
-  overlay->set_job(launch.job_name());
-  for (int pid = 0; pid < launch.process_count(); ++pid) {
-    launch.vt(pid).set_stats_aggregator(overlay);
-  }
-
-  dynprof::DynprofTool tool(launch, dynprof::DynprofTool::Options{});
+  // The tool holds the attachment open (start_service() below): no script.
+  dynprof::PolicyRun run(std::move(lo));
+  run.arm();
+  dynprof::Launch& launch = run.launch();
+  dynprof::DynprofTool& tool = *run.tool();
   ControlService service(launch, tool, options.service);
   machine::Cluster& cluster = launch.cluster();
 

@@ -95,6 +95,7 @@ const CliParser::Option* CliParser::find(const std::string& name) const {
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
+  given_.clear();
   std::size_t next_positional = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -112,6 +113,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
       }
       const Option* opt = find(name);
       DT_EXPECT(opt != nullptr, "unknown option --", name);
+      given_.push_back(name);
       if (opt->takes_value) {
         std::string value;
         if (inline_value) {

@@ -40,6 +40,9 @@ class CliParser {
 
   std::string help_text() const;
 
+  /// The options the last parse() applied (names without dashes), in order.
+  const std::vector<std::string>& given() const { return given_; }
+
  private:
   struct Option {
     std::string name;
@@ -61,6 +64,7 @@ class CliParser {
   std::vector<Option> options_;
   std::vector<Positional> positionals_;
   std::vector<std::string>* rest_ = nullptr;
+  std::vector<std::string> given_;
 };
 
 }  // namespace dyntrace

@@ -1,6 +1,7 @@
 // dynprof_cli end to end: every output flag works under every policy, and a
 // flag with nothing to act on under the chosen policy is an error, never
-// silently ignored.
+// silently ignored.  Bench binaries reject a bad integer flag value the
+// same way, with exit code 1.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -34,13 +35,16 @@ std::string slurp(const fs::path& path) {
   return ss.str();
 }
 
-/// Run dynprof_cli with `args` (stdin empty, stdout+stderr to `log`) and
+/// Run `binary` with `args` (stdin empty, stdout+stderr to `log`) and
 /// return its exit code.
-int run_cli(const std::string& args, const fs::path& log) {
-  const std::string command =
-      std::string(DYNPROF_CLI) + " " + args + " < /dev/null > " + log.string() + " 2>&1";
+int run_binary(const std::string& binary, const std::string& args, const fs::path& log) {
+  const std::string command = binary + " " + args + " < /dev/null > " + log.string() + " 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int run_cli(const std::string& args, const fs::path& log) {
+  return run_binary(DYNPROF_CLI, args, log);
 }
 
 TEST(DynprofCli, EveryOutputFlagWritesItsFileUnderEveryPolicy) {
@@ -108,12 +112,41 @@ TEST(DynprofCli, AFlagWithNothingToActOnExitsOne) {
   cases.push_back({"smg98 --cpus 4 --policy none --telemetry=counters --telemetry-trace " +
                        (dir / "spans.json").string(),
                    "--telemetry-trace"});
+  // The report subcommand runs nothing, so every run flag is one too many.
+  const std::string stats = (dir / "stats.json").string();
+  std::ofstream(stats) << R"({"level": "off", "counters": {}, "gauges": {}, )"
+                       << R"("histograms": {}, "keyed": {}})";
+  ASSERT_EQ(run_cli("report " + stats, log), 0) << slurp(log);
+  cases.push_back({"report " + stats + " --timefile " + (dir / "t.txt").string(), "--timefile"});
+  cases.push_back({"report " + stats + " --policy adaptive", "--policy"});
+  cases.push_back({"--cpus 4 report " + stats, "--cpus"});
   for (const Case& c : cases) {
     EXPECT_EQ(run_cli(c.args, log), 1) << c.args << "\n" << slurp(log);
     EXPECT_NE(slurp(log).find(c.flag), std::string::npos) << c.args << "\n" << slurp(log);
   }
   EXPECT_FALSE(fs::exists(dir / "t.txt"));
   EXPECT_FALSE(fs::exists(dir / "spans.json"));
+}
+
+TEST(BenchFlags, AnIntFlagOutOfRangeOrNotAnIntegerExitsOne) {
+  // 4294967300 narrowed to int would be 4, and 4294967297 would be 1.
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  const struct {
+    const char* binary;
+    const char* flag;
+  } cases[] = {{FIG8B_CONFSYNC_STATS, "--arity"},
+               {FIG8B_CONFSYNC_STATS, "--reps"},
+               {SERVICE_SESSIONS, "--sessions"},
+               {SERVICE_SESSIONS, "--session-batch"}};
+  for (const auto& c : cases) {
+    for (const char* value : {"4294967300", "abc"}) {
+      const std::string args = std::string(c.flag) + " " + value;
+      EXPECT_EQ(run_binary(c.binary, args, log), 1) << c.binary << " " << args << "\n"
+                                                    << slurp(log);
+      EXPECT_NE(slurp(log).find(c.flag), std::string::npos) << c.binary << " " << args;
+    }
+  }
 }
 
 }  // namespace

@@ -67,10 +67,13 @@ TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
   EXPECT_GT(result.combined_digest, 0u);
 }
 
-TEST(MultiJob, ScenarioDigestIsBitIdenticalAcrossSimThreads) {
-  // Run-to-run identity: two launches of one scenario agree bit for bit.
+TEST(MultiJob, ScenarioDigestIsBitIdenticalRunToRun) {
+  // Run-to-run identity: two launches of one scenario agree bit for bit,
+  // and with the pinned digest, so a change in how the jobs are armed or
+  // started (and so in the order their first events run) shows up here.
   const MultiJobResult first = MultiJobLaunch(two_job_options()).run_to_completion();
   const MultiJobResult again = MultiJobLaunch(two_job_options()).run_to_completion();
+  EXPECT_EQ(first.combined_digest, 0x0571c1b4d2a53a42ULL);
   EXPECT_EQ(first.combined_digest, again.combined_digest);
   for (std::size_t j = 0; j < first.jobs.size(); ++j) {
     EXPECT_EQ(first.jobs[j].trace_digest, again.jobs[j].trace_digest) << first.jobs[j].job;

@@ -9,11 +9,11 @@ namespace {
 
 PolicyResult run(const asci::AppSpec& app, Policy policy, int nprocs,
                  double scale = 0.25) {
-  RunConfig config;
+  Launch::Options config;
   config.app = &app;
   config.policy = policy;
-  config.nprocs = nprocs;
-  config.problem_scale = scale;
+  config.params.nprocs = nprocs;
+  config.params.problem_scale = scale;
   return run_policy(config);
 }
 
@@ -105,10 +105,10 @@ TEST(Policies, WeakScalingSmg98TimeGrows) {
 }
 
 TEST(Policies, Sweep3dRejectsSingleProcess) {
-  RunConfig config;
+  Launch::Options config;
   config.app = &asci::sweep3d();
   config.policy = Policy::kNone;
-  config.nprocs = 1;
+  config.params.nprocs = 1;
   EXPECT_THROW(run_policy(config), Error);
 }
 

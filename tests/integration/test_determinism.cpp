@@ -187,12 +187,12 @@ TEST(DeterminismMore, MismatchedReceiveIsDiagnosedAsDeadlock) {
 
 /// One run_policy cell at seed 42; two calls must agree bit for bit.
 PolicyResult run_cell(const asci::AppSpec& app, Policy policy, int nprocs, double scale) {
-  RunConfig config;
+  Launch::Options config;
   config.app = &app;
   config.policy = policy;
-  config.nprocs = nprocs;
-  config.problem_scale = scale;
-  config.seed = 42;
+  config.params.nprocs = nprocs;
+  config.params.problem_scale = scale;
+  config.params.seed = 42;
   return run_policy(config);
 }
 

@@ -14,12 +14,12 @@ namespace dyntrace::dynprof {
 namespace {
 
 PolicyResult run_cell(Policy policy, std::size_t spill_bytes) {
-  RunConfig config;
+  Launch::Options config;
   config.app = &asci::smg98();
   config.policy = policy;
-  config.nprocs = 8;
-  config.problem_scale = 0.15;
-  config.seed = 42;
+  config.params.nprocs = 8;
+  config.params.problem_scale = 0.15;
+  config.params.seed = 42;
   config.trace_spill_bytes = spill_bytes;
   return run_policy(config);
 }

@@ -47,10 +47,10 @@ TEST(ReplayApp, RejectsMoreRanksThanTheTraceRecords) {
   // max_procs bounds only the paper sweeps; the trace's rank count is
   // enforced by the replay body itself.
   const auto app = load_ring();
-  dynprof::RunConfig config;
+  dynprof::Launch::Options config;
   config.app = &app->spec();
   config.policy = dynprof::Policy::kNone;
-  config.nprocs = app->spec().max_procs + 1;
+  config.params.nprocs = app->spec().max_procs + 1;
   try {
     dynprof::run_policy(config);
     FAIL() << "a 4-rank trace ran on 5 ranks";
@@ -60,10 +60,10 @@ TEST(ReplayApp, RejectsMoreRanksThanTheTraceRecords) {
 }
 
 dynprof::PolicyResult run_ring(const asci::AppSpec& spec, dynprof::Policy policy) {
-  dynprof::RunConfig config;
+  dynprof::Launch::Options config;
   config.app = &spec;
   config.policy = policy;
-  config.nprocs = spec.min_procs;
+  config.params.nprocs = spec.min_procs;
   return dynprof::run_policy(config);
 }
 

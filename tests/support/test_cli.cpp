@@ -26,6 +26,17 @@ TEST(Cli, ParsesFlagsAndOptions) {
   EXPECT_EQ(name, "smg98");
 }
 
+TEST(Cli, GivenListsTheAppliedOptionsInOrder) {
+  bool verbose = false;
+  int cpus = 1;
+  std::string app;
+  CliParser p("tool", "t");
+  p.positional("app", "a", &app).flag("verbose", "v", &verbose).option_int("cpus", "c", &cpus);
+  const char* argv[] = {"tool", "--cpus=4", "smg98", "--verbose"};
+  ASSERT_TRUE(p.parse(4, argv));
+  EXPECT_EQ(p.given(), (std::vector<std::string>{"cpus", "verbose"}));
+}
+
 TEST(Cli, DefaultsSurviveWhenAbsent) {
   std::int64_t cpus = 8;
   CliParser p("tool", "t");

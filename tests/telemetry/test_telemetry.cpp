@@ -389,11 +389,11 @@ TEST(TelemetryIntegration, CountersMatchRunToRun) {
   std::vector<telemetry::Registry::Snapshot> snaps;
   std::vector<std::uint64_t> digests;
   for (int rep = 0; rep < 2; ++rep) {
-    RunConfig config;
+    Launch::Options config;
     config.app = &asci::sweep3d();
     config.policy = Policy::kDynamic;
-    config.nprocs = 8;
-    config.problem_scale = 0.15;
+    config.params.nprocs = 8;
+    config.params.problem_scale = 0.15;
     config.telemetry_level = telemetry::Level::kCounters;
     PolicyRun run(config);
     digests.push_back(run.run().trace_digest);
@@ -419,11 +419,11 @@ TEST(TelemetryIntegration, ConcurrentRunsMatchSoloRuns) {
   };
   const asci::AppSpec* apps[2] = {&asci::sweep3d(), &asci::smg98()};
   const auto make_config = [&apps](int i) {
-    RunConfig config;
+    Launch::Options config;
     config.app = apps[i];
     config.policy = Policy::kDynamic;
-    config.nprocs = 64;
-    config.problem_scale = 0.1;
+    config.params.nprocs = 64;
+    config.params.problem_scale = 0.1;
     config.telemetry_level = telemetry::Level::kCounters;
     return config;
   };
@@ -472,11 +472,11 @@ TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
   std::vector<std::uint64_t> digests;
   for (const telemetry::Level level :
        {telemetry::Level::kOff, telemetry::Level::kCounters, telemetry::Level::kSpans}) {
-    RunConfig config;
+    Launch::Options config;
     config.app = &asci::sppm();
     config.policy = Policy::kDynamic;
-    config.nprocs = 4;
-    config.problem_scale = 0.2;
+    config.params.nprocs = 4;
+    config.params.problem_scale = 0.2;
     config.telemetry_level = level;
     const PolicyResult r = run_policy(config);
     digests.push_back(r.trace_digest);
@@ -490,11 +490,11 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
   // The acceptance-bar artifact: an adaptive run at spans level exports a
   // Perfetto-loadable trace whose per-rank confsync spans agree with the
   // confsync round counter, alongside the overlay's reduce spans.
-  RunConfig config;
+  Launch::Options config;
   config.app = &asci::smg98();
   config.policy = Policy::kAdaptive;
-  config.nprocs = 8;
-  config.problem_scale = 0.1;
+  config.params.nprocs = 8;
+  config.params.problem_scale = 0.1;
   config.telemetry_level = telemetry::Level::kSpans;
   PolicyRun run(config);
   const PolicyResult r = run.run();
@@ -509,11 +509,11 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
     const std::string& name = event.at("name").as_string();
     if (name == "confsync") {
       ++confsync_begins;
-      EXPECT_LT(event.at("tid").as_int(), config.nprocs);  // rank tracks
+      EXPECT_LT(event.at("tid").as_int(), config.params.nprocs);  // rank tracks
     }
     if (name == "reduce") {
       ++reduce_begins;
-      EXPECT_LT(event.at("tid").as_int(), config.nprocs);  // rank tracks
+      EXPECT_LT(event.at("tid").as_int(), config.params.nprocs);  // rank tracks
     }
   }
   EXPECT_EQ(confsync_begins, snap.counter_value("control.confsync_rounds"));
