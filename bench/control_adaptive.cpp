@@ -39,6 +39,8 @@ int bench_main(int argc, char** argv) {
   parser.option_string("json", "write results to this JSON file", &json_path);
   parser.flag("decisions", "print the controller's decision trail", &show_decisions);
   if (!parser.parse(argc, argv)) return 0;
+  // The overlay fans in at least two children per interior rank.
+  DT_EXPECT(arity >= 2, "--arity must be at least 2 (got ", arity, ")");
 
   // --- Part 1: linear vs tree statistics reduction at 512 processes --------
   std::puts("Part 1: VT_confsync statistics reduction at 512 processes (s)\n");

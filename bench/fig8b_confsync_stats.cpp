@@ -22,6 +22,8 @@ int bench_main(int argc, char** argv) {
   parser.option_int("reps", "repetitions per data point (paper: 16)", &reps);
   parser.option_int("arity", "aggregation overlay arity (default 4)", &arity);
   if (!parser.parse(argc, argv)) return 0;
+  // The overlay fans in at least two children per interior rank.
+  DT_EXPECT(arity >= 2, "--arity must be at least 2 (got ", arity, ")");
 
   std::puts("Figure 8(b): VT_confsync cost when writing statistics, IBM SP (s)\n");
   TextTable table({"Processors", "No Change", "Tree k=" + std::to_string(arity),

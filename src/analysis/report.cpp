@@ -1,9 +1,12 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/profile.hpp"
 #include "support/common.hpp"
@@ -24,17 +27,68 @@ std::int64_t CommMatrix::total() const {
 }
 
 std::string CommMatrix::render() const {
-  std::vector<std::string> headers{"src\\dst (KiB)"};
-  for (int dst = 0; dst < nprocs; ++dst) headers.push_back(std::to_string(dst));
-  TextTable table(std::move(headers));
-  for (int src = 0; src < nprocs; ++src) {
-    std::vector<std::string> row{std::to_string(src)};
-    for (int dst = 0; dst < nprocs; ++dst) {
-      row.push_back(TextTable::num(static_cast<double>(at(src, dst)) / 1024.0, 1));
+  // TextTable's layout -- a left-aligned label column, right-aligned cells
+  // two spaces apart, a dashed underline -- written into one string sized up
+  // front: the matrix costs O(ranks²) bytes, not a string per cell.
+  constexpr std::string_view kCorner = "src\\dst (KiB)";
+  const auto n = static_cast<std::size_t>(nprocs);
+  DT_ASSERT(bytes.size() == n * n);
+  char label_buf[24];
+  char kib_buf[32];  // the widest cell: a sign, 16 integer digits and ".d"
+  const auto label = [&label_buf](std::size_t rank) {
+    const auto r = std::to_chars(label_buf, label_buf + sizeof label_buf, rank);
+    return std::string_view(label_buf, static_cast<std::size_t>(r.ptr - label_buf));
+  };
+  // TextTable::num(bytes / 1024.0, 1).
+  const auto kib = [&kib_buf](std::int64_t b) {
+    const auto r = std::to_chars(kib_buf, kib_buf + sizeof kib_buf, static_cast<double>(b) / 1024.0,
+                                 std::chars_format::fixed, 1);
+    return std::string_view(kib_buf, static_cast<std::size_t>(r.ptr - kib_buf));
+  };
+
+  // A cell's length grows with its magnitude, so a column is as wide as its
+  // header, its largest cell or its smallest (negative) cell.  Starting the
+  // extremes at 0 is safe: "0.0" is no wider than any cell.
+  std::vector<std::int64_t> hi(n, 0);
+  std::vector<std::int64_t> lo(n, 0);
+  for (std::size_t src = 0; src < n; ++src) {
+    const std::int64_t* row = bytes.data() + src * n;
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      hi[dst] = std::max(hi[dst], row[dst]);
+      lo[dst] = std::min(lo[dst], row[dst]);
     }
-    table.add_row(std::move(row));
   }
-  return table.render();
+  std::vector<std::size_t> width(n + 1);
+  width[0] = std::max(kCorner.size(), n > 0 ? label(n - 1).size() : 0);
+  std::size_t line = width[0] + 1;  // the newline
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    width[dst + 1] = std::max({label(dst).size(), kib(hi[dst]).size(), kib(lo[dst]).size()});
+    line += 2 + width[dst + 1];
+  }
+
+  // Every line has the same length; padding is the string's initial fill.
+  std::string out(line * (n + 2), ' ');
+  char* pos = out.data();
+  const auto emit = [&](std::string_view head, const auto& cell) {
+    std::memcpy(pos, head.data(), head.size());
+    char* end = pos + width[0];
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      end += 2 + width[dst + 1];
+      const std::string_view text = cell(dst);
+      std::memcpy(end - text.size(), text.data(), text.size());
+    }
+    *end = '\n';
+    pos = end + 1;
+  };
+  emit(kCorner, label);
+  std::fill_n(pos, line - 1, '-');
+  pos[line - 1] = '\n';
+  pos += line;
+  for (std::size_t src = 0; src < n; ++src) {
+    const std::int64_t* row = bytes.data() + src * n;
+    emit(label(src), [&](std::size_t dst) { return kib(row[dst]); });
+  }
+  return out;
 }
 
 namespace {

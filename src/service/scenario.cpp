@@ -306,6 +306,8 @@ asci::AppSpec make_svcapp(int functions) {
 ScenarioResult run_scenario(const ScenarioOptions& options) {
   DT_EXPECT(options.sim_threads == 1, "ScenarioOptions::sim_threads must be 1 (got ",
             options.sim_threads, "): the simulator has one sequential engine");
+  DT_EXPECT(options.sessions >= 0, "ScenarioOptions::sessions must be >= 0 (got ",
+            options.sessions, ")");
   const auto host_start = std::chrono::steady_clock::now();
 
   const asci::AppSpec app = make_svcapp(options.functions);
@@ -414,6 +416,10 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
       make_driver(driver_index++, storm_id++, 1, /*gate_at=*/at);
     }
   }
+
+  // No session and no storm: the scenario would wait forever for a driver
+  // to finish, so there is nothing to run.
+  if (drivers.empty()) return ScenarioResult{};
 
   Coordinator coord;
   coord.remaining = drivers.size();

@@ -88,9 +88,9 @@ VtLib::VtLib(proc::SimProcess& process, std::shared_ptr<TraceStore> store, Optio
   registered_.assign(nfuncs, 0);
   stats_.assign(nfuncs, FuncStats{});
   // No up-front reserve: the buffer grows to buffer_records on demand and
-  // keeps its capacity across flushes.  Reserving 512 KiB per rank that a
-  // short run never fills made a sweep's peak RSS depend on where the heap
-  // placed those mostly untouched blocks.
+  // keeps its capacity across mid-run flushes (VT_finalize releases it).
+  // Reserving 512 KiB per rank that a short run never fills made a sweep's
+  // peak RSS depend on where the heap placed those mostly untouched blocks.
 }
 
 void VtLib::link() {
@@ -286,6 +286,11 @@ sim::Coro<void> VtLib::record(proc::SimThread& thread, EventKind kind, std::int3
 sim::Coro<void> VtLib::vt_finalize(proc::SimThread& thread) {
   if (!initialized_) co_return;
   co_await flush(thread);
+  // The records now live in the shard alone.  Give back the buffer's
+  // capacity, which a rank that never filled it sized to its whole share
+  // of the trace, rather than hold it until the Launch is destroyed.  A
+  // later VT_init grows it again on demand.
+  std::vector<Event>().swap(buffer_);
   initialized_ = false;
 }
 

@@ -239,6 +239,8 @@ class VtLib {
   std::uint64_t events_dropped_preinit() const { return events_dropped_preinit_; }
   std::uint64_t events_dropped_traceoff() const { return events_dropped_traceoff_; }
   std::uint64_t flushes() const { return flushes_; }
+  /// Records the event buffer has room for (0 once VT_finalize released it).
+  std::size_t buffer_capacity() const { return buffer_.capacity(); }
   std::uint64_t confsyncs() const { return confsyncs_; }
 
  private:

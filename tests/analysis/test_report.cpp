@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "analysis/report.hpp"
 
 #include "dynprof/policy.hpp"
+#include "support/table.hpp"
 
 namespace dyntrace::analysis {
 namespace {
@@ -39,6 +42,46 @@ TEST(CommMatrix, EmptyTrace) {
   const CommMatrix matrix = communication_matrix(store);
   EXPECT_EQ(matrix.nprocs, 0);
   EXPECT_EQ(matrix.total(), 0);
+}
+
+TEST(CommMatrix, RenderMatchesTextTable) {
+  // The render writes TextTable's layout by hand; a TextTable built here
+  // is the reference.  Cells near 2^62 bytes make columns wider than their
+  // header, and a rare negative cell widens one by its sign.  At 1001 ranks
+  // the matrix is sparse, as a nearest-neighbour exchange is, so most
+  // columns are all zero and their 4-digit header is the widest entry.
+  std::mt19937_64 rng(0x5eed);
+  for (const int nprocs : {0, 1, 2, 9, 10, 11, 99, 100, 101, 257, 1001}) {
+    const bool sparse = nprocs > 1000;
+    for (int trial = 0; trial < (sparse ? 1 : 5); ++trial) {
+      CommMatrix matrix;
+      matrix.nprocs = nprocs;
+      matrix.bytes.resize(static_cast<std::size_t>(nprocs) * nprocs);
+      for (std::int64_t& cell : matrix.bytes) {
+        const std::uint64_t r = rng();
+        if (rng() % (sparse ? 1024 : 2) != 0) {
+          cell = 0;
+        } else if (r % 8 < 5) {
+          cell = static_cast<std::int64_t>(r % (std::uint64_t{1} << (r % 40)));
+        } else if (r % 8 < 7) {
+          cell = (std::int64_t{1} << 62) - static_cast<std::int64_t>(r % (1u << 20));
+        } else {
+          cell = -static_cast<std::int64_t>(r % 100'000);
+        }
+      }
+      std::vector<std::string> headers{"src\\dst (KiB)"};
+      for (int dst = 0; dst < nprocs; ++dst) headers.push_back(std::to_string(dst));
+      TextTable table(std::move(headers));
+      for (int src = 0; src < nprocs; ++src) {
+        std::vector<std::string> row{std::to_string(src)};
+        for (int dst = 0; dst < nprocs; ++dst) {
+          row.push_back(TextTable::num(static_cast<double>(matrix.at(src, dst)) / 1024.0, 1));
+        }
+        table.add_row(std::move(row));
+      }
+      ASSERT_EQ(matrix.render(), table.render()) << nprocs << " ranks, trial " << trial;
+    }
+  }
 }
 
 TEST(LoadBalance, PerfectBalanceIsOne) {

@@ -149,4 +149,29 @@ TEST(BenchFlags, AnIntFlagOutOfRangeOrNotAnIntegerExitsOne) {
   }
 }
 
+TEST(BenchFlags, AnArityBelowTwoExitsOne) {
+  // The overlay needs two children per interior rank; fig8b would otherwise
+  // print "Tree k=-1" over a linear gather.
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  for (const char* binary : {FIG8B_CONFSYNC_STATS, CONTROL_ADAPTIVE}) {
+    for (const char* value : {"1", "0", "-1"}) {
+      const std::string args = std::string("--arity ") + value;
+      EXPECT_EQ(run_binary(binary, args, log), 1) << binary << " " << args << "\n" << slurp(log);
+      EXPECT_NE(slurp(log).find("--arity"), std::string::npos) << binary << " " << args;
+    }
+  }
+}
+
+TEST(BenchFlags, ServiceSessionsRunsWithZeroSessions) {
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  const fs::path json = scratch.path / "service.json";
+  EXPECT_EQ(run_binary(SERVICE_SESSIONS,
+                       "--sessions 0 --skip-batch --skip-determinism --json " + json.string(), log),
+            0)
+      << slurp(log);
+  EXPECT_NE(slurp(json).find("\"sessions\": 0,"), std::string::npos) << slurp(json);
+}
+
 }  // namespace

@@ -83,6 +83,23 @@ TEST(Service, SessionLifecycleRunsEveryScriptToCompletion) {
   EXPECT_TRUE(result.lost_ranks.empty());
 }
 
+TEST(Service, ZeroSessionsReturnAnEmptyResult) {
+  ScenarioOptions options = small_options();
+  options.sessions = 0;
+  const ScenarioResult result = run_scenario(options);
+  EXPECT_TRUE(result.sessions.empty());
+  EXPECT_EQ(result.commands, 0u);
+  EXPECT_TRUE(result.windows.empty());
+  EXPECT_TRUE(result.budget_ok);
+  EXPECT_EQ(result.digest, 0u);
+}
+
+TEST(Service, NegativeSessionsAreAnError) {
+  ScenarioOptions options = small_options();
+  options.sessions = -1;
+  EXPECT_THROW(run_scenario(options), Error);
+}
+
 TEST(Service, SubscriptionDeltasAreFannedOutPerWindow) {
   ScenarioOptions options = small_options();
   // One scripted session: instrument three functions, subscribe to them,

@@ -149,6 +149,34 @@ TEST(VtLib, FinalizeFlushesRemainder) {
   EXPECT_EQ(f.store->size(), 2u);
 }
 
+TEST(VtLib, FinalizeReleasesTheBufferAndInitAfterItStillRecords) {
+  VtLib::Options options;
+  options.buffer_records = 4;
+  Fixture f(std::move(options));
+  f.run([&f](proc::SimThread& t) -> sim::Coro<void> {
+    co_await f.vt.vt_init(t);
+    for (int i = 0; i < 3; ++i) {
+      co_await f.vt.vt_begin(t, 1);
+      co_await f.vt.vt_end(t, 1);
+    }
+    // A mid-run flush keeps the buffer's capacity for the next records.
+    EXPECT_GE(f.vt.flushes(), 1u);
+    EXPECT_GE(f.vt.buffer_capacity(), 4u);
+    co_await f.vt.vt_finalize(t);
+    EXPECT_EQ(f.vt.buffer_capacity(), 0u);
+    EXPECT_EQ(f.store->size(), 6u);
+    // A second VT_init records again; its VT_finalize releases again.
+    co_await f.vt.vt_init(t);
+    co_await f.vt.vt_begin(t, 2);
+    co_await f.vt.vt_end(t, 2);
+    EXPECT_GT(f.vt.buffer_capacity(), 0u);
+    co_await f.vt.vt_finalize(t);
+  });
+  EXPECT_EQ(f.vt.buffer_capacity(), 0u);
+  EXPECT_EQ(f.store->size(), 8u);
+  EXPECT_EQ(f.vt.events_recorded(), 8u);
+}
+
 TEST(VtLib, StatisticsTrackCallsAndInclusiveTime) {
   Fixture f;
   f.run([&f](proc::SimThread& t) -> sim::Coro<void> {
