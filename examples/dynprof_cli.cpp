@@ -166,7 +166,8 @@ int main(int argc, char** argv) {
             "reject recognized-but-unreplayed trace verbs instead of skip-counting",
             &replay_strict)
       .flag("timeline", "print the postmortem time-line", &show_timeline)
-      .flag("report", "print the full summary report (matrix, balance)", &show_report)
+      .flag("report", "print the full summary report (matrix, balance, node health)",
+            &show_report)
       .option_string("machine", "machine profile: builtin name or .ini path", &machine_profile);
 
   try {
@@ -260,7 +261,7 @@ int main(int argc, char** argv) {
     dynprof::PolicyRun run(std::move(options), std::move(arming));
     const dynprof::PolicyResult r = run.run();
     dynprof::Launch& launch = run.launch();
-    const dynprof::DynprofTool* tool = run.tool();
+    dynprof::DynprofTool* tool = run.tool();
 
     if (policy == dynprof::Policy::kDynamic) {
       std::printf("application '%s' finished at t=%.3f s (main computation %.3f s)\n",
@@ -338,6 +339,10 @@ int main(int argc, char** argv) {
     // The dynamic policy's default view adds the trace's top functions.
     if (show_report) {
       std::printf("\n%s", analysis::summary_report(*launch.trace(), app->symbols.get()).c_str());
+      // Dynamic and Adaptive runs talk to the DPCL daemons: their health.
+      if (tool != nullptr && tool->application() != nullptr) {
+        std::printf("\n%s", analysis::render_health(tool->application()->health()).c_str());
+      }
     } else if (policy == dynprof::Policy::kDynamic) {
       analysis::TraceAnalyzer analyzer(*launch.trace());
       std::printf("\ntop functions:\n%s",

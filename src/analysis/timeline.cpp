@@ -9,14 +9,24 @@
 
 namespace dyntrace::analysis {
 
-std::string render_timeline(const vt::TraceStore& store, const TimelineOptions& options) {
+namespace {
+
+constexpr int kColumns = 72;
+constexpr char kComputeChar = '=';
+constexpr char kMpiChar = 'M';
+constexpr char kOmpChar = 'o';
+constexpr char kIdleChar = '.';
+
+}  // namespace
+
+std::string render_timeline(const vt::TraceStore& store) {
   // Bounds come from shard metadata (O(shards)); the paint pass streams
   // the merged trace without materializing it.
   sim::TimeNs t0 = 0;
   sim::TimeNs t1 = 0;
   if (!store.time_bounds(&t0, &t1)) return "";
   const sim::TimeNs span = std::max<sim::TimeNs>(1, t1 - t0);
-  const int columns = std::max(8, options.columns);
+  const int columns = kColumns;
 
   // Classify per (pid, bucket): priority MPI > OpenMP > compute.
   enum class Cell : std::uint8_t { kIdle = 0, kCompute, kOmp, kMpi };
@@ -77,16 +87,16 @@ std::string render_timeline(const vt::TraceStore& store, const TimelineOptions& 
 
   std::ostringstream os;
   os << "time-line: " << sim::format_duration(span) << " across " << rows.size()
-     << " process(es); '" << options.mpi_char << "'=MPI '" << options.omp_char
-     << "'=OpenMP '" << options.compute_char << "'=compute\n";
+     << " process(es); '" << kMpiChar << "'=MPI '" << kOmpChar << "'=OpenMP '" << kComputeChar
+     << "'=compute\n";
   for (const auto& [pid, row] : rows) {
     os << str::format("%5d |", pid);
     for (const Cell cell : row) {
       switch (cell) {
-        case Cell::kIdle: os << options.idle_char; break;
-        case Cell::kCompute: os << options.compute_char; break;
-        case Cell::kOmp: os << options.omp_char; break;
-        case Cell::kMpi: os << options.mpi_char; break;
+        case Cell::kIdle: os << kIdleChar; break;
+        case Cell::kCompute: os << kComputeChar; break;
+        case Cell::kOmp: os << kOmpChar; break;
+        case Cell::kMpi: os << kMpiChar; break;
       }
     }
     os << "|\n";

@@ -9,15 +9,9 @@
 
 namespace dyntrace::analysis {
 
-struct TimelineOptions {
-  int columns = 72;       ///< horizontal resolution
-  char compute_char = '='; ///< in a user function
-  char mpi_char = 'M';     ///< inside an MPI call
-  char omp_char = 'o';     ///< inside an OpenMP region event pair
-  char idle_char = '.';    ///< no activity recorded in the bucket
-};
-
-/// Render the job time-line; returns "" for an empty trace.
-std::string render_timeline(const vt::TraceStore& store, const TimelineOptions& options = {});
+/// Render the job time-line, 72 columns wide ('M' = inside an MPI call,
+/// 'o' = inside an OpenMP region, '=' = in a user function, '.' = no
+/// activity); returns "" for an empty trace.
+std::string render_timeline(const vt::TraceStore& store);
 
 }  // namespace dyntrace::analysis

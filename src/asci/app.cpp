@@ -29,7 +29,9 @@ AppContext::AppContext(const AppSpec& spec, AppParams params, proc::SimProcess& 
       mpi_(mpi),
       omp_(omp),
       vt_(vt),
-      rng_(rng) {}
+      rng_(rng) {
+  DT_EXPECT(vt != nullptr, spec.name, ": an application context needs its VT library");
+}
 
 image::FunctionId AppContext::fid(std::string_view name) const { return spec_.fid(name); }
 
@@ -44,18 +46,12 @@ sim::Coro<void> AppContext::leaf(proc::SimThread& thread, image::FunctionId fn,
 }
 
 sim::TimeNs AppContext::steady_pair_overhead(image::FunctionId fn) const {
-  // The VT library prices its own calls (vt::VtLib::steady_pair_overhead);
-  // without a library linked, only the structural trampoline cost remains
-  // (snippet bodies call into a registry that has nothing to do).
-  if (vt_ != nullptr) return vt_->steady_pair_overhead(fn);
-  const image::ProgramImage& img = process_.image();
-  const machine::CostModel& costs = process_.cluster().spec().costs;
-  return img.trampoline_overhead(fn, image::ProbeWhere::kEntry, costs) +
-         img.trampoline_overhead(fn, image::ProbeWhere::kExit, costs);
+  // The VT library prices its own calls.
+  return vt_->steady_pair_overhead(fn);
 }
 
 sim::Coro<void> AppContext::safe_point(proc::SimThread& thread) {
-  if (params_.confsync_interval <= 0 || vt_ == nullptr || !vt_->initialized()) co_return;
+  if (params_.confsync_interval <= 0 || !vt_->initialized()) co_return;
   const std::int64_t offer = ++safe_point_offers_;
   // Power-of-two ramp before the first full interval, then the steady
   // cadence.  Deterministic in the offer index alone, so every rank fires
@@ -82,7 +78,7 @@ sim::Coro<void> AppContext::leaf_repeat(proc::SimThread& thread, image::Function
   const image::ProbeSummary& probes = process_.image().summary(fn);
   const bool instrumented = probes.static_instrumented || probes.base_trampoline[0] ||
                             probes.base_trampoline[1];
-  if (instrumented && vt_ != nullptr) {
+  if (instrumented) {
     vt_->note_synthetic_pairs(fn, static_cast<std::uint64_t>(rest), work_each + per_pair,
                               thread.tid());
   }

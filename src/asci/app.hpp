@@ -89,6 +89,8 @@ struct AppParams {
 /// Per-process runtime context handed to application bodies.
 class AppContext {
  public:
+  /// `mpi` and `omp` are null for apps of the other model; `vt` (the
+  /// process's VT library) never is.
   AppContext(const AppSpec& spec, AppParams params, proc::SimProcess& process, mpi::Rank* mpi,
              omp::OmpRuntime* omp, vt::VtLib* vt, Rng rng);
 

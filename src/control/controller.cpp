@@ -46,29 +46,21 @@ std::size_t BudgetController::group_for(vt::VtLib& vt, image::FunctionId fn) {
   if (auto it = fn_group_.find(fn); it != fn_group_.end()) return it->second;
   const image::SymbolTable& symbols = vt.process().image().symbols();
   const image::FunctionInfo& info = symbols.at(fn);
-  const bool by_module = log_.options.group_by_module && !info.module.empty();
-  const std::string key = by_module ? info.module : info.name;
-  if (auto it = group_index_.find(key); it != group_index_.end()) {
-    fn_group_.emplace(fn, it->second);
-    groups_[it->second].fns.push_back(fn);
-    return it->second;
-  }
   const std::size_t index = groups_.size();
-  groups_.push_back(Group{key, {}, true, 0, 0.0});
-  group_index_.emplace(key, index);
-  if (by_module) {
-    // Enroll the *whole* family up front: observing one member of a module
-    // must condemn (or reinstate) its siblings too, or generated-helper
-    // families simply rotate fresh members into the hot set after every
-    // staging round.
-    for (const image::FunctionInfo& member : symbols.all()) {
-      if (member.module != key) continue;
-      groups_[index].fns.push_back(member.id);
-      fn_group_.emplace(member.id, index);
-    }
-  } else {
-    groups_[index].fns.push_back(fn);
+  if (info.module.empty()) {
+    // No module: the function is a group of its own.
+    groups_.push_back(Group{info.name, {fn}, true, 0});
     fn_group_.emplace(fn, index);
+    return index;
+  }
+  // Enroll the *whole* module family up front: observing one member must
+  // condemn (or reinstate) its siblings too, or generated-helper families
+  // simply rotate fresh members into the hot set after every staging round.
+  groups_.push_back(Group{info.module, {}, true, 0});
+  for (const image::FunctionInfo& member : symbols.all()) {
+    if (member.module != info.module) continue;
+    groups_[index].fns.push_back(member.id);
+    fn_group_.emplace(member.id, index);
   }
   return index;
 }
@@ -78,14 +70,6 @@ sim::TimeNs BudgetController::on_break(vt::VtLib& vt) {
   const sim::TimeNs now = vt.process().engine().now();
   const Estimate est = estimator_.update(vt, now);
   const ControllerOptions& opt = log_.options;
-
-  // kProbe: removed groups are invisible to the estimator; age their
-  // remembered rates here so speculation (if enabled) can eventually fire.
-  if (opt.actuator == Actuator::kProbe && opt.stale_rate_decay < 1.0) {
-    for (Group& g : groups_) {
-      if (!g.active) g.remembered_rate *= opt.stale_rate_decay;
-    }
-  }
   if (est.window <= 0) return 0;
 
   // Fold function estimates into group accumulators for this window.
@@ -155,15 +139,16 @@ sim::TimeNs BudgetController::on_break(vt::VtLib& vt) {
       Group& g = groups_[cand.index];
       g.active = false;
       g.last_change_sync = sync;
-      g.remembered_rate = static_cast<double>(accs[cand.index].active) / window;
       projected -= cand.savings;
       deactivate.push_back(cand.index);
       decision.deactivated.push_back(g.key);
     }
-  } else if (projected < opt.reactivate_fraction * opt.budget_fraction) {
+  } else if (opt.actuator == Actuator::kFilter &&
+             projected < opt.reactivate_fraction * opt.budget_fraction) {
     // Headroom: bring groups back, cheapest projection first, as long as
     // the total stays inside the budget (not just inside the headroom
-    // band -- that asymmetry is the hysteresis).
+    // band -- that asymmetry is the hysteresis).  A removed probe counts
+    // nothing, so a probe-removed group stays removed.
     struct Candidate {
       double added;  ///< projection increase if reactivated
       std::size_t index;
@@ -175,20 +160,14 @@ sim::TimeNs BudgetController::on_break(vt::VtLib& vt) {
       if (sync - g.last_change_sync < static_cast<std::uint64_t>(opt.min_dwell_syncs)) {
         continue;
       }
-      double added;
-      if (opt.actuator == Actuator::kFilter) {
-        // The filtered counters kept counting, so this window *is* the
-        // group's live rate: project the reactivation cost from it.  No
-        // activity at all means the rate collapsed -- reinstating coverage
-        // is free (and the next window re-measures it if it comes back).
-        const auto it = accs.find(index);
-        added = it == accs.end()
-                    ? 0.0
-                    : static_cast<double>(it->second.active - it->second.current) / window;
-      } else {
-        if (opt.stale_rate_decay >= 1.0) continue;  // speculation disabled
-        added = groups_[index].remembered_rate;
-      }
+      // The filtered counters kept counting, so this window *is* the
+      // group's live rate: project the reactivation cost from it.  No
+      // activity at all means the rate collapsed -- reinstating coverage
+      // is free (and the next window re-measures it if it comes back).
+      const auto it = accs.find(index);
+      const double added =
+          it == accs.end() ? 0.0
+                           : static_cast<double>(it->second.active - it->second.current) / window;
       candidates.push_back(Candidate{added, index});
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -228,14 +207,14 @@ void BudgetController::stage(const std::vector<std::size_t>& deactivate,
   // Safe to overwrite: the confsync protocol ends in a barrier, so every
   // rank applied the previous version before this break could run.
   staged_->program.clear();
-  staged_->probe_edits.clear();
+  staged_->probe_removals.clear();
   const image::SymbolTable& symbols = vt.process().image().symbols();
   auto emit = [&](std::size_t index, bool activate) {
     for (const image::FunctionId fn : groups_[index].fns) {
       if (log_.options.actuator == Actuator::kFilter) {
         staged_->program.push_back(vt::FilterDirective{activate, symbols.at(fn).name});
       } else {
-        staged_->probe_edits.push_back(vt::ProbeEdit{fn, activate});
+        staged_->probe_removals.push_back(fn);
       }
     }
   };
@@ -246,29 +225,19 @@ void BudgetController::stage(const std::vector<std::size_t>& deactivate,
 
 void install_probe_edit_applier(vt::VtLib& vt) {
   vt.set_apply_edits_handler(
-      [](vt::VtLib& v, const std::vector<vt::ProbeEdit>& edits) -> sim::TimeNs {
+      [](vt::VtLib& v, const std::vector<image::FunctionId>& removals) -> sim::TimeNs {
         image::ProgramImage& img = v.process().image();
         const machine::CostModel& c = v.process().cluster().spec().costs;
         std::int64_t probes_touched = 0;
-        for (const vt::ProbeEdit& edit : edits) {
-          if (edit.instrument) {
-            // Idempotent: skip points that already carry a probe.
-            if (!img.probe_point(edit.fn, image::ProbeWhere::kEntry).minis.empty()) continue;
-            img.install_probe(edit.fn, image::ProbeWhere::kEntry,
-                              image::snippet::call("VT_begin", {static_cast<std::int64_t>(edit.fn)}));
-            img.install_probe(edit.fn, image::ProbeWhere::kExit,
-                              image::snippet::call("VT_end", {static_cast<std::int64_t>(edit.fn)}));
-            probes_touched += 2;
-          } else {
-            for (auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
-              // Copy the handles first: removal mutates the mini list.
-              std::vector<image::ProbeHandle> handles;
-              for (const auto& mini : img.probe_point(edit.fn, where).minis) {
-                handles.push_back(mini.handle);
-              }
-              for (const auto handle : handles) {
-                if (img.remove_probe(handle)) ++probes_touched;
-              }
+        for (const image::FunctionId fn : removals) {
+          for (auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
+            // Copy the handles first: removal mutates the mini list.
+            std::vector<image::ProbeHandle> handles;
+            for (const auto& mini : img.probe_point(fn, where).minis) {
+              handles.push_back(mini.handle);
+            }
+            for (const auto handle : handles) {
+              if (img.remove_probe(handle)) ++probes_touched;
             }
           }
         }

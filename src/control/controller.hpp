@@ -21,12 +21,8 @@
 //   * kFilter stages VT filter directives.  A deactivated function still
 //     pays call + table lookup, but keeps counting (FuncStats.filtered), so
 //     reactivation projections stay precise.
-//   * kProbe stages probe removals/inserts.  A removed probe costs exactly
-//     zero -- and is blind: the controller only remembers the group's rate
-//     from when it was removed.  With stale_rate_decay >= 1 (default) a
-//     removed group is never reactivated; < 1 decays the remembered rate
-//     per sync and reactivates speculatively once it fades inside the
-//     headroom.
+//   * kProbe stages probe removals.  A removed probe costs exactly zero --
+//     and is blind: it counts nothing, so a removed group stays removed.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +51,6 @@ struct ControllerOptions {
   /// Ignore groups with fewer observed pairs in a window (noise floor).
   std::uint64_t min_pairs = 8;
   Actuator actuator = Actuator::kFilter;
-  /// Group functions by source module (false: every function on its own).
-  bool group_by_module = true;
-  /// kProbe only: per-sync decay of a removed group's remembered rate;
-  /// >= 1 disables speculative reactivation entirely.
-  double stale_rate_decay = 1.0;
 };
 
 /// What the controller did at one safe point.
@@ -98,9 +89,6 @@ class BudgetController {
     std::vector<image::FunctionId> fns;  ///< members observed so far
     bool active = true;
     std::uint64_t last_change_sync = 0;
-    /// kProbe: the group's active-cost rate (ns overhead per ns of run)
-    /// remembered from the removal window, decayed per sync.
-    double remembered_rate = 0.0;
   };
 
   sim::TimeNs on_break(vt::VtLib& vt);
@@ -111,16 +99,15 @@ class BudgetController {
   std::shared_ptr<vt::StagedUpdate> staged_;
   OverheadEstimator estimator_;
   std::vector<Group> groups_;
-  std::unordered_map<std::string, std::size_t> group_index_;
   std::unordered_map<image::FunctionId, std::size_t> fn_group_;
   std::uint64_t syncs_seen_ = 0;
   DecisionLog log_;
 };
 
 /// Install the probe actuator's apply handler on one rank's library: staged
-/// ProbeEdits are applied to that process's image at the safe point
-/// (removing a function's VT mini-trampolines, or re-inserting the
-/// VT_begin/VT_end pair), charging DPCL patch time per probe touched.
+/// probe removals are applied to that process's image at the safe point
+/// (removing each function's VT mini-trampolines), charging DPCL patch time
+/// per probe removed.
 /// Must be installed on *every* rank's VtLib when Actuator::kProbe is used.
 void install_probe_edit_applier(vt::VtLib& vt);
 

@@ -293,19 +293,6 @@ void DpclApplication::abandon_node(int node, sim::TimeNs now) {
                                          ranks);
 }
 
-std::vector<int> DpclApplication::quarantined_pids() const {
-  std::vector<int> out;
-  for (const int node : health_.quarantined_nodes()) {
-    if (lost_nodes_.count(node) != 0) continue;
-    const auto it = std::find(nodes_.begin(), nodes_.end(), node);
-    if (it == nodes_.end()) continue;
-    const auto& pids = node_pids_[static_cast<std::size_t>(it - nodes_.begin())];
-    out.insert(out.end(), pids.begin(), pids.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<int> DpclApplication::lost_pids() const {
   std::vector<int> out;
   for (const int node : lost_nodes_) {

@@ -103,8 +103,6 @@ class DpclApplication {
   const std::vector<int>& quarantined_last_broadcast() const {
     return quarantined_last_broadcast_;
   }
-  /// Pids on currently quarantined (open/half-open breaker) nodes, ascending.
-  std::vector<int> quarantined_pids() const;
 
  private:
   struct Round;

@@ -99,7 +99,7 @@ HealthTracker::Admit HealthTracker::admit(int node, sim::TimeNs now) {
   NodeHealth& h = it->second;
   switch (h.state) {
     case BreakerState::kClosed:
-      return Admit::kNormal;
+      break;
     case BreakerState::kHalfOpen:
       return Admit::kProbe;
     case BreakerState::kOpen:
@@ -131,14 +131,6 @@ const HealthTracker::NodeHealth& HealthTracker::node_health(int node) const {
   static const NodeHealth kFresh;
   const auto it = nodes_.find(node);
   return it == nodes_.end() ? kFresh : it->second;
-}
-
-std::vector<int> HealthTracker::quarantined_nodes() const {
-  std::vector<int> out;
-  for (const auto& [node, h] : nodes_) {
-    if (h.state != BreakerState::kClosed) out.push_back(node);
-  }
-  return out;
 }
 
 std::vector<int> HealthTracker::tracked_nodes() const {

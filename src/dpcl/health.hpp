@@ -84,8 +84,6 @@ class HealthTracker {
   double score(int node) const;
   BreakerState state(int node) const;
   const NodeHealth& node_health(int node) const;
-  /// Nodes whose breaker is not closed, ascending.
-  std::vector<int> quarantined_nodes() const;
   /// All tracked nodes, ascending (for reporting).
   std::vector<int> tracked_nodes() const;
 

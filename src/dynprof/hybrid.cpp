@@ -1,10 +1,11 @@
 #include "dynprof/hybrid.hpp"
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "guide/compiler.hpp"
 #include "support/common.hpp"
-#include "support/log.hpp"
 
 namespace dyntrace::dynprof {
 
@@ -53,17 +54,15 @@ sim::Coro<void> HybridController::run() {
     if (info.name == "main" || guide::is_runtime_module(info.module)) continue;
     ranked.emplace_back(hits, fn);
   }
+  // Most hits first; ties by function id.
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
+    return std::tie(b.first, a.second) < std::tie(a.first, b.second);
   });
   for (std::size_t i = 0; i < ranked.size() && i < options_.top_k; ++i) {
     report_.selected.push_back(symbols.at(ranked[i].second).name);
   }
 
   if (report_.selected.empty() || !app_still_running()) {
-    log::info("hybrid", "nothing to instrument (", report_.total_samples, " samples, app ",
-              app_still_running() ? "running" : "finished", ")");
     finished_ = true;
     co_return;
   }

@@ -146,7 +146,6 @@ Launch::Launch(Options options)
   // The VT configuration file per policy, compiled once for the whole job;
   // every rank applies the same delta at VT_init.
   vt::VtLib::Options vt_options;
-  vt_options.buffer_records = options_.vt_buffer_records;
   if (options_.policy == Policy::kFullOff) {
     vt_options.config_filter = vt::compile_filter(*app.symbols, guide::full_off_filter());
   } else if (options_.policy == Policy::kSubset) {

@@ -66,7 +66,6 @@ class Launch {
     /// Default: machine::machine_for_cpus -- the IBM Power3 SP, grown node
     /// for node when the application's CPUs do not fit.
     std::optional<machine::MachineSpec> machine;
-    std::size_t vt_buffer_records = 16384;
     /// Arity of the control::StatsOverlay installed on every rank when
     /// params.confsync_statistics is on; 0 = linear gather to rank 0.
     int stats_overlay_arity = 4;

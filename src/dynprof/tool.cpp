@@ -1,11 +1,11 @@
 #include "dynprof/tool.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "fault/injector.hpp"
 #include "image/snippet.hpp"
 #include "support/common.hpp"
-#include "support/log.hpp"
 #include "support/strings.hpp"
 
 namespace dyntrace::dynprof {
@@ -389,7 +389,7 @@ sim::Coro<void> DynprofTool::tool_main(std::vector<Command> script) {
   for (const Command& cmd : script) {
     switch (cmd.kind) {
       case CommandKind::kHelp:
-        log::info("dynprof", "\n", help_text());
+        std::fputs(help_text().c_str(), stdout);
         break;
       case CommandKind::kInsert:
       case CommandKind::kInsertFile: {

@@ -1,6 +1,7 @@
 #include "fault/report.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "support/strings.hpp"
 
@@ -9,10 +10,7 @@ namespace dyntrace::fault {
 namespace {
 
 bool entry_before(const RunReport::Entry& a, const RunReport::Entry& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.detail != b.detail) return a.detail < b.detail;
-  return a.ranks < b.ranks;
+  return std::tie(a.time, a.kind, a.detail, a.ranks) < std::tie(b.time, b.kind, b.detail, b.ranks);
 }
 
 }  // namespace

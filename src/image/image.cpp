@@ -4,10 +4,6 @@
 
 namespace dyntrace::image {
 
-const char* to_string(ProbeWhere where) {
-  return where == ProbeWhere::kEntry ? "entry" : "exit";
-}
-
 SnippetSnapshot::SnippetSnapshot(const ProbePoint& point, std::uint32_t active) {
   if (active == 0) return;
   if (active > 1) many_.reserve(active);
@@ -88,17 +84,13 @@ InstalledProbe* ProgramImage::find_probe(ProbeHandle handle, FunctionId* fn_out,
 bool ProgramImage::remove_probe(ProbeHandle handle) {
   FunctionId fn = kInvalidFunction;
   ProbeWhere where = ProbeWhere::kEntry;
-  if (find_probe(handle, &fn, &where) == nullptr) return false;
+  const InstalledProbe* probe = find_probe(handle, &fn, &where);
+  if (probe == nullptr) return false;
   auto& minis = point(fn, where).minis;
-  for (auto it = minis.begin(); it != minis.end(); ++it) {
-    if (it->handle == handle) {
-      minis.erase(it);
-      refresh_summary(fn, where);
-      ++patch_epoch_;
-      return true;
-    }
-  }
-  return false;
+  minis.erase(minis.begin() + (probe - minis.data()));
+  refresh_summary(fn, where);
+  ++patch_epoch_;
+  return true;
 }
 
 bool ProgramImage::set_probe_active(ProbeHandle handle, bool active) {

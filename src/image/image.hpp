@@ -22,8 +22,6 @@ namespace dyntrace::image {
 
 enum class ProbeWhere : std::uint8_t { kEntry = 0, kExit = 1 };
 
-const char* to_string(ProbeWhere where);
-
 /// Identifies one installed mini-trampoline within one image.
 struct ProbeHandle {
   std::uint64_t value = 0;  ///< 0 = invalid

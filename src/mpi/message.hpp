@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "sim/time.hpp"
 
@@ -55,7 +54,5 @@ enum class Op : std::uint8_t {
   kScatter,
   kAlltoall,
 };
-
-std::string_view to_string(Op op);
 
 }  // namespace dyntrace::mpi

@@ -3,35 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "support/common.hpp"
-#include "support/log.hpp"
 #include "support/strings.hpp"
 
 namespace dyntrace::mpi {
-
-std::string_view to_string(Op op) {
-  switch (op) {
-    case Op::kInit: return "MPI_Init";
-    case Op::kFinalize: return "MPI_Finalize";
-    case Op::kSend: return "MPI_Send";
-    case Op::kRecv: return "MPI_Recv";
-    case Op::kIsend: return "MPI_Isend";
-    case Op::kIrecv: return "MPI_Irecv";
-    case Op::kWait: return "MPI_Wait";
-    case Op::kSendrecv: return "MPI_Sendrecv";
-    case Op::kBarrier: return "MPI_Barrier";
-    case Op::kBcast: return "MPI_Bcast";
-    case Op::kReduce: return "MPI_Reduce";
-    case Op::kAllreduce: return "MPI_Allreduce";
-    case Op::kGather: return "MPI_Gather";
-    case Op::kScatter: return "MPI_Scatter";
-    case Op::kAlltoall: return "MPI_Alltoall";
-  }
-  return "MPI_?";
-}
 
 World::World(machine::Cluster& cluster) : cluster_(cluster) {}
 World::~World() = default;
@@ -231,8 +210,8 @@ Rank::Request& Rank::Request::operator=(Request&& other) noexcept {
 
 Rank::Request::~Request() {
   if (state_ && !state_->waited) {
-    log::warn("mpi", "request destroyed without MPI_Wait (",
-              state_->is_recv ? "irecv" : "isend", state_->done ? ", completed)" : ", pending)");
+    std::fprintf(stderr, "mpi: request destroyed without MPI_Wait (%s, %s)\n",
+                 state_->is_recv ? "irecv" : "isend", state_->done ? "completed" : "pending");
   }
 }
 

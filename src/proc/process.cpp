@@ -1,7 +1,8 @@
 #include "proc/process.hpp"
 
+#include <cstdio>
+
 #include "support/common.hpp"
-#include "support/log.hpp"
 
 namespace dyntrace::proc {
 
@@ -253,7 +254,8 @@ void SimProcess::send_callback(const std::string& tag) {
   if (callback_sink_) {
     callback_sink_(tag, pid_);
   } else {
-    log::warn("proc", "process ", pid_, ": callback '", tag, "' with no instrumenter attached");
+    std::fprintf(stderr, "proc: process %d: callback '%s' with no instrumenter attached\n", pid_,
+                 tag.c_str());
   }
 }
 

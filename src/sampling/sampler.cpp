@@ -1,6 +1,7 @@
 #include "sampling/sampler.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "support/common.hpp"
 #include "support/strings.hpp"
@@ -66,9 +67,9 @@ std::vector<std::pair<image::FunctionId, std::uint64_t>> Sampler::top(std::size_
     const auto fn = static_cast<image::FunctionId>(key);
     if (fn != image::kInvalidFunction) entries.emplace_back(fn, hits);
   }
+  // Most hits first; ties by function id.
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
+    return std::tie(b.second, a.first) < std::tie(a.second, b.first);
   });
   if (entries.size() > k) entries.resize(k);
   return entries;

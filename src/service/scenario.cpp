@@ -274,8 +274,6 @@ std::vector<Request> generate_script(Rng& rng, int functions, int commands) {
 
 }  // namespace
 
-const char* scenario_sentinel() { return kSentinelName; }
-
 asci::AppSpec make_svcapp(int functions) {
   auto symbols = std::make_shared<image::SymbolTable>();
   symbols->add("main", "svcapp.c");
@@ -460,12 +458,11 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   result.admission_evals = service.admission_evals();
   result.windows = service.windows();
   const double budget = service.admission().options().budget_fraction;
-  for (const WindowRecord& window : result.windows) {
-    if (window.priced_after > budget + 1e-9 && !window.at_floor) {
-      result.budget_ok = false;
-      ++result.budget_violations;
-    }
-  }
+  result.budget_violations = static_cast<std::size_t>(
+      std::count_if(result.windows.begin(), result.windows.end(), [budget](const WindowRecord& w) {
+        return w.priced_after > budget + 1e-9 && !w.at_floor;
+      }));
+  result.budget_ok = result.budget_violations == 0;
   for (image::FunctionId fn = 0; fn < launch.options().app->symbols->size(); ++fn) {
     if (launch.vt(0).filter().deactivated(fn)) result.rank0_deactivated.push_back(fn);
   }

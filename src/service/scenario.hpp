@@ -25,9 +25,6 @@
 
 namespace dyntrace::service {
 
-/// Name of svcapp's shutdown sentinel function.
-const char* scenario_sentinel();
-
 /// Build the synthetic service-target application with `functions` user
 /// functions ("svc_fn_00" ...).  The returned spec owns its symbols; keep
 /// it alive for the Launch's lifetime.

@@ -165,7 +165,7 @@ struct ControlService::BreakAgent {
       // Safe to overwrite: the previous confsync ended in a barrier, so
       // every rank has applied the prior staged program already.
       staged->program = program;
-      staged->probe_edits.clear();
+      staged->probe_removals.clear();
       ++staged->version;
     }
 

@@ -1,9 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
-#include "support/log.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace dyntrace::sim {
@@ -83,7 +83,8 @@ void Engine::record_failure(const std::string& name, std::exception_ptr error) {
   if (!failure_) {
     failure_ = error;
   } else {
-    log::warn("sim", "additional process failure in '", name, "' (first failure wins)");
+    std::fprintf(stderr, "sim: additional process failure in '%s' (first failure wins)\n",
+                 name.c_str());
   }
 }
 

@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dyntrace::sim {
 
@@ -10,47 +9,7 @@ void Accumulator::add(double x) {
   sum_ += x;
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double Accumulator::variance() const {
-  if (count_ == 0) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-double Series::at(double xi) const {
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] == xi) return y[i];
-  }
-  return std::nan("");
-}
-
-double Series::max_y() const {
-  double m = -std::numeric_limits<double>::infinity();
-  for (double v : y) m = std::max(m, v);
-  return y.empty() ? 0.0 : m;
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 }  // namespace dyntrace::sim

@@ -1,51 +1,29 @@
-// Statistics accumulators used by the trace library, the workloads, and the
-// benchmark harness.
+// Streaming statistics accumulator (the confsync latency experiment).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace dyntrace::sim {
 
-/// Streaming accumulator: count / sum / min / max / mean / variance
-/// (Welford's algorithm, numerically stable).
+/// Streaming accumulator: count / sum / min / max / mean (a running mean,
+/// numerically stable).
 class Accumulator {
  public:
   void add(double x);
-  void merge(const Accumulator& other);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
 
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// A named (x, y) series, as plotted in the paper's figures.
-struct Series {
-  std::string name;
-  std::vector<double> x;
-  std::vector<double> y;
-
-  void add(double xi, double yi) {
-    x.push_back(xi);
-    y.push_back(yi);
-  }
-  /// y value at the given x, or NaN if absent.
-  double at(double xi) const;
-  double max_y() const;
 };
 
 }  // namespace dyntrace::sim

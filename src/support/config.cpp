@@ -98,40 +98,4 @@ double ConfigFile::get_double(std::string_view sec, std::string_view key,
   return *parsed;
 }
 
-bool ConfigFile::get_bool(std::string_view sec, std::string_view key, bool fallback) const {
-  auto v = get(sec, key);
-  if (!v) return fallback;
-  auto parsed = str::parse_bool(*v);
-  DT_EXPECT(parsed.has_value(), origin_, ": [", std::string(sec), "] ", std::string(key),
-            " = '", *v, "' is not a boolean");
-  return *parsed;
-}
-
-bool ConfigFile::has_section(std::string_view name) const {
-  for (const auto& e : entries_) {
-    if (e.section == name) return true;
-  }
-  return false;
-}
-
-void ConfigFile::add(std::string section, std::string key, std::string value) {
-  entries_.push_back(Entry{std::move(section), std::move(key), std::move(value), 0});
-}
-
-std::string ConfigFile::to_text() const {
-  std::ostringstream os;
-  std::string current;
-  bool first = true;
-  for (const auto& e : entries_) {
-    if (first || e.section != current) {
-      if (!first) os << '\n';
-      if (!e.section.empty()) os << '[' << e.section << "]\n";
-      current = e.section;
-      first = false;
-    }
-    os << e.key << " = " << e.value << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace dyntrace

@@ -52,16 +52,6 @@ class ConfigFile {
   std::int64_t get_int(std::string_view section, std::string_view key,
                        std::int64_t fallback) const;
   double get_double(std::string_view section, std::string_view key, double fallback) const;
-  bool get_bool(std::string_view section, std::string_view key, bool fallback) const;
-
-  /// True if any entry exists in the section.
-  bool has_section(std::string_view name) const;
-
-  /// Append an entry programmatically (used when building configs in code).
-  void add(std::string section, std::string key, std::string value);
-
-  /// Serialize back to INI text (stable order).
-  std::string to_text() const;
 
   const std::string& origin() const { return origin_; }
 

@@ -117,13 +117,6 @@ std::optional<double> parse_f64(std::string_view s) {
   return v;
 }
 
-std::optional<bool> parse_bool(std::string_view s) {
-  const std::string t = to_lower(trim(s));
-  if (t == "true" || t == "yes" || t == "on" || t == "1") return true;
-  if (t == "false" || t == "no" || t == "off" || t == "0") return false;
-  return std::nullopt;
-}
-
 KeyValueLine::KeyValueLine(const std::vector<std::string>& tokens, std::size_t first,
                            std::string where)
     : where_(std::move(where)) {

@@ -35,7 +35,6 @@ std::string to_lower(std::string_view s);
 std::optional<std::int64_t> parse_i64(std::string_view s);
 std::optional<std::uint64_t> parse_u64(std::string_view s);  // no sign accepted
 std::optional<double> parse_f64(std::string_view s);
-std::optional<bool> parse_bool(std::string_view s);  // true/false/yes/no/on/off/1/0
 
 /// The `key=value` tokens of one line of a text input (fault plans, replay
 /// traces).  Each accessor takes its key; finish() rejects a key no

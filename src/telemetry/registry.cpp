@@ -1,6 +1,7 @@
 #include "telemetry/registry.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "support/common.hpp"
 #include "support/strings.hpp"
@@ -298,9 +299,9 @@ std::uint64_t KeyedCounter::at(std::int64_t key) const {
 
 std::vector<std::pair<std::int64_t, std::uint64_t>> KeyedCounter::ranked() const {
   std::vector<std::pair<std::int64_t, std::uint64_t>> entries(counts_.begin(), counts_.end());
+  // Highest count first; ties by key.
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
+    return std::tie(b.second, a.first) < std::tie(a.second, b.first);
   });
   return entries;
 }

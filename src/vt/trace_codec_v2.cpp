@@ -531,10 +531,7 @@ BlockSalvage salvage_v2_scan(const std::string& path) {
   const long file_size = std::ftell(f);
   std::fseek(f, 0, SEEK_SET);
   std::vector<std::uint8_t> bytes(file_size > 0 ? static_cast<std::size_t>(file_size) : 0);
-  if (!bytes.empty() && std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    return salvage;
-  }
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));  // a short read loses the tail
   std::fclose(f);
 
   BlockDecoder decoder;

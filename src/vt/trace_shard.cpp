@@ -40,15 +40,13 @@ void write_file_durably(const std::string& path, const std::uint8_t* data,
   std::size_t done = 0;
   while (done < size) {
     const ::ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      ::close(fd);
-      fail("I/O error spilling shard to '", path, "'");
-    }
+    if (n < 0) break;
     done += static_cast<std::size_t>(n);
   }
   const int synced = ::fsync(fd);
   const int closed = ::close(fd);
-  DT_EXPECT(synced == 0 && closed == 0, "I/O error syncing shard spill file '", path, "'");
+  DT_EXPECT(done == size && synced == 0 && closed == 0, "I/O error spilling shard to '", path,
+            "'");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <variant>
 
 #include "support/common.hpp"
-#include "support/log.hpp"
 #include "support/strings.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -186,7 +185,7 @@ sim::Coro<void> VtLib::vt_begin(proc::SimThread& thread, image::FunctionId fn) {
     if (filter_.deactivated(fn)) {
       // Early-out: no timestamp, no record.
       ++events_filtered_;
-      if (options_.collect_statistics) ++stats_[fn].filtered;
+      ++stats_[fn].filtered;
       co_await thread.compute(charge);
       co_return;
     }
@@ -198,12 +197,10 @@ sim::Coro<void> VtLib::vt_begin(proc::SimThread& thread, image::FunctionId fn) {
   charge += c.vt_timestamp + c.vt_record;
   co_await thread.compute(charge);
   push_event(EventKind::kEnter, thread, static_cast<std::int32_t>(fn), 0);
-  if (options_.collect_statistics) {
-    const auto tid = static_cast<std::size_t>(thread.tid());
-    if (enter_stacks_.size() <= tid) enter_stacks_.resize(tid + 1);
-    enter_stacks_[tid].push_back(Frame{fn, process_.engine().now(), 0});
-    ++stats_[fn].calls;
-  }
+  const auto tid = static_cast<std::size_t>(thread.tid());
+  if (enter_stacks_.size() <= tid) enter_stacks_.resize(tid + 1);
+  enter_stacks_[tid].push_back(Frame{fn, process_.engine().now(), 0});
+  ++stats_[fn].calls;
   if (buffer_.size() >= options_.buffer_records) co_await flush(thread);
 }
 
@@ -224,7 +221,7 @@ sim::Coro<void> VtLib::vt_end(proc::SimThread& thread, image::FunctionId fn) {
     charge += c.vt_filter_lookup;
     if (filter_.deactivated(fn)) {
       ++events_filtered_;
-      if (options_.collect_statistics) ++stats_[fn].filtered;
+      ++stats_[fn].filtered;
       co_await thread.compute(charge);
       co_return;
     }
@@ -239,28 +236,26 @@ sim::Coro<void> VtLib::vt_end(proc::SimThread& thread, image::FunctionId fn) {
   charge += c.vt_timestamp + c.vt_record;
   co_await thread.compute(charge);
   push_event(EventKind::kLeave, thread, static_cast<std::int32_t>(fn), 0);
-  if (options_.collect_statistics) {
-    const auto tid = static_cast<std::size_t>(thread.tid());
-    if (tid < enter_stacks_.size()) {
-      // Unwind to the matching frame: mismatched nesting (a probe removed
-      // mid-run between enter and exit, or an exit whose enter was
-      // filtered) must not leave stale frames pinned on the stack, or
-      // inclusive time for this thread is corrupted forever after.
-      auto& stack = enter_stacks_[tid];
-      for (std::size_t i = stack.size(); i-- > 0;) {
-        if (stack[i].fn == fn) {
-          const sim::TimeNs inclusive = process_.engine().now() - stack[i].enter;
-          const sim::TimeNs child = stack[i].child;
-          FuncStats& s = stats_[fn];
-          s.inclusive += inclusive;
-          s.exclusive += std::max<sim::TimeNs>(0, inclusive - child);
-          if (s.min_inclusive == 0 || inclusive < s.min_inclusive) s.min_inclusive = inclusive;
-          if (inclusive > s.max_inclusive) s.max_inclusive = inclusive;
-          stack.resize(i);  // drop the frame and any stale frames above it
-          // Credit the enclosing frame so its exclusive time excludes us.
-          if (!stack.empty()) stack.back().child += inclusive;
-          break;
-        }
+  const auto tid = static_cast<std::size_t>(thread.tid());
+  if (tid < enter_stacks_.size()) {
+    // Unwind to the matching frame: mismatched nesting (a probe removed
+    // mid-run between enter and exit, or an exit whose enter was
+    // filtered) must not leave stale frames pinned on the stack, or
+    // inclusive time for this thread is corrupted forever after.
+    auto& stack = enter_stacks_[tid];
+    for (std::size_t i = stack.size(); i-- > 0;) {
+      if (stack[i].fn == fn) {
+        const sim::TimeNs inclusive = process_.engine().now() - stack[i].enter;
+        const sim::TimeNs child = stack[i].child;
+        FuncStats& s = stats_[fn];
+        s.inclusive += inclusive;
+        s.exclusive += std::max<sim::TimeNs>(0, inclusive - child);
+        if (s.min_inclusive == 0 || inclusive < s.min_inclusive) s.min_inclusive = inclusive;
+        if (inclusive > s.max_inclusive) s.max_inclusive = inclusive;
+        stack.resize(i);  // drop the frame and any stale frames above it
+        // Credit the enclosing frame so its exclusive time excludes us.
+        if (!stack.empty()) stack.back().child += inclusive;
+        break;
       }
     }
   }
@@ -382,11 +377,11 @@ void VtLib::note_synthetic_pairs(image::FunctionId fn, std::uint64_t pairs,
   }
   if (filter_.enabled() && filter_.deactivated(fn)) {
     events_filtered_ += 2 * pairs;
-    if (options_.collect_statistics && fn < stats_.size()) stats_[fn].filtered += 2 * pairs;
+    if (fn < stats_.size()) stats_[fn].filtered += 2 * pairs;
     return;
   }
   synthetic_events_ += 2 * pairs;
-  if (options_.collect_statistics && fn < stats_.size()) {
+  if (fn < stats_.size()) {
     const sim::TimeNs total = inclusive_each * static_cast<sim::TimeNs>(pairs);
     FuncStats& s = stats_[fn];
     s.calls += pairs;
@@ -449,7 +444,7 @@ sim::Coro<void> VtLib::confsync(proc::SimThread& thread, bool write_statistics) 
   std::int64_t payload = 8;  // version header
   if (is_root && staged_ && staged_->version > applied_version_) {
     payload += serialized_size(staged_->program) +
-               8 * static_cast<std::int64_t>(staged_->probe_edits.size());
+               8 * static_cast<std::int64_t>(staged_->probe_removals.size());
   }
   if (rank_ != nullptr) {
     co_await rank_->bcast(thread, 0, payload);
@@ -460,10 +455,10 @@ sim::Coro<void> VtLib::confsync(proc::SimThread& thread, bool write_statistics) 
                               static_cast<sim::TimeNs>(staged_->program.size()));
       filter_.apply(staged_->compiled(process_.image().symbols()));
     }
-    if (!staged_->probe_edits.empty() && apply_edits_handler_) {
-      // Probe insertion/removal against this process's image; the handler
-      // reports the patch time (DPCL pokes + suspend/resume) to charge.
-      const sim::TimeNs patch_time = apply_edits_handler_(*this, staged_->probe_edits);
+    if (!staged_->probe_removals.empty() && apply_edits_handler_) {
+      // Probe removal against this process's image; the handler reports
+      // the patch time (DPCL pokes + suspend/resume) to charge.
+      const sim::TimeNs patch_time = apply_edits_handler_(*this, staged_->probe_removals);
       if (patch_time > 0) co_await thread.compute(patch_time);
     }
     applied_version_ = staged_->version;

@@ -31,22 +31,16 @@
 
 namespace dyntrace::vt {
 
-/// One dynamic-probe change staged for application at a safe point: either
-/// (re)instrument `fn` with VT_begin/VT_end probes or remove its probes
-/// entirely.  Unlike a filter directive, a removed probe costs exactly zero
-/// at runtime -- the control plane's strongest actuator.
-struct ProbeEdit {
-  image::FunctionId fn = 0;
-  bool instrument = false;
-};
-
 /// A configuration update staged for distribution by the next VT_confsync.
 /// Shared by all VtLib instances of a job (rank 0 reads it at its
 /// configuration_break; the broadcast is simulated with real messages and
 /// the payload applied from here).  Either half may be empty.
 struct StagedUpdate {
   FilterProgram program;
-  std::vector<ProbeEdit> probe_edits;
+  /// Functions whose probes are removed entirely.  Unlike a filter
+  /// directive, a removed probe costs exactly zero at runtime -- the control
+  /// plane's strongest actuator.
+  std::vector<image::FunctionId> probe_removals;
   std::uint64_t version = 0;  ///< bumped by each stage() call
 
   /// `program` compiled against the job's symbols, once per version: the
@@ -105,9 +99,6 @@ class VtLib {
     /// Event-buffer capacity in records; a full buffer flushes to the
     /// trace store, charging flush time.
     std::size_t buffer_records = 16384;
-    /// Maintain per-function call counters / inclusive times (used by the
-    /// VT_confsync statistics experiment).
-    bool collect_statistics = true;
   };
 
   VtLib(proc::SimProcess& process, std::shared_ptr<TraceStore> store, Options options);
@@ -136,10 +127,11 @@ class VtLib {
     aggregator_ = std::move(aggregator);
   }
 
-  /// Handler applying staged ProbeEdits to this process's image at the
+  /// Handler applying staged probe removals to this process's image at the
   /// safe point (installed by the control plane's probe actuator).  Returns
   /// the patch time to charge to the applying thread.
-  using ApplyEditsHandler = std::function<sim::TimeNs(VtLib&, const std::vector<ProbeEdit>&)>;
+  using ApplyEditsHandler =
+      std::function<sim::TimeNs(VtLib&, const std::vector<image::FunctionId>&)>;
   void set_apply_edits_handler(ApplyEditsHandler handler) {
     apply_edits_handler_ = std::move(handler);
   }

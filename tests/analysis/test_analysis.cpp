@@ -128,6 +128,36 @@ TEST(Timeline, MpiPhasesWinOverCompute) {
   EXPECT_NE(text.find('='), std::string::npos);
 }
 
+TEST(Timeline, OpenMpRegionsPaintTheirOwnCells) {
+  vt::TraceStore store;
+  store.append(ev(0, 0, vt::EventKind::kEnter, 1));
+  store.append(ev(100, 0, vt::EventKind::kParallelBegin, 7));
+  vt::Event worker = ev(100, 0, vt::EventKind::kWorkerBegin, 7);
+  worker.tid = 1;
+  store.append(worker);
+  store.append(ev(500, 0, vt::EventKind::kMarker, 0));  // a point event paints nothing new
+  worker.time = 900;
+  worker.kind = vt::EventKind::kWorkerEnd;
+  store.append(worker);
+  store.append(ev(900, 0, vt::EventKind::kParallelEnd, 7));
+  store.append(ev(1000, 0, vt::EventKind::kLeave, 1));
+  const std::string text = render_timeline(store);
+  EXPECT_NE(text.find("'o'=OpenMP"), std::string::npos) << text;
+  const std::string row = text.substr(text.find("0 |"));
+  EXPECT_NE(row.find('o'), std::string::npos) << text;
+  EXPECT_NE(row.find('='), std::string::npos) << text;
+  EXPECT_EQ(row.find('M'), std::string::npos) << text;
+}
+
+TEST(Profile, AnUnknownProcessHasNoProfile) {
+  vt::TraceStore store;
+  store.append(ev(0, 0, vt::EventKind::kEnter, 1));
+  store.append(ev(10, 0, vt::EventKind::kLeave, 1));
+  const TraceAnalyzer analyzer(store);
+  EXPECT_NE(analyzer.process(0), nullptr);
+  EXPECT_EQ(analyzer.process(42), nullptr);
+}
+
 TEST(Integration, EndToEndTraceIsAnalyzable) {
   // Run sppm under Subset and analyse its real trace: the subset functions
   // appear; the deactivated ones do not.

@@ -37,6 +37,17 @@ TEST(CommMatrix, AccumulatesBytesBySrcDst) {
   EXPECT_NE(rendered.find("src\\dst"), std::string::npos);
 }
 
+TEST(CommMatrix, ASendPastTheLastProcessGrowsTheMatrix) {
+  vt::TraceStore store;
+  store.append(ev(1, 0, vt::EventKind::kMsgSend, 1, 100));
+  store.append(ev(2, 1, vt::EventKind::kMsgSend, 3, 50));  // peer 3: no events of its own
+  const CommMatrix matrix = communication_matrix(store);
+  EXPECT_EQ(matrix.nprocs, 4);
+  EXPECT_EQ(matrix.at(0, 1), 100);  // kept across the relayout
+  EXPECT_EQ(matrix.at(1, 3), 50);
+  EXPECT_EQ(matrix.total(), 150);
+}
+
 TEST(CommMatrix, EmptyTrace) {
   vt::TraceStore store;
   const CommMatrix matrix = communication_matrix(store);

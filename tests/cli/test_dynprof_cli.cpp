@@ -88,6 +88,60 @@ TEST(DynprofCli, FaultPlanRunsUnderAStaticPolicy) {
   EXPECT_NE(slurp(log).find("fault report: no faults fired"), std::string::npos) << slurp(log);
 }
 
+TEST(DynprofCli, HelpPrintsTheCommandTable) {
+  const TestDir scratch;
+  const fs::path& dir = scratch.path;
+  std::ofstream(dir / "help.dynprof") << "help\nstart\nquit\n";
+  const fs::path log = dir / "stdout.txt";
+  ASSERT_EQ(run_cli("sppm --cpus 2 --scale 0.1 --script " + (dir / "help.dynprof").string(), log),
+            0)
+      << slurp(log);
+  const std::string out = slurp(log);
+  EXPECT_NE(out.find("dynprof commands:\n  help (h)  Displays a help message\n"),
+            std::string::npos)
+      << out;
+  for (const char* command : {"  insert-file (if)  ", "  start (s)  ", "  quit (q)  "}) {
+    EXPECT_NE(out.find(command), std::string::npos) << command << "\n" << out;
+  }
+}
+
+TEST(DynprofCli, ReportPrintsNodeHealthUnderTheTool) {
+  const TestDir scratch;
+  const fs::path& dir = scratch.path;
+  // The mid-run insert meets the plan's dead, flapping and degraded daemons.
+  std::ofstream(dir / "gray.dynprof") << "insert-file subset\nstart\nwait 5\n"
+                                         "insert-file subset\nquit\n";
+  const std::string plan = std::string(DYNTRACE_SOURCE_DIR) + "/configs/fault-matrix.plan";
+  const fs::path log = dir / "stdout.txt";
+  ASSERT_EQ(run_cli("smg98 --cpus 64 --scale 0.15 --report --fault-plan " + plan + " --script " +
+                        (dir / "gray.dynprof").string(),
+                    log),
+            0)
+      << slurp(log);
+  const std::string out = slurp(log);
+  const std::size_t summary = out.find("=== trace summary ===");
+  const std::size_t health = out.find("node  score  breaker");
+  ASSERT_NE(summary, std::string::npos) << out;
+  ASSERT_NE(health, std::string::npos) << out;
+  EXPECT_LT(summary, health) << out;
+  EXPECT_NE(out.find("8 node(s) tracked, 2 quarantined\n"), std::string::npos) << out;
+
+  // Static policies run no tool, so there is no daemon to report on.
+  ASSERT_EQ(run_cli("smg98 --cpus 8 --policy full --report", log), 0) << slurp(log);
+  EXPECT_EQ(slurp(log).find("node(s) tracked"), std::string::npos) << slurp(log);
+}
+
+TEST(DynprofCli, ReportShowsTheTraceVolumeOfASpilledRun) {
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  ASSERT_EQ(run_cli("sweep3d --cpus 4 --policy full --trace-spill-bytes 16384 --report", log), 0)
+      << slurp(log);
+  const std::string out = slurp(log);
+  EXPECT_NE(out.find("trace volume: "), std::string::npos) << out;
+  EXPECT_NE(out.find(" spilled record(s) in "), std::string::npos) << out;
+  EXPECT_NE(out.find(", suppression folded "), std::string::npos) << out;
+}
+
 TEST(DynprofCli, AFlagWithNothingToActOnExitsOne) {
   const TestDir scratch;
   const fs::path& dir = scratch.path;

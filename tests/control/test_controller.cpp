@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "control/estimator.hpp"
@@ -153,16 +155,14 @@ TEST(OverheadEstimator, CountsSuppressedPairsUnderFilter) {
 // Controller
 // ---------------------------------------------------------------------------
 
-/// Phase 1: `hot_iters` iterations hammer the box_loops.c pair; afterwards
-/// `quiet_iters` iterations run only the cold function.  A confsync safe
-/// point closes every iteration.
-void run_hot_then_quiet(ControlHarness& h, BudgetController& controller, int hot_iters,
-                        int quiet_iters) {
+/// One iteration per entry of `hot`: a hot one hammers the box_loops.c
+/// pair, and every one runs the cold function.  A confsync safe point
+/// closes every iteration.
+void run_phases(ControlHarness& h, BudgetController& controller, std::vector<bool> hot) {
   controller.attach(*h.vts[0], h.staged);
-  h.run([&, hot_iters, quiet_iters](int, vt::VtLib& vt,
-                                    proc::SimThread& thread) -> sim::Coro<void> {
-    for (int iter = 0; iter < hot_iters + quiet_iters; ++iter) {
-      if (iter < hot_iters) {
+  h.run([&, hot](int, vt::VtLib& vt, proc::SimThread& thread) -> sim::Coro<void> {
+    for (const bool hot_iter : hot) {
+      if (hot_iter) {
         for (int i = 0; i < 400; ++i) {
           co_await vt.vt_begin(thread, kHotA);
           co_await thread.compute(200);
@@ -178,6 +178,15 @@ void run_hot_then_quiet(ControlHarness& h, BudgetController& controller, int hot
       co_await vt.confsync(thread, /*write_statistics=*/true);
     }
   });
+}
+
+/// `hot_iters` hot iterations, then `quiet_iters` that run only the cold
+/// function.
+void run_hot_then_quiet(ControlHarness& h, BudgetController& controller, int hot_iters,
+                        int quiet_iters) {
+  std::vector<bool> hot(static_cast<std::size_t>(hot_iters), true);
+  hot.resize(static_cast<std::size_t>(hot_iters + quiet_iters), false);
+  run_phases(h, controller, std::move(hot));
 }
 
 TEST(BudgetController, DeactivatesHotModuleWhenOverBudget) {
@@ -230,6 +239,58 @@ TEST(BudgetController, ReactivatesWhenHotPhaseEnds) {
     if (!d.reactivated.empty()) saw_reactivation = true;
   }
   EXPECT_TRUE(saw_reactivation);
+}
+
+TEST(BudgetController, AReactivatedGroupDwellsBeforeItIsCondemnedAgain) {
+  ControlHarness h(2, hot_cold_symbols());
+  ControllerOptions options;
+  options.budget_fraction = 0.03;
+  options.min_dwell_syncs = 2;
+  BudgetController controller(options);
+  // Hot, one quiet window (which reinstates the module), then hot again.
+  std::vector<bool> hot(4, true);
+  hot.push_back(false);
+  hot.resize(8, true);
+  run_phases(h, controller, hot);
+
+  const std::vector<Decision>& decisions = controller.log().decisions;
+  std::size_t reactivated = decisions.size();
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    if (!decisions[i].reactivated.empty()) {
+      reactivated = i;
+      break;
+    }
+  }
+  ASSERT_LT(reactivated + 2, decisions.size());
+  // The first window of the second hot phase is over budget, but the module
+  // changed state one safe point ago: it dwells.  The next one condemns it.
+  const Decision& dwell = decisions[reactivated + 1];
+  EXPECT_GT(dwell.estimated_overhead, options.budget_fraction);
+  EXPECT_TRUE(dwell.deactivated.empty());
+  const Decision& again = decisions[reactivated + 2];
+  EXPECT_EQ(again.deactivated, std::vector<std::string>{"box_loops.c"});
+  EXPECT_EQ(controller.inactive_groups(), std::vector<std::string>{"box_loops.c"});
+}
+
+TEST(BudgetController, AFunctionWithoutAModuleIsAGroupOfItsOwn) {
+  auto symbols = std::make_shared<image::SymbolTable>();
+  symbols->add("main", "driver.c");
+  symbols->add("hot_a");
+  symbols->add("hot_b");
+  symbols->add("cold_heavy", "solver.c");
+  ControlHarness h(2, symbols);
+  ControllerOptions options;
+  options.budget_fraction = 0.03;
+  BudgetController controller(options);
+  run_hot_then_quiet(h, controller, /*hot_iters=*/4, /*quiet_iters=*/0);
+
+  // Each hot function is condemned by name, on its own evidence.
+  std::vector<std::string> inactive = controller.inactive_groups();
+  std::sort(inactive.begin(), inactive.end());
+  EXPECT_EQ(inactive, (std::vector<std::string>{"hot_a", "hot_b"}));
+  EXPECT_TRUE(h.vts[0]->filter().deactivated(kHotA));
+  EXPECT_TRUE(h.vts[0]->filter().deactivated(kHotB));
+  EXPECT_FALSE(h.vts[0]->filter().deactivated(kCold));
 }
 
 TEST(BudgetController, StaysQuietUnderBudget) {

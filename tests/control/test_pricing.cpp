@@ -69,6 +69,38 @@ TEST(Pricing, HypotheticalPriceMatchesAsBuiltStandardPair) {
   EXPECT_EQ(hypothetical.residual, as_built.residual);
 }
 
+TEST(Pricing, OnlyVtCallsInsideASnippetArePricedAsVtCalls) {
+  PricingHarness h;
+  // kUntouched gets the same VT_begin/VT_end pair, wrapped in sequences
+  // next to snippets that call no VT entry (the Figure-6 init snippet's
+  // kinds), plus a mini that is a no-op.
+  namespace sn = image::snippet;
+  image::ProgramImage& img = h.vt->process().image();
+  const auto arg = static_cast<std::int64_t>(kUntouched);
+  img.install_probe(kUntouched, image::ProbeWhere::kEntry,
+                    sn::seq({sn::set_flag("ready", 1), sn::call("VT_begin", {arg}),
+                             sn::callback("init"), sn::call("MPI_Barrier")}));
+  img.install_probe(kUntouched, image::ProbeWhere::kEntry, sn::noop());
+  img.install_probe(kUntouched, image::ProbeWhere::kExit,
+                    sn::seq({sn::spin_until("ready", 1), sn::call("VT_end", {arg})}));
+
+  const machine::CostModel& c = h.cluster.spec().costs;
+  auto structural = [&](image::FunctionId fn) {
+    return img.trampoline_overhead(fn, image::ProbeWhere::kEntry, c) +
+           img.trampoline_overhead(fn, image::ProbeWhere::kExit, c);
+  };
+  // Two VT calls on each function: what they cost beyond the trampolines
+  // is the same, as built and as priced.
+  EXPECT_EQ(h.vt->steady_pair_overhead(kUntouched) - structural(kUntouched),
+            h.vt->steady_pair_overhead(kInstrumented) - structural(kInstrumented));
+  const PairPrice mixed = pair_price(*h.vt, kUntouched);
+  const PairPrice standard = pair_price(*h.vt, kInstrumented);
+  EXPECT_EQ(mixed.active - structural(kUntouched), standard.active - structural(kInstrumented));
+  EXPECT_EQ(mixed.residual - structural(kUntouched),
+            standard.residual - structural(kInstrumented));
+  EXPECT_GT(structural(kUntouched), structural(kInstrumented));  // one more mini
+}
+
 TEST(Pricing, OverheadFractionIsPriceTimesRate) {
   EXPECT_DOUBLE_EQ(overhead_fraction(20'000, 1000.0), 0.02);
   EXPECT_DOUBLE_EQ(overhead_fraction(0, 1e9), 0.0);

@@ -19,6 +19,16 @@ Launch make(const asci::AppSpec& app, Policy policy, int nprocs) {
   return Launch(std::move(options));
 }
 
+TEST(Launch, PolicyNamesRoundTripAndUnknownNamesAreErrors) {
+  for (const PolicyInfo& info : policy_table()) {
+    EXPECT_STREQ(to_string(info.policy), info.name);
+    EXPECT_EQ(policy_from_string(info.name), info.policy);
+  }
+  EXPECT_EQ(policy_from_string("full-off"), Policy::kFullOff);  // case-insensitive
+  EXPECT_STREQ(to_string(static_cast<Policy>(99)), "?");
+  EXPECT_THROW(policy_from_string("sometimes"), Error);
+}
+
 TEST(Launch, FullPolicyInstrumentsAllUserFunctions) {
   auto launch = make(asci::sppm(), Policy::kFull, 2);
   const auto& img = launch.job().process(0).image();

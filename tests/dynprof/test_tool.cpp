@@ -136,6 +136,20 @@ TEST(Tool, UnknownFunctionNameFailsTheRun) {
   EXPECT_THROW(launch.engine().run(), Error);
 }
 
+TEST(Tool, UnknownCommandFileFailsTheRun) {
+  Launch launch(small_run(asci::sppm(), 2));
+  DynprofTool tool(launch, {});
+  tool.run_script(parse_script("insert-file no_such_file\nstart\nquit\n"));
+  try {
+    launch.engine().run();
+    FAIL() << "expected an unknown-command-file error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown command file 'no_such_file'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Tool, RemoveBeforeStartFailsTheRun) {
   Launch launch(small_run(asci::sppm(), 2));
   DynprofTool tool(launch, {});

@@ -97,6 +97,20 @@ TEST(FaultPlan, TextRoundTrips) {
   }
 }
 
+TEST(FaultPlan, SubMillisecondTimesAndTheAppChannelRoundTrip) {
+  const FaultPlan plan = FaultPlan::parse(
+      "kill-rank rank=1 at=1500us\n"
+      "kill-rank rank=2 at=7\n"
+      "drop channel=app prob=0.5\n");
+  const std::string text = plan.to_text();
+  EXPECT_NE(text.find("at=1500us"), std::string::npos) << text;
+  EXPECT_NE(text.find("at=7ns"), std::string::npos) << text;
+  EXPECT_NE(text.find("channel=app"), std::string::npos) << text;
+  EXPECT_EQ(FaultPlan::parse(text).to_text(), text);
+  EXPECT_STREQ(to_string(Channel::kApp), "app");
+  EXPECT_STREQ(to_string(static_cast<Channel>(9)), "?");
+}
+
 TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_THROW(FaultPlan::parse("explode node=1 at=5s\n"), Error);
   EXPECT_THROW(FaultPlan::parse("kill-daemon at=5s\n"), Error);            // missing node=
@@ -416,6 +430,16 @@ TEST(RunReport, EntriesSortDeterministically) {
   EXPECT_EQ(entries[2].kind, "degrade");
   EXPECT_EQ(report.lost_ranks(), (std::vector<int>{2, 3}));
   EXPECT_FALSE(report.render().empty());
+}
+
+TEST(RunReport, EntriesThatTieOnEverythingElseSortByRanks) {
+  RunReport report;
+  report.add(sim::seconds(1), "rank-lost", "node=1", {5});
+  report.add(sim::seconds(1), "rank-lost", "node=1", {4});
+  const auto entries = report.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].ranks, std::vector<int>{4});
+  EXPECT_EQ(entries[1].ranks, std::vector<int>{5});
 }
 
 }  // namespace

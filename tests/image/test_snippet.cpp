@@ -64,6 +64,7 @@ TEST(Snippet, ToStringRendersStructure) {
 TEST(Snippet, CallWithArgsRenders) {
   EXPECT_EQ(snippet::call("VT_begin", {3, 4})->to_string(), "call VT_begin(3, 4)");
   EXPECT_EQ(snippet::set_flag("f", 9)->to_string(), "set f=9");
+  EXPECT_EQ(snippet::noop()->to_string(), "noop");
 }
 
 }  // namespace

@@ -285,11 +285,5 @@ TEST(Mpi, DoubleInitThrows) {
   EXPECT_THROW(h.engine.run(), Error);
 }
 
-TEST(Mpi, OpNamesForTraceDisplay) {
-  EXPECT_EQ(to_string(Op::kInit), "MPI_Init");
-  EXPECT_EQ(to_string(Op::kAllreduce), "MPI_Allreduce");
-  EXPECT_EQ(to_string(Op::kAlltoall), "MPI_Alltoall");
-}
-
 }  // namespace
 }  // namespace dyntrace::mpi

@@ -3,7 +3,6 @@
 
 #include "mpi/world.hpp"
 #include "proc/job.hpp"
-#include "support/log.hpp"
 
 namespace dyntrace::mpi {
 namespace {
@@ -190,9 +189,28 @@ TEST(NonBlocking, IprobeSeesQueuedMessage) {
   EXPECT_TRUE(after);
 }
 
+TEST(NonBlocking, ARequestDroppedWithoutWaitWarnsOnStderr) {
+  Harness h(2);
+  testing::internal::CaptureStderr();
+  h.run([](Rank& rank, proc::SimThread& t) -> sim::Coro<void> {
+    Rank::Request request;
+    if (rank.rank() == 0) {
+      co_await rank.isend(t, 1, 7, 64, &request);
+    } else {
+      rank.irecv(0, 7, &request);
+      co_await t.engine().sleep(sim::milliseconds(1));  // lets the message land
+    }
+  });  // both requests go out of scope unwaited
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("mpi: request destroyed without MPI_Wait (isend, "), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("mpi: request destroyed without MPI_Wait (irecv, completed)\n"),
+            std::string::npos)
+      << err;
+}
+
 TEST(NonBlocking, WaitOnInvalidRequestThrows) {
   Harness h(1);
-  log::ScopedThreshold quiet(log::Level::kError);
   h.job->set_main(0, [&h](proc::SimThread& t) -> sim::Coro<void> {
     Rank::Request request;  // never initialised
     co_await h.world.rank(0).wait(t, request);

@@ -355,6 +355,41 @@ TEST(Process, CallbackSnippetReachesSink) {
   EXPECT_EQ(got_pid, 0);
 }
 
+TEST(Process, CallbackWithoutASinkWarnsOnStderr) {
+  Fixture f;
+  auto cb = image::snippet::callback("vt-ready");
+  f.engine.spawn(
+      [](SimThread& t, const image::Snippet& s) -> sim::Coro<void> {
+        co_await t.exec_snippet(s);
+      }(f.process.main_thread(), *cb),
+      "snippet");
+  testing::internal::CaptureStderr();
+  f.engine.run();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "proc: process 0: callback 'vt-ready' with no instrumenter attached\n");
+}
+
+TEST(Process, RegisteringACustomFunctionAgainReplacesIt) {
+  Fixture f;
+  std::vector<int> seen;
+  LibraryRegistry& registry = f.process.registry();
+  auto recorder = [&seen](int mark) {
+    return [&seen, mark](SimThread&, LibraryRegistry::Args) -> sim::Coro<void> {
+      seen.push_back(mark);
+      co_return;
+    };
+  };
+  registry.register_function("probe_fn", recorder(1));
+  registry.register_function("probe_fn", recorder(2));
+  EXPECT_EQ(registry.size(), 1u);
+  f.engine.spawn(
+      [](SimThread& t) -> sim::Coro<void> { co_await t.lib_call("probe_fn", {}); }(
+          f.process.main_thread()),
+      "caller");
+  f.engine.run();
+  EXPECT_EQ(seen, std::vector<int>{2});
+}
+
 TEST(Process, AddThreadAssignsCpusAndTids) {
   Fixture f;
   SimThread& t1 = f.process.add_thread(1);

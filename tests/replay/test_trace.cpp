@@ -50,6 +50,11 @@ TEST(ReplayTraceParse, AcceptsTheDocumentedGrammar) {
   EXPECT_EQ(send.dur, sim::microseconds(15));
 }
 
+TEST(ReplayTraceParse, VerbNames) {
+  EXPECT_STREQ(to_string(Verb::kCall), "call");
+  EXPECT_STREQ(to_string(static_cast<Verb>(99)), "?");
+}
+
 TEST(ReplayTraceParse, SubsetDefaultsToEveryCallFunction) {
   const ReplayTrace trace = ReplayTrace::parse(
       "ranks 1\n0 0ms call fn=a work=1ms\n0 1ms call fn=b work=1ms\n"

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "dynprof/policy.hpp"
+
 namespace dyntrace::service {
 namespace {
 
@@ -136,6 +138,78 @@ TEST(Service, SubscribingToNothingIsAnError) {
   ASSERT_EQ(result.sessions.size(), 1u);
   EXPECT_EQ(result.sessions[0].commands[1].status, Status::kError);
   EXPECT_EQ(result.sessions[0].deltas, 0u);
+}
+
+TEST(Service, MalformedAndEmptyCommandsGetTheirAnswers) {
+  ScenarioOptions options = small_options();
+  Request empty_confsync;
+  empty_confsync.kind = CommandKind::kConfsync;
+  options.scripted_sessions = {{instrument({"svc_fn_00", "no_such_fn"}), empty_confsync}};
+  const ScenarioResult result = run_scenario(options);
+  ASSERT_EQ(result.sessions.size(), 1u);
+  const auto& commands = result.sessions[0].commands;
+  ASSERT_EQ(commands.size(), 4u);  // attach, the two commands, detach
+  EXPECT_EQ(commands[1].status, Status::kError);  // an unknown name is malformed
+  EXPECT_EQ(commands[2].status, Status::kOk);     // nothing to stage: answered at once
+}
+
+TEST(Service, AnInstrumentThatCannotFitIsDeniedAtOnceWithoutAQueue) {
+  ScenarioOptions options = small_options();
+  options.service.budget_fraction = 1e-9;  // not even the residual fits
+  options.service.queue_timeout = 0;       // fail fast
+  options.scripted_sessions = {{instrument({"svc_fn_00"})}};
+  const ScenarioResult result = run_scenario(options);
+  ASSERT_EQ(result.sessions.size(), 1u);
+  EXPECT_EQ(result.sessions[0].commands[1].status, Status::kDenied);
+  EXPECT_EQ(result.status_counts.count(Status::kTimeout), 0u);
+}
+
+TEST(Service, AQueuedInstrumentIsDeniedWhenItsQueueTimeoutPasses) {
+  ScenarioOptions options = small_options();
+  options.session_nodes = 0;  // every session on the tool node
+  options.service.budget_fraction = 1e-9;
+  options.service.queue_timeout = sim::milliseconds(1);
+  options.service.max_session_inflight = 8;  // counts the queue per session
+  options.scripted_sessions = {{instrument({"svc_fn_00"})}, {instrument({"svc_fn_01"})}};
+  const ScenarioResult result = run_scenario(options);
+  ASSERT_EQ(result.sessions.size(), 2u);
+  for (const auto& session : result.sessions) {
+    EXPECT_EQ(session.commands[1].status, Status::kDenied);
+  }
+  EXPECT_EQ(result.status_counts.count(Status::kTimeout), 0u);
+  EXPECT_EQ(result.status_counts.count(Status::kShed), 0u);
+}
+
+TEST(Service, AfterShutdownOnlyReportsAndDetachesAreServed) {
+  // run_scenario shuts down only once every session has detached, so drive
+  // a ControlService directly and submit after initiate_shutdown.
+  const asci::AppSpec app = make_svcapp(8);
+  dynprof::Launch::Options launch_options;
+  launch_options.app = &app;
+  launch_options.params.nprocs = 2;
+  launch_options.policy = dynprof::Policy::kDynamic;
+  dynprof::PolicyRun run(std::move(launch_options));
+  run.arm();
+  ControlService service(run.launch(), *run.tool(), ServiceOptions{});
+  std::vector<Response> responses;
+  service.register_session(1, service.node(),
+                           [&responses](const Response& r) { responses.push_back(r); });
+  service.initiate_shutdown("svcapp_run");
+  Request late = instrument({"svc_fn_00"});
+  late.session = 1;
+  late.seq = 1;
+  late.client_node = service.node();
+  service.submit(late);
+  Request detach;
+  detach.kind = CommandKind::kDetach;
+  detach.session = 1;
+  detach.seq = 2;
+  detach.client_node = service.node();
+  service.submit(detach);
+  run.launch().engine().run_until_blocked();
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, Status::kShutdown);
+  EXPECT_EQ(responses[1].status, Status::kOk);
 }
 
 // Satellite 3: two sessions stage conflicting filter updates for the same

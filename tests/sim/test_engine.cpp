@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "sim/sync.hpp"
@@ -91,6 +93,46 @@ TEST(Engine, ExceptionsPropagateThroughNestedCoros) {
       "catcher");
   e.run();
   EXPECT_TRUE(caught);
+}
+
+TEST(Engine, ASecondFailureIsReportedAndTheFirstWins) {
+  Engine e;
+  auto failing = [](Engine& eng, const char* what) -> Coro<void> {
+    co_await eng.sleep(5);
+    fail(what);
+  };
+  e.spawn(failing(e, "first"), "a");
+  e.spawn(failing(e, "second"), "b");
+  // run() stops at the first failure; stepping by hand runs past it.
+  testing::internal::CaptureStderr();
+  while (e.step()) {
+  }
+  std::string message;
+  try {
+    e.run();
+  } catch (const Error& error) {
+    message = error.what();
+  }
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "sim: additional process failure in 'b' (first failure wins)\n");
+  EXPECT_EQ(message, "first");
+}
+
+TEST(Engine, OversizeCoroutineFramesBypassTheFramePool) {
+  Engine e;
+  int sum = 0;
+  e.spawn(
+      [](Engine& eng, int& out) -> Coro<void> {
+        // Live across a suspension, so it sits in the frame: past the
+        // pool's largest size class.
+        std::array<char, 4096> big{};
+        big[17] = 3;
+        co_await eng.sleep(1);
+        for (const char c : big) out += c;
+      }(e, sum),
+      "big");
+  e.run();
+  EXPECT_EQ(sum, 3);
 }
 
 TEST(Engine, DeadlockDetected) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,26 @@ TEST(Mailbox, TryRecvNonBlocking) {
   EXPECT_TRUE(box.empty());
 }
 
+TEST(Mailbox, RecvForPutAtTheDeadlineWinsWhenItDequeuesFirst) {
+  Engine e;
+  Mailbox<int> box(e);
+  std::optional<int> got;
+  std::optional<int> missed = 0;
+  e.schedule_at(30, [&box] { box.put(7); });
+  e.spawn([](Mailbox<int>& b, std::optional<int>& out) -> Coro<void> {
+            out = co_await b.recv_for(30);
+          }(box, got),
+          "r");
+  e.spawn([](Engine& eng, Mailbox<int>& b, std::optional<int>& out) -> Coro<void> {
+            co_await eng.sleep(100);
+            out = co_await b.recv_for(5);  // nothing left: times out
+          }(e, box, missed),
+          "late");
+  e.run();
+  EXPECT_EQ(got, 7);
+  EXPECT_FALSE(missed.has_value());
+}
+
 struct Msg {
   int src;
   int tag;
@@ -181,6 +202,83 @@ TEST(MatchQueue, TwoWaitersDifferentPredicates) {
   e.run();
   EXPECT_EQ(got_a, "for-a");
   EXPECT_EQ(got_b, "for-b");
+}
+
+TEST(MatchQueue, RecvForGivesUpAtItsDeadline) {
+  Engine e;
+  MatchQueue<Msg> q(e);
+  // Two timed waiters; the later-queued one expires first, so its removal
+  // walks past the other.
+  std::optional<Msg> got_long = Msg{};
+  std::optional<Msg> got_short = Msg{};
+  TimeNs when_long = -1;
+  TimeNs when_short = -1;
+  auto waiter = [](Engine& eng, MatchQueue<Msg>& mq, int src, TimeNs timeout,
+                   std::optional<Msg>& out, TimeNs& t) -> Coro<void> {
+    out = co_await mq.recv_for([src](const Msg& m) { return m.src == src; }, timeout);
+    t = eng.now();
+  };
+  e.spawn(waiter(e, q, 9, 50, got_long, when_long), "long");
+  e.spawn(waiter(e, q, 8, 30, got_short, when_short), "short");
+  e.spawn(
+      [](Engine& eng, MatchQueue<Msg>& mq) -> Coro<void> {
+        co_await eng.sleep(10);
+        mq.put(Msg{1, 0, "wrong"});  // matches neither
+      }(e, q),
+      "s");
+  e.run();
+  EXPECT_FALSE(got_long.has_value());
+  EXPECT_FALSE(got_short.has_value());
+  EXPECT_EQ(when_short, 30);
+  EXPECT_EQ(when_long, 50);
+  EXPECT_EQ(q.waiting(), 0u);
+  EXPECT_EQ(q.queued(), 1u);  // "wrong" remains
+}
+
+TEST(MatchQueue, RecvForTakesAMatchBeforeItsDeadline) {
+  Engine e;
+  MatchQueue<Msg> q(e);
+  std::optional<Msg> got;
+  TimeNs when = -1;
+  e.spawn(
+      [](Engine& eng, MatchQueue<Msg>& mq, std::optional<Msg>& out, TimeNs& t) -> Coro<void> {
+        out = co_await mq.recv_for([](const Msg& m) { return m.src == 9; }, 30);
+        t = eng.now();
+      }(e, q, got, when),
+      "r");
+  e.spawn(
+      [](Engine& eng, MatchQueue<Msg>& mq) -> Coro<void> {
+        co_await eng.sleep(10);
+        mq.put(Msg{9, 0, "right"});
+      }(e, q),
+      "s");
+  e.run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, "right");
+  EXPECT_EQ(when, 10);
+  EXPECT_EQ(e.now(), 10);  // the deadline was canceled, not run
+}
+
+TEST(MatchQueue, RecvForPutAtTheDeadlineWinsWhenItDequeuesFirst) {
+  Engine e;
+  MatchQueue<Msg> q(e);
+  std::optional<Msg> got;
+  // The sender's wake-up is scheduled before the receiver's deadline, so at
+  // t=30 the put claims the waiter and the deadline finds it gone.
+  e.spawn(
+      [](Engine& eng, MatchQueue<Msg>& mq) -> Coro<void> {
+        co_await eng.sleep(30);
+        mq.put(Msg{9, 0, "just in time"});
+      }(e, q),
+      "s");
+  e.spawn(
+      [](MatchQueue<Msg>& mq, std::optional<Msg>& out) -> Coro<void> {
+        out = co_await mq.recv_for([](const Msg& m) { return m.src == 9; }, 30);
+      }(q, got),
+      "r");
+  e.run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, "just in time");
 }
 
 TEST(MatchQueue, ProbeDoesNotConsume) {

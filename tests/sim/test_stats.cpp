@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "support/rng.hpp"
-
 namespace dyntrace::sim {
 namespace {
 
@@ -17,8 +13,6 @@ TEST(Accumulator, BasicMoments) {
   EXPECT_DOUBLE_EQ(a.mean(), 5.0);
   EXPECT_DOUBLE_EQ(a.min(), 2.0);
   EXPECT_DOUBLE_EQ(a.max(), 9.0);
-  EXPECT_NEAR(a.variance(), 4.0, 1e-12);
-  EXPECT_NEAR(a.stddev(), 2.0, 1e-12);
 }
 
 TEST(Accumulator, EmptyIsZero) {
@@ -27,53 +21,6 @@ TEST(Accumulator, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(a.mean(), 0.0);
   EXPECT_DOUBLE_EQ(a.min(), 0.0);
   EXPECT_DOUBLE_EQ(a.max(), 0.0);
-  EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeMatchesSinglePass) {
-  dyntrace::Rng rng(5);
-  Accumulator whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(-10, 10);
-    whole.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmptySides) {
-  Accumulator a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  Accumulator b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(Series, AtFindsValue) {
-  Series s;
-  s.name = "Full";
-  s.add(1, 10.5);
-  s.add(2, 20.5);
-  EXPECT_DOUBLE_EQ(s.at(2), 20.5);
-  EXPECT_TRUE(std::isnan(s.at(3)));
-}
-
-TEST(Series, MaxY) {
-  Series s;
-  s.add(1, 5.0);
-  s.add(2, 50.0);
-  s.add(4, 2.0);
-  EXPECT_DOUBLE_EQ(s.max_y(), 50.0);
-  Series empty;
-  EXPECT_DOUBLE_EQ(empty.max_y(), 0.0);
 }
 
 }  // namespace

@@ -72,6 +72,36 @@ TEST(Trigger, DoubleFireIsIdempotent) {
   EXPECT_TRUE(t.fired());
 }
 
+TEST(Trigger, WaitForTimesOutOrSeesAFire) {
+  Engine e;
+  Trigger never(e);
+  Trigger soon(e);
+  bool fired_never = true;
+  bool fired_soon = false;
+  auto waiter = [](Trigger& t, TimeNs timeout, bool& out) -> Coro<void> {
+    out = co_await t.wait_for(timeout);
+  };
+  e.spawn(waiter(never, 20, fired_never), "never");
+  e.spawn(waiter(soon, 20, fired_soon), "soon");
+  e.schedule_at(10, [&soon] { soon.fire(); });
+  e.run();
+  EXPECT_FALSE(fired_never);
+  EXPECT_TRUE(fired_soon);
+}
+
+TEST(Trigger, FireAtTheDeadlineWinsWhenItDequeuesFirst) {
+  Engine e;
+  Trigger t(e);
+  bool fired = false;
+  // The fire is scheduled before the waiter's deadline, so at t=30 it
+  // claims the waiter and the deadline finds it gone.
+  e.schedule_at(30, [&t] { t.fire(); });
+  e.spawn([](Trigger& tr, bool& out) -> Coro<void> { out = co_await tr.wait_for(30); }(t, fired),
+          "w");
+  e.run();
+  EXPECT_TRUE(fired);
+}
+
 TEST(Condition, NotifyOneWakesInFifoOrder) {
   Engine e;
   Condition c(e);

@@ -119,6 +119,18 @@ TEST(Cli, IntOptionRejectsValuesOutsideIntRange) {
   EXPECT_EQ(cpus, 2147483647);
 }
 
+TEST(Cli, HelpListsPositionals) {
+  std::string app;
+  std::string arg;
+  CliParser p("tool", "does things");
+  p.positional("app", "what to run", &app).positional("arg", "its argument", &arg, true);
+  const std::string help = p.help_text();
+  EXPECT_NE(help.find("usage: tool <app> [arg]\n"), std::string::npos) << help;
+  EXPECT_NE(help.find("arguments:\n  app\n      what to run\n  arg\n      its argument\n"),
+            std::string::npos)
+      << help;
+}
+
 TEST(Cli, HelpReturnsFalseAndMentionsOptions) {
   bool v = false;
   CliParser p("tool", "does things");

@@ -27,7 +27,6 @@ TEST(Config, ParsesSectionsAndKeys) {
   EXPECT_EQ(cfg.get_string("", "top", "?"), "global");
   EXPECT_EQ(cfg.get_int("node", "cpus", 0), 8);
   EXPECT_DOUBLE_EQ(cfg.get_double("node", "memory_gb", 0.0), 4.0);
-  EXPECT_TRUE(cfg.get_bool("node", "smp", false));
   EXPECT_EQ(cfg.get_string("interconnect", "name", "?"), "colony");
 }
 
@@ -46,7 +45,6 @@ TEST(Config, TypeErrorsThrow) {
   const auto cfg = ConfigFile::parse("[a]\nk = not_a_number\n");
   EXPECT_THROW(cfg.get_int("a", "k", 0), Error);
   EXPECT_THROW(cfg.get_double("a", "k", 0.0), Error);
-  EXPECT_THROW(cfg.get_bool("a", "k", false), Error);
 }
 
 TEST(Config, RepeatedKeysPreservedInOrderLastWins) {
@@ -73,23 +71,6 @@ TEST(Config, UnterminatedSectionThrows) {
 
 TEST(Config, EmptyKeyThrows) {
   EXPECT_THROW(ConfigFile::parse(" = v\n"), Error);
-}
-
-TEST(Config, RoundTripThroughText) {
-  const auto cfg = ConfigFile::parse(kSample);
-  const auto again = ConfigFile::parse(cfg.to_text());
-  EXPECT_EQ(again.get_int("node", "cpus", 0), 8);
-  EXPECT_EQ(again.get_string("interconnect", "name", "?"), "colony");
-  EXPECT_EQ(again.entries().size(), cfg.entries().size());
-}
-
-TEST(Config, ProgrammaticAdd) {
-  ConfigFile cfg;
-  cfg.add("filter", "deactivate", "hypre_*");
-  cfg.add("filter", "deactivate", "aux_*");
-  EXPECT_EQ(cfg.section("filter").size(), 2u);
-  EXPECT_TRUE(cfg.has_section("filter"));
-  EXPECT_FALSE(cfg.has_section("other"));
 }
 
 TEST(Config, LoadMissingFileThrows) {

@@ -31,6 +31,22 @@ TEST(Rng, NextBelowStaysInRange) {
   }
 }
 
+TEST(Rng, NextBelowRedrawsInTheBiasedZoneOfALargeBound) {
+  // For bound 2^63 + 1, almost half of all draws land in the multiply-shift
+  // method's biased zone and must be redrawn; the results stay in range and
+  // still fill both halves of it.
+  const std::uint64_t bound = (1ULL << 63) + 1;
+  Rng rng(13);
+  int upper_half = 0;
+  for (int i = 0; i < 256; ++i) {
+    const std::uint64_t x = rng.next_below(bound);
+    EXPECT_LT(x, bound);
+    if (x >= bound / 2) ++upper_half;
+  }
+  EXPECT_GT(upper_half, 64);
+  EXPECT_LT(upper_half, 192);
+}
+
 TEST(Rng, NextBelowOneIsAlwaysZero) {
   Rng rng(9);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.next_below(1), 0u);

@@ -58,12 +58,6 @@ TEST(Strings, ParseF64Strict) {
   EXPECT_FALSE(parse_f64("").has_value());
 }
 
-TEST(Strings, ParseBoolVariants) {
-  for (auto s : {"true", "YES", "on", "1"}) EXPECT_EQ(parse_bool(s), true) << s;
-  for (auto s : {"false", "No", "OFF", "0"}) EXPECT_EQ(parse_bool(s), false) << s;
-  EXPECT_FALSE(parse_bool("maybe").has_value());
-}
-
 TEST(Strings, FormatPrintfStyle) {
   EXPECT_EQ(format("%d-%s-%.2f", 3, "x", 1.5), "3-x-1.50");
   EXPECT_EQ(format("%s", ""), "");

@@ -77,6 +77,14 @@ TEST(Table, CsvOutput) {
   EXPECT_EQ(t.render_csv(), "cpus,full,none\n64,531.0,70.5\n");
 }
 
+TEST(Table, SetAlignOverridesTheColumnDefault) {
+  TextTable t({"a", "b"});
+  t.set_align(1, TextTable::Align::kLeft);
+  t.add_row({"x", "1"});
+  t.add_row({"y", "22"});
+  EXPECT_EQ(t.render(), "a  b \n-----\nx  1 \ny  22\n");
+}
+
 TEST(Table, RightAlignmentPadsLeft) {
   TextTable t({"a", "b"});
   t.add_row({"x", "1"});

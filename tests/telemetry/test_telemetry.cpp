@@ -34,8 +34,12 @@ TEST(TelemetryLevel, StringsRoundTrip) {
   EXPECT_EQ(level_from_string("off"), Level::kOff);
   EXPECT_EQ(level_from_string("counters"), Level::kCounters);
   EXPECT_EQ(level_from_string("spans"), Level::kSpans);
+  EXPECT_STREQ(to_string(Level::kOff), "off");
+  EXPECT_STREQ(to_string(Level::kCounters), "counters");
   EXPECT_STREQ(to_string(Level::kSpans), "spans");
+  EXPECT_STREQ(to_string(static_cast<Level>(7)), "?");
   EXPECT_THROW(level_from_string("verbose"), Error);
+  EXPECT_EQ(parse_json(Registry(Level::kOff).stats_json()).at("level").as_string(), "off");
 }
 
 TEST(TelemetryHistogram, BucketBoundariesFollowBitWidth) {
@@ -147,6 +151,24 @@ TEST(TelemetryKeyedCounter, CountsRanksAndDetachesOnDestruction) {
     EXPECT_EQ(snap.keyed[0].second[0].first, 2);  // export order: by key
   }
   EXPECT_TRUE(reg.snapshot().keyed.empty());  // detached by the destructor
+}
+
+TEST(TelemetryKeyedCounter, RankBreaksTiesByKeyAndSnapshotsSortByName) {
+  Registry reg(Level::kCounters);
+  KeyedCounter later("test.z");
+  KeyedCounter earlier("test.a");
+  later.attach(reg);
+  earlier.attach(reg);
+  later.add(9, 2);
+  later.add(4, 2);
+  earlier.add(1);
+  using Entry = std::pair<std::int64_t, std::uint64_t>;
+  EXPECT_EQ(later.ranked(), (std::vector<Entry>{{4, 2}, {9, 2}}));
+  const Registry::Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.keyed.size(), 2u);
+  EXPECT_EQ(snap.keyed[0].first, "test.a");
+  EXPECT_EQ(snap.keyed[1].first, "test.z");
+  EXPECT_EQ(snap.counter_value("no.such.counter"), 0u);
 }
 
 TEST(TelemetryRegistry, ScopedRegistryInstallsAndRestoresCurrent) {
@@ -330,6 +352,28 @@ TEST(TelemetryJson, ParserRejectsMalformedInput) {
   EXPECT_THROW(parse_json("{\"a\": 1} trailing"), Error);
   EXPECT_THROW(parse_json("\"unterminated"), Error);
   EXPECT_THROW(parse_json("tru"), Error);
+}
+
+TEST(TelemetryJson, ParserDecodesEveryEscape) {
+  EXPECT_EQ(parse_json(R"("\"\\\/\n\t\r\b\f")").as_string(), "\"\\/\n\t\r\b\f");
+  // \u escapes decode to UTF-8: one, two and three bytes.
+  EXPECT_EQ(parse_json(R"("\u0041\u00e9\u20ac")").as_string(), "A\xc3\xa9\xe2\x82\xac");
+  EXPECT_FALSE(parse_json("false").as_bool());
+  EXPECT_THROW(parse_json(R"("\q")"), Error);
+  EXPECT_THROW(parse_json(R"("\u12")"), Error);
+  EXPECT_THROW(parse_json("\"\\"), Error);
+}
+
+TEST(TelemetryJson, StatsJsonEscapesNamesThatNeedIt) {
+  Registry reg(Level::kCounters);
+  const std::string name = "odd \"name\" \\ with\nnewline\ttab\x01";
+  KeyedCounter odd(name);
+  odd.attach(reg);
+  odd.add(5, 1);
+  const std::string json = reg.stats_json();
+  EXPECT_NE(json.find(R"(odd \"name\" \\ with\nnewline\ttab\u0001)"), std::string::npos)
+      << json;
+  EXPECT_EQ(parse_json(json).at("keyed").at(name).at("5").as_int(), 1);
 }
 
 TEST(TelemetryJson, StatsJsonRoundTripsThroughTheParser) {

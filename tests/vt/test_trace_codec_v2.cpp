@@ -510,6 +510,102 @@ TEST(TraceCodecV2, CorruptPayloadByteFailsCrc) {
   std::remove(path.c_str());
 }
 
+// A CRC only proves the bytes are the writer's: a block whose CRC is valid
+// for a malformed payload (a writer bug, or a crafted file) must still fail
+// closed, each way the framing, dictionaries, plain records or super-records
+// can be wrong.
+TEST(TraceCodecV2, CrcValidMalformedBlocksFailClosed) {
+  using Bytes = std::vector<std::uint8_t>;
+  auto varints = [](std::initializer_list<std::uint64_t> values) {
+    Bytes out;
+    for (const std::uint64_t v : values) {
+      std::uint8_t buf[kMaxVarintBytes];
+      out.insert(out.end(), buf, buf + put_varint(buf, v));
+    }
+    return out;
+  };
+  auto cat = [](std::initializer_list<Bytes> parts) {
+    Bytes out;
+    for (const Bytes& part : parts) out.insert(out.end(), part.begin(), part.end());
+    return out;
+  };
+  // Header and CRC valid for `payload`; `length` overrides the length field.
+  auto framed = [](std::uint32_t count, const Bytes& payload, std::uint64_t length) {
+    Bytes block(kBlockHeaderBytes);
+    std::memcpy(block.data(), kBlockMagic, 4);
+    put_u32_le(block.data() + 8, static_cast<std::uint32_t>(length));
+    put_u32_le(block.data() + 12, count);
+    block.insert(block.end(), payload.begin(), payload.end());
+    put_u32_le(block.data() + 4, crc32(block.data() + 8, 8 + payload.size()));
+    return block;
+  };
+  const auto zz = [](std::int64_t v) { return zigzag_encode(v); };
+  const Bytes dicts = varints({1, 0, 1, 0, 1, 0});  // pids, tids, codes: {0} each
+  const Bytes enter = {static_cast<std::uint8_t>(EventKind::kEnter)};
+  const Bytes bad_kind = {static_cast<std::uint8_t>(EventKind::kMarker) + 1};
+  const Bytes super = {kSuperTag};
+  const Bytes plain = cat({enter, varints({zz(5), 0, 0, 0, 0})});
+  const std::uint64_t int32_max = std::numeric_limits<std::int32_t>::max();
+
+  struct Case {
+    const char* what;
+    std::uint32_t count;
+    Bytes payload;
+    bool framing;  ///< rejected by reset(), not by decoding
+  };
+  const std::vector<Case> cases = {
+      {"records but no payload", 1, {}, true},
+      {"payload but no records", 0, varints({1}), true},
+      {"more records than a block holds", kBlockRecords + 1, cat({dicts, plain}), true},
+      {"truncated dictionary size", 1, {0x80}, true},
+      {"dictionary larger than a block", 1, varints({kBlockRecords + 1}), true},
+      {"empty dictionary", 1, varints({0}), true},
+      {"truncated first dictionary value", 1, varints({1}), true},
+      {"dictionary value outside int32", 1, varints({1, zz(std::int64_t{1} << 40)}), true},
+      {"truncated dictionary delta", 1, varints({2, 0}), true},
+      {"zero dictionary delta", 1, varints({2, 0, 0}), true},
+      {"dictionary delta past int32", 1, varints({2, zz(int32_max - 1), 2}), true},
+      {"count promises more than the payload", 2, cat({dicts, plain}), false},
+      {"undefined event kind", 1, cat({dicts, bad_kind, varints({0, 0, 0, 0, 0})}), false},
+      {"truncated time", 1, cat({dicts, enter}), false},
+      {"pid index out of range", 1, cat({dicts, enter, varints({0, 1, 0, 0, 0})}), false},
+      {"tid index out of range", 1, cat({dicts, enter, varints({0, 0, 1, 0, 0})}), false},
+      {"code index out of range", 1, cat({dicts, enter, varints({0, 0, 0, 1, 0})}), false},
+      {"truncated aux", 1, cat({dicts, enter, varints({0, 0, 0, 0})}), false},
+      {"reserved bits beside the super bit", 1, cat({dicts, {kSuperTag | 1}}), false},
+      {"zero super period", 2, cat({dicts, super, varints({0, 2, 0}), plain}), false},
+      {"super period too long", 34,
+       cat({dicts, super, varints({kMaxSuppressionPeriod + 1, 2, 0})}), false},
+      {"single-repetition super", 2, cat({dicts, super, varints({1, 1, 0}), plain}), false},
+      {"truncated super stride", 2, cat({dicts, super, varints({1, 2})}), false},
+      {"truncated super pattern", 4, cat({dicts, super, varints({2, 2, 0}), plain}), false},
+      {"nested super", 2, cat({dicts, super, varints({1, 2, 0}), super}), false},
+      {"malformed pattern record", 2, cat({dicts, super, varints({1, 2, 0}), bad_kind}),
+       false},
+  };
+  for (const Case& c : cases) {
+    const Bytes block = framed(c.count, c.payload, c.payload.size());
+    BlockDecoder decoder;
+    std::size_t block_bytes = 0;
+    std::uint32_t count = 0;
+    const bool framed_ok = decoder.reset(block.data(), block.size(), &block_bytes, &count);
+    ASSERT_EQ(framed_ok, !c.framing) << c.what;
+    if (!framed_ok) continue;
+    Event e;
+    std::uint32_t decoded = 0;
+    while (decoder.next(e)) ++decoded;
+    EXPECT_TRUE(decoder.failed()) << c.what;
+    EXPECT_LT(decoded, c.count) << c.what;
+  }
+
+  // A length field past the largest payload is rejected before the CRC.
+  const Bytes oversize = framed(1, cat({dicts, plain}), kMaxBlockPayloadBytes + 1);
+  BlockDecoder decoder;
+  std::size_t block_bytes = 0;
+  std::uint32_t count = 0;
+  EXPECT_FALSE(decoder.reset(oversize.data(), oversize.size(), &block_bytes, &count));
+}
+
 TEST(TraceShardV2, TornSpillSalvagesWholeBlocksOnly) {
   // Budget of 2*kBlockRecords records per run makes every run exactly two
   // blocks; run 1's bytes are cut 5 bytes into its second block, so the

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "vt/trace_codec_v2.hpp"
 #include "vt/trace_shard.hpp"
@@ -55,6 +56,21 @@ TEST(TraceShard, CleanSpillPublishesAtomically) {
     EXPECT_EQ(event.code, i);
   }
   EXPECT_FALSE(cursor->next(event));
+}
+
+TEST(TraceShard, BatchesAppendedAfterATearAreDroppedAndCounted) {
+  ShardOptions options;
+  options.spill_budget_bytes = 4 * sizeof(Event);
+  options.spill_dir = ::testing::TempDir();
+  options.spill_fault = [](std::int32_t, std::uint64_t, std::size_t bytes) { return bytes / 2; };
+  TraceShard shard(8, options);
+  std::vector<Event> batch;
+  for (int i = 0; i < 4; ++i) batch.push_back(make_event(i, 8, i));
+  shard.append_batch(batch.data(), batch.size());  // spills, and the run tears
+  ASSERT_TRUE(shard.torn());
+  const std::uint64_t lost = shard.lost_records();
+  shard.append_batch(batch.data(), 3);
+  EXPECT_EQ(shard.lost_records(), lost + 3);
 }
 
 TEST(TraceStore, SalvageStatsAggregateAcrossShards) {

@@ -33,6 +33,12 @@ TEST(TraceStore, MergedSortsByTimeThenPid) {
   EXPECT_EQ(merged[2].code, 5);
 }
 
+TEST(TraceStore, EventKindNames) {
+  EXPECT_EQ(to_string(EventKind::kEnter), "enter");
+  EXPECT_EQ(to_string(EventKind::kMarker), "marker");
+  EXPECT_EQ(to_string(static_cast<EventKind>(99)), "?");
+}
+
 TEST(TraceStore, ForProcessFilters) {
   TraceStore store;
   store.append(make_event(1, 0, EventKind::kEnter));
