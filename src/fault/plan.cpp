@@ -77,36 +77,7 @@ void parse_message_selectors(ActionParser& p, FaultAction* action, const std::st
   DT_EXPECT(action->probability <= 1.0, where, ": prob must be in [0, 1]");
 }
 
-std::string format_time(sim::TimeNs t) {
-  if (t == kNever) return "never";
-  if (t % sim::seconds(1) == 0) return str::format("%llds", static_cast<long long>(t / sim::seconds(1)));
-  if (t % sim::milliseconds(1) == 0)
-    return str::format("%lldms", static_cast<long long>(t / sim::milliseconds(1)));
-  if (t % sim::microseconds(1) == 0)
-    return str::format("%lldus", static_cast<long long>(t / sim::microseconds(1)));
-  return str::format("%lldns", static_cast<long long>(t));
-}
-
-void append_message_selectors(std::string& out, const FaultAction& a) {
-  out += str::format(" channel=%s", to_string(a.channel));
-  if (a.src >= 0) out += str::format(" src=%d", a.src);
-  if (a.dst >= 0) out += str::format(" dst=%d", a.dst);
-  if (a.probability >= 0) out += str::format(" prob=%g", a.probability);
-  if (a.nth >= 0) out += str::format(" nth=%lld", static_cast<long long>(a.nth));
-  if (a.skip > 0) out += str::format(" skip=%lld", static_cast<long long>(a.skip));
-  if (a.count >= 0) out += str::format(" count=%lld", static_cast<long long>(a.count));
-}
-
 }  // namespace
-
-const char* to_string(Channel channel) {
-  switch (channel) {
-    case Channel::kDaemon: return "daemon";
-    case Channel::kOverlay: return "overlay";
-    case Channel::kApp: return "app";
-  }
-  return "?";
-}
 
 FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
   FaultPlan plan;
@@ -233,60 +204,6 @@ void FaultPlan::check_targets(int nodes, const std::vector<JobExtent>& jobs) con
                 job.name, "' has ", job.ranks, " ranks)");
     }
   }
-}
-
-std::string FaultPlan::to_text() const {
-  std::string out = str::format("seed %llu\n", static_cast<unsigned long long>(seed));
-  for (const FaultAction& a : actions) {
-    switch (a.kind) {
-      case FaultAction::Kind::kKillDaemon:
-        out += str::format("kill-daemon node=%d at=%s", a.node, format_time(a.at).c_str());
-        break;
-      case FaultAction::Kind::kKillRank:
-        out += str::format("kill-rank rank=%d at=%s", a.rank, format_time(a.at).c_str());
-        if (!a.job.empty()) out += str::format(" job=%s", a.job.c_str());
-        break;
-      case FaultAction::Kind::kDrop:
-        out += "drop";
-        append_message_selectors(out, a);
-        break;
-      case FaultAction::Kind::kDup:
-        out += "dup";
-        append_message_selectors(out, a);
-        break;
-      case FaultAction::Kind::kDelay:
-        out += "delay";
-        append_message_selectors(out, a);
-        out += str::format(" factor=%g", a.factor);
-        break;
-      case FaultAction::Kind::kStall:
-        out += str::format("stall node=%d from=%s until=%s factor=%g", a.node,
-                           format_time(a.at).c_str(), format_time(a.until).c_str(), a.factor);
-        break;
-      case FaultAction::Kind::kTearShard:
-        out += str::format("tear-shard rank=%d spill=%llu keep=%g", a.rank,
-                           static_cast<unsigned long long>(a.spill), a.keep);
-        if (!a.job.empty()) out += str::format(" job=%s", a.job.c_str());
-        break;
-      case FaultAction::Kind::kFlapDaemon:
-        out += str::format("flap-daemon node=%d period=%s downtime=%s", a.node,
-                           format_time(a.period).c_str(), format_time(a.downtime).c_str());
-        if (a.at != 0) out += str::format(" from=%s", format_time(a.at).c_str());
-        if (a.until != kNever) out += str::format(" until=%s", format_time(a.until).c_str());
-        break;
-      case FaultAction::Kind::kDegradeDaemon:
-        out += str::format("degrade-daemon node=%d factor=%g", a.node, a.factor);
-        if (a.at != 0) out += str::format(" from=%s", format_time(a.at).c_str());
-        if (a.until != kNever) out += str::format(" until=%s", format_time(a.until).c_str());
-        break;
-      case FaultAction::Kind::kStorm:
-        out += str::format("storm sessions=%lld at=%s", static_cast<long long>(a.sessions),
-                           format_time(a.at).c_str());
-        break;
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace dyntrace::fault

@@ -60,8 +60,6 @@ namespace dyntrace::fault {
 /// model, not the control plane's).
 enum class Channel : std::uint8_t { kDaemon = 0, kOverlay = 1, kApp = 2 };
 
-const char* to_string(Channel channel);
-
 /// First tag of the statistics-overlay band.  Owned here (not in control/)
 /// so the MPI layer can classify traffic without depending on the overlay.
 inline constexpr int kOverlayTagBase = 1'000'000'000;
@@ -128,9 +126,6 @@ struct FaultPlan {
 
   /// Load a plan file from disk.
   static FaultPlan load(const std::string& path);
-
-  /// Serialize back to the text format (parse(to_text()) round-trips).
-  std::string to_text() const;
 
   /// Range-check every node= and rank= once the plan meets its machine:
   /// nodes must lie in [0, nodes); a job-scoped rank must exist in its job,

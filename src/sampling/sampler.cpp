@@ -1,8 +1,5 @@
 #include "sampling/sampler.hpp"
 
-#include <algorithm>
-#include <tuple>
-
 #include "support/common.hpp"
 #include "support/strings.hpp"
 
@@ -59,20 +56,6 @@ std::unordered_map<image::FunctionId, std::uint64_t> Sampler::histogram() const 
     out.emplace(static_cast<image::FunctionId>(key), hits);
   }
   return out;
-}
-
-std::vector<std::pair<image::FunctionId, std::uint64_t>> Sampler::top(std::size_t k) const {
-  std::vector<std::pair<image::FunctionId, std::uint64_t>> entries;
-  for (const auto& [key, hits] : samples_.snapshot()) {
-    const auto fn = static_cast<image::FunctionId>(key);
-    if (fn != image::kInvalidFunction) entries.emplace_back(fn, hits);
-  }
-  // Most hits first; ties by function id.
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    return std::tie(b.second, a.first) < std::tie(a.second, b.first);
-  });
-  if (entries.size() > k) entries.resize(k);
-  return entries;
 }
 
 }  // namespace dyntrace::sampling

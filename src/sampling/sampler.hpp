@@ -48,10 +48,6 @@ class Sampler {
   std::unordered_map<image::FunctionId, std::uint64_t> histogram() const;
   std::uint64_t total_samples() const { return samples_.total(); }
 
-  /// The k most-sampled real functions (kInvalidFunction excluded),
-  /// most-hit first; deterministic tie-break by function id.
-  std::vector<std::pair<image::FunctionId, std::uint64_t>> top(std::size_t k) const;
-
  private:
   sim::Coro<void> run();
 

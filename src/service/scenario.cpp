@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "dynprof/policy.hpp"
 #include "sim/mailbox.hpp"
@@ -119,20 +121,25 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
   std::uint32_t seq = 0;
   bool bail = false;
   struct Pending {
+    std::uint32_t seq = 0;
     std::size_t index = 0;
     sim::TimeNs sent = 0;
   };
-  std::map<std::uint32_t, Pending> outstanding;
-  std::map<std::size_t, ScenarioResult::CommandOutcome> results;
+  // In send order, so the front has the earliest deadline.
+  std::vector<Pending> outstanding;
+  outstanding.reserve(depth);
+  // By script index; skipped commands stay empty.
+  std::vector<std::optional<ScenarioResult::CommandOutcome>> results(entry.script.size());
 
   const auto resolve = [&](std::uint32_t which, Status status, sim::TimeNs now) {
-    const auto it = outstanding.find(which);
+    const auto it = std::find_if(outstanding.begin(), outstanding.end(),
+                                 [which](const Pending& p) { return p.seq == which; });
     if (it == outstanding.end()) return;  // stale or duplicate response
     ScenarioResult::CommandOutcome out;
-    out.kind = entry.script[it->second.index].kind;
+    out.kind = entry.script[it->index].kind;
     out.status = status;
-    out.latency = now - it->second.sent;
-    results.emplace(it->second.index, out);
+    out.latency = now - it->sent;
+    results[it->index] = out;
     reg.observe(reg.metrics().service_command_latency_ns,
                 static_cast<std::uint64_t>(out.latency));
     if (status == Status::kTimeout || status == Status::kShutdown) bail = true;
@@ -157,23 +164,17 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
       const sim::TimeNs delay =
           cluster.message_delay(d.node, svc.node(), request_bytes(request), sent);
       ControlService* service = &svc;
-      svc.engine().schedule_at(sent + delay,
-                               [service, request] { service->submit(request); });
-      outstanding.emplace(seq, Pending{next, sent});
+      svc.engine().schedule_at(sent + delay, [service, request = std::move(request)] {
+        service->submit(request);
+      });
+      outstanding.push_back(Pending{seq, next, sent});
       ++next;
     }
     if (outstanding.empty()) continue;  // everything left was skipped
 
     // Wait for a response or the earliest outstanding command's deadline.
-    sim::TimeNs earliest = 0;
-    std::uint32_t earliest_seq = 0;
-    for (const auto& [s, pending] : outstanding) {
-      const sim::TimeNs deadline = pending.sent + response_timeout;
-      if (earliest == 0 || deadline < earliest) {
-        earliest = deadline;
-        earliest_seq = s;
-      }
-    }
+    const sim::TimeNs earliest = outstanding.front().sent + response_timeout;
+    const std::uint32_t earliest_seq = outstanding.front().seq;
     const sim::TimeNs now = d.engine->now();
     if (now >= earliest) {
       resolve(earliest_seq, Status::kTimeout, now);
@@ -189,7 +190,9 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
   }
 
   entry.outcome.commands.reserve(results.size());
-  for (const auto& [index, out] : results) entry.outcome.commands.push_back(out);
+  for (const auto& out : results) {
+    if (out.has_value()) entry.outcome.commands.push_back(*out);
+  }
 }
 
 sim::Coro<void> session_coro(Driver& d, ControlService& svc, machine::Cluster& cluster,
@@ -456,6 +459,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   result.fairshare_flips = service.fairshare_flips();
   result.sub_drops = service.sub_drops();
   result.admission_evals = service.admission_evals();
+  result.queue_visits = service.queue_visits();
   result.windows = service.windows();
   const double budget = service.admission().options().budget_fraction;
   result.budget_violations = static_cast<std::size_t>(

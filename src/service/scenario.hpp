@@ -97,6 +97,9 @@ struct ScenarioResult {
   /// AdmissionController::admit calls over the run (an op count for the
   /// bench's per-command gate; not part of `digest`).
   std::uint64_t admission_evals = 0;
+  /// Admission-queue entries examined by retry passes (an op count for the
+  /// bench's per-command gate; not part of `digest`).
+  std::uint64_t queue_visits = 0;
 
   /// priced_after <= budget (or at_floor) held in every window.
   bool budget_ok = true;

@@ -40,16 +40,19 @@ struct ControlService::BreakAgent {
   std::vector<PendingProgram> pending;
 
   struct Subscription {
-    SessionId session = 0;
     int client_node = 0;
     std::vector<std::uint8_t> match;  ///< per-function-id membership
-    DeltaSink sink;
+    const DeltaSink* sink = nullptr;  ///< in the session's endpoint (stable)
     /// Remaining delivery credits (sub_window > 0); a window arriving with
     /// none left is dropped-and-counted, never buffered.
     int credits = 0;
-    std::uint64_t dropped = 0;
   };
-  std::vector<Subscription> subs;  ///< kept in session-id order
+  /// (session id, arrival serial): iteration runs in session-id order, then
+  /// arrival order, so per-window fan-out is independent of the order
+  /// sessions' subscriptions arrived in.
+  using SubKey = std::pair<SessionId, std::uint64_t>;
+  std::map<SubKey, Subscription> subs;
+  std::uint64_t sub_serial = 0;
 
   /// Slow-subscriber bounds (from ServiceOptions; sub_window 0 = legacy
   /// unbounded fan-out).
@@ -70,16 +73,20 @@ struct ControlService::BreakAgent {
       : service(svc), cluster(c), staged(std::move(s)), node(agent_node),
         service_node(svc_node) {}
 
-  /// A delivered delta's credit comes home.
-  /// Keyed by session id, not index: subs reorder under insert/erase, and a
-  /// credit returning after its session detached is simply dropped.
-  void return_credit(SessionId session) {
-    for (Subscription& sub : subs) {
-      if (sub.session == session) {
-        if (sub.credits < sub_window) ++sub.credits;
-        return;
-      }
-    }
+  /// A delivered delta's credit comes home to the subscription that spent
+  /// it; one returning after its session detached is simply dropped.
+  void return_credit(const SubKey& key) {
+    const auto it = subs.find(key);
+    if (it != subs.end() && it->second.credits < sub_window) ++it->second.credits;
+  }
+
+  void subscribe(SessionId session, Subscription sub) {
+    subs.emplace(SubKey{session, sub_serial++}, std::move(sub));
+  }
+
+  void unsubscribe(SessionId session) {
+    subs.erase(subs.lower_bound(SubKey{session, 0}),
+               subs.upper_bound(SubKey{session, std::numeric_limits<std::uint64_t>::max()}));
   }
 
   sim::TimeNs on_break(vt::VtLib& vt) {
@@ -99,15 +106,14 @@ struct ControlService::BreakAgent {
     if (estimate.window > 0 && !subs.empty()) {
       telemetry::Registry& reg = telemetry::current();
       const fault::FaultInjector& injector = cluster.fault_injector();
-      for (Subscription& sub : subs) {
+      for (auto& [key, sub] : subs) {
         if (sub_window > 0 && sub.credits <= 0) {
-          ++sub.dropped;
           ++window_drops;
           reg.add(reg.metrics().service_sub_drops);
           continue;
         }
         SubscriptionDelta delta;
-        delta.session = sub.session;
+        delta.session = key.first;
         delta.sync = syncs;
         for (const auto& fe : estimate.functions) {
           if (fe.fn < sub.match.size() && sub.match[fe.fn] != 0) {
@@ -117,8 +123,8 @@ struct ControlService::BreakAgent {
         }
         const sim::TimeNs delay =
             cluster.message_delay(node, sub.client_node, kDeltaBytes, now);
-        DeltaSink sink = sub.sink;
-        cluster.engine().schedule_at(now + delay, [sink, delta] { sink(delta); });
+        const DeltaSink* sink = sub.sink;
+        cluster.engine().schedule_at(now + delay, [sink, delta] { (*sink)(delta); });
         reg.add(reg.metrics().service_sub_deliveries);
         reg.add(reg.metrics().service_sub_events, delta.pairs);
         if (sub_window > 0) {
@@ -133,10 +139,8 @@ struct ControlService::BreakAgent {
           const sim::TimeNs back =
               cluster.message_delay(sub.client_node, node, 16, now + delay + processing);
           BreakAgent* self = this;
-          const SessionId session = sub.session;
-          cluster.engine().schedule_at(
-              now + delay + processing + back,
-              [self, session] { self->return_credit(session); });
+          cluster.engine().schedule_at(now + delay + processing + back,
+                                       [self, key = key] { self->return_credit(key); });
         }
       }
     }
@@ -230,7 +234,7 @@ void ControlService::start() {
   engine_.spawn(patch_loop(), "service.patch", sim::Engine::SpawnOptions{.daemon = true});
 }
 
-void ControlService::submit(Request request) {
+void ControlService::submit(const Request& request) {
   telemetry::Registry& reg = telemetry::current();
   reg.add(reg.metrics().service_commands);
   // Once shutting down, only reports and detaches are still served.
@@ -272,13 +276,13 @@ void ControlService::submit(Request request) {
 }
 
 int ControlService::session_load(SessionId session) const {
-  int load = 0;
-  for (const QueuedAdmit& entry : queue_) {
-    if (entry.session == session) ++load;
-  }
-  const auto it = patch_pending_.find(session);
-  if (it != patch_pending_.end()) load += it->second;
-  return load;
+  const auto it = deferred_.find(session);
+  return it != deferred_.end() ? it->second : 0;
+}
+
+void ControlService::settle(SessionId session) {
+  const auto it = deferred_.find(session);
+  if (it != deferred_.end() && --it->second <= 0) deferred_.erase(it);
 }
 
 /// Attempt one admission by ids.  Returns false iff the request was denied
@@ -359,8 +363,12 @@ void ControlService::handle_instrument(const Request& request) {
     return;
   }
   reg.add(reg.metrics().service_queued);
-  queue_.push_back(QueuedAdmit{request.session, request.seq, std::move(fns), engine_.now(),
-                               deadline, admission_.version()});
+  ++deferred_[request.session];
+  // Denied at the current version, so only its expiry can make the next
+  // retry scan act on it.
+  const QueuedAdmit& entry = queue_.emplace_back(QueuedAdmit{
+      request.session, request.seq, std::move(fns), engine_.now(), deadline, admission_.version()});
+  earliest_expiry_ = std::min(earliest_expiry_, expiry(entry));
 }
 
 void ControlService::handle_confsync(const Request& request) {
@@ -373,8 +381,8 @@ void ControlService::handle_confsync(const Request& request) {
   // the wait for the safe point -- the paper's VT_confsync semantics.
   forward_to_agent(request_bytes(request),
                    [session = request.session, seq = request.seq,
-                    program = request.directives](BreakAgent& agent) {
-                     agent.pending.push_back({session, seq, program, /*ack=*/true});
+                    program = request.directives](BreakAgent& agent) mutable {
+                     agent.pending.push_back({session, seq, std::move(program), /*ack=*/true});
                    });
 }
 
@@ -386,22 +394,14 @@ void ControlService::handle_subscribe(const Request& request) {
     return;
   }
   BreakAgent::Subscription sub;
-  sub.session = request.session;
   sub.client_node = it->second.client_node;
   sub.credits = options_.sub_window;
   sub.match.assign(symbols_->size(), 0);
   for (const image::FunctionId fn : matched) sub.match[fn] = 1;
-  sub.sink = it->second.deltas;
+  sub.sink = &it->second.deltas;
   forward_to_agent(64 + static_cast<std::int64_t>(request.pattern.size()),
-                   [sub = std::move(sub)](BreakAgent& agent) {
-                     // Keep session-id order so per-window fan-out is
-                     // independent of subscription arrival order.
-                     auto pos = std::upper_bound(
-                         agent.subs.begin(), agent.subs.end(), sub.session,
-                         [](SessionId id, const BreakAgent::Subscription& s) {
-                           return id < s.session;
-                         });
-                     agent.subs.insert(pos, sub);
+                   [session = request.session, sub = std::move(sub)](BreakAgent& agent) mutable {
+                     agent.subscribe(session, std::move(sub));
                    });
   respond(request, Status::kOk);
 }
@@ -418,11 +418,7 @@ void ControlService::handle_detach(const Request& request) {
     enqueue_patch(std::move(op));
   }
   forward_to_agent(64, [session = request.session](BreakAgent& agent) {
-    agent.subs.erase(std::remove_if(agent.subs.begin(), agent.subs.end(),
-                                    [session](const BreakAgent::Subscription& s) {
-                                      return s.session == session;
-                                    }),
-                     agent.subs.end());
+    agent.unsubscribe(session);
   });
   if (active_sessions_ > 0) --active_sessions_;
   telemetry::Registry& reg = telemetry::current();
@@ -467,34 +463,52 @@ void ControlService::on_window(const WindowReport& report) {
   retry_queue();
 }
 
+sim::TimeNs ControlService::expiry(const QueuedAdmit& entry) const {
+  const sim::TimeNs timeout = entry.enqueued + options_.queue_timeout;
+  return entry.deadline > 0 ? std::min(timeout, entry.deadline) : timeout;
+}
+
 void ControlService::retry_queue() {
   // initiate_shutdown drains the queue, and submit refuses instrument
   // requests from then on.
   DT_ASSERT(!shutting_down_ || queue_.empty(), "admission queue non-empty after shutdown");
-  telemetry::Registry& reg = telemetry::current();
   const sim::TimeNs now = engine_.now();
+  // Every entry was denied at the version the last full scan began with
+  // (or, queued since, at the same version), and none has expired: a scan
+  // would cancel, admit and deny nothing.
+  if (admission_.version() == scanned_version_ && now < earliest_expiry_) return;
+  scanned_version_ = admission_.version();
+  earliest_expiry_ = std::numeric_limits<sim::TimeNs>::max();
+  telemetry::Registry& reg = telemetry::current();
   std::size_t kept = 0;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     QueuedAdmit& entry = queue_[i];
+    ++queue_visits_;
     // End-to-end deadline: a request still waiting past it is canceled
     // before it can consume budget -- the client has long stopped caring.
     if (entry.deadline > 0 && now >= entry.deadline) {
       ++deadline_cancels_;
       reg.add(reg.metrics().service_deadline_cancels);
       respond(entry.session, entry.seq, Status::kCanceled, admission_.priced_fraction());
+      settle(entry.session);
       continue;
     }
     // Nothing a denial reads has changed since this entry's last one, so
     // the admission would deny it again: skip the call.
     if (entry.denied_at != admission_.version()) {
-      if (try_admit(entry.session, entry.seq, entry.fns, entry.deadline)) continue;
+      if (try_admit(entry.session, entry.seq, entry.fns, entry.deadline)) {
+        settle(entry.session);
+        continue;
+      }
       entry.denied_at = admission_.version();
     }
     if (now - entry.enqueued >= options_.queue_timeout) {
       reg.add(reg.metrics().service_denials);
       respond(entry.session, entry.seq, Status::kDenied, admission_.priced_fraction());
+      settle(entry.session);
       continue;
     }
+    earliest_expiry_ = std::min(earliest_expiry_, expiry(entry));
     if (kept != i) queue_[kept] = std::move(entry);
     ++kept;
   }
@@ -503,7 +517,10 @@ void ControlService::retry_queue() {
 
 void ControlService::initiate_shutdown(const std::string& sentinel_function) {
   shutting_down_ = true;
-  for (const QueuedAdmit& entry : queue_) respond(entry.session, entry.seq, Status::kShutdown);
+  for (const QueuedAdmit& entry : queue_) {
+    respond(entry.session, entry.seq, Status::kShutdown);
+    settle(entry.session);
+  }
   queue_.clear();
   forward_to_agent(64, [sentinel = sentinel_function](BreakAgent& agent) {
     agent.stop_requested = true;
@@ -514,9 +531,9 @@ void ControlService::initiate_shutdown(const std::string& sentinel_function) {
 void ControlService::stage_service_program(vt::FilterProgram program) {
   if (program.empty()) return;
   const std::int64_t bytes = vt::serialized_size(program);
-  forward_to_agent(bytes, [program = std::move(program)](BreakAgent& agent) {
+  forward_to_agent(bytes, [program = std::move(program)](BreakAgent& agent) mutable {
     agent.pending.push_back(
-        {kServiceSession, agent.service_seq++, program, /*ack=*/false});
+        {kServiceSession, agent.service_seq++, std::move(program), /*ack=*/false});
   });
 }
 
@@ -538,13 +555,14 @@ void ControlService::send_response(Response response) {
   const sim::TimeNs now = engine_.now();
   const sim::TimeNs delay =
       cluster_.message_delay(node_, it->second.client_node, response_bytes(response), now);
-  ResponseSink sink = it->second.responses;
-  cluster_.engine()
-      .schedule_at(now + delay, [sink, response = std::move(response)] { sink(response); });
+  const SessionEndpoint* endpoint = &it->second;
+  cluster_.engine().schedule_at(now + delay, [endpoint, response = std::move(response)] {
+    endpoint->responses(response);
+  });
 }
 
 void ControlService::enqueue_patch(PatchOp op) {
-  if (op.response.session != kServiceSession) ++patch_pending_[op.response.session];
+  if (op.response.session != kServiceSession) ++deferred_[op.response.session];
   patch_queue_.push_back(std::move(op));
   patch_ready_->notify_one();
 }
@@ -602,10 +620,7 @@ sim::Coro<void> ControlService::patch_loop() {
     telemetry::Registry& reg = telemetry::current();
     for (PatchOp& op : batch) {
       if (op.response.session == kServiceSession) continue;
-      const auto pending = patch_pending_.find(op.response.session);
-      if (pending != patch_pending_.end() && --pending->second <= 0) {
-        patch_pending_.erase(pending);
-      }
+      settle(op.response.session);
       if (!lost.empty()) {
         op.response.status = Status::kDaemonLost;
         op.response.lost_nodes = lost;
@@ -623,13 +638,13 @@ sim::Coro<void> ControlService::patch_loop() {
   }
 }
 
-void ControlService::forward_to_agent(std::int64_t bytes,
-                                      std::function<void(BreakAgent&)> mutate) {
+template <typename Mutate>
+void ControlService::forward_to_agent(std::int64_t bytes, Mutate mutate) {
   BreakAgent* agent = agent_.get();
   const sim::TimeNs now = engine_.now();
   const sim::TimeNs delay = cluster_.message_delay(node_, agent_node_, bytes, now);
   cluster_.engine()
-      .schedule_at(now + delay, [agent, mutate = std::move(mutate)] { mutate(*agent); });
+      .schedule_at(now + delay, [agent, mutate = std::move(mutate)]() mutable { mutate(*agent); });
 }
 
 }  // namespace dyntrace::service

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -121,7 +122,7 @@ class ControlService {
 
   /// Hand one request to the service.  Session drivers get here via a
   /// scheduled message with message_delay latency.
-  void submit(Request request);
+  void submit(const Request& request);
 
   /// Stop accepting work and ask the break agent to stage a deactivate
   /// directive for `sentinel_function` at the next safe point -- the
@@ -140,6 +141,8 @@ class ControlService {
   /// Calls into AdmissionController::admit (fresh requests and queue
   /// retries alike).
   std::uint64_t admission_evals() const { return admission_evals_; }
+  /// Admission-queue entries examined by retry passes.
+  std::uint64_t queue_visits() const { return queue_visits_; }
 
  private:
   struct BreakAgent;
@@ -168,6 +171,7 @@ class ControlService {
     std::uint64_t denied_at = 0;
   };
 
+  /// Stable in endpoints_ (a map), so deliveries capture a pointer to it.
   struct SessionEndpoint {
     int client_node = 0;
     ResponseSink responses;
@@ -198,19 +202,25 @@ class ControlService {
                  const std::vector<image::FunctionId>& fns, sim::TimeNs deadline);
   /// One session's deferred commands: queued admissions + patches in flight.
   int session_load(SessionId session) const;
+  /// One of the session's deferred commands resolved.
+  void settle(SessionId session);
   void stage_service_program(vt::FilterProgram program);
   void handle_confsync(const Request& request);
   void handle_subscribe(const Request& request);
   void handle_detach(const Request& request);
   void on_window(const WindowReport& report);
   void retry_queue();
+  /// When a queued entry's end-to-end deadline or queue timeout comes.
+  sim::TimeNs expiry(const QueuedAdmit& entry) const;
   void respond(SessionId session, std::uint32_t seq, Status status, double projected = 0.0);
   void respond(const Request& request, Status status, double projected = 0.0) {
     respond(request.session, request.seq, status, projected);
   }
   void send_response(Response response);
   void enqueue_patch(PatchOp op);
-  void forward_to_agent(std::int64_t bytes, std::function<void(BreakAgent&)> mutate);
+  /// Schedule `mutate(agent)` on the break agent's node after the transfer.
+  template <typename Mutate>
+  void forward_to_agent(std::int64_t bytes, Mutate mutate);
   sim::Coro<void> patch_loop();
 
   dynprof::Launch& launch_;
@@ -232,15 +242,22 @@ class ControlService {
   std::deque<PatchOp> patch_queue_;
   std::unique_ptr<sim::Condition> patch_ready_;
   std::vector<QueuedAdmit> queue_;  ///< FIFO; compacted in place by retry_queue
+  /// admission_.version() when the last full retry scan began, and the
+  /// earliest expiry() among the queued entries: while the version holds
+  /// and no entry has expired, a scan would change nothing (DESIGN.md §13).
+  std::uint64_t scanned_version_ = 0;
+  sim::TimeNs earliest_expiry_ = std::numeric_limits<sim::TimeNs>::max();
   std::vector<WindowRecord> windows_;
   std::uint64_t responses_sent_ = 0;
-  /// Patch responses in flight per session (overload accounting).
-  std::map<SessionId, int> patch_pending_;
+  /// Deferred commands per session: queued admissions plus patch responses
+  /// in flight (overload accounting; sessions with none have no entry).
+  std::map<SessionId, int> deferred_;
   std::uint64_t shed_commands_ = 0;
   std::uint64_t deadline_cancels_ = 0;
   std::uint64_t fairshare_flips_ = 0;
   std::uint64_t sub_drops_ = 0;
   std::uint64_t admission_evals_ = 0;
+  std::uint64_t queue_visits_ = 0;
 };
 
 }  // namespace dyntrace::service

@@ -1,7 +1,6 @@
 #include "telemetry/registry.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "support/common.hpp"
 #include "support/strings.hpp"
@@ -295,15 +294,6 @@ void KeyedCounter::add(std::int64_t key, std::uint64_t delta) {
 std::uint64_t KeyedCounter::at(std::int64_t key) const {
   const auto it = counts_.find(key);
   return it == counts_.end() ? 0 : it->second;
-}
-
-std::vector<std::pair<std::int64_t, std::uint64_t>> KeyedCounter::ranked() const {
-  std::vector<std::pair<std::int64_t, std::uint64_t>> entries(counts_.begin(), counts_.end());
-  // Highest count first; ties by key.
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    return std::tie(b.second, a.first) < std::tie(a.second, b.first);
-  });
-  return entries;
 }
 
 // --- current registry -------------------------------------------------------

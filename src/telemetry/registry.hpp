@@ -216,8 +216,6 @@ class KeyedCounter {
   std::uint64_t total() const { return total_; }
   std::uint64_t at(std::int64_t key) const;  ///< 0 for unseen keys
   const std::unordered_map<std::int64_t, std::uint64_t>& snapshot() const { return counts_; }
-  /// (key, count) sorted by count descending, key ascending on ties.
-  std::vector<std::pair<std::int64_t, std::uint64_t>> ranked() const;
 
  private:
   std::string name_;

@@ -3,7 +3,6 @@
 // fault verbs, and scenario-wide run-to-run bit-identity.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 
 #include "dynprof/multi_job.hpp"
@@ -115,15 +114,8 @@ TEST(MultiJob, DegradedSharedNodeQuarantinesOnlyThatJobsTool) {
 }
 
 TEST(MultiJob, ReplayJobSharesTheClusterWithAKernelJob) {
-  const auto trace_path = [] {
-    for (const char* prefix : {"../../examples/replay/", "../../../examples/replay/",
-                               "examples/replay/", "../examples/replay/"}) {
-      const std::string path = std::string(prefix) + "ring.trace";
-      if (std::ifstream(path).good()) return path;
-    }
-    return std::string("ring.trace");
-  }();
-  const auto replay_app = replay::load_app(trace_path);
+  const auto replay_app =
+      replay::load_app(std::string(DYNTRACE_SOURCE_DIR) + "/examples/replay/ring.trace");
 
   auto make = [&] {
     MultiJobOptions options;

@@ -1,20 +1,13 @@
 // The machine-profile .ini files shipped in configs/ must stay loadable.
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 #include "machine/spec.hpp"
 
 namespace dyntrace::machine {
 namespace {
 
 std::string repo_config(const std::string& name) {
-  // Tests run from build/tests; the configs live in the source tree.
-  for (const char* prefix : {"../../configs/", "configs/", "../configs/"}) {
-    const std::string path = prefix + name;
-    if (std::ifstream(path).good()) return path;
-  }
-  return "configs/" + name;  // let the load fail with a clear message
+  return std::string(DYNTRACE_SOURCE_DIR) + "/configs/" + name;
 }
 
 TEST(ShippedConfigs, IbmProfileLoads) {

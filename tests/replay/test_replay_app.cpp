@@ -3,7 +3,6 @@
 // fault-matrix control-plane columns hold on a replayed app.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -15,16 +14,9 @@
 namespace dyntrace::replay {
 namespace {
 
-/// The shipped sample (examples/replay/ring.trace), found from the common
-/// ctest working directories (same idiom as tests/machine/test_configs).
+/// A shipped sample trace (examples/replay/ring.trace, ...).
 std::string sample_path(const std::string& name) {
-  for (const char* prefix : {"../../examples/replay/", "../../../examples/replay/",
-                             "examples/replay/", "../examples/replay/"}) {
-    const std::string path = prefix + name;
-    if (std::ifstream(path).good()) return path;
-  }
-  ADD_FAILURE() << "cannot locate examples/replay/" << name;
-  return name;
+  return std::string(DYNTRACE_SOURCE_DIR) + "/examples/replay/" + name;
 }
 
 std::shared_ptr<ReplayApp> load_ring() { return load_app(sample_path("ring.trace")); }

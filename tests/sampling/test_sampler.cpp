@@ -55,9 +55,6 @@ TEST(Sampler, HistogramReflectsTimeDistribution) {
   const double cold = static_cast<double>(h.count(2) ? h.at(2) : 0);
   // hot gets ~9x the samples of cold.
   EXPECT_GT(hot, 5 * cold);
-  const auto top = sampler.top(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].first, 1u);
 }
 
 TEST(Sampler, OverheadScalesWithRate) {
@@ -130,7 +127,6 @@ TEST(Sampler, IdleThreadSamplesAsOutsideAnyFunction) {
   const auto& h = sampler.histogram();
   ASSERT_TRUE(h.count(image::kInvalidFunction));
   EXPECT_EQ(h.size(), 1u);
-  EXPECT_TRUE(sampler.top(3).empty());
 }
 
 TEST(Sampler, SuspendedProcessIsNotSampled) {

@@ -16,8 +16,7 @@
 #
 #     tools/coverage.sh
 #
-# Builds in build-coverage/ at the repository root (tests find configs/
-# and examples/ relative to a build directory there), writes
+# Builds in build-coverage/ at the repository root, writes
 # build-coverage/coverage/report.txt (per-file counts plus every unreached
 # line) and exits non-zero when more than 1% of the executable lines in
 # src/ are unreached, or when any command it runs fails.

@@ -4,10 +4,11 @@
 Two checks, both sides of the drift:
 
 1. Forward: every ``--flag`` token mentioned in the docs must be accepted
-   by at least one built binary (its ``--help`` output), or appear on the
-   small build-tooling allowlist (ctest/cmake/gtest flags the build
-   instructions legitimately use).  A renamed or deleted CLI option whose
-   doc mention was forgotten fails here.
+   by at least one built binary or repository script (its ``--help``
+   output), or appear on the small build-tooling allowlist
+   (ctest/cmake/gtest flags the build instructions legitimately use).  A
+   renamed or deleted CLI option whose doc mention was forgotten fails
+   here.
 
 2. Reverse: every option ``dynprof_cli --help`` advertises must be
    mentioned in README.md (the operator entry point documents the whole
@@ -37,6 +38,10 @@ DOC_FILES = ["README.md", "EXPERIMENTS.md", "docs/TRACE_REPLAY.md"]
 # Directories whose binaries define the set of real flags.
 BINARY_DIRS = ["examples", "bench"]
 
+# Python scripts whose flags count too (argparse prints --help without
+# building anything).
+SCRIPTS = ["perfbench/run.py"]
+
 # Flags the docs may mention that belong to build tooling, not our
 # binaries (ctest / cmake / gtest invocations in the build instructions).
 ALLOWED_TOOLING = {
@@ -62,11 +67,11 @@ def doc_flags(path: pathlib.Path) -> dict[str, list[int]]:
     return flags
 
 
-def help_flags(binary: pathlib.Path) -> set[str]:
-    """The --flags `binary --help` advertises (empty set if it won't talk)."""
+def help_flags(command: list[str]) -> set[str]:
+    """The --flags `command --help` advertises (empty set if it won't talk)."""
     try:
         proc = subprocess.run(
-            [str(binary), "--help"],
+            command + ["--help"],
             capture_output=True,
             text=True,
             timeout=30,
@@ -106,8 +111,15 @@ def main() -> int:
     known = set(ALLOWED_TOOLING)
     per_binary: dict[str, set[str]] = {}
     for binary in binaries:
-        flags = help_flags(binary)
+        flags = help_flags([str(binary)])
         per_binary[binary.name] = flags
+        known |= flags
+    for script in SCRIPTS:
+        flags = help_flags([sys.executable, str(root / script)])
+        if not flags:
+            print(f"docs_lint: {script} --help produced no flags",
+                  file=sys.stderr)
+            return 2
         known |= flags
 
     dynprof_cli = per_binary.get("dynprof_cli", set())
@@ -130,7 +142,7 @@ def main() -> int:
                 continue
             where = ", ".join(str(n) for n in lines[:5])
             print(f"docs_lint: FAIL {doc}:{where}: `{flag}` is not accepted "
-                  f"by any built binary")
+                  f"by any built binary or script")
             failures += 1
 
     # Reverse: dynprof_cli flag -> README mention.
@@ -148,7 +160,8 @@ def main() -> int:
         return 1
     doc_count = sum(1 for d in DOC_FILES if (root / d).is_file())
     print(f"docs_lint: ok -- {doc_count} doc(s) checked against "
-          f"{len(binaries)} binaries, {len(known)} known flags; all "
+          f"{len(binaries)} binaries and {len(SCRIPTS)} script(s), "
+          f"{len(known)} known flags; all "
           f"{len(dynprof_cli) - 1} dynprof_cli options documented in README")
     return 0
 
