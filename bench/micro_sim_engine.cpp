@@ -107,7 +107,7 @@ QueueRun schedule_pop(int window, std::uint64_t total) {
 /// cancel-the-oldest + schedule-a-new; pop the window at the end.  A
 /// warm-up of 4 x `window` rounds first runs the heap through compactions
 /// (dead entries grow it to 2x the live window before each rebuild).
-QueueRun schedule_cancel(int window, int churn) {
+QueueRun schedule_cancel(int window, std::uint64_t churn) {
   QueueRun run;
   Rng rng(11);
   sim::EventQueue queue;
@@ -121,16 +121,17 @@ QueueRun schedule_cancel(int window, int churn) {
     const auto at = static_cast<TimeNs>(rng.next_below(1'000'000));
     ids.push_back(queue.schedule(at, payload(at)));
   }
-  const auto round = [&](int i) {
-    queue.cancel(ids[static_cast<std::size_t>(i % window)]);
+  const auto round = [&](std::uint64_t i) {
+    const auto k = static_cast<std::size_t>(i % static_cast<std::uint64_t>(window));
+    queue.cancel(ids[k]);
     const auto at = horizon + static_cast<TimeNs>(rng.next_below(1'000'000));
-    ids[static_cast<std::size_t>(i % window)] = queue.schedule(at, payload(at));
+    ids[k] = queue.schedule(at, payload(at));
     ++horizon;
   };
-  for (int i = 0; i < 4 * window; ++i) round(i);
+  for (std::uint64_t i = 0; i < 4 * static_cast<std::uint64_t>(window); ++i) round(i);
   const std::uint64_t allocs_before = g_allocations.load();
   const auto begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < churn; ++i) round(i);
+  for (std::uint64_t i = 0; i < churn; ++i) round(i);
   run.events_per_s = static_cast<double>(2 * churn) / seconds_since(begin);
   run.allocations = g_allocations.load() - allocs_before;
   while (!queue.empty()) queue.pop().second();
@@ -219,13 +220,16 @@ int bench_main(int argc, char** argv) {
   parser.option_int("queue-reps", "schedule/pop rounds (default 40)", &reps);
   parser.option_string("json", "output artifact (default BENCH_sim.json)", &json_path);
   if (!parser.parse(argc, argv)) return 0;
+  // Zero rounds would pass both zero-allocation gates over no events.
+  DT_EXPECT(n >= 1, "--queue-n must be >= 1 (got ", n, ")");
+  DT_EXPECT(reps >= 1, "--queue-reps must be >= 1 (got ", reps, ")");
 
   std::puts("event-queue throughput (steady-state loops)\n");
   // Pending-set depth: 512 ranks x ~16 in-flight events each (fig8 scale).
   const int sp_window = 8192;
   const int sc_window = 1024;
   const auto total = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(reps);
-  const int churn = n * reps / 2;
+  const std::uint64_t churn = (total + 1) / 2;
   const QueueRun sp = schedule_pop(sp_window, total);
   const QueueRun sc = schedule_cancel(sc_window, churn);
   const std::int64_t leaf_calls_per_rank = 200000;

@@ -13,9 +13,13 @@
 // per command -- exact op counts: queue retries skip requests whose denial
 // inputs did not change, and skip the whole scan while nothing a scan
 // reads has changed, so every sweep cell must stay at or under
-// kMaxEvalsPerInstrument and kMaxQueueVisitsPerCommand.  Emits
-// BENCH_service.json; shape-check failures exit non-zero, so CI's
-// service-smoke step gates on every one of them.
+// kMaxEvalsPerInstrument and kMaxQueueVisitsPerCommand -- and the
+// event-queue pushes and cancels per command: response deadlines share
+// one watchdog timer instead of a timer per command, so every sweep cell
+// must make at most kMaxResponseTimerCancels cancels for them.  Emits
+// BENCH_service.json;
+// shape-check failures exit non-zero, so CI's service-smoke step gates on
+// every one of them.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -41,6 +45,14 @@ constexpr double kMaxEvalsPerInstrument = 4.0;
 /// 10k.
 constexpr double kMaxQueueVisitsPerCommand = 1.0;
 
+/// Event-queue cancels the response deadlines of a whole run make: one,
+/// the watchdog's stand-down once every driver is done.  A timer armed and
+/// cancelled per command made one per command.  The run's other cancels
+/// are the target job's own timed waits, which vary with --ranks,
+/// --functions and the run's length rather than with commands, so they
+/// are reported per command but not gated.
+constexpr std::uint64_t kMaxResponseTimerCancels = 1;
+
 sim::TimeNs percentile(std::vector<sim::TimeNs> sorted, double p) {
   if (sorted.empty()) return 0;
   const auto index = static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
@@ -55,6 +67,8 @@ struct Cell {
   sim::TimeNs p99 = 0;
   double evals_per_instrument = 0;
   double queue_visits_per_command = 0;
+  double pushes_per_command = 0;
+  double cancels_per_command = 0;
 };
 
 Cell run_cell(const service::ScenarioOptions& base, int sessions) {
@@ -80,10 +94,14 @@ Cell run_cell(const service::ScenarioOptions& base, int sessions) {
       instruments > 0 ? static_cast<double>(cell.result.admission_evals) /
                             static_cast<double>(instruments)
                       : 0;
-  cell.queue_visits_per_command =
-      cell.result.commands > 0 ? static_cast<double>(cell.result.queue_visits) /
-                                     static_cast<double>(cell.result.commands)
-                               : 0;
+  const auto per_command = [&cell](std::uint64_t ops) {
+    return cell.result.commands > 0
+               ? static_cast<double>(ops) / static_cast<double>(cell.result.commands)
+               : 0;
+  };
+  cell.queue_visits_per_command = per_command(cell.result.queue_visits);
+  cell.pushes_per_command = per_command(cell.result.event_pushes);
+  cell.cancels_per_command = per_command(cell.result.event_cancels);
   std::fprintf(stderr, ".");
   std::fflush(stderr);
   return cell;
@@ -138,7 +156,7 @@ int bench_main(int argc, char** argv) {
 
   TextTable table({"Sessions", "Sessions/s", "p50 ms", "p99 ms", "Admit", "Degrade",
                             "Deny", "Timeout", "Windows", "Sim s", "Evals/instr",
-                            "Visits/cmd"});
+                            "Visits/cmd", "Pushes/cmd", "Cancels/cmd", "Timer cancels"});
   for (const Cell& cell : sweep) {
     table.add_row({std::to_string(cell.sessions),
                    TextTable::num(cell.sessions_per_sec, 0),
@@ -151,7 +169,10 @@ int bench_main(int argc, char** argv) {
                    std::to_string(cell.result.windows.size()),
                    TextTable::num(cell.result.sim_seconds, 3),
                    TextTable::num(cell.evals_per_instrument, 2),
-                   TextTable::num(cell.queue_visits_per_command, 2)});
+                   TextTable::num(cell.queue_visits_per_command, 2),
+                   TextTable::num(cell.pushes_per_command, 3),
+                   TextTable::num(cell.cancels_per_command, 4),
+                   std::to_string(cell.result.response_timer_cancels)});
   }
   std::fputs(table.render().c_str(), stdout);
 
@@ -248,7 +269,9 @@ int bench_main(int argc, char** argv) {
         " \"p99_ns\": %lld, \"admitted\": %llu, \"degraded\": %llu, \"denied\": %llu,"
         " \"timeouts\": %llu, \"windows\": %zu, \"sim_seconds\": %.6f,"
         " \"host_seconds\": %.3f, \"admission_evals_per_instrument\": %.3f,"
-        " \"queue_visits_per_command\": %.3f}%s\n",
+        " \"queue_visits_per_command\": %.3f, \"event_pushes\": %llu,"
+        " \"event_cancels\": %llu, \"pushes_per_command\": %.4f,"
+        " \"cancels_per_command\": %.6f, \"response_timer_cancels\": %llu}%s\n",
         cell.sessions, cell.sessions_per_sec, static_cast<long long>(cell.p50),
         static_cast<long long>(cell.p99),
         static_cast<unsigned long long>(count(cell, service::Status::kAdmitted)),
@@ -257,6 +280,10 @@ int bench_main(int argc, char** argv) {
         static_cast<unsigned long long>(count(cell, service::Status::kTimeout)),
         cell.result.windows.size(), cell.result.sim_seconds, cell.result.host_seconds,
         cell.evals_per_instrument, cell.queue_visits_per_command,
+        static_cast<unsigned long long>(cell.result.event_pushes),
+        static_cast<unsigned long long>(cell.result.event_cancels), cell.pushes_per_command,
+        cell.cancels_per_command,
+        static_cast<unsigned long long>(cell.result.response_timer_cancels),
         i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"determinism\": {\"ran\": %s, \"identical\": %s, \"digests\": [",
@@ -305,6 +332,11 @@ int bench_main(int argc, char** argv) {
                     "visited per command in every sweep cell",
                     std::all_of(sweep.begin(), sweep.end(), [](const Cell& cell) {
                       return cell.queue_visits_per_command <= kMaxQueueVisitsPerCommand;
+                    })});
+  checks.push_back({"response timeouts share one watchdog timer: <= 1 event-queue cancel for "
+                    "all of a sweep cell's response deadlines",
+                    std::all_of(sweep.begin(), sweep.end(), [](const Cell& cell) {
+                      return cell.result.response_timer_cancels <= kMaxResponseTimerCancels;
                     })});
   if (!skip_determinism) {
     checks.push_back({"digests bit-identical across two runs of the main cell", identical});

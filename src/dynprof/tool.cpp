@@ -210,11 +210,15 @@ sim::Coro<void> DynprofTool::await_init_and_release(proc::SimThread& tool) {
   // collapse them by pid and bound every wait.
   const machine::FaultTolerance& ft = launch_.cluster().spec().fault;
   std::set<int> reported;
-  while (static_cast<int>(reported.size()) < expected) {
-    auto cb = co_await app_->callbacks().recv_for(ft.init_callback_timeout);
-    if (!cb.has_value()) break;  // the silent processes are not coming
-    DT_EXPECT(cb->tag == kInitCallbackTag, "unexpected callback '", cb->tag, "'");
-    reported.insert(cb->pid);
+  {
+    // Stands down when the loop ends, leaving no timer behind.
+    sim::Watchdog watchdog(tool.engine());
+    while (static_cast<int>(reported.size()) < expected) {
+      auto cb = co_await app_->callbacks().recv_for(watchdog, ft.init_callback_timeout);
+      if (!cb.has_value()) break;  // the silent processes are not coming
+      DT_EXPECT(cb->tag == kInitCallbackTag, "unexpected callback '", cb->tag, "'");
+      reported.insert(cb->pid);
+    }
   }
   if (static_cast<int>(reported.size()) < expected) {
     std::vector<int> missing;

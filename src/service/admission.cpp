@@ -55,6 +55,8 @@ AdmitResult AdmissionController::admit(SessionId session,
 
   // Grant what the session does not hold yet (a repeat grant must not
   // double-count holders).
+  DT_ASSERT(session <= kMaxSessionId, "admit: session id ", session, " out of range");
+  if (session >= grants_.size()) grants_.resize(static_cast<std::size_t>(session) + 1);
   std::vector<image::FunctionId>& held = grants_[session];
   bool touches_degraded = false;
   for (const image::FunctionId fn : *ids) {
@@ -81,9 +83,9 @@ AdmitResult AdmissionController::admit(SessionId session,
 
 ReleaseResult AdmissionController::release(SessionId session) {
   ReleaseResult result;
-  const auto it = grants_.find(session);
-  if (it == grants_.end()) return result;
-  for (const image::FunctionId fn : it->second) {
+  if (session >= grants_.size()) return result;
+  std::vector<image::FunctionId>& held = grants_[session];
+  for (const image::FunctionId fn : held) {
     FnState& state = fns_[fn];
     DT_ASSERT(state.holders > 0, "release: holder underflow");
     if (--state.holders == 0) {
@@ -96,7 +98,7 @@ ReleaseResult AdmissionController::release(SessionId session) {
     }
   }
   std::sort(result.remove.begin(), result.remove.end());
-  grants_.erase(it);
+  std::vector<image::FunctionId>().swap(held);
   return result;
 }
 
@@ -138,7 +140,9 @@ ArbitrateResult AdmissionController::arbitrate() {
     // session-id order, so the strict > keeps the lowest id on ties.
     SessionId victim_session = 0;
     double victim_cost = -1.0;
-    for (const auto& [session, held] : grants_) {
+    for (SessionId session = 0; session < grants_.size(); ++session) {
+      const std::vector<image::FunctionId>& held = grants_[session];
+      if (held.empty()) continue;
       double cost = 0.0;
       for (const image::FunctionId fn : held) {
         const FnState& state = fns_[fn];

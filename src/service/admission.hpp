@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -155,8 +154,9 @@ class AdmissionController {
   std::uint64_t version_ = 0;
   mutable std::uint64_t priced_version_ = 0;
   mutable double priced_ = 0.0;  ///< priced_fraction() as of priced_version_
-  /// Ordered by session id so release-driven removals are deterministic.
-  std::map<SessionId, std::vector<image::FunctionId>> grants_;
+  /// Functions each session holds, indexed by session id (dense from 0;
+  /// grows to the largest id admitted).  arbitrate() walks it in id order.
+  std::vector<std::vector<image::FunctionId>> grants_;
 };
 
 }  // namespace dyntrace::service

@@ -85,6 +85,8 @@ std::uint64_t quantize(double fraction) {
 struct Driver {
   int node = 0;
   sim::Engine* engine = nullptr;
+  /// Keeps every driver's response deadlines (one per scenario).
+  sim::Watchdog* watchdog = nullptr;
   std::unique_ptr<sim::Trigger> start;
   std::unique_ptr<sim::Mailbox<Response>> inbox;
   /// Storm drivers: absolute gate time from the fault plan (0 = the normal
@@ -117,7 +119,7 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
                               machine::Cluster& cluster, sim::TimeNs response_timeout,
                               int pipeline_depth) {
   telemetry::Registry& reg = telemetry::current();
-  const std::size_t depth = static_cast<std::size_t>(std::max(1, pipeline_depth));
+  const std::size_t depth = static_cast<std::size_t>(pipeline_depth);
   std::uint32_t seq = 0;
   bool bail = false;
   struct Pending {
@@ -150,13 +152,14 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
   const std::size_t total = entry.script.size();
   while (next < total || !outstanding.empty()) {
     while (next < total && outstanding.size() < depth) {
-      const Request& templ = entry.script[next];
-      if (bail && templ.kind != CommandKind::kDetach) {
+      Request& request = entry.script[next];
+      if (bail && request.kind != CommandKind::kDetach) {
         ++next;
         continue;
       }
-      if (templ.kind == CommandKind::kDetach && !outstanding.empty()) break;
-      Request request = templ;
+      if (request.kind == CommandKind::kDetach && !outstanding.empty()) break;
+      // Each script entry is sent once and outlives the run, so it is
+      // stamped in place and the submit message carries a pointer to it.
       request.session = entry.id;
       request.seq = ++seq;
       request.client_node = d.node;
@@ -164,9 +167,8 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
       const sim::TimeNs delay =
           cluster.message_delay(d.node, svc.node(), request_bytes(request), sent);
       ControlService* service = &svc;
-      svc.engine().schedule_at(sent + delay, [service, request = std::move(request)] {
-        service->submit(request);
-      });
+      const Request* stamped = &request;
+      svc.engine().schedule_at(sent + delay, [service, stamped] { service->submit(*stamped); });
       outstanding.push_back(Pending{seq, next, sent});
       ++next;
     }
@@ -180,7 +182,8 @@ sim::Coro<void> drive_session(Driver& d, Driver::Entry& entry, ControlService& s
       resolve(earliest_seq, Status::kTimeout, now);
       continue;
     }
-    std::optional<Response> response = co_await d.inbox->recv_for(earliest - now);
+    std::optional<Response> response =
+        co_await d.inbox->recv_for(*d.watchdog, earliest - now);
     if (!response.has_value()) {
       resolve(earliest_seq, Status::kTimeout, d.engine->now());
       continue;
@@ -212,7 +215,7 @@ sim::Coro<void> session_coro(Driver& d, ControlService& svc, machine::Cluster& c
 
 sim::Coro<void> scenario_main(dynprof::DynprofTool& tool, ControlService& svc,
                               machine::Cluster& cluster, std::vector<std::unique_ptr<Driver>>& drivers,
-                              sim::TimeNs stagger, Coordinator& coord) {
+                              sim::TimeNs stagger, Coordinator& coord, sim::Watchdog& watchdog) {
   co_await tool.attached().wait();
   svc.start();
 
@@ -233,6 +236,9 @@ sim::Coro<void> scenario_main(dynprof::DynprofTool& tool, ControlService& svc,
   }
 
   co_await coord.all_done->wait();
+  // No driver waits any more: cancel the response timer rather than let
+  // it run the clock on to its deadline.
+  watchdog.stand_down();
   svc.initiate_shutdown(kSentinelName);
   tool.request_detach();
 }
@@ -305,10 +311,28 @@ asci::AppSpec make_svcapp(int functions) {
 }
 
 ScenarioResult run_scenario(const ScenarioOptions& options) {
+  // The launch checks ranks and problem_scale; these are the scenario's own.
   DT_EXPECT(options.sim_threads == 1, "ScenarioOptions::sim_threads must be 1 (got ",
             options.sim_threads, "): the simulator has one sequential engine");
-  DT_EXPECT(options.sessions >= 0, "ScenarioOptions::sessions must be >= 0 (got ",
-            options.sessions, ")");
+  DT_EXPECT(options.sessions >= 0 && options.sessions <= std::int64_t{kMaxSessionId} + 1,
+            "ScenarioOptions::sessions must be in [0, ", std::int64_t{kMaxSessionId} + 1,
+            "] (got ", options.sessions, ")");
+  DT_EXPECT(options.functions >= 1, "ScenarioOptions::functions must be >= 1 (got ",
+            options.functions, "): session scripts draw from the function inventory");
+  DT_EXPECT(options.commands_per_session >= 0,
+            "ScenarioOptions::commands_per_session must be >= 0 (got ",
+            options.commands_per_session, ")");
+  DT_EXPECT(options.session_batch >= 1, "ScenarioOptions::session_batch must be >= 1 (got ",
+            options.session_batch, ")");
+  DT_EXPECT(options.pipeline_depth >= 1, "ScenarioOptions::pipeline_depth must be >= 1 (got ",
+            options.pipeline_depth, ")");
+  DT_EXPECT(options.confsync_interval >= 1,
+            "ScenarioOptions::confsync_interval must be >= 1 (got ", options.confsync_interval,
+            "): the service applies directives, shutdown included, at safe points");
+  DT_EXPECT(options.session_stagger >= 0, "ScenarioOptions::session_stagger must be >= 0 (got ",
+            options.session_stagger, ")");
+  DT_EXPECT(options.response_timeout > 0, "ScenarioOptions::response_timeout must be > 0 (got ",
+            options.response_timeout, ")");
   const auto host_start = std::chrono::steady_clock::now();
 
   const asci::AppSpec app = make_svcapp(options.functions);
@@ -330,6 +354,10 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   ControlService service(launch, tool, options.service);
   machine::Cluster& cluster = launch.cluster();
 
+  // Every response timeout has the same length, so the drivers' deadlines
+  // arrive in send order and one watchdog timer covers them all.
+  sim::Watchdog watchdog(cluster.engine());
+
   const bool scripted = !options.scripted_sessions.empty();
   const std::size_t session_count =
       scripted ? options.scripted_sessions.size() : static_cast<std::size_t>(options.sessions);
@@ -347,7 +375,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   std::size_t storm_count = 0;
   for (const auto& [at, n] : storms) storm_count += static_cast<std::size_t>(n);
 
-  const int batch = std::max(1, options.session_batch);
+  const int batch = options.session_batch;
   std::vector<std::unique_ptr<Driver>> drivers;
   drivers.reserve((session_count + static_cast<std::size_t>(batch) - 1) /
                       static_cast<std::size_t>(batch) +
@@ -377,6 +405,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
                        ? first_client + static_cast<int>(driver_index) % client_nodes
                        : tool_node;
     driver->engine = &cluster.engine();
+    driver->watchdog = &watchdog;
     driver->start = std::make_unique<sim::Trigger>(*driver->engine);
     driver->inbox = std::make_unique<sim::Mailbox<Response>>(*driver->engine);
     driver->gate_at = gate_at;
@@ -435,7 +464,7 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
         str::format("svc.session.%u", d->entries.front().id));
   }
   service.engine().spawn(scenario_main(tool, service, cluster, drivers,
-                                       options.session_stagger, coord),
+                                       options.session_stagger, coord, watchdog),
                          "svc.scenario");
 
   launch.engine().run();
@@ -460,6 +489,9 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   result.sub_drops = service.sub_drops();
   result.admission_evals = service.admission_evals();
   result.queue_visits = service.queue_visits();
+  result.event_pushes = launch.engine().queue_pushes();
+  result.event_cancels = launch.engine().queue_cancels();
+  result.response_timer_cancels = watchdog.cancels();
   result.windows = service.windows();
   const double budget = service.admission().options().budget_fraction;
   result.budget_violations = static_cast<std::size_t>(

@@ -100,6 +100,18 @@ struct ScenarioResult {
   /// Admission-queue entries examined by retry passes (an op count for the
   /// bench's per-command gate; not part of `digest`).
   std::uint64_t queue_visits = 0;
+  /// Event-queue pushes and cancels over the whole run, set-up included
+  /// (op counts for the bench's per-command figures; not part of
+  /// `digest`).  Response deadlines share one watchdog timer, so a command
+  /// costs no push or cancel for its timeout; the rest are the service's
+  /// messages and the target job's own events and timed waits.
+  std::uint64_t event_pushes = 0;
+  std::uint64_t event_cancels = 0;
+  /// The cancels the response deadlines made (the bench gates it at 1):
+  /// the stand-down at the end, plus a re-arm whenever a wait's deadline
+  /// is earlier than the armed one (only after a timeout or under
+  /// pipelining).
+  std::uint64_t response_timer_cancels = 0;
 
   /// priced_after <= budget (or at_floor) held in every window.
   bool budget_ok = true;

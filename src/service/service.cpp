@@ -224,7 +224,12 @@ ControlService::~ControlService() = default;
 
 void ControlService::register_session(SessionId id, int client_node, ResponseSink responses,
                                       DeltaSink deltas) {
-  DT_EXPECT(id != kServiceSession, "session id reserved for the service");
+  DT_EXPECT(id <= kMaxSessionId, "session id ", id, " is above ", kMaxSessionId,
+            ": session ids index dense tables, so number sessions from 0");
+  if (id >= endpoints_.size()) {
+    endpoints_.resize(id + 1);
+    deferred_.resize(id + 1, 0);
+  }
   endpoints_[id] = SessionEndpoint{client_node, std::move(responses), std::move(deltas)};
 }
 
@@ -235,6 +240,7 @@ void ControlService::start() {
 }
 
 void ControlService::submit(const Request& request) {
+  if (request.session >= endpoints_.size() || !endpoints_[request.session].responses) return;
   telemetry::Registry& reg = telemetry::current();
   reg.add(reg.metrics().service_commands);
   // Once shutting down, only reports and detaches are still served.
@@ -275,14 +281,11 @@ void ControlService::submit(const Request& request) {
   }
 }
 
-int ControlService::session_load(SessionId session) const {
-  const auto it = deferred_.find(session);
-  return it != deferred_.end() ? it->second : 0;
-}
+int ControlService::session_load(SessionId session) const { return deferred_[session]; }
 
 void ControlService::settle(SessionId session) {
-  const auto it = deferred_.find(session);
-  if (it != deferred_.end() && --it->second <= 0) deferred_.erase(it);
+  DT_ASSERT(deferred_[session] > 0, "settling a session with nothing deferred");
+  --deferred_[session];
 }
 
 /// Attempt one admission by ids.  Returns false iff the request was denied
@@ -388,17 +391,17 @@ void ControlService::handle_confsync(const Request& request) {
 
 void ControlService::handle_subscribe(const Request& request) {
   const std::vector<image::FunctionId> matched = symbols_->match(request.pattern);
-  const auto it = endpoints_.find(request.session);
-  if (matched.empty() || it == endpoints_.end() || !it->second.deltas) {
+  const SessionEndpoint& endpoint = endpoints_[request.session];
+  if (matched.empty() || !endpoint.deltas) {
     respond(request, Status::kError);
     return;
   }
   BreakAgent::Subscription sub;
-  sub.client_node = it->second.client_node;
+  sub.client_node = endpoint.client_node;
   sub.credits = options_.sub_window;
   sub.match.assign(symbols_->size(), 0);
   for (const image::FunctionId fn : matched) sub.match[fn] = 1;
-  sub.sink = &it->second.deltas;
+  sub.sink = &endpoint.deltas;
   forward_to_agent(64 + static_cast<std::int64_t>(request.pattern.size()),
                    [session = request.session, sub = std::move(sub)](BreakAgent& agent) mutable {
                      agent.subscribe(session, std::move(sub));
@@ -549,13 +552,12 @@ void ControlService::respond(SessionId session, std::uint32_t seq, Status status
 
 void ControlService::send_response(Response response) {
   if (response.session == kServiceSession) return;
-  const auto it = endpoints_.find(response.session);
-  if (it == endpoints_.end() || !it->second.responses) return;
+  // Every other session passed submit(), so it is registered.
+  const SessionEndpoint* endpoint = &endpoints_[response.session];
   ++responses_sent_;
   const sim::TimeNs now = engine_.now();
   const sim::TimeNs delay =
-      cluster_.message_delay(node_, it->second.client_node, response_bytes(response), now);
-  const SessionEndpoint* endpoint = &it->second;
+      cluster_.message_delay(node_, endpoint->client_node, response_bytes(response), now);
   cluster_.engine().schedule_at(now + delay, [endpoint, response = std::move(response)] {
     endpoint->responses(response);
   });

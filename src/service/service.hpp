@@ -111,7 +111,7 @@ class ControlService {
   ControlService& operator=(const ControlService&) = delete;
 
   /// Declare a session's response/delta delivery endpoints (host-side
-  /// setup, before Engine::run).
+  /// setup, before Engine::run).  `id` is at most kMaxSessionId.
   void register_session(SessionId id, int client_node, ResponseSink responses,
                         DeltaSink deltas = {});
 
@@ -121,7 +121,9 @@ class ControlService {
   void start();
 
   /// Hand one request to the service.  Session drivers get here via a
-  /// scheduled message with message_delay latency.
+  /// scheduled message with message_delay latency.  A request from a
+  /// session that was never registered has nobody to answer and is
+  /// dropped unseen.
   void submit(const Request& request);
 
   /// Stop accepting work and ask the break agent to stage a deactivate
@@ -171,7 +173,9 @@ class ControlService {
     std::uint64_t denied_at = 0;
   };
 
-  /// Stable in endpoints_ (a map), so deliveries capture a pointer to it.
+  /// Stable in endpoints_ (a deque that only grows at the back), so
+  /// deliveries and subscriptions hold pointers to it.  An id that was
+  /// never registered has no response sink.
   struct SessionEndpoint {
     int client_node = 0;
     ResponseSink responses;
@@ -234,7 +238,8 @@ class ControlService {
   AdmissionController admission_;
   std::unique_ptr<BreakAgent> agent_;
 
-  std::map<SessionId, SessionEndpoint> endpoints_;
+  /// By session id.
+  std::deque<SessionEndpoint> endpoints_;
   std::size_t active_sessions_ = 0;
   bool started_ = false;
   bool shutting_down_ = false;
@@ -249,9 +254,9 @@ class ControlService {
   sim::TimeNs earliest_expiry_ = std::numeric_limits<sim::TimeNs>::max();
   std::vector<WindowRecord> windows_;
   std::uint64_t responses_sent_ = 0;
-  /// Deferred commands per session: queued admissions plus patch responses
-  /// in flight (overload accounting; sessions with none have no entry).
-  std::map<SessionId, int> deferred_;
+  /// Deferred commands per session id: queued admissions plus patch
+  /// responses in flight (overload accounting); sized with endpoints_.
+  std::vector<int> deferred_;
   std::uint64_t shed_commands_ = 0;
   std::uint64_t deadline_cancels_ = 0;
   std::uint64_t fairshare_flips_ = 0;

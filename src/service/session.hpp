@@ -23,6 +23,11 @@ using SessionId = std::uint32_t;
 /// the service's corrections are applied last at each safe point.
 inline constexpr SessionId kServiceSession = 0xffffffffu;
 
+/// Largest id a session may have.  Per-session state lives in tables
+/// indexed by session id, so ids are dense from 0 (run_scenario numbers
+/// its sessions that way) and this bounds the tables.
+inline constexpr SessionId kMaxSessionId = (1u << 24) - 1;
+
 enum class CommandKind : std::uint8_t {
   kAttach = 0,     ///< open the session
   kInstrument,     ///< request probes on a function set (admission-priced)

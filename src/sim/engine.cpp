@@ -44,6 +44,11 @@ EventId Engine::schedule_at(TimeNs at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
+EventId Engine::schedule_reserved(TimeNs at, std::uint64_t seq, EventQueue::Callback cb) {
+  DT_ASSERT(at >= now_, "cannot schedule into the past (at=", at, " now=", now_, ")");
+  return queue_.schedule_reserved(at, seq, std::move(cb));
+}
+
 EventId Engine::schedule_after(TimeNs delay, EventQueue::Callback cb) {
   DT_ASSERT(delay >= 0, "negative delay");
   return queue_.schedule(now_ + delay, std::move(cb));

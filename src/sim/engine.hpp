@@ -19,7 +19,8 @@
 //
 //   A callback that resumes a coroutine does so as its last action.
 //
-// The sleep timer, Trigger::wait_for's timeout, both mailbox.hpp timeouts,
+// The sleep timer, Trigger::wait_for's timeout, the Watchdog timer (whose
+// expiry resumes a mailbox waiter), MatchQueue::recv_for's timeout,
 // post(), spawn() and proc's compute timer all end with the resume.  So
 // once the sleeping coroutine would have suspended, control returns
 // straight to the run loop and the next thing that happens is the pop of
@@ -72,6 +73,17 @@ class Engine {
   EventId schedule_at(TimeNs at, EventQueue::Callback cb);
   EventId schedule_after(TimeNs delay, EventQueue::Callback cb);
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// Take an event sequence number now and schedule under it later
+  /// (EventQueue::reserve_seq): the event keeps the place among
+  /// equal-time events that scheduling at reservation time would give it.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  EventId schedule_reserved(TimeNs at, std::uint64_t seq, EventQueue::Callback cb);
+
+  /// Event-queue op counts since construction: pushes (scheduled events,
+  /// in-place wake-ups excluded) and successful cancels.
+  std::uint64_t queue_pushes() const { return queue_.pushes(); }
+  std::uint64_t queue_cancels() const { return queue_.cancels(); }
 
   /// Resume a coroutine at the current time (after already-scheduled events
   /// for this timestamp).  All synchronisation primitives wake waiters this

@@ -52,7 +52,7 @@ void EventQueue::pop_root() const {
   if (!heap_.empty()) sift_down(0);
 }
 
-EventId EventQueue::schedule(TimeNs at, Callback cb) {
+EventId EventQueue::push(TimeNs at, std::uint64_t seq, Callback&& cb) {
   DT_ASSERT(cb != nullptr, "cannot schedule a null callback");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -68,9 +68,10 @@ EventId EventQueue::schedule(TimeNs at, Callback cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, s.gen});
+  heap_.push_back(HeapEntry{at, seq, slot, s.gen});
   sift_up(heap_.size() - 1);
   ++live_;
+  ++pushes_;
   return EventId{slot, s.gen};
 }
 
@@ -86,6 +87,7 @@ bool EventQueue::cancel(EventId id) {
   release_slot(id.slot);
   DT_ASSERT(live_ > 0);
   --live_;
+  ++cancels_;
   maybe_compact();
   return true;
 }

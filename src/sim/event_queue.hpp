@@ -10,6 +10,11 @@
 // invalidation, and stale heap entries are skipped on access.  When dead
 // entries outnumber live ones the heap is compacted, so cancel-heavy
 // workloads (timeout patterns) stay bounded.
+//
+// A sequence number can be taken before its event exists (reserve_seq)
+// and used later (schedule_reserved): the event then orders exactly as if
+// it had been scheduled at reservation time.  sim::Watchdog arms its one
+// timer this way for whichever watched wait is due first.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,7 @@
 
 #include "sim/callback.hpp"
 #include "sim/time.hpp"
+#include "support/common.hpp"
 
 namespace dyntrace::sim {
 
@@ -37,7 +43,19 @@ class EventQueue {
   using Callback = InlineCallback;
 
   /// Schedule `cb` at absolute time `at`.
-  EventId schedule(TimeNs at, Callback cb);
+  EventId schedule(TimeNs at, Callback cb) { return push(at, next_seq_++, std::move(cb)); }
+
+  /// Take the next sequence number without scheduling anything.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `cb` at `at` under a sequence number from reserve_seq(); it
+  /// fires among the events at `at` where an event scheduled at
+  /// reservation time would have.  Precondition: nothing that orders after
+  /// (at, seq) has fired yet.
+  EventId schedule_reserved(TimeNs at, std::uint64_t seq, Callback cb) {
+    DT_ASSERT(seq < next_seq_, "schedule_reserved: sequence number was never reserved");
+    return push(at, seq, std::move(cb));
+  }
 
   /// Cancel a pending event.  Returns false if it already fired or was
   /// already cancelled.
@@ -56,8 +74,14 @@ class EventQueue {
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
 
-  /// Total events ever scheduled (monotone; used for determinism checks).
+  /// Sequence numbers ever handed out, to events and reservations alike
+  /// (monotone; used for determinism checks).
   std::uint64_t scheduled_count() const { return next_seq_; }
+
+  /// Op counts: heap pushes (one per scheduled event) and successful
+  /// cancels since construction.
+  std::uint64_t pushes() const { return pushes_; }
+  std::uint64_t cancels() const { return cancels_; }
 
   /// Heap entries including cancelled ones awaiting compaction (the
   /// quantity the compaction bound caps; see tests).
@@ -79,6 +103,7 @@ class EventQueue {
     std::uint32_t gen = 0;
   };
 
+  EventId push(TimeNs at, std::uint64_t seq, Callback&& cb);
   bool entry_live(const HeapEntry& e) const {
     return slots_[e.slot].gen == e.gen;
   }
@@ -99,6 +124,8 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t pushes_ = 0;
+  std::uint64_t cancels_ = 0;
 };
 
 }  // namespace dyntrace::sim

@@ -1,7 +1,8 @@
 // Message queues for simulated processes.
 //
-// Mailbox<T>   — FIFO queue with blocking recv(); the building block for
-//                daemon request loops.
+// Mailbox<T>   — FIFO queue with blocking recv(), and recv_for() whose
+//                deadline a shared Watchdog keeps; the building block for
+//                daemon request loops and the service's session drivers.
 // MatchQueue<T> — queue with predicate-matched recv(); models an MPI-style
 //                unexpected-message queue plus posted-receive list: a recv
 //                takes the first queued item matching its predicate, or
@@ -17,6 +18,7 @@
 #include <utility>
 
 #include "sim/engine.hpp"
+#include "sim/watchdog.hpp"
 #include "support/common.hpp"
 
 namespace dyntrace::sim {
@@ -68,14 +70,18 @@ class Mailbox {
   }
 
   /// Timed receive: like recv(), but gives up after `timeout` virtual
-  /// nanoseconds and returns std::nullopt.  put() and the deadline racing
-  /// at one timestamp resolve to whoever dequeues the waiter first.
-  auto recv_for(TimeNs timeout) {
+  /// nanoseconds and returns std::nullopt.  The deadline is kept by
+  /// `watchdog` (watchdog.hpp), which arms one engine timer for all the
+  /// waits it watches, so a wait that gets its item costs no timer of its
+  /// own.  put() and the deadline racing at one timestamp resolve to
+  /// whoever dequeues the waiter first.
+  auto recv_for(Watchdog& watchdog, TimeNs timeout) {
     struct Awaiter {
       Mailbox& box;
+      Watchdog& watchdog;
       TimeNs timeout;
       std::coroutine_handle<> handle{};
-      EventId timer{};
+      Watchdog::Ticket ticket{};
       bool timed_out = false;
       bool suspended = false;
 
@@ -86,23 +92,24 @@ class Mailbox {
         suspended = true;
         handle = h;
         box.waiters_.push_back(h);
-        timer = box.engine_.schedule_after(timeout, [this] {
-          if (box.remove_waiter(handle)) {
-            timed_out = true;
-            handle.resume();
+        ticket = watchdog.watch(box.engine_.now() + timeout, this, [](void* target) {
+          Awaiter& self = *static_cast<Awaiter*>(target);
+          if (self.box.remove_waiter(self.handle)) {
+            self.timed_out = true;
+            self.handle.resume();
           }
         });
       }
       std::optional<T> await_resume() {
         if (timed_out) return std::nullopt;
-        if (suspended) box.engine_.cancel(timer);
+        if (suspended) watchdog.resolve(ticket);
         DT_ASSERT(!box.items_.empty(), "mailbox waiter woke with no item");
         T item = std::move(box.items_.front());
         box.items_.pop_front();
         return item;
       }
     };
-    return Awaiter{*this, timeout};
+    return Awaiter{*this, watchdog, timeout};
   }
 
  private:

@@ -217,6 +217,37 @@ TEST(BenchFlags, AnArityBelowTwoExitsOne) {
   }
 }
 
+TEST(BenchFlags, ServiceSessionsRejectsAScenarioItCannotRun) {
+  // --functions 0 used to panic and --commands -1 to end in std::terminate
+  // (exit 134); both are now a message naming the option and exit 1.
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  const fs::path json = scratch.path / "service.json";
+  const struct {
+    const char* args;
+    const char* option;
+  } cases[] = {{"--functions 0", "ScenarioOptions::functions"},
+               {"--commands -1", "ScenarioOptions::commands_per_session"}};
+  for (const auto& c : cases) {
+    const std::string args = std::string(c.args) +
+                             " --sessions 10 --skip-batch --skip-determinism --json " +
+                             json.string();
+    EXPECT_EQ(run_binary(SERVICE_SESSIONS, args, log), 1) << args << "\n" << slurp(log);
+    EXPECT_NE(slurp(log).find(c.option), std::string::npos) << args << "\n" << slurp(log);
+  }
+}
+
+TEST(BenchFlags, MicroSimEngineRejectsAnEmptyQueueRun) {
+  // Zero events would pass both zero-allocation gates with nothing run.
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  for (const char* args : {"--queue-n 0", "--queue-reps 0", "--queue-n -3"}) {
+    const std::string flag = std::string(args).substr(0, std::string(args).find(' '));
+    EXPECT_EQ(run_binary(MICRO_SIM_ENGINE, args, log), 1) << args << "\n" << slurp(log);
+    EXPECT_NE(slurp(log).find(flag), std::string::npos) << args << "\n" << slurp(log);
+  }
+}
+
 TEST(BenchFlags, ServiceSessionsRunsWithZeroSessions) {
   const TestDir scratch;
   const fs::path log = scratch.path / "stdout.txt";

@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dynprof/policy.hpp"
 
@@ -100,6 +104,52 @@ TEST(Service, NegativeSessionsAreAnError) {
   ScenarioOptions options = small_options();
   options.sessions = -1;
   EXPECT_THROW(run_scenario(options), Error);
+}
+
+// Each names the option it rejects (a message, not a panic or
+// std::terminate from deep inside the run).
+void expect_rejected(const ScenarioOptions& options, const std::string& option) {
+  try {
+    run_scenario(options);
+    ADD_FAILURE() << "ScenarioOptions::" << option << " was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("ScenarioOptions::" + option), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Service, ZeroFunctionsAreAnError) {
+  // Session scripts draw function names from the inventory: with none,
+  // the draw used to panic.
+  ScenarioOptions options = small_options();
+  options.functions = 0;
+  expect_rejected(options, "functions");
+}
+
+TEST(Service, NegativeCommandsAreAnError) {
+  // -1 used to reach vector::reserve as a huge size and end in
+  // std::terminate.
+  ScenarioOptions options = small_options();
+  options.commands_per_session = -1;
+  expect_rejected(options, "commands_per_session");
+}
+
+TEST(Service, DriverShapeAndTimeoutOptionsAreChecked) {
+  ScenarioOptions options = small_options();
+  options.session_batch = 0;
+  expect_rejected(options, "session_batch");
+  options = small_options();
+  options.pipeline_depth = 0;
+  expect_rejected(options, "pipeline_depth");
+  options = small_options();
+  options.response_timeout = 0;
+  expect_rejected(options, "response_timeout");
+  options = small_options();
+  options.session_stagger = -1;
+  expect_rejected(options, "session_stagger");
+  options = small_options();
+  options.confsync_interval = 0;
+  expect_rejected(options, "confsync_interval");
 }
 
 TEST(Service, SubscriptionDeltasAreFannedOutPerWindow) {
@@ -262,6 +312,45 @@ TEST(Service, ShutdownAnswersEveryQueuedInstrument) {
   EXPECT_EQ(responses[0].status, Status::kShutdown);
 }
 
+TEST(Service, OnlyRegisteredSessionsAreServed) {
+  // Session state lives in tables indexed by session id: an id past the
+  // bound is refused at registration, and a request from an id that was
+  // never registered has nobody to answer, so it changes nothing.
+  const asci::AppSpec app = make_svcapp(8);
+  dynprof::Launch::Options launch_options;
+  launch_options.app = &app;
+  launch_options.params.nprocs = 2;
+  launch_options.policy = dynprof::Policy::kDynamic;
+  dynprof::PolicyRun run(std::move(launch_options));
+  run.arm();
+  ControlService service(run.launch(), *run.tool(), ServiceOptions{});
+  EXPECT_THROW(service.register_session(kMaxSessionId + 1, service.node(), [](const Response&) {}),
+               Error);
+  EXPECT_THROW(service.register_session(kServiceSession, service.node(), [](const Response&) {}),
+               Error);
+  std::vector<Response> responses;
+  service.register_session(2, service.node(),
+                           [&responses](const Response& r) { responses.push_back(r); });
+  for (const SessionId stranger : {SessionId{0}, SessionId{7}}) {
+    Request request = instrument({"svc_fn_00"});
+    request.session = stranger;
+    request.seq = 1;
+    request.client_node = service.node();
+    service.submit(request);
+  }
+  Request report_request = report();
+  report_request.session = 2;
+  report_request.seq = 1;
+  report_request.client_node = service.node();
+  service.submit(report_request);
+  service.initiate_shutdown("svcapp_run");
+  run.launch().engine().run_until_blocked();
+  EXPECT_EQ(service.admission_evals(), 0u);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].session, 2u);
+  EXPECT_EQ(responses[0].status, Status::kOk);
+}
+
 // Satellite 3: two sessions stage conflicting filter updates for the same
 // safe point.  Session 0's directive is its *second* command (a report
 // pads its script), so it reaches the service *after* session 1's -- yet
@@ -287,6 +376,60 @@ TEST(Service, ConflictingConfsyncsSerializeInSessionIdOrder) {
   const ScenarioResult b = run_scenario(options);
   EXPECT_EQ(b.status_counts.count(Status::kTimeout), 0u);
   EXPECT_TRUE(deactivated(b, fn));
+}
+
+// A response timeout short enough to fire: patching instruments and
+// safe-point confsyncs take 40-230 ms here.  Every timed-out command is
+// answered kTimeout at exactly its deadline, and the digests, counts and
+// timed-out commands are pinned from the driver that armed one engine
+// timer per wait, so a timeout fires at the same simulated time and in
+// the same order relative to other events as that driver's did.  The
+// lock-step cell has the shape of the 10k-session bench; the batched,
+// pipelined cell re-waits on older fronts and gets late acks for
+// earlier batch entries.
+TEST(Service, FiredResponseTimeoutsKeepTheirTimeAndOrder) {
+  struct TimedOut {
+    SessionId session;
+    std::size_t index;
+  };
+  struct Cell {
+    sim::TimeNs timeout;
+    int batch;
+    int depth;
+    std::uint64_t digest;
+    std::map<Status, std::uint64_t> counts;
+    std::vector<TimedOut> timed_out;
+  };
+  const Cell cells[] = {
+      {sim::milliseconds(100), 1, 1, 0xeb05576d89f722aaull,
+       {{Status::kOk, 46}, {Status::kAdmitted, 4}, {Status::kDegraded, 3}, {Status::kTimeout, 8}},
+       {{3, 1}, {4, 2}, {5, 2}, {6, 4}, {7, 2}, {8, 3}, {9, 4}, {10, 3}}},
+      {sim::milliseconds(60), 4, 2, 0x8f5f9ecf84e90ec5ull,
+       {{Status::kOk, 49}, {Status::kAdmitted, 3}, {Status::kTimeout, 16}},
+       {{1, 4}, {2, 4}, {3, 1}, {3, 4}, {4, 2}, {4, 3}, {5, 2}, {6, 3}, {6, 4}, {7, 1},
+        {7, 2}, {8, 1}, {8, 3}, {9, 4}, {10, 4}, {11, 1}}},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(cell.batch);
+    ScenarioOptions options = small_options();
+    options.response_timeout = cell.timeout;
+    options.session_batch = cell.batch;
+    options.pipeline_depth = cell.depth;
+    const ScenarioResult result = run_scenario(options);
+    EXPECT_EQ(result.digest, cell.digest);
+    EXPECT_EQ(result.status_counts, cell.counts);
+    std::vector<std::pair<SessionId, std::size_t>> timed_out;
+    for (const auto& session : result.sessions) {
+      for (std::size_t i = 0; i < session.commands.size(); ++i) {
+        if (session.commands[i].status != Status::kTimeout) continue;
+        timed_out.emplace_back(session.id, i);
+        EXPECT_EQ(session.commands[i].latency, cell.timeout);
+      }
+    }
+    std::vector<std::pair<SessionId, std::size_t>> expected;
+    for (const TimedOut& t : cell.timed_out) expected.emplace_back(t.session, t.index);
+    EXPECT_EQ(timed_out, expected);
+  }
 }
 
 TEST(Service, DigestIsIdenticalAcrossSimThreads) {

@@ -98,17 +98,18 @@ TEST(Mailbox, TryRecvNonBlocking) {
 TEST(Mailbox, RecvForPutAtTheDeadlineWinsWhenItDequeuesFirst) {
   Engine e;
   Mailbox<int> box(e);
+  Watchdog watchdog(e);
   std::optional<int> got;
   std::optional<int> missed = 0;
   e.schedule_at(30, [&box] { box.put(7); });
-  e.spawn([](Mailbox<int>& b, std::optional<int>& out) -> Coro<void> {
-            out = co_await b.recv_for(30);
-          }(box, got),
+  e.spawn([](Mailbox<int>& b, Watchdog& w, std::optional<int>& out) -> Coro<void> {
+            out = co_await b.recv_for(w, 30);
+          }(box, watchdog, got),
           "r");
-  e.spawn([](Engine& eng, Mailbox<int>& b, std::optional<int>& out) -> Coro<void> {
+  e.spawn([](Engine& eng, Mailbox<int>& b, Watchdog& w, std::optional<int>& out) -> Coro<void> {
             co_await eng.sleep(100);
-            out = co_await b.recv_for(5);  // nothing left: times out
-          }(e, box, missed),
+            out = co_await b.recv_for(w, 5);  // nothing left: times out
+          }(e, box, watchdog, missed),
           "late");
   e.run();
   EXPECT_EQ(got, 7);
