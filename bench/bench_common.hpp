@@ -6,7 +6,9 @@
 // doubles as a reproduction gate.
 #pragma once
 
+#include <bit>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -22,12 +24,13 @@ struct ShapeCheck {
   bool passed = false;
 };
 
-/// A bench binary's main(): runs `body`, and turns a dyntrace::Error -- a
-/// bad flag value, an unreadable input -- into a message and exit code 1.
+/// A bench binary's main(): runs `body`, and turns any exception -- a
+/// dyntrace::Error for a bad flag value or an unreadable input -- into a
+/// message and exit code 1.
 inline int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
   try {
     return body(argc, argv);
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 1;
   }
@@ -63,15 +66,24 @@ struct PolicySweep {
   }
 };
 
+/// --max-cpus: 0 keeps the paper's CPU counts; anything else must be a
+/// power of two past the paper's 64-CPU ceiling, so the sweep ends exactly
+/// there.
+inline void check_max_cpus(int max_cpus) {
+  DT_EXPECT(max_cpus == 0 || (max_cpus >= 128 && std::has_single_bit(
+                                                     static_cast<unsigned>(max_cpus))),
+            "--max-cpus must be 0 or a power of two >= 128 (got ", max_cpus, ")");
+}
+
 inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
                                     std::uint64_t seed, int max_cpus = 0) {
   // --max-cpus extends an MPI app's sweep past its paper ceiling (Launch
   // grows the machine for the cells that need it); an OpenMP app stays
-  // within one node.
+  // within one node, so there the flag has nothing to extend.
+  DT_EXPECT(max_cpus == 0 || app.model != asci::AppSpec::Model::kOpenMP,
+            "--max-cpus extends MPI sweeps only; ", app.name, " is an OpenMP app");
   asci::AppSpec widened = app;
-  if (app.model != asci::AppSpec::Model::kOpenMP && max_cpus > widened.max_procs) {
-    widened.max_procs = max_cpus;
-  }
+  if (max_cpus > widened.max_procs) widened.max_procs = max_cpus;
   PolicySweep sweep;
   sweep.cpus = dynprof::cpu_counts_for(widened);
   sweep.policies = dynprof::policies_for(app);
@@ -113,7 +125,7 @@ inline void print_sweep(const char* title, const PolicySweep& sweep) {
 struct Fig7Options {
   double scale = 1.0;
   std::int64_t seed = 42;
-  /// 0 keeps the app's paper ceiling; a larger power of two extends the
+  /// 0 keeps the app's paper ceiling; a power of two >= 128 extends the
   /// sweep (e.g. 4096) on a machine grown to fit.
   int max_cpus = 0;
   bool csv = false;
@@ -126,11 +138,13 @@ inline bool parse_fig7_options(int argc, const char* const* argv, const char* na
                        &out->scale);
   parser.option_int("seed", "simulation seed", &out->seed);
   parser.option_int("max-cpus",
-                    "extend the sweep past the paper's CPU ceiling (e.g. 4096; "
-                    "0 = paper counts only)",
+                    "extend an MPI sweep past the paper's 64-CPU ceiling to this power "
+                    "of two >= 128 (e.g. 4096; 0 = paper counts only)",
                     &out->max_cpus);
   parser.flag("csv", "also print CSV series", &out->csv);
-  return parser.parse(argc, argv);
+  if (!parser.parse(argc, argv)) return false;
+  check_max_cpus(out->max_cpus);
+  return true;
 }
 
 inline void maybe_print_csv(const PolicySweep& sweep, bool csv) {

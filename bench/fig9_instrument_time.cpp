@@ -34,10 +34,11 @@ int bench_main(int argc, char** argv) {
   CliParser parser("fig9_instrument_time", "Reproduce Figure 9");
   parser.option_double("scale", "application problem scale (metric-neutral)", &scale);
   parser.option_int("max-cpus",
-                    "extend the MPI columns past the paper's 64-CPU ceiling (e.g. "
-                    "4096; 0 = paper counts only)",
+                    "extend the MPI columns past the paper's 64-CPU ceiling to this "
+                    "power of two >= 128 (e.g. 4096; 0 = paper counts only)",
                     &max_cpus);
   if (!parser.parse(argc, argv)) return 0;
+  check_max_cpus(max_cpus);
 
   std::puts("Figure 9: Time to create and instrument (s)\n");
   std::vector<int> cpus{1, 2, 4, 8, 16, 32, 64};

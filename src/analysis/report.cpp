@@ -247,12 +247,6 @@ LoadBalance load_balance(const TraceAnalyzer& analyzer) {
   return balance;
 }
 
-std::vector<OmpRegionProfile> omp_region_profiles(const vt::TraceStore& store) {
-  OmpFold omp;
-  replay_processes(store, [&](std::int32_t pid, const vt::Event& e) { omp.add(pid, e); });
-  return omp.finish();
-}
-
 std::string render_omp_regions(const std::vector<OmpRegionProfile>& profiles) {
   TextTable table({"region", "executions", "team", "master span (s)", "worker span (s)"});
   for (const auto& p : profiles) {

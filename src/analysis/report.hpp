@@ -54,9 +54,6 @@ struct OmpRegionProfile {
   int max_team_size = 0;         ///< largest team observed (from the fork event)
 };
 
-/// Profiles keyed by region id, sorted by master_span descending.
-std::vector<OmpRegionProfile> omp_region_profiles(const vt::TraceStore& store);
-
 /// Render as a table ("GuideView regions" display).
 std::string render_omp_regions(const std::vector<OmpRegionProfile>& profiles);
 

@@ -34,14 +34,6 @@ void BudgetController::attach(vt::VtLib& vt, std::shared_ptr<vt::StagedUpdate> s
   vt.set_break_handler([this](vt::VtLib& v) { return on_break(v); });
 }
 
-std::vector<std::string> BudgetController::inactive_groups() const {
-  std::vector<std::string> keys;
-  for (const Group& g : groups_) {
-    if (!g.active) keys.push_back(g.key);
-  }
-  return keys;
-}
-
 std::size_t BudgetController::group_for(vt::VtLib& vt, image::FunctionId fn) {
   if (auto it = fn_group_.find(fn); it != fn_group_.end()) return it->second;
   const image::SymbolTable& symbols = vt.process().image().symbols();

@@ -80,9 +80,6 @@ class BudgetController {
   const ControllerOptions& options() const { return log_.options; }
   const DecisionLog& log() const { return log_; }
 
-  /// Keys of the groups currently switched off.
-  std::vector<std::string> inactive_groups() const;
-
  private:
   struct Group {
     std::string key;

@@ -43,13 +43,6 @@ std::vector<int> ReductionPlan::children(int rank) const {
   return result;
 }
 
-int ReductionPlan::depth() const {
-  int levels = 0;
-  // Rank size-1 is on the deepest level; walk its parent chain.
-  for (int r = size - 1; r > 0; r = (r - 1) / arity) ++levels;
-  return levels;
-}
-
 StatsOverlay::StatsOverlay(int arity) : arity_(arity) {
   DT_EXPECT(arity >= 2, "overlay arity must be >= 2, got ", arity);
 }

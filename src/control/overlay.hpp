@@ -31,9 +31,6 @@ struct ReductionPlan {
   int parent(int rank) const { return rank == 0 ? -1 : (rank - 1) / arity; }
   std::vector<int> children(int rank) const;
   bool is_leaf(int rank) const { return children(rank).empty(); }
-  /// Levels below the root (0 for a single rank); the overlay's critical
-  /// path grows with this instead of with size.
-  int depth() const;
 };
 
 /// The overlay itself: one shared instance per job, installed on every

@@ -21,7 +21,6 @@ int vt_call_count(const image::Snippet& snippet) {
       for (const auto& item : op.items) n += vt_call_count(*item);
       return n;
     }
-    int operator()(const image::SetFlagOp&) const { return 0; }
     int operator()(const image::SpinUntilOp&) const { return 0; }
     int operator()(const image::CallbackOp&) const { return 0; }
   };
@@ -68,18 +67,6 @@ PairPrice probe_pair_price(const vt::VtLib& vt) {
 
 double overhead_fraction(sim::TimeNs price, double pairs_per_sec) {
   return static_cast<double>(price) * pairs_per_sec / 1e9;
-}
-
-ProbeSetQuote quote_probe_set(const vt::VtLib& vt, const std::vector<QuoteLine>& lines) {
-  const PairPrice hypothetical = probe_pair_price(vt);
-  ProbeSetQuote quote;
-  for (const QuoteLine& line : lines) {
-    PairPrice price = pair_price(vt, line.fn);
-    if (price.active == 0) price = hypothetical;  // untouched: price the standard insert
-    quote.active_fraction += overhead_fraction(price.active, line.pairs_per_sec);
-    quote.residual_fraction += overhead_fraction(price.residual, line.pairs_per_sec);
-  }
-  return quote;
 }
 
 }  // namespace dyntrace::control

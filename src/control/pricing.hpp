@@ -52,25 +52,4 @@ PairPrice probe_pair_price(const vt::VtLib& vt);
 /// `pairs_per_sec` completed pairs per second of simulated runtime.
 double overhead_fraction(sim::TimeNs price, double pairs_per_sec);
 
-/// One function of a hypothetical probe set, with its (observed or
-/// assumed) steady call rate.
-struct QuoteLine {
-  image::FunctionId fn = 0;
-  double pairs_per_sec = 0;
-};
-
-/// A priced probe set: what the set would cost as a fraction of runtime
-/// fully active, and filter-deactivated (the Dynamic vs Subset rungs of
-/// the degradation ladder).
-struct ProbeSetQuote {
-  double active_fraction = 0;
-  double residual_fraction = 0;
-};
-
-/// Quote a hypothetical probe set against the current library state.
-/// Functions already instrumented are priced as built; untouched functions
-/// are priced as if they carried the standard probe pair.  Pure query: the
-/// library, image, and filter are not modified.
-ProbeSetQuote quote_probe_set(const vt::VtLib& vt, const std::vector<QuoteLine>& lines);
-
 }  // namespace dyntrace::control

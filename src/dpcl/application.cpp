@@ -326,16 +326,6 @@ sim::Coro<void> DpclApplication::remove_function_probes(proc::SimThread& tool,
   co_await broadcast(tool, std::move(request), blocking);
 }
 
-sim::Coro<void> DpclApplication::set_function_probes_active(proc::SimThread& tool,
-                                                            image::FunctionId fn, bool active,
-                                                            bool blocking) {
-  Request request;
-  request.kind = Request::Kind::kActivateFunction;
-  request.fn = fn;
-  request.active = active;
-  co_await broadcast(tool, std::move(request), blocking);
-}
-
 sim::Coro<void> DpclApplication::suspend_all(proc::SimThread& tool, bool blocking) {
   Request request;
   request.kind = Request::Kind::kSuspend;
@@ -354,14 +344,6 @@ sim::Coro<void> DpclApplication::set_flag_all(proc::SimThread& tool, const std::
   request.kind = Request::Kind::kSetFlag;
   request.flag = flag;
   request.value = value;
-  co_await broadcast(tool, std::move(request), blocking);
-}
-
-sim::Coro<void> DpclApplication::execute_snippet(proc::SimThread& tool,
-                                                 image::SnippetPtr snippet, bool blocking) {
-  Request request;
-  request.kind = Request::Kind::kExecute;
-  request.snippet = std::move(snippet);
   co_await broadcast(tool, std::move(request), blocking);
 }
 

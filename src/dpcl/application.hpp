@@ -63,15 +63,10 @@ class DpclApplication {
                                 bool activate, bool blocking);
   sim::Coro<void> remove_function_probes(proc::SimThread& tool, image::FunctionId fn,
                                          bool blocking);
-  sim::Coro<void> set_function_probes_active(proc::SimThread& tool, image::FunctionId fn,
-                                             bool active, bool blocking);
   sim::Coro<void> suspend_all(proc::SimThread& tool, bool blocking);
   sim::Coro<void> resume_all(proc::SimThread& tool, bool blocking);
   sim::Coro<void> set_flag_all(proc::SimThread& tool, const std::string& flag,
                                std::int64_t value, bool blocking);
-  /// One-shot snippet execution in every target process (inferior RPC).
-  sim::Coro<void> execute_snippet(proc::SimThread& tool, image::SnippetPtr snippet,
-                                  bool blocking);
 
   /// Callbacks from dynamically inserted CallbackOp snippets.
   sim::Mailbox<Callback>& callbacks() { return callbacks_; }

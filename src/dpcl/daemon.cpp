@@ -162,11 +162,9 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
               " on node ", process.node());
     // A target that exited before dispatch fails the request for its pid,
     // whatever the kind (ptrace returns ESRCH).  The daemon still spends
-    // the operation's time before the kernel refuses it; an inferior RPC
-    // fails at once, since waiting on its completion would leak the ack.
+    // the operation's time before the kernel refuses it.
     const bool exited = process.terminated().fired();
     if (exited) ++failures;
-    if (exited && request.kind == Request::Kind::kExecute) continue;
     switch (request.kind) {
       case Request::Kind::kConnect:
         DT_ASSERT(false, "connect requests go to the super daemon");
@@ -199,17 +197,6 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
         }
         break;
       }
-      case Request::Kind::kActivateFunction: {
-        co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe / 4, degrade));
-        if (exited) break;
-        auto& img = process.image();
-        for (const auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
-          for (const auto& probe : img.probe_point(request.fn, where).minis) {
-            img.set_probe_active(probe.handle, request.active);
-          }
-        }
-        break;
-      }
       case Request::Kind::kSuspend:
         co_await engine.sleep(fault::scale_delay(costs.dpcl_suspend_resume, degrade));
         if (!exited) process.suspend();
@@ -222,16 +209,6 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
         co_await engine.sleep(fault::scale_delay(costs.dpcl_suspend_resume / 2, degrade));
         if (!exited) process.set_flag(request.flag, request.value);
         break;
-      case Request::Kind::kExecute: {
-        // Inferior RPC: the snippet runs once on a transient thread inside
-        // the target's address space, with full access to its libraries
-        // and memory.  The daemon waits for completion before acking.
-        DT_ASSERT(request.snippet != nullptr);
-        co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe / 2, degrade));  // stage the code
-        proc::SimThread& rpc = process.add_thread(process.main_thread().cpu());
-        co_await rpc.exec_snippet(*request.snippet);
-        break;
-      }
     }
   }
   co_return failures;

@@ -3,7 +3,7 @@
 // One SuperDaemon runs on every node: it authenticates connecting users and
 // forks one CommDaemon per user connection.  CommDaemons attach to the
 // local processes of the target application and execute instrumentation
-// requests (patch, activate, suspend, resume, poke memory).
+// requests (patch, remove, suspend, resume, poke memory).
 //
 // Requests travel as messages over the simulated interconnect with
 // per-message jitter, so daemons on different nodes receive them at
@@ -66,13 +66,9 @@ struct Request {
     kAttach,            ///< attach + parse image of each local process
     kInstall,           ///< install a probe (fn/where/snippet/active)
     kRemoveFunction,    ///< remove all probes on a function
-    kActivateFunction,  ///< (de)activate all probes on a function
     kSuspend,
     kResume,
     kSetFlag,           ///< poke a named memory word in each process
-    kExecute,           ///< one-shot snippet execution ("inferior RPC"):
-                        ///< run the snippet once in each target process,
-                        ///< without installing anything
   };
 
   Kind kind = Kind::kSuspend;

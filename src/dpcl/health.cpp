@@ -117,11 +117,6 @@ HealthTracker::Admit HealthTracker::admit(int node, sim::TimeNs now) {
   return Admit::kNormal;
 }
 
-double HealthTracker::score(int node) const {
-  const auto it = nodes_.find(node);
-  return it == nodes_.end() ? 1.0 : it->second.score;
-}
-
 BreakerState HealthTracker::state(int node) const {
   const auto it = nodes_.find(node);
   return it == nodes_.end() ? BreakerState::kClosed : it->second.state;

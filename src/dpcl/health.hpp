@@ -81,7 +81,6 @@ class HealthTracker {
   /// open -> half-open when the cooldown has elapsed; records skips.
   Admit admit(int node, sim::TimeNs now);
 
-  double score(int node) const;
   BreakerState state(int node) const;
   const NodeHealth& node_health(int node) const;
   /// All tracked nodes, ascending (for reporting).

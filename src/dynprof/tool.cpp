@@ -319,54 +319,15 @@ sim::Coro<void> DynprofTool::remove_functions(const std::vector<std::string>& na
   co_await do_remove(tool_thread(), names);
 }
 
-sim::Coro<void> DynprofTool::attach_preamble(proc::SimThread& tool) {
-  // Dynamic attachment (§3.3's deferred extension): the job is already
-  // executing; authenticate + attach, then verify through target memory
-  // that the VT library has initialized -- the §3.4 safety constraint
-  // holds for attachers too.
-  DT_EXPECT(launch_.job().started(), "attach_to_running: the application is not running");
-  begin_phase("dpcl-connect");
-  std::vector<dpcl::SuperDaemon*> daemons;
-  daemons.reserve(super_daemons_.size());
-  for (auto& sd : super_daemons_) {
-    sd->start(&tool);
-    daemons.push_back(sd.get());
-  }
-  app_ = std::make_unique<dpcl::DpclApplication>(launch_.cluster(), launch_.job(),
-                                                 tool_node_, std::move(daemons));
-  co_await app_->connect(tool);
-  end_phase();
-
-  begin_phase("verify-vt-initialized");
-  for (const auto& process : launch_.job().processes()) {
-    // Reading target memory costs one daemon round trip; modelled as a
-    // short wait per process.
-    co_await tool.compute(launch_.cluster().spec().costs.dpcl_daemon_dispatch);
-    DT_EXPECT(process->flag("vt_initialized") == 1,
-              "attach: process ", process->pid(),
-              " has not initialized VT yet; instrumentation would be unsafe (§3.4)");
-  }
-  end_phase();
-
-  started_app_ = true;
-  init_released_ = true;
-  app_->set_steady_state(true);
-  create_and_instrument_ = tool.engine().now() - tool_start_time_;
-}
-
 sim::Coro<void> DynprofTool::service_main() {
   proc::SimThread& tool = tool_process_->main_thread();
   tool_start_time_ = tool.engine().now();
 
-  if (options_.attach_to_running) {
-    co_await attach_preamble(tool);
-  } else {
-    co_await create_and_connect(tool);
-    co_await install_init_hook(tool);
-    started_app_ = true;
-    launch_.start(&tool);
-    co_await await_init_and_release(tool);
-  }
+  co_await create_and_connect(tool);
+  co_await install_init_hook(tool);
+  started_app_ = true;
+  launch_.start(&tool);
+  co_await await_init_and_release(tool);
   attached_->fire();
 
   // Park until the service detaches; all instrumentation traffic in
@@ -379,16 +340,8 @@ sim::Coro<void> DynprofTool::tool_main(std::vector<Command> script) {
   proc::SimThread& tool = tool_process_->main_thread();
   tool_start_time_ = tool.engine().now();
 
-  if (options_.attach_to_running) {
-    co_await attach_preamble(tool);
-    for (const Command& cmd : script) {
-      DT_EXPECT(cmd.kind != CommandKind::kStart,
-                "attach_to_running scripts must not contain 'start'");
-    }
-  } else {
-    co_await create_and_connect(tool);
-    co_await install_init_hook(tool);
-  }
+  co_await create_and_connect(tool);
+  co_await install_init_hook(tool);
 
   for (const Command& cmd : script) {
     switch (cmd.kind) {

@@ -42,12 +42,6 @@ class DynprofTool {
     /// Map command-file names to function lists (stands in for the text
     /// files an interactive user would pass to insert-file/remove-file).
     std::vector<std::pair<std::string, std::vector<std::string>>> command_files;
-    /// Attach to an already running application (the extension §3.3 notes
-    /// is straightforward): skip POE creation and the Figure-6 init hook;
-    /// instead verify VT initialization through target memory, and treat
-    /// every insert as a mid-run suspend/patch/resume.  The caller starts
-    /// the job itself, and the script must not contain `start`.
-    bool attach_to_running = false;
   };
 
   struct TimeRecord {
@@ -69,18 +63,17 @@ class DynprofTool {
   //
   // The one-shot script path above creates, instruments, and quits; a
   // control service instead holds the attachment open for its whole
-  // lifetime.  start_service() runs the same create/connect/init protocol
-  // (or the attach_to_running preamble), fires attached(), then parks until
-  // request_detach() -- all insert/remove traffic in between goes through
-  // the programmatic insert_functions()/remove_functions() calls below.
+  // lifetime.  start_service() runs the same create/connect/init protocol,
+  // fires attached(), then parks until request_detach() -- all
+  // insert/remove traffic in between goes through the programmatic
+  // insert_functions()/remove_functions() calls below.
 
   /// Spawn the persistent tool coroutine; call before Engine::run(),
   /// mutually exclusive with run_script().
   void start_service();
 
   /// Fires once the application is created, instrumented, and released
-  /// into main() (or, in attach mode, once attachment is verified) --
-  /// i.e. once programmatic insert/remove calls become valid.
+  /// into main() -- i.e. once programmatic insert/remove calls become valid.
   sim::Trigger& attached() { return *attached_; }
 
   /// End a start_service() session: detach from the job, leaving active
@@ -117,8 +110,8 @@ class DynprofTool {
 
   // --- programmatic control (used by controllers such as HybridController) --
   //
-  // Valid once the application is running (after `start`, or in attach
-  // mode); each call suspends all processes, patches, and resumes.
+  // Valid once the application is running (after `start`); each call
+  // suspends all processes, patches, and resumes.
 
   sim::Coro<void> insert_functions(const std::vector<std::string>& names);
   sim::Coro<void> remove_functions(const std::vector<std::string>& names);
@@ -128,9 +121,6 @@ class DynprofTool {
  private:
   sim::Coro<void> tool_main(std::vector<Command> script);
   sim::Coro<void> service_main();
-  /// The attach_to_running preamble: connect, verify VT initialization
-  /// through target memory, mark the session ready for mid-run patching.
-  sim::Coro<void> attach_preamble(proc::SimThread& tool);
   sim::Coro<void> create_and_connect(proc::SimThread& tool);
   sim::Coro<void> install_init_hook(proc::SimThread& tool);
   sim::Coro<void> await_init_and_release(proc::SimThread& tool);

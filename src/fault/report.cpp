@@ -31,14 +31,6 @@ std::vector<RunReport::Entry> RunReport::entries() const {
   return out;
 }
 
-std::vector<RunReport::Entry> RunReport::entries_of(const std::string& kind) const {
-  std::vector<Entry> out;
-  for (auto& entry : entries()) {
-    if (entry.kind == kind) out.push_back(std::move(entry));
-  }
-  return out;
-}
-
 std::vector<int> RunReport::lost_ranks() const {
   std::vector<int> out;
   for (const auto& entry : entries()) {

@@ -36,9 +36,6 @@ class RunReport {
   /// All entries, deterministically sorted.
   std::vector<Entry> entries() const;
 
-  /// Entries of one kind, deterministically sorted.
-  std::vector<Entry> entries_of(const std::string& kind) const;
-
   /// Union of ranks across "daemon-lost" / "rank-lost" entries, sorted.
   std::vector<int> lost_ranks() const;
 

@@ -29,12 +29,6 @@ void ProgramImage::set_static_instrumented(FunctionId fn, bool on) {
   summary_[fn].static_instrumented = on;
 }
 
-std::size_t ProgramImage::static_instrumented_count() const {
-  std::size_t n = 0;
-  for (const auto& s : summary_) n += s.static_instrumented ? 1 : 0;
-  return n;
-}
-
 void ProgramImage::refresh_summary(FunctionId fn, ProbeWhere where) {
   const auto w = static_cast<std::size_t>(where);
   const ProbePoint& p = point(fn, where);
@@ -108,24 +102,6 @@ bool ProgramImage::set_probe_active(ProbeHandle handle, bool active) {
 
 const ProbePoint& ProgramImage::probe_point(FunctionId fn, ProbeWhere where) const {
   return point(fn, where);
-}
-
-std::size_t ProgramImage::installed_probe_count() const {
-  std::size_t n = 0;
-  for (const auto& s : state_) {
-    n += s.points[0].minis.size() + s.points[1].minis.size();
-  }
-  return n;
-}
-
-std::size_t ProgramImage::active_probe_count() const {
-  std::size_t n = 0;
-  for (const auto& s : state_) {
-    for (const auto& p : s.points) {
-      for (const auto& probe : p.minis) n += probe.active ? 1 : 0;
-    }
-  }
-  return n;
 }
 
 }  // namespace dyntrace::image

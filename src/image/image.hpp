@@ -82,7 +82,6 @@ class ProgramImage {
   /// Mark a function as carrying compiled-in VT_begin/VT_end calls.
   void set_static_instrumented(FunctionId fn, bool on);
   bool static_instrumented(FunctionId fn) const { return summary(fn).static_instrumented; }
-  std::size_t static_instrumented_count() const;
 
   // --- dynamic patching (performed by DPCL daemons) ------------------------
 
@@ -128,12 +127,6 @@ class ProgramImage {
            costs.tramp_relocated_insn +
            static_cast<sim::TimeNs>(s.active_minis[w]) * costs.tramp_mini_dispatch;
   }
-
-  // --- accounting -----------------------------------------------------------
-
-  /// Total installed mini-trampolines (active + inactive).
-  std::size_t installed_probe_count() const;
-  std::size_t active_probe_count() const;
 
   /// Bumped on every successful mutation; lets callers detect patching.
   std::uint64_t patch_epoch() const { return patch_epoch_; }

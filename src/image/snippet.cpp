@@ -14,7 +14,6 @@ constexpr const char* kLibEntryNames[kLibEntryCount] = {
 struct CountVisitor {
   int operator()(const NoOp&) const { return 0; }
   int operator()(const CallLibOp&) const { return 1; }
-  int operator()(const SetFlagOp&) const { return 1; }
   int operator()(const SpinUntilOp&) const { return 1; }
   int operator()(const CallbackOp&) const { return 1; }
   int operator()(const SequenceOp& s) const {
@@ -35,7 +34,6 @@ struct PrintVisitor {
     }
     os << ')';
   }
-  void operator()(const SetFlagOp& s) const { os << "set " << s.flag << '=' << s.value; }
   void operator()(const SpinUntilOp& s) const { os << "spin_until " << s.flag << "==" << s.value; }
   void operator()(const CallbackOp& c) const { os << "callback '" << c.tag << "'"; }
   void operator()(const SequenceOp& s) const {
@@ -81,10 +79,6 @@ SnippetPtr call(std::string function, std::vector<std::int64_t> args) {
 
 SnippetPtr seq(std::vector<SnippetPtr> items) {
   return std::make_shared<const Snippet>(Snippet::Node{SequenceOp{std::move(items)}});
-}
-
-SnippetPtr set_flag(std::string flag, std::int64_t value) {
-  return std::make_shared<const Snippet>(Snippet::Node{SetFlagOp{std::move(flag), value}});
 }
 
 SnippetPtr spin_until(std::string flag, std::int64_t value) {

@@ -65,12 +65,6 @@ struct SequenceOp {
   std::vector<SnippetPtr> items;
 };
 
-/// Store `value` to a named flag in process memory.
-struct SetFlagOp {
-  std::string flag;
-  std::int64_t value = 0;
-};
-
 /// Spin until the named flag equals `value` (DYNVT_spin of Figure 6).
 struct SpinUntilOp {
   std::string flag;
@@ -85,7 +79,7 @@ struct CallbackOp {
 
 class Snippet {
  public:
-  using Node = std::variant<NoOp, CallLibOp, SequenceOp, SetFlagOp, SpinUntilOp, CallbackOp>;
+  using Node = std::variant<NoOp, CallLibOp, SequenceOp, SpinUntilOp, CallbackOp>;
 
   explicit Snippet(Node node) : node_(std::move(node)) {}
 
@@ -95,7 +89,7 @@ class Snippet {
   /// when charging patch time per probe.
   int primitive_count() const;
 
-  /// Debug/trace rendering, e.g. "seq(call VT_begin(7), set dynvt_spin=1)".
+  /// Debug/trace rendering, e.g. "seq(call MPI_Barrier(), spin_until dynvt_spin==1)".
   std::string to_string() const;
 
  private:
@@ -108,7 +102,6 @@ namespace snippet {
 SnippetPtr noop();
 SnippetPtr call(std::string function, std::vector<std::int64_t> args = {});
 SnippetPtr seq(std::vector<SnippetPtr> items);
-SnippetPtr set_flag(std::string flag, std::int64_t value);
 SnippetPtr spin_until(std::string flag, std::int64_t value);
 SnippetPtr callback(std::string tag);
 

@@ -215,8 +215,6 @@ Rank::Request::~Request() {
   }
 }
 
-bool Rank::Request::test() const { return state_ != nullptr && state_->done; }
-
 sim::Coro<void> Rank::isend(proc::SimThread& thread, int dst, int tag, std::int64_t bytes,
                             Request* request) {
   DT_ASSERT(request != nullptr);
@@ -307,12 +305,6 @@ sim::Coro<void> Rank::waitall(proc::SimThread& thread, std::vector<Request>& req
   for (auto& request : requests) {
     co_await wait(thread, request, nullptr);
   }
-}
-
-bool Rank::iprobe(int src, int tag) const {
-  return incoming_.probe([src, tag](const Envelope& e) {
-    return (src == kAnySource || e.src == src) && (tag == kAnyTag || e.tag == tag);
-  });
 }
 
 // Dissemination barrier: ceil(log2 P) rounds; round k sends to
@@ -510,7 +502,5 @@ sim::Coro<void> Rank::alltoall(proc::SimThread& thread, std::int64_t bytes_per_p
   }
   co_await end_call(thread, call);
 }
-
-double Rank::wtime() const { return sim::to_seconds(process_.engine().now()); }
 
 }  // namespace dyntrace::mpi

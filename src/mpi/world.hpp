@@ -128,8 +128,6 @@ class Rank {
     ~Request();
 
     bool valid() const { return state_ != nullptr; }
-    /// True once the operation finished (MPI_Test without the free).
-    bool test() const;
 
    private:
     friend class Rank;
@@ -150,9 +148,6 @@ class Rank {
   /// Wait on all requests, in index order.
   sim::Coro<void> waitall(proc::SimThread& thread, std::vector<Request>& requests);
 
-  /// True if a matching message is queued (MPI_Iprobe).
-  bool iprobe(int src, int tag) const;
-
   sim::Coro<void> barrier(proc::SimThread& thread);
   sim::Coro<void> bcast(proc::SimThread& thread, int root, std::int64_t bytes);
   sim::Coro<void> reduce(proc::SimThread& thread, int root, std::int64_t bytes);
@@ -168,9 +163,6 @@ class Rank {
   sim::Coro<void> sendrecv(proc::SimThread& thread, int dst, int send_tag,
                            std::int64_t bytes, int src, int recv_tag,
                            RecvInfo* info = nullptr);
-
-  /// MPI_Wtime: current virtual time in seconds.
-  double wtime() const;
 
   // --- statistics -------------------------------------------------------------
 

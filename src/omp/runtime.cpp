@@ -16,7 +16,6 @@ constexpr sim::TimeNs kForkPerThread = sim::microseconds(1.1);
 constexpr sim::TimeNs kBarrierPerRound = sim::microseconds(0.6);
 constexpr sim::TimeNs kStaticSchedCost = sim::microseconds(0.3);
 constexpr sim::TimeNs kDynamicClaimCost = sim::microseconds(0.35);
-constexpr sim::TimeNs kCriticalLockCost = sim::microseconds(0.5);
 
 int ceil_log2(int n) { return n <= 1 ? 0 : std::bit_width(static_cast<unsigned>(n - 1)); }
 
@@ -26,9 +25,7 @@ OmpRuntime::OmpRuntime(proc::SimProcess& process, int num_threads)
     : process_(process),
       num_threads_(num_threads),
       team_barrier_(process.engine(), static_cast<std::size_t>(num_threads)),
-      critical_lock_(process.engine(), 1),
-      thread_loop_seq_(static_cast<std::size_t>(num_threads), 0),
-      thread_single_seq_(static_cast<std::size_t>(num_threads), 0) {
+      thread_loop_seq_(static_cast<std::size_t>(num_threads), 0) {
   DT_EXPECT(num_threads >= 1, "team needs at least one thread");
   DT_EXPECT(num_threads <= process.cluster().spec().cpus_per_node,
             "OpenMP team of ", num_threads, " threads does not fit on a ",
@@ -141,35 +138,6 @@ sim::Coro<void> OmpRuntime::for_each(proc::SimThread& thread, int thread_num,
   }
   // Implicit end-of-loop barrier (no `nowait` modelled).
   co_await barrier(thread);
-}
-
-sim::Coro<void> OmpRuntime::critical(
-    proc::SimThread& thread, const std::function<sim::Coro<void>(proc::SimThread&)>& body) {
-  co_await critical_lock_.acquire();
-  co_await thread.compute(kCriticalLockCost);
-  co_await body(thread);
-  critical_lock_.release();
-}
-
-sim::Coro<void> OmpRuntime::single(
-    proc::SimThread& thread, int thread_num,
-    const std::function<sim::Coro<void>(proc::SimThread&)>& body) {
-  DT_EXPECT(in_region_, "single construct outside a parallel region");
-  const std::uint64_t seq = thread_single_seq_[static_cast<std::size_t>(thread_num)]++;
-  // Coroutines interleave only at co_await: claiming needs no lock.
-  auto [it, first_arrival] = singles_.try_emplace(seq, true);
-  if (first_arrival) {
-    co_await thread.compute(kStaticSchedCost);  // claim the construct
-    co_await body(thread);
-  }
-  co_await barrier(thread);
-}
-
-sim::Coro<void> OmpRuntime::master(
-    proc::SimThread& thread, int thread_num,
-    const std::function<sim::Coro<void>(proc::SimThread&)>& body) {
-  DT_EXPECT(in_region_, "master construct outside a parallel region");
-  if (thread_num == 0) co_await body(thread);
 }
 
 }  // namespace dyntrace::omp

@@ -66,20 +66,6 @@ class OmpRuntime {
   /// Explicit team barrier (also used for the loop-end implicit barrier).
   sim::Coro<void> barrier(proc::SimThread& thread);
 
-  /// #pragma omp critical: run `body` under the team-wide lock.
-  sim::Coro<void> critical(proc::SimThread& thread,
-                           const std::function<sim::Coro<void>(proc::SimThread&)>& body);
-
-  /// #pragma omp single: the first team member to arrive executes `body`;
-  /// everyone synchronises at the implicit barrier afterwards.  Must be
-  /// reached by all team members (like the loop constructs).
-  sim::Coro<void> single(proc::SimThread& thread, int thread_num,
-                         const std::function<sim::Coro<void>(proc::SimThread&)>& body);
-
-  /// #pragma omp master: thread 0 executes `body`; no barrier.
-  sim::Coro<void> master(proc::SimThread& thread, int thread_num,
-                         const std::function<sim::Coro<void>(proc::SimThread&)>& body);
-
   int regions_executed() const { return next_region_id_; }
 
  private:
@@ -99,7 +85,6 @@ class OmpRuntime {
   OmpListener* listener_ = nullptr;
 
   sim::SimBarrier team_barrier_;
-  sim::Semaphore critical_lock_;
 
   int next_region_id_ = 0;
   bool in_region_ = false;
@@ -107,9 +92,6 @@ class OmpRuntime {
   std::uint64_t loop_seq_ = 0;                  ///< completed-loop counter
   std::vector<std::uint64_t> thread_loop_seq_;  ///< per-thread next loop number
   std::map<std::uint64_t, LoopState> loops_;
-
-  std::vector<std::uint64_t> thread_single_seq_;  ///< per-thread next single number
-  std::map<std::uint64_t, bool> singles_;         ///< single id -> already claimed
 };
 
 }  // namespace dyntrace::omp

@@ -39,7 +39,6 @@ class ParallelJob {
   /// `origin`: starting a process on a *different* node costs one zero-byte
   /// control message from the origin node -- the POE fan-out.
   void start(SimThread* origin = nullptr);
-  bool started() const { return started_; }
 
   SimProcess& process(int pid);
   std::size_t size() const { return processes_.size(); }

@@ -144,8 +144,6 @@ sim::Coro<void> SimThread::exec_node(const image::Snippet& snippet) {
     for (const auto& item : seq->items) co_await exec_snippet(*item);
   } else if (const auto* c = std::get_if<image::CallLibOp>(&node)) {
     co_await lib_call(c->function, c->args);
-  } else if (const auto* f = std::get_if<image::SetFlagOp>(&node)) {
-    process_.set_flag(f->flag, f->value);
   } else if (const auto* spin = std::get_if<image::SpinUntilOp>(&node)) {
     co_await process_.wait_flag(spin->flag, spin->value);
     co_await gate();

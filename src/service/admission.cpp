@@ -203,16 +203,4 @@ double AdmissionController::priced_fraction() const {
   return priced_;
 }
 
-bool AdmissionController::installed(image::FunctionId fn) const {
-  return fn < fns_.size() && fns_[fn].holders > 0;
-}
-
-bool AdmissionController::filtered(image::FunctionId fn) const {
-  return fn < fns_.size() && fns_[fn].filtered;
-}
-
-int AdmissionController::holders(image::FunctionId fn) const {
-  return fn < fns_.size() ? fns_[fn].holders : 0;
-}
-
 }  // namespace dyntrace::service

@@ -125,9 +125,6 @@ class AdmissionController {
   /// version() == v.
   std::uint64_t version() const { return version_; }
 
-  bool installed(image::FunctionId fn) const;
-  bool filtered(image::FunctionId fn) const;
-  int holders(image::FunctionId fn) const;
   const AdmissionOptions& options() const { return options_; }
 
  private:

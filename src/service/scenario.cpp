@@ -317,11 +317,19 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   DT_EXPECT(options.sessions >= 0 && options.sessions <= std::int64_t{kMaxSessionId} + 1,
             "ScenarioOptions::sessions must be in [0, ", std::int64_t{kMaxSessionId} + 1,
             "] (got ", options.sessions, ")");
-  DT_EXPECT(options.functions >= 1, "ScenarioOptions::functions must be >= 1 (got ",
+  DT_EXPECT(options.functions >= 1 && options.functions <= kMaxScenarioFunctions,
+            "ScenarioOptions::functions must be in [1, ", kMaxScenarioFunctions, "] (got ",
             options.functions, "): session scripts draw from the function inventory");
-  DT_EXPECT(options.commands_per_session >= 0,
-            "ScenarioOptions::commands_per_session must be >= 0 (got ",
-            options.commands_per_session, ")");
+  DT_EXPECT(options.commands_per_session >= 0 &&
+                options.commands_per_session <= kMaxCommandsPerSession,
+            "ScenarioOptions::commands_per_session must be in [0, ", kMaxCommandsPerSession,
+            "] (got ", options.commands_per_session, ")");
+  const std::int64_t script_commands =
+      std::int64_t{options.sessions} * (std::int64_t{options.commands_per_session} + 2);
+  DT_EXPECT(script_commands <= kMaxScenarioCommands,
+            "ScenarioOptions::sessions x (ScenarioOptions::commands_per_session + 2) must be "
+            "at most ", kMaxScenarioCommands, " (got ", script_commands,
+            "): every session's script is built before the run");
   DT_EXPECT(options.session_batch >= 1, "ScenarioOptions::session_batch must be >= 1 (got ",
             options.session_batch, ")");
   DT_EXPECT(options.pipeline_depth >= 1, "ScenarioOptions::pipeline_depth must be >= 1 (got ",
@@ -489,6 +497,9 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
   result.sub_drops = service.sub_drops();
   result.admission_evals = service.admission_evals();
   result.queue_visits = service.queue_visits();
+  result.queued_admits = service.queued_admits();
+  result.queue_epoch_waits = service.queue_epoch_waits();
+  result.expiry_scan_visits = service.expiry_scan_visits();
   result.event_pushes = launch.engine().queue_pushes();
   result.event_cancels = launch.engine().queue_cancels();
   result.response_timer_cancels = watchdog.cancels();

@@ -30,6 +30,14 @@ namespace dyntrace::service {
 /// it alive for the Launch's lifetime.
 asci::AppSpec make_svcapp(int functions);
 
+/// Size ceilings run_scenario checks before it builds anything: it builds
+/// every session's script up front, so the commands of a whole run are
+/// resident at once.
+inline constexpr int kMaxScenarioFunctions = 1 << 16;
+inline constexpr int kMaxCommandsPerSession = 1 << 16;
+/// sessions x (commands_per_session + attach + detach).
+inline constexpr std::int64_t kMaxScenarioCommands = std::int64_t{1} << 24;
+
 struct ScenarioOptions {
   int ranks = 8;
   int functions = 32;
@@ -100,6 +108,13 @@ struct ScenarioResult {
   /// Admission-queue entries examined by retry passes (an op count for the
   /// bench's per-command gate; not part of `digest`).
   std::uint64_t queue_visits = 0;
+  /// What bounds the two above (ControlService accessors; not part of
+  /// `digest`): admission_evals <= instrument commands + queue_epoch_waits,
+  /// and queue_visits <= queued_admits + queue_epoch_waits +
+  /// expiry_scan_visits.
+  std::uint64_t queued_admits = 0;
+  std::uint64_t queue_epoch_waits = 0;
+  std::uint64_t expiry_scan_visits = 0;
   /// Event-queue pushes and cancels over the whole run, set-up included
   /// (op counts for the bench's per-command figures; not part of
   /// `digest`).  Response deadlines share one watchdog timer, so a command

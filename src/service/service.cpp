@@ -367,10 +367,12 @@ void ControlService::handle_instrument(const Request& request) {
   }
   reg.add(reg.metrics().service_queued);
   ++deferred_[request.session];
+  ++queued_admits_;
   // Denied at the current version, so only its expiry can make the next
   // retry scan act on it.
+  const std::uint64_t version = admission_.version();
   const QueuedAdmit& entry = queue_.emplace_back(QueuedAdmit{
-      request.session, request.seq, std::move(fns), engine_.now(), deadline, admission_.version()});
+      request.session, request.seq, std::move(fns), engine_.now(), deadline, version, version});
   earliest_expiry_ = std::min(earliest_expiry_, expiry(entry));
 }
 
@@ -480,6 +482,7 @@ void ControlService::retry_queue() {
   // (or, queued since, at the same version), and none has expired: a scan
   // would cancel, admit and deny nothing.
   if (admission_.version() == scanned_version_ && now < earliest_expiry_) return;
+  const bool expiry_only = admission_.version() == scanned_version_ && now >= earliest_expiry_;
   scanned_version_ = admission_.version();
   earliest_expiry_ = std::numeric_limits<sim::TimeNs>::max();
   telemetry::Registry& reg = telemetry::current();
@@ -487,6 +490,10 @@ void ControlService::retry_queue() {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     QueuedAdmit& entry = queue_[i];
     ++queue_visits_;
+    expiry_scan_visits_ += expiry_only ? 1 : 0;
+    // Epoch advances since it was queued: added to queue_epoch_waits_ when
+    // the entry leaves the queue below.
+    const std::uint64_t waited = admission_.version() - entry.queued_at;
     // End-to-end deadline: a request still waiting past it is canceled
     // before it can consume budget -- the client has long stopped caring.
     if (entry.deadline > 0 && now >= entry.deadline) {
@@ -494,6 +501,7 @@ void ControlService::retry_queue() {
       reg.add(reg.metrics().service_deadline_cancels);
       respond(entry.session, entry.seq, Status::kCanceled, admission_.priced_fraction());
       settle(entry.session);
+      queue_epoch_waits_ += waited;
       continue;
     }
     // Nothing a denial reads has changed since this entry's last one, so
@@ -501,6 +509,7 @@ void ControlService::retry_queue() {
     if (entry.denied_at != admission_.version()) {
       if (try_admit(entry.session, entry.seq, entry.fns, entry.deadline)) {
         settle(entry.session);
+        queue_epoch_waits_ += waited;
         continue;
       }
       entry.denied_at = admission_.version();
@@ -509,6 +518,7 @@ void ControlService::retry_queue() {
       reg.add(reg.metrics().service_denials);
       respond(entry.session, entry.seq, Status::kDenied, admission_.priced_fraction());
       settle(entry.session);
+      queue_epoch_waits_ += waited;
       continue;
     }
     earliest_expiry_ = std::min(earliest_expiry_, expiry(entry));
@@ -523,6 +533,7 @@ void ControlService::initiate_shutdown(const std::string& sentinel_function) {
   for (const QueuedAdmit& entry : queue_) {
     respond(entry.session, entry.seq, Status::kShutdown);
     settle(entry.session);
+    queue_epoch_waits_ += admission_.version() - entry.queued_at;
   }
   queue_.clear();
   forward_to_agent(64, [sentinel = sentinel_function](BreakAgent& agent) {

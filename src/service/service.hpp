@@ -145,6 +145,18 @@ class ControlService {
   std::uint64_t admission_evals() const { return admission_evals_; }
   /// Admission-queue entries examined by retry passes.
   std::uint64_t queue_visits() const { return queue_visits_; }
+  /// Instrument requests that waited in the admission queue.
+  std::uint64_t queued_admits() const { return queued_admits_; }
+  /// Pricing-epoch advances the queued entries waited through, summed
+  /// over entries (each counted up to when it left the queue).  A queued
+  /// entry is re-priced only after the epoch moved, so admission_evals()
+  /// never exceeds the instrument requests plus this.
+  std::uint64_t queue_epoch_waits() const { return queue_epoch_waits_; }
+  /// Queue entries visited by retry passes that an expiry, not an epoch
+  /// advance, set off.  A pass that neither set off would change nothing
+  /// and is skipped, so queue_visits() never exceeds queued_admits() +
+  /// queue_epoch_waits() + this.
+  std::uint64_t expiry_scan_visits() const { return expiry_scan_visits_; }
 
  private:
   struct BreakAgent;
@@ -171,6 +183,8 @@ class ControlService {
     /// AdmissionController::version() at the last denial; while it is
     /// current, a retry would be denied again and is skipped.
     std::uint64_t denied_at = 0;
+    /// version() when the entry joined the queue.
+    std::uint64_t queued_at = 0;
   };
 
   /// Stable in endpoints_ (a deque that only grows at the back), so
@@ -263,6 +277,9 @@ class ControlService {
   std::uint64_t sub_drops_ = 0;
   std::uint64_t admission_evals_ = 0;
   std::uint64_t queue_visits_ = 0;
+  std::uint64_t queued_admits_ = 0;
+  std::uint64_t queue_epoch_waits_ = 0;
+  std::uint64_t expiry_scan_visits_ = 0;
 };
 
 }  // namespace dyntrace::service

@@ -166,14 +166,6 @@ class MatchQueue {
     return std::nullopt;
   }
 
-  /// True if any queued item matches (MPI_Iprobe analogue).
-  bool probe(const Predicate& predicate) const {
-    for (const auto& item : items_) {
-      if (predicate(item)) return true;
-    }
-    return false;
-  }
-
   /// Timed matched receive: like recv(pred), but gives up after `timeout`
   /// virtual nanoseconds and returns std::nullopt.  put() and the deadline
   /// racing at one timestamp resolve to whoever dequeues the waiter first.

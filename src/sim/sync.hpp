@@ -130,50 +130,6 @@ class Condition {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/// Counting semaphore with FIFO waiters.
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::int64_t initial)
-      : engine_(engine), count_(initial) {
-    DT_ASSERT(initial >= 0);
-  }
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  std::int64_t available() const { return count_; }
-
-  auto acquire() {
-    struct Awaiter {
-      Semaphore& sem;
-      bool await_ready() const noexcept {
-        if (sem.count_ > 0 && sem.waiters_.empty()) {
-          --sem.count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) { sem.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      // Hand the permit directly to the first waiter.
-      engine_.post(waiters_.front());
-      waiters_.pop_front();
-    } else {
-      ++count_;
-    }
-  }
-
- private:
-  Engine& engine_;
-  std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
 /// Cyclic barrier for a fixed number of participants.  The N-th arrival
 /// releases everyone and resets the barrier for the next cycle.
 class SimBarrier {

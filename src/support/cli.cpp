@@ -82,11 +82,6 @@ CliParser& CliParser::positional(std::string name, std::string help, std::string
   return *this;
 }
 
-CliParser& CliParser::rest(std::vector<std::string>* out) {
-  rest_ = out;
-  return *this;
-}
-
 const CliParser::Option* CliParser::find(const std::string& name) const {
   for (const auto& o : options_) {
     if (o.name == name) return &o;
@@ -128,13 +123,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
         opt->apply("");
       }
     } else {
-      if (next_positional < positionals_.size()) {
-        *positionals_[next_positional++].out = arg;
-      } else if (rest_ != nullptr) {
-        rest_->push_back(arg);
-      } else {
-        fail("unexpected argument '", arg, "'");
-      }
+      DT_EXPECT(next_positional < positionals_.size(), "unexpected argument '", arg, "'");
+      *positionals_[next_positional++].out = arg;
     }
   }
   DT_EXPECT(next_positional >= positionals_.size() || positionals_[next_positional].optional,

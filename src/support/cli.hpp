@@ -30,10 +30,6 @@ class CliParser {
   CliParser& positional(std::string name, std::string help, std::string* out,
                         bool optional = false);
 
-  /// Remaining positionals beyond the declared ones are collected here if
-  /// set (otherwise they are an error).
-  CliParser& rest(std::vector<std::string>* out);
-
   /// Parse; returns false if --help was requested (help text printed to
   /// stdout).  Throws dyntrace::Error on bad input.
   bool parse(int argc, const char* const* argv);
@@ -63,7 +59,6 @@ class CliParser {
   std::string description_;
   std::vector<Option> options_;
   std::vector<Positional> positionals_;
-  std::vector<std::string>* rest_ = nullptr;
   std::vector<std::string> given_;
 };
 

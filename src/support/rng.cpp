@@ -51,17 +51,6 @@ double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) {
-  DT_ASSERT(lo <= hi, "uniform requires lo <= hi");
-  return lo + (hi - lo) * next_double();
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  DT_ASSERT(lo <= hi, "uniform_int requires lo <= hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::exponential(double mean) {
   DT_ASSERT(mean > 0.0, "exponential mean must be positive");
   double u = next_double();
@@ -86,12 +75,6 @@ double Rng::normal_at_least(double mean, double stddev, double floor) {
     if (x >= floor) return x;
   }
   return floor;
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 Rng Rng::fork(std::uint64_t stream_id) {

@@ -40,12 +40,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
@@ -56,9 +50,6 @@ class Rng {
   /// times, then clamps); used for per-call work jitter which must stay
   /// positive.
   double normal_at_least(double mean, double stddev, double floor);
-
-  /// True with probability p (clamped to [0,1]).
-  bool bernoulli(double p);
 
   /// Derive an independent child stream (e.g. one per simulated process).
   Rng fork(std::uint64_t stream_id);

@@ -1,24 +1,8 @@
 #include "vt/filter.hpp"
 
-#include "support/common.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace dyntrace::vt {
-
-FilterProgram parse_filter(const ConfigFile& config) {
-  FilterProgram program;
-  for (const auto& entry : config.section("filter")) {
-    if (entry.key == "deactivate") {
-      program.push_back(FilterDirective{false, entry.value});
-    } else if (entry.key == "activate") {
-      program.push_back(FilterDirective{true, entry.value});
-    } else {
-      fail(config.origin(), ":", entry.line, ": unknown filter directive '", entry.key,
-           "' (expected activate/deactivate)");
-    }
-  }
-  return program;
-}
 
 std::int64_t serialized_size(const FilterProgram& program) {
   std::int64_t bytes = 8;  // header
@@ -57,12 +41,6 @@ void FilterTable::apply(const CompiledFilter& program) {
       deactivated_[fn] = delta[fn] == FilterAction::kDeactivate ? 1 : 0;
     }
   }
-}
-
-std::size_t FilterTable::deactivated_count() const {
-  std::size_t n = 0;
-  for (const auto d : deactivated_) n += d;
-  return n;
 }
 
 }  // namespace dyntrace::vt

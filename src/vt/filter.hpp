@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "image/symbols.hpp"
-#include "support/config.hpp"
 
 namespace dyntrace::vt {
 
@@ -30,9 +29,6 @@ struct FilterDirective {
 
 /// An ordered directive list; later directives win.
 using FilterProgram = std::vector<FilterDirective>;
-
-/// Parse the [filter] section of a VT config file.
-FilterProgram parse_filter(const ConfigFile& config);
 
 /// Serialized size in bytes (what VT_confsync broadcasts).
 std::int64_t serialized_size(const FilterProgram& program);
@@ -83,8 +79,6 @@ class FilterTable {
   /// True when any directive was ever applied -- an empty table costs no
   /// lookup (the Full policy reads no config file).
   bool enabled() const { return enabled_; }
-
-  std::size_t deactivated_count() const;
 
  private:
   std::vector<std::uint8_t> deactivated_;

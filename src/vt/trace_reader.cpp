@@ -44,6 +44,14 @@ void BlockRunCursor::open_next_block() {
   const std::uint32_t drained = decoder_.drain(chunk_.data(), record_count);
   DT_EXPECT(drained == record_count && !decoder_.failed(), path_,
             ": malformed block payload with ", remaining_, " record(s) expected");
+  if (whole_file_) {
+    // A trace file's pids index analysis tables (a spill run's are its own
+    // shard's), so a negative one fails here rather than after narrowing.
+    for (std::uint32_t i = 0; i < record_count; ++i) {
+      DT_EXPECT(chunk_[i].pid >= 0, path_, ": record ", declared_ - remaining_ + i,
+                " has negative pid ", chunk_[i].pid);
+    }
+  }
   chunk_pos_ = 0;
 }
 

@@ -51,8 +51,9 @@ class SpanCursor final : public EventCursor {
 /// kBlockRecords) -- never the run's total record count.  Strict: throws
 /// dyntrace::Error on a torn, CRC-corrupt, or malformed block -- callers
 /// bound `count` by salvage_v2_scan() when the run may be torn.  With
-/// `whole_file`, the `count` records must also end exactly at the end of the
-/// last block and of the file; anything left over throws at end of stream.
+/// `whole_file`, every record's pid must be non-negative, and the `count`
+/// records must end exactly at the end of the last block and of the file;
+/// anything left over throws at end of stream.
 class BlockRunCursor final : public EventCursor {
  public:
   BlockRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count,

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 
 #include "support/common.hpp"
-#include "support/strings.hpp"
 #include "vt/trace_codec_v2.hpp"
 
 namespace dyntrace::vt {
@@ -26,17 +24,6 @@ std::string_view to_string(EventKind kind) {
   }
   return "?";
 }
-
-namespace {
-
-EventKind kind_from_string(std::string_view s) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kMarker); ++k) {
-    if (to_string(static_cast<EventKind>(k)) == s) return static_cast<EventKind>(k);
-  }
-  fail("unknown event kind '", std::string(s), "'");
-}
-
-}  // namespace
 
 TraceShard& TraceStore::shard(std::int32_t pid) {
   // Analysis indexes per-process tables by pid.
@@ -141,22 +128,6 @@ TraceStore::VolumeStats TraceStore::volume_stats() const {
   return stats;
 }
 
-std::vector<Event> TraceStore::for_process(std::int32_t pid) const {
-  auto cursor = process_cursor(pid);
-  return collect(*cursor);
-}
-
-std::vector<Event> TraceStore::events() const {
-  std::vector<Event> out;
-  out.reserve(size());
-  for (const std::int32_t pid : pids()) {
-    auto cursor = process_cursor(pid);
-    Event e;
-    while (cursor->next(e)) out.push_back(e);
-  }
-  return out;
-}
-
 void TraceStore::write(const std::string& path) const {
   std::ofstream out(path);
   DT_EXPECT(out.good(), "cannot open trace file '", path, "' for writing");
@@ -209,69 +180,6 @@ std::unique_ptr<EventCursor> TraceStore::open_binary(const std::string& path) {
       decode_trace_header(header, static_cast<std::size_t>(in.gcount()), path);
   return std::make_unique<BlockRunCursor>(path, kTraceHeaderBytes, count,
                                           /*whole_file=*/true);
-}
-
-TraceStore TraceStore::read(const std::string& path) {
-  {
-    std::ifstream probe(path, std::ios::binary);
-    DT_EXPECT(probe.good(), "cannot open trace file '", path, "'");
-    std::uint8_t magic[4] = {0, 0, 0, 0};
-    probe.read(reinterpret_cast<char*>(magic), sizeof(magic));
-    if (probe.gcount() == 4 && magic[0] == kTraceMagic[0] && magic[1] == kTraceMagic[1] &&
-        magic[2] == kTraceMagic[2] && magic[3] == kTraceMagic[3]) {
-      TraceStore store;
-      auto cursor = open_binary(path);
-      Event e;
-      for (std::uint64_t record = 0; cursor->next(e); ++record) {
-        DT_EXPECT(e.pid >= 0, path, ": record ", record, " has negative pid ", e.pid);
-        store.append(e);
-      }
-      return store;
-    }
-  }
-
-  std::ifstream in(path);
-  DT_EXPECT(in.good(), "cannot open trace file '", path, "'");
-  TraceStore store;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto trimmed = str::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    const auto fields = str::split(std::string(trimmed), '\t');
-    DT_EXPECT(fields.size() == 6, path, ":", line_no, ": expected 6 fields, got ",
-              fields.size());
-    Event e;
-    const auto time = str::parse_i64(fields[0]);
-    const auto pid = str::parse_i64(fields[1]);
-    const auto tid = str::parse_i64(fields[2]);
-    const auto code = str::parse_i64(fields[4]);
-    const auto aux = str::parse_i64(fields[5]);
-    DT_EXPECT(time && pid && tid && code && aux, path, ":", line_no, ": bad numeric field");
-    // Ids index analysis tables: a negative pid or a value past int32 would
-    // index them out of bounds after narrowing, so it fails here instead.
-    constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
-    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-    DT_EXPECT(*pid >= 0 && *pid <= kMax, path, ":", line_no, ": pid ", *pid,
-              " out of range [0, ", kMax, "]");
-    DT_EXPECT(*tid >= kMin && *tid <= kMax, path, ":", line_no, ": tid ", *tid,
-              " does not fit in 32 bits");
-    DT_EXPECT(*code >= kMin && *code <= kMax, path, ":", line_no, ": code ", *code,
-              " does not fit in 32 bits");
-    e.time = *time;
-    e.pid = static_cast<std::int32_t>(*pid);
-    e.tid = static_cast<std::int32_t>(*tid);
-    try {
-      e.kind = kind_from_string(fields[3]);
-    } catch (const Error&) {
-      fail(path, ":", line_no, ": unknown event kind '", fields[3], "'");
-    }
-    e.code = static_cast<std::int32_t>(*code);
-    e.aux = *aux;
-    store.append(e);
-  }
-  return store;
 }
 
 }  // namespace dyntrace::vt

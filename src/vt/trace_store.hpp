@@ -100,16 +100,8 @@ class TraceStore {
   };
   VolumeStats volume_stats() const;
 
-  /// Events of one process in time order, materialized.
-  std::vector<Event> for_process(std::int32_t pid) const;
-
-  /// All events, shard by shard in pid order, materialized (compatibility
-  /// helper for tests that scan the trace without caring about global
-  /// order).
-  std::vector<Event> events() const;
-
-  /// Serialize to a tab-separated text file (streamed; human-readable,
-  /// kept for compatibility); throws dyntrace::Error on I/O failure.
+  /// Serialize to a tab-separated text file (streamed, human-readable; no
+  /// reader parses it back); throws dyntrace::Error on I/O failure.
   void write(const std::string& path) const;
 
   /// Serialize to the compact binary format (trace_codec_v2.hpp): delta
@@ -117,13 +109,10 @@ class TraceStore {
   /// never fully resident.
   void write_binary(const std::string& path) const;
 
-  /// Parse a file written by write() or write_binary(); the format is
-  /// auto-detected from the magic bytes.
-  static TraceStore read(const std::string& path);
-
   /// Stream the records of a binary trace file without loading it.  The
-  /// header is validated up front, blocks lazily; a payload that holds more
-  /// than the declared record count throws at end of stream.
+  /// header is validated up front, blocks lazily; a negative pid throws,
+  /// and a payload that holds more than the declared record count throws
+  /// at end of stream.
   static std::unique_ptr<EventCursor> open_binary(const std::string& path);
 
  private:

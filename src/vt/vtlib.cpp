@@ -128,10 +128,6 @@ sim::Coro<void> VtLib::vt_init(proc::SimThread& thread) {
   // job compiled it once; this rank applies the delta by id).
   if (options_.config_filter != nullptr) filter_.apply(*options_.config_filter);
   initialized_ = true;
-  // Advertise initialization in process memory, so a tool that *attaches*
-  // to a running application (rather than spawning it) can check whether
-  // VT instrumentation is already safe to insert.
-  process_.set_flag("vt_initialized", 1);
 }
 
 sim::Coro<void> VtLib::vt_trace_switch(proc::SimThread& thread, bool on) {
@@ -330,7 +326,6 @@ sim::TimeNs snippet_steady_cost(const VtLib& vt, const image::Snippet& snippet) 
       for (const auto& item : op.items) total += snippet_steady_cost(vt, *item);
       return total;
     }
-    sim::TimeNs operator()(const image::SetFlagOp&) const { return 0; }
     sim::TimeNs operator()(const image::SpinUntilOp&) const { return 0; }
     sim::TimeNs operator()(const image::CallbackOp&) const { return 0; }
   };
@@ -356,10 +351,6 @@ sim::TimeNs VtLib::steady_pair_overhead(image::FunctionId fn) const {
     total += 2 * steady_call_cost(fn);
   }
   return total;
-}
-
-bool VtLib::records(image::FunctionId fn) const {
-  return initialized_ && tracing_ && !(filter_.enabled() && filter_.deactivated(fn));
 }
 
 void VtLib::note_synthetic_pairs(image::FunctionId fn, std::uint64_t pairs,

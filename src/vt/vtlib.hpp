@@ -194,9 +194,6 @@ class VtLib {
   /// instrumentation path.  Zero for an untouched function.
   sim::TimeNs steady_pair_overhead(image::FunctionId fn) const;
 
-  /// True if a VT_begin/VT_end for `fn` would append a record now.
-  bool records(image::FunctionId fn) const;
-
   /// Account `pairs` enter/leave pairs executed in aggregate: updates call
   /// statistics and the would-have-been-traced event counter without
   /// materialising records.  When `tid` names a live thread, the pairs'

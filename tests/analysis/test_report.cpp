@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/report.hpp"
 
@@ -211,38 +214,55 @@ TEST(SummaryReport, GoldenTextOf64RankTrace) {
   EXPECT_EQ(h, kGoldenReportHash) << std::hex << h;
 }
 
+/// The rows of summary_report's "OpenMP parallel regions" table, each split
+/// into its cells (region, executions, team, master span, worker span).
+std::vector<std::vector<std::string>> region_rows(const std::string& report) {
+  std::vector<std::vector<std::string>> rows;
+  const std::size_t section = report.find("OpenMP parallel regions:\n");
+  if (section == std::string::npos) return rows;
+  std::istringstream lines(report.substr(section));
+  std::string line;
+  for (int skip = 0; skip < 3; ++skip) std::getline(lines, line);  // title, header, rule
+  while (std::getline(lines, line) && !line.empty()) {
+    std::istringstream cells(line);
+    std::vector<std::string> row;
+    for (std::string cell; cells >> cell;) row.push_back(cell);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 TEST(OmpRegions, ProfilesMasterAndWorkerSpans) {
   vt::TraceStore store;
-  // Region 5 executed twice: master spans 100 + 200; one worker 80 + 150.
-  store.append(ev(0, 0, vt::EventKind::kParallelBegin, 5, /*team=*/4));
-  store.append(ev(10, 0, vt::EventKind::kWorkerBegin, 5));
-  store.append(ev(90, 0, vt::EventKind::kWorkerEnd, 5));
-  store.append(ev(100, 0, vt::EventKind::kParallelEnd, 5));
-  store.append(ev(1000, 0, vt::EventKind::kParallelBegin, 5, 4));
-  store.append(ev(1010, 0, vt::EventKind::kWorkerBegin, 5));
-  store.append(ev(1160, 0, vt::EventKind::kWorkerEnd, 5));
-  store.append(ev(1200, 0, vt::EventKind::kParallelEnd, 5));
-  const auto profiles = omp_region_profiles(store);
-  ASSERT_EQ(profiles.size(), 1u);
-  EXPECT_EQ(profiles[0].region_id, 5);
-  EXPECT_EQ(profiles[0].executions, 2u);
-  EXPECT_EQ(profiles[0].master_span, 300);
-  EXPECT_EQ(profiles[0].worker_span, 230);
-  EXPECT_EQ(profiles[0].max_team_size, 4);
+  // Region 5 executed twice: master spans 100 + 200 s; one worker 80 + 150 s.
+  const auto s = [](int seconds) { return sim::seconds(seconds); };
+  store.append(ev(s(0), 0, vt::EventKind::kParallelBegin, 5, /*team=*/4));
+  store.append(ev(s(10), 0, vt::EventKind::kWorkerBegin, 5));
+  store.append(ev(s(90), 0, vt::EventKind::kWorkerEnd, 5));
+  store.append(ev(s(100), 0, vt::EventKind::kParallelEnd, 5));
+  store.append(ev(s(1000), 0, vt::EventKind::kParallelBegin, 5, 4));
+  store.append(ev(s(1010), 0, vt::EventKind::kWorkerBegin, 5));
+  store.append(ev(s(1160), 0, vt::EventKind::kWorkerEnd, 5));
+  store.append(ev(s(1200), 0, vt::EventKind::kParallelEnd, 5));
+  const auto rows = region_rows(summary_report(store, nullptr));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"5", "2", "4", "300.000", "230.000"}));
 }
 
 TEST(OmpRegions, SortedByMasterSpanDescending) {
   vt::TraceStore store;
   store.append(ev(0, 0, vt::EventKind::kParallelBegin, 1, 2));
-  store.append(ev(50, 0, vt::EventKind::kParallelEnd, 1));
-  store.append(ev(100, 0, vt::EventKind::kParallelBegin, 2, 2));
-  store.append(ev(900, 0, vt::EventKind::kParallelEnd, 2));
-  const auto profiles = omp_region_profiles(store);
-  ASSERT_EQ(profiles.size(), 2u);
-  EXPECT_EQ(profiles[0].region_id, 2);
-  EXPECT_EQ(profiles[1].region_id, 1);
-  const std::string table = render_omp_regions(profiles);
-  EXPECT_NE(table.find("master span"), std::string::npos);
+  store.append(ev(sim::seconds(50), 0, vt::EventKind::kParallelEnd, 1));
+  store.append(ev(sim::seconds(100), 0, vt::EventKind::kParallelBegin, 2, 2));
+  store.append(ev(sim::seconds(900), 0, vt::EventKind::kParallelEnd, 2));
+  const std::string report = summary_report(store, nullptr);
+  const auto rows = region_rows(report);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0], "2");
+  EXPECT_EQ(rows[0][3], "800.000");
+  EXPECT_EQ(rows[1][0], "1");
+  EXPECT_EQ(rows[1][3], "50.000");
+  EXPECT_NE(report.find("master span"), std::string::npos);
 }
 
 TEST(OmpRegions, RealUmt98TraceHasRegionProfiles) {
@@ -253,21 +273,21 @@ TEST(OmpRegions, RealUmt98TraceHasRegionProfiles) {
   options.policy = dynprof::Policy::kNone;
   dynprof::Launch launch(std::move(options));
   launch.run_to_completion();
-  const auto profiles = omp_region_profiles(*launch.trace());
-  ASSERT_FALSE(profiles.empty());
+  const auto rows = region_rows(summary_report(*launch.trace(), asci::umt98().symbols.get()));
+  ASSERT_FALSE(rows.empty());
   std::uint64_t executions = 0;
-  for (const auto& p : profiles) {
-    executions += p.executions;
-    EXPECT_EQ(p.max_team_size, 4);
-    EXPECT_GT(p.master_span, 0);
-    EXPECT_GT(p.worker_span, 0);
+  for (const auto& row : rows) {
+    ASSERT_EQ(row.size(), 5u);
+    executions += std::stoull(row[1]);
+    EXPECT_EQ(row[2], "4");
+    const double master = std::stod(row[3]);
+    const double worker = std::stod(row[4]);
+    EXPECT_GT(master, 0.0);
+    EXPECT_GT(worker, 0.0);
     // Workers live inside the master's span (3 workers, each shorter).
-    EXPECT_LT(p.worker_span, p.master_span * 3);
+    EXPECT_LT(worker, master * 3);
   }
   EXPECT_GT(executions, 0u);
-  // The summary report picks the section up.
-  const auto report = summary_report(*launch.trace(), asci::umt98().symbols.get());
-  EXPECT_NE(report.find("OpenMP parallel regions"), std::string::npos);
 }
 
 }  // namespace

@@ -218,8 +218,12 @@ TEST(BenchFlags, AnArityBelowTwoExitsOne) {
 }
 
 TEST(BenchFlags, ServiceSessionsRejectsAScenarioItCannotRun) {
-  // --functions 0 used to panic and --commands -1 to end in std::terminate
-  // (exit 134); both are now a message naming the option and exit 1.
+  // --functions 0 used to panic, and --commands -1 and --commands
+  // 2000000000 to end in std::terminate (std::length_error and
+  // std::bad_alloc while the scripts were built; exit 134); each is now a
+  // message naming the option and exit 1, the sizes before anything is
+  // allocated.  Every run has a 1000-session cell, so --commands 60000
+  // builds too many commands whatever --sessions says.
   const TestDir scratch;
   const fs::path log = scratch.path / "stdout.txt";
   const fs::path json = scratch.path / "service.json";
@@ -227,7 +231,10 @@ TEST(BenchFlags, ServiceSessionsRejectsAScenarioItCannotRun) {
     const char* args;
     const char* option;
   } cases[] = {{"--functions 0", "ScenarioOptions::functions"},
-               {"--commands -1", "ScenarioOptions::commands_per_session"}};
+               {"--commands -1", "ScenarioOptions::commands_per_session"},
+               {"--commands 2000000000", "ScenarioOptions::commands_per_session"},
+               {"--functions 2000000000", "ScenarioOptions::functions"},
+               {"--commands 60000", "ScenarioOptions::sessions"}};
   for (const auto& c : cases) {
     const std::string args = std::string(c.args) +
                              " --sessions 10 --skip-batch --skip-determinism --json " +
@@ -235,6 +242,37 @@ TEST(BenchFlags, ServiceSessionsRejectsAScenarioItCannotRun) {
     EXPECT_EQ(run_binary(SERVICE_SESSIONS, args, log), 1) << args << "\n" << slurp(log);
     EXPECT_NE(slurp(log).find(c.option), std::string::npos) << args << "\n" << slurp(log);
   }
+}
+
+TEST(BenchFlags, ServiceSessionsPassesItsGatesAtALargerInventory) {
+  // Twice the default inventory: more requests queue and wait through more
+  // pricing epochs, which the per-command ceilings of the default
+  // inventory (4 evaluations, 1 visit) do not allow for; the retry
+  // design's exact bounds hold.
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  const fs::path json = scratch.path / "service.json";
+  const std::string args =
+      "--sessions 1000 --functions 64 --skip-batch --skip-determinism --json " + json.string();
+  EXPECT_EQ(run_binary(SERVICE_SESSIONS, args, log), 0) << slurp(log);
+  EXPECT_EQ(slurp(log).find("[FAIL]"), std::string::npos) << slurp(log);
+}
+
+TEST(BenchFlags, MaxCpusIsZeroOrAPowerOfTwoPastThePaper) {
+  // Below 128 the sweep used to run the paper counts unchanged, and a value
+  // between powers of two stopped silently at the one below it.
+  const TestDir scratch;
+  const fs::path log = scratch.path / "stdout.txt";
+  for (const char* binary : {FIG7A_SMG98, FIG9_INSTRUMENT_TIME}) {
+    for (const char* value : {"-4", "64", "100", "192", "4095"}) {
+      const std::string args = std::string("--scale 0.05 --max-cpus ") + value;
+      EXPECT_EQ(run_binary(binary, args, log), 1) << binary << " " << args << "\n" << slurp(log);
+      EXPECT_NE(slurp(log).find("--max-cpus"), std::string::npos) << binary << " " << args;
+    }
+  }
+  // Umt98 is an OpenMP app: its sweep stays within one node.
+  EXPECT_EQ(run_binary(FIG7D_UMT98, "--scale 0.05 --max-cpus 128", log), 1) << slurp(log);
+  EXPECT_NE(slurp(log).find("--max-cpus"), std::string::npos) << slurp(log);
 }
 
 TEST(BenchFlags, MicroSimEngineRejectsAnEmptyQueueRun) {

@@ -119,15 +119,6 @@ TEST(ReductionPlan, TopologyRoundTrips) {
   }
 }
 
-TEST(ReductionPlan, DepthIsLogarithmic) {
-  EXPECT_EQ((ReductionPlan{1, 4}.depth()), 0);
-  EXPECT_EQ((ReductionPlan{2, 4}.depth()), 1);
-  EXPECT_EQ((ReductionPlan{5, 4}.depth()), 1);
-  EXPECT_EQ((ReductionPlan{6, 4}.depth()), 2);
-  EXPECT_EQ((ReductionPlan{64, 2}.depth()), 6);
-  EXPECT_EQ((ReductionPlan{512, 4}.depth()), 5);
-}
-
 TEST(StatsOverlay, MatchesLinearFoldAcrossSizesAndArities) {
   for (const int nprocs : {2, 16, 64}) {
     for (const int arity : {2, 4, 8}) {

@@ -78,7 +78,7 @@ TEST(Pricing, OnlyVtCallsInsideASnippetArePricedAsVtCalls) {
   image::ProgramImage& img = h.vt->process().image();
   const auto arg = static_cast<std::int64_t>(kUntouched);
   img.install_probe(kUntouched, image::ProbeWhere::kEntry,
-                    sn::seq({sn::set_flag("ready", 1), sn::call("VT_begin", {arg}),
+                    sn::seq({sn::spin_until("ready", 0), sn::call("VT_begin", {arg}),
                              sn::callback("init"), sn::call("MPI_Barrier")}));
   img.install_probe(kUntouched, image::ProbeWhere::kEntry, sn::noop());
   img.install_probe(kUntouched, image::ProbeWhere::kExit,
@@ -105,21 +105,6 @@ TEST(Pricing, OverheadFractionIsPriceTimesRate) {
   EXPECT_DOUBLE_EQ(overhead_fraction(20'000, 1000.0), 0.02);
   EXPECT_DOUBLE_EQ(overhead_fraction(0, 1e9), 0.0);
   EXPECT_DOUBLE_EQ(overhead_fraction(1'000'000'000, 1.0), 1.0);
-}
-
-TEST(Pricing, QuoteSumsLinesAndIsConst) {
-  PricingHarness h;
-  const PairPrice pair = probe_pair_price(*h.vt);
-  const std::vector<QuoteLine> lines{{kInstrumented, 500.0}, {kUntouched, 1500.0}};
-  const ProbeSetQuote quote = quote_probe_set(*h.vt, lines);
-  EXPECT_DOUBLE_EQ(quote.active_fraction, overhead_fraction(pair.active, 500.0) +
-                                              overhead_fraction(pair.active, 1500.0));
-  EXPECT_DOUBLE_EQ(quote.residual_fraction, overhead_fraction(pair.residual, 500.0) +
-                                                overhead_fraction(pair.residual, 1500.0));
-  // Repeat the quote: identical, and the image is untouched.
-  const ProbeSetQuote again = quote_probe_set(*h.vt, lines);
-  EXPECT_DOUBLE_EQ(again.active_fraction, quote.active_fraction);
-  EXPECT_EQ(h.job.process(0).image().installed_probe_count(), 2u);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST(Dpcl, InstallProbePatchesEveryProcessImage) {
   });
   for (const auto& process : h.job.processes()) {
     EXPECT_TRUE(process->image().probe_point(1, image::ProbeWhere::kEntry).has_base_trampoline());
-    EXPECT_EQ(process->image().installed_probe_count(), 1u);
+    EXPECT_EQ(process->image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 1u);
   }
 }
 
@@ -105,11 +105,11 @@ TEST(Dpcl, NonBlockingInstallArrivesWithDifferingDelays) {
                                   true, /*blocking=*/false);
     // Returned immediately: no patch has landed yet.
     EXPECT_LT(h.engine.now() - before, sim::milliseconds(1));
-    EXPECT_EQ(h.job.process(0).image().installed_probe_count(), 0u);
+    EXPECT_EQ(h.job.process(0).image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 0u);
   });
   // After the engine drains, all processes are patched.
   for (const auto& process : h.job.processes()) {
-    EXPECT_EQ(process->image().installed_probe_count(), 1u);
+    EXPECT_EQ(process->image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 1u);
   }
 }
 
@@ -139,21 +139,8 @@ TEST(Dpcl, RemoveFunctionProbesClearsBothEnds) {
     co_await h.app->remove_function_probes(t, 1, /*blocking=*/true);
   });
   for (const auto& process : h.job.processes()) {
-    EXPECT_EQ(process->image().installed_probe_count(), 0u);
-  }
-}
-
-TEST(Dpcl, ActivateDeactivateWithoutRemoval) {
-  DpclHarness h;
-  h.run_tool([&h](proc::SimThread& t) -> sim::Coro<void> {
-    co_await h.app->connect(t);
-    co_await h.app->install_probe(t, 1, image::ProbeWhere::kEntry, image::snippet::noop(),
-                                  true, true);
-    co_await h.app->set_function_probes_active(t, 1, false, /*blocking=*/true);
-  });
-  for (const auto& process : h.job.processes()) {
-    EXPECT_EQ(process->image().installed_probe_count(), 1u);
-    EXPECT_EQ(process->image().active_probe_count(), 0u);
+    EXPECT_TRUE(process->image().probe_point(1, image::ProbeWhere::kEntry).minis.empty());
+    EXPECT_TRUE(process->image().probe_point(1, image::ProbeWhere::kExit).minis.empty());
   }
 }
 
@@ -201,38 +188,6 @@ TEST(Dpcl, SuperDaemonServesMultipleConnections) {
   EXPECT_EQ(sd.connections_served(), 2u);
 }
 
-
-TEST(Dpcl, ExecuteSnippetRunsOncePerProcess) {
-  DpclHarness h;
-  h.run_tool([&h](proc::SimThread& t) -> sim::Coro<void> {
-    co_await h.app->connect(t);
-    // One-shot inferior RPC: set a flag in every process, no probe left.
-    co_await h.app->execute_snippet(t, image::snippet::set_flag("poked", 7),
-                                    /*blocking=*/true);
-  });
-  for (const auto& process : h.job.processes()) {
-    EXPECT_EQ(process->flag("poked"), 7);
-    EXPECT_EQ(process->image().installed_probe_count(), 0u);
-  }
-}
-
-TEST(Dpcl, ExecuteSnippetCanCallLibraryFunctions) {
-  DpclHarness h;
-  int calls = 0;
-  for (const auto& process : h.job.processes()) {
-    process->registry().register_function(
-        "diag_dump",
-        [&calls](proc::SimThread&, proc::LibraryRegistry::Args) -> sim::Coro<void> {
-          ++calls;
-          co_return;
-        });
-  }
-  h.run_tool([&h](proc::SimThread& t) -> sim::Coro<void> {
-    co_await h.app->connect(t);
-    co_await h.app->execute_snippet(t, image::snippet::call("diag_dump"), true);
-  });
-  EXPECT_EQ(calls, 4);
-}
 
 }  // namespace
 }  // namespace dyntrace::dpcl

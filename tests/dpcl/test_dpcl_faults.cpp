@@ -61,48 +61,8 @@ TEST(DpclFaults, ExitedTargetFailsTheAck) {
 
   EXPECT_EQ(ack->remaining, 0);
   EXPECT_EQ(ack->failed, 1);  // pid 1 was gone
-  EXPECT_EQ(job.process(0).image().installed_probe_count(), 1u);
-  EXPECT_EQ(job.process(1).image().installed_probe_count(), 0u);
-}
-
-TEST(DpclFaults, ExecuteOnExitedTargetFailsWithoutInjector) {
-  // The latent hang needs no fault plan: a kExecute (inferior RPC) against
-  // a process that already exited would wait forever for the snippet to
-  // complete.  Without any plan the daemon must fail the pid and resolve
-  // the ack.
-  sim::Engine engine;
-  machine::Cluster cluster(engine, machine::ibm_power3_sp());
-  proc::ParallelJob job(cluster, "target");
-  job.add_process(image::ProgramImage(make_symbols()), 0, 0);
-  job.set_main(0, [](proc::SimThread& t) -> sim::Coro<void> {
-    co_await t.compute(sim::seconds(1));  // exits long before the request
-  });
-  CommDaemon daemon(cluster, job, 0);
-  daemon.start();
-  job.start();
-
-  auto ack = std::make_shared<AckState>(engine, 1);
-  bool resolved = false;
-  engine.spawn(
-      [](sim::Engine& eng, CommDaemon& d, std::shared_ptr<AckState> a,
-         bool& done) -> sim::Coro<void> {
-        co_await eng.sleep(sim::seconds(5));
-        Request request;
-        request.kind = Request::Kind::kExecute;
-        request.pids = {0};
-        request.snippet = image::snippet::noop();
-        request.ack = a;
-        request.reply_node = 0;
-        d.inbox().put(std::move(request));
-        co_await a->done.wait();
-        done = true;
-      }(engine, daemon, ack, resolved),
-      "driver");
-  engine.run();
-
-  EXPECT_TRUE(resolved);  // the ack was not leaked
-  EXPECT_EQ(ack->remaining, 0);
-  EXPECT_EQ(ack->failed, 1);
+  EXPECT_EQ(job.process(0).image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 1u);
+  EXPECT_EQ(job.process(1).image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 0u);
 }
 
 TEST(DpclFaults, RetriedRequestIdIsExecutedOnce) {
@@ -146,7 +106,7 @@ TEST(DpclFaults, RetriedRequestIdIsExecutedOnce) {
   EXPECT_EQ(retry->remaining, 0);  // the duplicate was still acknowledged
   // Executed once: one entry probe, and the handled counter moved once per
   // message but the image was patched a single time.
-  EXPECT_EQ(job.process(0).image().installed_probe_count(), 1u);
+  EXPECT_EQ(job.process(0).image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 1u);
 }
 
 TEST(DpclFaults, DeadDaemonNodeIsAbandonedNotHungOn) {
@@ -199,12 +159,14 @@ TEST(DpclFaults, DeadDaemonNodeIsAbandonedNotHungOn) {
   EXPECT_TRUE(job.process(3).lost());
   EXPECT_FALSE(job.process(0).lost());
   // Node 0 was still served.
-  EXPECT_EQ(job.process(0).image().installed_probe_count(), 1u);
-  EXPECT_EQ(job.process(2).image().installed_probe_count(), 0u);
-  // The loss is reported with the affected ranks.
-  const auto lost = injector.report().entries_of("daemon-lost");
-  ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0].ranks, (std::vector<int>{2, 3}));
+  EXPECT_EQ(job.process(0).image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 1u);
+  EXPECT_EQ(job.process(2).image().probe_point(1, image::ProbeWhere::kEntry).minis.size(), 0u);
+  // The loss is reported with the affected ranks, after the breaker opened.
+  const auto entries = injector.report().entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].kind, "breaker-open");
+  EXPECT_EQ(entries[1].kind, "daemon-lost");
+  EXPECT_EQ(entries[1].ranks, (std::vector<int>{2, 3}));
   EXPECT_EQ(injector.report().lost_ranks(), (std::vector<int>{2, 3}));
 }
 

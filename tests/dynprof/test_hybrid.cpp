@@ -75,7 +75,7 @@ TEST(Hybrid, DetailWindowEventsAppearInTrace) {
   // detail window -- probes were inserted and later removed.
   const auto& symbols = *asci::sppm().symbols;
   std::uint64_t in_window = 0, outside = 0;
-  for (const auto& e : run.launch->trace()->events()) {
+  for (const auto& e : run.launch->trace()->merged()) {
     if (e.kind != vt::EventKind::kEnter) continue;
     for (const auto& name : report.selected) {
       if (symbols.find(name)->id != static_cast<image::FunctionId>(e.code)) continue;
@@ -117,81 +117,6 @@ TEST(Hybrid, KeepProbesOptionLeavesThemInstalled) {
   HybridRun run(options);
   EXPECT_TRUE(run.controller->finished());
   EXPECT_GT(run.tool->instrumented_function_count(), 0u);
-}
-
-TEST(Attach, AttachToRunningApplicationAndInstrument) {
-  Launch::Options lopt;
-  lopt.app = &asci::sppm();
-  lopt.params.nprocs = 2;
-  lopt.params.problem_scale = 0.3;
-  lopt.policy = Policy::kNone;  // app launched without any tool
-  Launch launch(std::move(lopt));
-  launch.start();
-
-  DynprofTool::Options topt;
-  topt.attach_to_running = true;
-  DynprofTool tool(launch, std::move(topt));
-  // Attach 5 virtual seconds in (the run lasts ~16 s), instrument one
-  // function, detach.
-  launch.engine().schedule_at(sim::seconds(5), [&] {
-    tool.run_script(parse_script("insert sppm_hydro_x\nquit\n"));
-  });
-  launch.engine().run();
-
-  EXPECT_TRUE(tool.finished());
-  EXPECT_EQ(tool.instrumented_function_count(), 1u);
-  // Probe events exist only after the attachment.
-  const auto fn = asci::sppm().symbols->find("sppm_hydro_x")->id;
-  std::uint64_t enters = 0;
-  for (const auto& e : launch.trace()->events()) {
-    if (e.kind == vt::EventKind::kEnter && e.code == static_cast<std::int32_t>(fn)) {
-      ++enters;
-      EXPECT_GT(e.time, sim::seconds(5));
-    }
-  }
-  EXPECT_GT(enters, 0u);
-}
-
-TEST(Attach, AttachBeforeVtInitFails) {
-  Launch::Options lopt;
-  lopt.app = &asci::sppm();
-  lopt.params.nprocs = 2;
-  lopt.params.problem_scale = 0.3;
-  lopt.policy = Policy::kNone;
-  Launch launch(std::move(lopt));
-  launch.start();
-
-  DynprofTool::Options topt;
-  topt.attach_to_running = true;
-  DynprofTool tool(launch, std::move(topt));
-  // Attach immediately: MPI_Init takes a while, VT is not yet initialized
-  // when the attach completes... unless connect() takes longer than init.
-  // Force the race by attaching at t=0 with an instant-connect machine.
-  tool.run_script(parse_script("insert sppm_hydro_x\nquit\n"));
-  // Either the attach verification throws (VT not ready), or -- if connect
-  // outlasted MPI_Init -- instrumentation succeeds.  Both are safe; what
-  // must never happen is a silent unsafe insertion.
-  try {
-    launch.engine().run();
-    EXPECT_TRUE(tool.finished());
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("initialized"), std::string::npos);
-  }
-}
-
-TEST(Attach, ScriptWithStartRejected) {
-  Launch::Options lopt;
-  lopt.app = &asci::sppm();
-  lopt.params.nprocs = 2;
-  lopt.params.problem_scale = 0.3;
-  lopt.policy = Policy::kNone;
-  Launch launch(std::move(lopt));
-  launch.start();
-  DynprofTool::Options topt;
-  topt.attach_to_running = true;
-  DynprofTool tool(launch, std::move(topt));
-  tool.run_script(parse_script("start\nquit\n"));
-  EXPECT_THROW(launch.engine().run(), Error);
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 
 #include "dynprof/launch.hpp"
+#include "guide/compiler.hpp"
 #include "support/strings.hpp"
 
 namespace dyntrace::dynprof {
@@ -32,16 +35,21 @@ TEST(Launch, PolicyNamesRoundTripAndUnknownNamesAreErrors) {
 TEST(Launch, FullPolicyInstrumentsAllUserFunctions) {
   auto launch = make(asci::sppm(), Policy::kFull, 2);
   const auto& img = launch.job().process(0).image();
-  EXPECT_EQ(img.static_instrumented_count(), asci::sppm().user_function_count());
-  // Runtime entry points are never statically instrumented.
+  // Every user function, and no runtime entry point, is statically
+  // instrumented.
+  for (const auto& fn : img.symbols().all()) {
+    EXPECT_EQ(img.static_instrumented(fn.id), !guide::is_runtime_module(fn.module)) << fn.name;
+  }
   EXPECT_FALSE(img.static_instrumented(img.symbols().find("MPI_Init")->id));
 }
 
 TEST(Launch, NoneAndDynamicPoliciesHaveNoStaticInstrumentation) {
   for (const Policy policy : {Policy::kNone, Policy::kDynamic}) {
     auto launch = make(asci::sppm(), policy, 2);
-    EXPECT_EQ(launch.job().process(0).image().static_instrumented_count(), 0u)
-        << to_string(policy);
+    const auto& img = launch.job().process(0).image();
+    for (const auto& fn : img.symbols().all()) {
+      EXPECT_FALSE(img.static_instrumented(fn.id)) << to_string(policy) << " " << fn.name;
+    }
   }
 }
 
@@ -51,7 +59,11 @@ TEST(Launch, FullOffFilterDeactivatesEverythingAtInit) {
   // After VT_init the filter is enabled and every user function is off.
   const auto& vt = launch.vt(0);
   EXPECT_TRUE(vt.filter().enabled());
-  EXPECT_GE(vt.filter().deactivated_count(), asci::sppm().user_function_count());
+  for (const auto& fn : asci::sppm().symbols->all()) {
+    if (!guide::is_runtime_module(fn.module)) {
+      EXPECT_TRUE(vt.filter().deactivated(fn.id)) << fn.name;
+    }
+  }
 }
 
 TEST(Launch, SubsetFilterLeavesSubsetActive) {
@@ -82,11 +94,13 @@ TEST(Launch, SubsetConfigFilterCompilesOncePerJob) {
   EXPECT_EQ(compiles(), 1u);
   launch.run_to_completion();
   EXPECT_EQ(compiles(), 1u);
-  const std::size_t off = launch.vt(0).filter().deactivated_count();
-  EXPECT_EQ(off, wide.symbols->size() - wide.subset.size());
+  const std::set<std::string> subset(wide.subset.begin(), wide.subset.end());
   for (int pid = 0; pid < launch.process_count(); ++pid) {
-    ASSERT_TRUE(launch.vt(pid).filter().enabled()) << pid;
-    ASSERT_EQ(launch.vt(pid).filter().deactivated_count(), off) << pid;
+    const vt::FilterTable& filter = launch.vt(pid).filter();
+    ASSERT_TRUE(filter.enabled()) << pid;
+    for (const auto& fn : wide.symbols->all()) {
+      ASSERT_EQ(filter.deactivated(fn.id), subset.count(fn.name) == 0) << pid << " " << fn.name;
+    }
   }
 }
 
@@ -148,7 +162,8 @@ TEST(Launch, AllRanksShareOneTraceStoreAndStagedUpdate) {
   EXPECT_GT(launch.trace()->size(), 0u);
   // Events from every rank are in the single store.
   for (int pid = 0; pid < 3; ++pid) {
-    EXPECT_FALSE(launch.trace()->for_process(pid).empty()) << "rank " << pid;
+    vt::Event e;
+    EXPECT_TRUE(launch.trace()->process_cursor(pid)->next(e)) << "rank " << pid;
   }
 }
 

@@ -41,7 +41,7 @@ TEST(MixedMode, RunsToCompletionWithBothEventKinds) {
   auto launch = make_hybrid(Policy::kFull, 2, 4);
   launch.run_to_completion();
   bool saw_mpi = false, saw_omp = false, saw_fn = false;
-  for (const auto& e : launch.trace()->events()) {
+  for (const auto& e : launch.trace()->merged()) {
     saw_mpi = saw_mpi || e.kind == vt::EventKind::kMpiBegin;
     saw_omp = saw_omp || e.kind == vt::EventKind::kParallelBegin;
     saw_fn = saw_fn || e.kind == vt::EventKind::kEnter;
@@ -75,7 +75,7 @@ TEST(MixedMode, DynprofInstrumentsMixedApps) {
   // Probe events from worker threads exist (tid > 0): instrumentation of
   // code executing inside parallel regions works on the shared image.
   bool worker_event = false;
-  for (const auto& e : launch.trace()->events()) {
+  for (const auto& e : launch.trace()->merged()) {
     if (e.kind == vt::EventKind::kEnter && e.tid > 0) worker_event = true;
   }
   EXPECT_TRUE(worker_event);

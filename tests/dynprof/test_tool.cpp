@@ -123,7 +123,7 @@ TEST(Tool, MidRunInsertedProbesProduceTraceEvents) {
   // appear in the trace.
   const auto fn = launch.job().process(0).image().symbols().find("sweep")->id;
   int enters = 0;
-  for (const auto& e : launch.trace()->events()) {
+  for (const auto& e : launch.trace()->merged()) {
     if (e.kind == vt::EventKind::kEnter && e.code == static_cast<std::int32_t>(fn)) ++enters;
   }
   EXPECT_GT(enters, 0);

@@ -369,9 +369,10 @@ TEST(FaultInjector, SpillBytesTearOnlyTheTargetRun) {
   EXPECT_EQ(injector.spill_bytes(7, 0, 1000), 1000u);
   EXPECT_EQ(injector.spill_bytes(7, 1, 1000), 250u);
   EXPECT_EQ(injector.spill_bytes(6, 1, 1000), 1000u);
-  const auto torn = injector.report().entries_of("shard-torn");
-  ASSERT_EQ(torn.size(), 1u);
-  EXPECT_EQ(torn[0].ranks, std::vector<int>{7});
+  const auto entries = injector.report().entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].kind, "shard-torn");
+  EXPECT_EQ(entries[0].ranks, std::vector<int>{7});
 }
 
 TEST(FaultPlan, JobScopedVerbsParse) {

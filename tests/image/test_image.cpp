@@ -27,8 +27,9 @@ TEST_F(ImageTest, FreshImageHasNoInstrumentation) {
     EXPECT_FALSE(img_.static_instrumented(fn));
     EXPECT_FALSE(img_.probe_point(fn, ProbeWhere::kEntry).has_base_trampoline());
     EXPECT_EQ(img_.trampoline_overhead(fn, ProbeWhere::kEntry, costs_), 0);
+    EXPECT_TRUE(img_.probe_point(fn, ProbeWhere::kEntry).minis.empty());
+    EXPECT_TRUE(img_.probe_point(fn, ProbeWhere::kExit).minis.empty());
   }
-  EXPECT_EQ(img_.installed_probe_count(), 0u);
   EXPECT_EQ(img_.patch_epoch(), 0u);
 }
 
@@ -36,9 +37,9 @@ TEST_F(ImageTest, StaticInstrumentationMarks) {
   img_.set_static_instrumented(1, true);
   EXPECT_TRUE(img_.static_instrumented(1));
   EXPECT_FALSE(img_.static_instrumented(0));
-  EXPECT_EQ(img_.static_instrumented_count(), 1u);
+  EXPECT_FALSE(img_.static_instrumented(2));
   img_.set_static_instrumented(1, false);
-  EXPECT_EQ(img_.static_instrumented_count(), 0u);
+  EXPECT_FALSE(img_.static_instrumented(1));
 }
 
 TEST_F(ImageTest, InstallCreatesBaseTrampolineAndHandle) {
@@ -46,8 +47,8 @@ TEST_F(ImageTest, InstallCreatesBaseTrampolineAndHandle) {
   EXPECT_TRUE(static_cast<bool>(handle));
   EXPECT_TRUE(img_.probe_point(1, ProbeWhere::kEntry).has_base_trampoline());
   EXPECT_FALSE(img_.probe_point(1, ProbeWhere::kExit).has_base_trampoline());
-  EXPECT_EQ(img_.installed_probe_count(), 1u);
-  EXPECT_EQ(img_.active_probe_count(), 1u);
+  EXPECT_EQ(img_.probe_point(1, ProbeWhere::kEntry).minis.size(), 1u);
+  EXPECT_EQ(img_.summary(1).active_minis[0], 1u);
   EXPECT_EQ(img_.patch_epoch(), 1u);
 }
 
@@ -73,7 +74,7 @@ TEST_F(ImageTest, InactiveProbesKeepBaseButSkipDispatch) {
             costs_.tramp_jump + costs_.tramp_save_regs + costs_.tramp_restore_regs +
                 costs_.tramp_relocated_insn);
   EXPECT_TRUE(img_.active_snippets(1, ProbeWhere::kEntry).empty());
-  EXPECT_EQ(img_.active_probe_count(), 0u);
+  EXPECT_EQ(img_.summary(1).active_minis[0], 0u);
 }
 
 TEST_F(ImageTest, RemoveProbeRestoresCleanState) {
@@ -81,7 +82,7 @@ TEST_F(ImageTest, RemoveProbeRestoresCleanState) {
   EXPECT_TRUE(img_.remove_probe(handle));
   EXPECT_FALSE(img_.probe_point(2, ProbeWhere::kExit).has_base_trampoline());
   EXPECT_EQ(img_.trampoline_overhead(2, ProbeWhere::kExit, costs_), 0);
-  EXPECT_EQ(img_.installed_probe_count(), 0u);
+  EXPECT_TRUE(img_.probe_point(2, ProbeWhere::kExit).minis.empty());
   // Double remove fails gracefully.
   EXPECT_FALSE(img_.remove_probe(handle));
 }
@@ -102,9 +103,10 @@ TEST_F(ImageTest, CopySemanticsGiveIndependentImages) {
   img_.install_probe(1, ProbeWhere::kEntry, snippet::call("a"));
   ProgramImage copy = img_;
   copy.install_probe(2, ProbeWhere::kEntry, snippet::call("b"));
-  EXPECT_EQ(img_.installed_probe_count(), 1u);
-  EXPECT_EQ(copy.installed_probe_count(), 2u);
-  EXPECT_FALSE(img_.probe_point(2, ProbeWhere::kEntry).has_base_trampoline());
+  EXPECT_EQ(copy.probe_point(1, ProbeWhere::kEntry).minis.size(), 1u);
+  EXPECT_EQ(copy.probe_point(2, ProbeWhere::kEntry).minis.size(), 1u);
+  EXPECT_EQ(img_.probe_point(1, ProbeWhere::kEntry).minis.size(), 1u);
+  EXPECT_TRUE(img_.probe_point(2, ProbeWhere::kEntry).minis.empty());
 }
 
 TEST_F(ImageTest, SetActiveUnknownHandleReturnsFalse) {

@@ -11,9 +11,6 @@ TEST(Snippet, BuildersProduceExpectedNodes) {
   EXPECT_EQ(std::get<CallLibOp>(call->node()).function, "VT_begin");
   EXPECT_EQ(std::get<CallLibOp>(call->node()).args, (std::vector<std::int64_t>{7}));
 
-  const auto flag = snippet::set_flag("dynvt_spin", 1);
-  EXPECT_TRUE(std::holds_alternative<SetFlagOp>(flag->node()));
-
   const auto spin = snippet::spin_until("dynvt_spin", 1);
   EXPECT_TRUE(std::holds_alternative<SpinUntilOp>(spin->node()));
 
@@ -63,7 +60,7 @@ TEST(Snippet, ToStringRendersStructure) {
 
 TEST(Snippet, CallWithArgsRenders) {
   EXPECT_EQ(snippet::call("VT_begin", {3, 4})->to_string(), "call VT_begin(3, 4)");
-  EXPECT_EQ(snippet::set_flag("f", 9)->to_string(), "set f=9");
+  EXPECT_EQ(snippet::spin_until("f", 9)->to_string(), "spin_until f==9");
   EXPECT_EQ(snippet::noop()->to_string(), "noop");
 }
 

@@ -263,17 +263,6 @@ TEST(Mpi, ScatterOnSingleRankIsNoop) {
   EXPECT_TRUE(done);
 }
 
-TEST(Mpi, WtimeTracksEngine) {
-  MpiHarness h(1);
-  double measured = -1;
-  h.run([&measured](Rank& rank, proc::SimThread& t) -> sim::Coro<void> {
-    const double t0 = rank.wtime();
-    co_await t.compute(sim::seconds(2.5));
-    measured = rank.wtime() - t0;
-  });
-  EXPECT_DOUBLE_EQ(measured, 2.5);
-}
-
 TEST(Mpi, DoubleInitThrows) {
   MpiHarness h(1);
   h.job->set_main(0, [&h](proc::SimThread& t) -> sim::Coro<void> {

@@ -134,59 +134,23 @@ TEST(NonBlocking, IrecvPostedBeforeSendMatches) {
 
 TEST(NonBlocking, WaitallCompletesEverything) {
   Harness h(4);
-  int received = 0;
-  h.run([&received](Rank& rank, proc::SimThread& t) -> sim::Coro<void> {
+  bool returned = false;
+  testing::internal::CaptureStderr();
+  h.run([&returned](Rank& rank, proc::SimThread& t) -> sim::Coro<void> {
     if (rank.rank() == 0) {
       std::vector<Rank::Request> requests(3);
       for (int src = 1; src < 4; ++src) {
         rank.irecv(src, 5, &requests[src - 1]);
       }
       co_await rank.waitall(t, requests);
-      for (const auto& r : requests) {
-        EXPECT_TRUE(r.test());
-        ++received;
-      }
+      returned = true;
     } else {
       co_await rank.send(t, 0, 5, 64);
     }
   });
-  EXPECT_EQ(received, 3);
-}
-
-TEST(NonBlocking, TestReportsCompletionWithoutBlocking) {
-  Harness h(2);
-  bool early = true, late = false;
-  h.run([&](Rank& rank, proc::SimThread& t) -> sim::Coro<void> {
-    if (rank.rank() == 1) {
-      Rank::Request request;
-      rank.irecv(0, 3, &request);
-      early = request.test();  // nothing sent yet
-      co_await t.compute(sim::milliseconds(50));
-      late = request.test();  // message long since arrived
-      co_await rank.wait(t, request);
-    } else {
-      co_await rank.send(t, 1, 3, 32);
-    }
-  });
-  EXPECT_FALSE(early);
-  EXPECT_TRUE(late);
-}
-
-TEST(NonBlocking, IprobeSeesQueuedMessage) {
-  Harness h(2);
-  bool before = true, after = false;
-  h.run([&](Rank& rank, proc::SimThread& t) -> sim::Coro<void> {
-    if (rank.rank() == 1) {
-      before = rank.iprobe(0, 4);
-      co_await t.compute(sim::milliseconds(50));
-      after = rank.iprobe(0, 4);
-      co_await rank.recv(t, 0, 4, nullptr);
-    } else {
-      co_await rank.send(t, 1, 4, 32);
-    }
-  });
-  EXPECT_FALSE(before);
-  EXPECT_TRUE(after);
+  EXPECT_TRUE(returned);
+  // Every request was waited on: none warns when it is destroyed.
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(NonBlocking, ARequestDroppedWithoutWaitWarnsOnStderr) {

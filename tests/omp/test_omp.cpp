@@ -174,22 +174,6 @@ TEST(Omp, ConsecutiveLoopsInOneRegion) {
   EXPECT_EQ(total, 150);
 }
 
-TEST(Omp, CriticalSectionsAreMutuallyExclusive) {
-  Fixture f(8);
-  int inside = 0, peak = 0, executions = 0;
-  f.run([&](proc::SimThread& t, int, int) -> sim::Coro<void> {
-    co_await f.runtime.critical(t, [&](proc::SimThread& th) -> sim::Coro<void> {
-      ++inside;
-      peak = std::max(peak, inside);
-      co_await th.compute(sim::microseconds(50));
-      --inside;
-      ++executions;
-    });
-  });
-  EXPECT_EQ(peak, 1);
-  EXPECT_EQ(executions, 8);
-}
-
 TEST(Omp, ListenerSeesRegionAndWorkerEvents) {
   struct Recorder final : OmpListener {
     int par_begin = 0, par_end = 0, worker_begin = 0, worker_end = 0;

@@ -46,7 +46,7 @@ TEST(Job, ProcessesAreSuspendableBeforeStart) {
   job.start();
   engine.run();
   EXPECT_TRUE(ran);
-  EXPECT_EQ(job.process(0).image().installed_probe_count(), 1u);
+  EXPECT_EQ(job.process(0).image().probe_point(0, image::ProbeWhere::kEntry).minis.size(), 1u);
 }
 
 TEST(Job, StartWithoutMainThrows) {

@@ -282,17 +282,6 @@ TEST(MatchQueue, RecvForPutAtTheDeadlineWinsWhenItDequeuesFirst) {
   EXPECT_EQ(got->payload, "just in time");
 }
 
-TEST(MatchQueue, ProbeDoesNotConsume) {
-  Engine e;
-  MatchQueue<Msg> q(e);
-  q.put(Msg{5, 0, "x"});
-  const auto pred = [](const Msg& m) { return m.src == 5; };
-  EXPECT_TRUE(q.probe(pred));
-  EXPECT_TRUE(q.probe(pred));
-  EXPECT_EQ(q.queued(), 1u);
-  EXPECT_FALSE(q.probe([](const Msg& m) { return m.src == 6; }));
-}
-
 TEST(MatchQueue, TryRecvRemovesOnlyMatch) {
   Engine e;
   MatchQueue<Msg> q(e);

@@ -157,49 +157,6 @@ TEST(Condition, NotifyWithNoWaitersIsLost) {
   EXPECT_EQ(c.waiter_count(), 0u);
 }
 
-TEST(Semaphore, LimitsConcurrency) {
-  Engine e;
-  Semaphore sem(e, 2);
-  int inside = 0, peak = 0;
-  for (int i = 0; i < 6; ++i) {
-    e.spawn(
-        [](Engine& eng, Semaphore& s, int& in, int& pk) -> Coro<void> {
-          co_await s.acquire();
-          ++in;
-          pk = std::max(pk, in);
-          co_await eng.sleep(10);
-          --in;
-          s.release();
-        }(e, sem, inside, peak),
-        "user");
-  }
-  e.run();
-  EXPECT_EQ(peak, 2);
-  EXPECT_EQ(inside, 0);
-  EXPECT_EQ(sem.available(), 2);
-}
-
-TEST(Semaphore, ReleaseHandsPermitToWaiter) {
-  Engine e;
-  Semaphore sem(e, 0);
-  bool got = false;
-  e.spawn(
-      [](Semaphore& s, bool& flag) -> Coro<void> {
-        co_await s.acquire();
-        flag = true;
-      }(sem, got),
-      "w");
-  e.spawn(
-      [](Engine& eng, Semaphore& s) -> Coro<void> {
-        co_await eng.sleep(3);
-        s.release();
-      }(e, sem),
-      "r");
-  e.run();
-  EXPECT_TRUE(got);
-  EXPECT_EQ(sem.available(), 0);
-}
-
 class BarrierParam : public ::testing::TestWithParam<int> {};
 
 TEST_P(BarrierParam, AllParticipantsLeaveTogether) {

@@ -197,7 +197,7 @@ std::pair<Log, TimeNs> run_script(std::uint64_t seed) {
     if (op == 0 || open.empty()) {
       // Mostly one fixed length (deadlines arrive in order), sometimes a
       // shorter one that lands before earlier watches.
-      const TimeNs length = rng.next_below(4) == 0 ? rng.uniform_int(0, 100) : 100;
+      const TimeNs length = rng.next_below(4) == 0 ? static_cast<TimeNs>(rng.next_below(101)) : 100;
       const int id = next_id++;
       timeouts.watch(id, e.now() + length, log);
       open.push_back(id);
@@ -207,10 +207,10 @@ std::pair<Log, TimeNs> run_script(std::uint64_t seed) {
       open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
     } else {
       const int label = -1 - ticks;
-      e.schedule_at(e.now() + rng.uniform_int(0, 120),
+      e.schedule_at(e.now() + static_cast<TimeNs>(rng.next_below(121)),
                     [&e, &log, label] { log.emplace_back(e.now(), label); });
     }
-    if (++ticks < 4'000) e.schedule_at(e.now() + rng.uniform_int(0, 3), tick);
+    if (++ticks < 4'000) e.schedule_at(e.now() + static_cast<TimeNs>(rng.next_below(4)), tick);
   };
   e.schedule_at(0, tick);
   e.run();

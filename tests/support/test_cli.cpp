@@ -60,17 +60,6 @@ TEST(Cli, PositionalsRequiredAndOptional) {
   EXPECT_THROW(p.parse(1, argv2), Error);
 }
 
-TEST(Cli, RestCollectsExtraArguments) {
-  std::string first;
-  std::vector<std::string> rest;
-  CliParser p("tool", "t");
-  p.positional("first", "f", &first).rest(&rest);
-  const char* argv[] = {"tool", "a", "b", "c"};
-  ASSERT_TRUE(p.parse(4, argv));
-  EXPECT_EQ(first, "a");
-  EXPECT_EQ(rest, (std::vector<std::string>{"b", "c"}));
-}
-
 TEST(Cli, UnknownOptionThrows) {
   CliParser p("tool", "t");
   const char* argv[] = {"tool", "--nope"};

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 namespace dyntrace {
@@ -61,26 +60,6 @@ TEST(Rng, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(Rng, UniformMeanIsCentered) {
-  Rng rng(13);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.uniform(10.0, 20.0);
-  EXPECT_NEAR(sum / n, 15.0, 0.1);
-}
-
-TEST(Rng, UniformIntCoversInclusiveRange) {
-  Rng rng(17);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.uniform_int(-2, 3);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 6u);  // all six values should appear in 1000 draws
-}
-
 TEST(Rng, ExponentialMeanMatches) {
   Rng rng(19);
   double sum = 0.0;
@@ -109,22 +88,6 @@ TEST(Rng, NormalAtLeastRespectsFloor) {
   for (int i = 0; i < 10000; ++i) {
     EXPECT_GE(rng.normal_at_least(1.0, 5.0, 0.25), 0.25);
   }
-}
-
-TEST(Rng, BernoulliEdgeCases) {
-  Rng rng(31);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.bernoulli(0.0));
-    EXPECT_TRUE(rng.bernoulli(1.0));
-  }
-}
-
-TEST(Rng, BernoulliFrequency) {
-  Rng rng(37);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3);
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
 TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {

@@ -84,7 +84,9 @@ TEST(TraceMerge, InterleavesOutOfOrderPerRankTimestamps) {
   }
 
   // Per-process cursors see only their rank, in time order.
-  const auto p1 = store.for_process(1);
+  std::vector<Event> p1;
+  auto cursor = store.process_cursor(1);
+  for (Event e; cursor->next(e);) p1.push_back(e);
   ASSERT_EQ(p1.size(), 10u);
   for (const auto& e : p1) EXPECT_EQ(e.pid, 1);
   for (std::size_t i = 1; i < p1.size(); ++i) EXPECT_LE(p1[i - 1].time, p1[i].time);
@@ -138,10 +140,11 @@ TEST(TraceBinary, WriteReadRoundTrip) {
 
   const std::string path = ::testing::TempDir() + "/trace_roundtrip.bin";
   store.write_binary(path);
-  const TraceStore loaded = TraceStore::read(path);  // auto-detects binary
-  ASSERT_EQ(loaded.size(), 4u);
+  std::vector<Event> merged;
+  auto cursor = TraceStore::open_binary(path);
+  for (Event e; cursor->next(e);) merged.push_back(e);
+  ASSERT_EQ(merged.size(), 4u);
   const auto original = store.merged();
-  const auto merged = loaded.merged();
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(same_event(merged[i], original[i])) << "at " << i;
   }
@@ -159,12 +162,23 @@ TEST(TraceBinary, TextAndBinaryFormatsAreEquivalent) {
   const std::string bin_path = ::testing::TempDir() + "/trace_eq.bin";
   store.write(text_path);
   store.write_binary(bin_path);
-  const auto from_text = TraceStore::read(text_path).merged();
-  const auto from_bin = TraceStore::read(bin_path).merged();
-  ASSERT_EQ(from_text.size(), from_bin.size());
-  for (std::size_t i = 0; i < from_text.size(); ++i) {
-    EXPECT_TRUE(same_event(from_text[i], from_bin[i])) << "at " << i;
+  // The text file holds, after its comment line, the binary file's records
+  // in the same order, one tab-separated line each.
+  std::ifstream text(text_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(text, line));
+  EXPECT_EQ(line.front(), '#');
+  auto cursor = TraceStore::open_binary(bin_path);
+  std::size_t records = 0;
+  for (Event e; cursor->next(e); ++records) {
+    ASSERT_TRUE(std::getline(text, line)) << "at " << records;
+    EXPECT_EQ(line, std::to_string(e.time) + "\t" + std::to_string(e.pid) + "\t" +
+                        std::to_string(e.tid) + "\t" + std::string(to_string(e.kind)) + "\t" +
+                        std::to_string(e.code) + "\t" + std::to_string(e.aux))
+        << "at " << records;
   }
+  EXPECT_EQ(records, store.size());
+  EXPECT_FALSE(std::getline(text, line));
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
 }
@@ -193,7 +207,6 @@ TEST(TraceBinary, TruncatedHeaderThrows) {
     std::ofstream out(path, std::ios::binary);
     out.write("DTRC\x01", 5);  // magic + half a version field
   }
-  EXPECT_THROW(TraceStore::read(path), Error);
   EXPECT_THROW(TraceStore::open_binary(path), Error);
   std::remove(path.c_str());
 }
@@ -227,7 +240,7 @@ TEST(TraceBinary, TruncatedPayloadThrows) {
   // Chop the block's last payload byte.
   const std::vector<std::uint8_t> bytes = read_bytes(path);
   write_bytes(path, bytes, bytes.size() - 1);
-  EXPECT_THROW(TraceStore::read(path), Error);
+  EXPECT_THROW(drain_binary(path), Error);
   std::remove(path.c_str());
 }
 
@@ -244,7 +257,7 @@ TEST(TraceBinary, UnknownKindByteThrows) {
   block[kBlockHeaderBytes + 6] = 0x7f;
   put_u32_le(block + 4, crc32(block + 8, 8 + get_u32_le(block + 8)));
   write_bytes(path, bytes, bytes.size());
-  EXPECT_THROW(TraceStore::read(path), Error);
+  EXPECT_THROW(drain_binary(path), Error);
   std::remove(path.c_str());
 }
 
@@ -262,7 +275,7 @@ TEST(TraceBinary, UnsupportedVersionThrows) {
   // The reader must reject the file loudly, naming both the file's version
   // and its own.
   try {
-    TraceStore::read(path);
+    drain_binary(path);
     FAIL() << "version 3 was accepted";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -280,7 +293,7 @@ TEST(TraceBinary, VersionOneFileIsRejectedByName) {
   const std::string path = ::testing::TempDir() + "/trace_v1.bin";
   write_bytes(path, bytes, bytes.size());
   try {
-    TraceStore::read(path);
+    drain_binary(path);
     FAIL() << "a version 1 file was accepted";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -313,7 +326,7 @@ TEST(TraceBinary, PayloadBeyondDeclaredCountThrows) {
   for (const auto& bytes : {with_count(60), short_count_and_tail, tail_only}) {
     write_bytes(path, bytes, bytes.size());
     try {
-      TraceStore::read(path);
+      drain_binary(path);
       FAIL() << "a payload that does not match its header was accepted";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
@@ -353,28 +366,6 @@ TEST(TraceBinary, EveryTruncationAndByteFlipThrows) {
   std::remove(path.c_str());
 }
 
-TEST(TraceText, WrongFieldCountsThrow) {
-  for (const char* line : {"1\t2\t3\n", "1\t2\t3\tenter\t4\t5\t6\n"}) {
-    const std::string path = ::testing::TempDir() + "/trace_fields.txt";
-    {
-      std::ofstream out(path);
-      out << "# dyntrace trace v1\n" << line;
-    }
-    EXPECT_THROW(TraceStore::read(path), Error) << line;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(TraceText, UnknownEventKindThrows) {
-  const std::string path = ::testing::TempDir() + "/trace_badkind.txt";
-  {
-    std::ofstream out(path);
-    out << "10\t0\t0\tteleport\t1\t2\n";
-  }
-  EXPECT_THROW(TraceStore::read(path), Error);
-  std::remove(path.c_str());
-}
-
 TEST(TraceHeader, RejectsBadMagicVersionAndRecordSize) {
   std::uint8_t header[kTraceHeaderBytes];
   encode_trace_header(9, header);
@@ -404,13 +395,14 @@ TEST(TraceStoreSharded, EventsGroupsByProcess) {
   store.append(make_event(3, 1, EventKind::kEnter, 30));
   store.append(make_event(1, 0, EventKind::kEnter, 10));
   store.append(make_event(2, 1, EventKind::kEnter, 20));
-  const auto all = store.events();
-  ASSERT_EQ(all.size(), 3u);
-  // Shard by shard in pid order, time-ordered within the shard.
-  EXPECT_EQ(all[0].code, 10);
-  EXPECT_EQ(all[1].code, 20);
-  EXPECT_EQ(all[2].code, 30);
   EXPECT_EQ(store.pids(), (std::vector<std::int32_t>{0, 1}));
+  // Each shard streams its own process, time-ordered.
+  std::vector<std::int32_t> codes;
+  for (const std::int32_t pid : store.pids()) {
+    auto cursor = store.process_cursor(pid);
+    for (Event e; cursor->next(e);) codes.push_back(e.code);
+  }
+  EXPECT_EQ(codes, (std::vector<std::int32_t>{10, 20, 30}));
 }
 
 }  // namespace

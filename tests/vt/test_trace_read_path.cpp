@@ -193,7 +193,9 @@ TEST(TraceShardReads, OutOfOrderTailReadsTheStableSortedStream) {
   for (const Event& e : events) store.append(e);
   for (int read = 0; read < 2; ++read) {  // the second read sees the sorted tail
     const std::vector<Event> merged = store.merged();
-    const std::vector<Event> process = store.for_process(2);
+    std::vector<Event> process;
+    auto cursor = store.process_cursor(2);
+    for (Event e; cursor->next(e);) process.push_back(e);
     ASSERT_EQ(merged.size(), reference.size());
     ASSERT_EQ(process.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -238,16 +240,12 @@ TEST(TraceShardReads, ReadBetweenAppendsLeavesSpillBytesUnchanged) {
 
 // --- fail closed on ids that do not fit --------------------------------------
 
-std::string write_text(const std::string& name, const std::string& body) {
-  const std::string path = fresh_dir("text-" + name) + "/trace.txt";
-  std::ofstream(path) << "# dyntrace trace v1: time_ns pid tid kind code aux\n" << body;
-  return path;
-}
-
 void expect_error_at(const std::string& path, const std::string& where,
                      const std::string& what) {
   try {
-    TraceStore::read(path);
+    auto cursor = TraceStore::open_binary(path);
+    for (Event e; cursor->next(e);) {
+    }
     ADD_FAILURE() << "no error for " << path;
   } catch (const Error& e) {
     const std::string message = e.what();
@@ -256,23 +254,9 @@ void expect_error_at(const std::string& path, const std::string& where,
   }
 }
 
-TEST(TraceStoreFailClosed, TextNegativePidIsLocated) {
-  const std::string path = write_text("negative-pid", "10\t0\t0\tenter\t1\t0\n20\t-1\t0\tenter\t1\t0\n");
-  expect_error_at(path, path + ":3", "pid -1");
-}
-
-TEST(TraceStoreFailClosed, TextIdsOutsideInt32AreLocated) {
-  expect_error_at(write_text("wide-pid", "10\t2147483648\t0\tenter\t1\t0\n"),
-                  "trace.txt:2", "pid 2147483648");
-  expect_error_at(write_text("wide-tid", "10\t0\t-2147483649\tenter\t1\t0\n"),
-                  "trace.txt:2", "tid -2147483649");
-  expect_error_at(write_text("wide-code", "10\t0\t0\tmsg_send\t4294967297\t8\n"),
-                  "trace.txt:2", "code 4294967297");
-}
-
 TEST(TraceStoreFailClosed, BinaryNegativePidIsRejectedWithPath) {
   // The codec carries any int32; a trace file's pid indexes analysis
-  // tables, so reading one back rejects a negative pid.
+  // tables, so the reader rejects a negative pid and names the record.
   const Event events[] = {make_event(5, 0, 0, EventKind::kEnter, 1),
                           make_event(9, -4, 0, EventKind::kEnter, 1)};
   std::vector<std::uint8_t> file(kTraceHeaderBytes);
@@ -280,7 +264,7 @@ TEST(TraceStoreFailClosed, BinaryNegativePidIsRejectedWithPath) {
   encode_v2_blocks(events, 2, nullptr, file);
   const std::string path = fresh_dir("binary-negative-pid") + "/trace.dtrc";
   write_bytes(path, file);
-  expect_error_at(path, path, "negative pid -4");
+  expect_error_at(path, path, "record 1 has negative pid -4");
 }
 
 TEST(TraceStoreFailClosed, BinaryDictValueOutsideInt32IsRejectedWithPath) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "support/common.hpp"
 
@@ -44,9 +47,15 @@ TEST(TraceStore, ForProcessFilters) {
   store.append(make_event(1, 0, EventKind::kEnter));
   store.append(make_event(2, 1, EventKind::kEnter));
   store.append(make_event(3, 0, EventKind::kLeave));
-  EXPECT_EQ(store.for_process(0).size(), 2u);
-  EXPECT_EQ(store.for_process(1).size(), 1u);
-  EXPECT_TRUE(store.for_process(9).empty());
+  const auto count = [&store](std::int32_t pid) {
+    auto cursor = store.process_cursor(pid);
+    std::size_t n = 0;
+    for (Event e; cursor->next(e); ++n) EXPECT_EQ(e.pid, pid);
+    return n;
+  };
+  EXPECT_EQ(count(0), 2u);
+  EXPECT_EQ(count(1), 1u);
+  EXPECT_EQ(count(9), 0u);
 }
 
 TEST(TraceStore, WriteReadRoundTrip) {
@@ -55,32 +64,24 @@ TEST(TraceStore, WriteReadRoundTrip) {
   store.append(make_event(5, 0, EventKind::kEnter, 42));
   store.append(make_event(999, 1, EventKind::kParallelBegin, 2, 4));
 
+  // The text file reads back as a comment line, then one tab-separated
+  // line per event in merged order.
   const std::string path = ::testing::TempDir() + "/trace_roundtrip.txt";
   store.write(path);
-  const TraceStore loaded = TraceStore::read(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  const auto merged = loaded.merged();
-  EXPECT_EQ(merged[0].code, 42);
-  EXPECT_EQ(merged[1].kind, EventKind::kParallelBegin);
-  EXPECT_EQ(merged[2].kind, EventKind::kMsgSend);
-  EXPECT_EQ(merged[2].aux, 65536);
-  EXPECT_EQ(merged[2].pid, 3);
-  std::remove(path.c_str());
-}
-
-TEST(TraceStore, ReadRejectsMalformedLines) {
-  const std::string path = ::testing::TempDir() + "/trace_bad.txt";
-  {
-    FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("1\t2\t3\n", f);  // too few fields
-    std::fclose(f);
-  }
-  EXPECT_THROW(TraceStore::read(path), Error);
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "# dyntrace trace v1: time_ns pid tid kind code aux",
+                       "5\t0\t0\tenter\t42\t0",
+                       "999\t1\t0\tpar_begin\t2\t4",
+                       "123456789\t3\t0\tmsg_send\t7\t65536",
+                   }));
   std::remove(path.c_str());
 }
 
 TEST(TraceStore, ReadMissingFileThrows) {
-  EXPECT_THROW(TraceStore::read("/nonexistent/trace.txt"), Error);
+  EXPECT_THROW(TraceStore::open_binary("/nonexistent/trace.dtrc"), Error);
 }
 
 TEST(TraceStore, EventKindNamesRoundTrip) {

@@ -81,12 +81,12 @@ TEST(TraceOnOff, OffIsCheaperThanActiveAndThanFiltered) {
 TEST(TraceOnOff, SteadyCostAndRecordsReflectState) {
   Fixture f;
   f.run([&f](proc::SimThread& t) -> sim::Coro<void> { co_await f.vt.vt_init(t); });
-  EXPECT_TRUE(f.vt.records(1));
+  const sim::TimeNs active = f.vt.steady_call_cost(1);
+  EXPECT_GT(active, f.cluster.spec().costs.vt_call_overhead);
   f.vt.trace_off();
-  EXPECT_FALSE(f.vt.records(1));
   EXPECT_EQ(f.vt.steady_call_cost(1), f.cluster.spec().costs.vt_call_overhead);
   f.vt.trace_on();
-  EXPECT_TRUE(f.vt.records(1));
+  EXPECT_EQ(f.vt.steady_call_cost(1), active);
 }
 
 TEST(TraceOnOff, CallableFromSnippetsViaRegistry) {

@@ -80,7 +80,6 @@ TEST(VtLib, FullPolicyHasNoFilterLookups) {
   const auto& costs = f.cluster.spec().costs;
   EXPECT_EQ(f.vt.steady_call_cost(1), costs.vt_call_overhead + costs.vt_timestamp +
                                           costs.vt_record + costs.vt_flush_per_record);
-  EXPECT_TRUE(f.vt.records(1));
 }
 
 TEST(VtLib, DeactivatedSymbolPaysLookupOnly) {
@@ -98,7 +97,7 @@ TEST(VtLib, DeactivatedSymbolPaysLookupOnly) {
   EXPECT_EQ(f.vt.events_recorded(), 2u);  // only cold_fn traced
   const auto& costs = f.cluster.spec().costs;
   EXPECT_EQ(f.vt.steady_call_cost(1), costs.vt_call_overhead + costs.vt_filter_lookup);
-  EXPECT_FALSE(f.vt.records(1));
+  EXPECT_TRUE(f.vt.filter().deactivated(1));
   // Active symbols pay the lookup *plus* the trace cost once a config file
   // was read.
   EXPECT_EQ(f.vt.steady_call_cost(2),
