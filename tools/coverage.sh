@@ -49,7 +49,7 @@ build=$root/build-coverage
 out=$build/coverage
 jobs=$(nproc)
 gate_percent=1.0
-# Measured 1,031 of 6,222 lines (16.57%) and 176 functions; 18.90% and 224
+# Measured 1,031 of 6,222-6,225 lines (16.56-16.57%) and 176 functions; 18.90% and 224
 # functions before the deletions that set them.
 product_gate_percent=16.58
 product_functions_gate=176
