@@ -6,7 +6,6 @@
 // on).
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -18,22 +17,16 @@ namespace {
 
 using namespace dyntrace;
 
-std::string find_trace(const std::string& name) {
-  for (const char* prefix : {"examples/replay/", "../examples/replay/",
-                             "../../examples/replay/", "bench/../examples/replay/"}) {
-    const std::string path = prefix + name;
-    if (std::ifstream(path).good()) return path;
-  }
-  return {};
-}
+/// The replayed job's trace, found through the source tree the bench was
+/// built from, whatever directory it runs in.
+const char* const kReplayTrace = DYNTRACE_SOURCE_DIR "/examples/replay/ring.trace";
 
 struct ScenarioRun {
   double wall_s = 0;
   dynprof::MultiJobResult result;
 };
 
-ScenarioRun run_scenario(int ranks_per_job, double scale,
-                         const replay::ReplayApp* replay_app) {
+ScenarioRun run_scenario(int ranks_per_job, double scale, const replay::ReplayApp& replay_app) {
   dynprof::MultiJobOptions options;
 
   dynprof::MultiJobOptions::Job front;
@@ -56,16 +49,14 @@ ScenarioRun run_scenario(int ranks_per_job, double scale,
   back.first_cpu = 4;  // shares the front job's nodes
   options.jobs.push_back(back);
 
-  if (replay_app != nullptr) {
-    dynprof::MultiJobOptions::Job recorded;
-    recorded.app = &replay_app->spec();
-    recorded.name = "recorded";
-    recorded.params.nprocs = replay_app->spec().min_procs;
-    recorded.policy = dynprof::Policy::kDynamic;
-    recorded.first_node = (ranks_per_job + 3) / 4;  // above the shared span
-    recorded.first_cpu = 0;
-    options.jobs.push_back(recorded);
-  }
+  dynprof::MultiJobOptions::Job recorded;
+  recorded.app = &replay_app.spec();
+  recorded.name = "recorded";
+  recorded.params.nprocs = replay_app.spec().min_procs;
+  recorded.policy = dynprof::Policy::kDynamic;
+  recorded.first_node = (ranks_per_job + 3) / 4;  // above the shared span
+  recorded.first_cpu = 0;
+  options.jobs.push_back(recorded);
 
   ScenarioRun run;
   const auto start = std::chrono::steady_clock::now();
@@ -93,18 +84,12 @@ int bench_main(int argc, char** argv) {
       .option_string("json", "write the machine-readable results here", &json_path);
   if (!parser.parse(argc, argv)) return 0;
 
-  const std::string trace_path = find_trace("ring.trace");
-  std::shared_ptr<replay::ReplayApp> replay_app;
-  if (!trace_path.empty()) {
-    replay_app = replay::load_app(trace_path);
-  } else {
-    std::fprintf(stderr, "examples/replay/ring.trace not found; running without the "
-                         "replay job\n");
-  }
+  // A missing trace fails closed: load_app throws naming the path.
+  const std::shared_ptr<replay::ReplayApp> replay_app = replay::load_app(kReplayTrace);
 
   std::vector<ScenarioRun> runs;
   for (int rep = 0; rep < 2; ++rep) {
-    runs.push_back(run_scenario(ranks, scale, replay_app.get()));
+    runs.push_back(run_scenario(ranks, scale, *replay_app));
     std::fprintf(stderr, ".");
     std::fflush(stderr);
   }

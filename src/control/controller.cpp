@@ -220,20 +220,13 @@ void install_probe_edit_applier(vt::VtLib& vt) {
       [](vt::VtLib& v, const std::vector<image::FunctionId>& removals) -> sim::TimeNs {
         image::ProgramImage& img = v.process().image();
         const machine::CostModel& c = v.process().cluster().spec().costs;
-        std::int64_t probes_touched = 0;
+        std::size_t probes_touched = 0;
         for (const image::FunctionId fn : removals) {
           for (auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
-            // Copy the handles first: removal mutates the mini list.
-            std::vector<image::ProbeHandle> handles;
-            for (const auto& mini : img.probe_point(fn, where).minis) {
-              handles.push_back(mini.handle);
-            }
-            for (const auto handle : handles) {
-              if (img.remove_probe(handle)) ++probes_touched;
-            }
+            probes_touched += img.remove_probes(fn, where);
           }
         }
-        return c.dpcl_patch_per_probe * probes_touched;
+        return c.dpcl_patch_per_probe * static_cast<sim::TimeNs>(probes_touched);
       });
 }
 

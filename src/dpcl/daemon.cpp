@@ -186,14 +186,8 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
       case Request::Kind::kRemoveFunction: {
         co_await engine.sleep(fault::scale_delay(costs.dpcl_patch_per_probe, degrade));
         if (exited) break;
-        auto& img = process.image();
         for (const auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
-          // Collect handles first: removal mutates the mini list.
-          std::vector<image::ProbeHandle> handles;
-          for (const auto& probe : img.probe_point(request.fn, where).minis) {
-            handles.push_back(probe.handle);
-          }
-          for (const auto handle : handles) img.remove_probe(handle);
+          process.image().remove_probes(request.fn, where);
         }
         break;
       }

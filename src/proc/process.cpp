@@ -98,9 +98,10 @@ sim::Coro<void> SimThread::run_call(image::FunctionId fn, BodyFn body, sim::Time
       img.trampoline_overhead(fn, image::ProbeWhere::kEntry, costs);
   if (entry_tramp > 0) {
     co_await compute(entry_tramp);
-    for (const auto& sn : img.active_snippets(fn, image::ProbeWhere::kEntry)) {
+    for (const image::Snippet* sn : img.active_snippets(fn, image::ProbeWhere::kEntry)) {
       co_await exec_snippet(*sn);
     }
+    img.done_with_snippets();
   }
 
   // Static instrumentation compiled in by the Guide compiler.
@@ -119,9 +120,10 @@ sim::Coro<void> SimThread::run_call(image::FunctionId fn, BodyFn body, sim::Time
   const sim::TimeNs exit_tramp = img.trampoline_overhead(fn, image::ProbeWhere::kExit, costs);
   if (exit_tramp > 0) {
     co_await compute(exit_tramp);
-    for (const auto& sn : img.active_snippets(fn, image::ProbeWhere::kExit)) {
+    for (const image::Snippet* sn : img.active_snippets(fn, image::ProbeWhere::kExit)) {
       co_await exec_snippet(*sn);
     }
+    img.done_with_snippets();
   }
   --call_depth_;
   DT_ASSERT(!fn_stack_.empty() && fn_stack_.back() == fn, "function stack corrupted");

@@ -5,9 +5,16 @@
 // the whole system.  InlineCallback stores up to kInlineBytes of capture
 // state in place (covering every callback the sim/mpi/dpcl layers create)
 // and falls back to the heap only for oversized captures.
+//
+// An event's callback is moved at least twice between schedule and invoke
+// (into its queue slot, out of it).  A trivially copyable capture stored
+// inline -- every hot callback: compute timers, sleep, post, MPI delivery
+// -- moves by copying the buffer and has no destructor to call, so those
+// moves make no indirect call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,7 +40,11 @@ class InlineCallback {
     if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = inline_ops<Fn>();
+      if constexpr (std::is_trivially_copyable_v<Fn>) {
+        ops_ = trivial_ops<Fn>();
+      } else {
+        ops_ = inline_ops<Fn>();
+      }
     } else {
       heap_ = new Fn(std::forward<F>(f));
       ops_ = heap_ops<Fn>();
@@ -66,10 +77,9 @@ class InlineCallback {
     ops_->invoke(target());
   }
 
-  /// True when the capture lives in the inline buffer (for tests).
-  bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
-
  private:
+  /// A trivially copyable inline capture has neither relocate nor destroy:
+  /// it moves by copying the buffer and needs no destruction.
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* from, InlineCallback& to) noexcept;  // move + destroy source
@@ -114,6 +124,12 @@ class InlineCallback {
   }
 
   template <typename Fn>
+  static const Ops* trivial_ops() {
+    static constexpr Ops ops = {&invoke_fn<Fn>, nullptr, nullptr, /*inline_storage=*/true};
+    return &ops;
+  }
+
+  template <typename Fn>
   static const Ops* heap_ops() {
     static constexpr Ops ops = {&invoke_fn<Fn>, &relocate_heap<Fn>, &destroy_heap<Fn>,
                                 /*inline_storage=*/false};
@@ -124,7 +140,7 @@ class InlineCallback {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(target());
+      if (ops_->destroy != nullptr) ops_->destroy(target());
       ops_ = nullptr;
       heap_ = nullptr;
     }
@@ -133,7 +149,12 @@ class InlineCallback {
   void move_from(InlineCallback& other) noexcept {
     if (other.ops_ != nullptr) {
       const Ops* ops = other.ops_;
-      ops->relocate(other.target(), *this);
+      if (ops->relocate == nullptr) {
+        std::memcpy(storage_, other.storage_, kInlineBytes);
+        ops_ = ops;
+      } else {
+        ops->relocate(other.target(), *this);
+      }
       other.ops_ = nullptr;
       other.heap_ = nullptr;
     }

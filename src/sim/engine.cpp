@@ -39,26 +39,6 @@ Engine::~Engine() {
   detail::trim_frame_pool();
 }
 
-EventId Engine::schedule_at(TimeNs at, EventQueue::Callback cb) {
-  DT_ASSERT(at >= now_, "cannot schedule into the past (at=", at, " now=", now_, ")");
-  return queue_.schedule(at, std::move(cb));
-}
-
-EventId Engine::schedule_reserved(TimeNs at, std::uint64_t seq, EventQueue::Callback cb) {
-  DT_ASSERT(at >= now_, "cannot schedule into the past (at=", at, " now=", now_, ")");
-  return queue_.schedule_reserved(at, seq, std::move(cb));
-}
-
-EventId Engine::schedule_after(TimeNs delay, EventQueue::Callback cb) {
-  DT_ASSERT(delay >= 0, "negative delay");
-  return queue_.schedule(now_ + delay, std::move(cb));
-}
-
-void Engine::post(std::coroutine_handle<> h) {
-  DT_ASSERT(h && !h.done(), "posting an invalid coroutine handle");
-  queue_.schedule(now_, [h] { h.resume(); });
-}
-
 // The driver coroutine owns the process body for its whole lifetime.  It is
 // a member coroutine: `this` (the Engine) is guaranteed to outlive every
 // frame because ~Engine destroys surviving frames.

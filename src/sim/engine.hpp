@@ -43,6 +43,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/coro.hpp"
@@ -70,15 +71,24 @@ class Engine {
 
   TimeNs now() const { return now_; }
 
-  EventId schedule_at(TimeNs at, EventQueue::Callback cb);
-  EventId schedule_after(TimeNs delay, EventQueue::Callback cb);
+  EventId schedule_at(TimeNs at, EventQueue::Callback cb) {
+    DT_ASSERT(at >= now_, "cannot schedule into the past (at=", at, " now=", now_, ")");
+    return queue_.schedule(at, std::move(cb));
+  }
+  EventId schedule_after(TimeNs delay, EventQueue::Callback cb) {
+    DT_ASSERT(delay >= 0, "negative delay");
+    return queue_.schedule(now_ + delay, std::move(cb));
+  }
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Take an event sequence number now and schedule under it later
   /// (EventQueue::reserve_seq): the event keeps the place among
   /// equal-time events that scheduling at reservation time would give it.
   std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
-  EventId schedule_reserved(TimeNs at, std::uint64_t seq, EventQueue::Callback cb);
+  EventId schedule_reserved(TimeNs at, std::uint64_t seq, EventQueue::Callback cb) {
+    DT_ASSERT(at >= now_, "cannot schedule into the past (at=", at, " now=", now_, ")");
+    return queue_.schedule_reserved(at, seq, std::move(cb));
+  }
 
   /// Event-queue op counts since construction: pushes (scheduled events,
   /// in-place wake-ups excluded) and successful cancels.
@@ -88,7 +98,10 @@ class Engine {
   /// Resume a coroutine at the current time (after already-scheduled events
   /// for this timestamp).  All synchronisation primitives wake waiters this
   /// way, which rules out re-entrant resumption.
-  void post(std::coroutine_handle<> h);
+  void post(std::coroutine_handle<> h) {
+    DT_ASSERT(h && !h.done(), "posting an invalid coroutine handle");
+    queue_.schedule(now_, [h] { h.resume(); });
+  }
 
   // --- processes -----------------------------------------------------------
 

@@ -12,9 +12,6 @@ namespace {
 /// Below this heap size compaction is never worth the rebuild.
 constexpr std::size_t kCompactMinEntries = 64;
 
-/// 4-ary heap indexing.
-constexpr std::size_t kArity = 4;
-
 }  // namespace
 
 void EventQueue::sift_up(std::size_t index) const {
@@ -34,11 +31,7 @@ void EventQueue::sift_down(std::size_t index) const {
   while (true) {
     const std::size_t first_child = index * kArity + 1;
     if (first_child >= size) break;
-    const std::size_t last_child = std::min(first_child + kArity, size);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
+    const std::size_t best = earliest_child(first_child);
     if (!earlier(heap_[best], entry)) break;
     heap_[index] = heap_[best];
     index = best;
@@ -59,8 +52,8 @@ EventId EventQueue::push(TimeNs at, std::uint64_t seq, Callback&& cb) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
+    DT_EXPECT(slots_.size() < EventId::kSlotMask, "event queue: too many pending events");
     slot = static_cast<std::uint32_t>(slots_.size());
-    DT_ASSERT(slot != EventId::kNoSlot, "event slot table overflow");
     slots_.emplace_back();
     // Room for every slot on the free list, so releasing one (inside a
     // pop) never allocates.
@@ -68,27 +61,41 @@ EventId EventQueue::push(TimeNs at, std::uint64_t seq, Callback&& cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  heap_.push_back(HeapEntry{at, seq, slot, s.gen});
-  sift_up(heap_.size() - 1);
+  s.key = seq << EventId::kSlotBits | slot;
+  const HeapEntry entry{at, s.key};
+  if (!heap_.empty() && !entry_live(heap_.front())) {
+    // The root is dead (most often the event pop() just handed out): the
+    // new entry takes its place.
+    heap_.front() = entry;
+    sift_down(0);
+  } else {
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1);
+  }
   ++live_;
   ++pushes_;
-  return EventId{slot, s.gen};
+  return EventId{s.key};
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb = nullptr;
-  ++s.gen;  // invalidates the heap entry and any outstanding EventId
+  s.key = EventId::kNone;  // invalidates the heap entry and any outstanding EventId
   free_slots_.push_back(slot);
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (id.slot >= slots_.size() || slots_[id.slot].gen != id.gen) return false;
-  release_slot(id.slot);
+  const std::uint64_t slot = id.key & EventId::kSlotMask;
+  if (slot >= slots_.size() || slots_[slot].key != id.key) return false;
+  release_slot(static_cast<std::uint32_t>(slot));
   DT_ASSERT(live_ > 0);
   --live_;
   ++cancels_;
-  maybe_compact();
+  if (live_ == 0) {
+    heap_.clear();
+  } else {
+    maybe_compact();
+  }
   return true;
 }
 
@@ -108,14 +115,15 @@ void EventQueue::maybe_compact() {
 }
 
 std::pair<TimeNs, EventQueue::Callback> EventQueue::pop() {
+  DT_ASSERT(live_ > 0, "pop on empty event queue");
   drop_dead_top();
-  DT_ASSERT(!heap_.empty(), "pop on empty event queue");
   const HeapEntry top = heap_.front();
-  pop_root();
-  Callback cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
-  DT_ASSERT(live_ > 0);
+  const auto slot = static_cast<std::uint32_t>(top.key & EventId::kSlotMask);
+  Callback cb = std::move(slots_[slot].cb);
+  // The root stays in place, dead, for the next push to overwrite.
+  release_slot(slot);
   --live_;
+  if (live_ == 0) heap_.clear();  // every entry left is dead
   return {top.time, std::move(cb)};
 }
 

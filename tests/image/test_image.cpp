@@ -74,6 +74,7 @@ TEST_F(ImageTest, InactiveProbesKeepBaseButSkipDispatch) {
             costs_.tramp_jump + costs_.tramp_save_regs + costs_.tramp_restore_regs +
                 costs_.tramp_relocated_insn);
   EXPECT_TRUE(img_.active_snippets(1, ProbeWhere::kEntry).empty());
+  img_.done_with_snippets();
   EXPECT_EQ(img_.summary(1).active_minis[0], 0u);
 }
 
@@ -87,6 +88,37 @@ TEST_F(ImageTest, RemoveProbeRestoresCleanState) {
   EXPECT_FALSE(img_.remove_probe(handle));
 }
 
+TEST_F(ImageTest, RemoveProbesClearsOnePoint) {
+  img_.install_probe(1, ProbeWhere::kEntry, snippet::call("a"));
+  const auto inactive = img_.install_probe(1, ProbeWhere::kEntry, snippet::call("b"));
+  img_.set_probe_active(inactive, false);
+  img_.install_probe(1, ProbeWhere::kExit, snippet::call("c"));
+  const auto epoch = img_.patch_epoch();
+  EXPECT_EQ(img_.remove_probes(1, ProbeWhere::kEntry), 2u);  // inactive ones too
+  EXPECT_FALSE(img_.probe_point(1, ProbeWhere::kEntry).has_base_trampoline());
+  EXPECT_EQ(img_.trampoline_overhead(1, ProbeWhere::kEntry, costs_), 0);
+  EXPECT_EQ(img_.summary(1).active_minis[0], 0u);
+  EXPECT_EQ(img_.probe_point(1, ProbeWhere::kExit).minis.size(), 1u);
+  EXPECT_EQ(img_.patch_epoch(), epoch + 2);
+  EXPECT_FALSE(img_.remove_probe(inactive));
+  EXPECT_EQ(img_.remove_probes(1, ProbeWhere::kEntry), 0u);
+}
+
+TEST_F(ImageTest, ActiveMiniCountFailsClosedAtItsWidth) {
+  // The summary counts a point's active minis in 16 bits: the 65,536th
+  // active install (or activation) is an error and changes nothing.
+  const SnippetPtr s = snippet::noop();
+  for (int i = 0; i < 65535; ++i) img_.install_probe(1, ProbeWhere::kEntry, s);
+  const auto epoch = img_.patch_epoch();
+  EXPECT_THROW(img_.install_probe(1, ProbeWhere::kEntry, s), Error);
+  const auto parked = img_.install_probe(1, ProbeWhere::kEntry, s, /*active=*/false);
+  EXPECT_THROW(img_.set_probe_active(parked, true), Error);
+  EXPECT_EQ(img_.summary(1).active_minis[0], 65535u);
+  EXPECT_EQ(img_.probe_point(1, ProbeWhere::kEntry).minis.size(), 65536u);
+  EXPECT_EQ(img_.patch_epoch(), epoch + 1);
+  EXPECT_EQ(img_.remove_probes(1, ProbeWhere::kEntry), 65536u);
+}
+
 TEST_F(ImageTest, ActiveSnippetsPreserveInstallOrder) {
   img_.install_probe(0, ProbeWhere::kEntry, snippet::call("first"));
   const auto mid = img_.install_probe(0, ProbeWhere::kEntry, snippet::call("second"));
@@ -96,6 +128,7 @@ TEST_F(ImageTest, ActiveSnippetsPreserveInstallOrder) {
   ASSERT_EQ(active.size(), 2u);
   EXPECT_EQ(active[0]->to_string(), "call first()");
   EXPECT_EQ(active[1]->to_string(), "call third()");
+  img_.done_with_snippets();
 }
 
 TEST_F(ImageTest, CopySemanticsGiveIndependentImages) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "image/snippet.hpp"
 #include "omp/runtime.hpp"
 #include "proc/job.hpp"
@@ -333,6 +336,69 @@ TEST(Process, SnippetSpinAndFlagOps) {
   f.engine.schedule_at(sim::milliseconds(5), [&] { f.process.set_flag("b", 2); });
   f.engine.run();
   EXPECT_EQ(done, sim::milliseconds(5));
+}
+
+/// Registers "mark", which appends its argument to `log`.
+void register_mark(SimProcess& process, std::vector<std::int64_t>& log) {
+  process.registry().register_function(
+      "mark", [&log](SimThread&, LibraryRegistry::Args args) -> sim::Coro<void> {
+        log.push_back(args[0]);
+        co_return;
+      });
+}
+
+/// Two calls of function 1, each with 1 us of work.
+sim::Coro<void> call_twice(SimThread& t) {
+  co_await t.call_function(1, sim::microseconds(1));
+  co_await t.call_function(1, sim::microseconds(1));
+}
+
+TEST(Process, SnippetRemovedWhileBlockedCompletesFromItsSnapshot) {
+  // The entry snippet blocks in a spin wait; meanwhile its probe is
+  // removed (the image held the only reference) and another installed.
+  // The blocked snippet finishes from the snapshot taken at entry, and the
+  // new one fires from the next call on.
+  Fixture f;
+  std::vector<std::int64_t> log;
+  register_mark(f.process, log);
+  image::ProgramImage& img = f.process.image();
+  const image::ProbeHandle blocking = img.install_probe(
+      1, image::ProbeWhere::kEntry,
+      image::snippet::seq({image::snippet::call("mark", {1}),
+                           image::snippet::spin_until("go", 1),
+                           image::snippet::call("mark", {2})}));
+  f.engine.spawn(call_twice(f.process.main_thread()), "caller");
+  f.engine.schedule_at(sim::milliseconds(1), [&] {
+    EXPECT_TRUE(img.remove_probe(blocking));
+    img.install_probe(1, image::ProbeWhere::kEntry, image::snippet::call("mark", {3}));
+  });
+  f.engine.schedule_at(sim::milliseconds(2), [&] { f.process.set_flag("go", 1); });
+  f.engine.run();
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(f.process.main_thread().call_depth(), 0);
+}
+
+TEST(Process, PointWithTwoSnippetsRemovedWhileBlockedRunsBoth) {
+  // Two active snippets at one entry: the first blocks, the point is
+  // cleared and repatched, and both snippets of the snapshot still run in
+  // install order.
+  Fixture f;
+  std::vector<std::int64_t> log;
+  register_mark(f.process, log);
+  image::ProgramImage& img = f.process.image();
+  img.install_probe(1, image::ProbeWhere::kEntry,
+                    image::snippet::seq({image::snippet::call("mark", {1}),
+                                         image::snippet::spin_until("go", 1),
+                                         image::snippet::call("mark", {2})}));
+  img.install_probe(1, image::ProbeWhere::kEntry, image::snippet::call("mark", {4}));
+  f.engine.spawn(call_twice(f.process.main_thread()), "caller");
+  f.engine.schedule_at(sim::milliseconds(1), [&] {
+    EXPECT_EQ(img.remove_probes(1, image::ProbeWhere::kEntry), 2u);
+    img.install_probe(1, image::ProbeWhere::kEntry, image::snippet::call("mark", {3}));
+  });
+  f.engine.schedule_at(sim::milliseconds(2), [&] { f.process.set_flag("go", 1); });
+  f.engine.run();
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 2, 4, 3}));
 }
 
 TEST(Process, CallbackSnippetReachesSink) {

@@ -86,8 +86,7 @@ snapshot() {
   done > "$1"
 }
 
-# Every bench at its defaults, from the repository root: multi_job finds
-# its replayed job under examples/replay/ relative to the working directory.
+# Every bench at its defaults, from the repository root.
 cd "$root"
 for name in ablation_confsync_algo ablation_filter_cost ablation_sync_protocol \
     ablation_trampoline control_adaptive fig4_timeline fig7a_smg98 fig7b_sppm \
