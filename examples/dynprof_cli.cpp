@@ -32,7 +32,6 @@
 #include "replay/app.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
-#include "support/config.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "telemetry/json.hpp"
@@ -243,13 +242,7 @@ int main(int argc, char** argv) {
     options.policy = policy;
     options.params.nprocs = cpus;
     options.params.problem_scale = scale;
-    if (!machine_profile.empty()) {
-      if (str::ends_with(machine_profile, ".ini")) {
-        options.machine = machine::spec_from_config(ConfigFile::load(machine_profile));
-      } else {
-        options.machine = machine::builtin_profile(machine_profile);
-      }
-    }
+    if (!machine_profile.empty()) options.machine = machine::load_profile(machine_profile);
     if (!fault_plan_path.empty()) {
       fault::FaultPlan plan = fault::FaultPlan::load(fault_plan_path);
       if (fault_seed >= 0) plan.seed = static_cast<std::uint64_t>(fault_seed);

@@ -11,7 +11,6 @@
 #include "dynprof/policy.hpp"
 #include "machine/spec.hpp"
 #include "support/cli.hpp"
-#include "support/config.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -44,14 +43,7 @@ int main(int argc, char** argv) {
     DT_EXPECT(app != nullptr, "unknown application '", app_name, "'");
 
     std::optional<machine::MachineSpec> machine_spec;
-    if (!machine_profile.empty()) {
-      if (machine_profile.size() > 4 &&
-          machine_profile.substr(machine_profile.size() - 4) == ".ini") {
-        machine_spec = machine::spec_from_config(ConfigFile::load(machine_profile));
-      } else {
-        machine_spec = machine::builtin_profile(machine_profile);
-      }
-    }
+    if (!machine_profile.empty()) machine_spec = machine::load_profile(machine_profile);
 
     std::printf("%s on %lld CPUs (%s scaling, %zu user functions, subset of %zu)\n\n",
                 app->name.c_str(), static_cast<long long>(cpus),

@@ -58,17 +58,19 @@ sim::Coro<void> HybridController::run() {
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     return std::tie(b.first, a.second) < std::tie(a.first, b.second);
   });
+  std::vector<image::FunctionId> selected;
   for (std::size_t i = 0; i < ranked.size() && i < options_.top_k; ++i) {
+    selected.push_back(ranked[i].second);
     report_.selected.push_back(symbols.at(ranked[i].second).name);
   }
 
-  if (report_.selected.empty() || !app_still_running()) {
+  if (selected.empty() || !app_still_running()) {
     finished_ = true;
     co_return;
   }
 
   // Phase 3: detailed dynamic instrumentation of the selected functions.
-  co_await tool_.insert_functions(report_.selected);
+  co_await tool_.insert_functions(selected);
   report_.instrumented = true;
   report_.instrumented_from = engine.now();
 
@@ -77,7 +79,7 @@ sim::Coro<void> HybridController::run() {
   // Phase 4: remove the probes; the detailed snapshot stays in the trace.
   report_.instrumented_to = engine.now();
   if (options_.remove_after_window && app_still_running()) {
-    co_await tool_.remove_functions(report_.selected);
+    co_await tool_.remove_functions(selected);
     report_.removed = true;
   }
   finished_ = true;

@@ -59,67 +59,65 @@ std::vector<Policy> policies_for(const asci::AppSpec& app) {
   return {Policy::kFull, Policy::kFullOff, Policy::kSubset, Policy::kNone, Policy::kDynamic};
 }
 
-Launch::Launch(Options options)
-    : options_(std::move(options)),
-      owned_telemetry_(options_.shared_telemetry != nullptr
-                           ? nullptr
-                           : std::make_unique<telemetry::Registry>(options_.telemetry_level)),
-      telemetry_(options_.shared_telemetry != nullptr ? options_.shared_telemetry
-                                                      : owned_telemetry_.get()),
-      owned_engine_(options_.shared_engine != nullptr ? nullptr
-                                                      : std::make_unique<sim::Engine>()),
-      engine_(options_.shared_engine != nullptr ? options_.shared_engine
-                                                : owned_engine_.get()),
-      init_trigger_(*engine_) {
-  DT_EXPECT(options_.app != nullptr, "Launch needs an application");
-  DT_EXPECT(options_.sim_threads == 1, "Launch::Options::sim_threads must be 1 (got ",
-            options_.sim_threads, "): the simulator has one sequential engine");
-  // Installing the registry is the owning Launch's job; a shared-substrate
-  // Launch expects the scenario owner to have installed the shared one.
-  if (owned_telemetry_ != nullptr) scoped_registry_.emplace(*telemetry_);
-  const asci::AppSpec& app = *options_.app;
-  const asci::AppParams& params = options_.params;
-  if (options_.job_name.empty()) options_.job_name = app.name;
+JobFootprint job_footprint(const asci::AppSpec& app, const asci::AppParams& params) {
   DT_EXPECT(params.nprocs >= app.min_procs, app.name, " does not run on ", params.nprocs,
             " processor(s) (minimum ", app.min_procs, ")");
   DT_EXPECT(std::isfinite(params.problem_scale) && params.problem_scale > 0, app.name,
             ": problem scale must be a finite number > 0, got ", params.problem_scale);
   DT_EXPECT(params.threads_per_rank >= 1, "threads_per_rank must be >= 1");
-  const bool is_openmp = app.model == asci::AppSpec::Model::kOpenMP;
+  DT_EXPECT(app.model == asci::AppSpec::Model::kMixed || params.threads_per_rank == 1,
+            app.name, " is not a mixed-mode application");
+  if (app.model == asci::AppSpec::Model::kOpenMP) return {1, params.nprocs};
+  return {params.nprocs, params.threads_per_rank};
+}
 
-  if (options_.shared_cluster != nullptr) {
-    DT_EXPECT(options_.shared_engine != nullptr,
-              "a shared cluster requires its shared engine");
-    cluster_ = options_.shared_cluster;
-  } else {
-    DT_EXPECT(options_.shared_engine == nullptr,
-              "a shared engine requires a shared cluster");
-    machine::MachineSpec spec =
-        options_.machine.has_value()
-            ? *options_.machine
-            : machine::machine_for_cpus(is_openmp ? params.nprocs
-                                                  : std::int64_t{params.nprocs} *
-                                                        params.threads_per_rank);
-    owned_cluster_ = std::make_unique<machine::Cluster>(
-        *engine_, std::move(spec), /*noise_seed=*/params.seed ^ 0x9e3779b9);
-    cluster_ = owned_cluster_.get();
+Substrate::Substrate(machine::MachineSpec spec, std::uint64_t noise_seed,
+                     telemetry::Level level, fault::FaultInjector* fault,
+                     const std::vector<fault::JobExtent>& jobs)
+    : telemetry(level), installed(telemetry), cluster(engine, std::move(spec), noise_seed) {
+  if (fault != nullptr) {
+    fault->plan().check_targets(cluster.spec().nodes, jobs);
+    cluster.set_fault_injector(*fault);
   }
-  // An OpenMP application is one process whose team shares one node.
-  DT_EXPECT(!is_openmp || params.nprocs <= cluster_->spec().cpus_per_node, app.name,
-            " is an OpenMP application: its ", params.nprocs, " threads must fit one node (",
-            cluster_->spec().cpus_per_node, " CPUs)");
+}
+
+namespace {
+
+/// The options a Launch runs by: checked, with the job name defaulted.
+Launch::Options checked(Launch::Options options) {
+  DT_EXPECT(options.app != nullptr, "Launch needs an application");
+  DT_EXPECT(options.sim_threads == 1, "Launch::Options::sim_threads must be 1 (got ",
+            options.sim_threads, "): the simulator has one sequential engine");
+  DT_EXPECT(options.cluster == nullptr || (!options.machine && options.fault == nullptr),
+            "a borrowed cluster brings its own machine and fault injector");
+  if (options.job_name.empty()) options.job_name = options.app->name;
+  return options;
+}
+
+}  // namespace
+
+Launch::Launch(Options options)
+    : options_(checked(std::move(options))),
+      footprint_(job_footprint(*options_.app, options_.params)),
+      substrate_(options_.cluster != nullptr
+                     ? nullptr
+                     : std::make_unique<Substrate>(
+                           options_.machine ? *options_.machine
+                                            : machine::machine_for_cpus(
+                                                  std::int64_t{footprint_.processes} *
+                                                  footprint_.cpus_per_process),
+                           /*noise_seed=*/options_.params.seed ^ 0x9e3779b9,
+                           options_.telemetry_level, options_.fault.get(),
+                           std::vector<fault::JobExtent>{
+                               {options_.job_name, footprint_.processes}})),
+      cluster_(substrate_ != nullptr ? &substrate_->cluster : options_.cluster),
+      telemetry_(&telemetry::current()),
+      init_trigger_(cluster_->engine()) {
+  const asci::AppSpec& app = *options_.app;
+  const asci::AppParams& params = options_.params;
   vt::TraceStore::Options store_options;
   store_options.spill_budget_bytes = options_.trace_spill_bytes;
   store_options.spill_dir = options_.trace_spill_dir;
-  if (options_.fault != nullptr) {
-    cluster_->set_fault_injector(*options_.fault);
-    // A shared cluster's owner checks the plan against every job it hosts.
-    if (options_.shared_cluster == nullptr) {
-      const int processes = app.model == asci::AppSpec::Model::kOpenMP ? 1 : params.nprocs;
-      options_.fault->plan().check_targets(cluster_->spec().nodes,
-                                           {{options_.job_name, processes}});
-    }
-  }
   store_options.spill_fault = [injector = &cluster_->fault_injector(),
                                job = options_.job_name](std::int32_t pid,
                                                         std::uint64_t run_index,
@@ -130,11 +128,9 @@ Launch::Launch(Options options)
   staged_ = std::make_shared<vt::StagedUpdate>();
   job_ = std::make_unique<proc::ParallelJob>(*cluster_, options_.job_name);
 
-  const bool is_mpi = !is_openmp;
+  const bool is_mpi = app.model != asci::AppSpec::Model::kOpenMP;
   const bool uses_omp = app.model != asci::AppSpec::Model::kMpi;
   if (is_mpi) world_ = std::make_unique<mpi::World>(*cluster_);
-  DT_EXPECT(app.model == asci::AppSpec::Model::kMixed || params.threads_per_rank == 1,
-            app.name, " is not a mixed-mode application");
 
   // Static instrumentation per policy (the "Guide compile" step).
   guide::CompileOptions compile_options;
@@ -159,18 +155,13 @@ Launch::Launch(Options options)
   init_fn_ = app.fid(is_mpi ? "MPI_Init" : "VT_init");
   if (is_mpi) finalize_fn_ = app.fid("MPI_Finalize");
 
-  // Placement: MPI ranks fill nodes CPU by CPU; an OpenMP app is a single
-  // process whose team occupies one node; a mixed app's ranks each occupy
-  // threads_per_rank consecutive CPUs.
-  const int nprocs = is_mpi ? params.nprocs : 1;
-  const int cpus_per_proc = app.model == asci::AppSpec::Model::kOpenMP
-                                ? params.nprocs
-                                : params.threads_per_rank;
-  const auto placement =
-      cluster_->place_block(nprocs, cpus_per_proc, options_.first_app_cpu);
+  // Placement: processes fill nodes block by block, each occupying its
+  // footprint's consecutive CPUs (an OpenMP team, a mixed rank's threads).
+  const auto placement = cluster_->place_block(
+      footprint_.processes, footprint_.cpus_per_process, options_.first_app_cpu);
 
   Rng seed_rng(params.seed);
-  for (int pid = 0; pid < nprocs; ++pid) {
+  for (int pid = 0; pid < footprint_.processes; ++pid) {
     proc::SimProcess& process =
         job_->add_process(template_image, placement[pid].node + options_.first_app_node,
                           placement[pid].cpu);
@@ -190,9 +181,8 @@ Launch::Launch(Options options)
 
     omp::OmpRuntime* omp = nullptr;
     if (uses_omp) {
-      const int team = app.model == asci::AppSpec::Model::kOpenMP ? params.nprocs
-                                                                  : params.threads_per_rank;
-      omp_runtimes_.push_back(std::make_unique<omp::OmpRuntime>(process, team));
+      omp_runtimes_.push_back(
+          std::make_unique<omp::OmpRuntime>(process, footprint_.cpus_per_process));
       omp_listeners_.push_back(std::make_unique<vt::VtOmpListener>(*vt));
       omp_runtimes_.back()->set_listener(omp_listeners_.back().get());
       omp = omp_runtimes_.back().get();
@@ -286,7 +276,7 @@ Launch::Result Launch::collect_result() const {
 
 Launch::Result Launch::run_to_completion() {
   start();
-  engine_->run();
+  engine().run();
   return collect_result();
 }
 

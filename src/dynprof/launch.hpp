@@ -1,8 +1,10 @@
 // Launch: assembles one VGV application run on the simulated cluster.
 //
-// A Launch owns the whole stack for a single experiment: engine, cluster,
-// MPI world (or OpenMP runtime), parallel job, per-process VT libraries with
-// their MPI wrappers / OpenMP listeners, and per-process AppContexts.  The
+// A Launch owns the whole stack for a single experiment: its Substrate
+// (telemetry registry, engine, cluster), MPI world (or OpenMP runtime),
+// parallel job, per-process VT libraries with their MPI wrappers / OpenMP
+// listeners, and per-process AppContexts.  The jobs of a multi-job run
+// borrow one MultiJobLaunch's cluster instead (DESIGN.md §15).  The
 // instrumentation policy (paper Table 3) selects static instrumentation and
 // the VT configuration file:
 //
@@ -37,6 +39,7 @@
 
 namespace dyntrace::fault {
 class FaultInjector;
+struct JobExtent;
 }  // namespace dyntrace::fault
 
 namespace dyntrace::dynprof {
@@ -56,6 +59,33 @@ const std::vector<PolicyInfo>& policy_table();
 
 /// The policies evaluated for an app (Sweep3d has no Subset run, §4.3).
 std::vector<Policy> policies_for(const asci::AppSpec& app);
+
+/// What one job occupies: its processes and the CPUs each takes (one per
+/// MPI rank, threads_per_rank per mixed-mode rank; an OpenMP application is
+/// one process of params.nprocs CPUs).  Throws dyntrace::Error on
+/// parameters the application does not run with.
+struct JobFootprint {
+  int processes = 1;
+  int cpus_per_process = 1;
+};
+JobFootprint job_footprint(const asci::AppSpec& app, const asci::AppParams& params);
+
+/// What a run executes on: a telemetry registry (telemetry::current() on
+/// the constructing thread while it lives), the engine and the cluster,
+/// running the fault plan's injector (not owned; null = none) once its
+/// targets are checked against `jobs`.  A Launch owns one unless it borrows
+/// a cluster; a MultiJobLaunch owns one for all its jobs.
+struct Substrate {
+  Substrate(machine::MachineSpec spec, std::uint64_t noise_seed, telemetry::Level level,
+            fault::FaultInjector* fault, const std::vector<fault::JobExtent>& jobs);
+
+  // The registry outlives everything below it: spans emitted while ~Engine
+  // destroys surviving coroutine frames must still find it alive.
+  telemetry::Registry telemetry;
+  telemetry::ScopedRegistry installed;
+  sim::Engine engine;
+  machine::Cluster cluster;
+};
 
 class Launch {
  public:
@@ -85,15 +115,12 @@ class Launch {
     /// match this run by; defaults to the app name.  Multi-job scenarios
     /// give every job a unique name.
     std::string job_name;
-    /// Shared-substrate mode (multi-job runs; DESIGN.md §15): borrow an
-    /// existing engine + cluster instead of owning them.  Both must outlive
-    /// the Launch.  Null = classic single-job mode.
-    sim::Engine* shared_engine = nullptr;
-    machine::Cluster* shared_cluster = nullptr;
-    /// Shared telemetry registry for multi-job runs: the Launch then skips
-    /// creating and installing its own, so all jobs' hooks land in the
-    /// scenario-wide registry the caller installed.  Requires shared_engine.
-    telemetry::Registry* shared_telemetry = nullptr;
+    /// A cluster to run on instead of owning a Substrate (the jobs of a
+    /// MultiJobLaunch share one; DESIGN.md §15).  It brings its engine, its
+    /// fault injector and the telemetry registry its owner installed, so
+    /// `machine` and `fault` stay unset and `telemetry_level` is unused.  It
+    /// must outlive the Launch.  Null = own the substrate.
+    machine::Cluster* cluster = nullptr;
     /// Must be 1.  Kept only for perfbench/driver.cpp; the next change to
     /// the benchmark removes it.
     int sim_threads = 1;
@@ -101,8 +128,8 @@ class Launch {
     /// means no plan: the run uses the cluster's empty-plan injector, which
     /// fires nothing.
     std::shared_ptr<fault::FaultInjector> fault;
-    /// Self-telemetry level for this run (DESIGN.md §12).  The Launch owns
-    /// a private registry installed as telemetry::current() on the
+    /// Self-telemetry level for this run (DESIGN.md §12).  An owning
+    /// Launch's registry is installed as telemetry::current() on the
     /// constructing thread for its whole lifetime, so every layer's hooks
     /// land in this run's counters.  A run lives on one thread: construct,
     /// run and destroy a Launch on the same thread.
@@ -115,11 +142,11 @@ class Launch {
   Launch& operator=(const Launch&) = delete;
 
   /// The engine the whole run executes on.
-  sim::Engine& engine() { return *engine_; }
+  sim::Engine& engine() { return cluster_->engine(); }
   /// Aliases of engine() and engine().run(), kept only for
   /// perfbench/driver.cpp; the next change to the benchmark removes them.
-  sim::Engine& parallel_engine() { return *engine_; }
-  void run_engine() { engine_->run(); }
+  sim::Engine& parallel_engine() { return engine(); }
+  void run_engine() { engine().run(); }
   machine::Cluster& cluster() { return *cluster_; }
   proc::ParallelJob& job() { return *job_; }
   mpi::World* world() { return world_.get(); }  ///< null for pure OpenMP apps
@@ -137,8 +164,8 @@ class Launch {
   asci::AppContext& context(int pid) { return *contexts_[static_cast<std::size_t>(pid)]; }
   std::shared_ptr<vt::TraceStore> trace() { return store_; }
   std::shared_ptr<vt::StagedUpdate> staged() { return staged_; }
-  /// This run's telemetry registry (installed as telemetry::current() on
-  /// the run's thread while the Launch is alive).
+  /// This run's telemetry registry: telemetry::current() on the run's
+  /// thread while the Launch is alive.
   telemetry::Registry& telemetry_registry() { return *telemetry_; }
   const telemetry::Registry& telemetry_registry() const { return *telemetry_; }
   /// The run's fault injector: the plan's, or the cluster's empty-plan
@@ -183,19 +210,13 @@ class Launch {
   sim::Coro<void> rank_main(int pid, proc::SimThread& thread);
 
   Options options_;
-  // The registry outlives everything below it: spans emitted while ~Engine
-  // destroys surviving coroutine frames must still find it alive.  In
-  // shared-substrate mode the owned_ slots stay null and the raw pointers
-  // alias the caller's objects (which outlive the Launch by contract).
-  std::unique_ptr<telemetry::Registry> owned_telemetry_;
-  telemetry::Registry* telemetry_ = nullptr;
-  std::optional<telemetry::ScopedRegistry> scoped_registry_;
-  // The engine must outlive (i.e. be declared before) everything the
-  // coroutine frames it owns may reference during teardown.
-  std::unique_ptr<sim::Engine> owned_engine_;
-  sim::Engine* engine_ = nullptr;
-  std::unique_ptr<machine::Cluster> owned_cluster_;
-  machine::Cluster* cluster_ = nullptr;
+  JobFootprint footprint_;
+  // The substrate must outlive (i.e. be declared before) everything the
+  // coroutine frames its engine owns may reference during teardown.  Null
+  // with a borrowed cluster, whose owner outlives the Launch by contract.
+  std::unique_ptr<Substrate> substrate_;
+  machine::Cluster* cluster_;
+  telemetry::Registry* telemetry_;
   std::shared_ptr<vt::TraceStore> store_;
   std::shared_ptr<vt::StagedUpdate> staged_;
   std::unique_ptr<mpi::World> world_;

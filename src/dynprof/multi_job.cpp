@@ -1,73 +1,42 @@
 #include "dynprof/multi_job.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "fault/injector.hpp"
 #include "support/common.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace dyntrace::dynprof {
 
-namespace {
-
-constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return SplitMix64(h ^ v).next();
-}
-
-/// The node span and per-node CPUs a job's placement takes (same
-/// arithmetic as Cluster::place_block).
-machine::Cluster::JobSpan span_for(const machine::MachineSpec& spec,
-                                   const MultiJobOptions::Job& job) {
-  const bool openmp = job.app->model == asci::AppSpec::Model::kOpenMP;
-  const int nprocs = openmp ? 1 : job.params.nprocs;
-  const int cpus_per_proc = openmp ? job.params.nprocs : job.params.threads_per_rank;
-  const int units_per_node = (spec.cpus_per_node - job.first_cpu) / cpus_per_proc;
-  DT_EXPECT(units_per_node >= 1, "job '", job.name, "': a ", cpus_per_proc,
-            "-cpu rank at offset ", job.first_cpu, " does not fit on a ",
-            spec.cpus_per_node, "-cpu node");
-  return {job.name, job.first_node, (nprocs + units_per_node - 1) / units_per_node,
-          job.first_cpu, units_per_node * cpus_per_proc};
-}
-
-}  // namespace
-
-MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
-    : options_(std::move(options)),
-      telemetry_(std::make_unique<telemetry::Registry>(options_.telemetry_level)),
-      scoped_registry_(std::in_place, *telemetry_) {
+MultiJobLaunch::MultiJobLaunch(MultiJobOptions options) : options_(std::move(options)) {
   DT_EXPECT(!options_.jobs.empty(), "a multi-job launch needs at least one job");
+  std::set<std::string> names;
+  std::vector<JobFootprint> footprints;
+  std::vector<fault::JobExtent> extents;
   for (auto& job : options_.jobs) {
     DT_EXPECT(job.app != nullptr, "every multi-job entry needs an application");
     if (job.name.empty()) job.name = job.app->name;
+    DT_EXPECT(names.insert(job.name).second, "job name '", job.name,
+              "' used twice (give jobs unique names)");
+    footprints.push_back(job_footprint(*job.app, job.params));
+    extents.push_back({job.name, footprints.back().processes});
   }
-  for (std::size_t a = 0; a < options_.jobs.size(); ++a) {
-    for (std::size_t b = a + 1; b < options_.jobs.size(); ++b) {
-      DT_EXPECT(options_.jobs[a].name != options_.jobs[b].name, "job name '",
-                options_.jobs[a].name, "' used twice (give jobs unique names)");
-    }
-  }
-
-  machine::MachineSpec spec =
-      options_.machine.has_value() ? *options_.machine : machine::ibm_power3_sp();
-  cluster_ = std::make_unique<machine::Cluster>(engine_, std::move(spec),
-                                                /*noise_seed=*/options_.seed ^ 0x9e3779b9);
-  if (options_.fault != nullptr) {
-    cluster_->set_fault_injector(*options_.fault);
-    std::vector<fault::JobExtent> extents;
-    for (const auto& job : options_.jobs) {
-      const bool openmp = job.app->model == asci::AppSpec::Model::kOpenMP;
-      extents.push_back({job.name, openmp ? 1 : job.params.nprocs});
-    }
-    options_.fault->plan().check_targets(cluster_->spec().nodes, extents);
-  }
+  substrate_ = std::make_unique<Substrate>(options_.machine.value_or(machine::ibm_power3_sp()),
+                                           /*noise_seed=*/options_.seed ^ 0x9e3779b9,
+                                           options_.telemetry_level, options_.fault.get(),
+                                           extents);
+  machine::Cluster& cluster = substrate_->cluster;
 
   // Register every job's footprint first: tenant counts feed the contention
   // model, and register_job validates spans against the machine.
   int last_app_node = 0;
-  for (const auto& job : options_.jobs) {
-    const machine::Cluster::JobSpan span = span_for(cluster_->spec(), job);
-    cluster_->register_job(span);
-    last_app_node = std::max(last_app_node, span.first_node + span.node_count - 1);
+  for (std::size_t j = 0; j < options_.jobs.size(); ++j) {
+    const auto& job = options_.jobs[j];
+    last_app_node = std::max(
+        last_app_node, cluster.register_job(job.name, job.first_node, footprints[j].processes,
+                                            footprints[j].cpus_per_process, job.first_cpu));
   }
 
   // Every Dynamic/Adaptive job gets its own login node above the union
@@ -77,9 +46,9 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
   for (std::size_t j = 0; j < options_.jobs.size(); ++j) {
     const Policy p = options_.jobs[j].policy;
     if (p != Policy::kDynamic && p != Policy::kAdaptive) continue;
-    DT_EXPECT(next_tool_node < cluster_->spec().nodes, "machine ",
-              cluster_->spec().name, " has no free node for job '",
-              options_.jobs[j].name, "'s tool (", cluster_->spec().nodes, " nodes)");
+    DT_EXPECT(next_tool_node < cluster.spec().nodes, "machine ", cluster.spec().name,
+              " has no free node for job '", options_.jobs[j].name, "'s tool (",
+              cluster.spec().nodes, " nodes)");
     tool_nodes[j] = next_tool_node++;
   }
 
@@ -96,10 +65,7 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.first_app_cpu = job.first_cpu;
     lo.job_name = job.name;
     lo.trace_spill_bytes = options_.trace_spill_bytes;
-    lo.fault = options_.fault;
-    lo.shared_engine = &engine_;
-    lo.shared_cluster = cluster_.get();
-    lo.shared_telemetry = telemetry_.get();
+    lo.cluster = &cluster;
     Arming arming;
     arming.script = job.script;
     arming.tool_node = tool_nodes[j];
@@ -122,7 +88,7 @@ MultiJobResult MultiJobLaunch::run_to_completion() {
   for (auto& run : runs_) {
     if (run->tool() == nullptr) run->start();
   }
-  engine_.run();
+  substrate_->engine.run();
 
   MultiJobResult result;
   result.combined_digest = 0x6d756c74696a6f62ULL;  // "multijob"
@@ -142,9 +108,9 @@ MultiJobResult MultiJobLaunch::run_to_completion() {
     jr.trace_events = r.trace_events;
     jr.trace_digest = r.trace_digest;
     jr.stats_digest = r.stats_digest;
-    jr.lost_ranks = cluster_->fault_injector().dead_ranks(end, jr.job);
-    result.combined_digest = fold(result.combined_digest, jr.trace_digest);
-    result.combined_digest = fold(result.combined_digest, jr.stats_digest);
+    jr.lost_ranks = substrate_->cluster.fault_injector().dead_ranks(end, jr.job);
+    result.combined_digest = splitmix_fold(result.combined_digest, jr.trace_digest);
+    result.combined_digest = splitmix_fold(result.combined_digest, jr.stats_digest);
     result.jobs.push_back(std::move(jr));
   }
   return result;

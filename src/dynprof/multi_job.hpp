@@ -5,13 +5,15 @@
 // production machines run many jobs at once, often sharing physical nodes,
 // and a tool infrastructure must hold up under that contention (compare
 // ScALPEL's always-on monitoring of concurrent applications, PAPERS.md).
-// A MultiJobLaunch owns the shared substrate -- one engine, one
-// cluster, one telemetry registry, optionally one fault injector -- and
-// builds a shared-substrate dynprof::Launch per job:
+// A MultiJobLaunch owns the shared dynprof::Substrate -- one engine, one
+// cluster, one telemetry registry, optionally one fault injector whose
+// plan it checks against every job -- and builds a dynprof::Launch per job
+// on the borrowed cluster:
 //
 //   * each job gets its own node span (first_node) and, on shared nodes,
-//     its own CPU range (first_cpu), registered as a machine::JobSpan so
-//     messages touching multi-tenant nodes pay the tenancy surcharge;
+//     its own CPU range (first_cpu), registered with the cluster from the
+//     job's footprint so messages touching multi-tenant nodes pay the
+//     tenancy surcharge;
 //   * each Dynamic/Adaptive job gets its own DynprofTool instance on its
 //     own login node above the union span -- independent tool sessions,
 //     the multi-tool direction ROADMAP item 3 left open;
@@ -89,8 +91,7 @@ class MultiJobLaunch {
   MultiJobLaunch(const MultiJobLaunch&) = delete;
   MultiJobLaunch& operator=(const MultiJobLaunch&) = delete;
 
-  machine::Cluster& cluster() { return *cluster_; }
-  telemetry::Registry& telemetry_registry() { return *telemetry_; }
+  machine::Cluster& cluster() { return substrate_->cluster; }
   std::size_t job_count() const { return runs_.size(); }
   Launch& launch(std::size_t job) { return runs_[job]->launch(); }
   /// The job's tool instance; null for static-policy jobs.
@@ -103,10 +104,7 @@ class MultiJobLaunch {
 
  private:
   MultiJobOptions options_;
-  std::unique_ptr<telemetry::Registry> telemetry_;
-  std::optional<telemetry::ScopedRegistry> scoped_registry_;
-  sim::Engine engine_;
-  std::unique_ptr<machine::Cluster> cluster_;
+  std::unique_ptr<Substrate> substrate_;
   std::vector<std::unique_ptr<PolicyRun>> runs_;
   bool ran_ = false;
 };

@@ -82,11 +82,23 @@ image::FunctionId DynprofTool::resolve(const std::string& name) const {
   return info->id;
 }
 
-std::vector<std::string> DynprofTool::resolve_file(const std::string& filename) const {
-  for (const auto& [name, functions] : options_.command_files) {
-    if (name == filename) return functions;
+std::vector<image::FunctionId> DynprofTool::resolve_command(const Command& cmd) const {
+  std::vector<image::FunctionId> fns;
+  const auto add = [&](const std::vector<std::string>& names) {
+    for (const auto& name : names) fns.push_back(resolve(name));
+  };
+  if (cmd.kind == CommandKind::kInsert || cmd.kind == CommandKind::kRemove) {
+    add(cmd.args);
+    return fns;
   }
-  fail("dynprof: unknown command file '", filename, "'");
+  for (const auto& file : cmd.args) {
+    const auto it = std::find_if(options_.command_files.begin(), options_.command_files.end(),
+                                 [&file](const auto& entry) { return entry.first == file; });
+    DT_EXPECT(it != options_.command_files.end(), "dynprof: unknown command file '", file,
+              "'");
+    add(it->second);
+  }
+  return fns;
 }
 
 sim::Coro<void> DynprofTool::create_and_connect(proc::SimThread& tool) {
@@ -238,7 +250,7 @@ sim::Coro<void> DynprofTool::await_init_and_release(proc::SimThread& tool) {
   // Now it is safe to instrument: install everything the user queued.
   begin_phase("install-probes");
   if (!pending_inserts_.empty()) {
-    std::vector<std::string> queued;
+    std::vector<image::FunctionId> queued;
     queued.swap(pending_inserts_);
     co_await do_insert(tool, queued);
   }
@@ -260,7 +272,7 @@ sim::Coro<void> DynprofTool::await_init_and_release(proc::SimThread& tool) {
 }
 
 sim::Coro<void> DynprofTool::do_insert(proc::SimThread& tool,
-                                       const std::vector<std::string>& names) {
+                                       const std::vector<image::FunctionId>& fns) {
   // Degradation ladder bookkeeping: a node abandoned while this batch goes
   // in drops to Subset if it already carries probes (earlier batch, or an
   // earlier name of this one), to None otherwise.
@@ -273,8 +285,7 @@ sim::Coro<void> DynprofTool::do_insert(proc::SimThread& tool,
     note_degraded_nodes(tool.engine().now(), had_probes_before);
   }
   std::size_t installed = 0;
-  for (const auto& name : names) {
-    const image::FunctionId fn = resolve(name);
+  for (const image::FunctionId fn : fns) {
     std::vector<std::int64_t> arg(1, static_cast<std::int64_t>(fn));
     co_await app_->install_probe(tool, fn, image::ProbeWhere::kEntry,
                                  image::snippet::call("VT_begin", arg),
@@ -284,9 +295,7 @@ sim::Coro<void> DynprofTool::do_insert(proc::SimThread& tool,
                                  /*activate=*/true, /*blocking=*/true);
     note_degraded_nodes(tool.engine().now(), had_probes_before || installed > 0);
     ++installed;
-    if (std::find(instrumented_.begin(), instrumented_.end(), name) == instrumented_.end()) {
-      instrumented_.push_back(name);
-    }
+    instrumented_.insert(fn);
   }
   if (midrun) {
     co_await app_->resume_all(tool, /*blocking=*/false);
@@ -294,29 +303,28 @@ sim::Coro<void> DynprofTool::do_insert(proc::SimThread& tool,
 }
 
 sim::Coro<void> DynprofTool::do_remove(proc::SimThread& tool,
-                                       const std::vector<std::string>& names) {
+                                       const std::vector<image::FunctionId>& fns) {
   const bool midrun = init_released_;
   if (midrun) {
     co_await app_->suspend_all(tool, /*blocking=*/true);
   }
-  for (const auto& name : names) {
-    co_await app_->remove_function_probes(tool, resolve(name), /*blocking=*/true);
-    instrumented_.erase(std::remove(instrumented_.begin(), instrumented_.end(), name),
-                        instrumented_.end());
+  for (const image::FunctionId fn : fns) {
+    co_await app_->remove_function_probes(tool, fn, /*blocking=*/true);
+    instrumented_.erase(fn);
   }
   if (midrun) {
     co_await app_->resume_all(tool, /*blocking=*/false);
   }
 }
 
-sim::Coro<void> DynprofTool::insert_functions(const std::vector<std::string>& names) {
+sim::Coro<void> DynprofTool::insert_functions(const std::vector<image::FunctionId>& fns) {
   DT_EXPECT(init_released_, "insert_functions before the application is running");
-  co_await do_insert(tool_thread(), names);
+  co_await do_insert(tool_thread(), fns);
 }
 
-sim::Coro<void> DynprofTool::remove_functions(const std::vector<std::string>& names) {
+sim::Coro<void> DynprofTool::remove_functions(const std::vector<image::FunctionId>& fns) {
   DT_EXPECT(init_released_, "remove_functions before the application is running");
-  co_await do_remove(tool_thread(), names);
+  co_await do_remove(tool_thread(), fns);
 }
 
 sim::Coro<void> DynprofTool::service_main() {
@@ -350,37 +358,20 @@ sim::Coro<void> DynprofTool::tool_main(std::vector<Command> script) {
         break;
       case CommandKind::kInsert:
       case CommandKind::kInsertFile: {
-        std::vector<std::string> names;
-        if (cmd.kind == CommandKind::kInsert) {
-          names = cmd.args;
-        } else {
-          for (const auto& file : cmd.args) {
-            const auto from_file = resolve_file(file);
-            names.insert(names.end(), from_file.begin(), from_file.end());
-          }
-        }
+        const std::vector<image::FunctionId> fns = resolve_command(cmd);
         if (!started_app_ || !init_released_) {
           // Deferred until the Figure-6 callback confirms it is safe.
-          pending_inserts_.insert(pending_inserts_.end(), names.begin(), names.end());
+          pending_inserts_.insert(pending_inserts_.end(), fns.begin(), fns.end());
         } else {
-          co_await do_insert(tool, names);
+          co_await do_insert(tool, fns);
         }
         break;
       }
       case CommandKind::kRemove:
       case CommandKind::kRemoveFile: {
-        std::vector<std::string> names;
-        if (cmd.kind == CommandKind::kRemove) {
-          names = cmd.args;
-        } else {
-          for (const auto& file : cmd.args) {
-            const auto from_file = resolve_file(file);
-            names.insert(names.end(), from_file.begin(), from_file.end());
-          }
-        }
         DT_EXPECT(started_app_ && init_released_,
                   "dynprof: remove before the application is running");
-        co_await do_remove(tool, names);
+        co_await do_remove(tool, resolve_command(cmd));
         break;
       }
       case CommandKind::kStart:

@@ -93,7 +93,7 @@ class DynprofTool {
 
   /// Number of functions currently carrying dynamically inserted probes.
   std::size_t instrumented_function_count() const { return instrumented_.size(); }
-  const std::vector<std::string>& instrumented_functions() const { return instrumented_; }
+  bool instrumented(image::FunctionId fn) const { return instrumented_.count(fn) != 0; }
 
   /// One node's drop down the instrumentation ladder: a node abandoned mid-install keeps whatever probes already went
   /// in -- Dynamic -> Subset -- and a node lost before anything was
@@ -111,10 +111,12 @@ class DynprofTool {
   // --- programmatic control (used by controllers such as HybridController) --
   //
   // Valid once the application is running (after `start`); each call
-  // suspends all processes, patches, and resumes.
+  // suspends all processes, patches, and resumes.  Functions are ids of the
+  // application's symbol table: names resolve once, where a command names
+  // them.
 
-  sim::Coro<void> insert_functions(const std::vector<std::string>& names);
-  sim::Coro<void> remove_functions(const std::vector<std::string>& names);
+  sim::Coro<void> insert_functions(const std::vector<image::FunctionId>& fns);
+  sim::Coro<void> remove_functions(const std::vector<image::FunctionId>& fns);
 
   proc::SimThread& tool_thread() { return tool_process_->main_thread(); }
 
@@ -124,9 +126,10 @@ class DynprofTool {
   sim::Coro<void> create_and_connect(proc::SimThread& tool);
   sim::Coro<void> install_init_hook(proc::SimThread& tool);
   sim::Coro<void> await_init_and_release(proc::SimThread& tool);
-  sim::Coro<void> do_insert(proc::SimThread& tool, const std::vector<std::string>& names);
-  sim::Coro<void> do_remove(proc::SimThread& tool, const std::vector<std::string>& names);
-  std::vector<std::string> resolve_file(const std::string& filename) const;
+  sim::Coro<void> do_insert(proc::SimThread& tool, const std::vector<image::FunctionId>& fns);
+  sim::Coro<void> do_remove(proc::SimThread& tool, const std::vector<image::FunctionId>& fns);
+  /// The ids of the functions an insert/remove command names.
+  std::vector<image::FunctionId> resolve_command(const Command& cmd) const;
   image::FunctionId resolve(const std::string& name) const;
   /// Record ladder drops for nodes newly abandoned by the dpcl layer;
   /// `had_probes` decides Subset vs None.
@@ -150,8 +153,8 @@ class DynprofTool {
   bool started_app_ = false;
   bool init_released_ = false;
   bool finished_ = false;
-  std::vector<std::string> pending_inserts_;
-  std::vector<std::string> instrumented_;
+  std::vector<image::FunctionId> pending_inserts_;
+  std::set<image::FunctionId> instrumented_;
   std::set<int> degraded_nodes_;
   std::set<int> quarantine_dropped_;  ///< nodes with an active (reversible) quarantine drop
   std::vector<Degradation> degradations_;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "support/common.hpp"
-#include "support/rng.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -12,19 +12,15 @@ namespace dyntrace::fault {
 
 namespace {
 
-constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return SplitMix64(h ^ v).next();
-}
-
 /// Uniform draw in [0, 1) from a pure hash of the message identity.
 double unit_draw(std::uint64_t seed, std::size_t action_index, Channel channel, int src,
                  int dst, std::uint64_t ordinal) {
-  std::uint64_t h = fold(seed, 0x6661756c74ULL);  // "fault"
-  h = fold(h, static_cast<std::uint64_t>(action_index));
-  h = fold(h, static_cast<std::uint64_t>(channel));
-  h = fold(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
-  h = fold(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
-  h = fold(h, ordinal);
+  std::uint64_t h = splitmix_fold(seed, 0x6661756c74ULL);  // "fault"
+  h = splitmix_fold(h, static_cast<std::uint64_t>(action_index));
+  h = splitmix_fold(h, static_cast<std::uint64_t>(channel));
+  h = splitmix_fold(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
+  h = splitmix_fold(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
+  h = splitmix_fold(h, ordinal);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 

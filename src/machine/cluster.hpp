@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "machine/spec.hpp"
@@ -27,28 +28,20 @@ class Cluster {
     int cpu = 0;
   };
 
-  /// One job's footprint on the machine (multi-job runs; DESIGN.md §15).
-  /// Jobs may share physical nodes -- each takes a disjoint CPU range --
-  /// and every node's tenant count feeds the contention model below.
-  struct JobSpan {
-    std::string name;
-    int first_node = 0;
-    int node_count = 0;
-    int first_cpu = 0;   ///< first CPU the job occupies on each of its nodes
-    int cpus = 0;        ///< CPUs occupied per node (0 = unknown/whole node)
-  };
-
   Cluster(sim::Engine& engine, MachineSpec spec, std::uint64_t noise_seed = 0x0dd5eed);
   ~Cluster();
 
-  /// Register a job's node span (setup time, before the engine runs).  Each
-  /// registration raises the tenant count of the covered nodes; once any
-  /// node carries more than one tenant, messages touching it pay the
-  /// MachineSpec::tenancy_factor contention surcharge.  Runs that never
-  /// register a job (every single-job Launch) are bit-identical to builds
-  /// without this feature.
-  void register_job(JobSpan span);
-  const std::vector<JobSpan>& jobs() const { return jobs_; }
+  /// Register a job that shares the machine (multi-job runs; DESIGN.md
+  /// §15): the nodes place_block(units, cpus_per_unit, first_cpu) puts it
+  /// on, counted from node `first_node`.  Jobs
+  /// may share physical nodes -- each takes a disjoint CPU range -- and
+  /// each registration raises the tenant count of the nodes the job
+  /// covers; once any node carries more than one tenant, messages touching
+  /// it pay the MachineSpec::tenancy_factor contention surcharge.  A
+  /// cluster no job is registered on (every single-job Launch) keeps no
+  /// tenant table.  Returns the last node the job covers.
+  int register_job(const std::string& name, int first_node, int units, int cpus_per_unit,
+                   int first_cpu);
 
   /// Number of jobs whose spans cover `node` (0 when no jobs registered).
   int node_tenants(int node) const;
@@ -96,10 +89,10 @@ class Cluster {
   fault::FaultInjector* fault_;
   MachineSpec spec_;
   std::uint64_t noise_seed_;
-  /// Registered jobs and the per-node tenant counts they imply.  Written
-  /// only at setup time (register_job), read-only while the engine runs, so
-  /// the contention surcharge is a pure function of message identity.
-  std::vector<JobSpan> jobs_;
+  /// Per-node tenant counts of the registered jobs (empty until one is
+  /// registered).  Written only at setup time (register_job), read-only
+  /// while the engine runs, so the contention surcharge is a pure function
+  /// of message identity.
   std::vector<int> tenants_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

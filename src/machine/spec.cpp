@@ -5,6 +5,7 @@
 #include <string>
 
 #include "support/common.hpp"
+#include "support/strings.hpp"
 
 namespace dyntrace::machine {
 
@@ -90,116 +91,141 @@ MachineSpec builtin_profile(const std::string& name) {
   fail("unknown machine profile '", name, "' (expected ibm-power3-sp, ia32-linux or generic)");
 }
 
+MachineSpec load_profile(const std::string& name_or_path) {
+  if (str::ends_with(name_or_path, ".ini")) {
+    return spec_from_config(ConfigFile::load(name_or_path));
+  }
+  return builtin_profile(name_or_path);
+}
+
 namespace {
 
-/// An int field, range-checked: a value that does not fit an int is a
-/// located error naming the file and the key, never a silent narrowing.
-int get_int_field(const ConfigFile& config, const char* section, const char* key,
-                  int fallback) {
-  const std::int64_t v = config.get_int(section, key, fallback);
-  DT_EXPECT(v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max(),
-            config.origin(), ": [", section, "] ", key, " = ", v, " is out of range");
-  return static_cast<int>(v);
-}
+/// The interval a real-valued profile key takes; an open end excludes
+/// its bound.  NaN lies in none.
+struct Range {
+  double lo;
+  double hi;
+  bool lo_open;
+  bool hi_open;
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range kPositive{0, kInf, true, true};
+constexpr Range kNonNegative{0, kInf, false, true};
+constexpr Range kFraction{0, 1, false, true};       // [0, 1)
+constexpr Range kShare{0, 1, true, false};          // (0, 1]
+constexpr Range kMicroseconds{0, 1e15, false, false};  // fits the ns clock
+
+/// Reads a profile's keys and fails closed: a value outside its key's
+/// range is a dyntrace::Error naming the file, the section and the key.
+struct ProfileReader {
+  const ConfigFile& config;
+
+  /// A whole number (nanoseconds, bytes) of at least `min`.
+  std::int64_t at_least(const char* section, const char* key, std::int64_t fallback,
+                        std::int64_t min = 0) const {
+    const std::int64_t v = config.get_int(section, key, fallback);
+    DT_EXPECT(v >= min, config.origin(), ": [", section, "] ", key, " = ", v,
+              " is out of range (must be >= ", min, ")");
+    return v;
+  }
+
+  /// An int of at least `min`.
+  int count(const char* section, const char* key, int fallback, int min) const {
+    const std::int64_t v = at_least(section, key, fallback, min);
+    DT_EXPECT(v <= std::numeric_limits<int>::max(), config.origin(), ": [", section, "] ",
+              key, " = ", v, " is out of range");
+    return static_cast<int>(v);
+  }
+
+  /// A number in `r`.
+  double real(const char* section, const char* key, double fallback, const Range& r) const {
+    const double v = config.get_double(section, key, fallback);
+    DT_EXPECT((r.lo_open ? v > r.lo : v >= r.lo) && (r.hi_open ? v < r.hi : v <= r.hi),
+              config.origin(), ": [", section, "] ", key, " = ", v, " is out of range ",
+              r.lo_open ? "(" : "[", r.lo, ", ", r.hi, r.hi_open ? ")" : "]");
+    return v;
+  }
+};
 
 }  // namespace
 
 MachineSpec spec_from_config(const ConfigFile& config) {
-  MachineSpec s = builtin_profile(config.get_string("machine", "base", "generic"));
+  MachineSpec s;
+  try {
+    s = builtin_profile(config.get_string("machine", "base", "generic"));
+  } catch (const Error& e) {
+    fail(config.origin(), ": [machine] base: ", e.what());
+  }
+  const ProfileReader in{config};
   s.name = config.get_string("machine", "name", s.name);
-  s.nodes = get_int_field(config, "machine", "nodes", s.nodes);
-  s.cpus_per_node = get_int_field(config, "machine", "cpus_per_node", s.cpus_per_node);
-  s.cpu_mhz = config.get_double("machine", "cpu_mhz", s.cpu_mhz);
-  s.memory_gb_per_node = config.get_double("machine", "memory_gb_per_node", s.memory_gb_per_node);
-  s.link_latency =
-      sim::microseconds(config.get_double("machine", "link_latency_us",
-                                          sim::to_microseconds(s.link_latency)));
-  s.bandwidth_bytes_per_us =
-      config.get_double("machine", "bandwidth_bytes_per_us", s.bandwidth_bytes_per_us);
-  s.per_message_software =
-      sim::microseconds(config.get_double("machine", "per_message_software_us",
-                                          sim::to_microseconds(s.per_message_software)));
-  s.intra_latency = sim::microseconds(
-      config.get_double("machine", "intra_latency_us", sim::to_microseconds(s.intra_latency)));
-  s.intra_bandwidth_bytes_per_us =
-      config.get_double("machine", "intra_bandwidth_bytes_per_us", s.intra_bandwidth_bytes_per_us);
-  s.latency_jitter = config.get_double("machine", "latency_jitter", s.latency_jitter);
-  s.tenancy_factor = config.get_double("machine", "tenancy_factor", s.tenancy_factor);
-
-  DT_EXPECT(s.nodes >= 1, "machine.nodes must be >= 1");
-  DT_EXPECT(s.cpus_per_node >= 1, "machine.cpus_per_node must be >= 1");
+  s.nodes = in.count("machine", "nodes", s.nodes, 1);
+  s.cpus_per_node = in.count("machine", "cpus_per_node", s.cpus_per_node, 1);
   // total_cpus() is an int.
   DT_EXPECT(static_cast<std::int64_t>(s.nodes) * s.cpus_per_node <=
                 std::numeric_limits<int>::max(),
             config.origin(), ": [machine] nodes x cpus_per_node = ", s.nodes, " x ",
             s.cpus_per_node, " is out of range");
-  DT_EXPECT(s.bandwidth_bytes_per_us > 0, "machine.bandwidth must be positive");
-  DT_EXPECT(s.latency_jitter >= 0 && s.latency_jitter < 1,
-            "machine.latency_jitter must be in [0, 1)");
-  DT_EXPECT(s.tenancy_factor >= 0, "machine.tenancy_factor must be >= 0");
+  s.cpu_mhz = in.real("machine", "cpu_mhz", s.cpu_mhz, kPositive);
+  s.memory_gb_per_node = in.real("machine", "memory_gb_per_node", s.memory_gb_per_node, kPositive);
+  s.link_latency = sim::microseconds(in.real(
+      "machine", "link_latency_us", sim::to_microseconds(s.link_latency), kMicroseconds));
+  s.bandwidth_bytes_per_us =
+      in.real("machine", "bandwidth_bytes_per_us", s.bandwidth_bytes_per_us, kPositive);
+  s.per_message_software =
+      sim::microseconds(in.real("machine", "per_message_software_us",
+                                sim::to_microseconds(s.per_message_software), kMicroseconds));
+  s.intra_latency = sim::microseconds(in.real(
+      "machine", "intra_latency_us", sim::to_microseconds(s.intra_latency), kMicroseconds));
+  s.intra_bandwidth_bytes_per_us = in.real("machine", "intra_bandwidth_bytes_per_us",
+                                           s.intra_bandwidth_bytes_per_us, kPositive);
+  s.latency_jitter = in.real("machine", "latency_jitter", s.latency_jitter, kFraction);
+  s.tenancy_factor = in.real("machine", "tenancy_factor", s.tenancy_factor, kNonNegative);
 
-  auto cost_ns = [&config](const char* key, sim::TimeNs fallback) {
-    return static_cast<sim::TimeNs>(config.get_int("costs", key, fallback));
-  };
   CostModel& c = s.costs;
-  c.vt_timestamp = cost_ns("vt_timestamp_ns", c.vt_timestamp);
-  c.vt_record = cost_ns("vt_record_ns", c.vt_record);
-  c.vt_filter_lookup = cost_ns("vt_filter_lookup_ns", c.vt_filter_lookup);
-  c.vt_call_overhead = cost_ns("vt_call_overhead_ns", c.vt_call_overhead);
-  c.vt_funcdef = cost_ns("vt_funcdef_ns", c.vt_funcdef);
-  c.vt_flush_per_record = cost_ns("vt_flush_per_record_ns", c.vt_flush_per_record);
-  c.vt_confsync_entry = cost_ns("vt_confsync_entry_ns", c.vt_confsync_entry);
-  c.vt_confsync_noise_mean = cost_ns("vt_confsync_noise_mean_ns", c.vt_confsync_noise_mean);
+  c.vt_timestamp = in.at_least("costs", "vt_timestamp_ns", c.vt_timestamp);
+  c.vt_record = in.at_least("costs", "vt_record_ns", c.vt_record);
+  c.vt_filter_lookup = in.at_least("costs", "vt_filter_lookup_ns", c.vt_filter_lookup);
+  c.vt_call_overhead = in.at_least("costs", "vt_call_overhead_ns", c.vt_call_overhead);
+  c.vt_funcdef = in.at_least("costs", "vt_funcdef_ns", c.vt_funcdef);
+  c.vt_flush_per_record = in.at_least("costs", "vt_flush_per_record_ns", c.vt_flush_per_record);
+  c.vt_confsync_entry = in.at_least("costs", "vt_confsync_entry_ns", c.vt_confsync_entry);
+  c.vt_confsync_noise_mean =
+      in.at_least("costs", "vt_confsync_noise_mean_ns", c.vt_confsync_noise_mean);
   c.vt_stats_write_per_record =
-      cost_ns("vt_stats_write_per_record_ns", c.vt_stats_write_per_record);
+      in.at_least("costs", "vt_stats_write_per_record_ns", c.vt_stats_write_per_record);
   c.vt_stats_merge_per_record =
-      cost_ns("vt_stats_merge_per_record_ns", c.vt_stats_merge_per_record);
+      in.at_least("costs", "vt_stats_merge_per_record_ns", c.vt_stats_merge_per_record);
   c.vt_stats_bytes_per_func =
-      config.get_int("costs", "vt_stats_bytes_per_func", c.vt_stats_bytes_per_func);
-  c.tramp_jump = cost_ns("tramp_jump_ns", c.tramp_jump);
-  c.tramp_save_regs = cost_ns("tramp_save_regs_ns", c.tramp_save_regs);
-  c.tramp_restore_regs = cost_ns("tramp_restore_regs_ns", c.tramp_restore_regs);
-  c.tramp_mini_dispatch = cost_ns("tramp_mini_dispatch_ns", c.tramp_mini_dispatch);
-  c.tramp_relocated_insn = cost_ns("tramp_relocated_insn_ns", c.tramp_relocated_insn);
-  c.dpcl_daemon_dispatch = cost_ns("dpcl_daemon_dispatch_ns", c.dpcl_daemon_dispatch);
-  c.dpcl_patch_per_probe = cost_ns("dpcl_patch_per_probe_ns", c.dpcl_patch_per_probe);
-  c.dpcl_parse_image = cost_ns("dpcl_parse_image_ns", c.dpcl_parse_image);
-  c.dpcl_connect = cost_ns("dpcl_connect_ns", c.dpcl_connect);
-  c.dpcl_suspend_resume = cost_ns("dpcl_suspend_resume_ns", c.dpcl_suspend_resume);
-  c.poe_spawn_base = cost_ns("poe_spawn_base_ns", c.poe_spawn_base);
-  c.poe_spawn_per_proc = cost_ns("poe_spawn_per_proc_ns", c.poe_spawn_per_proc);
+      in.at_least("costs", "vt_stats_bytes_per_func", c.vt_stats_bytes_per_func);
+  c.tramp_jump = in.at_least("costs", "tramp_jump_ns", c.tramp_jump);
+  c.tramp_save_regs = in.at_least("costs", "tramp_save_regs_ns", c.tramp_save_regs);
+  c.tramp_restore_regs = in.at_least("costs", "tramp_restore_regs_ns", c.tramp_restore_regs);
+  c.tramp_mini_dispatch = in.at_least("costs", "tramp_mini_dispatch_ns", c.tramp_mini_dispatch);
+  c.tramp_relocated_insn = in.at_least("costs", "tramp_relocated_insn_ns", c.tramp_relocated_insn);
+  c.dpcl_daemon_dispatch = in.at_least("costs", "dpcl_daemon_dispatch_ns", c.dpcl_daemon_dispatch);
+  c.dpcl_patch_per_probe = in.at_least("costs", "dpcl_patch_per_probe_ns", c.dpcl_patch_per_probe);
+  c.dpcl_parse_image = in.at_least("costs", "dpcl_parse_image_ns", c.dpcl_parse_image);
+  c.dpcl_connect = in.at_least("costs", "dpcl_connect_ns", c.dpcl_connect);
+  c.dpcl_suspend_resume = in.at_least("costs", "dpcl_suspend_resume_ns", c.dpcl_suspend_resume);
+  c.poe_spawn_base = in.at_least("costs", "poe_spawn_base_ns", c.poe_spawn_base);
+  c.poe_spawn_per_proc = in.at_least("costs", "poe_spawn_per_proc_ns", c.poe_spawn_per_proc);
 
-  auto fault_ns = [&config](const char* key, sim::TimeNs fallback) {
-    return static_cast<sim::TimeNs>(config.get_int("fault", key, fallback));
-  };
   FaultTolerance& f = s.fault;
-  f.request_deadline = fault_ns("request_deadline_ns", f.request_deadline);
-  f.request_max_retries =
-      get_int_field(config, "fault", "request_max_retries", f.request_max_retries);
-  f.retry_backoff_base = fault_ns("retry_backoff_base_ns", f.retry_backoff_base);
-  f.overlay_child_timeout = fault_ns("overlay_child_timeout_ns", f.overlay_child_timeout);
-  f.init_callback_timeout = fault_ns("init_callback_timeout_ns", f.init_callback_timeout);
-  f.sync_quorum = config.get_double("fault", "sync_quorum", f.sync_quorum);
-  f.health_alpha = config.get_double("fault", "health_alpha", f.health_alpha);
-  f.health_latency_ref = fault_ns("health_latency_ref_ns", f.health_latency_ref);
+  f.request_deadline = in.at_least("fault", "request_deadline_ns", f.request_deadline, 1);
+  f.request_max_retries = in.count("fault", "request_max_retries", f.request_max_retries, 0);
+  f.retry_backoff_base = in.at_least("fault", "retry_backoff_base_ns", f.retry_backoff_base);
+  f.overlay_child_timeout =
+      in.at_least("fault", "overlay_child_timeout_ns", f.overlay_child_timeout, 1);
+  f.init_callback_timeout =
+      in.at_least("fault", "init_callback_timeout_ns", f.init_callback_timeout);
+  f.sync_quorum = in.real("fault", "sync_quorum", f.sync_quorum, kShare);
+  f.health_alpha = in.real("fault", "health_alpha", f.health_alpha, kShare);
+  f.health_latency_ref = in.at_least("fault", "health_latency_ref_ns", f.health_latency_ref, 1);
   f.breaker_failure_threshold =
-      get_int_field(config, "fault", "breaker_failure_threshold", f.breaker_failure_threshold);
+      in.count("fault", "breaker_failure_threshold", f.breaker_failure_threshold, 1);
   f.breaker_score_floor =
-      config.get_double("fault", "breaker_score_floor", f.breaker_score_floor);
-  f.breaker_cooldown = fault_ns("breaker_cooldown_ns", f.breaker_cooldown);
-  DT_EXPECT(f.health_alpha > 0 && f.health_alpha <= 1.0,
-            "fault.health_alpha must be in (0, 1]");
-  DT_EXPECT(f.health_latency_ref > 0, "fault.health_latency_ref_ns must be positive");
-  DT_EXPECT(f.breaker_failure_threshold >= 1,
-            "fault.breaker_failure_threshold must be >= 1");
-  DT_EXPECT(f.breaker_score_floor >= 0 && f.breaker_score_floor < 1.0,
-            "fault.breaker_score_floor must be in [0, 1)");
-  DT_EXPECT(f.breaker_cooldown > 0, "fault.breaker_cooldown_ns must be positive");
-  DT_EXPECT(f.request_deadline > 0, "fault.request_deadline_ns must be positive");
-  DT_EXPECT(f.request_max_retries >= 0, "fault.request_max_retries must be >= 0");
-  DT_EXPECT(f.overlay_child_timeout > 0, "fault.overlay_child_timeout_ns must be positive");
-  DT_EXPECT(f.sync_quorum > 0 && f.sync_quorum <= 1.0,
-            "fault.sync_quorum must be in (0, 1]");
+      in.real("fault", "breaker_score_floor", f.breaker_score_floor, kFraction);
+  f.breaker_cooldown = in.at_least("fault", "breaker_cooldown_ns", f.breaker_cooldown, 1);
   return s;
 }
 

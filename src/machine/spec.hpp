@@ -145,8 +145,15 @@ MachineSpec ia32_linux_cluster();
 /// Throws dyntrace::Error for unknown names.
 MachineSpec builtin_profile(const std::string& name);
 
-/// Build a spec from an INI config ([machine], [costs] sections), starting
-/// from the named base profile (key "machine.base", default "generic").
+/// Build a spec from an INI config ([machine], [costs], [fault] sections),
+/// starting from the named base profile (key "machine.base", default
+/// "generic").  Fails closed: a value outside its key's range -- a
+/// negative duration, latency or cost among them -- throws a
+/// dyntrace::Error naming the file, the section and the key.
 MachineSpec spec_from_config(const ConfigFile& config);
+
+/// The machine a `--machine` flag names: a path ending in ".ini" is read
+/// with spec_from_config, anything else is a built-in profile name.
+MachineSpec load_profile(const std::string& name_or_path);
 
 }  // namespace dyntrace::machine

@@ -11,6 +11,7 @@
 #include "dynprof/policy.hpp"
 #include "sim/mailbox.hpp"
 #include "support/common.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -58,18 +59,7 @@ sim::Coro<void> svcapp_body(asci::AppContext& ctx, proc::SimThread& thread,
   }
 }
 
-// --- FNV-1a digest helpers ---------------------------------------------------
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+// --- digest helpers ----------------------------------------------------------
 
 std::uint64_t quantize(double fraction) {
   return static_cast<std::uint64_t>(std::llround(fraction * 1e12));
@@ -519,34 +509,34 @@ ScenarioResult run_scenario(const ScenarioOptions& options) {
 
   std::uint64_t h = kFnvOffset;
   for (const ScenarioResult::SessionOutcome& session : result.sessions) {
-    h = mix(h, session.id);
-    h = mix(h, static_cast<std::uint64_t>(session.node));
+    h = fnv1a_mix(h, session.id);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(session.node));
     for (const ScenarioResult::CommandOutcome& out : session.commands) {
-      h = mix(h, static_cast<std::uint64_t>(out.kind));
-      h = mix(h, static_cast<std::uint64_t>(out.status));
-      h = mix(h, static_cast<std::uint64_t>(out.latency));
+      h = fnv1a_mix(h, static_cast<std::uint64_t>(out.kind));
+      h = fnv1a_mix(h, static_cast<std::uint64_t>(out.status));
+      h = fnv1a_mix(h, static_cast<std::uint64_t>(out.latency));
     }
-    h = mix(h, session.deltas);
-    h = mix(h, session.delta_pairs);
+    h = fnv1a_mix(h, session.deltas);
+    h = fnv1a_mix(h, session.delta_pairs);
   }
   for (const WindowRecord& window : result.windows) {
-    h = mix(h, window.sync);
-    h = mix(h, static_cast<std::uint64_t>(window.time));
-    h = mix(h, static_cast<std::uint64_t>(window.window));
-    h = mix(h, quantize(window.measured_fraction));
-    h = mix(h, quantize(window.priced_before));
-    h = mix(h, quantize(window.priced_after));
-    h = mix(h, window.flips);
-    h = mix(h, window.at_floor ? 1 : 0);
+    h = fnv1a_mix(h, window.sync);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(window.time));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(window.window));
+    h = fnv1a_mix(h, quantize(window.measured_fraction));
+    h = fnv1a_mix(h, quantize(window.priced_before));
+    h = fnv1a_mix(h, quantize(window.priced_after));
+    h = fnv1a_mix(h, window.flips);
+    h = fnv1a_mix(h, window.at_floor ? 1 : 0);
   }
-  for (const image::FunctionId fn : result.rank0_deactivated) h = mix(h, fn);
-  for (const int pid : result.lost_ranks) h = mix(h, static_cast<std::uint64_t>(pid));
-  h = mix(h, service.responses_sent());
-  h = mix(h, result.shed_commands);
-  h = mix(h, result.deadline_cancels);
-  h = mix(h, result.fairshare_flips);
-  h = mix(h, result.sub_drops);
-  h = mix(h, result.stats_digest);
+  for (const image::FunctionId fn : result.rank0_deactivated) h = fnv1a_mix(h, fn);
+  for (const int pid : result.lost_ranks) h = fnv1a_mix(h, static_cast<std::uint64_t>(pid));
+  h = fnv1a_mix(h, service.responses_sent());
+  h = fnv1a_mix(h, result.shed_commands);
+  h = fnv1a_mix(h, result.deadline_cancels);
+  h = fnv1a_mix(h, result.fairshare_flips);
+  h = fnv1a_mix(h, result.sub_drops);
+  h = fnv1a_mix(h, result.stats_digest);
   result.digest = h;
 
   result.host_seconds =

@@ -43,8 +43,8 @@ struct ControlService::BreakAgent {
     int client_node = 0;
     std::vector<std::uint8_t> match;  ///< per-function-id membership
     const DeltaSink* sink = nullptr;  ///< in the session's endpoint (stable)
-    /// Remaining delivery credits (sub_window > 0); a window arriving with
-    /// none left is dropped-and-counted, never buffered.
+    /// Remaining delivery credits; a window arriving with none left is
+    /// dropped-and-counted, never buffered.
     int credits = 0;
   };
   /// (session id, arrival serial): iteration runs in session-id order, then
@@ -54,8 +54,7 @@ struct ControlService::BreakAgent {
   std::map<SubKey, Subscription> subs;
   std::uint64_t sub_serial = 0;
 
-  /// Slow-subscriber bounds (from ServiceOptions; sub_window 0 = legacy
-  /// unbounded fan-out).
+  /// Slow-subscriber bounds (from ServiceOptions).
   int sub_window = 0;
   sim::TimeNs sub_stall = 0;
 
@@ -107,7 +106,7 @@ struct ControlService::BreakAgent {
       telemetry::Registry& reg = telemetry::current();
       const fault::FaultInjector& injector = cluster.fault_injector();
       for (auto& [key, sub] : subs) {
-        if (sub_window > 0 && sub.credits <= 0) {
+        if (sub.credits <= 0) {
           ++window_drops;
           reg.add(reg.metrics().service_sub_drops);
           continue;
@@ -127,21 +126,19 @@ struct ControlService::BreakAgent {
         cluster.engine().schedule_at(now + delay, [sink, delta] { (*sink)(delta); });
         reg.add(reg.metrics().service_sub_deliveries);
         reg.add(reg.metrics().service_sub_events, delta.pairs);
-        if (sub_window > 0) {
-          --sub.credits;
-          // The whole return path is priced here, on the agent's node:
-          // delivery leg, client processing (stall-fault scaled), ack leg.
-          sim::TimeNs processing = sub_stall;
-          if (processing > 0) {
-            processing = static_cast<sim::TimeNs>(static_cast<double>(processing) *
-                                                  injector.stall_factor(sub.client_node, now));
-          }
-          const sim::TimeNs back =
-              cluster.message_delay(sub.client_node, node, 16, now + delay + processing);
-          BreakAgent* self = this;
-          cluster.engine().schedule_at(now + delay + processing + back,
-                                       [self, key = key] { self->return_credit(key); });
+        --sub.credits;
+        // The whole return path is priced here, on the agent's node:
+        // delivery leg, client processing (stall-fault scaled), ack leg.
+        sim::TimeNs processing = sub_stall;
+        if (processing > 0) {
+          processing = static_cast<sim::TimeNs>(static_cast<double>(processing) *
+                                                injector.stall_factor(sub.client_node, now));
         }
+        const sim::TimeNs back =
+            cluster.message_delay(sub.client_node, node, 16, now + delay + processing);
+        BreakAgent* self = this;
+        cluster.engine().schedule_at(now + delay + processing + back,
+                                     [self, key = key] { self->return_credit(key); });
       }
     }
 
@@ -213,6 +210,8 @@ ControlService::ControlService(dynprof::Launch& launch, dynprof::DynprofTool& to
       admission_(symbols_, control::probe_pair_price(launch.vt(0)),
                  AdmissionOptions{options.budget_fraction, options.default_rate_hz}),
       patch_ready_(std::make_unique<sim::Condition>(engine_)) {
+  DT_EXPECT(options.sub_window >= 1, "ServiceOptions::sub_window must be >= 1 (got ",
+            options.sub_window, "): every subscriber holds a credit window");
   agent_ = std::make_unique<BreakAgent>(*this, cluster_, launch.staged(), agent_node_, node_);
   agent_->sub_window = options.sub_window;
   agent_->sub_stall = options.sub_client_stall;
@@ -306,10 +305,7 @@ bool ControlService::try_admit(SessionId session, std::uint32_t seq,
   if (!result.directives.empty()) stage_service_program(result.directives);
   if (!result.install.empty()) {
     PatchOp op;
-    op.install.reserve(result.install.size());
-    for (const image::FunctionId fn : result.install) {
-      op.install.push_back(symbols_->at(fn).name);
-    }
+    op.install = result.install;
     op.response.session = session;
     op.response.seq = seq;
     op.response.status = status;
@@ -416,9 +412,7 @@ void ControlService::handle_detach(const Request& request) {
   if (!released.directives.empty()) stage_service_program(released.directives);
   if (!released.remove.empty()) {
     PatchOp op;
-    for (const image::FunctionId fn : released.remove) {
-      op.remove.push_back(symbols_->at(fn).name);
-    }
+    op.remove = released.remove;
     op.response.session = kServiceSession;  // nobody waits on removals
     enqueue_patch(std::move(op));
   }
@@ -591,30 +585,23 @@ sim::Coro<void> ControlService::patch_loop() {
     // batch can carry remove->install (detach, then another session re-admits)
     // or install->remove cycles for one function; only the net effect against
     // the tool's current probe state is patched.
-    std::vector<std::string> order;
-    std::map<std::string, bool> net_install;
+    std::vector<image::FunctionId> order;
+    std::map<image::FunctionId, bool> net_install;
     for (const PatchOp& op : batch) {
-      for (const std::string& name : op.install) {
-        if (net_install.emplace(name, true).second) order.push_back(name);
-        net_install[name] = true;
+      for (const image::FunctionId fn : op.install) {
+        if (net_install.emplace(fn, true).second) order.push_back(fn);
+        net_install[fn] = true;
       }
-      for (const std::string& name : op.remove) {
-        if (net_install.emplace(name, false).second) order.push_back(name);
-        net_install[name] = false;
+      for (const image::FunctionId fn : op.remove) {
+        if (net_install.emplace(fn, false).second) order.push_back(fn);
+        net_install[fn] = false;
       }
     }
-    const std::vector<std::string>& current = tool_.instrumented_functions();
-    const auto is_instrumented = [&current](const std::string& name) {
-      return std::find(current.begin(), current.end(), name) != current.end();
-    };
-    std::vector<std::string> installs;
-    std::vector<std::string> removes;
-    for (const std::string& name : order) {
-      if (net_install[name]) {
-        if (!is_instrumented(name)) installs.push_back(name);
-      } else {
-        if (is_instrumented(name)) removes.push_back(name);
-      }
+    std::vector<image::FunctionId> installs;
+    std::vector<image::FunctionId> removes;
+    for (const image::FunctionId fn : order) {
+      const bool install = net_install[fn];
+      if (install != tool_.instrumented(fn)) (install ? installs : removes).push_back(fn);
     }
 
     if (!installs.empty()) co_await tool_.insert_functions(installs);

@@ -74,7 +74,7 @@ struct ServiceOptions {
   /// further windows are dropped-and-counted instead of buffered without
   /// bound.  Credits return after the delivery round trip (client stall
   /// faults slow the return leg, which is what makes a subscriber "slow").
-  /// 0 = unbounded (legacy fire-and-forget).
+  /// Must be >= 1.
   int sub_window = 4;
   /// Modelled client-side processing per delta before its credit returns.
   sim::TimeNs sub_client_stall = 0;
@@ -162,8 +162,8 @@ class ControlService {
   struct BreakAgent;
 
   struct PatchOp {
-    std::vector<std::string> install;
-    std::vector<std::string> remove;
+    std::vector<image::FunctionId> install;
+    std::vector<image::FunctionId> remove;
     /// Response to send once the batch lands; session == kServiceSession
     /// means no response (e.g. detach-driven removals).
     Response response;

@@ -56,14 +56,6 @@ ConfigFile ConfigFile::load(const std::string& path) {
   return parse(ss.str(), path);
 }
 
-std::vector<ConfigFile::Entry> ConfigFile::section(std::string_view name) const {
-  std::vector<Entry> out;
-  for (const auto& e : entries_) {
-    if (e.section == name) out.push_back(e);
-  }
-  return out;
-}
-
 std::optional<std::string> ConfigFile::get(std::string_view sec, std::string_view key) const {
   std::optional<std::string> found;
   for (const auto& e : entries_) {

@@ -1,15 +1,14 @@
 // INI-style configuration files.
 //
-// Vampirtrace-style configuration files (see src/vt/vt_config.hpp for the
-// domain-specific layer on top of this) and machine profiles are expressed
-// as sections of key/value pairs:
+// Machine profiles (configs/*.ini, read by machine::spec_from_config) are
+// sections of key/value pairs:
 //
 //     [section]
 //     key = value        ; comment
 //     # full-line comment
 //
-// Keys outside any section land in the "" (global) section.  Repeated keys
-// are allowed and preserved in order (VT filter files rely on this).
+// Keys outside any section land in the "" (global) section.  A repeated key
+// is kept in file order, and the getters return its last value.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +34,6 @@ class ConfigFile {
 
   /// Load from a file on disk.
   static ConfigFile load(const std::string& path);
-
-  /// All entries in file order.
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  /// All entries of a section, in order.
-  std::vector<Entry> section(std::string_view name) const;
 
   /// Last value for section/key, if present.
   std::optional<std::string> get(std::string_view section, std::string_view key) const;

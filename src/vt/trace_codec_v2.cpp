@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "support/common.hpp"
+#include "support/hash.hpp"
 
 namespace dyntrace::vt {
 
@@ -40,8 +41,6 @@ struct Crc32Tables {
 };
 
 constexpr Crc32Tables kCrc32{};
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 constexpr std::uint64_t fnv_prime_pow(int k) {
   std::uint64_t p = 1;

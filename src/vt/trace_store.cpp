@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "support/common.hpp"
+#include "support/hash.hpp"
 #include "vt/trace_codec_v2.hpp"
 
 namespace dyntrace::vt {
@@ -86,22 +87,16 @@ std::vector<Event> TraceStore::merged() const {
 }
 
 std::uint64_t TraceStore::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
+  std::uint64_t h = kFnvOffset;
   auto cursor = merge_cursor();
   Event e;
   while (cursor->next(e)) {
-    mix(static_cast<std::uint64_t>(e.time));
-    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.pid)) << 32) |
-        static_cast<std::uint32_t>(e.tid));
-    mix((static_cast<std::uint64_t>(static_cast<std::uint8_t>(e.kind)) << 32) |
-        static_cast<std::uint32_t>(e.code));
-    mix(static_cast<std::uint64_t>(e.aux));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(e.time));
+    h = fnv1a_mix(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.pid)) << 32) |
+                         static_cast<std::uint32_t>(e.tid));
+    h = fnv1a_mix(h, (static_cast<std::uint64_t>(static_cast<std::uint8_t>(e.kind)) << 32) |
+                         static_cast<std::uint32_t>(e.code));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(e.aux));
   }
   return h;
 }

@@ -4,6 +4,7 @@
 #include <variant>
 
 #include "support/common.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -49,20 +50,14 @@ std::int64_t nonzero_stat_count(const std::vector<FuncStats>& stats) {
 }
 
 std::uint64_t stats_digest(const std::vector<FuncStats>& stats) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
+  std::uint64_t h = kFnvOffset;
   for (const auto& s : stats) {
-    mix(s.calls);
-    mix(s.filtered);
-    mix(static_cast<std::uint64_t>(s.inclusive));
-    mix(static_cast<std::uint64_t>(s.exclusive));
-    mix(static_cast<std::uint64_t>(s.min_inclusive));
-    mix(static_cast<std::uint64_t>(s.max_inclusive));
+    h = fnv1a_mix(h, s.calls);
+    h = fnv1a_mix(h, s.filtered);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.inclusive));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.exclusive));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.min_inclusive));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.max_inclusive));
   }
   return h;
 }

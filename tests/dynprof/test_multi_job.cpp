@@ -150,5 +150,67 @@ TEST(MultiJob, RejectsDuplicateJobNames) {
   EXPECT_THROW(MultiJobLaunch{std::move(options)}, Error);
 }
 
+TEST(MultiJob, OneJobMatchesItsSoloRun) {
+  // A MultiJobLaunch is a Launch on a borrowed cluster: one job with an
+  // explicit seed, on the solo run's machine, is the solo run -- same
+  // noise seed, no co-tenant surcharge, the tool on the next node up.
+  constexpr std::uint64_t kSeed = 7;
+  Launch::Options solo;
+  solo.app = asci::find_app("sppm");
+  solo.params.nprocs = 4;
+  solo.params.problem_scale = kScale;
+  solo.params.seed = kSeed;
+  solo.policy = Policy::kDynamic;
+  solo.machine = machine::ibm_power3_sp();
+  const PolicyResult expected = run_policy(solo);
+
+  MultiJobOptions options;
+  options.seed = kSeed;
+  options.machine = solo.machine;
+  MultiJobOptions::Job job;
+  job.app = solo.app;
+  job.params = solo.params;
+  job.policy = solo.policy;
+  options.jobs = {job};
+  const MultiJobResult result = MultiJobLaunch(std::move(options)).run_to_completion();
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].trace_digest, expected.trace_digest);
+  EXPECT_EQ(result.jobs[0].stats_digest, expected.stats_digest);
+  EXPECT_EQ(result.jobs[0].app_seconds, expected.app_seconds);
+}
+
+TEST(MultiJob, BorrowedClusterBringsItsOwnMachineAndFaults) {
+  // A Launch on a scenario's cluster runs on its engine, under its fault
+  // plan and into its registry, and takes no machine or plan of its own.
+  MultiJobLaunch scenario(two_job_options("seed 7\nkill-rank rank=1 at=0 job=back\n"));
+  Launch::Options options;
+  options.app = asci::find_app("sppm");
+  options.params.nprocs = 4;
+  options.params.problem_scale = kScale;
+  options.job_name = "third";
+  options.first_app_node = 4;
+  options.cluster = &scenario.cluster();
+  options.machine = machine::ibm_power3_sp();
+  EXPECT_THROW(Launch{options}, Error);
+  options.machine.reset();
+  options.fault = std::make_shared<fault::FaultInjector>(fault::FaultPlan{});
+  EXPECT_THROW(Launch{options}, Error);
+  options.fault.reset();
+  telemetry::Registry* const scenario_registry = &telemetry::current();
+  Launch borrowed(options);
+  EXPECT_EQ(&borrowed.engine(), &scenario.cluster().engine());
+  EXPECT_EQ(borrowed.fault_injector(), &scenario.cluster().fault_injector());
+  // It installs no registry of its own: its hooks land in the scenario's.
+  EXPECT_EQ(&telemetry::current(), scenario_registry);
+  EXPECT_EQ(&borrowed.telemetry_registry(), scenario_registry);
+}
+
+TEST(MultiJob, PlanTargetsAreCheckedAgainstEveryJob) {
+  // The scenario's substrate checks the plan once, against every job it
+  // hosts: the back job has ranks 0-3, so rank 4 of it does not exist.
+  EXPECT_THROW(MultiJobLaunch{two_job_options("kill-rank rank=4 at=0 job=back\n")}, Error);
+  EXPECT_NO_THROW(MultiJobLaunch{two_job_options("kill-rank rank=3 at=0 job=back\n")});
+}
+
 }  // namespace
 }  // namespace dyntrace::dynprof

@@ -68,14 +68,19 @@ TEST(Cluster, RegisteredJobsCountTenantsPerNode) {
   sim::Engine engine;
   Cluster cluster(engine, ibm_power3_sp());
   EXPECT_EQ(cluster.node_tenants(0), 0);
-  cluster.register_job(Cluster::JobSpan{"front", 0, 2, 0, 4});
-  cluster.register_job(Cluster::JobSpan{"back", 1, 2, 4, 4});
+  // "front": 9 one-cpu units from cpu 0 fill node 0 and spill onto node 1;
+  // "back": 5 units from cpu 4 take 4 per node, from node 1 onto node 2.
+  EXPECT_EQ(cluster.register_job("front", 0, 9, 1, 0), 1);
+  EXPECT_EQ(cluster.register_job("back", 1, 5, 1, 4), 2);
   EXPECT_EQ(cluster.node_tenants(0), 1);
   EXPECT_EQ(cluster.node_tenants(1), 2);  // both jobs span node 1
   EXPECT_EQ(cluster.node_tenants(2), 1);
   EXPECT_EQ(cluster.node_tenants(3), 0);
-  EXPECT_THROW(cluster.register_job(Cluster::JobSpan{"front", 4, 1, 0, 8}), Error);
-  EXPECT_THROW(cluster.register_job(Cluster::JobSpan{"huge", 0, 1000, 0, 8}), Error);
+  // A span past the machine's 144 nodes, or a unit that does not fit a
+  // node at its offset, is rejected.
+  EXPECT_THROW(cluster.register_job("huge", 0, 8000, 1, 0), Error);
+  EXPECT_THROW(cluster.register_job("wide", 143, 9, 1, 0), Error);
+  EXPECT_THROW(cluster.register_job("offset", 4, 1, 8, 4), Error);
 }
 
 TEST(Cluster, MultiTenantNodesPaySurcharge) {
@@ -85,8 +90,8 @@ TEST(Cluster, MultiTenantNodesPaySurcharge) {
   sim::Engine e1, e2;
   Cluster solo(e1, spec);
   Cluster shared(e2, spec);
-  shared.register_job(Cluster::JobSpan{"front", 0, 1, 0, 4});
-  shared.register_job(Cluster::JobSpan{"back", 0, 1, 4, 4});
+  shared.register_job("front", 0, 4, 1, 0);
+  shared.register_job("back", 0, 4, 1, 4);
   const sim::TimeNs base = solo.message_delay(0, 1, 4096, 0);
   const sim::TimeNs taxed = shared.message_delay(0, 1, 4096, 0);
   // Two tenants at the default factor 0.35: a 1.35x surcharge.

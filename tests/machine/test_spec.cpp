@@ -111,5 +111,97 @@ TEST(MachineSpec, ConfigIntFieldsFailClosed) {
   }
 }
 
+TEST(MachineSpec, EveryKeyRejectsAValueOutsideItsRange) {
+  // One row per key spec_from_config reads ([machine] name takes any
+  // string): a value the key cannot take throws an Error naming the file,
+  // the section and the key.  Negative durations and costs once reached
+  // the engine and aborted the run.
+  struct Row {
+    const char* section;
+    const char* key;
+    const char* bad;
+  };
+  const Row rows[] = {
+      {"machine", "base", "cray-t3e"},
+      {"machine", "nodes", "0"},
+      {"machine", "cpus_per_node", "-1"},
+      {"machine", "cpu_mhz", "0"},
+      {"machine", "memory_gb_per_node", "-4"},
+      {"machine", "link_latency_us", "-500"},
+      {"machine", "bandwidth_bytes_per_us", "0"},
+      {"machine", "per_message_software_us", "-1"},
+      {"machine", "intra_latency_us", "-0.5"},
+      {"machine", "intra_bandwidth_bytes_per_us", "-1"},
+      {"machine", "latency_jitter", "1"},
+      {"machine", "tenancy_factor", "-0.1"},
+      {"costs", "vt_timestamp_ns", "-1"},
+      {"costs", "vt_record_ns", "-5000000"},
+      {"costs", "vt_filter_lookup_ns", "-1"},
+      {"costs", "vt_call_overhead_ns", "-1"},
+      {"costs", "vt_funcdef_ns", "-1"},
+      {"costs", "vt_flush_per_record_ns", "-1"},
+      {"costs", "vt_confsync_entry_ns", "-1"},
+      {"costs", "vt_confsync_noise_mean_ns", "-1"},
+      {"costs", "vt_stats_write_per_record_ns", "-1"},
+      {"costs", "vt_stats_merge_per_record_ns", "-1"},
+      {"costs", "vt_stats_bytes_per_func", "-1"},
+      {"costs", "tramp_jump_ns", "-1"},
+      {"costs", "tramp_save_regs_ns", "-1"},
+      {"costs", "tramp_restore_regs_ns", "-1"},
+      {"costs", "tramp_mini_dispatch_ns", "-1"},
+      {"costs", "tramp_relocated_insn_ns", "-1"},
+      {"costs", "dpcl_daemon_dispatch_ns", "-1"},
+      {"costs", "dpcl_patch_per_probe_ns", "-1"},
+      {"costs", "dpcl_parse_image_ns", "-1"},
+      {"costs", "dpcl_connect_ns", "-1"},
+      {"costs", "dpcl_suspend_resume_ns", "-1"},
+      {"costs", "poe_spawn_base_ns", "-1"},
+      {"costs", "poe_spawn_per_proc_ns", "-1"},
+      {"fault", "request_deadline_ns", "0"},
+      {"fault", "request_max_retries", "-1"},
+      {"fault", "retry_backoff_base_ns", "-1"},
+      {"fault", "overlay_child_timeout_ns", "0"},
+      {"fault", "init_callback_timeout_ns", "-5"},
+      {"fault", "sync_quorum", "0"},
+      {"fault", "health_alpha", "1.5"},
+      {"fault", "health_latency_ref_ns", "0"},
+      {"fault", "breaker_failure_threshold", "0"},
+      {"fault", "breaker_score_floor", "1"},
+      {"fault", "breaker_cooldown_ns", "-1"},
+  };
+  for (const Row& row : rows) {
+    const std::string text =
+        std::string("[") + row.section + "]\n" + row.key + " = " + row.bad + "\n";
+    try {
+      spec_from_config(ConfigFile::parse(text, "f.ini"));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      const std::string located = std::string("[") + row.section + "] " + row.key;
+      EXPECT_NE(what.find("f.ini"), std::string::npos) << what;
+      EXPECT_NE(what.find(located), std::string::npos) << what;
+    }
+  }
+  // Not-a-number and infinite values are out of every real key's range.
+  EXPECT_THROW(spec_from_config(ConfigFile::parse("[machine]\nlink_latency_us = nan\n")),
+               Error);
+  EXPECT_THROW(spec_from_config(ConfigFile::parse("[machine]\ncpu_mhz = inf\n")), Error);
+  // The smallest value each range admits is accepted.
+  const MachineSpec zeros = spec_from_config(ConfigFile::parse(
+      "[machine]\nlink_latency_us = 0\ntenancy_factor = 0\n"
+      "[costs]\nvt_record_ns = 0\n[fault]\ninit_callback_timeout_ns = 0\n"));
+  EXPECT_EQ(zeros.link_latency, 0);
+  EXPECT_EQ(zeros.costs.vt_record, 0);
+  EXPECT_EQ(zeros.fault.init_callback_timeout, 0);
+}
+
+TEST(MachineSpec, LoadProfileTakesABuiltinNameOrAnIniPath) {
+  EXPECT_EQ(load_profile("ia32-linux").name, "ia32-linux");
+  EXPECT_EQ(load_profile(std::string(DYNTRACE_SOURCE_DIR) + "/configs/modern-cluster.ini").name,
+            "modern-cluster");
+  EXPECT_THROW(load_profile("cray-t3e"), Error);
+  EXPECT_THROW(load_profile("/nonexistent/machine.ini"), Error);
+}
+
 }  // namespace
 }  // namespace dyntrace::machine

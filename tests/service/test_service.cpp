@@ -152,6 +152,19 @@ TEST(Service, DriverShapeAndTimeoutOptionsAreChecked) {
   expect_rejected(options, "confsync_interval");
 }
 
+TEST(Service, SubscriptionWindowBelowOneIsRejected) {
+  // Every subscriber holds a credit window; there is no unbounded fan-out.
+  ScenarioOptions options = small_options();
+  options.service.sub_window = 0;
+  try {
+    run_scenario(options);
+    ADD_FAILURE() << "ServiceOptions::sub_window 0 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("ServiceOptions::sub_window"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Service, SubscriptionDeltasAreFannedOutPerWindow) {
   ScenarioOptions options = small_options();
   // One scripted session: instrument three functions, subscribe to them,

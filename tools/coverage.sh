@@ -49,10 +49,10 @@ build=$root/build-coverage
 out=$build/coverage
 jobs=$(nproc)
 gate_percent=1.0
-# Measured 1,031 of 6,222-6,225 lines (16.56-16.57%) and 176 functions; 18.90% and 224
-# functions before the deletions that set them.
-product_gate_percent=16.58
-product_functions_gate=176
+# Measured 1,021-1,022 of 6,230-6,231 lines (16.39-16.40%) and 175 functions; 18.90% and
+# 224 functions before the deletions that set them.
+product_gate_percent=16.41
+product_functions_gate=175
 # Functions nothing enters, as "file name" (functions-all.txt without the
 # line number): coroutine machinery a correct run never takes.
 allowed_unentered=$(cat <<'LIST'
